@@ -7,7 +7,8 @@ exact rational ``lam/d`` and all updates stay in integer arithmetic.  The
 reduce/exchange updates below are the incremental closed forms for the
 Gram-Schmidt data with denominators cleared; all comparisons (size
 reduction, Lovasz test, nearest-integer rounding with the asymmetric
-half-tie rule) are exact.
+half-tie rule) are exact.  The set-up (``integral_gso``) and the rounding
+are shared with the solution-shortening sweeps in ``reduction``.
 
 ``_lll_cy`` is a compiled twin of this module; both must produce
 bit-identical output for any input.
@@ -16,15 +17,60 @@ bit-identical output for any input.
 from __future__ import annotations
 
 from .errors import DependentColumns
+from .intmat import gram
 
 KERNEL_NAME = "python"
 
 
-def _round_nearest(num: int, den: int) -> int:
-    # ceil((2*num - den) / (2*den)) for den > 0: the <q - 1/2] tie rule.
-    a = 2 * num - den
-    b = 2 * den
-    return -((-a) // b)
+def round_nearest(num: int, den: int, mode: str = "asymmetric") -> int:
+    """Nearest integer to num/den (den > 0) with an explicit half-tie rule.
+
+    "asymmetric" is ceil(q - 1/2) (4.5 -> 4, -4.5 -> -5); "symmetric"
+    rounds halves away from zero (4.5 -> 5, -4.5 -> -5).
+    """
+    if mode == "asymmetric":
+        return -((den - 2 * num) // (2 * den))
+    if mode == "symmetric":
+        if num >= 0:
+            return (2 * num + den) // (2 * den)
+        return -((den - 2 * num) // (2 * den))
+    raise ValueError(f"unknown rounding mode {mode!r}")
+
+
+def gso_row(g_row: list[int], d: list[int], lam: list[list[int]]) -> list[int]:
+    """Integral GSO row of one more vector from its inner products g_row.
+
+    g_row[j] is the inner product with vector j of the GSO (d, lam) built so
+    far; entry j of the result is lam = mu_j * d[j+1].  When g_row also
+    holds the vector's own squared norm (index len(lam)), the last entry is
+    its d.
+    """
+    row: list[int] = []
+    for j, u in enumerate(g_row):
+        lj = lam[j] if j < len(lam) else row
+        for k in range(j):
+            u = (d[k + 1] * u - row[k] * lj[k]) // d[k]
+        row.append(u)
+    return row
+
+
+def integral_gso(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral GSO (d, lam) of the vectors with Gram matrix g.
+
+    d[i] is the determinant of the leading i x i block of g and lam[i] holds
+    lam[i][j] = mu_{i,j} * d[j+1] for j < i.  Raises DependentColumns when
+    a vector depends on the earlier ones.
+    """
+    d = [1]
+    lam: list[list[int]] = []
+    for i, gi in enumerate(g):
+        row = gso_row(gi[:i + 1], d, lam)
+        di = row.pop()
+        if di == 0:
+            raise DependentColumns(f"column {i} is dependent on earlier columns")
+        d.append(di)
+        lam.append(row)
+    return d, lam
 
 
 def lll_reduce(cols: list[list[int]], alpha_num: int, alpha_den: int) -> list[list[int]]:
@@ -38,40 +84,13 @@ def lll_reduce(cols: list[list[int]], alpha_num: int, alpha_den: int) -> list[li
         return cols
     p = alpha_num
     q = alpha_den
-
-    # Gram matrix of the columns.
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i + 1):
-            s = 0
-            cj = cols[j]
-            for t in range(len(ci)):
-                s += ci[t] * cj[t]
-            g[i][j] = s
-            g[j][i] = s
-
-    # Integral GSO: d[i] = det of the leading i x i Gram block, lam scaled mu.
-    d = [0] * (n + 1)
-    d[0] = 1
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = g[i][j]
-            for k in range(j):
-                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-            if j < i:
-                lam[i][j] = u
-            else:
-                if u == 0:
-                    raise DependentColumns(f"column {i} is dependent on earlier columns")
-                d[i + 1] = u
+    d, lam = integral_gso(gram(cols))
 
     def size_reduce(k: int, j: int) -> None:
         dj = d[j + 1]
         lkj = lam[k][j]
         if 2 * lkj > dj or 2 * lkj < -dj:
-            gamma = _round_nearest(lkj, dj)
+            gamma = round_nearest(lkj, dj)
             ck = cols[k]
             cj = cols[j]
             for t in range(len(ck)):

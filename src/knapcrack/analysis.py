@@ -19,26 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
+from .formulations import kernel_columns
 from .intmat import det_bareiss, gram
 
 
-def _columns(D) -> list[list[int]]:
-    if hasattr(D, "kernel_columns"):
-        return D.kernel_columns()
-    # Plain ints: the exact Gram/determinant path must never see fixed-width
-    # integer types.
-    rows = [[int(x) for x in r] for r in D]
-    return [list(c) for c in zip(*rows)]
-
-
 def _float_matrix(D) -> np.ndarray:
-    cols = _columns(D)
+    cols = kernel_columns(D)
     return np.array(cols, dtype=float).T
 
 
 def lattice_volume(D) -> float:
     """sqrt(det(D^T D)): the exact integer Gram determinant, rooted last."""
-    cols = _columns(D)
+    cols = kernel_columns(D)
     det = det_bareiss(gram(cols))
     if det <= 0:
         raise RankDeficient("columns are not of full rank")
@@ -50,7 +42,7 @@ def lattice_volume(D) -> float:
 
 def project_preserving_gram(D) -> np.ndarray:
     """An s x s factor S with S^T S = D^T D (all angles and lengths kept)."""
-    cols = _columns(D)
+    cols = kernel_columns(D)
     if det_bareiss(gram(cols)) == 0:
         raise RankDeficient("columns are not of full rank")
     mat = _float_matrix(D)
@@ -71,7 +63,7 @@ def _unit_ball_volume(s: int) -> float:
 
 def min_volume_ellipsoid(D) -> Ellipsoid:
     """MVE of the fundamental parallelepiped {D z : z in [0,1]^s}."""
-    cols = _columns(D)
+    cols = kernel_columns(D)
     if det_bareiss(gram(cols)) == 0:
         raise RankDeficient("columns are not of full rank")
     mat = _float_matrix(D)
@@ -92,7 +84,7 @@ def gamma(s: int) -> float:
 
 def lambda_tilde(D) -> float:
     """Max/min MVE semi-axis ratio after normalizing every column to length 1."""
-    cols = _columns(D)
+    cols = kernel_columns(D)
     if det_bareiss(gram(cols)) == 0:
         raise RankDeficient("columns are not of full rank")
     mat = _float_matrix(D)
@@ -107,7 +99,7 @@ def rect_distance(D) -> float:
     The optimum puts the Gram diagonal on the diagonal, so the distance is
     the Frobenius norm of the off-diagonal part.
     """
-    g = gram(_columns(D))
+    g = gram(kernel_columns(D))
     s = len(g)
     total = sum(g[i][j] ** 2 for i in range(s) for j in range(s) if i != j)
     return math.sqrt(total)
@@ -115,7 +107,7 @@ def rect_distance(D) -> float:
 
 def rect_distance_normalized(D) -> float:
     """rect_distance of the column-normalized basis (scale invariant)."""
-    g = gram(_columns(D))
+    g = gram(kernel_columns(D))
     s = len(g)
     total = 0.0
     for i in range(s):

@@ -1,8 +1,9 @@
 """Command-line surface: gen, attack, jumps, bench, analyze.
 
-Exit codes: 0 solved / done, 1 attack did not produce a binary solution,
-2 usage error, 3 I/O failure, 4 malformed input file, 5 enumeration cap
-exceeded.  Rational flags (alpha, t/M ratios) are written P/Q; decimals
+Exit codes: 0 solved / done, 1 attack did not produce a binary solution
+(for bench: some job raised and was counted unsolved), 2 usage error,
+3 I/O failure, 4 malformed input file, 5 enumeration cap exceeded.
+Rational flags (alpha, t/M ratios) are written P/Q; decimals
 are rejected to keep exactness-critical parameters exact.
 """
 
@@ -265,7 +266,11 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_SOLVED
+    failures = [(row.cell, seed, message) for row in rows for seed, message in row.errors]
+    for c, seed, message in failures:
+        print(f"error: cell m={c.m} n={c.n} algo={c.algo} dag={int(c.dag)} M={c.M} "
+              f"t_max={c.t_max} seed={seed} counted unsolved: {message}", file=sys.stderr)
+    return EXIT_UNSOLVED if failures else EXIT_SOLVED
 
 
 def _parse_apply(spec: str) -> list[tuple[int, int, int]]:

@@ -104,6 +104,16 @@ class KernelDecomposition:
         return [list(dr) + list(cr) for dr, cr in zip(self.D, self.C)]
 
 
+def kernel_columns(kernel) -> list[list[int]]:
+    """Columns of a KernelDecomposition's D, or of an n x s row-major matrix."""
+    if hasattr(kernel, "kernel_columns"):
+        return kernel.kernel_columns()
+    # Plain ints: the exact Gram/determinant paths must never see fixed-width
+    # integer types.
+    rows = [[int(x) for x in r] for r in kernel]
+    return [list(c) for c in zip(*rows)]
+
+
 def build_lattice_B(sys: LdeSystem, N: int) -> LatticeBasis:
     """The (n+m) x n stacked basis: column j is e_j over N * (column j of A)."""
     if N < 1:

@@ -8,6 +8,7 @@ row-major.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, SingularE
 
@@ -36,7 +37,7 @@ def gram(cols: list[list[int]]) -> list[list[int]]:
     for i in range(n):
         ci = cols[i]
         for j in range(i + 1):
-            s = sum(x * y for x, y in zip(ci, cols[j]))
+            s = sum(map(mul, ci, cols[j]))
             g[i][j] = s
             g[j][i] = s
     return g

@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._lll_py import round_nearest
 from .errors import DependentColumns, InvalidAlpha
 
 if os.environ.get("KNAPCRACK_PURE_LLL") == "1":
@@ -94,15 +95,7 @@ def nearest_integer(q, mode: str = "asymmetric") -> int:
     rounds halves away from zero (4.5 -> 5, -4.5 -> -5).
     """
     q = Fraction(q)
-    num, den = q.numerator, q.denominator
-    if mode == "asymmetric":
-        a = 2 * num - den
-        return -((-a) // (2 * den))
-    if mode == "symmetric":
-        if num >= 0:
-            return (2 * num + den) // (2 * den)
-        return -((-2 * num + den) // (2 * den))
-    raise ValueError(f"unknown rounding mode {mode!r}")
+    return round_nearest(q.numerator, q.denominator, mode)
 
 
 def gso(basis: LatticeBasis) -> GsoResult:

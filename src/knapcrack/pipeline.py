@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import formulations as fm
 from .disagg import DisaggParams, build_disaggregated
-from .errors import (DependentColumns, GenerationBudgetExceeded, RankDeficient,
-                     SearchExhausted, TooLarge)
+from .errors import (DependentColumns, GenerationBudgetExceeded, KnapcrackError,
+                     RankDeficient, SearchExhausted, TooLarge)
 from .lattice import DEFAULT_ALPHA
 from .problems import (LdeSystem, SubsetSumInstance, as_instance, format_system,
                        normalize)
@@ -329,10 +329,12 @@ def attack_with_dag(problem, config: SearchConfig) -> AttackOutcome:
     remember(_map_back(problem, base_verdict, flipped)
              if base_verdict.x is not None else base_verdict)
     for t in range(1, config.t_max + 1):
-        params = DisaggParams(t, config.M)
+        built = build_disaggregated(work, config.row_index, DisaggParams(t, config.M))
         try:
-            aug = build_disaggregated(work, config.row_index, params).system
+            aug = built.system
         except (RankDeficient, ValueError):
+            # The derived row depends on the others, or an ideal t (no k
+            # bits) left as many equations as unknowns: nothing to search.
             continue
         try:
             verdict = run_algorithm(aug, config)
@@ -377,6 +379,7 @@ class BenchRow:
     successes: int
     valid_ts: list[int] = field(default_factory=list)
     total_ms: float = 0.0
+    errors: list[tuple[int, str]] = field(default_factory=list)  # (seed, message)
 
     def csv_record(self, timing: bool = True) -> list[str]:
         c = self.cell
@@ -393,7 +396,8 @@ BENCH_COLUMNS = ["m", "n", "algo", "dag", "M", "t_max", "count", "successes",
                  "success_ratio", "avg_valid_t", "avg_ms", "seed0"]
 
 
-def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float]:
+def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float, str | None]:
+    """(solved, t_found, ms, error) of one job; a failing job is unsolved."""
     seed = cell.seed + index
     if cell.m == 1:
         problem = generate_instance(cell.n, seed).instance
@@ -408,8 +412,11 @@ def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float]:
         else:
             outcome = attack(problem, config)
     except SearchExhausted:
-        return False, None, (time.perf_counter() - t0) * 1000.0
-    return outcome.solved, outcome.t_found, outcome.wall_time * 1000.0
+        return False, None, (time.perf_counter() - t0) * 1000.0, None
+    except KnapcrackError as exc:
+        return (False, None, (time.perf_counter() - t0) * 1000.0,
+                f"{type(exc).__name__}: {exc}")
+    return outcome.solved, outcome.t_found, outcome.wall_time * 1000.0, None
 
 
 def resolve_workers() -> int:
@@ -425,10 +432,14 @@ def resolve_workers() -> int:
 
 
 def bench(cells: list[BenchCell], timing: bool = True) -> list[BenchRow]:
-    """Run every cell; deterministic apart from the timing column."""
+    """Run every cell; deterministic apart from the timing column.
+
+    A job that raises a KnapcrackError counts as unsolved and is listed in
+    its row's errors, so one failure does not discard the grid.
+    """
     workers = resolve_workers()
     jobs = [(ci, i) for ci, cell in enumerate(cells) for i in range(cell.count)]
-    results: dict[tuple[int, int], tuple[bool, int | None, float]] = {}
+    results: dict[tuple[int, int], tuple[bool, int | None, float, str | None]] = {}
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -442,11 +453,13 @@ def bench(cells: list[BenchCell], timing: bool = True) -> list[BenchRow]:
     for ci, cell in enumerate(cells):
         row = BenchRow(cell=cell, successes=0)
         for i in range(cell.count):
-            solved, t_found, ms = results[ci, i]
+            solved, t_found, ms, error = results[ci, i]
             row.successes += int(solved)
             if t_found is not None:
                 row.valid_ts.append(t_found)
             row.total_ms += ms
+            if error is not None:
+                row.errors.append((cell.seed + i, error))
         rows.append(row)
     return rows
 

@@ -1,10 +1,15 @@
 """Solution shortening: size-reduce a particular solution by the kernel basis.
 
-Both sweeps orthogonalize the kernel vectors (rows of (D | x)^T), then walk
-the projection coefficients of the target row from the last kernel vector
-down to the first, subtracting the nearest-integer multiple and updating
-the remaining coefficients in closed form.  The result is x - D*lambda for
-an integer lambda vector, so it solves the same system.
+Both sweeps are Babai's nearest-plane size reduction of the target row
+against the kernel vectors (rows of (D | x)^T), run in the same integral
+Gram-Schmidt state as the LLL kernel: ``d[i]`` and ``lam = mu * d[j+1]``
+from ``_lll_py.integral_gso``, with the target appended as one extra row
+of the same recurrence.  The sweep walks the target's coefficients from
+the last kernel vector down to the first, subtracting the nearest-integer
+multiple q and clearing it from the remaining coefficients in closed form
+(``lam_t[i] -= q * lam[j][i]``); all arithmetic is exact integer.  The
+result is x - D*lambda for an integer lambda vector, so it solves the same
+system.
 
 The half-shift variant runs the identical sweep on (2D | 2x - 1): doubling
 the kernel and centering the target on the all-half point steers the sweep
@@ -14,57 +19,31 @@ adding 1 and halving is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import DependentColumns, DimensionMismatch
-from .lattice import nearest_integer
-
-
-def _kernel_columns(kernel) -> list[list[int]]:
-    if hasattr(kernel, "kernel_columns"):
-        return kernel.kernel_columns()
-    rows = [list(r) for r in kernel]
-    return [list(c) for c in zip(*rows)]
+from ._lll_py import gso_row, integral_gso, round_nearest
+from .errors import DimensionMismatch
+from .formulations import kernel_columns
+from .intmat import gram, mat_vec
 
 
 def _sweep(vectors: list[list[int]], target: list[int], rounding: str) -> list[int]:
     """Subtract nearest-integer projections of target onto the GSO of vectors.
 
     Walks indices from the last vector to the first, maintaining the
-    target's projection coefficients against the orthogonalized vectors
-    under each subtraction.
+    target's scaled projection coefficients under each subtraction.
     """
-    s = len(vectors)
-    dim = len(target)
-    if any(len(v) != dim for v in vectors):
-        raise DimensionMismatch("kernel vectors and target differ in length")
-    bstar: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    mu = [[Fraction(0)] * s for _ in range(s)]
-    for i in range(s):
-        v = [Fraction(x) for x in vectors[i]]
-        for j in range(i):
-            c = sum(Fraction(a) * b for a, b in zip(vectors[i], bstar[j])) / norms[j]
-            mu[i][j] = c
-            v = [a - c * b for a, b in zip(v, bstar[j])]
-        nv = sum(x * x for x in v)
-        if nv == 0:
-            raise DependentColumns(f"kernel vector {i} depends on earlier ones")
-        bstar.append(v)
-        norms.append(nv)
-
-    coeff = [sum(Fraction(a) * b for a, b in zip(target, bstar[j])) / norms[j]
-             for j in range(s)]
+    d, lam = integral_gso(gram(vectors))
+    lam_t = gso_row(mat_vec(vectors, target), d, lam)
     out = list(target)
-    for j in range(s - 1, -1, -1):
-        lam = nearest_integer(coeff[j], rounding)
-        if lam:
+    dim = len(target)
+    for j in range(len(vectors) - 1, -1, -1):
+        q = round_nearest(lam_t[j], d[j + 1], rounding)
+        if q:
             vj = vectors[j]
             for t in range(dim):
-                out[t] -= lam * vj[t]
+                out[t] -= q * vj[t]
+            lj = lam[j]
             for i in range(j):
-                coeff[i] -= lam * mu[j][i]
-            coeff[j] -= lam
+                lam_t[i] -= q * lj[i]
     return out
 
 
@@ -74,7 +53,7 @@ def reduce_solution(x_b, kernel, rounding: str = "asymmetric") -> list[int]:
     kernel is a KernelDecomposition or an n x s row-major matrix whose
     columns span ker_Z(A).  The result differs from x_b by a kernel vector.
     """
-    cols = _kernel_columns(kernel)
+    cols = kernel_columns(kernel)
     target = [int(v) for v in x_b]
     if cols and len(cols[0]) != len(target):
         raise DimensionMismatch(
@@ -84,7 +63,7 @@ def reduce_solution(x_b, kernel, rounding: str = "asymmetric") -> list[int]:
 
 def reduce_half(x_b, kernel, rounding: str = "asymmetric") -> list[int]:
     """Half-shifted variant: sweep (2D | 2x_b - 1), then undo the shift."""
-    cols = _kernel_columns(kernel)
+    cols = kernel_columns(kernel)
     target = [2 * int(v) - 1 for v in x_b]
     if cols and len(cols[0]) != len(target):
         raise DimensionMismatch(

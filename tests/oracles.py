@@ -9,6 +9,7 @@ settled by exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from math import gcd
 
 
@@ -228,6 +229,60 @@ def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
                 size_reduce(k, h)
             k += 1
     return [[int(x) for x in c] for c in cols]
+
+
+def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -> list[int]:
+    """Rational Babai size reduction of target against vectors' GSO.
+
+    The solution-shortening sweep in plain Fractions: full rational GSO,
+    then nearest-integer subtraction from the last vector to the first,
+    updating the remaining projection coefficients in closed form.  The
+    reference the package's integral sweep is held to, tie rules included.
+    """
+    from fractions import Fraction
+
+    from knapcrack.errors import DependentColumns, DimensionMismatch
+
+    def nearest_integer(q: Fraction, mode: str) -> int:
+        if mode == "asymmetric":
+            return math.ceil(q - Fraction(1, 2))
+        if mode == "symmetric":
+            r = math.floor(abs(q) + Fraction(1, 2))
+            return r if q >= 0 else -r
+        raise ValueError(f"unknown rounding mode {mode!r}")
+
+    s = len(vectors)
+    dim = len(target)
+    if any(len(v) != dim for v in vectors):
+        raise DimensionMismatch("kernel vectors and target differ in length")
+    bstar: list[list[Fraction]] = []
+    norms: list[Fraction] = []
+    mu = [[Fraction(0)] * s for _ in range(s)]
+    for i in range(s):
+        v = [Fraction(x) for x in vectors[i]]
+        for j in range(i):
+            c = sum(Fraction(a) * b for a, b in zip(vectors[i], bstar[j])) / norms[j]
+            mu[i][j] = c
+            v = [a - c * b for a, b in zip(v, bstar[j])]
+        nv = sum(x * x for x in v)
+        if nv == 0:
+            raise DependentColumns(f"kernel vector {i} depends on earlier ones")
+        bstar.append(v)
+        norms.append(nv)
+
+    coeff = [sum(Fraction(a) * b for a, b in zip(target, bstar[j])) / norms[j]
+             for j in range(s)]
+    out = list(target)
+    for j in range(s - 1, -1, -1):
+        lam = nearest_integer(coeff[j], rounding)
+        if lam:
+            vj = vectors[j]
+            for t in range(dim):
+                out[t] -= lam * vj[t]
+            for i in range(j):
+                coeff[i] -= lam * mu[j][i]
+            coeff[j] -= lam
+    return out
 
 
 def integer_solvable(rows: list[list[int]], rhs: list[int]) -> bool:

@@ -60,6 +60,13 @@ class TestAttack:
         assert main(["attack", "--algo", "reduce", "--dag", "--modulus", "63",
                      "--t-max", "63", "--input", ex3_file]) == 0
 
+    def test_dag_on_invalid_rhs_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "neg.txt"
+        save_system(LdeSystem.from_rows([[3, 15, 6]], [-9]), path)
+        assert main(["attack", "--algo", "reduce-half", "--input", str(path),
+                     "--dag", "--modulus", "15"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_unsolved_exit_one(self, toy_file):
         assert main(["attack", "--algo", "reduce", "--input", toy_file]) == 1
 
@@ -137,6 +144,24 @@ class TestBench:
             main(["bench", "--grid", str(grid), "--out", str(path), "--no-timing"])
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_failing_job_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        import knapcrack.pipeline as pl
+        from knapcrack.errors import EscalationExhausted
+
+        def attack(problem, config):
+            raise EscalationExhausted("no zero block")
+
+        grid = tmp_path / "grid.txt"
+        grid.write_text("1 8 reduce 0 100 10 2 1\n")
+        out = tmp_path / "bench.csv"
+        monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
+        monkeypatch.setattr(pl, "attack", attack)
+        assert main(["bench", "--grid", str(grid), "--out", str(out),
+                     "--no-timing"]) == 1
+        assert out.read_text().splitlines()[1].startswith("1,8,reduce,0,100,10,2,0,")
+        err = capsys.readouterr().err
+        assert "seed=1 " in err and "seed=2 " in err and "EscalationExhausted" in err
 
     def test_bad_grid(self, tmp_path):
         grid = tmp_path / "grid.txt"

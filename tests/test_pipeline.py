@@ -6,7 +6,8 @@ import random
 import pytest
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
-from knapcrack.errors import GenerationBudgetExceeded, SearchExhausted, TooLarge
+from knapcrack.errors import (EscalationExhausted, GenerationBudgetExceeded,
+                              SearchExhausted, TooLarge)
 from knapcrack.pipeline import (AttackOutcome, BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, brute_force_solve,
                                 default_modulus, generate_instance, generate_system)
@@ -152,6 +153,24 @@ class TestDagLoop:
             except SearchExhausted:
                 assert not plain.solved
 
+    @pytest.mark.parametrize("b", [-9, 30])
+    def test_invalid_row_reaches_caller(self, b):
+        # b < 0 or b > sum(a) fails the transform at every t: an input error,
+        # not an exhausted search.
+        bad = LdeSystem.from_rows([[3, 15, 6]], [b])
+        cfg = SearchConfig(algo="reduce_half", use_dag=True, M=15, t_max=14)
+        with pytest.raises(ValueError):
+            attack_with_dag(bad, cfg)
+
+    def test_ideal_t_on_square_augmentation_is_skipped(self):
+        # m = n - 1: an ideal t adds a row and no k bits, leaving as many
+        # equations as unknowns; those t are skipped, not raised.
+        sys = LdeSystem.from_rows([[5, 19, 28], [26, 25, 3]], [14, 4])
+        assert build_disaggregated(sys, 0, DisaggParams(2, 10)).image.n_k == 0
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=10, t_max=9)
+        with pytest.raises(SearchExhausted):
+            attack_with_dag(sys, cfg)
+
     def test_dag_success_only_on_solvable(self):
         hard = LdeSystem.from_rows([[5, 9, 11]], [8])
         assert brute_force_solve(hard) == []
@@ -195,6 +214,29 @@ class TestBench:
         monkeypatch.setenv("KNAPCRACK_THREADS", "2")
         parallel = bench_csv(bench(cells), timing=False)
         assert serial == parallel
+
+
+    def test_failing_job_counts_unsolved(self, monkeypatch):
+        import knapcrack.pipeline as pl
+        real_attack = pl.attack
+        failing_seed = 4
+
+        def attack(problem, config):
+            if config.seed == failing_seed:
+                raise EscalationExhausted("no zero block")
+            return real_attack(problem, config)
+
+        cells = [BenchCell(1, 10, "reduce_half", False, 100, 10, 4, 3)]
+        monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
+        clean = bench(cells)[0]
+        monkeypatch.setattr(pl, "attack", attack)
+        row = bench(cells)[0]
+        assert row.errors == [(failing_seed, "EscalationExhausted: no zero block")]
+        solved_at_failing_seed = real_attack(
+            generate_instance(10, failing_seed).instance,
+            SearchConfig(algo="reduce_half", seed=failing_seed)).solved
+        assert row.successes == clean.successes - int(solved_at_failing_seed)
+        assert clean.errors == []
 
 
 class TestDeterminism:

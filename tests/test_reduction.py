@@ -4,13 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from knapcrack.errors import DimensionMismatch
+from knapcrack.errors import DependentColumns, DimensionMismatch
 from knapcrack.formulations import attack_ahl, decompose, special_solution
 from knapcrack.intmat import solve_integer_combination
 from knapcrack.pipeline import generate_instance
 from knapcrack.problems import LdeSystem
 from knapcrack.reduction import reduce_half, reduce_solution
+
+from oracles import sweep_fraction
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -138,3 +142,102 @@ class TestAgreementWithAhl:
                 assert list(ahl.x) == ours
                 agreements += 1
         assert agreements >= 6
+
+
+def oracle_reduce(x_b, cols, rounding):
+    return sweep_fraction(cols, list(x_b), rounding)
+
+
+def oracle_reduce_half(x_b, cols, rounding):
+    doubled = [[2 * x for x in c] for c in cols]
+    reduced = sweep_fraction(doubled, [2 * v - 1 for v in x_b], rounding)
+    return [(v + 1) // 2 for v in reduced]
+
+
+def row_major(cols):
+    return [list(r) for r in zip(*cols)]
+
+
+@st.composite
+def basis_and_target(draw):
+    s = draw(st.integers(1, 6))
+    dim = draw(st.integers(s, 8))
+    entry = st.integers(-40, 40)
+    cols = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                         min_size=s, max_size=s))
+    target = draw(st.lists(st.integers(-10**6, 10**6), min_size=dim, max_size=dim))
+    return cols, target
+
+
+class TestOracleAgreement:
+    """The integral sweep equals the rational reference, tie rules included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(basis_and_target(), st.sampled_from(["asymmetric", "symmetric"]))
+    def test_random_bases(self, case, rounding):
+        cols, target = case
+        D = row_major(cols)
+        try:
+            expected = oracle_reduce(target, cols, rounding)
+        except DependentColumns:
+            with pytest.raises(DependentColumns):
+                reduce_solution(target, D, rounding)
+            return
+        assert reduce_solution(target, D, rounding) == expected
+        assert reduce_half(target, D, rounding) == oracle_reduce_half(target, cols, rounding)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from([8, 10, 12, 14]), st.integers(0, 10**6),
+           st.sampled_from(["asymmetric", "symmetric"]),
+           st.lists(st.integers(-3, 3), min_size=14, max_size=14))
+    def test_decomposed_kernels(self, n, seed, rounding, shift):
+        sys = generate_instance(n, seed).instance.as_system()
+        kd = decompose(sys)
+        cols = kd.kernel_columns()
+        xb = [v + dv for v, dv in zip(special_solution(kd, sys.b), shift)]
+        assert reduce_solution(xb, kd, rounding) == oracle_reduce(xb, cols, rounding)
+        assert reduce_half(xb, kd, rounding) == oracle_reduce_half(xb, cols, rounding)
+
+    @pytest.mark.parametrize("rounding, expected", [("asymmetric", [1, 0, 5]),
+                                                    ("symmetric", [-1, 0, 5])])
+    def test_tie_after_update(self, rounding, expected):
+        # mu_t1 = 1 is removed first, which leaves mu_t0 = 1 - 1/2: an exact tie.
+        cols = [[2, 0, 0], [1, 1, 0]]
+        target = [2, 1, 5]
+        assert oracle_reduce(target, cols, rounding) == expected
+        assert reduce_solution(target, row_major(cols), rounding) == expected
+
+    @pytest.mark.parametrize("target, rounding, expected", [
+        ([1, 0], "asymmetric", [1, 0]),
+        ([1, 0], "symmetric", [-1, 0]),
+        ([-1, 0], "asymmetric", [1, 0]),
+        ([-1, 0], "symmetric", [1, 0]),
+        ([3, 7], "asymmetric", [1, 7]),
+        ([3, 7], "symmetric", [-1, 7]),
+    ])
+    def test_single_vector_ties(self, target, rounding, expected):
+        cols = [[2, 0]]
+        assert oracle_reduce(target, cols, rounding) == expected
+        assert reduce_solution(target, row_major(cols), rounding) == expected
+
+    @pytest.mark.parametrize("rounding, expected", [("asymmetric", [1, 0]),
+                                                    ("symmetric", [0, 0])])
+    def test_half_shift_tie(self, rounding, expected):
+        # (2D | 2x - 1) = ((2, 0) | (1, -1)): the coefficient is exactly 1/2.
+        cols = [[1, 0]]
+        assert oracle_reduce_half([1, 0], cols, rounding) == expected
+        assert reduce_half([1, 0], row_major(cols), rounding) == expected
+
+    @pytest.mark.parametrize("cols", [[[1, 0, 0], [2, 0, 0]],
+                                      [[1, 2, 3], [0, 0, 0]],
+                                      [[1, 1, 0], [0, 1, 1], [1, 2, 1]]])
+    def test_dependent_basis_raises(self, cols):
+        with pytest.raises(DependentColumns):
+            reduce_solution([1, 2, 3], row_major(cols))
+        with pytest.raises(DependentColumns):
+            reduce_half([1, 2, 3], row_major(cols))
+
+    def test_unknown_rounding_mode(self):
+        with pytest.raises(ValueError):
+            reduce_solution([1, 2], [[2], [0]], rounding="banker")
