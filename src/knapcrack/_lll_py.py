@@ -9,18 +9,12 @@ Gram-Schmidt data with denominators cleared; all comparisons (size
 reduction, Lovasz test, nearest-integer rounding with the asymmetric
 half-tie rule) are exact.  The set-up (``integral_gso``) and the rounding
 are shared with the solution-shortening sweeps in ``reduction``.
-
-``_lll_cy`` is a compiled twin of this module; both must produce
-bit-identical output for any input.
 """
 
 from __future__ import annotations
 
 from .errors import DependentColumns
 from .intmat import gram
-
-KERNEL_NAME = "python"
-
 
 def round_nearest(num: int, den: int, mode: str = "asymmetric") -> int:
     """Nearest integer to num/den (den > 0) with an explicit half-tie rule.

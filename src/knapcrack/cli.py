@@ -19,8 +19,8 @@ from pathlib import Path
 from . import analysis, pipeline
 from .disagg import (DisaggParams, build_disaggregated, cuts_off,
                      enumerate_jump_points, is_ideal, iter_jump_points, uk_bound)
-from .errors import (EscalationExhausted, KnapcrackError, ParseError,
-                     RankDeficient, SearchExhausted, SizeLimit)
+from .errors import (EscalationExhausted, InvalidParams, InvalidRow, KnapcrackError,
+                     ParseError, RankDeficient, SearchExhausted, SizeLimit)
 from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
 from .lattice import DEFAULT_ALPHA
 from .problems import as_instance, load_system, save_system
@@ -273,23 +273,31 @@ def cmd_bench(args) -> int:
     return EXIT_UNSOLVED if failures else EXIT_SOLVED
 
 
-def _parse_apply(spec: str) -> list[tuple[int, int, int]]:
+def _parse_apply(spec: str, m: int) -> list[tuple[int, DisaggParams]]:
+    """Steps of one ROW:T/M[,ROW:T/M...] chain over an m-row system.
+
+    Step i may name a row derived by an earlier step, so its row lies in
+    0..m+i-1.  Raises InvalidRow or InvalidParams on a bad step.
+    """
     steps = []
-    for part in spec.split(","):
+    for i, part in enumerate(spec.split(",")):
         row, ratio = part.split(":", 1)
-        t, m = ratio.split("/", 1)
-        steps.append((int(row), int(t), int(m)))
+        t, modulus = ratio.split("/", 1)
+        row = int(row)
+        if not 0 <= row < m + i:
+            raise InvalidRow(f"--apply {spec}: row {row} outside 0..{m + i - 1}")
+        steps.append((row, DisaggParams(int(t), int(modulus))))
     return steps
 
 
 def _analyze_scenarios(args, system):
-    """Yield (label_t, label_M, [(row, t, M), ...]) scenario chains."""
+    """Yield scenario chains [(row, DisaggParams), ...]; the last step labels each."""
     if args.apply:
         for spec in args.apply:
-            steps = _parse_apply(spec)
-            last = steps[-1]
-            yield last[1], last[2], steps
+            yield _parse_apply(spec, system.m)
         return
+    if not 0 <= args.row < system.m:
+        raise InvalidRow(f"--row {args.row} outside 0..{system.m - 1}")
     if args.all_jumps:
         row_a = list(system.A[args.row])
         row_b = system.b[args.row]
@@ -303,14 +311,34 @@ def _analyze_scenarios(args, system):
             points = enumerate_jump_points((row_a, row_b))
         for jp in points:
             r = jp.value
-            yield r.numerator, r.denominator, [(args.row, r.numerator, r.denominator)]
+            yield [(args.row, DisaggParams(r.numerator, r.denominator))]
         return
     if args.t_range is None or args.modulus is None:
         raise ValueError("need --t-range with --modulus, or --all-jumps, or --apply")
     lo, hi = args.t_range.split("..", 1)
     for t in range(int(lo), int(hi) + 1):
         if 0 < t < args.modulus:
-            yield t, args.modulus, [(args.row, t, args.modulus)]
+            yield [(args.row, DisaggParams(t, args.modulus))]
+
+
+def _augment(system, steps):
+    """The system after a scenario's chained disaggregations.
+
+    Returns None when an ideal t (no k bits) leaves as many equations as
+    unknowns.
+    """
+    aug = system
+    for row, params in steps:
+        built = build_disaggregated(aug, row, params)
+        try:
+            aug = built.system
+        except RankDeficient:
+            # The derived row is a multiple of an existing one; the
+            # constraint set is unchanged, so keep the system as is.
+            continue
+        except ValueError:
+            return None
+    return aug
 
 
 def cmd_analyze(args) -> int:
@@ -338,30 +366,30 @@ def cmd_analyze(args) -> int:
     except SizeLimit as exc:
         print(f"error: {exc} (use --limit)", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
+    except (ValueError, InvalidParams, InvalidRow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for label_t, label_m, steps in scenarios:
-        aug = system
-        cut = False
-        try:
-            for row, t, m in steps:
-                params = DisaggParams(t, m)
-                if x_tilde is not None and row < system.m:
-                    if cuts_off((list(system.A[row]), system.b[row]),
-                                params.r, x_tilde):
-                        cut = True
-                try:
-                    aug = build_disaggregated(aug, row, params).system
-                except RankDeficient:
-                    # The derived row is a multiple of an existing one; the
-                    # constraint set is unchanged, so keep the system as is.
-                    continue
-            kd = decompose(aug, config.N, config.alpha)
-        except KnapcrackError:
+    for steps in scenarios:
+        label = steps[-1][1]
+        aug = _augment(system, steps)
+        if aug is None:
+            print(f"skipped {label.t}/{label.M}: an ideal t leaves a square system",
+                  file=sys.stderr)
             continue
         try:
-            verdict = pipeline.run_algorithm(aug, config)
+            kd = decompose(aug, config.N, config.alpha)
+        except EscalationExhausted as exc:
+            print(f"skipped {label.t}/{label.M}: {exc}", file=sys.stderr)
+            continue
+        cut = x_tilde is not None and any(
+            row < system.m and cuts_off((list(system.A[row]), system.b[row]),
+                                        params.r, x_tilde)
+            for row, params in steps)
+        try:
+            if algo in ("reduce", "reduce_half"):
+                verdict = pipeline.attack_decomposed(aug, kd, algo)
+            else:
+                verdict = pipeline.run_algorithm(aug, config)
         except KnapcrackError:
             verdict = AttackVerdict(FAILURE)
         success = False
@@ -370,7 +398,7 @@ def cmd_analyze(args) -> int:
             success = all(v in (0, 1) for v in head) and system.is_solution(head)
         records.append(analysis.FeatureRecord(
             instance_id=instance_id, m=system.m, n=system.n,
-            t=label_t, M=label_m,
+            t=label.t, M=label.M,
             features=analysis.compute_features(kd, cut=cut, success=success)))
     try:
         analysis.export_features_csv(records, args.out)

@@ -7,9 +7,9 @@ equal dimension.  The orthogonalization convention is fixed as
 
 so ``mu`` is lower-unitriangular with ``mu[i][j]`` the projection
 coefficient of column ``i`` onto the orthogonal direction ``j``.  All
-arithmetic is exact rational; the LLL hot loop itself runs in a
-denominator-cleared integer kernel (compiled when available, pure Python
-otherwise) applying the same reduce/exchange update formulas.
+arithmetic is exact rational; the LLL hot loop itself runs in the
+denominator-cleared integer kernel of ``_lll_py``, applying the same
+reduce/exchange update formulas.
 
 Nearest-integer rounding uses the asymmetric half-tie rule
 ``round(q) = ceil(q - 1/2)`` everywhere by default, so 4.5 -> 4 and
@@ -19,27 +19,18 @@ sign-flip invariance of a reduction sweep matters.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._lll_py import round_nearest
+from ._lll_py import lll_reduce, round_nearest
 from .errors import DependentColumns, InvalidAlpha
-
-if os.environ.get("KNAPCRACK_PURE_LLL") == "1":
-    from . import _lll_py as _kernel
-else:
-    try:
-        from . import _lll_cy as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _lll_py as _kernel  # type: ignore[no-redef]
 
 DEFAULT_ALPHA = Fraction(99, 100)
 
 
 def kernel_name() -> str:
-    """Which LLL kernel is active ("cython" or "python")."""
-    return _kernel.KERNEL_NAME
+    """Name of the LLL kernel, recorded in benchmark provenance."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
     alpha = Fraction(alpha)
     if not Fraction(1, 4) < alpha < 1:
         raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
-    cols = _kernel.lll_reduce(basis.column_lists(), alpha.numerator, alpha.denominator)
+    cols = lll_reduce(basis.column_lists(), alpha.numerator, alpha.denominator)
     return LatticeBasis.from_columns(cols)
 
 

@@ -260,7 +260,12 @@ def run_algorithm(sys: LdeSystem, config: SearchConfig) -> fm.AttackVerdict:
         return fm.attack_cjloss_system(sys, config.N, config.alpha)
     if algo == "ahl":
         return fm.attack_ahl(sys, alpha=config.alpha)
-    kd = fm.decompose(sys, config.N, config.alpha)
+    return attack_decomposed(sys, fm.decompose(sys, config.N, config.alpha), algo)
+
+
+def attack_decomposed(sys: LdeSystem, kd: fm.KernelDecomposition,
+                      algo: str) -> fm.AttackVerdict:
+    """The reduce / reduce_half attack on a system already decomposed into kd."""
     xb = fm.special_solution(kd, sys.b)
     if xb is None:
         return fm.AttackVerdict(fm.NO_INTEGER_SOLUTION, meta={"algorithm": algo})

@@ -195,3 +195,43 @@ class TestAnalyze:
         assert main(["analyze", "--input", toy_file, "--out", str(out),
                      "--all-jumps"]) == 0
         assert len(out.read_text().strip().splitlines()) == 24
+
+    def test_decomposes_each_scenario_once(self, ex3_file, tmp_path, monkeypatch):
+        from knapcrack import cli, formulations
+        calls = []
+        real = formulations.decompose
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(formulations, "decompose", counting)
+        monkeypatch.setattr(cli, "decompose", counting)
+        out = tmp_path / "once.csv"
+        assert main(["analyze", "--input", ex3_file, "--out", str(out),
+                     "--modulus", "63", "--t-range", "1..4"]) == 0
+        rows = len(out.read_text().strip().splitlines()) - 1
+        assert rows == 4
+        # One for the baseline attack, then one per scenario.
+        assert len(calls) == 1 + rows
+
+    @pytest.mark.parametrize("spec", ["0:5/3", "7:1/3"])
+    def test_invalid_apply_is_usage_error(self, toy_file, tmp_path, capsys, spec):
+        out = tmp_path / "bad.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--apply", spec]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_square_augmentation_is_skipped(self, tmp_path, capsys):
+        # Every jump point of 3x1 + 5x2 = 5 is ideal, so each augmentation
+        # of this 1x2 system has as many equations as unknowns.
+        path = tmp_path / "square.txt"
+        save_system(LdeSystem.from_rows([[3, 5]], [5]), path)
+        out = tmp_path / "square.csv"
+        assert main(["analyze", "--input", str(path), "--out", str(out),
+                     "--all-jumps"]) == 0
+        assert len(out.read_text().strip().splitlines()) == 1
+        skipped = capsys.readouterr().err.strip().splitlines()
+        assert skipped == [f"skipped {r}: an ideal t leaves a square system"
+                           for r in ("1/5", "1/3", "2/5", "3/5", "2/3", "4/5")]

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from knapcrack.errors import DependentColumns, InvalidAlpha
+from knapcrack.formulations import DEFAULT_N, build_lattice_B
 from knapcrack.lattice import (LatticeBasis, gso, gso_after_reduce, gso_after_swap,
                                is_lll_reduced, lll, nearest_integer)
-from knapcrack import _lll_py
+from knapcrack.pipeline import generate_instance
 
 from oracles import (enumerate_lattice_shortest, hnf_columns,
                      independent_short_vectors, naive_lll)
@@ -215,21 +216,41 @@ class TestLll:
             assert [list(c) for c in ours.columns] == theirs
 
 
-class TestKernelTwins:
-    def test_compiled_and_pure_agree(self):
-        try:
-            from knapcrack import _lll_cy
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        rng = random.Random(7)
+@pytest.fixture
+def sympy_lll():
+    """sympy's LLL at alpha = 99/100, an implementation independent of ours."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def reduce(basis):
+        # sympy reduces rows, so our columns go in as its rows.
+        rows = DomainMatrix([[sympy.ZZ(x) for x in c] for c in basis.columns],
+                            (basis.n, basis.dim), sympy.ZZ)
+        return LatticeBasis.from_columns(rows.lll(delta=sympy.QQ(99, 100)).to_list())
+
+    return reduce
+
+
+def column_hnf(basis):
+    return hnf_columns([[c[r] for c in basis.columns] for r in range(basis.dim)])
+
+
+class TestAgainstSympy:
+    def test_random_bases_identical(self, sympy_lll):
+        rng = random.Random(9)
         for _ in range(60):
-            n = rng.randint(2, 6)
-            dim = n + rng.randint(0, 2)
-            cols = [[rng.randint(-10**5, 10**5) for _ in range(dim)] for _ in range(n)]
-            try:
-                expect = _lll_py.lll_reduce([list(c) for c in cols], 99, 100)
-            except DependentColumns:
-                with pytest.raises(DependentColumns):
-                    _lll_cy.lll_reduce([list(c) for c in cols], 99, 100)
-                continue
-            assert _lll_cy.lll_reduce([list(c) for c in cols], 99, 100) == expect
+            n = rng.randint(2, 8)
+            basis = random_basis(rng, n, n + rng.randint(0, 2), -1000, 1000)
+            assert lll(basis) == sympy_lll(basis)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_knapsack_bases_same_lattice(self, sympy_lll, n):
+        # The outputs may differ: sympy rounds mu = k + 1/2 up where we round
+        # down, and its math.floor on a rational goes through a float, so it
+        # misrounds once |mu| passes 2**53.
+        for seed in range(6):
+            system = generate_instance(n, seed).instance.as_system()
+            basis = build_lattice_B(system, DEFAULT_N)
+            ours, theirs = lll(basis), sympy_lll(basis)
+            assert column_hnf(ours) == column_hnf(theirs) == column_hnf(basis)
+            assert is_lll_reduced(ours) and is_lll_reduced(theirs)
