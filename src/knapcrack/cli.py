@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import analysis, pipeline
 from .disagg import (DisaggParams, build_disaggregated, cuts_off,
-                     enumerate_jump_points, is_ideal, iter_jump_points, uk_bound)
+                     enumerate_jump_points, is_ideal, iter_jump_points, row_coeffs,
+                     uk_bound)
 from .errors import (EscalationExhausted, InvalidParams, InvalidRow, KnapcrackError,
                      ParseError, RankDeficient, SearchExhausted, SizeLimit)
 from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
@@ -342,10 +343,15 @@ def _augment(system, steps):
 
 
 def cmd_analyze(args) -> int:
+    algo = ALGO_FLAGS[args.algo]
+    if algo == "lo":
+        # Every augmented system has m >= 2 equations; lo takes only one.
+        print("error: --algo lo handles single equations only; analyze augments "
+              "every system to two or more", file=sys.stderr)
+        return EXIT_USAGE
     system, err = _load_or_exit(args.input)
     if err is not None:
         return err
-    algo = ALGO_FLAGS[args.algo]
     config = pipeline.SearchConfig(algo=algo)
     problem = _as_problem(system)
 
@@ -363,6 +369,11 @@ def cmd_analyze(args) -> int:
     records = []
     try:
         scenarios = list(_analyze_scenarios(args, system))
+        # A base row that cannot be disaggregated (negative entries, b above
+        # the row sum) is bad input, not a per-scenario skip.
+        for row in sorted({row for steps in scenarios for row, _ in steps
+                           if row < system.m}):
+            row_coeffs((system.A[row], system.b[row]))
     except SizeLimit as exc:
         print(f"error: {exc} (use --limit)", file=sys.stderr)
         return EXIT_CAP

@@ -19,8 +19,11 @@ from .problems import LdeSystem, SubsetSumInstance
 JUMP_CAP = 10**6
 
 
-def _coeffs(problem) -> tuple[list[int], int]:
-    """Accept a SubsetSumInstance or a raw (a, b) pair."""
+def row_coeffs(problem) -> tuple[list[int], int]:
+    """(a, b) of a SubsetSumInstance or a raw (a, b) pair that can be disaggregated.
+
+    Raises ValueError when a coefficient or b is negative, or b exceeds sum(a).
+    """
     if isinstance(problem, SubsetSumInstance):
         return list(problem.a), problem.b
     a, b = problem
@@ -63,7 +66,7 @@ class ModularImage:
 
 def modular_transform(a, b, params: DisaggParams) -> ModularImage:
     """Residues c, d and floors v, w of (a, b) under t/M, with the k bound."""
-    a, b = _coeffs((a, b))
+    a, b = row_coeffs((a, b))
     t, M = params.t, params.M
     c = tuple(t * ai % M for ai in a)
     v = tuple(t * ai // M for ai in a)
@@ -75,7 +78,7 @@ def modular_transform(a, b, params: DisaggParams) -> ModularImage:
 
 def g_value(problem, r: Fraction) -> Fraction:
     """b~ r + floor(b r) - sum floor(a_i r); its floor is the k bound."""
-    a, b = _coeffs(problem)
+    a, b = row_coeffs(problem)
     r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError(f"need 0 < r < 1, got {r}")
@@ -86,7 +89,7 @@ def g_value(problem, r: Fraction) -> Fraction:
 
 def uk_bound(problem, r: Fraction) -> int:
     """floor(b~ r) + floor(b r) - sum floor(a_i r); nonnegative always."""
-    a, b = _coeffs(problem)
+    a, b = row_coeffs(problem)
     r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError(f"need 0 < r < 1, got {r}")
@@ -101,7 +104,7 @@ def is_ideal(problem, params: DisaggParams) -> bool:
     The three equivalent characterizations (residue-sum inequality, g < 1,
     u_k = 0) are all evaluated and must agree.
     """
-    a, b = _coeffs(problem)
+    a, b = row_coeffs(problem)
     img = modular_transform(a, b, params)
     cond_residues = sum(img.c) < params.M + img.d
     cond_g = g_value((a, b), params.r) < 1
@@ -179,7 +182,7 @@ def _jump_denominators(a: list[int], b: int) -> list[tuple[int, str]]:
 
 def enumerate_jump_points(problem, cap: int = JUMP_CAP) -> list[JumpPoint]:
     """All jump points, ascending, exact-rational deduplicated, tags merged."""
-    a, b = _coeffs(problem)
+    a, b = row_coeffs(problem)
     dens = _jump_denominators(a, b)
     raw_count = sum(den - 1 for den, _ in dens)
     if raw_count > cap:
@@ -200,7 +203,7 @@ def iter_jump_points(problem):
     """
     import heapq
 
-    a, b = _coeffs(problem)
+    a, b = row_coeffs(problem)
     dens = _jump_denominators(a, b)
     heap = [(Fraction(1, den), den, tag) for den, tag in dens]
     heapq.heapify(heap)
@@ -222,7 +225,7 @@ def cuts_off(problem, r: Fraction, x_tilde) -> bool:
     True exactly when the implied slack w - v . x_tilde falls outside
     [0, u_k]; binary solutions are never cut.
     """
-    a, b = _coeffs(problem)
+    a, b = row_coeffs(problem)
     x = [int(v) for v in x_tilde]
     if sum(ai * xi for ai, xi in zip(a, x)) != b or len(x) != len(a):
         raise NotASolution("x_tilde does not solve a . x = b")
@@ -259,7 +262,7 @@ def _assert_neighbours(a: list[int], b: int, r1: Fraction, r2: Fraction) -> None
 
 def njp_deltas(problem, r1: Fraction, r2: Fraction) -> NjpDeltas:
     """Componentwise floor differences across an adjacent jump-point pair."""
-    a, b = _coeffs(problem)
+    a, b = row_coeffs(problem)
     r1, r2 = Fraction(r1), Fraction(r2)
     _assert_neighbours(a, b, r1, r2)
     bt = sum(a) - b

@@ -195,8 +195,11 @@ def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
     cols = [[Fraction(x) for x in c] for c in cols]
     n = len(cols)
     alpha = Fraction(alpha)
+    current = []  # the GSO of cols as they stand, emptied on every change
 
     def full_gso():
+        if current:
+            return current[0]
         bstar, norms, mu = [], [], [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             v = list(cols[i])
@@ -206,6 +209,7 @@ def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
                 v = [a - c * b for a, b in zip(v, bstar[j])]
             bstar.append(v)
             norms.append(sum(x * x for x in v))
+        current.append((mu, norms))
         return mu, norms
 
     def size_reduce(k, j):
@@ -215,6 +219,7 @@ def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
             q = mu[k][j]
             gamma = -((-(2 * q.numerator - q.denominator)) // (2 * q.denominator))
             cols[k] = [a - gamma * b for a, b in zip(cols[k], cols[j])]
+            current.clear()
 
     k = 1
     while k < n:
@@ -222,6 +227,7 @@ def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
         mu, norms = full_gso()
         if norms[k] + mu[k][k - 1] ** 2 * norms[k - 1] < alpha * norms[k - 1]:
             cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            current.clear()
             if k > 1:
                 k -= 1
         else:

@@ -235,3 +235,25 @@ class TestAnalyze:
         skipped = capsys.readouterr().err.strip().splitlines()
         assert skipped == [f"skipped {r}: an ideal t leaves a square system"
                            for r in ("1/5", "1/3", "2/5", "3/5", "2/3", "4/5")]
+
+    def test_lo_is_usage_error(self, toy_file, tmp_path, capsys):
+        # Every augmented system has two or more equations, which lo cannot take.
+        out = tmp_path / "lo.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--modulus", "15", "--t-range", "1..3", "--algo", "lo"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, rhs", [([[3, 15, 6, 2]], [-1]),
+                                           ([[3, 15, 6, 2]], [27]),
+                                           ([[3, 5, 7, 2], [2, 4, 1, 6]], [8, 14])],
+                             ids=["negative-b", "b-above-sum", "second-row"])
+    def test_invalid_base_row_is_usage_error(self, tmp_path, capsys, rows, rhs):
+        path = tmp_path / "bad.txt"
+        save_system(LdeSystem.from_rows(rows, rhs), path)
+        out = tmp_path / "bad.csv"
+        assert main(["analyze", "--input", str(path), "--out", str(out),
+                     "--modulus", "15", "--t-range", "1..3",
+                     "--row", str(len(rows) - 1)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from knapcrack.disagg import DisaggParams, build_disaggregated
 from knapcrack.errors import DependentColumns, InvalidAlpha
-from knapcrack.formulations import DEFAULT_N, build_lattice_B
-from knapcrack.lattice import (LatticeBasis, gso, gso_after_reduce, gso_after_swap,
-                               is_lll_reduced, lll, nearest_integer)
+from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, build_lattice_B,
+                                    cjloss_basis)
+from knapcrack.lattice import (DEFAULT_ALPHA, LatticeBasis, gso, gso_after_reduce,
+                               gso_after_swap, is_lll_reduced, lll, nearest_integer)
 from knapcrack.pipeline import generate_instance
 
 from oracles import (enumerate_lattice_shortest, hnf_columns,
@@ -201,6 +203,32 @@ class TestLll:
     def test_dependent_columns_rejected(self):
         with pytest.raises(DependentColumns):
             lll(LatticeBasis.from_columns([(1, 2), (2, 4)]))
+
+    def test_dependency_in_last_column_rejected(self):
+        # The first three columns reduce before the fourth is reached.
+        with pytest.raises(DependentColumns, match="column 3"):
+            lll(LatticeBasis.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+
+    def test_zero_first_column_rejected(self):
+        with pytest.raises(DependentColumns, match="column 0"):
+            lll(LatticeBasis.from_columns([(0, 0), (1, 2)]))
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_attack_bases_match_naive_reference(self, n):
+        system = generate_instance(n, 0).instance.as_system()
+        n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1  # attack_ahl's default N2 at m = 1
+        for basis in (build_lattice_B(system, DEFAULT_N), cjloss_basis(system, DEFAULT_N),
+                      ahl_basis(system, DEFAULT_N1, n2)):
+            assert [list(c) for c in lll(basis).columns] == naive_lll(
+                [list(c) for c in basis.columns], DEFAULT_ALPHA)
+
+    def test_dag_basis_matches_naive_reference(self):
+        system = generate_instance(6, 0).instance.as_system()
+        aug = build_disaggregated(system, 0, DisaggParams(1, 15)).system
+        basis = build_lattice_B(aug, DEFAULT_N)
+        assert (aug.m, basis.n) == (2, 8)
+        assert [list(c) for c in lll(basis).columns] == naive_lll(
+            [list(c) for c in basis.columns], DEFAULT_ALPHA)
 
     def test_matches_naive_reference_exactly(self):
         # Column-for-column agreement with a from-scratch textbook LLL,
