@@ -5,14 +5,11 @@ solution lattice formulation, solution-shortening sweeps, and modular
 disaggregation with jump-point analysis.
 """
 
-from .lattice import LatticeBasis, GsoResult, gso, lll, nearest_integer, kernel_name
+from .lattice import LatticeBasis, lll, kernel_name
 
 __all__ = [
     "LatticeBasis",
-    "GsoResult",
-    "gso",
     "lll",
-    "nearest_integer",
     "kernel_name",
 ]
 

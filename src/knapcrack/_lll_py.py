@@ -64,25 +64,6 @@ def gso_row(g_row: list[int], d: list[int], lam: list[list[int]]) -> list[int]:
     return row
 
 
-def integral_gso(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Integral GSO (d, lam) of the vectors with Gram matrix g.
-
-    d[i] is the determinant of the leading i x i block of g and lam[i] holds
-    lam[i][j] = mu_{i,j} * d[j+1] for j < i.  Raises DependentColumns when
-    a vector depends on the earlier ones.
-    """
-    d = [1]
-    lam: list[list[int]] = []
-    for i, gi in enumerate(g):
-        row = gso_row(gi[:i + 1], d, lam)
-        di = row.pop()
-        if di == 0:
-            raise DependentColumns(f"column {i} is dependent on earlier columns")
-        d.append(di)
-        lam.append(row)
-    return d, lam
-
-
 def _add_row(cols: list[list[int]], k: int, d: list[int], lam: list[list[int]]) -> None:
     """Append column k's GSO row to (d, lam), which cover columns 0..k-1."""
     ck = cols[k]
@@ -92,6 +73,20 @@ def _add_row(cols: list[list[int]], k: int, d: list[int], lam: list[list[int]]) 
         raise DependentColumns(f"column {k} is dependent on earlier columns")
     d.append(dk)
     lam.append(row)
+
+
+def integral_gso(cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral GSO (d, lam) of the columns.
+
+    d[i] is the Gram determinant of columns 0..i-1 and lam[i] holds
+    lam[i][j] = mu_{i,j} * d[j+1] for j < i.  Raises DependentColumns when
+    a column depends on the earlier ones.
+    """
+    d = [1]
+    lam: list[list[int]] = []
+    for k in range(len(cols)):
+        _add_row(cols, k, d, lam)
+    return d, lam
 
 
 def lll_reduce(cols: list[list[int]], alpha_num: int, alpha_den: int) -> list[list[int]]:
@@ -105,9 +100,7 @@ def lll_reduce(cols: list[list[int]], alpha_num: int, alpha_den: int) -> list[li
         return cols
     p = alpha_num
     q = alpha_den
-    d = [1]
-    lam: list[list[int]] = []
-    _add_row(cols, 0, d, lam)
+    d, lam = integral_gso(cols[:1])
     kmax = 0
     k = 1
     while k < n:

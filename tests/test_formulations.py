@@ -5,15 +5,16 @@ from math import gcd
 
 import pytest
 
-from knapcrack.errors import InvalidBigInts, InvalidN, RankDeficient
-from knapcrack.formulations import (attack_ahl, attack_cjloss, attack_cjloss_system,
-                                    attack_lo, binary_verdict, build_lattice_B,
+from knapcrack.errors import InvalidBigInts, InvalidN, RankDeficient, SingularE
+from knapcrack.formulations import (DEFAULT_N, KernelDecomposition, attack_ahl,
+                                    attack_cjloss, attack_cjloss_system, attack_lo,
+                                    binary_verdict, build_lattice_B, cjloss_basis,
                                     decompose, special_solution, _scan_lo, _scan_pm1)
 from knapcrack.intmat import det_bareiss, mat_mul
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem, SubsetSumInstance
 
-from oracles import hnf_member, hnf_columns, integer_solvable, kernel_basis
+from oracles import gso, hnf_member, hnf_columns, integer_solvable, kernel_basis
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -47,8 +48,7 @@ class TestBuildLattice:
         for _ in range(10):
             sys = random_system(rng, 2, 5)
             basis = build_lattice_B(sys, 10**8)
-            from knapcrack.lattice import gso
-            gso(basis)  # raises on dependence
+            gso(basis.columns)  # raises on dependence
 
 
 class TestDecompose:
@@ -101,6 +101,12 @@ class TestSpecialSolution:
     def test_zero_rhs(self):
         kd = decompose(TOY_SYS)
         assert special_solution(kd, [0]) == [0, 0, 0]
+
+    def test_singular_e_rejected(self):
+        kd = KernelDecomposition(D=((1,), (0,), (0,)), C=((0, 0), (1, 0), (0, 1)),
+                                 E=((1, 2), (2, 4)), N_used=1)
+        with pytest.raises(SingularE):
+            special_solution(kd, [1, 2])
 
     def test_presence_matches_solvability_oracle(self):
         rng = random.Random(3)
@@ -177,6 +183,22 @@ class TestAttacks:
         verdict = attack_cjloss_system(gen.system)
         if verdict.solved:
             assert gen.system.is_solution(verdict.x)
+
+    @pytest.mark.parametrize("rows,b", [([[1, 20, 6, 15]], [21]),
+                                        ([[1, 20, 6, 15], [3, 5, 2, 6]], [21, 8])])
+    def test_cjloss_half_sum(self, rows, b):
+        # 2b = A 1 makes the n + 1 CJLOSS generators dependent; the basis
+        # must still span their lattice.
+        sys = LdeSystem.from_rows(rows, b)
+        n, N = sys.n, DEFAULT_N
+        gens = [[2 * (i == j) for i in range(n)] + [2 * N * r[j] for r in rows]
+                for j in range(n)] + [[1] * n + [2 * N * v for v in b]]
+        basis = cjloss_basis(sys, N)
+        gso(basis.columns)  # raises on dependence
+        assert hnf_columns([list(r) for r in zip(*basis.columns)]) == \
+            hnf_columns([list(r) for r in zip(*gens)])
+        verdict = attack_cjloss_system(sys)
+        assert verdict.solved and sys.is_solution(verdict.x)
 
     def test_binary_verdict_verifies(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Exact GSO / LLL: worked examples, update lemmas, and reduction contracts."""
+"""Exact LLL and its rational GSO oracle: worked examples, update lemmas, and
+reduction contracts."""
 
 import random
 from fractions import Fraction
@@ -9,38 +10,39 @@ from knapcrack.disagg import DisaggParams, build_disaggregated
 from knapcrack.errors import DependentColumns, InvalidAlpha
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, build_lattice_B,
                                     cjloss_basis)
-from knapcrack.lattice import (DEFAULT_ALPHA, LatticeBasis, gso, gso_after_reduce,
-                               gso_after_swap, is_lll_reduced, lll, nearest_integer)
+from knapcrack._lll_py import round_nearest
+from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from knapcrack.pipeline import generate_instance
 
-from oracles import (enumerate_lattice_shortest, hnf_columns,
-                     independent_short_vectors, naive_lll)
+from oracles import (enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
+                     hnf_columns, independent_short_vectors, is_lll_reduced, naive_lll)
 
 
 def random_basis(rng, n, dim, lo=-30, hi=30):
     while True:
         cols = [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(n)]
         try:
-            gso(LatticeBasis.from_columns(cols))
+            gso(cols)
             return LatticeBasis.from_columns(cols)
         except DependentColumns:
             continue
 
 
 class TestNearestInteger:
+    """The kernel's one half-tie rule, round_nearest(num, den, mode) ~ num/den."""
+
     def test_half_ties_round_down_positive(self):
-        assert nearest_integer(Fraction(9, 2)) == 4
+        assert round_nearest(9, 2) == 4
 
     def test_half_ties_round_down_negative(self):
-        assert nearest_integer(Fraction(-9, 2)) == -5
+        assert round_nearest(-9, 2) == -5
 
     def test_plain_nearest(self):
-        assert nearest_integer(Fraction(7, 3)) == 2
+        assert round_nearest(7, 3) == 2
 
     def test_symmetric_mode_is_odd(self):
         for num in range(-40, 41):
-            q = Fraction(num, 4)
-            assert nearest_integer(-q, "symmetric") == -nearest_integer(q, "symmetric")
+            assert round_nearest(-num, 4, "symmetric") == -round_nearest(num, 4, "symmetric")
 
     def test_residual_in_half_open_window(self):
         # ceil(q - 1/2) lands in [q - 1/2, q + 1/2), so the residual window
@@ -48,41 +50,41 @@ class TestNearestInteger:
         rng = random.Random(0)
         for _ in range(500):
             q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-            z = nearest_integer(q)
+            z = round_nearest(q.numerator, q.denominator)
             assert Fraction(-1, 2) <= z - q < Fraction(1, 2)
         for num in range(-9, 10, 2):
             q = Fraction(num, 2)
-            assert nearest_integer(q) - q == Fraction(-1, 2)
+            assert round_nearest(num, 2) - q == Fraction(-1, 2)
 
 
 class TestGso:
     def test_orthogonal_input_unchanged(self):
-        g = gso(LatticeBasis.from_columns([(1, 0), (0, 1)]))
+        g = gso([(1, 0), (0, 1)])
         assert g.mu == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         assert g.bstar == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
     def test_hand_worked_two_columns(self):
-        g = gso(LatticeBasis.from_columns([(1, 1), (1, 0)]))
+        g = gso([(1, 1), (1, 0)])
         assert g.mu[1][0] == Fraction(1, 2)
         assert g.bstar[1] == (Fraction(1, 2), Fraction(-1, 2))
         assert g.bstar[0] == (Fraction(1), Fraction(1))
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(DependentColumns):
-            gso(LatticeBasis.from_columns([(2, 0), (1, 0)]))
+            gso([(2, 0), (1, 0)])
 
     def test_first_star_is_first_column(self):
         rng = random.Random(1)
         for _ in range(20):
             basis = random_basis(rng, 3, 4)
-            g = gso(basis)
+            g = gso(basis.columns)
             assert g.bstar[0] == tuple(Fraction(x) for x in basis.columns[0])
 
     def test_reconstruction_and_orthogonality(self):
         rng = random.Random(2)
         for _ in range(20):
             basis = random_basis(rng, 4, 5)
-            g = gso(basis)
+            g = gso(basis.columns)
             n = basis.n
             for i in range(n):
                 rebuilt = [sum(g.mu[i][j] * g.bstar[j][r] for j in range(n))
@@ -96,32 +98,32 @@ class TestGso:
 
 class TestIncrementalUpdates:
     def test_reduce_zero_multiple_is_identity(self):
-        g = gso(LatticeBasis.from_columns([(1, 1), (1, 0)]))
+        g = gso([(1, 1), (1, 0)])
         assert gso_after_reduce(g, 1, 0, 0) is g
 
     def test_reduce_hand_worked(self):
-        g = gso(LatticeBasis.from_columns([(1, 1), (1, 0)]))
+        g = gso([(1, 1), (1, 0)])
         g2 = gso_after_reduce(g, 1, 0, 1)
         assert g2.mu[1][0] == Fraction(-1, 2)
         assert g2.bstar == g.bstar
 
     def test_reduce_index_errors(self):
-        g = gso(LatticeBasis.from_columns([(1, 1), (1, 0)]))
+        g = gso([(1, 1), (1, 0)])
         with pytest.raises(IndexError):
             gso_after_reduce(g, 0, 0, 1)
         with pytest.raises(IndexError):
             gso_after_reduce(g, 2, 0, 1)
 
     def test_swap_orthogonal_case(self):
-        g = gso(LatticeBasis.from_columns([(3, 0), (0, 2)]))
+        g = gso([(3, 0), (0, 2)])
         g2 = gso_after_swap(g, 1)
         assert g2.bstar == ((Fraction(0), Fraction(2)), (Fraction(3), Fraction(0)))
         assert g2.mu[1][0] == 0
 
     def test_swap_hand_worked(self):
-        g = gso(LatticeBasis.from_columns([(1, 1), (1, 0)]))
+        g = gso([(1, 1), (1, 0)])
         g2 = gso_after_swap(g, 1)
-        direct = gso(LatticeBasis.from_columns([(1, 0), (1, 1)]))
+        direct = gso([(1, 0), (1, 1)])
         assert g2.mu == direct.mu
         assert g2.bstar == direct.bstar
 
@@ -129,13 +131,13 @@ class TestIncrementalUpdates:
         rng = random.Random(3)
         for _ in range(100):
             basis = random_basis(rng, 3, 4)
-            g = gso(basis)
+            g = gso(basis.columns)
             k = rng.randint(1, 2)
             l = rng.randint(0, k - 1)
             gamma = rng.randint(-4, 4)
             cols = [list(c) for c in basis.columns]
             cols[k] = [a - gamma * b for a, b in zip(cols[k], cols[l])]
-            expect = gso(LatticeBasis.from_columns(cols))
+            expect = gso(cols)
             got = gso_after_reduce(g, k, l, gamma)
             assert got.mu == expect.mu
             assert got.bstar == expect.bstar
@@ -144,11 +146,11 @@ class TestIncrementalUpdates:
         rng = random.Random(4)
         for _ in range(100):
             basis = random_basis(rng, 4, 5)
-            g = gso(basis)
+            g = gso(basis.columns)
             for k in (1, 2, 3):
                 cols = [list(c) for c in basis.columns]
                 cols[k - 1], cols[k] = cols[k], cols[k - 1]
-                expect = gso(LatticeBasis.from_columns(cols))
+                expect = gso(cols)
                 got = gso_after_swap(g, k)
                 assert got.mu == expect.mu
                 assert got.bstar == expect.bstar
@@ -195,7 +197,7 @@ class TestLll:
             basis = random_basis(rng, n, n + rng.randint(0, 2), -1000, 1000)
             for alpha in (Fraction(3, 4), Fraction(99, 100)):
                 reduced = lll(basis, alpha)
-                assert is_lll_reduced(reduced, alpha)
+                assert is_lll_reduced(reduced.columns, alpha)
                 dim = basis.dim
                 assert hnf_columns([[c[r] for c in reduced.columns] for r in range(dim)]) == \
                     hnf_columns([[c[r] for c in basis.columns] for r in range(dim)])
@@ -281,4 +283,4 @@ class TestAgainstSympy:
             basis = build_lattice_B(system, DEFAULT_N)
             ours, theirs = lll(basis), sympy_lll(basis)
             assert column_hnf(ours) == column_hnf(theirs) == column_hnf(basis)
-            assert is_lll_reduced(ours) and is_lll_reduced(theirs)
+            assert is_lll_reduced(ours.columns) and is_lll_reduced(theirs.columns)

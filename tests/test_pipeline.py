@@ -2,12 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
 from knapcrack.errors import (EscalationExhausted, GenerationBudgetExceeded,
-                              SearchExhausted, TooLarge)
+                              RankDeficient, SearchExhausted, TooLarge)
 from knapcrack.pipeline import (AttackOutcome, BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, brute_force_solve,
                                 default_modulus, generate_instance, generate_system)
@@ -170,6 +173,47 @@ class TestDagLoop:
         cfg = SearchConfig(algo="reduce", use_dag=True, M=10, t_max=9)
         with pytest.raises(SearchExhausted):
             attack_with_dag(sys, cfg)
+
+    def test_lo_rejected_before_any_attack(self, monkeypatch):
+        import knapcrack.pipeline as pl
+
+        def run_algorithm(sys, config):
+            raise AssertionError("an attack ran")
+
+        monkeypatch.setattr(pl, "run_algorithm", run_algorithm)
+        cfg = SearchConfig(algo="lo", use_dag=True, M=15, t_max=14)
+        with pytest.raises(ValueError, match="single equations"):
+            attack_with_dag(TOY, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(algo=st.sampled_from(["reduce", "reduce_half", "cjloss", "ahl"]),
+           m=st.integers(1, 2), n=st.integers(4, 10), M=st.integers(3, 40),
+           seed=st.integers(0, 2 ** 32 - 1),
+           alpha=st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
+    def test_verdicts_are_sound(self, algo, m, n, M, seed, alpha):
+        # Small systems with coefficients up to 2^n and a planted binary
+        # solution: a binary verdict is a real solution found within t_max,
+        # and an exhausted search's best witness still solves the system.
+        # The weak alpha fails more plain attacks, so the t-search runs.
+        rng = random.Random(seed)
+        x = [0] * n
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            x[i] = 1
+        rows = [[rng.randint(1, 2 ** n) for _ in range(n)] for _ in range(m)]
+        try:
+            sys = LdeSystem.from_rows(rows, [sum(map(math.prod, zip(r, x))) for r in rows])
+        except RankDeficient:
+            return
+        t_max = rng.randint(1, M - 1)
+        cfg = SearchConfig(algo=algo, use_dag=True, M=M, t_max=t_max, alpha=alpha)
+        try:
+            out = attack_with_dag(sys, cfg)
+        except SearchExhausted as exc:
+            assert exc.best is None or sys.is_solution(exc.best.x)
+            return
+        if out.verdict.status == "binary":
+            assert out.verdict.x in brute_force_solve(sys)
+            assert out.t_found is None or 1 <= out.t_found <= t_max
 
     def test_dag_success_only_on_solvable(self):
         hard = LdeSystem.from_rows([[5, 9, 11]], [8])
