@@ -20,8 +20,8 @@ from . import analysis, pipeline
 from .disagg import (DisaggParams, build_disaggregated, cuts_off,
                      enumerate_jump_points, is_ideal, iter_jump_points, row_coeffs,
                      uk_bound)
-from .errors import (EscalationExhausted, InvalidParams, InvalidRow, KnapcrackError,
-                     ParseError, RankDeficient, SearchExhausted, SizeLimit)
+from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams, InvalidRow,
+                     KnapcrackError, ParseError, RankDeficient, SearchExhausted, SizeLimit)
 from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
 from .lattice import DEFAULT_ALPHA
 from .problems import as_instance, load_system, save_system
@@ -163,13 +163,13 @@ def cmd_attack(args) -> int:
         return err
     algo = ALGO_FLAGS[args.algo]
     modulus = args.modulus if args.modulus else pipeline.default_modulus(system.n)
-    config = pipeline.SearchConfig(algo=algo, use_dag=args.dag, M=modulus,
-                                   t_max=min(args.t_max, modulus - 1),
-                                   alpha=args.alpha, N=args.bign,
-                                   row_index=args.row)
     problem = _as_problem(system)
     t0 = time.perf_counter()
     try:
+        config = pipeline.SearchConfig(algo=algo, use_dag=args.dag, M=modulus,
+                                       t_max=min(args.t_max, modulus - 1),
+                                       alpha=args.alpha, N=args.bign,
+                                       row_index=args.row)
         if args.dag:
             outcome = pipeline.attack_with_dag(problem, config)
         else:
@@ -180,7 +180,7 @@ def cmd_attack(args) -> int:
             verdict=best if best is not None
             else AttackVerdict(FAILURE, meta={"algorithm": algo}),
             dag_used=True, wall_time=time.perf_counter() - t0)
-    except ValueError as exc:
+    except (ValueError, InvalidAlpha, InvalidN) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EscalationExhausted as exc:
@@ -238,7 +238,10 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
             toks = line.split()
             if len(toks) != 8:
                 raise ParseError(f"grid line {lineno}: expected 8 fields, got {len(toks)}")
-            m, n = int(toks[0]), int(toks[1])
+            try:
+                m, n, M, t_max, count, seed = (int(toks[i]) for i in (0, 1, 4, 5, 6, 7))
+            except ValueError as exc:
+                raise ParseError(f"grid line {lineno}: {exc}") from None
             algo = ALGO_FLAGS.get(toks[2], toks[2])
             if algo not in pipeline.ALGORITHMS:
                 raise ParseError(f"grid line {lineno}: unknown algorithm {toks[2]!r}")
@@ -246,9 +249,11 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
             if algo == "lo" and (dag or m != 1):
                 raise ParseError(f"grid line {lineno}: lo handles single equations "
                                  "only, without DAG")
-            cells.append(pipeline.BenchCell(
-                m=m, n=n, algo=algo, dag=dag, M=int(toks[4]),
-                t_max=int(toks[5]), count=int(toks[6]), seed=int(toks[7])))
+            if dag and not 0 < t_max < M:
+                raise ParseError(f"grid line {lineno}: DAG needs 0 < t_max < M, "
+                                 f"got t_max={t_max}, M={M}")
+            cells.append(pipeline.BenchCell(m=m, n=n, algo=algo, dag=dag, M=M,
+                                            t_max=t_max, count=count, seed=seed))
     return cells
 
 

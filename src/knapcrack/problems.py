@@ -94,10 +94,6 @@ class SubsetSumInstance:
     def b_complement(self) -> int:
         return sum(self.a) - self.b
 
-    def satisfies_assumption(self) -> bool:
-        """Hardness assumption: max(a) < b and 2b <= sum(a)."""
-        return max(self.a) < self.b and 2 * self.b <= sum(self.a)
-
     def is_solution(self, x) -> bool:
         return len(x) == self.n and sum(ai * xi for ai, xi in zip(self.a, x)) == self.b
 

@@ -5,7 +5,8 @@ Hermite normal form is plain integer column elimination, membership tests
 reduce against the HNF pivot structure, and existence questions are
 settled by exhaustive enumeration.  Gram-Schmidt is done once, in plain
 Fractions (``gso``); the update lemmas, the reduced-basis check, the
-textbook LLL and the rational sweep are all built on it.
+textbook LLL (recomputing its GSO, or carrying it by the lemmas) and the
+rational sweep are all built on it.
 """
 
 from __future__ import annotations
@@ -303,39 +304,33 @@ def is_lll_reduced(cols, alpha=DEFAULT_ALPHA) -> bool:
     return True
 
 
-def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
-    """Textbook rational LLL: full GSO recomputation after every change.
+def _textbook_lll(cols, alpha, after_reduce, after_swap) -> list[list[int]]:
+    """Textbook rational LLL on a copy of cols.
 
-    Hopelessly slow, but independent of the package's incremental update
-    machinery; used to pin the kernel's exact output column-for-column.
+    after_reduce(g, cols, k, j, gamma) and after_swap(g, cols, k) return the
+    GSO of cols after the change, given the GSO g from before it.
     """
     cols = [list(c) for c in cols]
     n = len(cols)
     alpha = Fraction(alpha)
-    current = []  # the GSO of cols as they stand, emptied on every change
-
-    def full_gso():
-        if not current:
-            g = gso(cols)
-            current.append((g.mu, g.bstar_norms_sq()))
-        return current[0]
+    g = gso(cols)
 
     def size_reduce(k, j):
-        mu, _ = full_gso()
-        if abs(mu[k][j]) > Fraction(1, 2):
+        nonlocal g
+        q = g.mu[k][j]
+        if abs(q) > Fraction(1, 2):
             # the asymmetric half-tie rule: ceil(mu - 1/2)
-            q = mu[k][j]
             gamma = -((-(2 * q.numerator - q.denominator)) // (2 * q.denominator))
             cols[k] = [a - gamma * b for a, b in zip(cols[k], cols[j])]
-            current.clear()
+            g = after_reduce(g, cols, k, j, gamma)
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        mu, norms = full_gso()
-        if norms[k] + mu[k][k - 1] ** 2 * norms[k - 1] < alpha * norms[k - 1]:
+        norm_k1, norm_k = (sum(x * x for x in g.bstar[i]) for i in (k - 1, k))
+        if norm_k + g.mu[k][k - 1] ** 2 * norm_k1 < alpha * norm_k1:
             cols[k - 1], cols[k] = cols[k], cols[k - 1]
-            current.clear()
+            g = after_swap(g, cols, k)
             if k > 1:
                 k -= 1
         else:
@@ -343,6 +338,28 @@ def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
                 size_reduce(k, h)
             k += 1
     return cols
+
+
+def naive_lll(cols: list[list[int]], alpha) -> list[list[int]]:
+    """Textbook rational LLL: full GSO recomputation after every change.
+
+    Hopelessly slow, but independent of the package's incremental update
+    machinery; used to pin the kernel's exact output column-for-column.
+    """
+    return _textbook_lll(cols, alpha, lambda g, cols, k, j, gamma: gso(cols),
+                         lambda g, cols, k: gso(cols))
+
+
+def lemma_lll(cols: list[list[int]], alpha) -> list[list[int]]:
+    """naive_lll with the GSO carried by the rational update lemmas.
+
+    gso_after_reduce and gso_after_swap replace the recomputation, which
+    makes bases of 30 columns affordable; the lemmas are pinned against
+    recomputation, and this loop against naive_lll.
+    """
+    return _textbook_lll(cols, alpha,
+                         lambda g, cols, k, j, gamma: gso_after_reduce(g, k, j, gamma),
+                         lambda g, cols, k: gso_after_swap(g, k))
 
 
 def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -> list[int]:

@@ -74,6 +74,19 @@ class TestAttack:
         captured = capsys.readouterr()
         assert "single equations" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--algo", "reduce", "--dag", "--t-max", "0"], "0 < t_max < M"),
+        (["--algo", "reduce", "--dag", "--modulus", "1"], "0 < t_max < M"),
+        (["--algo", "reduce", "--alpha", "1/1"], "alpha must lie in (1/4, 1)"),
+        (["--algo", "reduce", "--alpha", "1/5"], "alpha must lie in (1/4, 1)"),
+        (["--algo", "reduce", "--bign", "0"], "N must be positive"),
+    ], ids=["t-max-0", "modulus-1", "alpha-1", "alpha-1/5", "bign-0"])
+    def test_invalid_config_is_usage_error(self, toy_file, capsys, flags, message):
+        assert main(["attack", "--input", toy_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
     def test_unsolved_exit_one(self, toy_file):
         assert main(["attack", "--algo", "reduce", "--input", toy_file]) == 1
 
@@ -179,6 +192,20 @@ class TestBench:
         assert main(["bench", "--grid", str(grid), "--out", str(out),
                      "--no-timing"]) == 4
         assert "grid line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 sixteen reduce 0 1000 200 2 0", "'sixteen'"),
+        ("1 16 reduce-half 1 100 200 2 0", "0 < t_max < M"),
+    ], ids=["non-integer", "dag-t-max"])
+    def test_bad_grid_line_is_parse_error(self, tmp_path, capsys, line, message):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"1 8 reduce 0 100 10 2 1\n{line}\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--grid", str(grid), "--out", str(out),
+                     "--no-timing"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: grid line 2: ") and message in err
         assert not out.exists()
 
     def test_bad_grid(self, tmp_path):

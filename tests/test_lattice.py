@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
 from knapcrack.errors import DependentColumns, InvalidAlpha
@@ -15,7 +17,8 @@ from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from knapcrack.pipeline import generate_instance
 
 from oracles import (enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
-                     hnf_columns, independent_short_vectors, is_lll_reduced, naive_lll)
+                     hnf_columns, independent_short_vectors, is_lll_reduced, lemma_lll,
+                     naive_lll)
 
 
 def random_basis(rng, n, dim, lo=-30, hi=30):
@@ -244,6 +247,66 @@ class TestLll:
             ours = lll(basis, alpha)
             theirs = naive_lll([list(c) for c in basis.columns], alpha)
             assert [list(c) for c in ours.columns] == theirs
+
+
+BIG = 2 ** 200
+NONZERO = st.sampled_from([1, -1, 2, -3, BIG, -BIG, BIG + 1, 7 - BIG])
+ENTRIES = st.one_of(st.just(0), NONZERO)
+
+
+@st.composite
+def packing_bases(draw):
+    """Columns mixing zeros, +-1 and +-2^200, some dense, some dependent."""
+    n = draw(st.integers(1, 5))
+    dim = draw(st.integers(max(1, n - 1), n + 3))  # dim < n is a dependency
+    cols = [draw(st.lists(NONZERO if draw(st.booleans()) else ENTRIES,
+                          min_size=dim, max_size=dim)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        cols[k] = [sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(dim)]
+    return cols
+
+
+def reduce_or_message(reduce, cols, alpha):
+    """reduce's output columns, or the message of its DependentColumns."""
+    try:
+        return [list(c) for c in reduce(cols, alpha)]
+    except DependentColumns as exc:
+        return str(exc)
+
+
+def kernel(cols, alpha):
+    return lll(LatticeBasis.from_columns(cols), alpha).columns
+
+
+class TestPackedColumns:
+    """The kernel packs each column into one int; decoding must be exact."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packing_bases(), st.sampled_from([Fraction(26, 100), Fraction(3, 4),
+                                             Fraction(99, 100)]))
+    def test_matches_naive_reference(self, cols, alpha):
+        assert reduce_or_message(kernel, cols, alpha) == \
+            reduce_or_message(naive_lll, cols, alpha)
+
+    def test_widest_slots_match_reference(self):
+        # AHL at n = 30: entries N2 * a_i near 2^88, the widest slots of the
+        # attack bases at this size.  naive_lll would take minutes here;
+        # lemma_lll is pinned against it on the bases of the property above.
+        n = 30
+        system = generate_instance(n, 0).instance.as_system()
+        n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1
+        basis = ahl_basis(system, DEFAULT_N1, n2)
+        assert max(abs(x) for c in basis.columns for x in c).bit_length() >= 87
+        cols = [list(c) for c in basis.columns]
+        assert [list(c) for c in lll(basis).columns] == lemma_lll(cols, DEFAULT_ALPHA)
+
+    @settings(max_examples=100, deadline=None)
+    @given(packing_bases(), st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
+    def test_lemma_reference_matches_naive(self, cols, alpha):
+        assert reduce_or_message(lemma_lll, cols, alpha) == \
+            reduce_or_message(naive_lll, cols, alpha)
 
 
 @pytest.fixture
