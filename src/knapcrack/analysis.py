@@ -1,13 +1,14 @@
 """Kernel-lattice geometry features and their CSV export.
 
 The features quantify how "rectangular" a kernel basis is: lattice volume
-(exact Gram determinant), the minimum-volume ellipsoid of the fundamental
-parallelepiped, the max/min semi-axis ratio after column normalization,
-and Frobenius distances of the Gram matrix from diagonality.  The MVE is
-obtained in closed form: enclosing ellipsoids commute with invertible
-linear maps, so the MVE of D [0,1]^s is the image of the cube's
-circumscribed ball, with center D (1/2,...,1/2) and semi-axes
-(sqrt(s)/2) * sigma_i over the singular values sigma_i of D.
+(the exact Gram determinant d[s] of the integral Gram-Schmidt, which a
+KernelDecomposition already holds), the minimum-volume ellipsoid of the
+fundamental parallelepiped, the max/min semi-axis ratio after column
+normalization, and Frobenius distances of the Gram matrix from
+diagonality.  The MVE is obtained in closed form: enclosing ellipsoids
+commute with invertible linear maps, so the MVE of D [0,1]^s is the image
+of the cube's circumscribed ball, with center D (1/2,...,1/2) and
+semi-axes (sqrt(s)/2) * sigma_i over the singular values sigma_i of D.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient
-from .formulations import kernel_columns
-from .intmat import det_bareiss, gram
+from ._lll_py import integral_gso
+from .errors import DependentColumns, RankDeficient
+from .formulations import KernelDecomposition, kernel_columns
+# det_bareiss is not called here; perfbench/layers.py wraps analysis.det_bareiss by name.
+from .intmat import det_bareiss, gram  # noqa: F401
 
 
 def _float_matrix(D) -> np.ndarray:
@@ -28,26 +31,26 @@ def _float_matrix(D) -> np.ndarray:
     return np.array(cols, dtype=float).T
 
 
+def _gram_det(D) -> int:
+    """det(D^T D) > 0, as d[s] of the integral GSO of D's columns.
+
+    A KernelDecomposition brings its GSO; a plain matrix gets one
+    integral_gso.  Raises RankDeficient when the columns are dependent.
+    """
+    try:
+        d, _ = D.gso if isinstance(D, KernelDecomposition) else integral_gso(kernel_columns(D))
+    except DependentColumns:
+        raise RankDeficient("columns are not of full rank") from None
+    return d[-1]
+
+
 def lattice_volume(D) -> float:
     """sqrt(det(D^T D)): the exact integer Gram determinant, rooted last."""
-    cols = kernel_columns(D)
-    det = det_bareiss(gram(cols))
-    if det <= 0:
-        raise RankDeficient("columns are not of full rank")
+    det = _gram_det(D)
     root = math.isqrt(det)
     if root * root == det:
         return float(root)
     return math.sqrt(det)
-
-
-def project_preserving_gram(D) -> np.ndarray:
-    """An s x s factor S with S^T S = D^T D (all angles and lengths kept)."""
-    cols = kernel_columns(D)
-    if det_bareiss(gram(cols)) == 0:
-        raise RankDeficient("columns are not of full rank")
-    mat = _float_matrix(D)
-    _, sing, vt = np.linalg.svd(mat, full_matrices=False)
-    return np.diag(sing) @ vt
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,7 @@ def _unit_ball_volume(s: int) -> float:
 
 def min_volume_ellipsoid(D) -> Ellipsoid:
     """MVE of the fundamental parallelepiped {D z : z in [0,1]^s}."""
-    cols = kernel_columns(D)
-    if det_bareiss(gram(cols)) == 0:
-        raise RankDeficient("columns are not of full rank")
+    _gram_det(D)  # rank guard: raises RankDeficient
     mat = _float_matrix(D)
     s = mat.shape[1]
     sing = np.linalg.svd(mat, compute_uv=False)
@@ -84,9 +85,7 @@ def gamma(s: int) -> float:
 
 def lambda_tilde(D) -> float:
     """Max/min MVE semi-axis ratio after normalizing every column to length 1."""
-    cols = kernel_columns(D)
-    if det_bareiss(gram(cols)) == 0:
-        raise RankDeficient("columns are not of full rank")
+    _gram_det(D)  # rank guard: raises RankDeficient
     mat = _float_matrix(D)
     mat = mat / np.linalg.norm(mat, axis=0)
     sing = np.linalg.svd(mat, compute_uv=False)
@@ -99,15 +98,21 @@ def rect_distance(D) -> float:
     The optimum puts the Gram diagonal on the diagonal, so the distance is
     the Frobenius norm of the off-diagonal part.
     """
-    g = gram(kernel_columns(D))
+    return _off_diagonal(gram(kernel_columns(D)))
+
+
+def rect_distance_normalized(D) -> float:
+    """rect_distance of the column-normalized basis (scale invariant)."""
+    return _off_diagonal_normalized(gram(kernel_columns(D)))
+
+
+def _off_diagonal(g: list[list[int]]) -> float:
     s = len(g)
     total = sum(g[i][j] ** 2 for i in range(s) for j in range(s) if i != j)
     return math.sqrt(total)
 
 
-def rect_distance_normalized(D) -> float:
-    """rect_distance of the column-normalized basis (scale invariant)."""
-    g = gram(kernel_columns(D))
+def _off_diagonal_normalized(g: list[list[int]]) -> float:
     s = len(g)
     total = 0.0
     for i in range(s):
@@ -135,14 +140,15 @@ class KernelFeatures:
 def compute_features(D, cut: bool = False, success: bool = False) -> KernelFeatures:
     vol = lattice_volume(D)
     mve = min_volume_ellipsoid(D)
+    g = gram(kernel_columns(D))
     return KernelFeatures(
         dim=len(mve.semi_axes),
         volume=vol,
         semi_axes=mve.semi_axes,
         mve_volume=mve.volume,
         lambda_tilde=lambda_tilde(D),
-        d=rect_distance(D),
-        d_tilde=rect_distance_normalized(D),
+        d=_off_diagonal(g),
+        d_tilde=_off_diagonal_normalized(g),
         cut=cut,
         success=success,
     )

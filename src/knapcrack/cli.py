@@ -158,11 +158,15 @@ def _load_or_exit(path: str):
 
 
 def cmd_attack(args) -> int:
+    if args.modulus is not None and args.modulus < 2:
+        print(f"error: --modulus must be at least 2, got {args.modulus}: the DAG search "
+              "needs 0 < t_max < M", file=sys.stderr)
+        return EXIT_USAGE
     system, err = _load_or_exit(args.input)
     if err is not None:
         return err
     algo = ALGO_FLAGS[args.algo]
-    modulus = args.modulus if args.modulus else pipeline.default_modulus(system.n)
+    modulus = pipeline.default_modulus(system.n) if args.modulus is None else args.modulus
     problem = _as_problem(system)
     t0 = time.perf_counter()
     try:
@@ -356,6 +360,10 @@ def cmd_analyze(args) -> int:
         # Every augmented system has m >= 2 equations; lo takes only one.
         print("error: --algo lo handles single equations only; analyze augments "
               "every system to two or more", file=sys.stderr)
+        return EXIT_USAGE
+    if args.modulus is not None and args.modulus < 2:
+        print(f"error: --modulus must be at least 2, got {args.modulus}: no t satisfies "
+              "0 < t < M", file=sys.stderr)
         return EXIT_USAGE
     system, err = _load_or_exit(args.input)
     if err is not None:

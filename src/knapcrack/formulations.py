@@ -4,15 +4,41 @@ Builds the stacked basis B = [I; A*N], extracts the (D, C, E) block
 structure of its LLL reduction (kernel basis, companion block, and the
 row-space basis E with A*C = E), and implements the three classic
 column-scan attacks (LO, CJLOSS, AHL) on top of the same exact LLL.
+
+Every decomposition is checked before it is returned: A*D = 0, A*C = E,
+and U = (D | C) unimodular.  Unimodularity is read from the integral
+Gram-Schmidt of D, which the decomposition keeps for the sweeps and the
+features, instead of an n x n determinant.  With s = n - m, d[s] =
+det(D^T D), and A of full row rank m:
+
+    det(U)^2 * det(A A^T) = d[s] * det(E)^2.
+
+Proof: stack M = (D^T ; A), an n x n matrix.  Since A*D = 0 and A*C = E,
+
+    M U = ( D^T D  D^T C )        M M^T = ( D^T D    0   )
+          (   0      E   ),               (   0    A A^T ),
+
+so det(M) det(U) = d[s] det(E) and det(M)^2 = d[s] det(A A^T).  Squaring
+the first and dividing by the second (d[s] > 0 when D has independent
+columns) gives the identity.  Hence U is unimodular iff d[s] * det(E)^2 =
+det(A A^T), a test on two m x m determinants.  In lattice terms: with
+Delta(A) the gcd of A's m x m minors, |det U| = [ker_Z A : L(D)] *
+|det E| / Delta(A) and vol(ker_Z A)^2 = det(A A^T) / Delta(A)^2; both
+factors of |det U| are positive integers, so the one identity holds iff
+D spans ker_Z(A) and |det E| = Delta(A).  Delta(A) cancels and is never
+computed.  The GSO comes from D's columns, not from LLL's state, so the
+check stays independent of the kernel that produced D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import EscalationExhausted, InvalidBigInts, InvalidN
-from .intmat import det_bareiss, mat_mul, mat_vec, solve_exact
+from ._lll_py import integral_gso
+from .errors import DependentColumns, EscalationExhausted, InvalidBigInts, InvalidN
+from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from .problems import Complement, LdeSystem, SubsetSumInstance, normalize
 
@@ -81,7 +107,8 @@ class KernelDecomposition:
 
     D columns span ker_Z(A) exactly, A*C = E, and (D | C) is unimodular.
     All matrices row-major; N_used is the scaling that produced the zero
-    block.
+    block.  ``gso`` is the integral Gram-Schmidt of D's columns, built once
+    and shared by the contract, the sweeps and the features.
     """
 
     D: tuple[tuple[int, ...], ...]
@@ -100,8 +127,10 @@ class KernelDecomposition:
     def kernel_columns(self) -> list[list[int]]:
         return [list(col) for col in zip(*self.D)]
 
-    def unimodular_part(self) -> list[list[int]]:
-        return [list(dr) + list(cr) for dr, cr in zip(self.D, self.C)]
+    @cached_property
+    def gso(self) -> tuple[list[int], list[list[int]]]:
+        """``integral_gso`` (d, lam) of the kernel columns; callers only read it."""
+        return integral_gso(self.kernel_columns())
 
 
 def kernel_columns(kernel) -> list[list[int]]:
@@ -155,6 +184,7 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
 
 
 def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
+    """A*D = 0, A*C = E, and d[s] * det(E)^2 = det(A A^T) (module docstring)."""
     a_rows = [list(r) for r in sys.A]
     ad = mat_mul(a_rows, [list(r) for r in kd.D])
     if any(x != 0 for row in ad for x in row):
@@ -162,7 +192,12 @@ def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
     ac = mat_mul(a_rows, [list(r) for r in kd.C])
     if ac != [list(r) for r in kd.E]:
         raise AssertionError("A*C != E in decomposition")
-    if det_bareiss(kd.unimodular_part()) not in (1, -1):
+    try:
+        d, _ = kd.gso
+    except DependentColumns:
+        raise AssertionError("D has dependent columns") from None
+    det_e = det_bareiss([list(r) for r in kd.E])
+    if d[-1] * det_e * det_e != det_bareiss(gram(a_rows)):
         raise AssertionError("(D|C) is not unimodular")
 
 

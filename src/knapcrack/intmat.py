@@ -26,10 +26,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def transpose(a: list[list[int]]) -> list[list[int]]:
-    return [list(r) for r in zip(*a)]
-
-
 def gram(cols: list[list[int]]) -> list[list[int]]:
     """Gram matrix of a column set: G[i][j] = <col_i, col_j>."""
     n = len(cols)
@@ -111,27 +107,3 @@ def solve_exact(mat: list[list[int]], rhs: list[int]) -> list[Fraction]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return [a[i][n] for i in range(n)]
-
-
-def solve_integer_combination(cols: list[list[int]], target: list[int]) -> list[int] | None:
-    """Express target as an integer combination of the given columns.
-
-    Returns the coefficient vector, or None when no rational solution exists
-    or the rational solution is not integral.  Columns must be linearly
-    independent.
-    """
-    m = len(cols)
-    if m == 0:
-        return [] if all(x == 0 for x in target) else None
-    g = gram(cols)
-    rhs = [sum(x * y for x, y in zip(c, target)) for c in cols]
-    try:
-        coeffs = solve_exact(g, rhs)
-    except SingularE:
-        return None
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    z = [int(c) for c in coeffs]
-    # Gram projection only gives the least-squares answer; confirm exactly.
-    recon = [sum(cols[j][i] * z[j] for j in range(m)) for i in range(len(target))]
-    return z if recon == list(target) else None

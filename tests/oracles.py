@@ -6,7 +6,8 @@ reduce against the HNF pivot structure, and existence questions are
 settled by exhaustive enumeration.  Gram-Schmidt is done once, in plain
 Fractions (``gso``); the update lemmas, the reduced-basis check, the
 textbook LLL (recomputing its GSO, or carrying it by the lemmas) and the
-rational sweep are all built on it.
+rational sweep are all built on it.  The decomposition contract is checked
+by its definition, an n x n Bareiss determinant of (D | C).
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from knapcrack.errors import DependentColumns, DimensionMismatch
+import numpy as np
+
+from knapcrack.errors import DependentColumns, DimensionMismatch, RankDeficient, SingularE
+from knapcrack.formulations import kernel_columns
+from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
 from knapcrack.lattice import DEFAULT_ALPHA
 
 
@@ -419,3 +424,73 @@ def binary_solutions_naive(rows: list[list[int]], rhs: list[int]) -> list[tuple[
         if all(sum(r[i] * x[i] for i in range(n)) == b for r, b in zip(rows, rhs)):
             out.append(x)
     return out
+
+
+def transpose(a: list[list[int]]) -> list[list[int]]:
+    return [list(r) for r in zip(*a)]
+
+
+def solve_integer_combination(cols: list[list[int]], target: list[int]) -> list[int] | None:
+    """Express target as an integer combination of the given columns.
+
+    Returns the coefficient vector, or None when no rational solution exists
+    or the rational solution is not integral.  Columns must be linearly
+    independent.
+    """
+    m = len(cols)
+    if m == 0:
+        return [] if all(x == 0 for x in target) else None
+    g = gram(cols)
+    rhs = [sum(x * y for x, y in zip(c, target)) for c in cols]
+    try:
+        coeffs = solve_exact(g, rhs)
+    except SingularE:
+        return None
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    z = [int(c) for c in coeffs]
+    # Gram projection only gives the least-squares answer; confirm exactly.
+    recon = [sum(cols[j][i] * z[j] for j in range(m)) for i in range(len(target))]
+    return z if recon == list(target) else None
+
+
+def project_preserving_gram(D) -> np.ndarray:
+    """An s x s factor S with S^T S = D^T D (all angles and lengths kept)."""
+    cols = kernel_columns(D)
+    if det_bareiss(gram(cols)) == 0:
+        raise RankDeficient("columns are not of full rank")
+    mat = np.array(cols, dtype=float).T
+    _, sing, vt = np.linalg.svd(mat, full_matrices=False)
+    return np.diag(sing) @ vt
+
+
+def det_d_c(kd) -> int:
+    """det(D | C) of a decomposition, by an n x n Bareiss determinant."""
+    return det_bareiss([list(dr) + list(cr) for dr, cr in zip(kd.D, kd.C)])
+
+
+def check_decomposition_bareiss(sys, kd) -> None:
+    """The decomposition contract by its definition; raises AssertionError.
+
+    A*D = 0, A*C = E and det(D | C) = +-1.  The package checks the last
+    condition through d[s] * det(E)^2 = det(A A^T) instead; this is the
+    reference that identity is held to.
+    """
+    a_rows = [list(r) for r in sys.A]
+    ad = mat_mul(a_rows, [list(r) for r in kd.D])
+    if any(x != 0 for row in ad for x in row):
+        raise AssertionError("A*D != 0 in decomposition")
+    ac = mat_mul(a_rows, [list(r) for r in kd.C])
+    if ac != [list(r) for r in kd.E]:
+        raise AssertionError("A*C != E in decomposition")
+    if det_d_c(kd) not in (1, -1):
+        raise AssertionError("(D|C) is not unimodular")
+
+
+def minor_gcd(rows: list[list[int]]) -> int:
+    """gcd of all m x m minors of an m x n matrix, by enumerating them."""
+    m = len(rows)
+    g = 0
+    for cols in itertools.combinations(range(len(rows[0])), m):
+        g = gcd(g, det_bareiss([[r[j] for j in cols] for r in rows]))
+    return g

@@ -10,9 +10,13 @@ import pytest
 from knapcrack.analysis import (FeatureRecord, compute_features,
                                 export_features_csv, gamma, lambda_tilde,
                                 lattice_volume, min_volume_ellipsoid,
-                                project_preserving_gram, rect_distance,
-                                rect_distance_normalized)
+                                rect_distance, rect_distance_normalized)
 from knapcrack.errors import RankDeficient
+from knapcrack.formulations import decompose
+from knapcrack.pipeline import generate_system
+
+from oracles import project_preserving_gram
+
 # Golden fixtures: reduced kernel bases of three disaggregation scenarios
 # of one 2x6 system; rows are coordinates, columns are basis vectors.
 D_SCEN_A = [[-1, 1, 0, -5], [0, -1, -9, 5], [-1, 4, -3, 5], [1, 1, 5, 2],
@@ -46,6 +50,12 @@ class TestVolume:
 
     def test_identity(self):
         assert lattice_volume([[1, 0], [0, 1]]) == 1.0
+
+    @pytest.mark.parametrize("m, n, seed", [(1, 10, 0), (2, 12, 1), (3, 14, 2)])
+    def test_decomposition_volume_is_plain_volume(self, m, n, seed):
+        # The decomposition's GSO gives the same exact volume as D itself.
+        kd = decompose(generate_system(m, n, seed).system)
+        assert lattice_volume(kd) == lattice_volume([list(r) for r in kd.D])
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):

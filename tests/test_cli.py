@@ -1,13 +1,26 @@
 """End-to-end CLI behavior: flags, formats, exit codes."""
 
+import csv
 import json
 from fractions import Fraction
 
 import pytest
 
 from knapcrack.cli import main
-from knapcrack.pipeline import AttackOutcome
+from knapcrack.pipeline import AttackOutcome, generate_system
 from knapcrack.problems import LdeSystem, save_system
+
+# (t, kernel_dim, volume, cut, success) per row.
+GOLDEN_T_RANGE = [
+    ("1", "31", "8.455426608079231e+19", "0", "1"),
+    ("2", "31", "8.432473586967454e+19", "0", "1"),
+    ("3", "31", "8.410438042610346e+19", "0", "1"),
+    ("4", "31", "8.400939398100052e+19", "0", "1"),
+    ("5", "31", "8.379384771206155e+19", "0", "1"),
+    ("6", "31", "8.393113169019938e+19", "0", "1"),
+    ("7", "31", "8.443138678050793e+19", "0", "1"),
+    ("8", "31", "8.468425810817181e+19", "0", "1"),
+]
 
 
 @pytest.fixture
@@ -85,6 +98,18 @@ class TestAttack:
         assert main(["attack", "--input", toy_file, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "reduce", "--dag", "--modulus", "0"],
+        ["--algo", "reduce-half", "--modulus", "0"],
+        ["--algo", "reduce-half", "--modulus", "-5"],
+    ], ids=["dag-modulus-0", "modulus-0", "modulus-minus-5"])
+    def test_modulus_below_two_is_usage_error(self, toy_file, capsys, flags):
+        # 0 used to read as "unset" and fall back to the default M.
+        assert main(["attack", "--input", toy_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --modulus must be at least 2")
         assert captured.out == ""
 
     def test_unsolved_exit_one(self, toy_file):
@@ -288,6 +313,29 @@ class TestAnalyze:
                      "--modulus", "15", "--t-range", "1..3", "--algo", "lo"]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("modulus", ["0", "-5", "1"])
+    def test_modulus_below_two_is_usage_error(self, toy_file, tmp_path, capsys, modulus):
+        out = tmp_path / "m.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--modulus", modulus, "--t-range", "1..3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --modulus must be at least 2")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_golden_t_range(self, tmp_path):
+        # Exact-derived columns of `analyze --modulus 10000 --t-range 1..8` on
+        # generate_system(2, 30, 0): a verdict gate for speed changes.
+        path = tmp_path / "sys.txt"
+        save_system(generate_system(2, 30, 0).system, path)
+        out = tmp_path / "golden.csv"
+        assert main(["analyze", "--input", str(path), "--out", str(out),
+                     "--modulus", "10000", "--t-range", "1..8"]) == 0
+        with open(out, newline="") as fh:
+            rows = [(r["t"], r["kernel_dim"], r["volume"], r["cut"], r["success"])
+                    for r in csv.DictReader(fh)]
+        assert rows == GOLDEN_T_RANGE
 
     @pytest.mark.parametrize("rows, rhs", [([[3, 15, 6, 2]], [-1]),
                                            ([[3, 15, 6, 2]], [27]),

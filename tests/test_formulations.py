@@ -1,20 +1,25 @@
 """Stacked-basis decomposition and the three column-scan attacks."""
 
+import dataclasses
 import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knapcrack.errors import InvalidBigInts, InvalidN, RankDeficient, SingularE
 from knapcrack.formulations import (DEFAULT_N, KernelDecomposition, attack_ahl,
                                     attack_cjloss, attack_cjloss_system, attack_lo,
                                     binary_verdict, build_lattice_B, cjloss_basis,
-                                    decompose, special_solution, _scan_lo, _scan_pm1)
-from knapcrack.intmat import det_bareiss, mat_mul
+                                    decompose, special_solution, _check_decomposition,
+                                    _scan_lo, _scan_pm1)
+from knapcrack.intmat import det_bareiss, gram, mat_mul
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem, SubsetSumInstance
 
-from oracles import gso, hnf_member, hnf_columns, integer_solvable, kernel_basis
+from oracles import (check_decomposition_bareiss, det_d_c, gso, hnf_member, hnf_columns,
+                     integer_solvable, kernel_basis, minor_gcd)
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -65,7 +70,7 @@ class TestDecompose:
             a = [list(r) for r in sys.A]
             assert all(v == 0 for row in mat_mul(a, [list(r) for r in kd.D]) for v in row)
             assert mat_mul(a, [list(r) for r in kd.C]) == [list(r) for r in kd.E]
-            assert det_bareiss(kd.unimodular_part()) in (1, -1)
+            assert det_d_c(kd) in (1, -1)
             # full row rank going in, so the E block must be invertible
             assert det_bareiss([list(r) for r in kd.E]) != 0
 
@@ -85,6 +90,69 @@ class TestDecompose:
                 assert hnf_member(h_theirs, col)
             for col in theirs:
                 assert hnf_member(h_ours, col)
+
+
+def with_column(rows, j, col):
+    """Row-major matrix rows with column j replaced by col."""
+    return tuple(r[:j] + (v,) + r[j + 1:] for r, v in zip(rows, col))
+
+
+@st.composite
+def contract_systems(draw):
+    """m in 1..3, n up to 16; about half get a row with a common factor, so Delta(A) > 1."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 16))
+    rows = draw(st.lists(st.lists(st.integers(0, 40), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        factor = draw(st.integers(2, 6))
+        rows[i] = [factor * v for v in rows[i]]
+    try:
+        return LdeSystem.from_rows(rows, [0] * m)
+    except RankDeficient:
+        assume(False)
+
+
+class TestContract:
+    """The d[s] * det(E)^2 = det(A A^T) contract against the n x n Bareiss oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(contract_systems(), st.data())
+    def test_identity_agrees_with_bareiss(self, sys, data):
+        kd = decompose(sys)  # runs the contract
+        check_decomposition_bareiss(sys, kd)
+        assert det_d_c(kd) in (1, -1)
+        a_rows = [list(r) for r in sys.A]
+        delta = minor_gcd(a_rows)
+        d, _ = kd.gso
+        assert abs(det_bareiss([list(r) for r in kd.E])) == delta
+        assert d[-1] * delta * delta == det_bareiss(gram(a_rows))
+
+        d_cols, c_cols = kd.kernel_columns(), [list(c) for c in zip(*kd.C)]
+        s, j = len(d_cols), data.draw(st.integers(0, sys.m - 1))
+        e_col = [row[j] for row in kd.E]
+        broken = [dataclasses.replace(kd, C=with_column(kd.C, j, [2 * v for v in c_cols[j]]),
+                                      E=with_column(kd.E, j, [2 * v for v in e_col]))]
+        if s:
+            i = data.draw(st.integers(0, s - 1))
+            broken.append(dataclasses.replace(
+                kd, D=with_column(kd.D, i, [2 * v for v in d_cols[i]])))
+            fine = dataclasses.replace(
+                kd, C=with_column(kd.C, j, [u + v for u, v in zip(c_cols[j], d_cols[i])]))
+            _check_decomposition(sys, fine)
+            check_decomposition_bareiss(sys, fine)
+        if s >= 2:
+            # Column i becomes the sum of two others (possibly the same one twice).
+            others = [k for k in range(s) if k != i]
+            k1, k2 = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+            broken.append(dataclasses.replace(kd, D=with_column(
+                kd.D, i, [u + v for u, v in zip(d_cols[k1], d_cols[k2])])))
+        for bad in broken:
+            with pytest.raises(AssertionError):
+                _check_decomposition(sys, bad)
+            with pytest.raises(AssertionError):
+                check_decomposition_bareiss(sys, bad)
 
 
 class TestSpecialSolution:

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from knapcrack._lll_py import integral_gso
 from knapcrack.errors import DependentColumns, DimensionMismatch
 from knapcrack.formulations import attack_ahl, decompose, special_solution
-from knapcrack.intmat import solve_integer_combination
-from knapcrack.pipeline import generate_instance
+from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
-from knapcrack.reduction import reduce_half, reduce_solution
+from knapcrack.reduction import _doubled_gso, reduce_half, reduce_solution
 
-from oracles import sweep_fraction
+from oracles import solve_integer_combination, sweep_fraction
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -125,6 +125,36 @@ class TestInvarianceTheorems:
                            for i in range(n_rows)]
                 assert reduce_solution(xb, flipped, rounding="symmetric") == base
                 assert reduce_half(xb, flipped, rounding="symmetric") == base_half
+
+
+class TestKernelGso:
+    """The sweeps read the decomposition's GSO, and derive 2D's in closed form."""
+
+    @pytest.mark.parametrize("m, n, seed", [(1, 12, 0), (1, 16, 1), (2, 14, 2), (3, 16, 3)])
+    def test_decomposition_gso_is_integral_gso_of_d(self, m, n, seed):
+        kd = decompose(generate_system(m, n, seed).system)
+        assert kd.gso == integral_gso(kd.kernel_columns())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda s: st.lists(
+        st.lists(st.integers(-40, 40), min_size=s + 2, max_size=s + 2), min_size=s, max_size=s)))
+    def test_doubled_gso_closed_form(self, cols):
+        try:
+            gso = integral_gso(cols)
+        except DependentColumns:
+            return
+        assert _doubled_gso(*gso) == integral_gso([[2 * x for x in c] for c in cols])
+
+    @pytest.mark.parametrize("rounding", ["asymmetric", "symmetric"])
+    def test_decomposition_equals_plain_matrix(self, rounding):
+        rng = random.Random(4)
+        for seed in range(4):
+            sys = generate_system(1 + seed % 2, 12, seed).system
+            kd = decompose(sys)
+            D = [list(r) for r in kd.D]
+            xb = [v + rng.randint(-3, 3) for v in special_solution(kd, sys.b)]
+            assert reduce_solution(xb, kd, rounding) == reduce_solution(xb, D, rounding)
+            assert reduce_half(xb, kd, rounding) == reduce_half(xb, D, rounding)
 
 
 class TestAgreementWithAhl:
