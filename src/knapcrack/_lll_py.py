@@ -6,8 +6,8 @@ The reduction state follows the classic denominator-free bookkeeping:
 exact rational ``lam/d`` and all updates stay in integer arithmetic.  The
 reduce/exchange updates below are the incremental closed forms for the
 Gram-Schmidt data with denominators cleared; all comparisons (size
-reduction, Lovasz test, nearest-integer rounding with the asymmetric
-half-tie rule) are exact.
+reduction, Lovasz test, and the nearest integer under the one half-tie
+rule, ``ceil(q - 1/2)``) are exact.
 
 ``lll_reduce`` is Cohen's integral LLL (*A Course in Computational
 Algebraic Number Theory*, Alg. 2.6.7): it keeps ``k_max``, the largest
@@ -57,7 +57,7 @@ basis; decoding the whole prefix on every first visit costs most of what
 packing saves.  The input column is packed at its first visit, and every
 column is unpacked once at exit.
 
-The GSO set-up (``integral_gso``, ``gso_row``) and the rounding are shared
+The GSO set-up (``integral_gso``, ``gso_row``) and ``round_nearest`` are shared
 with the solution-shortening sweeps in ``reduction``.
 """
 
@@ -68,19 +68,12 @@ from operator import mul
 from .errors import DependentColumns
 
 
-def round_nearest(num: int, den: int, mode: str = "asymmetric") -> int:
-    """Nearest integer to num/den (den > 0) with an explicit half-tie rule.
+def round_nearest(num: int, den: int) -> int:
+    """Nearest integer to q = num/den (den > 0), halves down: ceil(q - 1/2).
 
-    "asymmetric" is ceil(q - 1/2) (4.5 -> 4, -4.5 -> -5); "symmetric"
-    rounds halves away from zero (4.5 -> 5, -4.5 -> -5).
+    The half-tie rule is asymmetric: 4.5 -> 4, -4.5 -> -5.
     """
-    if mode == "asymmetric":
-        return -((den - 2 * num) // (2 * den))
-    if mode == "symmetric":
-        if num >= 0:
-            return (2 * num + den) // (2 * den)
-        return -((den - 2 * num) // (2 * den))
-    raise ValueError(f"unknown rounding mode {mode!r}")
+    return -((den - 2 * num) // (2 * den))
 
 
 def gso_row(g_row: list[int], d: list[int], lam: list[list[int]]) -> list[int]:

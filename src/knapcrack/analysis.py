@@ -92,27 +92,19 @@ def lambda_tilde(D) -> float:
     return float(sing[0] / sing[-1])
 
 
-def rect_distance(D) -> float:
-    """Frobenius distance of D^T D from the nearest nonnegative diagonal.
+def _off_diagonal(g: list[list[int]]) -> float:
+    """Frobenius distance of the Gram matrix g from the nearest nonnegative diagonal.
 
     The optimum puts the Gram diagonal on the diagonal, so the distance is
     the Frobenius norm of the off-diagonal part.
     """
-    return _off_diagonal(gram(kernel_columns(D)))
-
-
-def rect_distance_normalized(D) -> float:
-    """rect_distance of the column-normalized basis (scale invariant)."""
-    return _off_diagonal_normalized(gram(kernel_columns(D)))
-
-
-def _off_diagonal(g: list[list[int]]) -> float:
     s = len(g)
     total = sum(g[i][j] ** 2 for i in range(s) for j in range(s) if i != j)
     return math.sqrt(total)
 
 
 def _off_diagonal_normalized(g: list[list[int]]) -> float:
+    """_off_diagonal of the column-normalized basis's Gram matrix (scale invariant)."""
     s = len(g)
     total = 0.0
     for i in range(s):

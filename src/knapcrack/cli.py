@@ -10,6 +10,7 @@ are rejected to keep exactness-critical parameters exact.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams,
                      KnapcrackError, ParseError, RankDeficient, SearchExhausted, SizeLimit)
 from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
 from .lattice import DEFAULT_ALPHA
-from .problems import as_instance, load_system, save_system
+from .problems import load_system, save_system
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVED = 1
@@ -45,6 +46,16 @@ def _fraction_flag(text: str) -> Fraction:
         return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _limit_flag(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if limit < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {limit}")
+    return limit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     jumps = sub.add_parser("jumps", help="list jump points of an instance")
     jumps.add_argument("--input", required=True)
-    jumps.add_argument("--limit", type=int, default=None)
+    jumps.add_argument("--limit", type=_limit_flag, default=None)
 
     ben = sub.add_parser("bench", help="run a benchmark grid")
     ben.add_argument("--grid", required=True)
@@ -87,20 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--modulus", type=int, default=None)
     ana.add_argument("--t-range", default=None, metavar="A..B")
     ana.add_argument("--all-jumps", action="store_true")
-    ana.add_argument("--limit", type=int, default=None)
+    ana.add_argument("--limit", type=_limit_flag, default=None)
     ana.add_argument("--apply", action="append", default=[], metavar="ROW:T/M[,ROW:T/M...]",
                      help="one chained scenario per flag occurrence")
     return top
-
-
-def _as_problem(system):
-    """Instance view for single equations when well-shaped, else the system."""
-    if system.m == 1:
-        try:
-            return as_instance(system)
-        except ValueError:
-            return system
-    return system
 
 
 def cmd_gen(args) -> int:
@@ -167,7 +168,6 @@ def cmd_attack(args) -> int:
         return err
     algo = ALGO_FLAGS[args.algo]
     modulus = pipeline.default_modulus(system.n) if args.modulus is None else args.modulus
-    problem = _as_problem(system)
     t0 = time.perf_counter()
     try:
         config = pipeline.SearchConfig(algo=algo, use_dag=args.dag, M=modulus,
@@ -175,16 +175,16 @@ def cmd_attack(args) -> int:
                                        alpha=args.alpha, N=args.bign,
                                        row_index=args.row)
         if args.dag:
-            outcome = pipeline.attack_with_dag(problem, config)
+            outcome = pipeline.attack_with_dag(system, config)
         else:
-            outcome = pipeline.attack(problem, config)
+            outcome = pipeline.attack(system, config)
     except SearchExhausted as exc:
         best = exc.best
         outcome = pipeline.AttackOutcome(
             verdict=best if best is not None
             else AttackVerdict(FAILURE, meta={"algorithm": algo}),
             dag_used=True, wall_time=time.perf_counter() - t0)
-    except (ValueError, InvalidAlpha, InvalidN) as exc:
+    except (ValueError, InvalidAlpha, InvalidN, InvalidRow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EscalationExhausted as exc:
@@ -206,23 +206,26 @@ def cmd_attack(args) -> int:
     return EXIT_SOLVED if outcome.solved else EXIT_UNSOLVED
 
 
+def _jump_points(problem, limit):
+    """The first limit jump points of a row, streamed; all of them (capped) for None."""
+    if limit is None:
+        return enumerate_jump_points(problem)
+    return list(itertools.islice(iter_jump_points(problem), limit))
+
+
 def cmd_jumps(args) -> int:
     system, err = _load_or_exit(args.input)
     if err is not None:
         return err
     problem = (list(system.A[0]), system.b[0])
-    if args.limit is not None:
-        points = []
-        for jp in iter_jump_points(problem):
-            points.append(jp)
-            if len(points) >= args.limit:
-                break
-    else:
-        try:
-            points = enumerate_jump_points(problem)
-        except SizeLimit as exc:
-            print(f"error: {exc} (use --limit)", file=sys.stderr)
-            return EXIT_CAP
+    try:
+        points = _jump_points(problem, args.limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SizeLimit as exc:
+        print(f"error: {exc} (use --limit)", file=sys.stderr)
+        return EXIT_CAP
     for jp in points:
         r = jp.value
         uk = uk_bound(problem, r)
@@ -270,7 +273,7 @@ def cmd_bench(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    rows = pipeline.bench(cells, timing=not args.no_timing)
+    rows = pipeline.bench(cells)
     text = pipeline.bench_csv(rows, timing=not args.no_timing)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -312,17 +315,7 @@ def _analyze_scenarios(args, system):
     if not 0 <= args.row < system.m:
         raise InvalidRow(f"--row {args.row} outside 0..{system.m - 1}")
     if args.all_jumps:
-        row_a = list(system.A[args.row])
-        row_b = system.b[args.row]
-        if args.limit is not None:
-            points = []
-            for jp in iter_jump_points((row_a, row_b)):
-                points.append(jp)
-                if len(points) >= args.limit:
-                    break
-        else:
-            points = enumerate_jump_points((row_a, row_b))
-        for jp in points:
+        for jp in _jump_points((list(system.A[args.row]), system.b[args.row]), args.limit):
             r = jp.value
             yield [(args.row, DisaggParams(r.numerator, r.denominator))]
         return
@@ -369,10 +362,9 @@ def cmd_analyze(args) -> int:
     if err is not None:
         return err
     config = pipeline.SearchConfig(algo=algo)
-    problem = _as_problem(system)
 
     try:
-        baseline = pipeline.attack(problem, config)
+        baseline = pipeline.attack(system, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

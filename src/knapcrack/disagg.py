@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParams, InvalidRow, NotASolution, NotNeighbours, SizeLimit
+from .errors import InvalidParams, InvalidRow, NotASolution, SizeLimit
 from .problems import LdeSystem, SubsetSumInstance
 
 JUMP_CAP = 10**6
@@ -235,56 +235,3 @@ def cuts_off(problem, r: Fraction, x_tilde) -> bool:
     w = b * num // den
     k = w - sum(vi * xi for vi, xi in zip(v, x))
     return k < 0 or k > uk_bound((a, b), r)
-
-
-@dataclass(frozen=True)
-class NjpDeltas:
-    """Floor differences between two neighbouring jump points."""
-
-    dv: tuple[int, ...]
-    dw: int
-    dw_tilde: int
-    du_k: int
-
-
-def _assert_neighbours(a: list[int], b: int, r1: Fraction, r2: Fraction) -> None:
-    if not (0 < r1 < r2 < 1):
-        raise NotNeighbours(f"need 0 < r1 < r2 < 1, got {r1}, {r2}")
-    dens = [den for den, _ in _jump_denominators(a, b)]
-    for r in (r1, r2):
-        if not any(den % r.denominator == 0 for den in dens):
-            raise NotNeighbours(f"{r} is not a jump point of the problem")
-    for den in dens:
-        j_between = r1.numerator * den // r1.denominator + 1
-        if j_between <= den - 1 and Fraction(j_between, den) < r2:
-            raise NotNeighbours(f"jump point {j_between}/{den} lies strictly between")
-
-
-def njp_deltas(problem, r1: Fraction, r2: Fraction) -> NjpDeltas:
-    """Componentwise floor differences across an adjacent jump-point pair."""
-    a, b = row_coeffs(problem)
-    r1, r2 = Fraction(r1), Fraction(r2)
-    _assert_neighbours(a, b, r1, r2)
-    bt = sum(a) - b
-
-    def fl(x: int, r: Fraction) -> int:
-        return x * r.numerator // r.denominator
-
-    dv = tuple(fl(ai, r2) - fl(ai, r1) for ai in a)
-    dw = fl(b, r2) - fl(b, r1)
-    dwt = fl(bt, r2) - fl(bt, r1)
-    return NjpDeltas(dv=dv, dw=dw, dw_tilde=dwt, du_k=dwt + dw - sum(dv))
-
-
-def njp_right_dominates(problem, r1: Fraction, r2: Fraction, x_tilde) -> bool:
-    """Cut at r1 implies cut at r2: dw <= dv . x <= sum(dv) - dw~."""
-    d = njp_deltas(problem, r1, r2)
-    dvx = sum(dv * int(x) for dv, x in zip(d.dv, x_tilde))
-    return d.dw <= dvx <= sum(d.dv) - d.dw_tilde
-
-
-def njp_left_dominates(problem, r1: Fraction, r2: Fraction, x_tilde) -> bool:
-    """Cut at r2 implies cut at r1: sum(dv) - dw~ <= dv . x <= dw."""
-    d = njp_deltas(problem, r1, r2)
-    dvx = sum(dv * int(x) for dv, x in zip(d.dv, x_tilde))
-    return sum(d.dv) - d.dw_tilde <= dvx <= d.dw

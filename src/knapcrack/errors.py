@@ -49,16 +49,8 @@ class NotASolution(KnapcrackError):
     """The supplied vector does not solve the equation."""
 
 
-class NotNeighbours(KnapcrackError):
-    """The two rationals are not adjacent jump points."""
-
-
 class SizeLimit(KnapcrackError):
     """An enumeration would exceed its configured cap."""
-
-
-class TooLarge(KnapcrackError):
-    """Problem too large for the exhaustive solver."""
 
 
 class GenerationBudgetExceeded(KnapcrackError):

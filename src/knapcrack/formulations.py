@@ -68,12 +68,6 @@ class AttackVerdict:
         return {"status": self.status, "x": list(self.x) if self.x is not None else None,
                 "meta": dict(self.meta)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackVerdict":
-        x = d.get("x")
-        return cls(status=d["status"], x=tuple(x) if x is not None else None,
-                   meta=dict(d.get("meta", {})))
-
 
 def binary_verdict(problem, x, **meta) -> AttackVerdict:
     """BinarySolution verdict; substitution into the problem is checked here."""

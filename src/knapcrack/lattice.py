@@ -9,8 +9,8 @@ so ``mu`` is lower-unitriangular with ``mu[i][j]`` the projection
 coefficient of column ``i`` onto the orthogonal direction ``j``.  ``lll``
 runs in the integral Gram-Schmidt state of ``_lll_py`` (``d[i]`` and
 ``lam[i][j] = mu[i][j] * d[j+1]``), so all arithmetic is exact integer and
-nearest-integer rounding uses the asymmetric half-tie rule
-``round(q) = ceil(q - 1/2)`` (4.5 -> 4, -4.5 -> -5).
+the nearest integer follows one asymmetric half-tie rule,
+``ceil(q - 1/2)`` (4.5 -> 4, -4.5 -> -5).
 """
 
 from __future__ import annotations

@@ -20,17 +20,14 @@ from fractions import Fraction
 
 from . import formulations as fm
 from .disagg import DisaggParams, build_disaggregated
-from .errors import (DependentColumns, GenerationBudgetExceeded, KnapcrackError,
-                     RankDeficient, SearchExhausted, TooLarge)
+from .errors import (DependentColumns, GenerationBudgetExceeded, InvalidRow, KnapcrackError,
+                     RankDeficient, SearchExhausted)
 from .lattice import DEFAULT_ALPHA
-from .problems import (LdeSystem, SubsetSumInstance, as_instance, format_system,
-                       normalize)
+from .problems import LdeSystem, SubsetSumInstance, as_instance, normalize
 from .reduction import reduce_half, reduce_solution
 
 ALGORITHMS = ("reduce", "reduce_half", "lo", "cjloss", "ahl")
 GENERATION_BUDGET = 10_000
-FULL_ENUM_LIMIT = 20
-MITM_LIMIT = 30
 
 
 def default_modulus(n: int) -> int:
@@ -40,13 +37,6 @@ def default_modulus(n: int) -> int:
     if n < 36:
         return 10**4
     return 10**5
-
-
-def serialize_disaggregated(d) -> str:
-    """Shared text format with a comment header recording the transform."""
-    header = (f"dag t={d.params.t} M={d.params.M} row={d.row_index} "
-              f"u_k={d.image.u_k} n_k={d.image.n_k}")
-    return format_system(d.system, header_comment=header)
 
 
 @dataclass(frozen=True)
@@ -89,12 +79,6 @@ class AttackOutcome:
     def to_dict(self) -> dict:
         return {"verdict": self.verdict.to_dict(), "dag_used": self.dag_used,
                 "t_found": self.t_found, "wall_time": self.wall_time}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackOutcome":
-        return cls(verdict=fm.AttackVerdict.from_dict(d["verdict"]),
-                   dag_used=d["dag_used"], t_found=d["t_found"],
-                   wall_time=d["wall_time"])
 
 
 @dataclass(frozen=True)
@@ -177,71 +161,6 @@ def generate_system(m: int, n: int, seed: int) -> GeneratedSystem:
     return GeneratedSystem(system, tuple(x), tuple(dens), seed)
 
 
-def _enumerate_full(sys: LdeSystem) -> list[tuple[int, ...]]:
-    m, n = sys.m, sys.n
-    sols: list[tuple[int, ...]] = []
-    x = [0] * n
-    partial = [[0] * m for _ in range(n + 1)]
-
-    def walk(i: int) -> None:
-        cur = partial[i]
-        # Nonnegative coefficients allow pruning once any row overshoots.
-        if any(cur[r] > sys.b[r] for r in range(m)):
-            return
-        if i == n:
-            if all(cur[r] == sys.b[r] for r in range(m)):
-                sols.append(tuple(x))
-            return
-        partial[i + 1] = list(cur)
-        x[i] = 0
-        walk(i + 1)
-        partial[i + 1] = [cur[r] + sys.A[r][i] for r in range(m)]
-        x[i] = 1
-        walk(i + 1)
-        x[i] = 0
-
-    walk(0)
-    return sorted(sols)
-
-
-def _enumerate_mitm(sys: LdeSystem) -> list[tuple[int, ...]]:
-    m, n = sys.m, sys.n
-    half = n // 2
-    right_cols = list(range(half, n))
-
-    def sums(cols: list[int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for mask in range(1 << len(cols)):
-            vec = tuple((mask >> i) & 1 for i in range(len(cols)))
-            key = tuple(sum(sys.A[r][cols[i]] for i, v in enumerate(vec) if v)
-                        for r in range(m))
-            table.setdefault(key, []).append(vec)
-        return table
-
-    right = sums(right_cols)
-    sols: list[tuple[int, ...]] = []
-    for mask in range(1 << half):
-        vec = tuple((mask >> i) & 1 for i in range(half))
-        key = tuple(sys.b[r] - sum(sys.A[r][i] for i, v in enumerate(vec) if v)
-                    for r in range(m))
-        for rvec in right.get(key, ()):
-            sols.append(vec + rvec)
-    return sorted(sols)
-
-
-def brute_force_solve(problem) -> list[tuple[int, ...]]:
-    """The full set of binary solutions, by exhaustive search.
-
-    Direct enumeration up to n = 20, meet-in-the-middle up to n = 30.
-    """
-    sys = problem.as_system() if isinstance(problem, SubsetSumInstance) else problem
-    if sys.n <= FULL_ENUM_LIMIT:
-        return _enumerate_full(sys)
-    if sys.n <= MITM_LIMIT:
-        return _enumerate_mitm(sys)
-    raise TooLarge(f"n={sys.n} exceeds the exhaustive-search limit {MITM_LIMIT}")
-
-
 def run_algorithm(sys: LdeSystem, config: SearchConfig) -> fm.AttackVerdict:
     """Dispatch one lattice attack on a system (no normalization here)."""
     algo = config.algo
@@ -313,14 +232,17 @@ def attack_with_dag(problem, config: SearchConfig) -> AttackOutcome:
     attack's vector is accepted when its first n coordinates are binary and
     solve the original system (truncation rule).  Raises SearchExhausted,
     carrying the best short-non-binary witness seen, when no t works.
-    Raises ValueError for lo, before any attack: every augmented system
-    has two or more equations.
+    Raises ValueError for lo, and InvalidRow for a row_index outside the
+    system, before any attack: every augmented system has two or more
+    equations, and each augments the configured row.
     """
     if config.algo == "lo":
         raise ValueError("lo handles single equations only; the DAG search "
                          "augments every system to two or more")
     t0 = time.perf_counter()
     work, flipped = _normalized_work(problem)
+    if not 0 <= config.row_index < work.m:
+        raise InvalidRow(f"row {config.row_index} outside 0..{work.m - 1}")
     n = work.n
     base_verdict = run_algorithm(work, config)
     if base_verdict.solved:
@@ -441,7 +363,7 @@ def resolve_workers() -> int:
     return max(1, val)
 
 
-def bench(cells: list[BenchCell], timing: bool = True) -> list[BenchRow]:
+def bench(cells: list[BenchCell]) -> list[BenchRow]:
     """Run every cell; deterministic apart from the timing column.
 
     A job that raises a KnapcrackError counts as unsolved and is listed in

@@ -7,8 +7,7 @@ b.  Lines starting with ``#`` are comments and are skipped on parse.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, RankDeficient
 from .intmat import mat_vec, rank
@@ -107,7 +106,6 @@ class Complement:
 
     instance: SubsetSumInstance
     flipped: bool
-    fixed_zero: tuple[int, ...] = field(default=())
 
     def map_back(self, y) -> list[int]:
         """Translate a solution of the stored instance to the original unknowns."""
@@ -117,15 +115,8 @@ class Complement:
 
 
 def complement(inst: SubsetSumInstance) -> Complement:
-    """Flip x -> 1 - y, replacing b by sum(a) - b.
-
-    Indices whose coefficient exceeds the new right-hand side can only take
-    value 0 in the flipped problem and are reported as fixable.
-    """
-    bt = inst.b_complement
-    flipped = SubsetSumInstance(inst.a, bt)
-    fixed = tuple(i for i, ai in enumerate(inst.a) if ai > bt)
-    return Complement(instance=flipped, flipped=True, fixed_zero=fixed)
+    """Flip x -> 1 - y, replacing b by sum(a) - b."""
+    return Complement(instance=SubsetSumInstance(inst.a, inst.b_complement), flipped=True)
 
 
 def normalize(inst: SubsetSumInstance) -> Complement:
@@ -133,11 +124,6 @@ def normalize(inst: SubsetSumInstance) -> Complement:
     if 2 * inst.b <= sum(inst.a):
         return Complement(instance=inst, flipped=False)
     return complement(inst)
-
-
-def density(inst: SubsetSumInstance) -> float:
-    """n / log2(max coefficient); near 1 marks the hardest instances."""
-    return inst.n / math.log2(max(inst.a))
 
 
 def parse_system(text: str) -> LdeSystem:
@@ -164,13 +150,9 @@ def parse_system(text: str) -> LdeSystem:
         raise ParseError(f"invalid system: {exc}") from exc
 
 
-def format_system(sys: LdeSystem, header_comment: str | None = None) -> str:
+def format_system(sys: LdeSystem) -> str:
     """Serialize to the shared text format (UTF-8, LF, no trailing blanks)."""
-    out = []
-    if header_comment:
-        for ln in header_comment.splitlines():
-            out.append(f"# {ln}".rstrip())
-    out.append(f"{sys.m} {sys.n}")
+    out = [f"{sys.m} {sys.n}"]
     for row in sys.A:
         out.append(" ".join(str(x) for x in row))
     out.append(" ".join(str(x) for x in sys.b))
@@ -182,9 +164,9 @@ def load_system(path) -> LdeSystem:
         return parse_system(fh.read())
 
 
-def save_system(sys: LdeSystem, path, header_comment: str | None = None) -> None:
+def save_system(sys: LdeSystem, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_system(sys, header_comment))
+        fh.write(format_system(sys))
 
 
 def as_instance(sys: LdeSystem) -> SubsetSumInstance:

@@ -31,7 +31,7 @@ from .intmat import mat_vec
 
 
 def _sweep(vectors: list[list[int]], d: list[int], lam: list[list[int]],
-           target: list[int], rounding: str) -> list[int]:
+           target: list[int]) -> list[int]:
     """Subtract nearest-integer projections of target onto the GSO (d, lam) of vectors.
 
     Walks indices from the last vector to the first, maintaining the
@@ -41,7 +41,7 @@ def _sweep(vectors: list[list[int]], d: list[int], lam: list[list[int]],
     out = list(target)
     dim = len(target)
     for j in range(len(vectors) - 1, -1, -1):
-        q = round_nearest(lam_t[j], d[j + 1], rounding)
+        q = round_nearest(lam_t[j], d[j + 1])
         if q:
             vj = vectors[j]
             for t in range(dim):
@@ -68,7 +68,7 @@ def _doubled_gso(d: list[int], lam: list[list[int]]) -> tuple[list[int], list[li
             [[lij << 2 * j + 2 for j, lij in enumerate(row)] for row in lam])
 
 
-def reduce_solution(x_b, kernel, rounding: str = "asymmetric") -> list[int]:
+def reduce_solution(x_b, kernel) -> list[int]:
     """Shorten an integer solution x_b by the kernel basis.
 
     kernel is a KernelDecomposition or an n x s row-major matrix whose
@@ -76,15 +76,15 @@ def reduce_solution(x_b, kernel, rounding: str = "asymmetric") -> list[int]:
     """
     target = [int(v) for v in x_b]
     cols, d, lam = _kernel_gso(kernel, len(target))
-    return _sweep(cols, d, lam, target, rounding)
+    return _sweep(cols, d, lam, target)
 
 
-def reduce_half(x_b, kernel, rounding: str = "asymmetric") -> list[int]:
+def reduce_half(x_b, kernel) -> list[int]:
     """Half-shifted variant: sweep (2D | 2x_b - 1), then undo the shift."""
     target = [2 * int(v) - 1 for v in x_b]
     cols, d, lam = _kernel_gso(kernel, len(target))
     doubled = [[2 * x for x in c] for c in cols]
-    reduced = _sweep(doubled, *_doubled_gso(d, lam), target, rounding)
+    reduced = _sweep(doubled, *_doubled_gso(d, lam), target)
     if any((v + 1) % 2 for v in reduced):
         raise AssertionError("half-shift sweep lost the odd parity")
     return [(v + 1) // 2 for v in reduced]

@@ -8,6 +8,10 @@ Fractions (``gso``); the update lemmas, the reduced-basis check, the
 textbook LLL (recomputing its GSO, or carrying it by the lemmas) and the
 rational sweep are all built on it.  The decomposition contract is checked
 by its definition, an n x n Bareiss determinant of (D | C).
+``brute_force_solve`` lists every binary solution (direct enumeration to
+n = 20, meet-in-the-middle to n = 30), and the ``njp_*`` functions state the
+paper's cut-off implications between neighbouring jump points, which no
+attack uses.
 """
 
 from __future__ import annotations
@@ -20,10 +24,16 @@ from math import gcd
 
 import numpy as np
 
-from knapcrack.errors import DependentColumns, DimensionMismatch, RankDeficient, SingularE
+from knapcrack.disagg import _jump_denominators, row_coeffs
+from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackError,
+                              RankDeficient, SingularE)
 from knapcrack.formulations import kernel_columns
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
 from knapcrack.lattice import DEFAULT_ALPHA
+from knapcrack.problems import LdeSystem, SubsetSumInstance
+
+FULL_ENUM_LIMIT = 20
+MITM_LIMIT = 30
 
 
 def hnf_columns(mat: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -405,6 +415,13 @@ def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -
     return out
 
 
+def half_sweep_fraction(vectors: list[list[int]], x: list[int], rounding: str) -> list[int]:
+    """sweep_fraction on (2D | 2x - 1), then undo the half shift."""
+    doubled = [[2 * v for v in c] for c in vectors]
+    reduced = sweep_fraction(doubled, [2 * v - 1 for v in x], rounding)
+    return [(v + 1) // 2 for v in reduced]
+
+
 def integer_solvable(rows: list[list[int]], rhs: list[int]) -> bool:
     """Does A x = b admit any integer solution?  (b in the column lattice.)"""
     if len(rows) == 1:
@@ -494,3 +511,134 @@ def minor_gcd(rows: list[list[int]]) -> int:
     for cols in itertools.combinations(range(len(rows[0])), m):
         g = gcd(g, det_bareiss([[r[j] for j in cols] for r in rows]))
     return g
+
+
+def density(inst: SubsetSumInstance) -> float:
+    """n / log2(max coefficient); near 1 marks the hardest instances."""
+    return inst.n / math.log2(max(inst.a))
+
+
+class TooLarge(KnapcrackError):
+    """Problem too large for the exhaustive solver."""
+
+
+def _enumerate_full(sys: LdeSystem) -> list[tuple[int, ...]]:
+    m, n = sys.m, sys.n
+    sols: list[tuple[int, ...]] = []
+    x = [0] * n
+    partial = [[0] * m for _ in range(n + 1)]
+
+    def walk(i: int) -> None:
+        cur = partial[i]
+        # Nonnegative coefficients allow pruning once any row overshoots.
+        if any(cur[r] > sys.b[r] for r in range(m)):
+            return
+        if i == n:
+            if all(cur[r] == sys.b[r] for r in range(m)):
+                sols.append(tuple(x))
+            return
+        partial[i + 1] = list(cur)
+        x[i] = 0
+        walk(i + 1)
+        partial[i + 1] = [cur[r] + sys.A[r][i] for r in range(m)]
+        x[i] = 1
+        walk(i + 1)
+        x[i] = 0
+
+    walk(0)
+    return sorted(sols)
+
+
+def _enumerate_mitm(sys: LdeSystem) -> list[tuple[int, ...]]:
+    m, n = sys.m, sys.n
+    half = n // 2
+    right_cols = list(range(half, n))
+
+    def sums(cols: list[int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for mask in range(1 << len(cols)):
+            vec = tuple((mask >> i) & 1 for i in range(len(cols)))
+            key = tuple(sum(sys.A[r][cols[i]] for i, v in enumerate(vec) if v)
+                        for r in range(m))
+            table.setdefault(key, []).append(vec)
+        return table
+
+    right = sums(right_cols)
+    sols: list[tuple[int, ...]] = []
+    for mask in range(1 << half):
+        vec = tuple((mask >> i) & 1 for i in range(half))
+        key = tuple(sys.b[r] - sum(sys.A[r][i] for i, v in enumerate(vec) if v)
+                    for r in range(m))
+        for rvec in right.get(key, ()):
+            sols.append(vec + rvec)
+    return sorted(sols)
+
+
+def brute_force_solve(problem) -> list[tuple[int, ...]]:
+    """The full set of binary solutions, by exhaustive search.
+
+    Direct enumeration up to n = 20, meet-in-the-middle up to n = 30.
+    """
+    sys = problem.as_system() if isinstance(problem, SubsetSumInstance) else problem
+    if sys.n <= FULL_ENUM_LIMIT:
+        return _enumerate_full(sys)
+    if sys.n <= MITM_LIMIT:
+        return _enumerate_mitm(sys)
+    raise TooLarge(f"n={sys.n} exceeds the exhaustive-search limit {MITM_LIMIT}")
+
+
+class NotNeighbours(KnapcrackError):
+    """The two rationals are not adjacent jump points."""
+
+
+@dataclass(frozen=True)
+class NjpDeltas:
+    """Floor differences between two neighbouring jump points."""
+
+    dv: tuple[int, ...]
+    dw: int
+    dw_tilde: int
+    du_k: int
+
+
+def _assert_neighbours(a: list[int], b: int, r1: Fraction, r2: Fraction) -> None:
+    if not (0 < r1 < r2 < 1):
+        raise NotNeighbours(f"need 0 < r1 < r2 < 1, got {r1}, {r2}")
+    dens = [den for den, _ in _jump_denominators(a, b)]
+    for r in (r1, r2):
+        if not any(den % r.denominator == 0 for den in dens):
+            raise NotNeighbours(f"{r} is not a jump point of the problem")
+    for den in dens:
+        j_between = r1.numerator * den // r1.denominator + 1
+        if j_between <= den - 1 and Fraction(j_between, den) < r2:
+            raise NotNeighbours(f"jump point {j_between}/{den} lies strictly between")
+
+
+def njp_deltas(problem, r1: Fraction, r2: Fraction) -> NjpDeltas:
+    """Componentwise floor differences across an adjacent jump-point pair."""
+    a, b = row_coeffs(problem)
+    r1, r2 = Fraction(r1), Fraction(r2)
+    _assert_neighbours(a, b, r1, r2)
+    bt = sum(a) - b
+
+    def fl(x: int, r: Fraction) -> int:
+        return x * r.numerator // r.denominator
+
+    dv = tuple(fl(ai, r2) - fl(ai, r1) for ai in a)
+    dw = fl(b, r2) - fl(b, r1)
+    dwt = fl(bt, r2) - fl(bt, r1)
+    return NjpDeltas(dv=dv, dw=dw, dw_tilde=dwt, du_k=dwt + dw - sum(dv))
+
+
+def njp_right_dominates(problem, r1: Fraction, r2: Fraction, x_tilde) -> bool:
+    """Cut at r1 implies cut at r2: dw <= dv . x <= sum(dv) - dw~."""
+    d = njp_deltas(problem, r1, r2)
+    dvx = sum(dv * int(x) for dv, x in zip(d.dv, x_tilde))
+    return d.dw <= dvx <= sum(d.dv) - d.dw_tilde
+
+
+def njp_left_dominates(problem, r1: Fraction, r2: Fraction, x_tilde) -> bool:
+    """Cut at r2 implies cut at r1: sum(dv) - dw~ <= dv . x <= dw."""
+    d = njp_deltas(problem, r1, r2)
+    dvx = sum(dv * int(x) for dv, x in zip(d.dv, x_tilde))
+    return sum(d.dv) - d.dw_tilde <= dvx <= d.dw

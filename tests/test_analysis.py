@@ -9,8 +9,7 @@ import pytest
 
 from knapcrack.analysis import (FeatureRecord, compute_features,
                                 export_features_csv, gamma, lambda_tilde,
-                                lattice_volume, min_volume_ellipsoid,
-                                rect_distance, rect_distance_normalized)
+                                lattice_volume, min_volume_ellipsoid)
 from knapcrack.errors import RankDeficient
 from knapcrack.formulations import decompose
 from knapcrack.pipeline import generate_system
@@ -144,14 +143,17 @@ class TestGamma:
 
 
 class TestRectangularity:
+    """The feature columns d and d_tilde: Gram off-diagonal distances."""
+
     def test_orthogonal_columns_zero(self):
-        assert rect_distance([[2, 0], [0, 5]]) == 0.0
-        assert rect_distance_normalized([[2, 0], [0, 5]]) == 0.0
+        f = compute_features([[2, 0], [0, 5]])
+        assert f.d == 0.0
+        assert f.d_tilde == 0.0
 
     def test_worked_two_by_two(self):
-        D = [[1, 1], [0, 1]]
-        assert rect_distance(D) == pytest.approx(math.sqrt(2))
-        assert rect_distance_normalized(D) == pytest.approx(1.0)
+        f = compute_features([[1, 1], [0, 1]])
+        assert f.d == pytest.approx(math.sqrt(2))
+        assert f.d_tilde == pytest.approx(1.0)
 
     def test_zero_iff_orthogonal(self):
         rng = random.Random(4)
@@ -159,20 +161,21 @@ class TestRectangularity:
             D = random_kernel(rng)
             g = np.array(D).T @ np.array(D)
             off = g - np.diag(np.diag(g))
-            assert (rect_distance(D) == 0) == (not np.any(off))
-            assert math.isclose(rect_distance(D), np.linalg.norm(off),
+            d = compute_features(D).d
+            assert (d == 0) == (not np.any(off))
+            assert math.isclose(d, np.linalg.norm(off),
                                 rel_tol=1e-12, abs_tol=1e-12)
 
     def test_invariances(self):
         D = [[3, 1, 2], [1, 4, 1], [0, 2, 5], [1, 1, 1]]
-        base = rect_distance(D)
+        base = compute_features(D).d
         flipped = [[-r[0], r[1], -r[2]] for r in D]
-        assert rect_distance(flipped) == pytest.approx(base)
+        assert compute_features(flipped).d == pytest.approx(base)
         permuted = [[r[2], r[0], r[1]] for r in D]
-        assert rect_distance(permuted) == pytest.approx(base)
+        assert compute_features(permuted).d == pytest.approx(base)
         scaled = [[7 * r[0], r[1], r[2]] for r in D]
-        assert rect_distance_normalized(scaled) == pytest.approx(
-            rect_distance_normalized(D))
+        assert compute_features(scaled).d_tilde == pytest.approx(
+            compute_features(D).d_tilde)
 
 
 class TestLambdaTilde:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from knapcrack.cli import main
-from knapcrack.pipeline import AttackOutcome, generate_system
+from knapcrack.pipeline import generate_system
 from knapcrack.problems import LdeSystem, save_system
 
 # (t, kernel_dim, volume, cut, success) per row.
@@ -128,9 +128,18 @@ class TestAttack:
         assert main(["attack", "--algo", "cjloss", "--json",
                      "--input", toy_file]) == 0
         payload = json.loads(capsys.readouterr().out)
-        outcome = AttackOutcome.from_dict(payload)
-        assert outcome.solved and outcome.verdict.x == (1, 0, 1)
-        assert outcome.to_dict() == payload
+        assert set(payload) == {"verdict", "dag_used", "t_found", "wall_time"}
+        assert payload["verdict"]["status"] == "binary"
+        assert payload["verdict"]["x"] == [1, 0, 1]
+
+    @pytest.mark.parametrize("row", ["3", "1", "-1"])
+    def test_dag_row_outside_system_is_usage_error(self, toy_file, capsys, row):
+        # Rejected before the base attack, which leaves the toy unsolved.
+        assert main(["attack", "--algo", "reduce", "--dag", "--row", row,
+                     "--input", toy_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: row {row} outside 0..0\n"
+        assert captured.out == ""
 
     def test_alpha_must_be_rational_flag(self, toy_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -165,6 +174,27 @@ class TestJumps:
         assert main(["jumps", "--input", str(big)]) == 5
         assert "--limit" in capsys.readouterr().err
         assert main(["jumps", "--input", str(big), "--limit", "3"]) == 0
+
+    @pytest.mark.parametrize("rhs, message", [(-1, "nonnegative"), (25, "exceeds")],
+                             ids=["negative-b", "b-above-sum"])
+    @pytest.mark.parametrize("limit", [[], ["--limit", "2"]], ids=["all", "limit"])
+    def test_row_not_disaggregable_is_usage_error(self, tmp_path, capsys, rhs, message,
+                                                  limit):
+        path = tmp_path / "bad.txt"
+        save_system(LdeSystem.from_rows([[3, 15, 6]], [rhs]), path)
+        assert main(["jumps", "--input", str(path), *limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_usage_error(self, toy_file, capsys, limit):
+        with pytest.raises(SystemExit) as exc:
+            main(["jumps", "--input", toy_file, "--limit", limit])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --limit: must be at least 1" in captured.err
+        assert captured.out == ""
 
 
 class TestBench:
@@ -265,6 +295,24 @@ class TestAnalyze:
         assert main(["analyze", "--input", toy_file, "--out", str(out),
                      "--all-jumps"]) == 0
         assert len(out.read_text().strip().splitlines()) == 24
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_usage_error(self, toy_file, tmp_path, capsys, limit):
+        out = tmp_path / "limit.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", toy_file, "--out", str(out),
+                  "--all-jumps", "--limit", limit])
+        assert exc.value.code == 2
+        assert "error: argument --limit: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_jumps_limit(self, toy_file, tmp_path):
+        out = tmp_path / "first.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--all-jumps", "--limit", "3"]) == 0
+        with open(out, newline="") as fh:
+            assert [(r["t"], r["M"]) for r in csv.DictReader(fh)] == [
+                ("1", "15"), ("1", "9"), ("2", "15")]
 
     def test_decomposes_each_scenario_once(self, ex3_file, tmp_path, monkeypatch):
         from knapcrack import cli, formulations

@@ -7,12 +7,12 @@ import pytest
 
 from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off,
                               enumerate_jump_points, g_value, is_ideal,
-                              iter_jump_points, modular_transform, njp_deltas,
-                              njp_left_dominates, njp_right_dominates, uk_bound)
-from knapcrack.errors import InvalidParams, NotASolution, NotNeighbours, SizeLimit
+                              iter_jump_points, modular_transform, uk_bound)
+from knapcrack.errors import InvalidParams, NotASolution, SizeLimit
 from knapcrack.problems import LdeSystem, SubsetSumInstance
 
-from oracles import binary_solutions_naive
+from oracles import (NotNeighbours, binary_solutions_naive, njp_deltas, njp_left_dominates,
+                     njp_right_dominates)
 
 TOY = SubsetSumInstance.from_coeffs([3, 15, 6], 9)
 MH_A = [171, 196, 457, 1191, 2410]

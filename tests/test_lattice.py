@@ -32,7 +32,7 @@ def random_basis(rng, n, dim, lo=-30, hi=30):
 
 
 class TestNearestInteger:
-    """The kernel's one half-tie rule, round_nearest(num, den, mode) ~ num/den."""
+    """The kernel's one half-tie rule, round_nearest(num, den) ~ num/den."""
 
     def test_half_ties_round_down_positive(self):
         assert round_nearest(9, 2) == 4
@@ -42,10 +42,6 @@ class TestNearestInteger:
 
     def test_plain_nearest(self):
         assert round_nearest(7, 3) == 2
-
-    def test_symmetric_mode_is_odd(self):
-        for num in range(-40, 41):
-            assert round_nearest(-num, 4, "symmetric") == -round_nearest(num, 4, "symmetric")
 
     def test_residual_in_half_open_window(self):
         # ceil(q - 1/2) lands in [q - 1/2, q + 1/2), so the residual window

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
-from knapcrack.errors import (EscalationExhausted, GenerationBudgetExceeded,
-                              RankDeficient, SearchExhausted, TooLarge)
+from knapcrack.errors import (EscalationExhausted, GenerationBudgetExceeded, InvalidRow,
+                              RankDeficient, SearchExhausted)
 from knapcrack.pipeline import (AttackOutcome, BenchCell, SearchConfig, attack,
-                                attack_with_dag, bench, bench_csv, brute_force_solve,
-                                default_modulus, generate_instance, generate_system)
+                                attack_with_dag, bench, bench_csv, default_modulus,
+                                generate_instance, generate_system)
 from knapcrack.problems import LdeSystem, SubsetSumInstance
+
+from oracles import TooLarge, _enumerate_full, _enumerate_mitm, brute_force_solve
 
 TOY = SubsetSumInstance.from_coeffs([3, 15, 6], 9)
 MH = SubsetSumInstance.from_coeffs([171, 196, 457, 1191, 2410], 3797)
@@ -71,7 +73,6 @@ class TestBruteForce:
 
     def test_mitm_matches_full_enumeration(self):
         rng = random.Random(0)
-        from knapcrack.pipeline import _enumerate_full, _enumerate_mitm
         for _ in range(10):
             n = rng.randint(4, 10)
             rows = [[rng.randint(1, 30) for _ in range(n)]]
@@ -292,16 +293,6 @@ class TestDeterminism:
             assert a == b
 
 
-class TestSerialization:
-    def test_disaggregated_round_trip_with_header(self):
-        from knapcrack.pipeline import serialize_disaggregated
-        from knapcrack.problems import parse_system
-        d = build_disaggregated(TOY.as_system(), 0, DisaggParams(1, 9))
-        text = serialize_disaggregated(d)
-        assert text.startswith("# dag t=1 M=9 row=0 u_k=1 n_k=1")
-        assert parse_system(text) == d.system
-
-
 class TestErrorPaths:
     def test_generation_budget(self, monkeypatch):
         import knapcrack.pipeline as pl
@@ -312,9 +303,20 @@ class TestErrorPaths:
             pl.generate_system(2, 8, 0)
 
     def test_invalid_row_rejected(self):
-        from knapcrack.errors import InvalidRow
         with pytest.raises(InvalidRow):
             build_disaggregated(TOY.as_system(), 3, DisaggParams(1, 9))
+
+    @pytest.mark.parametrize("row", [1, 3, -1])
+    def test_dag_row_outside_system_rejected_before_any_attack(self, monkeypatch, row):
+        import knapcrack.pipeline as pl
+
+        def run_algorithm(sys, config):
+            raise AssertionError("an attack ran")
+
+        monkeypatch.setattr(pl, "run_algorithm", run_algorithm)
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=15, t_max=14, row_index=row)
+        with pytest.raises(InvalidRow, match=f"row {row} outside 0..0"):
+            attack_with_dag(TOY, cfg)
 
     def test_decompose_escalates_from_tiny_n(self):
         from knapcrack.formulations import decompose

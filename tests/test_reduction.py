@@ -14,7 +14,7 @@ from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
 from knapcrack.reduction import _doubled_gso, reduce_half, reduce_solution
 
-from oracles import solve_integer_combination, sweep_fraction
+from oracles import half_sweep_fraction, solve_integer_combination, sweep_fraction
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -108,23 +108,19 @@ class TestInvarianceTheorems:
 
     def test_column_sign_invariance_symmetric_rounding(self):
         # Sign flips of kernel columns leave both sweeps unchanged, provided
-        # half-ties round symmetrically.
+        # half-ties round symmetrically: a rule only the oracle sweep has.
         for seed in range(3):
             gen = generate_instance(8, seed)
             sys = gen.instance.as_system()
             kd = decompose(sys)
             cols = kd.kernel_columns()
-            n_rows = len(cols[0])
             xb = special_solution(kd, sys.b)
-            D = [[c[i] for c in cols] for i in range(n_rows)]
-            base = reduce_solution(xb, D, rounding="symmetric")
-            base_half = reduce_half(xb, D, rounding="symmetric")
-            s = len(cols)
-            for signs in itertools.product((1, -1), repeat=s):
-                flipped = [[signs[j] * D[i][j] for j in range(s)]
-                           for i in range(n_rows)]
-                assert reduce_solution(xb, flipped, rounding="symmetric") == base
-                assert reduce_half(xb, flipped, rounding="symmetric") == base_half
+            base = sweep_fraction(cols, xb, "symmetric")
+            base_half = half_sweep_fraction(cols, xb, "symmetric")
+            for signs in itertools.product((1, -1), repeat=len(cols)):
+                flipped = [[sign * v for v in c] for sign, c in zip(signs, cols)]
+                assert sweep_fraction(flipped, xb, "symmetric") == base
+                assert half_sweep_fraction(flipped, xb, "symmetric") == base_half
 
 
 class TestKernelGso:
@@ -145,16 +141,15 @@ class TestKernelGso:
             return
         assert _doubled_gso(*gso) == integral_gso([[2 * x for x in c] for c in cols])
 
-    @pytest.mark.parametrize("rounding", ["asymmetric", "symmetric"])
-    def test_decomposition_equals_plain_matrix(self, rounding):
+    def test_decomposition_equals_plain_matrix(self):
         rng = random.Random(4)
         for seed in range(4):
             sys = generate_system(1 + seed % 2, 12, seed).system
             kd = decompose(sys)
             D = [list(r) for r in kd.D]
             xb = [v + rng.randint(-3, 3) for v in special_solution(kd, sys.b)]
-            assert reduce_solution(xb, kd, rounding) == reduce_solution(xb, D, rounding)
-            assert reduce_half(xb, kd, rounding) == reduce_half(xb, D, rounding)
+            assert reduce_solution(xb, kd) == reduce_solution(xb, D)
+            assert reduce_half(xb, kd) == reduce_half(xb, D)
 
 
 class TestAgreementWithAhl:
@@ -174,16 +169,6 @@ class TestAgreementWithAhl:
         assert agreements >= 6
 
 
-def oracle_reduce(x_b, cols, rounding):
-    return sweep_fraction(cols, list(x_b), rounding)
-
-
-def oracle_reduce_half(x_b, cols, rounding):
-    doubled = [[2 * x for x in c] for c in cols]
-    reduced = sweep_fraction(doubled, [2 * v - 1 for v in x_b], rounding)
-    return [(v + 1) // 2 for v in reduced]
-
-
 def row_major(cols):
     return [list(r) for r in zip(*cols)]
 
@@ -200,34 +185,35 @@ def basis_and_target(draw):
 
 
 class TestOracleAgreement:
-    """The integral sweep equals the rational reference, tie rules included."""
+    """The integral sweep equals the rational reference under its one half-tie
+    rule, ceil(q - 1/2).  Each tie case also pins the oracle's symmetric rule,
+    which the sign-invariance theorem is checked under."""
 
     @settings(max_examples=150, deadline=None)
-    @given(basis_and_target(), st.sampled_from(["asymmetric", "symmetric"]))
-    def test_random_bases(self, case, rounding):
+    @given(basis_and_target())
+    def test_random_bases(self, case):
         cols, target = case
         D = row_major(cols)
         try:
-            expected = oracle_reduce(target, cols, rounding)
+            expected = sweep_fraction(cols, target, "asymmetric")
         except DependentColumns:
             with pytest.raises(DependentColumns):
-                reduce_solution(target, D, rounding)
+                reduce_solution(target, D)
             return
-        assert reduce_solution(target, D, rounding) == expected
-        assert reduce_half(target, D, rounding) == oracle_reduce_half(target, cols, rounding)
+        assert reduce_solution(target, D) == expected
+        assert reduce_half(target, D) == half_sweep_fraction(cols, target, "asymmetric")
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from([8, 10, 12, 14]), st.integers(0, 10**6),
-           st.sampled_from(["asymmetric", "symmetric"]),
            st.lists(st.integers(-3, 3), min_size=14, max_size=14))
-    def test_decomposed_kernels(self, n, seed, rounding, shift):
+    def test_decomposed_kernels(self, n, seed, shift):
         sys = generate_instance(n, seed).instance.as_system()
         kd = decompose(sys)
         cols = kd.kernel_columns()
         xb = [v + dv for v, dv in zip(special_solution(kd, sys.b), shift)]
-        assert reduce_solution(xb, kd, rounding) == oracle_reduce(xb, cols, rounding)
-        assert reduce_half(xb, kd, rounding) == oracle_reduce_half(xb, cols, rounding)
+        assert reduce_solution(xb, kd) == sweep_fraction(cols, xb, "asymmetric")
+        assert reduce_half(xb, kd) == half_sweep_fraction(cols, xb, "asymmetric")
 
     @pytest.mark.parametrize("rounding, expected", [("asymmetric", [1, 0, 5]),
                                                     ("symmetric", [-1, 0, 5])])
@@ -235,8 +221,9 @@ class TestOracleAgreement:
         # mu_t1 = 1 is removed first, which leaves mu_t0 = 1 - 1/2: an exact tie.
         cols = [[2, 0, 0], [1, 1, 0]]
         target = [2, 1, 5]
-        assert oracle_reduce(target, cols, rounding) == expected
-        assert reduce_solution(target, row_major(cols), rounding) == expected
+        assert sweep_fraction(cols, target, rounding) == expected
+        assert reduce_solution(target, row_major(cols)) == sweep_fraction(
+            cols, target, "asymmetric")
 
     @pytest.mark.parametrize("target, rounding, expected", [
         ([1, 0], "asymmetric", [1, 0]),
@@ -248,16 +235,18 @@ class TestOracleAgreement:
     ])
     def test_single_vector_ties(self, target, rounding, expected):
         cols = [[2, 0]]
-        assert oracle_reduce(target, cols, rounding) == expected
-        assert reduce_solution(target, row_major(cols), rounding) == expected
+        assert sweep_fraction(cols, target, rounding) == expected
+        assert reduce_solution(target, row_major(cols)) == sweep_fraction(
+            cols, target, "asymmetric")
 
     @pytest.mark.parametrize("rounding, expected", [("asymmetric", [1, 0]),
                                                     ("symmetric", [0, 0])])
     def test_half_shift_tie(self, rounding, expected):
         # (2D | 2x - 1) = ((2, 0) | (1, -1)): the coefficient is exactly 1/2.
         cols = [[1, 0]]
-        assert oracle_reduce_half([1, 0], cols, rounding) == expected
-        assert reduce_half([1, 0], row_major(cols), rounding) == expected
+        assert half_sweep_fraction(cols, [1, 0], rounding) == expected
+        assert reduce_half([1, 0], row_major(cols)) == half_sweep_fraction(
+            cols, [1, 0], "asymmetric")
 
     @pytest.mark.parametrize("cols", [[[1, 0, 0], [2, 0, 0]],
                                       [[1, 2, 3], [0, 0, 0]],
@@ -267,7 +256,3 @@ class TestOracleAgreement:
             reduce_solution([1, 2, 3], row_major(cols))
         with pytest.raises(DependentColumns):
             reduce_half([1, 2, 3], row_major(cols))
-
-    def test_unknown_rounding_mode(self):
-        with pytest.raises(ValueError):
-            reduce_solution([1, 2], [[2], [0]], rounding="banker")
