@@ -1,14 +1,15 @@
 """Kernel-lattice geometry features and their CSV export.
 
-The features quantify how "rectangular" a kernel basis is: lattice volume
-(the exact Gram determinant d[s] of the integral Gram-Schmidt, which a
-KernelDecomposition already holds), the minimum-volume ellipsoid of the
-fundamental parallelepiped, the max/min semi-axis ratio after column
-normalization, and Frobenius distances of the Gram matrix from
-diagonality.  The MVE is obtained in closed form: enclosing ellipsoids
-commute with invertible linear maps, so the MVE of D [0,1]^s is the image
-of the cube's circumscribed ball, with center D (1/2,...,1/2) and
-semi-axes (sqrt(s)/2) * sigma_i over the singular values sigma_i of D.
+The features quantify how "rectangular" the kernel basis D of a
+KernelDecomposition is: lattice volume (the exact Gram determinant d[s]
+of the integral Gram-Schmidt the decomposition already holds), the
+minimum-volume ellipsoid of the fundamental parallelepiped, the max/min
+semi-axis ratio after column normalization, and Frobenius distances of
+the Gram matrix from diagonality.  The MVE is obtained in closed form:
+enclosing ellipsoids commute with invertible linear maps, so the MVE of
+D [0,1]^s is the image of the cube's circumscribed ball, with center
+D (1/2,...,1/2) and semi-axes (sqrt(s)/2) * sigma_i over the singular
+values sigma_i of D.
 """
 
 from __future__ import annotations
@@ -19,34 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lll_py import integral_gso
-from .errors import DependentColumns, RankDeficient
-from .formulations import KernelDecomposition, kernel_columns
+from .formulations import KernelDecomposition
 # det_bareiss is not called here; perfbench/layers.py wraps analysis.det_bareiss by name.
 from .intmat import det_bareiss, gram  # noqa: F401
 
 
-def _float_matrix(D) -> np.ndarray:
-    cols = kernel_columns(D)
-    return np.array(cols, dtype=float).T
+def _float_matrix(kd: KernelDecomposition) -> np.ndarray:
+    return np.array(kd.kernel_columns(), dtype=float).T
 
 
-def _gram_det(D) -> int:
-    """det(D^T D) > 0, as d[s] of the integral GSO of D's columns.
-
-    A KernelDecomposition brings its GSO; a plain matrix gets one
-    integral_gso.  Raises RankDeficient when the columns are dependent.
-    """
-    try:
-        d, _ = D.gso if isinstance(D, KernelDecomposition) else integral_gso(kernel_columns(D))
-    except DependentColumns:
-        raise RankDeficient("columns are not of full rank") from None
-    return d[-1]
-
-
-def lattice_volume(D) -> float:
-    """sqrt(det(D^T D)): the exact integer Gram determinant, rooted last."""
-    det = _gram_det(D)
+def lattice_volume(kd: KernelDecomposition) -> float:
+    """sqrt(det(D^T D)): the exact Gram determinant d[s] of kd's GSO, rooted last."""
+    det = kd.gso[0][-1]
     root = math.isqrt(det)
     if root * root == det:
         return float(root)
@@ -64,10 +49,9 @@ def _unit_ball_volume(s: int) -> float:
     return math.pi ** (s / 2) / math.gamma(s / 2 + 1)
 
 
-def min_volume_ellipsoid(D) -> Ellipsoid:
+def min_volume_ellipsoid(kd: KernelDecomposition) -> Ellipsoid:
     """MVE of the fundamental parallelepiped {D z : z in [0,1]^s}."""
-    _gram_det(D)  # rank guard: raises RankDeficient
-    mat = _float_matrix(D)
+    mat = _float_matrix(kd)
     s = mat.shape[1]
     sing = np.linalg.svd(mat, compute_uv=False)
     semi = tuple(sorted((float(math.sqrt(s) / 2 * v) for v in sing), reverse=True))
@@ -83,10 +67,9 @@ def gamma(s: int) -> float:
     return s ** (s / 2) / 2 ** (s - 1) / s * math.pi ** (s / 2) / math.gamma(s / 2)
 
 
-def lambda_tilde(D) -> float:
+def lambda_tilde(kd: KernelDecomposition) -> float:
     """Max/min MVE semi-axis ratio after normalizing every column to length 1."""
-    _gram_det(D)  # rank guard: raises RankDeficient
-    mat = _float_matrix(D)
+    mat = _float_matrix(kd)
     mat = mat / np.linalg.norm(mat, axis=0)
     sing = np.linalg.svd(mat, compute_uv=False)
     return float(sing[0] / sing[-1])
@@ -129,16 +112,17 @@ class KernelFeatures:
     success: bool
 
 
-def compute_features(D, cut: bool = False, success: bool = False) -> KernelFeatures:
-    vol = lattice_volume(D)
-    mve = min_volume_ellipsoid(D)
-    g = gram(kernel_columns(D))
+def compute_features(kd: KernelDecomposition, cut: bool = False,
+                     success: bool = False) -> KernelFeatures:
+    vol = lattice_volume(kd)
+    mve = min_volume_ellipsoid(kd)
+    g = gram(kd.kernel_columns())
     return KernelFeatures(
         dim=len(mve.semi_axes),
         volume=vol,
         semi_axes=mve.semi_axes,
         mve_volume=mve.volume,
-        lambda_tilde=lambda_tilde(D),
+        lambda_tilde=lambda_tilde(kd),
         d=_off_diagonal(g),
         d_tilde=_off_diagonal_normalized(g),
         cut=cut,
@@ -158,16 +142,15 @@ class FeatureRecord:
     features: KernelFeatures
 
 
-def export_features_csv(records, out) -> None:
-    """Write one row per scenario; semi-axis columns padded to the widest."""
+def export_features_csv(records, path) -> None:
+    """Write one row per scenario to path; semi-axis columns padded to the widest."""
     records = list(records)
     s_max = max((r.features.dim for r in records), default=0)
     header = (["instance_id", "m", "n", "t", "M", "kernel_dim", "volume",
                "mve_volume", "gamma_check"]
               + [f"ax{i + 1}" for i in range(s_max)]
               + ["lambda_tilde", "d", "d_tilde", "cut", "success"])
-
-    def write(fh) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for r in records:
@@ -179,9 +162,3 @@ def export_features_csv(records, out) -> None:
                        + axes
                        + [repr(f.lambda_tilde), repr(f.d), repr(f.d_tilde),
                           int(f.cut), int(f.success)])
-
-    if hasattr(out, "write"):
-        write(out)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            write(fh)

@@ -10,7 +10,6 @@ are rejected to keep exactness-critical parameters exact.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -18,9 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, pipeline
-from .disagg import (DisaggParams, build_disaggregated, cuts_off,
-                     enumerate_jump_points, is_ideal, iter_jump_points, row_coeffs,
-                     uk_bound)
+from .disagg import (DisaggParams, build_disaggregated, cuts_off, is_ideal, jump_points,
+                     row_coeffs, uk_bound)
 from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams, InvalidRow,
                      KnapcrackError, ParseError, RankDeficient, SearchExhausted, SizeLimit)
 from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
@@ -66,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate seeded instances/systems")
     gen.add_argument("--m", type=int, default=1)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=_limit_flag, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
@@ -206,20 +204,17 @@ def cmd_attack(args) -> int:
     return EXIT_SOLVED if outcome.solved else EXIT_UNSOLVED
 
 
-def _jump_points(problem, limit):
-    """The first limit jump points of a row, streamed; all of them (capped) for None."""
-    if limit is None:
-        return enumerate_jump_points(problem)
-    return list(itertools.islice(iter_jump_points(problem), limit))
-
-
 def cmd_jumps(args) -> int:
     system, err = _load_or_exit(args.input)
     if err is not None:
         return err
+    if system.m != 1:
+        print(f"error: jumps takes a single-equation file, got {system.m} equations",
+              file=sys.stderr)
+        return EXIT_USAGE
     problem = (list(system.A[0]), system.b[0])
     try:
-        points = _jump_points(problem, args.limit)
+        points = jump_points(problem, args.limit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -315,7 +310,7 @@ def _analyze_scenarios(args, system):
     if not 0 <= args.row < system.m:
         raise InvalidRow(f"--row {args.row} outside 0..{system.m - 1}")
     if args.all_jumps:
-        for jp in _jump_points((list(system.A[args.row]), system.b[args.row]), args.limit):
+        for jp in jump_points((list(system.A[args.row]), system.b[args.row]), args.limit):
             r = jp.value
             yield [(args.row, DisaggParams(r.numerator, r.denominator))]
         return
@@ -336,14 +331,14 @@ def _augment(system, steps):
     aug = system
     for row, params in steps:
         built = build_disaggregated(aug, row, params)
+        if aug.m + 1 >= aug.n + built.k_count:
+            return None
         try:
             aug = built.system
         except RankDeficient:
             # The derived row is a multiple of an existing one; the
             # constraint set is unchanged, so keep the system as is.
             continue
-        except ValueError:
-            return None
     return aug
 
 

@@ -10,22 +10,21 @@ which is what makes exhaustive jump-point reasoning possible.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParams, InvalidRow, NotASolution, SizeLimit
-from .problems import LdeSystem, SubsetSumInstance
+from .problems import LdeSystem
 
 JUMP_CAP = 10**6
 
 
 def row_coeffs(problem) -> tuple[list[int], int]:
-    """(a, b) of a SubsetSumInstance or a raw (a, b) pair that can be disaggregated.
+    """The (a, b) row pair as ints, checked that it can be disaggregated.
 
     Raises ValueError when a coefficient or b is negative, or b exceeds sum(a).
     """
-    if isinstance(problem, SubsetSumInstance):
-        return list(problem.a), problem.b
     a, b = problem
     a = [int(x) for x in a]
     b = int(b)
@@ -180,34 +179,24 @@ def _jump_denominators(a: list[int], b: int) -> list[tuple[int, str]]:
     return dens
 
 
-def enumerate_jump_points(problem, cap: int = JUMP_CAP) -> list[JumpPoint]:
-    """All jump points, ascending, exact-rational deduplicated, tags merged."""
-    a, b = row_coeffs(problem)
-    dens = _jump_denominators(a, b)
-    raw_count = sum(den - 1 for den, _ in dens)
-    if raw_count > cap:
-        raise SizeLimit(f"{raw_count} candidate jump points exceed the cap {cap}")
-    merged: dict[Fraction, set[str]] = {}
-    for den, tag in dens:
-        for j in range(1, den):
-            merged.setdefault(Fraction(j, den), set()).add(tag)
-    return [JumpPoint(value=v, sources=frozenset(tags))
-            for v, tags in sorted(merged.items())]
+def jump_points(problem, limit: int | None = None) -> list[JumpPoint]:
+    """The first limit jump points of an (a, b) row, ascending; all of them for None.
 
-
-def iter_jump_points(problem):
-    """Lazily yield jump points in ascending order (no enumeration cap).
-
-    Streams a heap-merge of the per-denominator arithmetic families, so the
-    first few points of an astronomically dense instance cost nothing.
+    Heap-merges the per-denominator families j/den, so equal rationals come
+    out together with their tags merged, and the first few points of a
+    dense row cost little.  Without a limit, a row with more than JUMP_CAP
+    candidate points raises SizeLimit before any is listed.
     """
-    import heapq
-
     a, b = row_coeffs(problem)
     dens = _jump_denominators(a, b)
+    if limit is None:
+        raw_count = sum(den - 1 for den, _ in dens)
+        if raw_count > JUMP_CAP:
+            raise SizeLimit(f"{raw_count} candidate jump points exceed the cap {JUMP_CAP}")
     heap = [(Fraction(1, den), den, tag) for den, tag in dens]
     heapq.heapify(heap)
-    while heap:
+    points = []
+    while heap and (limit is None or len(points) < limit):
         value = heap[0][0]
         tags = set()
         while heap and heap[0][0] == value:
@@ -216,7 +205,8 @@ def iter_jump_points(problem):
             num = value.numerator * den // value.denominator + 1
             if num <= den - 1:
                 heapq.heappush(heap, (Fraction(num, den), den, tag))
-        yield JumpPoint(value=value, sources=frozenset(tags))
+        points.append(JumpPoint(value=value, sources=frozenset(tags)))
+    return points
 
 
 def cuts_off(problem, r: Fraction, x_tilde) -> bool:

@@ -29,10 +29,6 @@ class InvalidN(KnapcrackError):
     """Scaling integer N violates its lower bound."""
 
 
-class InvalidBigInts(KnapcrackError):
-    """AHL scaling integers violate N2 > 2^(n+m) * N1^2."""
-
-
 class DimensionMismatch(KnapcrackError):
     """Vector/matrix dimensions do not line up."""
 

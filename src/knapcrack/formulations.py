@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._lll_py import integral_gso
-from .errors import DependentColumns, EscalationExhausted, InvalidBigInts, InvalidN
+from .errors import DependentColumns, EscalationExhausted, InvalidN
 from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from .problems import Complement, LdeSystem, SubsetSumInstance, normalize
@@ -110,14 +110,6 @@ class KernelDecomposition:
     E: tuple[tuple[int, ...], ...]
     N_used: int
 
-    @property
-    def n(self) -> int:
-        return len(self.D)
-
-    @property
-    def m(self) -> int:
-        return len(self.E)
-
     def kernel_columns(self) -> list[list[int]]:
         return [list(col) for col in zip(*self.D)]
 
@@ -125,16 +117,6 @@ class KernelDecomposition:
     def gso(self) -> tuple[list[int], list[list[int]]]:
         """``integral_gso`` (d, lam) of the kernel columns; callers only read it."""
         return integral_gso(self.kernel_columns())
-
-
-def kernel_columns(kernel) -> list[list[int]]:
-    """Columns of a KernelDecomposition's D, or of an n x s row-major matrix."""
-    if hasattr(kernel, "kernel_columns"):
-        return kernel.kernel_columns()
-    # Plain ints: the exact Gram/determinant paths must never see fixed-width
-    # integer types.
-    rows = [[int(x) for x in r] for r in kernel]
-    return [list(c) for c in zip(*rows)]
 
 
 def build_lattice_B(sys: LdeSystem, N: int) -> LatticeBasis:
@@ -327,19 +309,17 @@ def ahl_basis(sys: LdeSystem, N1: int, N2: int) -> LatticeBasis:
     return LatticeBasis.from_columns(cols)
 
 
-def attack_ahl(sys: LdeSystem, N1: int = DEFAULT_N1, N2: int | None = None,
-               alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
+def attack_ahl(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
     """AHL attack: inspect column n-m+1 of the reduced basis.
 
-    A hit has |entry n+1| = N1 with a zero tail; after sign normalization
-    its first n entries form an integer solution of A x = b (binary or
-    not).  Anything else is a failure.
+    The scaling integers are N1 = DEFAULT_N1 and N2 = 2^(n+m) * N1^2 + 1,
+    the least N2 the method admits.  A hit has |entry n+1| = N1 with a
+    zero tail; after sign normalization its first n entries form an integer
+    solution of A x = b (binary or not).  Anything else is a failure.
     """
     n, m = sys.n, sys.m
-    if N2 is None:
-        N2 = 2 ** (n + m) * N1 * N1 + 1
-    if N2 <= 2 ** (n + m) * N1 * N1:
-        raise InvalidBigInts(f"need N2 > 2^(n+m)*N1^2 = {2 ** (n + m) * N1 * N1}")
+    N1 = DEFAULT_N1
+    N2 = 2 ** (n + m) * N1 * N1 + 1
     reduced = lll(ahl_basis(sys, N1, N2), alpha)
     col = reduced.column_lists()[n - m]
     if abs(col[n]) == N1 and all(v == 0 for v in col[n + 1:]):

@@ -52,10 +52,6 @@ class LatticeBasis:
     def n(self) -> int:
         return len(self.columns)
 
-    @property
-    def dim(self) -> int:
-        return len(self.columns[0])
-
     def column_lists(self) -> list[list[int]]:
         return [list(c) for c in self.columns]
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import formulations as fm
 from .disagg import DisaggParams, build_disaggregated
-from .errors import (DependentColumns, GenerationBudgetExceeded, InvalidRow, KnapcrackError,
-                     RankDeficient, SearchExhausted)
+from .errors import (GenerationBudgetExceeded, InvalidRow, KnapcrackError, RankDeficient,
+                     SearchExhausted)
 from .lattice import DEFAULT_ALPHA
 from .problems import LdeSystem, SubsetSumInstance, as_instance, normalize
 from .reduction import reduce_half, reduce_solution
@@ -262,16 +262,13 @@ def attack_with_dag(problem, config: SearchConfig) -> AttackOutcome:
              if base_verdict.x is not None else base_verdict)
     for t in range(1, config.t_max + 1):
         built = build_disaggregated(work, config.row_index, DisaggParams(t, config.M))
+        if work.m + 1 >= n + built.k_count:
+            continue  # an ideal t (no k bits) leaves a square system: nothing to search
         try:
             aug = built.system
-        except (RankDeficient, ValueError):
-            # The derived row depends on the others, or an ideal t (no k
-            # bits) left as many equations as unknowns: nothing to search.
-            continue
-        try:
-            verdict = run_algorithm(aug, config)
-        except (RankDeficient, DependentColumns):
-            continue
+        except RankDeficient:
+            continue  # the derived row depends on the others
+        verdict = run_algorithm(aug, config)
         if verdict.x is None:
             continue
         head = list(verdict.x[:n])

@@ -10,8 +10,8 @@ the remaining coefficients in closed form (``lam_t[i] -= q * lam[j][i]``);
 all arithmetic is exact integer.  The result is x - D*lambda for an
 integer lambda vector, so it solves the same system.
 
-The GSO of D is the one a ``KernelDecomposition`` built for its contract
-(``kd.gso``); a plain n x s matrix gets one ``_lll_py.integral_gso``.
+The GSO of D is the one the ``KernelDecomposition`` built for its
+contract (``kd.gso``).
 
 The half-shift variant runs the identical sweep on (2D | 2x - 1): doubling
 the kernel and centering the target on the all-half point steers the sweep
@@ -24,9 +24,9 @@ lam[i][j]``, two shifts instead of a second GSO.
 
 from __future__ import annotations
 
-from ._lll_py import gso_row, integral_gso, round_nearest
+from ._lll_py import gso_row, round_nearest
 from .errors import DimensionMismatch
-from .formulations import KernelDecomposition, kernel_columns
+from .formulations import KernelDecomposition
 from .intmat import mat_vec
 
 
@@ -52,13 +52,14 @@ def _sweep(vectors: list[list[int]], d: list[int], lam: list[list[int]],
     return out
 
 
-def _kernel_gso(kernel, dim: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+def _kernel_gso(kd: KernelDecomposition,
+                dim: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """The kernel columns and their integral GSO (d, lam), for targets of length dim."""
-    cols = kernel_columns(kernel)
+    cols = kd.kernel_columns()
     if cols and len(cols[0]) != dim:
         raise DimensionMismatch(
             f"kernel dimension {len(cols[0])} != solution length {dim}")
-    d, lam = kernel.gso if isinstance(kernel, KernelDecomposition) else integral_gso(cols)
+    d, lam = kd.gso
     return cols, d, lam
 
 
@@ -68,21 +69,20 @@ def _doubled_gso(d: list[int], lam: list[list[int]]) -> tuple[list[int], list[li
             [[lij << 2 * j + 2 for j, lij in enumerate(row)] for row in lam])
 
 
-def reduce_solution(x_b, kernel) -> list[int]:
-    """Shorten an integer solution x_b by the kernel basis.
+def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:
+    """Shorten an integer solution x_b by the kernel basis D of kd.
 
-    kernel is a KernelDecomposition or an n x s row-major matrix whose
-    columns span ker_Z(A).  The result differs from x_b by a kernel vector.
+    The result differs from x_b by a kernel vector.
     """
     target = [int(v) for v in x_b]
-    cols, d, lam = _kernel_gso(kernel, len(target))
+    cols, d, lam = _kernel_gso(kd, len(target))
     return _sweep(cols, d, lam, target)
 
 
-def reduce_half(x_b, kernel) -> list[int]:
+def reduce_half(x_b, kd: KernelDecomposition) -> list[int]:
     """Half-shifted variant: sweep (2D | 2x_b - 1), then undo the shift."""
     target = [2 * int(v) - 1 for v in x_b]
-    cols, d, lam = _kernel_gso(kernel, len(target))
+    cols, d, lam = _kernel_gso(kd, len(target))
     doubled = [[2 * x for x in c] for c in cols]
     reduced = _sweep(doubled, *_doubled_gso(d, lam), target)
     if any((v + 1) % 2 for v in reduced):

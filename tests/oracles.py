@@ -11,7 +11,10 @@ by its definition, an n x n Bareiss determinant of (D | C).
 ``brute_force_solve`` lists every binary solution (direct enumeration to
 n = 20, meet-in-the-middle to n = 30), and the ``njp_*`` functions state the
 paper's cut-off implications between neighbouring jump points, which no
-attack uses.
+attack uses.  ``enumerate_jump_points`` lists jump points by sorting every
+j/den, the reference for the package's heap merge, and ``kernel_of`` wraps
+a plain matrix as a decomposition holding only D, the one kernel shape
+the sweeps and the features take.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from math import gcd
 
 import numpy as np
 
-from knapcrack.disagg import _jump_denominators, row_coeffs
+from knapcrack.disagg import JUMP_CAP, JumpPoint, _jump_denominators, row_coeffs
 from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackError,
-                              RankDeficient, SingularE)
-from knapcrack.formulations import kernel_columns
+                              RankDeficient, SingularE, SizeLimit)
+from knapcrack.formulations import KernelDecomposition
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
 from knapcrack.lattice import DEFAULT_ALPHA
 from knapcrack.problems import LdeSystem, SubsetSumInstance
@@ -471,9 +474,20 @@ def solve_integer_combination(cols: list[list[int]], target: list[int]) -> list[
     return z if recon == list(target) else None
 
 
+def kernel_of(D) -> KernelDecomposition:
+    """A KernelDecomposition holding only the n x s row-major matrix D.
+
+    C and E are empty and nothing checks D, so the sweeps and the features
+    can be run on any matrix; dependent columns raise DependentColumns when
+    the GSO is first read.
+    """
+    return KernelDecomposition(D=tuple(tuple(int(x) for x in r) for r in D),
+                               C=(), E=(), N_used=0)
+
+
 def project_preserving_gram(D) -> np.ndarray:
     """An s x s factor S with S^T S = D^T D (all angles and lengths kept)."""
-    cols = kernel_columns(D)
+    cols = transpose(D)
     if det_bareiss(gram(cols)) == 0:
         raise RankDeficient("columns are not of full rank")
     mat = np.array(cols, dtype=float).T
@@ -585,6 +599,21 @@ def brute_force_solve(problem) -> list[tuple[int, ...]]:
     if sys.n <= MITM_LIMIT:
         return _enumerate_mitm(sys)
     raise TooLarge(f"n={sys.n} exceeds the exhaustive-search limit {MITM_LIMIT}")
+
+
+def enumerate_jump_points(problem, cap: int = JUMP_CAP) -> list[JumpPoint]:
+    """All jump points, ascending, exact-rational deduplicated, tags merged."""
+    a, b = row_coeffs(problem)
+    dens = _jump_denominators(a, b)
+    raw_count = sum(den - 1 for den, _ in dens)
+    if raw_count > cap:
+        raise SizeLimit(f"{raw_count} candidate jump points exceed the cap {cap}")
+    merged: dict[Fraction, set[str]] = {}
+    for den, tag in dens:
+        for j in range(1, den):
+            merged.setdefault(Fraction(j, den), set()).add(tag)
+    return [JumpPoint(value=v, sources=frozenset(tags))
+            for v, tags in sorted(merged.items())]
 
 
 class NotNeighbours(KnapcrackError):

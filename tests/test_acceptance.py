@@ -12,9 +12,8 @@ import time
 from fractions import Fraction
 
 from knapcrack.analysis import gamma, lattice_volume, min_volume_ellipsoid
-from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off,
-                              enumerate_jump_points, is_ideal, modular_transform,
-                              uk_bound)
+from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off, is_ideal,
+                              jump_points, modular_transform, uk_bound)
 from knapcrack.errors import DependentColumns, RankDeficient, SearchExhausted
 from knapcrack.formulations import decompose, special_solution
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
@@ -26,7 +25,7 @@ from knapcrack.reduction import reduce_half, reduce_solution
 
 from oracles import (binary_solutions_naive, det_d_c, gso, gso_after_reduce,
                      gso_after_swap, half_sweep_fraction, hnf_columns, integer_solvable,
-                     kernel_basis, njp_left_dominates, njp_right_dominates,
+                     kernel_basis, kernel_of, njp_left_dominates, njp_right_dominates,
                      sweep_fraction)
 
 
@@ -70,10 +69,11 @@ def test_criterion_01_merkle_hellman_chain():
 
 def test_criterion_02_toy_cutoff_and_dag():
     t0 = time.perf_counter()
-    inst = SubsetSumInstance.from_coeffs([3, 15, 6], 9)
+    row = ([3, 15, 6], 9)
+    inst = SubsetSumInstance.from_coeffs(*row)
     x_tilde = [0, 1, -1]
-    assert cuts_off(inst, Fraction(1, 2), x_tilde) is False
-    assert cuts_off(inst, Fraction(2, 5), x_tilde) is True
+    assert cuts_off(row, Fraction(1, 2), x_tilde) is False
+    assert cuts_off(row, Fraction(2, 5), x_tilde) is True
     out = attack_with_dag(inst, SearchConfig(algo="reduce", use_dag=True,
                                              M=15, t_max=14))
     assert out.verdict.x == (1, 0, 1)
@@ -276,7 +276,7 @@ def test_criterion_11_disaggregation_soundness():
     for a, b in instances:
         sols = binary_solutions_naive([a], [b])
         assert sols
-        for jp in enumerate_jump_points((a, b)):
+        for jp in jump_points((a, b)):
             r = jp.value
             num, den = r.numerator, r.denominator
             v = [ai * num // den for ai in a]
@@ -298,9 +298,9 @@ def test_criterion_11_disaggregation_soundness():
 
 
 def test_criterion_12_njp_theorems_exhaustive():
-    inst = SubsetSumInstance.from_coeffs([3, 15, 6], 9)
+    inst = ([3, 15, 6], 9)
     x_tilde = [0, 1, -1]
-    values = [jp.value for jp in enumerate_jump_points(inst)]
+    values = [jp.value for jp in jump_points(inst)]
     pairs = list(zip(values, values[1:]))
     right_hits = left_hits = 0
     for r1, r2 in pairs:
@@ -324,11 +324,11 @@ def test_criterion_13_mve_identity_and_goldens():
         while True:
             D = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(n + 2)]
             try:
-                vol = lattice_volume(D)
+                vol = lattice_volume(kernel_of(D))
                 break
-            except RankDeficient:
+            except DependentColumns:
                 continue
-        mve = min_volume_ellipsoid(D)
+        mve = min_volume_ellipsoid(kernel_of(D))
         assert abs(mve.volume - gamma(s) * vol) <= 1e-6 * mve.volume
     d_a = [[-1, 1, 0, -5], [0, -1, -9, 5], [-1, 4, -3, 5], [1, 1, 5, 2],
            [-2, -8, 4, 4], [1, -4, -1, 0], [1, -1, 0, 5], [1, -4, 3, 5]]
@@ -336,7 +336,7 @@ def test_criterion_13_mve_identity_and_goldens():
            [2, 4, -2, 0], [-1, 6, -4, 2], [0, 1, 0, 6], [2, 1, 2, 4]]
     for D, axes, vol in ((d_a, (13.4214, 12.6793, 7.8505, 3.0782), 20294),
                          (d_c, (15.1941, 12.4433, 7.1633, 3.3181), 22176)):
-        mve = min_volume_ellipsoid(D)
+        mve = min_volume_ellipsoid(kernel_of(D))
         for got, want in zip(mve.semi_axes, axes):
             assert abs(got - want) <= 1e-2
         assert abs(mve.volume - vol) <= 0.005 * vol

@@ -1,6 +1,5 @@
 """Kernel geometry features against the worked fixtures and closed forms."""
 
-import io
 import math
 import random
 
@@ -10,11 +9,11 @@ import pytest
 from knapcrack.analysis import (FeatureRecord, compute_features,
                                 export_features_csv, gamma, lambda_tilde,
                                 lattice_volume, min_volume_ellipsoid)
-from knapcrack.errors import RankDeficient
+from knapcrack.errors import DependentColumns
 from knapcrack.formulations import decompose
 from knapcrack.pipeline import generate_system
 
-from oracles import project_preserving_gram
+from oracles import kernel_of, project_preserving_gram
 
 # Golden fixtures: reduced kernel bases of three disaggregation scenarios
 # of one 2x6 system; rows are coordinates, columns are basis vectors.
@@ -34,31 +33,27 @@ def random_kernel(rng, dim_hi=5):
     while True:
         D = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(n + 2)]
         try:
-            lattice_volume(D)
+            lattice_volume(kernel_of(D))
             return D
-        except RankDeficient:
+        except DependentColumns:
             continue
 
 
 class TestVolume:
     def test_worked_scenario_volumes(self):
         # Golden volume figures are quoted truncated to integers.
-        assert int(lattice_volume(D_SCEN_A)) == 4112
-        assert int(lattice_volume(D_SCEN_B)) == 3621
-        assert int(lattice_volume(D_SCEN_C)) == 4493
+        assert int(lattice_volume(kernel_of(D_SCEN_A))) == 4112
+        assert int(lattice_volume(kernel_of(D_SCEN_B))) == 3621
+        assert int(lattice_volume(kernel_of(D_SCEN_C))) == 4493
 
     def test_identity(self):
-        assert lattice_volume([[1, 0], [0, 1]]) == 1.0
+        assert lattice_volume(kernel_of([[1, 0], [0, 1]])) == 1.0
 
     @pytest.mark.parametrize("m, n, seed", [(1, 10, 0), (2, 12, 1), (3, 14, 2)])
     def test_decomposition_volume_is_plain_volume(self, m, n, seed):
         # The decomposition's GSO gives the same exact volume as D itself.
         kd = decompose(generate_system(m, n, seed).system)
-        assert lattice_volume(kd) == lattice_volume([list(r) for r in kd.D])
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            lattice_volume([[1, 2], [2, 4], [3, 6]])
+        assert lattice_volume(kd) == lattice_volume(kernel_of(kd.D))
 
 
 class TestProjection:
@@ -96,19 +91,19 @@ class TestProjection:
 
 class TestMve:
     def test_scenario_a_semi_axes(self):
-        mve = min_volume_ellipsoid(D_SCEN_A)
+        mve = min_volume_ellipsoid(kernel_of(D_SCEN_A))
         for got, want in zip(mve.semi_axes, (13.4214, 12.6793, 7.8505, 3.0782)):
             assert got == pytest.approx(want, abs=1e-2)
         assert mve.volume == pytest.approx(20294, rel=5e-3)
 
     def test_scenario_c_semi_axes(self):
-        mve = min_volume_ellipsoid(D_SCEN_C)
+        mve = min_volume_ellipsoid(kernel_of(D_SCEN_C))
         for got, want in zip(mve.semi_axes, (15.1941, 12.4433, 7.1633, 3.3181)):
             assert got == pytest.approx(want, abs=1e-2)
         assert mve.volume == pytest.approx(22176, rel=5e-3)
 
     def test_unit_square(self):
-        mve = min_volume_ellipsoid([[1, 0], [0, 1]])
+        mve = min_volume_ellipsoid(kernel_of([[1, 0], [0, 1]]))
         assert mve.semi_axes == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2))
         assert mve.volume == pytest.approx(math.pi / 2)
         assert mve.center == pytest.approx((0.5, 0.5))
@@ -119,7 +114,7 @@ class TestMve:
             D = random_kernel(rng)
             s = len(D[0])
             sv = np.linalg.svd(np.array(D, dtype=float), compute_uv=False)
-            mve = min_volume_ellipsoid(D)
+            mve = min_volume_ellipsoid(kernel_of(D))
             assert list(mve.semi_axes) == pytest.approx(
                 sorted((math.sqrt(s) / 2 * v for v in sv), reverse=True), rel=1e-9)
 
@@ -127,9 +122,10 @@ class TestMve:
         rng = random.Random(3)
         for _ in range(100):
             D = random_kernel(rng)
-            mve = min_volume_ellipsoid(D)
+            mve = min_volume_ellipsoid(kernel_of(D))
             s = len(D[0])
-            assert mve.volume == pytest.approx(gamma(s) * lattice_volume(D), rel=1e-6)
+            assert mve.volume == pytest.approx(gamma(s) * lattice_volume(kernel_of(D)),
+                                               rel=1e-6)
 
 
 class TestGamma:
@@ -146,12 +142,12 @@ class TestRectangularity:
     """The feature columns d and d_tilde: Gram off-diagonal distances."""
 
     def test_orthogonal_columns_zero(self):
-        f = compute_features([[2, 0], [0, 5]])
+        f = compute_features(kernel_of([[2, 0], [0, 5]]))
         assert f.d == 0.0
         assert f.d_tilde == 0.0
 
     def test_worked_two_by_two(self):
-        f = compute_features([[1, 1], [0, 1]])
+        f = compute_features(kernel_of([[1, 1], [0, 1]]))
         assert f.d == pytest.approx(math.sqrt(2))
         assert f.d_tilde == pytest.approx(1.0)
 
@@ -161,64 +157,65 @@ class TestRectangularity:
             D = random_kernel(rng)
             g = np.array(D).T @ np.array(D)
             off = g - np.diag(np.diag(g))
-            d = compute_features(D).d
+            d = compute_features(kernel_of(D)).d
             assert (d == 0) == (not np.any(off))
             assert math.isclose(d, np.linalg.norm(off),
                                 rel_tol=1e-12, abs_tol=1e-12)
 
     def test_invariances(self):
         D = [[3, 1, 2], [1, 4, 1], [0, 2, 5], [1, 1, 1]]
-        base = compute_features(D).d
+        base = compute_features(kernel_of(D)).d
         flipped = [[-r[0], r[1], -r[2]] for r in D]
-        assert compute_features(flipped).d == pytest.approx(base)
+        assert compute_features(kernel_of(flipped)).d == pytest.approx(base)
         permuted = [[r[2], r[0], r[1]] for r in D]
-        assert compute_features(permuted).d == pytest.approx(base)
+        assert compute_features(kernel_of(permuted)).d == pytest.approx(base)
         scaled = [[7 * r[0], r[1], r[2]] for r in D]
-        assert compute_features(scaled).d_tilde == pytest.approx(
-            compute_features(D).d_tilde)
+        assert compute_features(kernel_of(scaled)).d_tilde == pytest.approx(
+            compute_features(kernel_of(D)).d_tilde)
 
 
 class TestLambdaTilde:
     def test_orthogonal_is_one(self):
-        assert lambda_tilde([[2, 0], [0, 9]]) == pytest.approx(1.0)
+        assert lambda_tilde(kernel_of([[2, 0], [0, 9]])) == pytest.approx(1.0)
 
     def test_nearly_parallel_blows_up(self):
         # (1, 0) against (20, 1): angle ~ 0.05 rad, ratio far above 10.
-        assert lambda_tilde([[1, 20], [0, 1]]) > 10
+        assert lambda_tilde(kernel_of([[1, 20], [0, 1]])) > 10
 
     def test_regression_fixture(self):
         # Frozen from the closed form on the worked scenario basis.
-        assert lambda_tilde(D_SCEN_A) == pytest.approx(1.7900900554, abs=1e-6)
+        assert lambda_tilde(kernel_of(D_SCEN_A)) == pytest.approx(1.7900900554, abs=1e-6)
 
 
 class TestCsvExport:
     def _record(self, ident, t, M, D, cut, success):
         return FeatureRecord(instance_id=ident, m=2, n=6, t=t, M=M,
-                             features=compute_features(D, cut=cut, success=success))
+                             features=compute_features(kernel_of(D), cut=cut,
+                                                       success=success))
 
-    def test_empty_records_header_only(self):
-        buf = io.StringIO()
-        export_features_csv([], buf)
-        assert buf.getvalue().strip() == ("instance_id,m,n,t,M,kernel_dim,volume,"
+    def test_empty_records_header_only(self, tmp_path):
+        out = tmp_path / "features.csv"
+        export_features_csv([], out)
+        assert out.read_text(encoding="utf-8").strip() == ("instance_id,m,n,t,M,kernel_dim,volume,"
                                           "mve_volume,gamma_check,lambda_tilde,"
                                           "d,d_tilde,cut,success")
 
-    def test_worked_scenarios_rows(self):
-        buf = io.StringIO()
+    def test_worked_scenarios_rows(self, tmp_path):
+        out = tmp_path / "features.csv"
         export_features_csv([
             self._record("ex3", 22, 51, D_SCEN_A, False, True),
             self._record("ex3", 36, 51, D_SCEN_B, False, False),
             self._record("ex3", 49, 51, D_SCEN_C, True, True),
-        ], buf)
-        lines = buf.getvalue().strip().splitlines()
+        ], out)
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 4
         vols = [int(float(line.split(",")[6])) for line in lines[1:]]
         assert vols == [4112, 3621, 4493]
 
-    def test_row_count_matches_scenarios(self):
+    def test_row_count_matches_scenarios(self, tmp_path):
         rng = random.Random(5)
         records = [self._record(f"i{k}", k + 1, 100, random_kernel(rng), False, False)
                    for k in range(7)]
-        buf = io.StringIO()
-        export_features_csv(records, buf)
-        assert len(buf.getvalue().strip().splitlines()) == 8
+        out = tmp_path / "features.csv"
+        export_features_csv(records, out)
+        assert len(out.read_text(encoding="utf-8").strip().splitlines()) == 8

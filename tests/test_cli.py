@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from knapcrack.cli import main
-from knapcrack.pipeline import generate_system
-from knapcrack.problems import LdeSystem, save_system
+from knapcrack.pipeline import generate_instance, generate_system
+from knapcrack.problems import LdeSystem, load_system, save_system
 
 # (t, kernel_dim, volume, cut, success) per row.
 GOLDEN_T_RANGE = [
@@ -61,6 +61,15 @@ class TestGen:
         assert main(["gen", "--m", "1", "--n", "15", "--count", "1",
                      "--seed", "0", "--out", str(tmp_path / "x")]) == 2
         assert "even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "8", "--count", count, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --count: must be at least 1" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestAttack:
@@ -141,6 +150,27 @@ class TestAttack:
         assert captured.err == f"error: row {row} outside 0..0\n"
         assert captured.out == ""
 
+    def test_exhausted_search_reports_best_witness(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["gen", "--n", "16", "--seed", "1", "--out", str(out)]) == 0
+        path = out / "inst_1_16_0.txt"
+        capsys.readouterr()
+        assert main(["attack", "--algo", "reduce", "--dag", "--modulus", "1000",
+                     "--t-max", "3", "--json", "--input", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dag_used"] is True and payload["t_found"] is None
+        verdict = payload["verdict"]
+        assert verdict["status"] == "short_nonbinary"
+        assert any(v not in (0, 1) for v in verdict["x"])
+        assert load_system(path).is_solution(verdict["x"])
+
+    def test_ahl_failure_exit_one(self, tmp_path, capsys):
+        # 2x + 4y + 6z = 3 has no integer solution at all.
+        path = tmp_path / "odd.txt"
+        path.write_text("1 3\n2 4 6\n3\n")
+        assert main(["attack", "--algo", "ahl", "--input", str(path)]) == 1
+        assert "status: failure" in capsys.readouterr().out
+
     def test_alpha_must_be_rational_flag(self, toy_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "--algo", "lo", "--alpha", "0.99",
@@ -168,12 +198,19 @@ class TestJumps:
         assert values[0] == Fraction(1, 15)
 
     def test_cap_exceeded_without_limit(self, tmp_path, capsys):
-        from knapcrack.pipeline import generate_instance
         big = tmp_path / "big.txt"
         save_system(generate_instance(20, 0).instance.as_system(), big)
         assert main(["jumps", "--input", str(big)]) == 5
         assert "--limit" in capsys.readouterr().err
         assert main(["jumps", "--input", str(big), "--limit", "3"]) == 0
+
+    def test_multi_row_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sys2.txt"
+        save_system(generate_system(2, 30, 0).system, path)
+        assert main(["jumps", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: jumps takes a single-equation file, got 2 equations\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("rhs, message", [(-1, "nonnegative"), (25, "exceeds")],
                              ids=["negative-b", "b-above-sum"])

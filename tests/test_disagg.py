@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off,
-                              enumerate_jump_points, g_value, is_ideal,
-                              iter_jump_points, modular_transform, uk_bound)
+from knapcrack import disagg
+from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off, g_value, is_ideal,
+                              jump_points, modular_transform, uk_bound)
 from knapcrack.errors import InvalidParams, NotASolution, SizeLimit
-from knapcrack.problems import LdeSystem, SubsetSumInstance
+from knapcrack.problems import LdeSystem
 
-from oracles import (NotNeighbours, binary_solutions_naive, njp_deltas, njp_left_dominates,
-                     njp_right_dominates)
+from oracles import (NotNeighbours, binary_solutions_naive, enumerate_jump_points, njp_deltas,
+                     njp_left_dominates, njp_right_dominates)
 
-TOY = SubsetSumInstance.from_coeffs([3, 15, 6], 9)
+TOY = ([3, 15, 6], 9)
+TOY_A, TOY_B = TOY
+TOY_SYS = LdeSystem.from_rows([TOY_A], [TOY_B])
 MH_A = [171, 196, 457, 1191, 2410]
 MH_B = 3797
 EX3 = LdeSystem.from_rows([[63, 9, 34, 46, 2, 55], [51, 19, 12, 44, 3, 25]], [99, 66])
@@ -89,13 +91,13 @@ class TestBoundFunctions:
         assert uk_bound(([63, 9, 34, 46, 2, 55], 99), Fraction(1, 63)) == 1
 
     def test_every_binary_solution_respects_bound(self):
-        sols = binary_solutions_naive([list(TOY.a)], [TOY.b])
+        sols = binary_solutions_naive([TOY_A], [TOY_B])
         assert sols
-        for jp in enumerate_jump_points(TOY):
+        for jp in jump_points(TOY):
             r = jp.value
             num, den = r.numerator, r.denominator
-            v = [ai * num // den for ai in TOY.a]
-            w = TOY.b * num // den
+            v = [ai * num // den for ai in TOY_A]
+            w = TOY_B * num // den
             uk = uk_bound(TOY, r)
             for x in sols:
                 k = w - sum(vi * xi for vi, xi in zip(v, x))
@@ -103,7 +105,7 @@ class TestBoundFunctions:
 
     def test_corollary_nonnegative(self):
         rng = random.Random(2)
-        for inst in (TOY, SubsetSumInstance.from_coeffs(MH_A, MH_B)):
+        for inst in (TOY, (MH_A, MH_B)):
             for _ in range(1000):
                 r = Fraction(rng.randint(1, 9999), 10000)
                 assert uk_bound(inst, r) >= 0
@@ -140,7 +142,7 @@ class TestBuildDisaggregated:
         assert full.m == 4 and full.n == 8
 
     def test_ideal_point_adds_no_unknowns(self):
-        d = build_disaggregated(TOY.as_system(), 0, DisaggParams(6, 15))
+        d = build_disaggregated(TOY_SYS, 0, DisaggParams(6, 15))
         assert d.k_count == 0
         assert d.system.n == 3 and d.system.m == 2
 
@@ -148,35 +150,48 @@ class TestBuildDisaggregated:
         # Binary solutions of the augmented system project onto exactly the
         # binary solutions of the base.
         for t, M in [(6, 15), (1, 9), (2, 9), (4, 9), (7, 15)]:
-            d = build_disaggregated(TOY.as_system(), 0, DisaggParams(t, M))
+            d = build_disaggregated(TOY_SYS, 0, DisaggParams(t, M))
             aug = d.system
-            base_sols = {tuple(s) for s in binary_solutions_naive([list(TOY.a)], [TOY.b])}
+            base_sols = {tuple(s) for s in binary_solutions_naive([TOY_A], [TOY_B])}
             aug_sols = binary_solutions_naive([list(r) for r in aug.A], list(aug.b))
             assert {s[:3] for s in aug_sols} == base_sols
 
 
 class TestJumpPoints:
     def test_toy_has_23_distinct(self):
-        jps = enumerate_jump_points(TOY)
+        jps = jump_points(TOY)
         assert len(jps) == 23
         values = [jp.value for jp in jps]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
 
     def test_one_third_sources(self):
-        jps = {jp.value: jp.sources for jp in enumerate_jump_points(TOY)}
+        jps = {jp.value: jp.sources for jp in jump_points(TOY)}
         src = jps[Fraction(1, 3)]
         assert "a1" in src      # 1/3
         assert "b~" in src      # 5/15
         assert "b" in src       # 3/9
 
-    def test_iterator_matches_enumeration(self):
-        lazy = list(iter_jump_points(TOY))
-        assert lazy == enumerate_jump_points(TOY)
+    def test_heap_merge_matches_enumeration(self):
+        # The full list equals the sort-based reference, and every limit k
+        # gives its first k points, on the toy and on random rows with zero,
+        # unit and repeated coefficients.
+        rng = random.Random(7)
+        rows = [TOY]
+        while len(rows) < 201:
+            a = [rng.randint(0, 12) for _ in range(rng.randint(1, 4))]
+            rows.append((a, rng.randint(0, sum(a))))
+        for row in rows:
+            points = enumerate_jump_points(row)
+            assert jump_points(row) == points
+            for k in range(1, len(points) + 2):
+                assert jump_points(row, k) == points[:k]
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(disagg, "JUMP_CAP", 100)
         with pytest.raises(SizeLimit):
-            enumerate_jump_points(SubsetSumInstance.from_coeffs(MH_A, MH_B), cap=100)
+            jump_points((MH_A, MH_B))
+        assert jump_points((MH_A, MH_B), 3) == enumerate_jump_points((MH_A, MH_B))[:3]
 
 
 class TestCutsOff:
@@ -185,7 +200,7 @@ class TestCutsOff:
         assert cuts_off(TOY, Fraction(1, 2), X_TILDE) is False
 
     def test_binary_solutions_never_cut(self):
-        for jp in enumerate_jump_points(TOY):
+        for jp in jump_points(TOY):
             assert cuts_off(TOY, jp.value, [1, 0, 1]) is False
 
     def test_non_solution_rejected(self):
@@ -195,14 +210,14 @@ class TestCutsOff:
 
 class TestNjp:
     def all_adjacent_pairs(self):
-        jps = [jp.value for jp in enumerate_jump_points(TOY)]
+        jps = [jp.value for jp in jump_points(TOY)]
         return list(zip(jps, jps[1:]))
 
     def test_deltas_match_recomputation(self):
-        bt = sum(TOY.a) - TOY.b
+        bt = sum(TOY_A) - TOY_B
         for r1, r2 in self.all_adjacent_pairs():
             d = njp_deltas(TOY, r1, r2)
-            for ai, dv in zip(TOY.a, d.dv):
+            for ai, dv in zip(TOY_A, d.dv):
                 assert dv == (ai * r2.numerator // r2.denominator
                               - ai * r1.numerator // r1.denominator)
             assert d.du_k == uk_bound(TOY, r2) - uk_bound(TOY, r1)
@@ -214,10 +229,10 @@ class TestNjp:
             d = njp_deltas(TOY, r1, r2)
             assert all(v in (0, 1) for v in d.dv)
             assert d.dw in (0, 1)
-            for i, ai in enumerate(TOY.a):
+            for i, ai in enumerate(TOY_A):
                 hits_ai = (r2 * ai).denominator == 1 and 1 <= r2 * ai <= ai - 1
                 assert (d.dv[i] == 1) == hits_ai
-            hits_b = (r2 * TOY.b).denominator == 1
+            hits_b = (r2 * TOY_B).denominator == 1
             assert (d.dw == 1) == hits_b
 
     def test_non_neighbours_rejected(self):
@@ -270,13 +285,13 @@ class TestNjp:
 
 class TestPiecewiseConstancy:
     def test_image_constant_between_jumps(self):
-        jps = [jp.value for jp in enumerate_jump_points(TOY)]
+        jps = [jp.value for jp in jump_points(TOY)]
         for r1, r2 in zip(jps, jps[1:]):
             samples = [r1 + (r2 - r1) * Fraction(k, 4) for k in (1, 2, 3)]
             images = []
             for r in samples:
                 images.append(modular_transform(
-                    list(TOY.a), TOY.b,
+                    TOY_A, TOY_B,
                     DisaggParams(r.numerator, r.denominator)))
             assert all(i.v == images[0].v and i.w == images[0].w
                        and i.u_k == images[0].u_k for i in images)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knapcrack.errors import InvalidBigInts, InvalidN, RankDeficient, SingularE
-from knapcrack.formulations import (DEFAULT_N, KernelDecomposition, attack_ahl,
+from knapcrack.errors import InvalidN, RankDeficient, SingularE
+from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, attack_ahl,
                                     attack_cjloss, attack_cjloss_system, attack_lo,
                                     binary_verdict, build_lattice_B, cjloss_basis,
                                     decompose, special_solution, _check_decomposition,
@@ -236,9 +236,10 @@ class TestAttacks:
             if verdict.x is not None:
                 assert gen.instance.as_system().is_solution(verdict.x)
 
-    def test_ahl_n2_validation(self):
-        with pytest.raises(InvalidBigInts):
-            attack_ahl(TOY_SYS, N1=10, N2=100)
+    def test_ahl_scaling_integers(self):
+        # N2 is the least integer above 2^(n+m) * N1^2, recorded in the verdict.
+        meta = attack_ahl(TOY_SYS).meta
+        assert (meta["N1"], meta["N2"]) == (DEFAULT_N1, 2 ** (3 + 1) * DEFAULT_N1 ** 2 + 1)
 
     def test_ahl_multirow(self):
         gen = generate_system(2, 10, 4)

@@ -87,7 +87,7 @@ class TestGso:
             n = basis.n
             for i in range(n):
                 rebuilt = [sum(g.mu[i][j] * g.bstar[j][r] for j in range(n))
-                           for r in range(basis.dim)]
+                           for r in range(len(basis.columns[0]))]
                 assert rebuilt == [Fraction(x) for x in basis.columns[i]]
                 assert g.mu[i][i] == 1
                 for j in range(i):
@@ -197,7 +197,7 @@ class TestLll:
             for alpha in (Fraction(3, 4), Fraction(99, 100)):
                 reduced = lll(basis, alpha)
                 assert is_lll_reduced(reduced.columns, alpha)
-                dim = basis.dim
+                dim = len(basis.columns[0])
                 assert hnf_columns([[c[r] for c in reduced.columns] for r in range(dim)]) == \
                     hnf_columns([[c[r] for c in basis.columns] for r in range(dim)])
 
@@ -217,7 +217,7 @@ class TestLll:
     @pytest.mark.parametrize("n", [6, 8])
     def test_attack_bases_match_naive_reference(self, n):
         system = generate_instance(n, 0).instance.as_system()
-        n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1  # attack_ahl's default N2 at m = 1
+        n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1  # attack_ahl's N2 at m = 1
         for basis in (build_lattice_B(system, DEFAULT_N), cjloss_basis(system, DEFAULT_N),
                       ahl_basis(system, DEFAULT_N1, n2)):
             assert [list(c) for c in lll(basis).columns] == naive_lll(
@@ -308,20 +308,20 @@ class TestPackedColumns:
 @pytest.fixture
 def sympy_lll():
     """sympy's LLL at alpha = 99/100, an implementation independent of ours."""
-    sympy = pytest.importorskip("sympy")
+    import sympy
     from sympy.polys.matrices import DomainMatrix
 
     def reduce(basis):
         # sympy reduces rows, so our columns go in as its rows.
         rows = DomainMatrix([[sympy.ZZ(x) for x in c] for c in basis.columns],
-                            (basis.n, basis.dim), sympy.ZZ)
+                            (basis.n, len(basis.columns[0])), sympy.ZZ)
         return LatticeBasis.from_columns(rows.lll(delta=sympy.QQ(99, 100)).to_list())
 
     return reduce
 
 
 def column_hnf(basis):
-    return hnf_columns([[c[r] for c in basis.columns] for r in range(basis.dim)])
+    return hnf_columns([[c[r] for c in basis.columns] for r in range(len(basis.columns[0]))])
 
 
 class TestAgainstSympy:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knapcrack.disagg import DisaggParams, build_disaggregated
-from knapcrack.errors import (EscalationExhausted, GenerationBudgetExceeded, InvalidRow,
-                              RankDeficient, SearchExhausted)
+from knapcrack.disagg import DisaggParams, DisaggregatedSystem, build_disaggregated
+from knapcrack.errors import (DependentColumns, EscalationExhausted, GenerationBudgetExceeded,
+                              InvalidRow, RankDeficient, SearchExhausted)
 from knapcrack.pipeline import (AttackOutcome, BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, default_modulus,
                                 generate_instance, generate_system)
@@ -174,6 +174,32 @@ class TestDagLoop:
         cfg = SearchConfig(algo="reduce", use_dag=True, M=10, t_max=9)
         with pytest.raises(SearchExhausted):
             attack_with_dag(sys, cfg)
+
+    def test_attack_error_in_the_t_loop_propagates(self, monkeypatch):
+        # The loop skips only a square system and a dependent derived row;
+        # an attack that raises on an augmented system is a bug to report.
+        import knapcrack.pipeline as pl
+        real = pl.run_algorithm
+
+        def run_algorithm(sys, config):
+            if sys.m > 1:
+                raise DependentColumns("augmented basis")
+            return real(sys, config)
+
+        monkeypatch.setattr(pl, "run_algorithm", run_algorithm)
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=15, t_max=14)
+        with pytest.raises(DependentColumns, match="augmented basis"):
+            attack_with_dag(TOY, cfg)
+
+    def test_value_error_building_the_system_propagates(self, monkeypatch):
+        # The square case is tested before .system, so no ValueError is read as a skip.
+        def system(self):
+            raise ValueError("augmented system")
+
+        monkeypatch.setattr(DisaggregatedSystem, "system", property(system))
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=15, t_max=14)
+        with pytest.raises(ValueError, match="augmented system"):
+            attack_with_dag(TOY, cfg)
 
     def test_lo_rejected_before_any_attack(self, monkeypatch):
         import knapcrack.pipeline as pl

@@ -14,7 +14,7 @@ from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
 from knapcrack.reduction import _doubled_gso, reduce_half, reduce_solution
 
-from oracles import half_sweep_fraction, solve_integer_combination, sweep_fraction
+from oracles import half_sweep_fraction, kernel_of, solve_integer_combination, sweep_fraction
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -28,7 +28,7 @@ class TestReduce:
         # Kernel rows orthogonal and the target already nearest the origin.
         kernel_rows = [[2, 0, 0], [0, 3, 0]]  # columns of D as a 3x2 matrix
         D = [[2, 0], [0, 3], [0, 0]]
-        assert reduce_solution([1, 1, 5], D) == [1, 1, 5]
+        assert reduce_solution([1, 1, 5], kernel_of(D)) == [1, 1, 5]
 
     def test_toy_returns_known_short_vector(self):
         kd = toy_kernel()
@@ -146,7 +146,7 @@ class TestKernelGso:
         for seed in range(4):
             sys = generate_system(1 + seed % 2, 12, seed).system
             kd = decompose(sys)
-            D = [list(r) for r in kd.D]
+            D = kernel_of(kd.D)
             xb = [v + rng.randint(-3, 3) for v in special_solution(kd, sys.b)]
             assert reduce_solution(xb, kd) == reduce_solution(xb, D)
             assert reduce_half(xb, kd) == reduce_half(xb, D)
@@ -169,8 +169,9 @@ class TestAgreementWithAhl:
         assert agreements >= 6
 
 
-def row_major(cols):
-    return [list(r) for r in zip(*cols)]
+def kernel_from_cols(cols):
+    """A decomposition whose kernel basis D has these columns."""
+    return kernel_of(list(zip(*cols)))
 
 
 @st.composite
@@ -193,7 +194,7 @@ class TestOracleAgreement:
     @given(basis_and_target())
     def test_random_bases(self, case):
         cols, target = case
-        D = row_major(cols)
+        D = kernel_from_cols(cols)
         try:
             expected = sweep_fraction(cols, target, "asymmetric")
         except DependentColumns:
@@ -222,7 +223,7 @@ class TestOracleAgreement:
         cols = [[2, 0, 0], [1, 1, 0]]
         target = [2, 1, 5]
         assert sweep_fraction(cols, target, rounding) == expected
-        assert reduce_solution(target, row_major(cols)) == sweep_fraction(
+        assert reduce_solution(target, kernel_from_cols(cols)) == sweep_fraction(
             cols, target, "asymmetric")
 
     @pytest.mark.parametrize("target, rounding, expected", [
@@ -236,7 +237,7 @@ class TestOracleAgreement:
     def test_single_vector_ties(self, target, rounding, expected):
         cols = [[2, 0]]
         assert sweep_fraction(cols, target, rounding) == expected
-        assert reduce_solution(target, row_major(cols)) == sweep_fraction(
+        assert reduce_solution(target, kernel_from_cols(cols)) == sweep_fraction(
             cols, target, "asymmetric")
 
     @pytest.mark.parametrize("rounding, expected", [("asymmetric", [1, 0]),
@@ -245,7 +246,7 @@ class TestOracleAgreement:
         # (2D | 2x - 1) = ((2, 0) | (1, -1)): the coefficient is exactly 1/2.
         cols = [[1, 0]]
         assert half_sweep_fraction(cols, [1, 0], rounding) == expected
-        assert reduce_half([1, 0], row_major(cols)) == half_sweep_fraction(
+        assert reduce_half([1, 0], kernel_from_cols(cols)) == half_sweep_fraction(
             cols, [1, 0], "asymmetric")
 
     @pytest.mark.parametrize("cols", [[[1, 0, 0], [2, 0, 0]],
@@ -253,6 +254,6 @@ class TestOracleAgreement:
                                       [[1, 1, 0], [0, 1, 1], [1, 2, 1]]])
     def test_dependent_basis_raises(self, cols):
         with pytest.raises(DependentColumns):
-            reduce_solution([1, 2, 3], row_major(cols))
+            reduce_solution([1, 2, 3], kernel_from_cols(cols))
         with pytest.raises(DependentColumns):
-            reduce_half([1, 2, 3], row_major(cols))
+            reduce_half([1, 2, 3], kernel_from_cols(cols))

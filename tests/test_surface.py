@@ -1,6 +1,8 @@
 """The library keeps only what runs: every top-level function and class in
 ``src/knapcrack`` is referenced from ``src/`` or ``perfbench/`` outside its
-own definition.  Code that only tests use belongs in ``tests/oracles.py``.
+own definition, and each function takes one input shape, so no function
+but the pipeline's problem normalizer branches on the type of its input.
+Code that only tests use belongs in ``tests/oracles.py``.
 
 A reference is a name or attribute lookup, or a string constant equal to
 the name (``perfbench/layers.py`` patches attributes by name, and
@@ -48,3 +50,22 @@ def unreferenced_definitions() -> list[str]:
 def test_every_definition_has_a_caller():
     unused = unreferenced_definitions()
     assert not unused, "no caller in src/ or perfbench/: " + ", ".join(unused)
+
+
+def type_dispatches() -> list[str]:
+    """``module.function`` of every function or method that calls isinstance or hasattr."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = {sub.func.id for sub in ast.walk(node)
+                         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+                if calls & {"isinstance", "hasattr"}:
+                    found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_one_input_shape_per_function():
+    # perfbench passes SubsetSumInstance problems and the CLI passes systems.
+    assert type_dispatches() == ["pipeline._normalized_work"]
