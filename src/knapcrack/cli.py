@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--dag", action="store_true")
     atk.add_argument("--modulus", type=int, default=None)
     atk.add_argument("--t-max", type=int, default=200)
-    atk.add_argument("--row", type=int, default=0)
+    atk.add_argument("--row", type=int, default=None, help="row to disaggregate (with --dag)")
     atk.add_argument("--alpha", type=_fraction_flag, default=DEFAULT_ALPHA)
     atk.add_argument("--bign", type=int, default=DEFAULT_N)
     atk.add_argument("--json", action="store_true")
@@ -91,14 +91,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="kernel features per disaggregation scenario")
     ana.add_argument("--input", required=True)
     ana.add_argument("--out", required=True)
-    ana.add_argument("--row", type=int, default=0)
+    ana.add_argument("--row", type=int, default=None,
+                     help="row to disaggregate (default 0; not with --apply)")
     ana.add_argument("--algo", choices=sorted(ALGO_FLAGS), default="reduce")
     ana.add_argument("--modulus", type=int, default=None)
-    ana.add_argument("--t-range", default=None, metavar="A..B")
-    ana.add_argument("--all-jumps", action="store_true")
-    ana.add_argument("--limit", type=_limit_flag, default=None)
-    ana.add_argument("--apply", action="append", default=[], metavar="ROW:T/M[,ROW:T/M...]",
-                     help="one chained scenario per flag occurrence")
+    mode = ana.add_mutually_exclusive_group()
+    mode.add_argument("--t-range", default=None, metavar="A..B")
+    mode.add_argument("--all-jumps", action="store_true")
+    mode.add_argument("--apply", action="append", default=[], metavar="ROW:T/M[,ROW:T/M...]",
+                      help="one chained scenario per flag occurrence")
+    ana.add_argument("--limit", type=_limit_flag, default=None,
+                     help="first LIMIT jump points (with --all-jumps)")
     return top
 
 
@@ -117,7 +120,7 @@ def cmd_gen(args) -> int:
             seed = args.seed + idx
             if args.m == 1:
                 gen = pipeline.generate_instance(args.n, seed)
-                system = gen.instance.as_system()
+                system = gen.instance
                 dens = [gen.density]
             else:
                 gen = pipeline.generate_system(args.m, args.n, seed)
@@ -157,6 +160,10 @@ def _load_or_exit(path: str):
 
 
 def cmd_attack(args) -> int:
+    if args.row is not None and not args.dag:
+        print("error: --row names the row the DAG search disaggregates; it needs --dag",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.modulus is not None and args.modulus < 2:
         print(f"error: --modulus must be at least 2, got {args.modulus}: the DAG search "
               "needs 0 < t_max < M", file=sys.stderr)
@@ -171,7 +178,7 @@ def cmd_attack(args) -> int:
         config = pipeline.SearchConfig(algo=algo, use_dag=args.dag, M=modulus,
                                        t_max=min(args.t_max, modulus - 1),
                                        alpha=args.alpha, N=args.bign,
-                                       row_index=args.row)
+                                       row_index=args.row or 0)
         if args.dag:
             outcome = pipeline.attack_with_dag(system, config)
         else:
@@ -307,39 +314,46 @@ def _analyze_scenarios(args, system):
         for spec in args.apply:
             yield _parse_apply(spec, system.m)
         return
-    if not 0 <= args.row < system.m:
-        raise InvalidRow(f"--row {args.row} outside 0..{system.m - 1}")
+    row = args.row or 0
+    if not 0 <= row < system.m:
+        raise InvalidRow(f"--row {row} outside 0..{system.m - 1}")
     if args.all_jumps:
-        for jp in jump_points((list(system.A[args.row]), system.b[args.row]), args.limit):
+        for jp in jump_points((list(system.A[row]), system.b[row]), args.limit):
             r = jp.value
-            yield [(args.row, DisaggParams(r.numerator, r.denominator))]
+            yield [(row, DisaggParams(r.numerator, r.denominator))]
         return
     if args.t_range is None or args.modulus is None:
         raise ValueError("need --t-range with --modulus, or --all-jumps, or --apply")
     lo, hi = args.t_range.split("..", 1)
     for t in range(int(lo), int(hi) + 1):
         if 0 < t < args.modulus:
-            yield [(args.row, DisaggParams(t, args.modulus))]
+            yield [(row, DisaggParams(t, args.modulus))]
 
 
 def _augment(system, steps):
-    """The system after a scenario's chained disaggregations.
+    """(system, None) after a scenario's chained disaggregations, or (None, reason).
 
-    Returns None when an ideal t (no k bits) leaves as many equations as
-    unknowns.
+    A scenario is skipped when an ideal t (no k bits) leaves as many
+    equations as unknowns, or when a step names a derived row that was
+    dropped because it depends on the rows before it.
     """
     aug = system
+    where = list(range(system.m))  # where[r]: row r's index in aug, None once dropped
     for row, params in steps:
-        built = build_disaggregated(aug, row, params)
+        if where[row] is None:
+            return None, f"row {row} was dropped: it depends on the rows before it"
+        built = build_disaggregated(aug, where[row], params)
         if aug.m + 1 >= aug.n + built.k_count:
-            return None
+            return None, "an ideal t leaves a square system"
         try:
             aug = built.system
         except RankDeficient:
             # The derived row is a multiple of an existing one; the
             # constraint set is unchanged, so keep the system as is.
+            where.append(None)
             continue
-    return aug
+        where.append(aug.m - 1)
+    return aug, None
 
 
 def cmd_analyze(args) -> int:
@@ -353,6 +367,14 @@ def cmd_analyze(args) -> int:
         print(f"error: --modulus must be at least 2, got {args.modulus}: no t satisfies "
               "0 < t < M", file=sys.stderr)
         return EXIT_USAGE
+    if args.limit is not None and not args.all_jumps:
+        print("error: --limit caps the jump points of --all-jumps; it needs --all-jumps",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if args.row is not None and args.apply:
+        print("error: --row does not apply with --apply, whose steps name their own rows",
+              file=sys.stderr)
+        return EXIT_USAGE
     system, err = _load_or_exit(args.input)
     if err is not None:
         return err
@@ -360,9 +382,6 @@ def cmd_analyze(args) -> int:
 
     try:
         baseline = pipeline.attack(system, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except KnapcrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSOLVED
@@ -385,10 +404,9 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     for steps in scenarios:
         label = steps[-1][1]
-        aug = _augment(system, steps)
+        aug, reason = _augment(system, steps)
         if aug is None:
-            print(f"skipped {label.t}/{label.M}: an ideal t leaves a square system",
-                  file=sys.stderr)
+            print(f"skipped {label.t}/{label.M}: {reason}", file=sys.stderr)
             continue
         try:
             kd = decompose(aug, config.N, config.alpha)

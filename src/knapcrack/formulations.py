@@ -40,7 +40,7 @@ from ._lll_py import integral_gso
 from .errors import DependentColumns, EscalationExhausted, InvalidN
 from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
-from .problems import Complement, LdeSystem, SubsetSumInstance, normalize
+from .problems import LdeSystem, complement, is_subset_sum, normalize
 
 DEFAULT_N = 10**8
 DEFAULT_N1 = 10**4
@@ -70,21 +70,21 @@ class AttackVerdict:
 
 
 def binary_verdict(problem, x, **meta) -> AttackVerdict:
-    """BinarySolution verdict; substitution into the problem is checked here."""
+    """BinarySolution verdict; substitution is checked here, and a miss is a bug."""
     x = tuple(int(v) for v in x)
     if any(v not in (0, 1) for v in x):
-        raise ValueError("binary verdict with non-binary vector")
+        raise AssertionError("binary verdict with non-binary vector")
     if not problem.is_solution(x):
-        raise ValueError("binary verdict does not satisfy the problem")
+        raise AssertionError("binary verdict does not satisfy the problem")
     return AttackVerdict(BINARY, x, dict(meta))
 
 
 def short_nonbinary_verdict(problem, x, **meta) -> AttackVerdict:
     x = tuple(int(v) for v in x)
     if all(v in (0, 1) for v in x):
-        raise ValueError("vector is binary, not a short non-binary witness")
+        raise AssertionError("vector is binary, not a short non-binary witness")
     if not problem.is_solution(x):
-        raise ValueError("witness does not satisfy the problem")
+        raise AssertionError("witness does not satisfy the problem")
     return AttackVerdict(SHORT_NONBINARY, x, dict(meta))
 
 
@@ -204,37 +204,38 @@ def _scan_lo(cols: list[list[int]], n: int):
         yield j, lam, [v // lam for v in head]
 
 
-def attack_lo(inst: SubsetSumInstance, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
+def attack_lo(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
     """LO attack: reduce [I, 0; -a, b] and scan for a {0, lambda} column.
 
     Candidate columns are divided by lambda (any sign, any magnitude) and
     feasibility-checked; on a miss the complementary problem is tried.
+    Raises ValueError unless sys is a subset-sum instance (``is_subset_sum``).
     """
-    for comp in _attack_targets(inst):
-        t = comp.instance
-        n = t.n
+    if not is_subset_sum(sys):
+        raise ValueError("lo takes a subset-sum instance: one equation, positive "
+                         "coefficients and 0 < b < sum(a)")
+    for target, flipped in _attack_targets(sys):
+        a, b = target.A[0], target.b[0]
+        n = target.n
         cols = [[0] * (n + 1) for _ in range(n + 1)]
         for j in range(n):
             cols[j][j] = 1
-            cols[j][n] = -t.a[j]
-        cols[n][n] = t.b
+            cols[j][n] = -a[j]
+        cols[n][n] = b
         reduced = lll(LatticeBasis.from_columns(cols), alpha)
         for j, lam, x in _scan_lo(reduced.column_lists(), n):
-            if t.is_solution(x):
-                return binary_verdict(inst, comp.map_back(x),
+            if target.is_solution(x):
+                return binary_verdict(sys, [1 - v for v in x] if flipped else x,
                                       algorithm="lo", column=j, scan_lambda=lam,
-                                      used_complement=comp.flipped)
+                                      used_complement=flipped)
     return AttackVerdict(FAILURE, meta={"algorithm": "lo"})
 
 
-def _attack_targets(inst: SubsetSumInstance):
-    """The normalized instance, then its complement as the fallback."""
-    first = normalize(inst)
-    yield first
-    second = Complement(
-        instance=SubsetSumInstance(inst.a, sum(inst.a) - first.instance.b),
-        flipped=not first.flipped)
-    yield second
+def _attack_targets(sys: LdeSystem):
+    """(system, flipped): the normalized instance, then its complement as the fallback."""
+    first, flipped = normalize(sys)
+    yield first, flipped
+    yield complement(first), not flipped
 
 
 def _scan_pm1(cols: list[list[int]], n: int):
@@ -283,14 +284,15 @@ def attack_cjloss_system(sys: LdeSystem, N: int = DEFAULT_N,
     return AttackVerdict(FAILURE, meta={"algorithm": "cjloss"})
 
 
-def attack_cjloss(inst: SubsetSumInstance, N: int = DEFAULT_N,
+def attack_cjloss(sys: LdeSystem, N: int = DEFAULT_N,
                   alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
     """CJLOSS attack: shifted lattice scan, complement fallback on a miss."""
-    for comp in _attack_targets(inst):
-        verdict = attack_cjloss_system(comp.instance.as_system(), N, alpha)
+    for target, flipped in _attack_targets(sys):
+        verdict = attack_cjloss_system(target, N, alpha)
         if verdict.solved:
-            return binary_verdict(inst, comp.map_back(verdict.x),
-                                  used_complement=comp.flipped, **verdict.meta)
+            x = verdict.x
+            return binary_verdict(sys, [1 - v for v in x] if flipped else x,
+                                  used_complement=flipped, **verdict.meta)
     return AttackVerdict(FAILURE, meta={"algorithm": "cjloss"})
 
 

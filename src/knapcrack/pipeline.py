@@ -23,7 +23,7 @@ from .disagg import DisaggParams, build_disaggregated
 from .errors import (GenerationBudgetExceeded, InvalidRow, KnapcrackError, RankDeficient,
                      SearchExhausted)
 from .lattice import DEFAULT_ALPHA
-from .problems import LdeSystem, SubsetSumInstance, as_instance, normalize
+from .problems import LdeSystem, is_subset_sum, normalize
 from .reduction import reduce_half, reduce_solution
 
 ALGORITHMS = ("reduce", "reduce_half", "lo", "cjloss", "ahl")
@@ -70,7 +70,7 @@ class AttackOutcome:
 
     def __post_init__(self):
         if self.t_found is not None and not (self.verdict.solved and self.dag_used):
-            raise ValueError("t_found requires a DAG-found binary solution")
+            raise AssertionError("t_found requires a DAG-found binary solution")
 
     @property
     def solved(self) -> bool:
@@ -83,7 +83,7 @@ class AttackOutcome:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    instance: SubsetSumInstance
+    instance: LdeSystem  # m = 1
     planted: tuple[int, ...]
     density: float
     seed: int
@@ -121,8 +121,7 @@ def generate_instance(n: int, seed: int) -> GeneratedInstance:
             continue
         if not (b > max(a) and 2 * b <= sum(a)):
             continue
-        return GeneratedInstance(SubsetSumInstance.from_coeffs(a, b),
-                                 tuple(x), d, seed)
+        return GeneratedInstance(LdeSystem.from_rows([a], [b]), tuple(x), d, seed)
     raise GenerationBudgetExceeded(f"no admissible instance after {GENERATION_BUDGET} draws")
 
 
@@ -165,17 +164,11 @@ def run_algorithm(sys: LdeSystem, config: SearchConfig) -> fm.AttackVerdict:
     """Dispatch one lattice attack on a system (no normalization here)."""
     algo = config.algo
     if algo == "lo":
-        if sys.m != 1:
-            raise ValueError("lo handles single equations only")
-        return fm.attack_lo(as_instance(sys), config.alpha)
+        return fm.attack_lo(sys, config.alpha)
     if algo == "cjloss":
-        if sys.m == 1:
-            try:
-                inst = as_instance(sys)
-            except ValueError:
-                # Zero coefficients etc.: no complement semantics, scan as is.
-                return fm.attack_cjloss_system(sys, config.N, config.alpha)
-            return fm.attack_cjloss(inst, config.N, config.alpha)
+        if is_subset_sum(sys):
+            return fm.attack_cjloss(sys, config.N, config.alpha)
+        # Several rows, zero coefficients etc.: no complement fallback, scan as is.
         return fm.attack_cjloss_system(sys, config.N, config.alpha)
     if algo == "ahl":
         return fm.attack_ahl(sys, alpha=config.alpha)
@@ -193,22 +186,7 @@ def attack_decomposed(sys: LdeSystem, kd: fm.KernelDecomposition,
     return fm.classify_solution(sys, sol, algorithm=algo)
 
 
-def _normalized_work(problem) -> tuple[LdeSystem, bool]:
-    """Complement-normalize single-equation problems; returns (system, flipped)."""
-    if isinstance(problem, SubsetSumInstance):
-        comp = normalize(problem)
-        return comp.instance.as_system(), comp.flipped
-    sys = problem
-    if sys.m == 1:
-        try:
-            comp = normalize(as_instance(sys))
-        except ValueError:
-            return sys, False  # not instance-shaped (zero coefficients etc.)
-        return comp.instance.as_system(), comp.flipped
-    return sys, False
-
-
-def _map_back(problem, verdict: fm.AttackVerdict, flipped: bool) -> fm.AttackVerdict:
+def _map_back(problem: LdeSystem, verdict: fm.AttackVerdict, flipped: bool) -> fm.AttackVerdict:
     """Re-express a verdict about the normalized problem over the original."""
     if verdict.x is None:
         return verdict
@@ -216,16 +194,16 @@ def _map_back(problem, verdict: fm.AttackVerdict, flipped: bool) -> fm.AttackVer
     return fm.classify_solution(problem, x, **verdict.meta)
 
 
-def attack(problem, config: SearchConfig) -> AttackOutcome:
+def attack(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     """One plain lattice attack with complement normalization for m = 1."""
     t0 = time.perf_counter()
-    work, flipped = _normalized_work(problem)
+    work, flipped = normalize(problem)
     verdict = run_algorithm(work, config)
     verdict = _map_back(problem, verdict, flipped)
     return AttackOutcome(verdict=verdict, wall_time=time.perf_counter() - t0)
 
 
-def attack_with_dag(problem, config: SearchConfig) -> AttackOutcome:
+def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     """Plain attack, then the t-search over disaggregations on failure.
 
     Each t in 1..t_max (fixed M) augments the configured row; the augmented
@@ -240,7 +218,7 @@ def attack_with_dag(problem, config: SearchConfig) -> AttackOutcome:
         raise ValueError("lo handles single equations only; the DAG search "
                          "augments every system to two or more")
     t0 = time.perf_counter()
-    work, flipped = _normalized_work(problem)
+    work, flipped = normalize(problem)
     if not 0 <= config.row_index < work.m:
         raise InvalidRow(f"row {config.row_index} outside 0..{work.m - 1}")
     n = work.n
@@ -258,8 +236,7 @@ def attack_with_dag(problem, config: SearchConfig) -> AttackOutcome:
                             < sum(v * v for v in best.x)):
             best = witness
 
-    remember(_map_back(problem, base_verdict, flipped)
-             if base_verdict.x is not None else base_verdict)
+    remember(_map_back(problem, base_verdict, flipped))
     for t in range(1, config.t_max + 1):
         built = build_disaggregated(work, config.row_index, DisaggParams(t, config.M))
         if work.m + 1 >= n + built.k_count:

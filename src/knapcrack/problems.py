@@ -1,4 +1,7 @@
-"""Problem types: binary linear Diophantine systems and subset-sum instances.
+"""The problem type: a binary linear Diophantine system A x = b.
+
+A subset-sum instance a . x = b is the m = 1 case; ``normalize`` gives it
+the complement semantics the attacks assume.
 
 The shared text format is: line 1 ``m n``; the next m lines hold the rows of
 A as space-separated decimal integers; the final line holds the m entries of
@@ -61,69 +64,25 @@ class LdeSystem:
         return len(x) == self.n and all(r == 0 for r in self.residual(x))
 
 
-@dataclass(frozen=True)
-class SubsetSumInstance:
-    """a . x = b with binary x and positive coefficients.
+def is_subset_sum(sys: LdeSystem) -> bool:
+    """One equation a . x = b with every a_i > 0 and 0 < b < sum(a).
 
-    Constructed instances only need to be feasible-shaped (0 < b <= sum(a));
-    the hardness assumption max(a) < b <= sum(a)/2 is restored by
-    ``normalize`` where an attack requires it.
+    Only these are complement-normalized; any other system, a row with a
+    zero coefficient or with b = sum(a) included, is attacked as it stands.
     """
-
-    a: tuple[int, ...]
-    b: int
-
-    def __post_init__(self):
-        if len(self.a) < 2:
-            raise ValueError("need at least two coefficients")
-        if any(x <= 0 for x in self.a):
-            raise ValueError("coefficients must be positive")
-        if not 0 < self.b < sum(self.a):
-            raise ValueError(f"b={self.b} outside (0, sum(a)={sum(self.a)})")
-
-    @classmethod
-    def from_coeffs(cls, a, b) -> "SubsetSumInstance":
-        return cls(tuple(int(x) for x in a), int(b))
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-    @property
-    def b_complement(self) -> int:
-        return sum(self.a) - self.b
-
-    def is_solution(self, x) -> bool:
-        return len(x) == self.n and sum(ai * xi for ai, xi in zip(self.a, x)) == self.b
-
-    def as_system(self) -> LdeSystem:
-        return LdeSystem.from_rows([self.a], [self.b])
+    return sys.m == 1 and all(v > 0 for v in sys.A[0]) and 0 < sys.b[0] < sum(sys.A[0])
 
 
-@dataclass(frozen=True)
-class Complement:
-    """The complementary instance together with the variable-flip record."""
-
-    instance: SubsetSumInstance
-    flipped: bool
-
-    def map_back(self, y) -> list[int]:
-        """Translate a solution of the stored instance to the original unknowns."""
-        if not self.flipped:
-            return list(y)
-        return [1 - v for v in y]
+def complement(sys: LdeSystem) -> LdeSystem:
+    """The system in y = 1 - x: each b becomes its row sum minus b."""
+    return LdeSystem.from_rows(sys.A, [sum(row) - bi for row, bi in zip(sys.A, sys.b)])
 
 
-def complement(inst: SubsetSumInstance) -> Complement:
-    """Flip x -> 1 - y, replacing b by sum(a) - b."""
-    return Complement(instance=SubsetSumInstance(inst.a, inst.b_complement), flipped=True)
-
-
-def normalize(inst: SubsetSumInstance) -> Complement:
-    """Return the instance satisfying b <= sum(a)/2, flipping if needed."""
-    if 2 * inst.b <= sum(inst.a):
-        return Complement(instance=inst, flipped=False)
-    return complement(inst)
+def normalize(sys: LdeSystem) -> tuple[LdeSystem, bool]:
+    """(system, flipped): a subset-sum instance with b > sum(a)/2 is complemented."""
+    if is_subset_sum(sys) and 2 * sys.b[0] > sum(sys.A[0]):
+        return complement(sys), True
+    return sys, False
 
 
 def parse_system(text: str) -> LdeSystem:
@@ -167,10 +126,3 @@ def load_system(path) -> LdeSystem:
 def save_system(sys: LdeSystem, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_system(sys))
-
-
-def as_instance(sys: LdeSystem) -> SubsetSumInstance:
-    """View a single-equation system as a subset-sum instance."""
-    if sys.m != 1:
-        raise ValueError("only m = 1 systems are subset-sum instances")
-    return SubsetSumInstance.from_coeffs(sys.A[0], sys.b[0])

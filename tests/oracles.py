@@ -33,7 +33,7 @@ from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackErro
 from knapcrack.formulations import KernelDecomposition
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
 from knapcrack.lattice import DEFAULT_ALPHA
-from knapcrack.problems import LdeSystem, SubsetSumInstance
+from knapcrack.problems import LdeSystem
 
 FULL_ENUM_LIMIT = 20
 MITM_LIMIT = 30
@@ -527,9 +527,9 @@ def minor_gcd(rows: list[list[int]]) -> int:
     return g
 
 
-def density(inst: SubsetSumInstance) -> float:
-    """n / log2(max coefficient); near 1 marks the hardest instances."""
-    return inst.n / math.log2(max(inst.a))
+def density(sys: LdeSystem) -> float:
+    """n / log2(max coefficient of row 0); near 1 marks the hardest instances."""
+    return sys.n / math.log2(max(sys.A[0]))
 
 
 class TooLarge(KnapcrackError):
@@ -588,12 +588,11 @@ def _enumerate_mitm(sys: LdeSystem) -> list[tuple[int, ...]]:
     return sorted(sols)
 
 
-def brute_force_solve(problem) -> list[tuple[int, ...]]:
+def brute_force_solve(sys: LdeSystem) -> list[tuple[int, ...]]:
     """The full set of binary solutions, by exhaustive search.
 
     Direct enumeration up to n = 20, meet-in-the-middle up to n = 30.
     """
-    sys = problem.as_system() if isinstance(problem, SubsetSumInstance) else problem
     if sys.n <= FULL_ENUM_LIMIT:
         return _enumerate_full(sys)
     if sys.n <= MITM_LIMIT:

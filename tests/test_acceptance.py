@@ -20,7 +20,7 @@ from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
 from knapcrack.lattice import LatticeBasis, lll
 from knapcrack.pipeline import (SearchConfig, attack, attack_with_dag,
                                 generate_instance)
-from knapcrack.problems import LdeSystem, SubsetSumInstance
+from knapcrack.problems import LdeSystem
 from knapcrack.reduction import reduce_half, reduce_solution
 
 from oracles import (binary_solutions_naive, det_d_c, gso, gso_after_reduce,
@@ -70,7 +70,7 @@ def test_criterion_01_merkle_hellman_chain():
 def test_criterion_02_toy_cutoff_and_dag():
     t0 = time.perf_counter()
     row = ([3, 15, 6], 9)
-    inst = SubsetSumInstance.from_coeffs(*row)
+    inst = LdeSystem.from_rows([row[0]], [row[1]])
     x_tilde = [0, 1, -1]
     assert cuts_off(row, Fraction(1, 2), x_tilde) is False
     assert cuts_off(row, Fraction(2, 5), x_tilde) is True
@@ -234,7 +234,7 @@ def test_criterion_10_invariance_theorems():
     shifts_checked = 0
     # One low-dimension kernel (s = 2) and two generated ones (s = 7).
     systems = [LdeSystem.from_rows([[3, 15, 6]], [9])]
-    systems += [generate_instance(8, seed).instance.as_system() for seed in range(2)]
+    systems += [generate_instance(8, seed).instance for seed in range(2)]
     for sys in systems:
         kd = decompose(sys)
         cols = kd.kernel_columns()

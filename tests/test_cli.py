@@ -3,14 +3,35 @@
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from knapcrack.cli import main
+from knapcrack.formulations import BINARY, AttackVerdict
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem, load_system, save_system
 
 # (t, kernel_dim, volume, cut, success) per row.
+GRID = Path(__file__).resolve().parent.parent / "benchmarks" / "grids" / "desk_small.grid"
+
+# `bench --grid benchmarks/grids/desk_small.grid --no-timing`, serial.
+GOLDEN_DESK_CSV = """\
+m,n,algo,dag,M,t_max,count,successes,success_ratio,avg_valid_t,avg_ms,seed0
+1,16,reduce,0,1000,200,20,8,0.4000,,0.000,0
+1,16,reduce_half,0,1000,200,20,14,0.7000,,0.000,0
+1,16,cjloss,0,1000,200,20,20,1.0000,,0.000,0
+1,16,lo,0,1000,200,20,13,0.6500,,0.000,0
+1,16,ahl,0,1000,200,20,8,0.4000,,0.000,0
+1,20,reduce,0,10000,200,20,3,0.1500,,0.000,0
+1,20,reduce_half,0,10000,200,20,9,0.4500,,0.000,0
+1,20,cjloss,0,10000,200,20,18,0.9000,,0.000,0
+1,16,reduce_half,1,1000,200,10,10,1.0000,50.667,0.000,0
+1,20,reduce_half,1,10000,200,10,10,1.0000,8.143,0.000,0
+2,30,reduce_half,0,10000,200,5,5,1.0000,,0.000,0
+2,30,cjloss,0,10000,200,5,5,1.0000,,0.000,0
+"""
+
 GOLDEN_T_RANGE = [
     ("1", "31", "8.455426608079231e+19", "0", "1"),
     ("2", "31", "8.432473586967454e+19", "0", "1"),
@@ -150,6 +171,25 @@ class TestAttack:
         assert captured.err == f"error: row {row} outside 0..0\n"
         assert captured.out == ""
 
+    def test_row_without_dag_is_usage_error(self, toy_file, capsys):
+        # Only the DAG search disaggregates a row; the plain attack would solve the toy.
+        assert main(["attack", "--algo", "reduce-half", "--row", "0",
+                     "--input", toy_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --row") and "--dag" in captured.err
+        assert captured.out == ""
+
+    def test_verdict_failing_substitution_is_a_bug(self, toy_file, monkeypatch):
+        # A binary verdict that does not solve the problem raises, not exit 2.
+        import knapcrack.pipeline as pl
+
+        def run_algorithm(sys, config):
+            return AttackVerdict(BINARY, (1, 1, 0), {"algorithm": config.algo})
+
+        monkeypatch.setattr(pl, "run_algorithm", run_algorithm)
+        with pytest.raises(AssertionError, match="does not satisfy"):
+            main(["attack", "--algo", "reduce-half", "--input", toy_file])
+
     def test_exhausted_search_reports_best_witness(self, tmp_path, capsys):
         out = tmp_path / "g"
         assert main(["gen", "--n", "16", "--seed", "1", "--out", str(out)]) == 0
@@ -199,7 +239,7 @@ class TestJumps:
 
     def test_cap_exceeded_without_limit(self, tmp_path, capsys):
         big = tmp_path / "big.txt"
-        save_system(generate_instance(20, 0).instance.as_system(), big)
+        save_system(generate_instance(20, 0).instance, big)
         assert main(["jumps", "--input", str(big)]) == 5
         assert "--limit" in capsys.readouterr().err
         assert main(["jumps", "--input", str(big), "--limit", "3"]) == 0
@@ -300,6 +340,13 @@ class TestBench:
         assert err.startswith("parse error: grid line 2: ") and message in err
         assert not out.exists()
 
+    def test_desk_grid_golden(self, tmp_path, monkeypatch):
+        # The verdict gate of every speed change: the desk grid, byte for byte.
+        monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
+        out = tmp_path / "desk.csv"
+        assert main(["bench", "--grid", str(GRID), "--out", str(out), "--no-timing"]) == 0
+        assert out.read_text() == GOLDEN_DESK_CSV
+
     def test_bad_grid(self, tmp_path):
         grid = tmp_path / "grid.txt"
         grid.write_text("1 8 reduce 0 100\n")
@@ -342,6 +389,48 @@ class TestAnalyze:
         assert exc.value.code == 2
         assert "error: argument --limit: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_limit_without_all_jumps_is_usage_error(self, toy_file, tmp_path, capsys):
+        out = tmp_path / "limit.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--modulus", "15", "--t-range", "1..3", "--limit", "2"]) == 2
+        assert "--all-jumps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_row_with_apply_is_usage_error(self, toy_file, tmp_path, capsys):
+        # Each --apply step names its own row.
+        out = tmp_path / "row.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--apply", "0:1/5", "--row", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: --row")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modes", [
+        ["--modulus", "15", "--t-range", "1..5", "--all-jumps"],
+        ["--modulus", "15", "--t-range", "1..5", "--apply", "0:1/3"],
+        ["--all-jumps", "--apply", "0:1/3"],
+    ], ids=["t-range-all-jumps", "t-range-apply", "all-jumps-apply"])
+    def test_scenario_modes_are_exclusive(self, toy_file, tmp_path, capsys, modes):
+        out = tmp_path / "modes.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", toy_file, "--out", str(out), *modes])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_chain_on_dropped_row_is_skipped(self, toy_file, tmp_path, capsys):
+        # 1/3 of 3x1 + 15x2 + 6x3 = 9 derives a third of the row itself, which is
+        # dropped as dependent, so row 1 does not exist.  In the second chain
+        # step 1's row is kept, and row 1 must not be read as that row.
+        out = tmp_path / "chain.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--apply", "0:1/3,1:1/2", "--apply", "0:1/3,0:1/5,1:1/7",
+                     "--apply", "0:1/5"]) == 0
+        assert capsys.readouterr().err == (
+            "skipped 1/2: row 1 was dropped: it depends on the rows before it\n"
+            "skipped 1/7: row 1 was dropped: it depends on the rows before it\n")
+        with open(out, newline="") as fh:
+            assert [(r["t"], r["M"]) for r in csv.DictReader(fh)] == [("1", "5")]
 
     def test_all_jumps_limit(self, toy_file, tmp_path):
         out = tmp_path / "first.csv"

@@ -16,7 +16,7 @@ from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, 
                                     _scan_lo, _scan_pm1)
 from knapcrack.intmat import det_bareiss, gram, mat_mul
 from knapcrack.pipeline import generate_instance, generate_system
-from knapcrack.problems import LdeSystem, SubsetSumInstance
+from knapcrack.problems import LdeSystem
 
 from oracles import (check_decomposition_bareiss, det_d_c, gso, hnf_member, hnf_columns,
                      integer_solvable, kernel_basis, minor_gcd)
@@ -205,12 +205,12 @@ class TestScans:
 
 class TestAttacks:
     def test_cjloss_toy(self):
-        verdict = attack_cjloss(SubsetSumInstance.from_coeffs([3, 15, 6], 9))
+        verdict = attack_cjloss(TOY_SYS)
         assert verdict.solved and verdict.x == (1, 0, 1)
 
     def test_cjloss_n_validation(self):
         with pytest.raises(InvalidN):
-            attack_cjloss(SubsetSumInstance.from_coeffs([3, 15, 6], 9), N=0)
+            attack_cjloss(TOY_SYS, N=0)
 
     def test_lo_seeded_batch_verified(self):
         solved = 0
@@ -224,7 +224,7 @@ class TestAttacks:
 
     def test_cjloss_complement_fallback_used(self):
         # b above sum/2 forces the flip; scan metadata records it.
-        inst = SubsetSumInstance.from_coeffs([3, 15, 6], 15)
+        inst = LdeSystem.from_rows([[3, 15, 6]], [15])
         verdict = attack_cjloss(inst)
         assert verdict.solved
         assert inst.is_solution(verdict.x)
@@ -232,9 +232,9 @@ class TestAttacks:
     def test_ahl_returns_integer_solution(self):
         for seed in range(5):
             gen = generate_instance(12, seed)
-            verdict = attack_ahl(gen.instance.as_system())
+            verdict = attack_ahl(gen.instance)
             if verdict.x is not None:
-                assert gen.instance.as_system().is_solution(verdict.x)
+                assert gen.instance.is_solution(verdict.x)
 
     def test_ahl_scaling_integers(self):
         # N2 is the least integer above 2^(n+m) * N1^2, recorded in the verdict.
@@ -270,5 +270,6 @@ class TestAttacks:
         assert verdict.solved and sys.is_solution(verdict.x)
 
     def test_binary_verdict_verifies(self):
-        with pytest.raises(ValueError):
+        # A verdict that fails substitution is a bug, not an input error.
+        with pytest.raises(AssertionError):
             binary_verdict(TOY_SYS, [1, 1, 0])

@@ -216,7 +216,7 @@ class TestLll:
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_attack_bases_match_naive_reference(self, n):
-        system = generate_instance(n, 0).instance.as_system()
+        system = generate_instance(n, 0).instance
         n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1  # attack_ahl's N2 at m = 1
         for basis in (build_lattice_B(system, DEFAULT_N), cjloss_basis(system, DEFAULT_N),
                       ahl_basis(system, DEFAULT_N1, n2)):
@@ -224,7 +224,7 @@ class TestLll:
                 [list(c) for c in basis.columns], DEFAULT_ALPHA)
 
     def test_dag_basis_matches_naive_reference(self):
-        system = generate_instance(6, 0).instance.as_system()
+        system = generate_instance(6, 0).instance
         aug = build_disaggregated(system, 0, DisaggParams(1, 15)).system
         basis = build_lattice_B(aug, DEFAULT_N)
         assert (aug.m, basis.n) == (2, 8)
@@ -291,7 +291,7 @@ class TestPackedColumns:
         # attack bases at this size.  naive_lll would take minutes here;
         # lemma_lll is pinned against it on the bases of the property above.
         n = 30
-        system = generate_instance(n, 0).instance.as_system()
+        system = generate_instance(n, 0).instance
         n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1
         basis = ahl_basis(system, DEFAULT_N1, n2)
         assert max(abs(x) for c in basis.columns for x in c).bit_length() >= 87
@@ -338,7 +338,7 @@ class TestAgainstSympy:
         # down, and its math.floor on a rational goes through a float, so it
         # misrounds once |mu| passes 2**53.
         for seed in range(6):
-            system = generate_instance(n, seed).instance.as_system()
+            system = generate_instance(n, seed).instance
             basis = build_lattice_B(system, DEFAULT_N)
             ours, theirs = lll(basis), sympy_lll(basis)
             assert column_hnf(ours) == column_hnf(theirs) == column_hnf(basis)

@@ -1,55 +1,64 @@
-"""Problem types, the complement map, density, and the text format."""
+"""The problem type, the complement map, density, and the text format."""
 
 import math
 
 import pytest
 
 from knapcrack.errors import ParseError, RankDeficient
-from knapcrack.problems import (LdeSystem, SubsetSumInstance, as_instance, complement,
-                                format_system, normalize, parse_system)
+from knapcrack.problems import (LdeSystem, complement, format_system, is_subset_sum,
+                                normalize, parse_system)
 
 from oracles import density
 
-TOY = SubsetSumInstance.from_coeffs([3, 15, 6], 9)
-MH = SubsetSumInstance.from_coeffs([171, 196, 457, 1191, 2410], 3797)
+TOY = LdeSystem.from_rows([[3, 15, 6]], [9])
+MH = LdeSystem.from_rows([[171, 196, 457, 1191, 2410]], [3797])
 
 
 class TestInstances:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SubsetSumInstance.from_coeffs([3, 15, 6], 25)  # b > sum(a)
-        with pytest.raises(ValueError):
-            SubsetSumInstance.from_coeffs([3, 0, 6], 5)
-        with pytest.raises(ValueError):
-            SubsetSumInstance.from_coeffs([7], 3)
+        # The subset-sum shape: one row, positive a, 0 < b < sum(a).
+        assert is_subset_sum(TOY) and is_subset_sum(MH)
+        assert not is_subset_sum(LdeSystem.from_rows([[3, 15, 6]], [24]))  # b = sum(a)
+        assert not is_subset_sum(LdeSystem.from_rows([[3, 15, 6]], [25]))  # b > sum(a)
+        assert not is_subset_sum(LdeSystem.from_rows([[3, 15, 6]], [0]))
+        assert not is_subset_sum(LdeSystem.from_rows([[3, 0, 6]], [5]))
+        assert not is_subset_sum(LdeSystem.from_rows([[1, 2, 3], [4, 5, 7]], [3, 9]))
 
     def test_complement_toy(self):
-        comp = complement(TOY)
-        assert comp.instance.b == 9 + 6  # sum 24 minus 9
-        assert comp.flipped
+        assert complement(TOY).b == (9 + 6,)  # sum 24 minus 9
+        assert complement(TOY).A == TOY.A
 
     def test_complement_of_b15(self):
-        inst = SubsetSumInstance.from_coeffs([3, 15, 6], 15)
-        assert complement(inst).instance.b == 9
+        inst = LdeSystem.from_rows([[3, 15, 6]], [15])
+        assert complement(inst).b == (9,)
 
     def test_complement_merkle_hellman_flags(self):
-        comp = complement(MH)
-        assert comp.instance.b == 628
+        assert complement(MH).b == (628,)
 
     def test_complement_is_involution(self):
-        comp = complement(MH)
-        back = complement(comp.instance)
-        assert back.instance.b == MH.b
-        assert comp.map_back(back.map_back([0, 1, 0, 1, 1])) == [0, 1, 0, 1, 1]
+        assert complement(complement(MH)) == MH
+        x = [0, 1, 0, 1, 1]
+        assert MH.is_solution(x) and complement(MH).is_solution([1 - v for v in x])
+
+    def test_complement_of_each_row(self):
+        sys = LdeSystem.from_rows([[1, 2, 3], [4, 5, 7]], [3, 9])
+        assert complement(sys).b == (3, 7)
 
     def test_normalize_flips_only_large_b(self):
-        assert not normalize(TOY).flipped
-        assert normalize(MH).flipped
+        assert normalize(TOY) == (TOY, False)
+        assert normalize(MH) == (complement(MH), True)
+
+    def test_normalize_leaves_other_shapes(self):
+        # A zero coefficient or b = sum(a) is never flipped, even with b > sum(a)/2.
+        for sys in (LdeSystem.from_rows([[3, 0, 6]], [6]),
+                    LdeSystem.from_rows([[3, 15, 6]], [24]),
+                    LdeSystem.from_rows([[1, 2, 3], [4, 5, 7]], [5, 12])):
+            assert normalize(sys) == (sys, False)
 
 
 class TestDensity:
     def test_power_of_two(self):
-        inst = SubsetSumInstance.from_coeffs([2**8, 3, 5, 9, 2, 7, 11, 6], 280)
+        inst = LdeSystem.from_rows([[2**8, 3, 5, 9, 2, 7, 11, 6]], [280])
         assert density(inst) == 8 / 8
 
     def test_merkle_hellman(self):
@@ -70,7 +79,7 @@ class TestSystems:
             LdeSystem.from_rows([[1, 2], [3, 5]], [1, 2])  # m == n
 
     def test_solution_check(self):
-        sys = TOY.as_system()
+        sys = TOY
         assert sys.is_solution([1, 0, 1])
         assert not sys.is_solution([1, 1, 0])
 
@@ -84,8 +93,8 @@ class TestTextFormat:
         assert text.endswith("\n") and " \n" not in text
 
     def test_comment_header_skipped(self):
-        text = "# dag t=6 M=15\n" + format_system(TOY.as_system())
-        assert as_instance(parse_system(text)) == TOY
+        text = "# dag t=6 M=15\n" + format_system(TOY)
+        assert parse_system(text) == TOY
 
     def test_malformed_rejected(self):
         for bad in ("", "1 3\n3 15 6\n", "2 3\n1 2 3\n9\n", "1 3\n3 15 x\n9\n",

@@ -66,7 +66,7 @@ class TestReduceHalf:
         rng = random.Random(1)
         for seed in range(5):
             gen = generate_instance(10, seed)
-            sys = gen.instance.as_system()
+            sys = gen.instance
             kd = decompose(sys)
             xb = special_solution(kd, sys.b)
             out = reduce_half(xb, kd)
@@ -93,7 +93,7 @@ class TestInvarianceTheorems:
         rng = random.Random(3)
         for seed in range(3):
             gen = generate_instance(8, seed)
-            sys = gen.instance.as_system()
+            sys = gen.instance
             kd = decompose(sys)
             cols = kd.kernel_columns()
             xb = special_solution(kd, sys.b)
@@ -111,7 +111,7 @@ class TestInvarianceTheorems:
         # half-ties round symmetrically: a rule only the oracle sweep has.
         for seed in range(3):
             gen = generate_instance(8, seed)
-            sys = gen.instance.as_system()
+            sys = gen.instance
             kd = decompose(sys)
             cols = kd.kernel_columns()
             xb = special_solution(kd, sys.b)
@@ -158,7 +158,7 @@ class TestAgreementWithAhl:
         agreements = 0
         for seed in range(8):
             gen = generate_instance(12, seed)
-            sys = gen.instance.as_system()
+            sys = gen.instance
             kd = decompose(sys)
             xb = special_solution(kd, sys.b)
             ours = reduce_solution(xb, kd)
@@ -209,7 +209,7 @@ class TestOracleAgreement:
     @given(st.sampled_from([8, 10, 12, 14]), st.integers(0, 10**6),
            st.lists(st.integers(-3, 3), min_size=14, max_size=14))
     def test_decomposed_kernels(self, n, seed, shift):
-        sys = generate_instance(n, seed).instance.as_system()
+        sys = generate_instance(n, seed).instance
         kd = decompose(sys)
         cols = kd.kernel_columns()
         xb = [v + dv for v, dv in zip(special_solution(kd, sys.b), shift)]

@@ -1,7 +1,7 @@
 """The library keeps only what runs: every top-level function and class in
 ``src/knapcrack`` is referenced from ``src/`` or ``perfbench/`` outside its
 own definition, and each function takes one input shape, so no function
-but the pipeline's problem normalizer branches on the type of its input.
+branches on the type of its input.
 Code that only tests use belongs in ``tests/oracles.py``.
 
 A reference is a name or attribute lookup, or a string constant equal to
@@ -67,5 +67,4 @@ def type_dispatches() -> list[str]:
 
 
 def test_one_input_shape_per_function():
-    # perfbench passes SubsetSumInstance problems and the CLI passes systems.
-    assert type_dispatches() == ["pipeline._normalized_work"]
+    assert type_dispatches() == []
