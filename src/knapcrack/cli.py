@@ -17,10 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, pipeline
-from .disagg import (DisaggParams, build_disaggregated, cuts_off, is_ideal, jump_points,
-                     row_coeffs, uk_bound)
+from .disagg import DisaggParams, cuts_off, is_ideal, jump_points, row_coeffs, uk_bound
 from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams, InvalidRow,
-                     KnapcrackError, ParseError, RankDeficient, SearchExhausted, SizeLimit)
+                     ParseError, SearchExhausted, SizeLimit)
 from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
 from .lattice import DEFAULT_ALPHA
 from .problems import load_system, save_system
@@ -73,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--input", required=True)
     atk.add_argument("--dag", action="store_true")
     atk.add_argument("--modulus", type=int, default=None)
-    atk.add_argument("--t-max", type=int, default=200)
+    atk.add_argument("--t-max", type=int, default=None)
     atk.add_argument("--row", type=int, default=None, help="row to disaggregate (with --dag)")
     atk.add_argument("--alpha", type=_fraction_flag, default=DEFAULT_ALPHA)
     atk.add_argument("--bign", type=int, default=DEFAULT_N)
@@ -160,29 +159,30 @@ def _load_or_exit(path: str):
 
 
 def cmd_attack(args) -> int:
-    if args.row is not None and not args.dag:
-        print("error: --row names the row the DAG search disaggregates; it needs --dag",
-              file=sys.stderr)
-        return EXIT_USAGE
     if args.modulus is not None and args.modulus < 2:
         print(f"error: --modulus must be at least 2, got {args.modulus}: the DAG search "
               "needs 0 < t_max < M", file=sys.stderr)
         return EXIT_USAGE
+    if not args.dag:
+        for flag, value in (("--row", args.row), ("--modulus", args.modulus),
+                            ("--t-max", args.t_max)):
+            if value is not None:
+                print(f"error: {flag} is read only by the DAG search; it needs --dag",
+                      file=sys.stderr)
+                return EXIT_USAGE
     system, err = _load_or_exit(args.input)
     if err is not None:
         return err
     algo = ALGO_FLAGS[args.algo]
     modulus = pipeline.default_modulus(system.n) if args.modulus is None else args.modulus
+    t_max = pipeline.SearchConfig.t_max if args.t_max is None else args.t_max
     t0 = time.perf_counter()
     try:
         config = pipeline.SearchConfig(algo=algo, use_dag=args.dag, M=modulus,
-                                       t_max=min(args.t_max, modulus - 1),
+                                       t_max=min(t_max, modulus - 1),
                                        alpha=args.alpha, N=args.bign,
                                        row_index=args.row or 0)
-        if args.dag:
-            outcome = pipeline.attack_with_dag(system, config)
-        else:
-            outcome = pipeline.attack(system, config)
+        outcome = pipeline.attack(system, config)
     except SearchExhausted as exc:
         best = exc.best
         outcome = pipeline.AttackOutcome(
@@ -330,32 +330,6 @@ def _analyze_scenarios(args, system):
             yield [(row, DisaggParams(t, args.modulus))]
 
 
-def _augment(system, steps):
-    """(system, None) after a scenario's chained disaggregations, or (None, reason).
-
-    A scenario is skipped when an ideal t (no k bits) leaves as many
-    equations as unknowns, or when a step names a derived row that was
-    dropped because it depends on the rows before it.
-    """
-    aug = system
-    where = list(range(system.m))  # where[r]: row r's index in aug, None once dropped
-    for row, params in steps:
-        if where[row] is None:
-            return None, f"row {row} was dropped: it depends on the rows before it"
-        built = build_disaggregated(aug, where[row], params)
-        if aug.m + 1 >= aug.n + built.k_count:
-            return None, "an ideal t leaves a square system"
-        try:
-            aug = built.system
-        except RankDeficient:
-            # The derived row is a multiple of an existing one; the
-            # constraint set is unchanged, so keep the system as is.
-            where.append(None)
-            continue
-        where.append(aug.m - 1)
-    return aug, None
-
-
 def cmd_analyze(args) -> int:
     algo = ALGO_FLAGS[args.algo]
     if algo == "lo":
@@ -366,6 +340,9 @@ def cmd_analyze(args) -> int:
     if args.modulus is not None and args.modulus < 2:
         print(f"error: --modulus must be at least 2, got {args.modulus}: no t satisfies "
               "0 < t < M", file=sys.stderr)
+        return EXIT_USAGE
+    if args.modulus is not None and args.t_range is None:
+        print("error: --modulus is the M of --t-range; it needs --t-range", file=sys.stderr)
         return EXIT_USAGE
     if args.limit is not None and not args.all_jumps:
         print("error: --limit caps the jump points of --all-jumps; it needs --all-jumps",
@@ -382,7 +359,7 @@ def cmd_analyze(args) -> int:
 
     try:
         baseline = pipeline.attack(system, config)
-    except KnapcrackError as exc:
+    except EscalationExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSOLVED
     x_tilde = list(baseline.verdict.x) if baseline.verdict.status == SHORT_NONBINARY else None
@@ -404,7 +381,7 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     for steps in scenarios:
         label = steps[-1][1]
-        aug, reason = _augment(system, steps)
+        aug, reason = pipeline.augment(system, steps)
         if aug is None:
             print(f"skipped {label.t}/{label.M}: {reason}", file=sys.stderr)
             continue
@@ -417,13 +394,10 @@ def cmd_analyze(args) -> int:
             row < system.m and cuts_off((list(system.A[row]), system.b[row]),
                                         params.r, x_tilde)
             for row, params in steps)
-        try:
-            if algo in ("reduce", "reduce_half"):
-                verdict = pipeline.attack_decomposed(aug, kd, algo)
-            else:
-                verdict = pipeline.run_algorithm(aug, config)
-        except KnapcrackError:
-            verdict = AttackVerdict(FAILURE)
+        if algo in ("reduce", "reduce_half"):
+            verdict = pipeline.attack_decomposed(aug, kd, algo)
+        else:
+            verdict = pipeline.run_algorithm(aug, config)
         success = False
         if verdict.x is not None:
             head = list(verdict.x[:system.n])

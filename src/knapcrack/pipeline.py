@@ -187,15 +187,27 @@ def attack_decomposed(sys: LdeSystem, kd: fm.KernelDecomposition,
 
 
 def _map_back(problem: LdeSystem, verdict: fm.AttackVerdict, flipped: bool) -> fm.AttackVerdict:
-    """Re-express a verdict about the normalized problem over the original."""
+    """Re-express a verdict about the normalized problem over the original.
+
+    ``used_complement`` becomes the net flip relative to the original: the
+    attack's own complement fallback XOR the normalization.
+    """
     if verdict.x is None:
         return verdict
     x = [1 - v for v in verdict.x] if flipped else list(verdict.x)
-    return fm.classify_solution(problem, x, **verdict.meta)
+    meta = dict(verdict.meta)
+    if "used_complement" in meta:
+        meta["used_complement"] = meta["used_complement"] != flipped
+    return fm.classify_solution(problem, x, **meta)
 
 
 def attack(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
-    """One plain lattice attack with complement normalization for m = 1."""
+    """One plain lattice attack with complement normalization for m = 1.
+
+    With ``config.use_dag`` set this is ``attack_with_dag``.
+    """
+    if config.use_dag:
+        return attack_with_dag(problem, config)
     t0 = time.perf_counter()
     work, flipped = normalize(problem)
     verdict = run_algorithm(work, config)
@@ -203,13 +215,42 @@ def attack(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     return AttackOutcome(verdict=verdict, wall_time=time.perf_counter() - t0)
 
 
+def augment(system: LdeSystem, steps: list[tuple[int, DisaggParams]]
+            ) -> tuple[LdeSystem | None, str | None]:
+    """(system, None) after a scenario's chained disaggregations, or (None, reason).
+
+    A scenario is skipped when an ideal t (no k bits) leaves as many
+    equations as unknowns, or when a step names a derived row that was
+    dropped because it depends on the rows before it.
+    """
+    aug = system
+    where = list(range(system.m))  # where[r]: row r's index in aug, None once dropped
+    for row, params in steps:
+        if where[row] is None:
+            return None, f"row {row} was dropped: it depends on the rows before it"
+        built = build_disaggregated(aug, where[row], params)
+        if aug.m + 1 >= aug.n + built.k_count:
+            return None, "an ideal t leaves a square system"
+        try:
+            aug = built.system
+        except RankDeficient:
+            # The derived row is a multiple of an existing one; the
+            # constraint set is unchanged, so keep the system as is.
+            where.append(None)
+            continue
+        where.append(aug.m - 1)
+    return aug, None
+
+
 def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     """Plain attack, then the t-search over disaggregations on failure.
 
     Each t in 1..t_max (fixed M) augments the configured row; the augmented
     attack's vector is accepted when its first n coordinates are binary and
-    solve the original system (truncation rule).  Raises SearchExhausted,
-    carrying the best short-non-binary witness seen, when no t works.
+    solve the original system (truncation rule).  A t whose augmentation is
+    skipped, or whose derived row is dropped as dependent, is not attacked.
+    Raises SearchExhausted, carrying the shortest short-non-binary witness
+    seen, when no t works.
     Raises ValueError for lo, and InvalidRow for a row_index outside the
     system, before any attack: every augmented system has two or more
     equations, and each augments the configured row.
@@ -221,46 +262,27 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     work, flipped = normalize(problem)
     if not 0 <= config.row_index < work.m:
         raise InvalidRow(f"row {config.row_index} outside 0..{work.m - 1}")
-    n = work.n
-    base_verdict = run_algorithm(work, config)
-    if base_verdict.solved:
-        verdict = _map_back(problem, base_verdict, flipped)
-        return AttackOutcome(verdict=verdict, wall_time=time.perf_counter() - t0)
-    best: fm.AttackVerdict | None = None
-
-    def remember(witness: fm.AttackVerdict) -> None:
-        nonlocal best
-        if witness.status != fm.SHORT_NONBINARY:
-            return
-        if best is None or (sum(v * v for v in witness.x)
-                            < sum(v * v for v in best.x)):
-            best = witness
-
-    remember(_map_back(problem, base_verdict, flipped))
+    base = _map_back(problem, run_algorithm(work, config), flipped)
+    if base.solved:
+        return AttackOutcome(verdict=base, wall_time=time.perf_counter() - t0)
+    best = base if base.status == fm.SHORT_NONBINARY else None
     for t in range(1, config.t_max + 1):
-        built = build_disaggregated(work, config.row_index, DisaggParams(t, config.M))
-        if work.m + 1 >= n + built.k_count:
-            continue  # an ideal t (no k bits) leaves a square system: nothing to search
-        try:
-            aug = built.system
-        except RankDeficient:
-            continue  # the derived row depends on the others
+        aug, _ = augment(work, [(config.row_index, DisaggParams(t, config.M))])
+        if aug is None or aug.m == work.m:
+            continue  # skipped, or the derived row was dropped: nothing new to attack
         verdict = run_algorithm(aug, config)
         if verdict.x is None:
             continue
-        head = list(verdict.x[:n])
         # Any solution of the augmented system solves the base on its x prefix.
-        if all(v in (0, 1) for v in head):
-            final = fm.classify_solution(
-                problem,
-                [1 - v for v in head] if flipped else head,
-                **{**verdict.meta, "t": t, "M": config.M})
+        head = list(verdict.x[:work.n])
+        x = [1 - v for v in head] if flipped else head
+        if all(v in (0, 1) for v in x):
+            final = fm.binary_verdict(problem, x, **{**verdict.meta, "t": t, "M": config.M})
             return AttackOutcome(verdict=final, dag_used=True, t_found=t,
                                  wall_time=time.perf_counter() - t0)
-        remember(_map_back(problem,
-                           fm.AttackVerdict(fm.SHORT_NONBINARY, tuple(head),
-                                            dict(verdict.meta)),
-                           flipped))
+        witness = fm.short_nonbinary_verdict(problem, x, **verdict.meta)
+        if best is None or sum(v * v for v in x) < sum(v * v for v in best.x):
+            best = witness
     raise SearchExhausted(
         f"no valid t in 1..{config.t_max} with M={config.M}", best=best)
 
@@ -313,10 +335,7 @@ def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float, st
                           t_max=cell.t_max, seed=seed)
     t0 = time.perf_counter()
     try:
-        if cell.dag:
-            outcome = attack_with_dag(problem, config)
-        else:
-            outcome = attack(problem, config)
+        outcome = attack(problem, config)
     except SearchExhausted:
         return False, None, (time.perf_counter() - t0) * 1000.0, None
     except KnapcrackError as exc:

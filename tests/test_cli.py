@@ -179,6 +179,26 @@ class TestAttack:
         assert captured.err.startswith("error: --row") and "--dag" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags", [["--modulus", "15"], ["--t-max", "3"]],
+                             ids=["modulus", "t-max"])
+    def test_dag_flag_without_dag_is_usage_error(self, toy_file, capsys, flags):
+        # The plain attack reads neither flag; it would solve the toy.
+        assert main(["attack", "--algo", "reduce-half", *flags, "--input", toy_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flags[0]}") and "--dag" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("algo", ["lo", "cjloss"])
+    def test_used_complement_reports_the_normalization(self, tmp_path, capsys, algo):
+        # b = 15 > sum(a)/2: the attack runs on the complement (b = 9), and its
+        # solution 101 maps back to 010.
+        path = tmp_path / "toy15.txt"
+        save_system(LdeSystem.from_rows([[3, 15, 6]], [15]), path)
+        assert main(["attack", "--algo", algo, "--json", "--input", str(path)]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["x"] == [0, 1, 0]
+        assert verdict["meta"]["used_complement"] is True
+
     def test_verdict_failing_substitution_is_a_bug(self, toy_file, monkeypatch):
         # A binary verdict that does not solve the problem raises, not exit 2.
         import knapcrack.pipeline as pl
@@ -431,6 +451,28 @@ class TestAnalyze:
             "skipped 1/7: row 1 was dropped: it depends on the rows before it\n")
         with open(out, newline="") as fh:
             assert [(r["t"], r["M"]) for r in csv.DictReader(fh)] == [("1", "5")]
+
+    def test_dependent_derived_row_keeps_the_base_kernel(self, toy_file, tmp_path, capsys):
+        # At M = 3 both t derive a multiple of the toy's row.  The DAG search
+        # does not attack such a t again; analyze writes its row, on the base kernel.
+        out = tmp_path / "dependent.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--modulus", "3", "--t-range", "1..2"]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out, newline="") as fh:
+            rows = [(r["t"], r["m"], r["kernel_dim"]) for r in csv.DictReader(fh)]
+        assert rows == [("1", "1", "2"), ("2", "1", "2")]
+
+    @pytest.mark.parametrize("mode", [["--all-jumps"], ["--apply", "0:1/5"]],
+                             ids=["all-jumps", "apply"])
+    def test_modulus_without_t_range_is_usage_error(self, toy_file, tmp_path, capsys, mode):
+        # Only --t-range reads --modulus.
+        out = tmp_path / "modulus.csv"
+        assert main(["analyze", "--input", toy_file, "--out", str(out),
+                     "--modulus", "15", *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --modulus") and "--t-range" in captured.err
+        assert not out.exists()
 
     def test_all_jumps_limit(self, toy_file, tmp_path):
         out = tmp_path / "first.csv"

@@ -172,6 +172,26 @@ class TestDagLoop:
         with pytest.raises(SearchExhausted):
             attack_with_dag(sys, cfg)
 
+    @pytest.mark.parametrize("entry", [attack, attack_with_dag])
+    def test_dependent_derived_row_is_not_attacked(self, monkeypatch, entry):
+        # At M = 3 both t = 1 and t = 2 derive a multiple of the toy's row
+        # (v = a/3 and 2a/3), so each augmentation is the base system again
+        # and only the base attack runs.
+        import knapcrack.pipeline as pl
+        real = pl.run_algorithm
+        attacked = []
+
+        def run_algorithm(sys, config):
+            attacked.append(sys)
+            return real(sys, config)
+
+        monkeypatch.setattr(pl, "run_algorithm", run_algorithm)
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=3, t_max=2)
+        with pytest.raises(SearchExhausted) as exc:
+            entry(TOY, cfg)
+        assert exc.value.best.x == (0, 1, -1)
+        assert attacked == [TOY]
+
     def test_attack_error_in_the_t_loop_propagates(self, monkeypatch):
         # The loop skips only a square system and a dependent derived row;
         # an attack that raises on an augmented system is a bug to report.

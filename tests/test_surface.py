@@ -1,7 +1,7 @@
 """The library keeps only what runs: every top-level function and class in
 ``src/knapcrack`` is referenced from ``src/`` or ``perfbench/`` outside its
-own definition, and each function takes one input shape, so no function
-branches on the type of its input.
+own definition, each function takes one input shape, so no function
+branches on the type of its input, and no handler catches every error.
 Code that only tests use belongs in ``tests/oracles.py``.
 
 A reference is a name or attribute lookup, or a string constant equal to
@@ -68,3 +68,37 @@ def type_dispatches() -> list[str]:
 
 def test_one_input_shape_per_function():
     assert type_dispatches() == []
+
+
+BROAD = {"KnapcrackError", "Exception", "BaseException"}
+# A bad job in a bench grid costs one row, not the whole run.
+BROAD_CATCH_ALLOWED = {"pipeline._bench_one"}
+
+
+def _catches_broadly(kind) -> bool:
+    if kind is None:  # bare except
+        return True
+    names = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+    return any(getattr(name, "id", getattr(name, "attr", None)) in BROAD for name in names)
+
+
+def broad_catches() -> list[str]:
+    """``module.function`` of every handler for KnapcrackError, Exception or everything."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and _catches_broadly(child.type):
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_no_broad_except():
+    assert [where for where in broad_catches() if where not in BROAD_CATCH_ALLOWED] == []
