@@ -9,7 +9,7 @@ Gram-Schmidt data with denominators cleared; all comparisons (size
 reduction, Lovasz test, and the nearest integer under the one half-tie
 rule, ``ceil(q - 1/2)``) are exact.
 
-``lll_reduce`` is Cohen's integral LLL (*A Course in Computational
+The loop (``_reduce``) is Cohen's integral LLL (*A Course in Computational
 Algebraic Number Theory*, Alg. 2.6.7): it keeps ``k_max``, the largest
 index visited so far, and holds GSO rows only for columns ``0..k_max``.
 Column ``k`` is untouched until ``k`` first passes ``k_max``, and its row
@@ -21,7 +21,7 @@ the exchange updates run over rows ``k+1..k_max`` only.  A dependency is
 found when its column is first visited, after the independent prefix
 before it has been reduced.
 
-Inside ``lll_reduce`` each column is one Python int (Kronecker
+Inside the loop each column is one Python int (Kronecker
 substitution): with slot width ``w``, column ``b`` is packed as
 ``P = sum_r b[r] * 2**(w*r)``, entry ``r`` in slot ``r`` in signed form.
 Packing is Z-linear, so both size-reduction updates are one big-integer
@@ -57,12 +57,29 @@ basis; decoding the whole prefix on every first visit costs most of what
 packing saves.  The input column is packed at its first visit, and every
 column is unpacked once at exit.
 
+One prefix, several last columns (``lll_reduce_lasts``; ``lll`` is the case
+of one last column).  The LO and CJLOSS bases of a target and of its
+complement share their first ``n - 1`` columns and differ in the last.
+Before ``k`` first reaches index ``n - 1`` the loop reads and writes only
+columns ``0..k_max < n - 1``: the last column is read at its first visit
+and not before.  So the state at that point (packed columns, ``d``,
+``lam``, ``k``, ``k_max``) is the same whichever last column follows; it is
+computed once, and each last column's reduction continues from a copy of
+it.  Each output is, bit for bit, that of one run from scratch on
+``prefix + [last]``.  The slot width is computed once, from the prefix and
+every last column: it is at least the width each run needs, and a wider slot
+changes only the representation, not a single value.  The premise check
+keeps each run's own bound, ``B = max(prefix input norms, ||last||^2)``.
+The runs are lazy: a last column's reduction runs when its result is asked
+for, so a fallback that is not needed costs nothing.
+
 The GSO set-up (``integral_gso``, ``gso_row``) and ``round_nearest`` are shared
 with the solution-shortening sweeps in ``reduction``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import mul
 
 from .errors import DependentColumns
@@ -149,33 +166,26 @@ def _unpack(pk: int, w: int, offset: int, dim: int) -> list[int]:
     return [((s >> (w * r)) & mask) - half for r in range(dim)]
 
 
-def lll_reduce(cols: list[list[int]], alpha_num: int, alpha_den: int) -> list[list[int]]:
-    """LLL-reduce integer columns in place and return them.
+def _reduce(cols: list[list[int]], n: int, k: int, kmax: int, packed: list[int],
+            d: list[int], lam: list[list[int]], w: int, offset: int,
+            p: int, q: int) -> tuple[int, int]:
+    """Run the LLL loop on n columns from index k; return the final (k, kmax).
 
-    alpha = alpha_num / alpha_den is the Lovasz parameter.  Raises
-    DependentColumns when the columns are not linearly independent.
+    cols holds the input columns given so far.  The loop stops at n, or
+    when k first reaches len(cols) < n: column k is not given yet, and the
+    state (packed, d, lam) covers columns 0..k-1 only.
     """
-    n = len(cols)
-    if n == 0:
-        return cols
-    p = alpha_num
-    q = alpha_den
-    dim = len(cols[0])
-    bound = max(sum(x * x for x in c) for c in cols)
-    w = ((1 + n) * bound).bit_length() // 2 + 3  # slot width, proved in the module docstring
-    offset = sum(1 << (w * r + w - 1) for r in range(dim))  # half of every slot
-    packed: list[int] = []  # packed[i] = sum_r b_i[r] << (w * r) for i <= kmax
-    d = [1]
-    lam: list[list[int]] = []
-    _visit(cols[0], packed, w, offset, d, lam)
-    kmax = 0
-    k = 1
     while k < n:
         if k > kmax:
+            if k == len(cols):
+                break
             # First visit: column k is still the input column, and columns
             # 0..k-1 are size-reduced, so their slots decode exactly.
             kmax = k
             _visit(cols[k], packed, w, offset, d, lam)
+            if k == 0:
+                k = 1
+                continue
         lk = lam[k]
         dk = d[k]
         lkk = lk[k - 1]
@@ -212,8 +222,36 @@ def lll_reduce(cols: list[list[int]], alpha_num: int, alpha_den: int) -> list[li
                     lk[j] = lkj - gamma * dj
             packed[k] = pk
             k += 1
-    for j in range(n):
-        if d[j + 1] > bound * d[j]:
-            raise AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
-    cols[:] = [_unpack(pk, w, offset, dim) for pk in packed]
-    return cols
+    return k, kmax
+
+
+def lll_reduce_lasts(prefix: list[list[int]], lasts: list[list[int]],
+                     alpha_num: int, alpha_den: int) -> Iterator[list[list[int]]]:
+    """Yield the LLL reduction of prefix + [last] for each last in turn.
+
+    alpha = alpha_num / alpha_den is the Lovasz parameter.  The prefix is
+    reduced once, at the first next(); each yield then finishes one last
+    column's reduction from a copy of that state (module docstring).
+    Raises DependentColumns when a basis has dependent columns: a dependent
+    prefix at the first next(), a last column at its own.
+    """
+    if not lasts:
+        return
+    n = len(prefix) + 1
+    dim = len(lasts[0])
+    prefix_bound = max((sum(x * x for x in c) for c in prefix), default=0)
+    bounds = [max(prefix_bound, sum(x * x for x in c)) for c in lasts]
+    w = ((1 + n) * max(bounds)).bit_length() // 2 + 3  # slot width, proved in the module docstring
+    offset = sum(1 << (w * r + w - 1) for r in range(dim))  # half of every slot
+    packed: list[int] = []  # packed[i] = sum_r b_i[r] << (w * r) for i <= kmax
+    d = [1]
+    lam: list[list[int]] = []
+    k, kmax = _reduce(prefix, n, 0, -1, packed, d, lam, w, offset, alpha_num, alpha_den)
+    for last, bound in zip(lasts, bounds):
+        run_packed, run_d, run_lam = packed[:], d[:], [row[:] for row in lam]
+        _reduce([*prefix, last], n, k, kmax, run_packed, run_d, run_lam, w, offset,
+                alpha_num, alpha_den)
+        for j in range(n):
+            if run_d[j + 1] > bound * run_d[j]:
+                raise AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
+        yield [_unpack(pk, w, offset, dim) for pk in run_packed]

@@ -355,17 +355,6 @@ def cmd_analyze(args) -> int:
     system, err = _load_or_exit(args.input)
     if err is not None:
         return err
-    config = pipeline.SearchConfig(algo=algo)
-
-    try:
-        baseline = pipeline.attack(system, config)
-    except EscalationExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVED
-    x_tilde = list(baseline.verdict.x) if baseline.verdict.status == SHORT_NONBINARY else None
-
-    instance_id = Path(args.input).stem
-    records = []
     try:
         scenarios = list(_analyze_scenarios(args, system))
         # A base row that cannot be disaggregated (negative entries, b above
@@ -379,6 +368,17 @@ def cmd_analyze(args) -> int:
     except (ValueError, InvalidParams, InvalidRow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    config = pipeline.SearchConfig(algo=algo)
+
+    try:
+        baseline = pipeline.attack(system, config)
+    except EscalationExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSOLVED
+    x_tilde = list(baseline.verdict.x) if baseline.verdict.status == SHORT_NONBINARY else None
+
+    instance_id = Path(args.input).stem
+    records = []
     for steps in scenarios:
         label = steps[-1][1]
         aug, reason = pipeline.augment(system, steps)

@@ -10,15 +10,17 @@ coefficient of column ``i`` onto the orthogonal direction ``j``.  ``lll``
 runs in the integral Gram-Schmidt state of ``_lll_py`` (``d[i]`` and
 ``lam[i][j] = mu[i][j] * d[j+1]``), so all arithmetic is exact integer and
 the nearest integer follows one asymmetric half-tie rule,
-``ceil(q - 1/2)`` (4.5 -> 4, -4.5 -> -5).
+``ceil(q - 1/2)`` (4.5 -> 4, -4.5 -> -5).  ``lll_shared_prefix`` reduces
+bases that share all but their last column, the shared prefix only once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._lll_py import lll_reduce
+from ._lll_py import lll_reduce_lasts
 from .errors import InvalidAlpha
 
 DEFAULT_ALPHA = Fraction(99, 100)
@@ -56,6 +58,13 @@ class LatticeBasis:
         return [list(c) for c in self.columns]
 
 
+def _lovasz(alpha) -> Fraction:
+    alpha = Fraction(alpha)
+    if not Fraction(1, 4) < alpha < 1:
+        raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
+    return alpha
+
+
 def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
     """LLL-reduce the basis columns with Lovasz parameter alpha.
 
@@ -63,8 +72,25 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
     j < i together with the Lovasz condition
     ||b*_i + mu[i][i-1] b*_{i-1}||^2 >= alpha ||b*_{i-1}||^2.
     """
-    alpha = Fraction(alpha)
-    if not Fraction(1, 4) < alpha < 1:
-        raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
-    cols = lll_reduce(basis.column_lists(), alpha.numerator, alpha.denominator)
-    return LatticeBasis.from_columns(cols)
+    alpha = _lovasz(alpha)
+    cols = basis.column_lists()
+    reduced = next(lll_reduce_lasts(cols[:-1], cols[-1:], alpha.numerator, alpha.denominator))
+    return LatticeBasis.from_columns(reduced)
+
+
+def lll_shared_prefix(prefix: Sequence[Sequence[int]], lasts: Sequence[Sequence[int]],
+                      alpha: Fraction = DEFAULT_ALPHA) -> Iterator[LatticeBasis]:
+    """Iterate lll(prefix + [last], alpha) over the lasts, reducing prefix once.
+
+    The results are exactly those of lll, and lazy: a last column's
+    reduction runs only when its basis is asked for.  Alpha and the shape
+    of every prefix + [last] are checked here, as lll's input is;
+    DependentColumns comes from the next() whose basis is dependent.
+    """
+    alpha = _lovasz(alpha)
+    prefix = [list(c) for c in prefix]
+    lasts = [list(c) for c in lasts]
+    for last in lasts:
+        LatticeBasis.from_columns([*prefix, last])  # raises on a bad shape
+    return map(LatticeBasis.from_columns,
+               lll_reduce_lasts(prefix, lasts, alpha.numerator, alpha.denominator))

@@ -14,7 +14,10 @@ paper's cut-off implications between neighbouring jump points, which no
 attack uses.  ``enumerate_jump_points`` lists jump points by sorting every
 j/den, the reference for the package's heap merge, and ``kernel_of`` wraps
 a plain matrix as a decomposition holding only D, the one kernel shape
-the sweeps and the features take.
+the sweeps and the features take.  ``attack_lo_two_lll`` and
+``attack_cjloss_two_lll`` run the LO and CJLOSS complement fallback as two
+full ``lll`` calls, the reference for the attacks that reduce the shared
+prefix once.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ import numpy as np
 from knapcrack.disagg import JUMP_CAP, JumpPoint, _jump_denominators, row_coeffs
 from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackError,
                               RankDeficient, SingularE, SizeLimit)
-from knapcrack.formulations import KernelDecomposition
+from knapcrack.formulations import (DEFAULT_N, FAILURE, AttackVerdict, KernelDecomposition,
+                                    _attack_targets, _scan_lo, attack_cjloss_system,
+                                    binary_verdict)
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
-from knapcrack.lattice import DEFAULT_ALPHA
+from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from knapcrack.problems import LdeSystem
 
 FULL_ENUM_LIMIT = 20
@@ -516,6 +521,37 @@ def check_decomposition_bareiss(sys, kd) -> None:
         raise AssertionError("A*C != E in decomposition")
     if det_d_c(kd) not in (1, -1):
         raise AssertionError("(D|C) is not unimodular")
+
+
+def attack_lo_two_lll(sys: LdeSystem, alpha=DEFAULT_ALPHA) -> AttackVerdict:
+    """LO with one full ``lll`` per target, the reference for ``attack_lo``."""
+    for target, flipped in _attack_targets(sys):
+        a, b = target.A[0], target.b[0]
+        n = target.n
+        cols = [[0] * (n + 1) for _ in range(n + 1)]
+        for j in range(n):
+            cols[j][j] = 1
+            cols[j][n] = -a[j]
+        cols[n][n] = b
+        reduced = lll(LatticeBasis.from_columns(cols), alpha)
+        for j, lam, x in _scan_lo(reduced.column_lists(), n):
+            if target.is_solution(x):
+                return binary_verdict(sys, [1 - v for v in x] if flipped else x,
+                                      algorithm="lo", column=j, scan_lambda=lam,
+                                      used_complement=flipped)
+    return AttackVerdict(FAILURE, meta={"algorithm": "lo"})
+
+
+def attack_cjloss_two_lll(sys: LdeSystem, N: int = DEFAULT_N,
+                          alpha=DEFAULT_ALPHA) -> AttackVerdict:
+    """CJLOSS with one full ``lll`` per target, the reference for ``attack_cjloss``."""
+    for target, flipped in _attack_targets(sys):
+        verdict = attack_cjloss_system(target, N, alpha)
+        if verdict.solved:
+            x = verdict.x
+            return binary_verdict(sys, [1 - v for v in x] if flipped else x,
+                                  used_complement=flipped, **verdict.meta)
+    return AttackVerdict(FAILURE, meta={"algorithm": "cjloss"})
 
 
 def minor_gcd(rows: list[list[int]]) -> int:

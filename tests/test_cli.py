@@ -474,6 +474,22 @@ class TestAnalyze:
         assert captured.err.startswith("error: --modulus") and "--t-range" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--t-range", "1..3"],
+                                       ["--modulus", "15", "--t-range", "1..3", "--row", "2"]],
+                             ids=["t-range-without-modulus", "row-out-of-range"])
+    def test_bad_scenarios_exit_before_the_baseline_attack(self, tmp_path, capsys,
+                                                           monkeypatch, flags):
+        from knapcrack import pipeline
+        calls = []
+        monkeypatch.setattr(pipeline, "attack", lambda *a, **kw: calls.append(1))
+        path = tmp_path / "sys.txt"
+        save_system(generate_system(2, 40, 0).system, path)
+        out = tmp_path / "bad.csv"
+        assert main(["analyze", "--input", str(path), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert calls == []
+        assert not out.exists()
+
     def test_all_jumps_limit(self, toy_file, tmp_path):
         out = tmp_path / "first.csv"
         assert main(["analyze", "--input", toy_file, "--out", str(out),

@@ -15,11 +15,13 @@ from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, 
                                     decompose, special_solution, _check_decomposition,
                                     _scan_lo, _scan_pm1)
 from knapcrack.intmat import det_bareiss, gram, mat_mul
+from knapcrack import _lll_py
 from knapcrack.pipeline import generate_instance, generate_system
-from knapcrack.problems import LdeSystem
+from knapcrack.problems import LdeSystem, complement, normalize
 
-from oracles import (check_decomposition_bareiss, det_d_c, gso, hnf_member, hnf_columns,
-                     integer_solvable, kernel_basis, minor_gcd)
+from oracles import (attack_cjloss_two_lll, attack_lo_two_lll, check_decomposition_bareiss,
+                     det_d_c, gso, hnf_member, hnf_columns, integer_solvable, kernel_basis,
+                     lattices_equal, minor_gcd)
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -273,3 +275,57 @@ class TestAttacks:
         # A verdict that fails substitution is a bug, not an input error.
         with pytest.raises(AssertionError):
             binary_verdict(TOY_SYS, [1, 1, 0])
+
+
+def pinned_instances():
+    """n = 20 seeds 0-19 and their complements, n = 30 seeds 0-4, and a flipped toy."""
+    n20 = [generate_instance(20, seed).instance for seed in range(20)]
+    return (n20 + [complement(s) for s in n20]
+            + [generate_instance(30, seed).instance for seed in range(5)]
+            + [LdeSystem.from_rows([[3, 15, 6]], [15])])
+
+
+class TestComplementFallback:
+    """LO and CJLOSS reduce the b-free prefix once for the target and its complement."""
+
+    @pytest.mark.parametrize("attack, reference", [(attack_lo, attack_lo_two_lll),
+                                                   (attack_cjloss, attack_cjloss_two_lll)],
+                             ids=["lo", "cjloss"])
+    def test_verdicts_match_two_full_reductions(self, attack, reference):
+        for system in pinned_instances():
+            ours, theirs = attack(system).to_dict(), reference(system).to_dict()
+            assert ours == theirs
+            assert list(ours["meta"]) == list(theirs["meta"])
+
+    @pytest.mark.parametrize("attack", [attack_lo, attack_cjloss], ids=["lo", "cjloss"])
+    def test_complement_tail_runs_only_after_a_miss(self, attack, monkeypatch):
+        # The prefix visits n columns once; each target's tail visits its last one.
+        visits = []
+        real = _lll_py._visit
+
+        def counting(*args):
+            visits.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_lll_py, "_visit", counting)
+        tails_seen = set()
+        for seed in range(20):
+            system = generate_instance(20, seed).instance
+            visits.clear()
+            verdict = attack(system)
+            first_solved = verdict.solved and \
+                verdict.meta["used_complement"] == normalize(system)[1]
+            tails = 1 if first_solved else 2
+            assert len(visits) == system.n + tails
+            tails_seen.add(tails)
+        assert tails_seen == {1, 2}
+
+    def test_cjloss_complement_spans_the_same_lattice(self):
+        # The complement's last column is the sum of the first n columns
+        # minus the target's; at 2b = sum(a) (the second system) they are equal.
+        systems = [LdeSystem.from_rows([[3, 15, 6]], [9]),
+                   LdeSystem.from_rows([[1, 20, 6, 15]], [21])]
+        for system in systems + [generate_instance(16, seed).instance for seed in range(5)]:
+            basis, flipped = (cjloss_basis(s, DEFAULT_N) for s in (system, complement(system)))
+            assert basis.columns[:-1] == flipped.columns[:-1]
+            assert lattices_equal(basis.columns, flipped.columns, len(basis.columns[0]))

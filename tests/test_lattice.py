@@ -13,8 +13,10 @@ from knapcrack.errors import DependentColumns, InvalidAlpha
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, build_lattice_B,
                                     cjloss_basis)
 from knapcrack._lll_py import round_nearest
-from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll
+from knapcrack.intmat import det_bareiss, gram
+from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll, lll_shared_prefix
 from knapcrack.pipeline import generate_instance
+from knapcrack.problems import complement
 
 from oracles import (enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
                      hnf_columns, independent_short_vectors, is_lll_reduced, lemma_lll,
@@ -243,6 +245,84 @@ class TestLll:
             ours = lll(basis, alpha)
             theirs = naive_lll([list(c) for c in basis.columns], alpha)
             assert [list(c) for c in ours.columns] == theirs
+
+
+def lll_or_message(cols, alpha=DEFAULT_ALPHA):
+    return reduce_or_message(kernel, cols, alpha)
+
+
+def shared_prefix_outcomes(prefix, lasts, alpha=DEFAULT_ALPHA):
+    """Columns of each basis the iterator yields, then its DependentColumns message."""
+    out = []
+    try:
+        for basis in lll_shared_prefix(prefix, lasts, alpha):
+            out.append([list(c) for c in basis.columns])
+    except DependentColumns as exc:
+        out.append(str(exc))
+    return out
+
+
+def lo_prefix_and_lasts(system):
+    a, b = system.A[0], system.b[0]
+    n = system.n
+    prefix = [[int(i == j) for i in range(n)] + [-a[j]] for j in range(n)]
+    return prefix, [[0] * n + [b], [0] * n + [sum(a) - b]]
+
+
+class TestSharedPrefix:
+    """lll_shared_prefix(prefix, lasts) yields exactly lll(prefix + [last])."""
+
+    def test_random_bases(self):
+        rng = random.Random(10)
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            dim = n + rng.randint(0, 2)
+            prefix = [list(c) for c in random_basis(rng, n - 1, dim, -1000, 1000).columns]
+            count, lasts = rng.randint(1, 3), []
+            while len(lasts) < count:
+                last = [rng.randint(-1000, 1000) for _ in range(dim)]
+                if det_bareiss(gram(prefix + [last])) != 0:  # independent
+                    lasts.append(last)
+            alpha = rng.choice([Fraction(26, 100), Fraction(3, 4), Fraction(99, 100)])
+            assert shared_prefix_outcomes(prefix, lasts, alpha) == \
+                [lll_or_message(prefix + [last], alpha) for last in lasts]
+
+    @pytest.mark.parametrize("n", [10, 16, 20])
+    def test_lo_and_cjloss_bases(self, n):
+        for seed in range(10):
+            system = generate_instance(n, seed).instance
+            bases = [cjloss_basis(t, DEFAULT_N) for t in (system, complement(system))]
+            for prefix, lasts in (lo_prefix_and_lasts(system),
+                                  ([list(c) for c in bases[0].columns[:-1]],
+                                   [list(b.columns[-1]) for b in bases])):
+                assert shared_prefix_outcomes(prefix, lasts) == \
+                    [lll_or_message(prefix + [last]) for last in lasts]
+
+    def test_dependent_prefix_raises_at_the_first_next(self):
+        prefix, lasts = [[1, 2, 0], [2, 4, 0]], [[0, 0, 1]]
+        reduced = lll_shared_prefix(prefix, lasts)
+        with pytest.raises(DependentColumns, match="column 1"):
+            next(reduced)
+        assert lll_or_message(prefix + lasts) == "column 1 is dependent on earlier columns"
+
+    def test_dependent_last_raises_at_its_turn(self):
+        prefix = [[1, 0, 0], [0, 1, 0]]
+        lasts = [[0, 0, 5], [3, -2, 0]]
+        reduced = lll_shared_prefix(prefix, lasts)
+        assert next(reduced) == lll(LatticeBasis.from_columns(prefix + lasts[:1]))
+        with pytest.raises(DependentColumns) as exc:
+            next(reduced)
+        assert str(exc.value) == lll_or_message(prefix + lasts[1:])
+
+    def test_empty_prefix(self):
+        assert list(lll_shared_prefix([], [[3, 4], [0, -2]])) == \
+            [LatticeBasis.from_columns([[3, 4]]), LatticeBasis.from_columns([[0, -2]])]
+
+    def test_alpha_and_shape_checked_at_the_call(self):
+        with pytest.raises(InvalidAlpha):
+            lll_shared_prefix([[1, 0]], [[0, 1]], Fraction(1))
+        with pytest.raises(ValueError):
+            lll_shared_prefix([[1, 0]], [[0, 1], [0, 1, 1]])
 
 
 BIG = 2 ** 200

@@ -2,7 +2,8 @@
 ``src/knapcrack`` is referenced from ``src/`` or ``perfbench/`` outside its
 own definition, each function takes one input shape, so no function
 branches on the type of its input, and no handler catches every error.
-Code that only tests use belongs in ``tests/oracles.py``.
+Code that only tests use belongs in ``tests/oracles.py``.  The LLL kernel
+keeps one loop: exactly one function in ``_lll_py`` holds the exchange step.
 
 A reference is a name or attribute lookup, or a string constant equal to
 the name (``perfbench/layers.py`` patches attributes by name, and
@@ -102,3 +103,24 @@ def broad_catches() -> list[str]:
 
 def test_no_broad_except():
     assert [where for where in broad_catches() if where not in BROAD_CATCH_ALLOWED] == []
+
+
+def swapping_functions(path) -> set[str]:
+    """Names of the functions in path that swap two items, ``x, y = y, x``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Assign) and isinstance(sub.targets[0], ast.Tuple)
+                        and isinstance(sub.value, ast.Tuple)):
+                    lhs = [ast.unparse(e) for e in sub.targets[0].elts]
+                    rhs = [ast.unparse(e) for e in sub.value.elts]
+                    if len(lhs) == 2 and lhs == rhs[::-1]:
+                        found.add(node.name)
+    return found
+
+
+def test_one_lll_loop():
+    # LLL's exchange step swaps two adjacent columns; lll and
+    # lll_shared_prefix both run the one loop that does it.
+    assert len(swapping_functions(PACKAGE / "_lll_py.py")) == 1
