@@ -33,6 +33,8 @@ EXIT_CAP = 5
 
 ALGO_FLAGS = {"reduce": "reduce", "reduce-half": "reduce_half", "lo": "lo",
               "cjloss": "cjloss", "ahl": "ahl"}
+DAG_FIELDS = {"1": True, "true": True, "True": True, "0": False, "false": False,
+              "False": False}
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -106,12 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     try:
-        if args.n % 2 or args.n < 4:
-            print("error: --n must be even and >= 4", file=sys.stderr)
-            return EXIT_USAGE
-        if not 1 <= args.m < args.n:
-            print("error: need 1 <= m < n", file=sys.stderr)
-            return EXIT_USAGE
+        pipeline.check_shape(args.m, args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         manifest = []
@@ -249,12 +250,18 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
                 raise ParseError(f"grid line {lineno}: expected 8 fields, got {len(toks)}")
             try:
                 m, n, M, t_max, count, seed = (int(toks[i]) for i in (0, 1, 4, 5, 6, 7))
+                pipeline.check_shape(m, n)
             except ValueError as exc:
                 raise ParseError(f"grid line {lineno}: {exc}") from None
+            if count < 1:
+                raise ParseError(f"grid line {lineno}: count must be at least 1, got {count}")
             algo = ALGO_FLAGS.get(toks[2], toks[2])
             if algo not in pipeline.ALGORITHMS:
                 raise ParseError(f"grid line {lineno}: unknown algorithm {toks[2]!r}")
-            dag = toks[3] in ("1", "true", "True")
+            if toks[3] not in DAG_FIELDS:
+                raise ParseError(f"grid line {lineno}: dag must be one of "
+                                 f"{', '.join(DAG_FIELDS)}, got {toks[3]!r}")
+            dag = DAG_FIELDS[toks[3]]
             if algo == "lo" and (dag or m != 1):
                 raise ParseError(f"grid line {lineno}: lo handles single equations "
                                  "only, without DAG")
@@ -325,9 +332,11 @@ def _analyze_scenarios(args, system):
     if args.t_range is None or args.modulus is None:
         raise ValueError("need --t-range with --modulus, or --all-jumps, or --apply")
     lo, hi = args.t_range.split("..", 1)
-    for t in range(int(lo), int(hi) + 1):
-        if 0 < t < args.modulus:
-            yield [(row, DisaggParams(t, args.modulus))]
+    ts = range(max(int(lo), 1), min(int(hi), args.modulus - 1) + 1)
+    if not ts:
+        raise ValueError(f"--t-range {args.t_range} holds no t with 0 < t < {args.modulus}")
+    for t in ts:
+        yield [(row, DisaggParams(t, args.modulus))]
 
 
 def cmd_analyze(args) -> int:

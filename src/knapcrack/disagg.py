@@ -71,7 +71,7 @@ def modular_transform(a, b, params: DisaggParams) -> ModularImage:
     v = tuple(t * ai // M for ai in a)
     d = t * b % M
     w = t * b // M
-    u_k = uk_bound((a, b), params.r)
+    u_k = (sum(a) - b) * t // M + w - sum(v)
     return ModularImage(c=c, d=d, v=v, w=w, u_k=u_k, n_k=u_k.bit_length())
 
 

@@ -161,19 +161,17 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
 
 def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
     """A*D = 0, A*C = E, and d[s] * det(E)^2 = det(A A^T) (module docstring)."""
-    a_rows = [list(r) for r in sys.A]
-    ad = mat_mul(a_rows, [list(r) for r in kd.D])
+    ad = mat_mul(sys.A, kd.D)
     if any(x != 0 for row in ad for x in row):
         raise AssertionError("A*D != 0 in decomposition")
-    ac = mat_mul(a_rows, [list(r) for r in kd.C])
-    if ac != [list(r) for r in kd.E]:
+    if mat_mul(sys.A, kd.C) != [list(r) for r in kd.E]:
         raise AssertionError("A*C != E in decomposition")
     try:
         d, _ = kd.gso
     except DependentColumns:
         raise AssertionError("D has dependent columns") from None
-    det_e = det_bareiss([list(r) for r in kd.E])
-    if d[-1] * det_e * det_e != det_bareiss(gram(a_rows)):
+    det_e = det_bareiss(kd.E)
+    if d[-1] * det_e * det_e != det_bareiss(gram(sys.A)):
         raise AssertionError("(D|C) is not unimodular")
 
 
@@ -184,11 +182,10 @@ def special_solution(kd: KernelDecomposition, b) -> list[int] | None:
     Raises SingularE when E is singular.
     """
     b = [int(v) for v in b]
-    y = solve_exact([list(r) for r in kd.E], b)
+    y = solve_exact(kd.E, b)
     if any(v.denominator != 1 for v in y):
         return None
-    y_int = [int(v) for v in y]
-    return mat_vec([list(r) for r in kd.C], y_int)
+    return mat_vec(kd.C, [int(v) for v in y])
 
 
 def _scan_lo(cols: list[list[int]], n: int):

@@ -1,8 +1,7 @@
-"""Exact arithmetic helpers for integer and rational matrices.
+"""Exact arithmetic helpers for integer matrices (rational solve results).
 
-Everything here works on plain lists of Python ints / Fractions, so values
-of arbitrary magnitude are handled without overflow.  Matrices are stored
-row-major.
+Everything here works on rows of Python ints, so values of arbitrary
+magnitude are handled without overflow.  Matrices are stored row-major.
 """
 
 from __future__ import annotations
@@ -39,6 +38,37 @@ def gram(cols: list[list[int]]) -> list[list[int]]:
     return g
 
 
+def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss 1968) row echelon form of any integer matrix.
+
+    Returns (a, pivots, sign): pivots[k] is row k's pivot column (pivot-free
+    columns are skipped), rows past the last pivot are zero, and sign is
+    (-1)^(row swaps).  Each a[i][j] is a minor (Sylvester's identity), so
+    every division by the previous pivot is exact.
+    """
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(c)
+    return a, pivots, sign
+
+
 def det_bareiss(mat: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(mat)
@@ -46,64 +76,30 @@ def det_bareiss(mat: list[list[int]]) -> int:
         raise DimensionMismatch("determinant needs a square matrix")
     if n == 0:
         return 1
-    a = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    a, _, sign = _eliminate(mat)
+    return sign * a[-1][-1]  # the last pivot, or 0 below full rank
 
 
 def rank(mat: list[list[int]]) -> int:
-    """Rank over the rationals via fraction-free row elimination."""
-    a = [[Fraction(x) for x in r] for r in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        for i in range(r + 1, rows):
-            if a[i][c] != 0:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over the rationals: the number of Bareiss pivots."""
+    return len(_eliminate(mat)[1])
 
 
 def solve_exact(mat: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve a nonsingular square system exactly over the rationals."""
+    """Solve a nonsingular square system exactly over the rationals.
+
+    Back-substitutes y = den * x, den the last pivot of (mat | rhs): y is
+    integral by Cramer's rule, so every division is exact.
+    """
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise DimensionMismatch("square system expected")
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise SingularE("singular coefficient matrix")
-        a[c], a[piv] = a[piv], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [a[i][n] for i in range(n)]
+    a, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(mat, rhs)])
+    if pivots != list(range(n)):
+        raise SingularE("singular coefficient matrix")
+    den = a[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        y[k] = (den * row[n] - sum(map(mul, row[k + 1:n], y[k + 1:]))) // row[k]
+    return [Fraction(v, den) for v in y]

@@ -97,6 +97,14 @@ class GeneratedSystem:
     seed: int
 
 
+def check_shape(m: int, n: int) -> None:
+    """The generators' shapes: n even and >= 4, 1 <= m < n; ValueError otherwise."""
+    if n < 4 or n % 2:
+        raise ValueError(f"n must be even and >= 4, got {n}")
+    if not 1 <= m < n:
+        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+
+
 def generate_instance(n: int, seed: int) -> GeneratedInstance:
     """Seeded density-one instance with a planted cardinality-n/2 solution.
 
@@ -106,8 +114,7 @@ def generate_instance(n: int, seed: int) -> GeneratedInstance:
     whenever max(a) = 2^n exactly, so the accepted band is symmetric and
     the realized density is recorded.
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"n must be even and >= 4, got {n}")
+    check_shape(1, n)
     rng = random.Random(seed)
     for _ in range(GENERATION_BUDGET):
         a = [rng.getrandbits(n) + 1 for _ in range(n)]
@@ -131,10 +138,7 @@ def generate_system(m: int, n: int, seed: int) -> GeneratedSystem:
     Every row independently satisfies the same designation rules as
     generate_instance, against the shared planted vector.
     """
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    if n < 4 or n % 2:
-        raise ValueError(f"n must be even and >= 4, got {n}")
+    check_shape(m, n)
     rng = random.Random(seed)
     support = rng.sample(range(n), n // 2)
     x = [0] * n

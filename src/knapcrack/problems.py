@@ -42,7 +42,7 @@ class LdeSystem:
             raise ValueError(f"need m < n, got m={m}, n={n}")
         if any(x < 0 for r in self.A for x in r):
             raise ValueError("coefficients must be nonnegative")
-        if rank([list(r) for r in self.A]) != m:
+        if rank(self.A) != m:
             raise RankDeficient("coefficient matrix is not of full row rank")
 
     @classmethod
@@ -58,7 +58,7 @@ class LdeSystem:
         return len(self.A[0])
 
     def residual(self, x) -> list[int]:
-        return [lhs - rhs for lhs, rhs in zip(mat_vec([list(r) for r in self.A], list(x)), self.b)]
+        return [lhs - rhs for lhs, rhs in zip(mat_vec(self.A, list(x)), self.b)]
 
     def is_solution(self, x) -> bool:
         return len(x) == self.n and all(r == 0 for r in self.residual(x))

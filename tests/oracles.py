@@ -17,7 +17,9 @@ a plain matrix as a decomposition holding only D, the one kernel shape
 the sweeps and the features take.  ``attack_lo_two_lll`` and
 ``attack_cjloss_two_lll`` run the LO and CJLOSS complement fallback as two
 full ``lll`` calls, the reference for the attacks that reduce the shared
-prefix once.
+prefix once.  ``rank_fraction`` and ``solve_exact_fraction`` eliminate in
+Fractions and ``det_leibniz`` sums over permutations: the references for
+the package's one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -477,6 +479,58 @@ def solve_integer_combination(cols: list[list[int]], target: list[int]) -> list[
     # Gram projection only gives the least-squares answer; confirm exactly.
     recon = [sum(cols[j][i] * z[j] for j in range(m)) for i in range(len(target))]
     return z if recon == list(target) else None
+
+
+def rank_fraction(mat: list[list[int]]) -> int:
+    """Rank over the rationals via Fraction row elimination (reference for ``rank``)."""
+    a = [[Fraction(x) for x in r] for r in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        for i in range(r + 1, rows):
+            if a[i][c] != 0:
+                f = a[i][c] / inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def solve_exact_fraction(mat: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Gauss-Jordan in Fractions, the reference for ``solve_exact``."""
+    n = len(mat)
+    if any(len(r) != n for r in mat) or len(rhs) != n:
+        raise DimensionMismatch("square system expected")
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            raise SingularE("singular coefficient matrix")
+        a[c], a[piv] = a[piv], a[c]
+        pv = a[c][c]
+        a[c] = [x / pv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [a[i][n] for i in range(n)]
+
+
+def det_leibniz(mat: list[list[int]]) -> int:
+    """Determinant as the signed sum over permutations (small n only)."""
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(n))
+    return total
 
 
 def kernel_of(D) -> KernelDecomposition:

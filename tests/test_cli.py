@@ -349,7 +349,12 @@ class TestBench:
     @pytest.mark.parametrize("line, message", [
         ("1 sixteen reduce 0 1000 200 2 0", "'sixteen'"),
         ("1 16 reduce-half 1 100 200 2 0", "0 < t_max < M"),
-    ], ids=["non-integer", "dag-t-max"])
+        ("1 15 reduce 1 1000 5 1 0", "n must be even and >= 4, got 15"),
+        ("4 4 reduce 0 1000 5 1 0", "need 1 <= m < n, got m=4, n=4"),
+        ("1 16 reduce 1 1000 5 -2 0", "count must be at least 1, got -2"),
+        ("1 16 reduce yes 1000 5 1 0", "'yes'"),
+    ], ids=["non-integer", "dag-t-max", "odd-n", "m-not-below-n", "count-below-one",
+            "dag-field"])
     def test_bad_grid_line_is_parse_error(self, tmp_path, capsys, line, message):
         grid = tmp_path / "grid.txt"
         grid.write_text(f"1 8 reduce 0 100 10 2 1\n{line}\n")
@@ -387,12 +392,6 @@ class TestAnalyze:
         assert vols == [4112, 3621, 4493]
         succ = [line.split(",")[-1] for line in lines[1:]]
         assert succ == ["1", "0", "1"]
-
-    def test_empty_t_range(self, toy_file, tmp_path):
-        out = tmp_path / "empty.csv"
-        assert main(["analyze", "--input", toy_file, "--out", str(out),
-                     "--modulus", "15", "--t-range", "9..8"]) == 0
-        assert len(out.read_text().strip().splitlines()) == 1
 
     def test_all_jumps_sweep(self, toy_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -475,8 +474,11 @@ class TestAnalyze:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--t-range", "1..3"],
-                                       ["--modulus", "15", "--t-range", "1..3", "--row", "2"]],
-                             ids=["t-range-without-modulus", "row-out-of-range"])
+                                       ["--modulus", "15", "--t-range", "1..3", "--row", "2"],
+                                       ["--modulus", "15", "--t-range", "9..3"],
+                                       ["--modulus", "15", "--t-range", "20..30"]],
+                             ids=["t-range-without-modulus", "row-out-of-range",
+                                  "empty-t-range", "t-range-beyond-modulus"])
     def test_bad_scenarios_exit_before_the_baseline_attack(self, tmp_path, capsys,
                                                            monkeypatch, flags):
         from knapcrack import pipeline

@@ -3,11 +3,36 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knapcrack.errors import DimensionMismatch, SingularE
 from knapcrack.intmat import det_bareiss, gram, mat_mul, mat_vec, rank, solve_exact
 
-from oracles import solve_integer_combination, transpose
+from oracles import (det_leibniz, rank_fraction, solve_exact_fraction,
+                     solve_integer_combination, transpose)
+
+ENTRIES = st.one_of(st.sampled_from([0, 1, -1, 2, -2, 2**200, -2**200]),
+                    st.integers(-10**9, 10**9))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """m x n (m = n when square) with m 1-5, n 1-7; dependent rows and zero columns planted."""
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        others = [k for k in range(m) if k != i]
+        j, k = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        c1, c2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [c1 * x + c2 * y for x, y in zip(rows[j], rows[k])]
+    if draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[c] = 0
+    return rows
 
 
 class TestDeterminant:
@@ -64,3 +89,25 @@ class TestBasics:
     def test_gram_symmetry(self):
         g = gram([[1, 2, 3], [0, 1, 1]])
         assert g == [[14, 5], [5, 2]]
+
+
+class TestEliminationAgainstReferences:
+    # One fraction-free elimination serves det, rank and solve; the
+    # references eliminate in Fractions or expand by permutations.
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_rank(self, rows):
+        assert rank(rows) == rank_fraction(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(square=True), st.lists(ENTRIES, min_size=5, max_size=5))
+    def test_det_and_solve(self, rows, rhs):
+        assert det_bareiss(rows) == det_leibniz(rows)
+        rhs = rhs[:len(rows)]
+        try:
+            expected = solve_exact_fraction(rows, rhs)
+        except SingularE:
+            with pytest.raises(SingularE):
+                solve_exact(rows, rhs)
+        else:
+            assert solve_exact(rows, rhs) == expected

@@ -124,3 +124,35 @@ def test_one_lll_loop():
     # LLL's exchange step swaps two adjacent columns; lll and
     # lll_shared_prefix both run the one loop that does it.
     assert len(swapping_functions(PACKAGE / "_lll_py.py")) == 1
+
+
+EXACT_CORE = ["_lll_py", "lattice", "intmat", "reduction", "formulations", "disagg",
+              "problems"]
+INEXACT_NAMES = {"float", "math", "numpy"}
+
+
+def inexact_uses(path) -> list[str]:
+    """``line: what`` for each true division, float literal, or float/math/numpy use."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        op = getattr(node, "op", None)
+        if isinstance(op, ast.Div):
+            found.append(f"{node.lineno}: true division")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{node.lineno}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id in INEXACT_NAMES:
+            found.append(f"{node.lineno}: {node.id}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            found += [f"{node.lineno}: import {name}" for name in modules
+                      if name.split(".")[0] in INEXACT_NAMES]
+    return found
+
+
+def test_exact_core_has_no_float():
+    # Exactness is the contract: reduction, sweeps and verdicts stay in
+    # ints and Fractions.  pipeline (density) and analysis (features) are
+    # outside the core.
+    found = {stem: inexact_uses(PACKAGE / f"{stem}.py") for stem in EXACT_CORE}
+    assert {stem: uses for stem, uses in found.items() if uses} == {}
