@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -35,6 +36,9 @@ ALGO_FLAGS = {"reduce": "reduce", "reduce-half": "reduce_half", "lo": "lo",
               "cjloss": "cjloss", "ahl": "ahl"}
 DAG_FIELDS = {"1": True, "true": True, "True": True, "0": False, "false": False,
               "False": False}
+_INT = r"([+-]?\d+)"
+T_RANGE = re.compile(rf"{_INT}\.\.{_INT}")  # --t-range A..B
+APPLY_STEP = re.compile(rf"{_INT}:{_INT}/{_INT}")  # one ROW:T/M step of --apply
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -275,6 +279,11 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
 
 def cmd_bench(args) -> int:
     try:
+        pipeline.resolve_workers()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         cells = _parse_grid(args.grid)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -302,16 +311,18 @@ def _parse_apply(spec: str, m: int) -> list[tuple[int, DisaggParams]]:
     """Steps of one ROW:T/M[,ROW:T/M...] chain over an m-row system.
 
     Step i may name a row derived by an earlier step, so its row lies in
-    0..m+i-1.  Raises InvalidRow or InvalidParams on a bad step.
+    0..m+i-1.  Raises InvalidRow or InvalidParams on a bad step, and
+    ValueError on a step not written ROW:T/M.
     """
     steps = []
     for i, part in enumerate(spec.split(",")):
-        row, ratio = part.split(":", 1)
-        t, modulus = ratio.split("/", 1)
-        row = int(row)
+        match = APPLY_STEP.fullmatch(part)
+        if match is None:
+            raise ValueError(f"--apply expects ROW:T/M[,ROW:T/M...], got {spec!r}")
+        row, t, modulus = map(int, match.groups())
         if not 0 <= row < m + i:
             raise InvalidRow(f"--apply {spec}: row {row} outside 0..{m + i - 1}")
-        steps.append((row, DisaggParams(int(t), int(modulus))))
+        steps.append((row, DisaggParams(t, modulus)))
     return steps
 
 
@@ -331,8 +342,11 @@ def _analyze_scenarios(args, system):
         return
     if args.t_range is None or args.modulus is None:
         raise ValueError("need --t-range with --modulus, or --all-jumps, or --apply")
-    lo, hi = args.t_range.split("..", 1)
-    ts = range(max(int(lo), 1), min(int(hi), args.modulus - 1) + 1)
+    match = T_RANGE.fullmatch(args.t_range)
+    if match is None:
+        raise ValueError(f"--t-range expects A..B, got {args.t_range!r}")
+    lo, hi = map(int, match.groups())
+    ts = range(max(lo, 1), min(hi, args.modulus - 1) + 1)
     if not ts:
         raise ValueError(f"--t-range {args.t_range} holds no t with 0 < t < {args.modulus}")
     for t in ts:

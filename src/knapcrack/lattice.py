@@ -48,7 +48,7 @@ class LatticeBasis:
 
     @classmethod
     def from_columns(cls, cols) -> "LatticeBasis":
-        return cls(tuple(tuple(int(x) for x in c) for c in cols))
+        return cls(tuple(tuple(map(int, c)) for c in cols))
 
     @property
     def n(self) -> int:

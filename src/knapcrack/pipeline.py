@@ -349,15 +349,18 @@ def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float, st
 
 
 def resolve_workers() -> int:
-    """Worker count from KNAPCRACK_THREADS (0 = all cores, unset = serial)."""
+    """Worker count from KNAPCRACK_THREADS (0 = all cores, unset = serial).
+
+    Raises ValueError, naming the variable, when it is not a whole number >= 0.
+    """
     raw = os.environ.get("KNAPCRACK_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
+    if not raw.isdecimal():
+        raise ValueError(f"KNAPCRACK_THREADS must be a whole number >= 0 "
+                         f"(0 = all cores), got {raw!r}")
+    val = int(raw)
     if val == 0:
         return os.cpu_count() or 1
-    return max(1, val)
+    return val
 
 
 def bench(cells: list[BenchCell]) -> list[BenchRow]:

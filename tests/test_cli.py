@@ -365,6 +365,18 @@ class TestBench:
         assert err.startswith("parse error: grid line 2: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "-3"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("KNAPCRACK_THREADS", threads)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("1 8 reduce 0 100 10 2 1\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--grid", str(grid), "--out", str(out), "--no-timing"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: KNAPCRACK_THREADS must be a whole number >= 0 (0 = all cores), "
+            f"got {threads!r}")
+        assert not out.exists()
+
     def test_desk_grid_golden(self, tmp_path, monkeypatch):
         # The verdict gate of every speed change: the desk grid, byte for byte.
         monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
@@ -473,14 +485,18 @@ class TestAnalyze:
         assert captured.err.startswith("error: --modulus") and "--t-range" in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--t-range", "1..3"],
-                                       ["--modulus", "15", "--t-range", "1..3", "--row", "2"],
-                                       ["--modulus", "15", "--t-range", "9..3"],
-                                       ["--modulus", "15", "--t-range", "20..30"]],
-                             ids=["t-range-without-modulus", "row-out-of-range",
-                                  "empty-t-range", "t-range-beyond-modulus"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-range", "1..3"], "--t-range with --modulus"),
+        (["--modulus", "15", "--t-range", "1..3", "--row", "2"], "--row 2 outside 0..1"),
+        (["--modulus", "15", "--t-range", "9..3"], "--t-range 9..3 holds no t"),
+        (["--modulus", "15", "--t-range", "20..30"], "--t-range 20..30 holds no t"),
+        (["--modulus", "15", "--t-range", "1-3"], "--t-range expects A..B, got '1-3'"),
+        (["--modulus", "15", "--t-range", "3.."], "--t-range expects A..B, got '3..'"),
+        (["--apply", "0-1/3"], "--apply expects ROW:T/M[,ROW:T/M...], got '0-1/3'"),
+    ], ids=["t-range-without-modulus", "row-out-of-range", "empty-t-range",
+            "t-range-beyond-modulus", "t-range-dash", "t-range-open", "apply-dash"])
     def test_bad_scenarios_exit_before_the_baseline_attack(self, tmp_path, capsys,
-                                                           monkeypatch, flags):
+                                                           monkeypatch, flags, message):
         from knapcrack import pipeline
         calls = []
         monkeypatch.setattr(pipeline, "attack", lambda *a, **kw: calls.append(1))
@@ -488,7 +504,8 @@ class TestAnalyze:
         save_system(generate_system(2, 40, 0).system, path)
         out = tmp_path / "bad.csv"
         assert main(["analyze", "--input", str(path), "--out", str(out), *flags]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert calls == []
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Exact LLL and its rational GSO oracle: worked examples, update lemmas, and
 reduction contracts."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from knapcrack.disagg import DisaggParams, build_disaggregated
 from knapcrack.errors import DependentColumns, InvalidAlpha
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, build_lattice_B,
                                     cjloss_basis)
-from knapcrack._lll_py import round_nearest
+from knapcrack import _lll_py
+from knapcrack._lll_py import gso_row, integral_gso, round_nearest
 from knapcrack.intmat import det_bareiss, gram
 from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll, lll_shared_prefix
 from knapcrack.pipeline import generate_instance
@@ -383,6 +385,91 @@ class TestPackedColumns:
     def test_lemma_reference_matches_naive(self, cols, alpha):
         assert reduce_or_message(lemma_lll, cols, alpha) == \
             reduce_or_message(naive_lll, cols, alpha)
+
+
+@st.composite
+def staircase_columns(draw):
+    """Columns on coordinate windows [lo_i, hi_i), lo and hi nondecreasing in i.
+
+    Column k is orthogonal to every earlier column whose window ends by lo_k,
+    and those form a prefix, so k's inner products with the earlier columns
+    start with zeros.  Disjoint windows give block-diagonal bases and
+    orthogonal prefixes; a zero or repeated column is a dependency.
+    """
+    n = draw(st.integers(1, 7))
+    dim = draw(st.integers(1, 9))
+    los = sorted(draw(st.lists(st.integers(0, dim - 1), min_size=n, max_size=n)))
+    cols, hi = [], 0
+    for lo in los:
+        hi = min(dim, max(hi, lo + draw(st.integers(1, 3))))
+        cols.append([draw(ENTRIES) if lo <= r < hi else 0 for r in range(dim)])
+    return cols
+
+
+def integral_from_rational(cols):
+    """(d, lam) of the columns read off oracles.gso: d[i+1] = d[i] ||b*_i||^2, lam = mu d[j+1]."""
+    g = gso(cols)
+    d = [1]
+    for norm in g.bstar_norms_sq():
+        d.append(d[-1] * norm)
+    lam = [[g.mu[i][j] * d[j + 1] for j in range(i)] for i in range(len(cols))]
+    assert all(x.denominator == 1 for row in lam for x in row)
+    return d, [[int(x) for x in row] for row in lam]
+
+
+def gso_or_message(gso_of, cols):
+    try:
+        return gso_of(cols)
+    except DependentColumns as exc:
+        return str(exc)
+
+
+class TestZeroPrefix:
+    """gso_row skips the zero prefix of its inner products; LLL takes +-1 steps as rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(staircase_columns())
+    def test_integral_gso_matches_rational(self, cols):
+        assert gso_or_message(integral_gso, cols) == gso_or_message(integral_from_rational, cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(staircase_columns(), st.data())
+    def test_target_row_matches_rational(self, cols, data):
+        # The sweep's use: a target's row from its inner products alone.
+        try:
+            d, lam = integral_gso(cols)
+        except DependentColumns:
+            return
+        g = gso(cols)
+        lo = data.draw(st.integers(0, len(cols[0])))
+        target = [data.draw(ENTRIES) if r >= lo else 0 for r in range(len(cols[0]))]
+        row = gso_row([sum(map(operator.mul, target, c)) for c in cols], d, lam)
+        assert row == [sum(map(operator.mul, target, g.bstar[j])) / norm * d[j + 1]
+                       for j, norm in enumerate(g.bstar_norms_sq())]
+
+    def test_block_diagonal(self):
+        cols = [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 3, 0], [0, 0, 1, 5]]
+        d, lam = integral_gso(cols)
+        assert (d, lam) == integral_from_rational(cols)
+        assert d == [1, 5, 25, 225, 5625] and lam[2] == [0, 0] and lam[3] == [0, 0, 75]
+
+    def test_knapsack_lll_takes_unit_steps(self, monkeypatch):
+        # [I; N a] at n = 20, where most size reductions have gamma = +-1.
+        # naive_lll takes about a minute per basis at that size; lemma_lll is
+        # pinned to it by TestPackedColumns, and naive_lll itself checks n = 10.
+        gammas = []
+
+        def spy(num, den):
+            gammas.append(round_nearest(num, den))
+            return gammas[-1]
+
+        monkeypatch.setattr(_lll_py, "round_nearest", spy)
+        for n, seed, reference in ((20, 0, lemma_lll), (20, 1, lemma_lll), (10, 0, naive_lll)):
+            basis = build_lattice_B(generate_instance(n, seed).instance, DEFAULT_N)
+            before = len(gammas)
+            ours = [list(c) for c in lll(basis).columns]
+            assert {1, -1} <= set(gammas[before:])
+            assert ours == reference([list(c) for c in basis.columns], DEFAULT_ALPHA)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Generators, the brute-force oracle, attack orchestration, DAG loop, bench."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from knapcrack.errors import (DependentColumns, EscalationExhausted, GenerationB
                               InvalidRow, RankDeficient, SearchExhausted)
 from knapcrack.pipeline import (AttackOutcome, BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, default_modulus,
-                                generate_instance, generate_system)
+                                generate_instance, generate_system, resolve_workers)
 from knapcrack.problems import LdeSystem
 
 from oracles import TooLarge, _enumerate_full, _enumerate_mitm, brute_force_solve
@@ -303,6 +304,20 @@ class TestBench:
         parallel = bench_csv(bench(cells), timing=False)
         assert serial == parallel
 
+
+    @pytest.mark.parametrize("raw, workers", [("1", 1), ("3", 3), ("0", os.cpu_count() or 1)])
+    def test_thread_count(self, monkeypatch, raw, workers):
+        monkeypatch.setenv("KNAPCRACK_THREADS", raw)
+        assert resolve_workers() == workers
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "", "2.5"])
+    def test_malformed_thread_count_names_the_variable(self, monkeypatch, raw):
+        # Once read as serial; now bench refuses it (the CLI exits 2).
+        monkeypatch.setenv("KNAPCRACK_THREADS", raw)
+        with pytest.raises(ValueError, match=f"KNAPCRACK_THREADS .* got {raw!r}"):
+            resolve_workers()
+        with pytest.raises(ValueError, match="KNAPCRACK_THREADS"):
+            bench([BenchCell(1, 10, "reduce", False, 100, 10, 1, 0)])
 
     def test_failing_job_counts_unsolved(self, monkeypatch):
         import knapcrack.pipeline as pl
