@@ -58,8 +58,8 @@ packing saves.  The input column is packed at its first visit, and every
 column is unpacked once at exit.
 
 One prefix, several last columns (``lll_reduce_lasts``; ``lll`` is the case
-of one last column).  The LO and CJLOSS bases of a target and of its
-complement share their first ``n - 1`` columns and differ in the last.
+of one last column).  The LO bases of a target and of its complement share
+their first ``n - 1`` columns and differ in the last.
 Before ``k`` first reaches index ``n - 1`` the loop reads and writes only
 columns ``0..k_max < n - 1``: the last column is read at its first visit
 and not before.  So the state at that point (packed columns, ``d``,

@@ -30,12 +30,18 @@ def _float_matrix(kd: KernelDecomposition) -> np.ndarray:
 
 
 def lattice_volume(kd: KernelDecomposition) -> float:
-    """sqrt(det(D^T D)): the exact Gram determinant d[s] of kd's GSO, rooted last."""
+    """sqrt(det(D^T D)): the exact Gram determinant d[s] of kd's GSO, rooted last.
+
+    Raises OverflowError only when the volume itself exceeds the float range.
+    """
     det = kd.gso[0][-1]
     root = math.isqrt(det)
     if root * root == det:
         return float(root)
-    return math.sqrt(det)
+    # math.sqrt converts det to a float first, which overflows from 2**1024 on:
+    # root det / 4**k instead, with k bringing it below 2**1000.
+    k = max(0, det.bit_length() - 1000) // 2
+    return math.ldexp(math.sqrt(det >> 2 * k), k)
 
 
 @dataclass(frozen=True)

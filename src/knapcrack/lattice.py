@@ -11,7 +11,8 @@ runs in the integral Gram-Schmidt state of ``_lll_py`` (``d[i]`` and
 ``lam[i][j] = mu[i][j] * d[j+1]``), so all arithmetic is exact integer and
 the nearest integer follows one asymmetric half-tie rule,
 ``ceil(q - 1/2)`` (4.5 -> 4, -4.5 -> -5).  ``lll_shared_prefix`` reduces
-bases that share all but their last column, the shared prefix only once.
+bases that share all but their last column, the shared prefix only once;
+LO's target and its complement are its one use.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .disagg import DisaggParams, build_disaggregated
 from .errors import (GenerationBudgetExceeded, InvalidRow, KnapcrackError, RankDeficient,
                      SearchExhausted)
 from .lattice import DEFAULT_ALPHA
-from .problems import LdeSystem, is_subset_sum, normalize
+from .problems import LdeSystem, normalize
 from .reduction import reduce_half, reduce_solution
 
 ALGORITHMS = ("reduce", "reduce_half", "lo", "cjloss", "ahl")
@@ -170,10 +170,7 @@ def run_algorithm(sys: LdeSystem, config: SearchConfig) -> fm.AttackVerdict:
     if algo == "lo":
         return fm.attack_lo(sys, config.alpha)
     if algo == "cjloss":
-        if is_subset_sum(sys):
-            return fm.attack_cjloss(sys, config.N, config.alpha)
-        # Several rows, zero coefficients etc.: no complement fallback, scan as is.
-        return fm.attack_cjloss_system(sys, config.N, config.alpha)
+        return fm.attack_cjloss(sys, config.N, config.alpha)
     if algo == "ahl":
         return fm.attack_ahl(sys, alpha=config.alpha)
     return attack_decomposed(sys, fm.decompose(sys, config.N, config.alpha), algo)
@@ -193,8 +190,8 @@ def attack_decomposed(sys: LdeSystem, kd: fm.KernelDecomposition,
 def _map_back(problem: LdeSystem, verdict: fm.AttackVerdict, flipped: bool) -> fm.AttackVerdict:
     """Re-express a verdict about the normalized problem over the original.
 
-    ``used_complement`` becomes the net flip relative to the original: the
-    attack's own complement fallback XOR the normalization.
+    LO's ``used_complement`` becomes the net flip relative to the original:
+    the attack's own complement fallback XOR the normalization.
     """
     if verdict.x is None:
         return verdict

@@ -13,13 +13,14 @@ integer lambda vector, so it solves the same system.
 The GSO of D is the one the ``KernelDecomposition`` built for its
 contract (``kd.gso``).
 
-The half-shift variant runs the identical sweep on (2D | 2x - 1): doubling
-the kernel and centering the target on the all-half point steers the sweep
-toward binary solutions; the final row is odd in every coordinate, so
-adding 1 and halving is exact.  Doubling every vector multiplies the Gram
-matrix by 4 and leaves every mu unchanged, so the GSO of 2D is D's in
-closed form: ``d'[i] = 4**i * d[i]`` and ``lam'[i][j] = 4**(j+1) *
-lam[i][j]``, two shifts instead of a second GSO.
+The half-shift variant is the sweep of (2D | 2x - 1): doubling the kernel
+and centering the target on the all-half point steers the sweep toward
+binary solutions; the final row is odd in every coordinate, so adding 1
+and halving is exact.  It runs on D's own GSO with step 2.  Against 2D the
+target's coefficients are mu/2 and the nearest multiple of 2D_j is
+round(mu_j / 2), so q = round(lam_t[j] / (2 d[j+1])) with lam_t taken
+against D, and the sweep subtracts 2q * D_j and 2q * lam[j]: the same q's,
+and the same vector, as the doubled basis gives.
 """
 
 from __future__ import annotations
@@ -31,17 +32,18 @@ from .intmat import mat_vec
 
 
 def _sweep(vectors: list[list[int]], d: list[int], lam: list[list[int]],
-           target: list[int]) -> list[int]:
-    """Subtract nearest-integer projections of target onto the GSO (d, lam) of vectors.
+           target: list[int], step: int) -> list[int]:
+    """Subtract nearest multiples of step * vector j from target, j from last to first.
 
-    Walks indices from the last vector to the first, maintaining the
-    target's scaled projection coefficients under each subtraction.
+    (d, lam) is the GSO of vectors; the multiple of vector j is step * q with
+    q = round(mu_j / step), and the target's scaled projection coefficients
+    lam_t follow each subtraction.
     """
     lam_t = gso_row(mat_vec(vectors, target), d, lam)
     out = list(target)
     dim = len(target)
     for j in range(len(vectors) - 1, -1, -1):
-        q = round_nearest(lam_t[j], d[j + 1])
+        q = step * round_nearest(lam_t[j], step * d[j + 1])
         if q:
             vj = vectors[j]
             for t in range(dim):
@@ -63,12 +65,6 @@ def _kernel_gso(kd: KernelDecomposition,
     return cols, d, lam
 
 
-def _doubled_gso(d: list[int], lam: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Integral GSO of the doubled vectors: d[i] * 4**i and lam[i][j] * 4**(j+1)."""
-    return ([di << 2 * i for i, di in enumerate(d)],
-            [[lij << 2 * j + 2 for j, lij in enumerate(row)] for row in lam])
-
-
 def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:
     """Shorten an integer solution x_b by the kernel basis D of kd.
 
@@ -76,15 +72,14 @@ def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:
     """
     target = [int(v) for v in x_b]
     cols, d, lam = _kernel_gso(kd, len(target))
-    return _sweep(cols, d, lam, target)
+    return _sweep(cols, d, lam, target, 1)
 
 
 def reduce_half(x_b, kd: KernelDecomposition) -> list[int]:
     """Half-shifted variant: sweep (2D | 2x_b - 1), then undo the shift."""
     target = [2 * int(v) - 1 for v in x_b]
     cols, d, lam = _kernel_gso(kd, len(target))
-    doubled = [[2 * x for x in c] for c in cols]
-    reduced = _sweep(doubled, *_doubled_gso(d, lam), target)
+    reduced = _sweep(cols, d, lam, target, 2)
     if any((v + 1) % 2 for v in reduced):
         raise AssertionError("half-shift sweep lost the odd parity")
     return [(v + 1) // 2 for v in reduced]

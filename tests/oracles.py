@@ -14,12 +14,12 @@ paper's cut-off implications between neighbouring jump points, which no
 attack uses.  ``enumerate_jump_points`` lists jump points by sorting every
 j/den, the reference for the package's heap merge, and ``kernel_of`` wraps
 a plain matrix as a decomposition holding only D, the one kernel shape
-the sweeps and the features take.  ``attack_lo_two_lll`` and
-``attack_cjloss_two_lll`` run the LO and CJLOSS complement fallback as two
-full ``lll`` calls, the reference for the attacks that reduce the shared
-prefix once.  ``rank_fraction`` and ``solve_exact_fraction`` eliminate in
-Fractions and ``det_leibniz`` sums over permutations: the references for
-the package's one fraction-free elimination.
+the sweeps and the features take.  ``attack_lo_two_lll`` runs LO's
+complement fallback as two full ``lll`` calls, the reference for LO, the
+one attack that reduces a shared prefix once.  ``rank_fraction`` and
+``solve_exact_fraction`` eliminate in Fractions and ``det_leibniz`` sums
+over permutations: the references for the package's one fraction-free
+elimination.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ import numpy as np
 from knapcrack.disagg import JUMP_CAP, JumpPoint, _jump_denominators, row_coeffs
 from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackError,
                               RankDeficient, SingularE, SizeLimit)
-from knapcrack.formulations import (DEFAULT_N, FAILURE, AttackVerdict, KernelDecomposition,
-                                    _attack_targets, _scan_lo, attack_cjloss_system,
-                                    binary_verdict)
+from knapcrack.formulations import (FAILURE, AttackVerdict, KernelDecomposition,
+                                    _attack_targets, _scan_lo, binary_verdict)
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
 from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from knapcrack.problems import LdeSystem
@@ -594,18 +593,6 @@ def attack_lo_two_lll(sys: LdeSystem, alpha=DEFAULT_ALPHA) -> AttackVerdict:
                                       algorithm="lo", column=j, scan_lambda=lam,
                                       used_complement=flipped)
     return AttackVerdict(FAILURE, meta={"algorithm": "lo"})
-
-
-def attack_cjloss_two_lll(sys: LdeSystem, N: int = DEFAULT_N,
-                          alpha=DEFAULT_ALPHA) -> AttackVerdict:
-    """CJLOSS with one full ``lll`` per target, the reference for ``attack_cjloss``."""
-    for target, flipped in _attack_targets(sys):
-        verdict = attack_cjloss_system(target, N, alpha)
-        if verdict.solved:
-            x = verdict.x
-            return binary_verdict(sys, [1 - v for v in x] if flipped else x,
-                                  used_complement=flipped, **verdict.meta)
-    return AttackVerdict(FAILURE, meta={"algorithm": "cjloss"})
 
 
 def minor_gcd(rows: list[list[int]]) -> int:

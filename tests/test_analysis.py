@@ -10,7 +10,7 @@ from knapcrack.analysis import (FeatureRecord, compute_features,
                                 export_features_csv, gamma, lambda_tilde,
                                 lattice_volume, min_volume_ellipsoid)
 from knapcrack.errors import DependentColumns
-from knapcrack.formulations import decompose
+from knapcrack.formulations import KernelDecomposition, decompose
 from knapcrack.pipeline import generate_system
 
 from oracles import kernel_of, project_preserving_gram
@@ -54,6 +54,13 @@ class TestVolume:
         # The decomposition's GSO gives the same exact volume as D itself.
         kd = decompose(generate_system(m, n, seed).system)
         assert lattice_volume(kd) == lattice_volume(kernel_of(kd.D))
+
+    def test_gram_determinant_beyond_the_float_range(self):
+        # d[s] = 2**1200 + 1 is no square, and a float holds it only as inf;
+        # its root, about 2**600, is a float.
+        kd = KernelDecomposition(D=((2**600,), (1,)), C=((0,), (1,)), E=((1,),), N_used=1)
+        assert lattice_volume(kd) == 2.0**600
+        assert compute_features(kd).volume == 2.0**600
 
 
 class TestProjection:

@@ -188,7 +188,7 @@ class TestAttack:
         assert captured.err.startswith(f"error: {flags[0]}") and "--dag" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("algo", ["lo", "cjloss"])
+    @pytest.mark.parametrize("algo", ["lo"])
     def test_used_complement_reports_the_normalization(self, tmp_path, capsys, algo):
         # b = 15 > sum(a)/2: the attack runs on the complement (b = 9), and its
         # solution 101 maps back to 010.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from knapcrack.errors import InvalidN, RankDeficient, SingularE
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, attack_ahl,
-                                    attack_cjloss, attack_cjloss_system, attack_lo,
+                                    attack_cjloss, attack_lo,
                                     binary_verdict, build_lattice_B, cjloss_basis,
                                     decompose, special_solution, _check_decomposition,
                                     _scan_lo, _scan_pm1)
@@ -19,7 +19,7 @@ from knapcrack import _lll_py
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem, complement, normalize
 
-from oracles import (attack_cjloss_two_lll, attack_lo_two_lll, check_decomposition_bareiss,
+from oracles import (attack_lo_two_lll, check_decomposition_bareiss,
                      det_d_c, gso, hnf_member, hnf_columns, integer_solvable, kernel_basis,
                      lattices_equal, minor_gcd)
 
@@ -224,12 +224,13 @@ class TestAttacks:
                 assert gen.instance.is_solution(verdict.x)
         assert solved >= 1
 
-    def test_cjloss_complement_fallback_used(self):
-        # b above sum/2 forces the flip; scan metadata records it.
+    def test_cjloss_above_half_sum(self):
+        # b above sum/2 is attacked as given: the complement's solution 101
+        # is the same lattice vector as 010, negated.
         inst = LdeSystem.from_rows([[3, 15, 6]], [15])
         verdict = attack_cjloss(inst)
-        assert verdict.solved
-        assert inst.is_solution(verdict.x)
+        assert verdict.solved and verdict.x == (0, 1, 0)
+        assert "used_complement" not in verdict.meta
 
     def test_ahl_returns_integer_solution(self):
         for seed in range(5):
@@ -251,7 +252,7 @@ class TestAttacks:
 
     def test_cjloss_system_multirow(self):
         gen = generate_system(2, 10, 5)
-        verdict = attack_cjloss_system(gen.system)
+        verdict = attack_cjloss(gen.system)
         if verdict.solved:
             assert gen.system.is_solution(verdict.x)
 
@@ -268,7 +269,7 @@ class TestAttacks:
         gso(basis.columns)  # raises on dependence
         assert hnf_columns([list(r) for r in zip(*basis.columns)]) == \
             hnf_columns([list(r) for r in zip(*gens)])
-        verdict = attack_cjloss_system(sys)
+        verdict = attack_cjloss(sys)
         assert verdict.solved and sys.is_solution(verdict.x)
 
     def test_binary_verdict_verifies(self):
@@ -285,29 +286,35 @@ def pinned_instances():
             + [LdeSystem.from_rows([[3, 15, 6]], [15])])
 
 
-class TestComplementFallback:
-    """LO and CJLOSS reduce the b-free prefix once for the target and its complement."""
+@pytest.fixture
+def visits(monkeypatch) -> list:
+    """One entry per first visit of a column in the LLL kernel."""
+    seen = []
+    real = _lll_py._visit
 
-    @pytest.mark.parametrize("attack, reference", [(attack_lo, attack_lo_two_lll),
-                                                   (attack_cjloss, attack_cjloss_two_lll)],
-                             ids=["lo", "cjloss"])
+    def counting(*args):
+        seen.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_lll_py, "_visit", counting)
+    return seen
+
+
+class TestComplementFallback:
+    """LO reduces the b-free prefix once for the target and its complement;
+    CJLOSS has no complement run, as both of its bases span one lattice."""
+
+    @pytest.mark.parametrize("attack, reference", [(attack_lo, attack_lo_two_lll)],
+                             ids=["lo"])
     def test_verdicts_match_two_full_reductions(self, attack, reference):
         for system in pinned_instances():
             ours, theirs = attack(system).to_dict(), reference(system).to_dict()
             assert ours == theirs
             assert list(ours["meta"]) == list(theirs["meta"])
 
-    @pytest.mark.parametrize("attack", [attack_lo, attack_cjloss], ids=["lo", "cjloss"])
-    def test_complement_tail_runs_only_after_a_miss(self, attack, monkeypatch):
+    @pytest.mark.parametrize("attack", [attack_lo], ids=["lo"])
+    def test_complement_tail_runs_only_after_a_miss(self, attack, visits):
         # The prefix visits n columns once; each target's tail visits its last one.
-        visits = []
-        real = _lll_py._visit
-
-        def counting(*args):
-            visits.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(_lll_py, "_visit", counting)
         tails_seen = set()
         for seed in range(20):
             system = generate_instance(20, seed).instance
@@ -319,6 +326,17 @@ class TestComplementFallback:
             assert len(visits) == system.n + tails
             tails_seen.add(tails)
         assert tails_seen == {1, 2}
+
+    def test_cjloss_reduces_once(self, visits):
+        # One reduction visits each of the n + 1 basis columns once, on a hit
+        # and on a miss alike (seed 0 misses at n = 20, seed 1 hits).
+        solved_seen = set()
+        for seed in (0, 1):
+            system = generate_instance(20, seed).instance
+            visits.clear()
+            solved_seen.add(attack_cjloss(system).solved)
+            assert len(visits) == system.n + 1
+        assert solved_seen == {False, True}
 
     def test_cjloss_complement_spans_the_same_lattice(self):
         # The complement's last column is the sum of the first n columns
