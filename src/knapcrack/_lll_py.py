@@ -55,7 +55,8 @@ columns ``0..k-1``.  They are read from the packed columns only at the
 input column's nonzero coordinates, ``m + 1`` of them for an ``[I; N*A]``
 basis; decoding the whole prefix on every first visit costs most of what
 packing saves.  The input column is packed at its first visit, and every
-column is unpacked once at exit.
+column is unpacked once at exit.  Columns come in as ``LatticeBasis``
+tuples, and each is decoded straight into a tuple, the same format.
 
 One prefix, several last columns (``lll_reduce_lasts``; ``lll`` is the case
 of one last column).  The LO bases of a target and of its complement share
@@ -93,7 +94,7 @@ with the solution-shortening sweeps in ``reduction``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from operator import add, mul, sub
 
 from .errors import DependentColumns
@@ -148,7 +149,7 @@ def _append_row(g_row: list[int], k: int, d: list[int], lam: list[list[int]]) ->
     lam.append(row)
 
 
-def integral_gso(cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+def integral_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Integral GSO (d, lam) of the columns.
 
     d[i] is the Gram determinant of columns 0..i-1 and lam[i] holds
@@ -162,7 +163,7 @@ def integral_gso(cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return d, lam
 
 
-def _visit(col: list[int], packed: list[int], w: int, offset: int,
+def _visit(col: Sequence[int], packed: list[int], w: int, offset: int,
            d: list[int], lam: list[list[int]]) -> None:
     """First visit of the input column col as column k = len(packed).
 
@@ -182,15 +183,15 @@ def _visit(col: list[int], packed: list[int], w: int, offset: int,
     packed.append(sum(x << sh for sh, x in nz))
 
 
-def _unpack(pk: int, w: int, offset: int, dim: int) -> list[int]:
+def _unpack(pk: int, w: int, offset: int, dim: int) -> tuple[int, ...]:
     """The dim signed w-bit slots of pk, lowest slot first."""
     half = 1 << (w - 1)
     mask = (1 << w) - 1
     s = pk + offset
-    return [((s >> (w * r)) & mask) - half for r in range(dim)]
+    return tuple(((s >> (w * r)) & mask) - half for r in range(dim))
 
 
-def _reduce(cols: list[list[int]], n: int, k: int, kmax: int, packed: list[int],
+def _reduce(cols: Sequence[Sequence[int]], n: int, k: int, kmax: int, packed: list[int],
             d: list[int], lam: list[list[int]], w: int, offset: int,
             p: int, q: int) -> tuple[int, int]:
     """Run the LLL loop on n columns from index k; return the final (k, kmax).
@@ -259,13 +260,14 @@ def _reduce(cols: list[list[int]], n: int, k: int, kmax: int, packed: list[int],
     return k, kmax
 
 
-def lll_reduce_lasts(prefix: list[list[int]], lasts: list[list[int]],
-                     alpha_num: int, alpha_den: int) -> Iterator[list[list[int]]]:
+def lll_reduce_lasts(prefix: Sequence[Sequence[int]], lasts: Sequence[Sequence[int]],
+                     alpha_num: int, alpha_den: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield the LLL reduction of prefix + [last] for each last in turn.
 
-    alpha = alpha_num / alpha_den is the Lovasz parameter.  The prefix is
-    reduced once, at the first next(); each yield then finishes one last
-    column's reduction from a copy of that state (module docstring).
+    alpha = alpha_num / alpha_den is the Lovasz parameter; each basis is
+    yielded as a tuple of column tuples.  The prefix is reduced once, at the
+    first next(); each yield then finishes one last column's reduction from a
+    copy of that state (module docstring).
     Raises DependentColumns when a basis has dependent columns: a dependent
     prefix at the first next(), a last column at its own.
     """
@@ -288,4 +290,4 @@ def lll_reduce_lasts(prefix: list[list[int]], lasts: list[list[int]],
         for j in range(n):
             if run_d[j + 1] > bound * run_d[j]:
                 raise AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
-        yield [_unpack(pk, w, offset, dim) for pk in run_packed]
+        yield tuple(_unpack(pk, w, offset, dim) for pk in run_packed)

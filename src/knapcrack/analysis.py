@@ -29,19 +29,29 @@ def _float_matrix(kd: KernelDecomposition) -> np.ndarray:
     return np.array(kd.kernel_columns(), dtype=float).T
 
 
+def _root(x: int) -> float:
+    """sqrt of an int x >= 0 of any size, inf beyond the float range.
+
+    math.sqrt(x) converts x to float, which overflows from 2**1024 on: root
+    x / 4**k instead, with k bringing it below 2**1000 (k = 0 below)."""
+    k = max(0, x.bit_length() - 1000) // 2
+    try:
+        return math.ldexp(math.sqrt(x >> 2 * k), k)
+    except OverflowError:
+        return math.inf
+
+
 def lattice_volume(kd: KernelDecomposition) -> float:
     """sqrt(det(D^T D)): the exact Gram determinant d[s] of kd's GSO, rooted last.
 
-    Raises OverflowError only when the volume itself exceeds the float range.
+    A perfect square's exact root is converted once; inf when the volume
+    itself exceeds the float range.
     """
     det = kd.gso[0][-1]
     root = math.isqrt(det)
-    if root * root == det:
+    if root * root == det and root.bit_length() <= 1000:
         return float(root)
-    # math.sqrt converts det to a float first, which overflows from 2**1024 on:
-    # root det / 4**k instead, with k bringing it below 2**1000.
-    k = max(0, det.bit_length() - 1000) // 2
-    return math.ldexp(math.sqrt(det >> 2 * k), k)
+    return _root(det)
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,8 @@ def min_volume_ellipsoid(kd: KernelDecomposition) -> Ellipsoid:
     s = mat.shape[1]
     sing = np.linalg.svd(mat, compute_uv=False)
     semi = tuple(sorted((float(math.sqrt(s) / 2 * v) for v in sing), reverse=True))
-    volume = float(np.prod(semi)) * _unit_ball_volume(s)
+    with np.errstate(over="ignore"):  # inf when the volume exceeds the float range
+        volume = float(np.prod(semi)) * _unit_ball_volume(s)
     center = tuple(float(v) / 2 for v in mat.sum(axis=1))
     return Ellipsoid(semi_axes=semi, volume=volume, center=center)
 
@@ -76,6 +87,8 @@ def gamma(s: int) -> float:
 def lambda_tilde(kd: KernelDecomposition) -> float:
     """Max/min MVE semi-axis ratio after normalizing every column to length 1."""
     mat = _float_matrix(kd)
+    # Scaling by powers of two first keeps the squares finite and every bit.
+    mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(axis=0))[1])
     mat = mat / np.linalg.norm(mat, axis=0)
     sing = np.linalg.svd(mat, compute_uv=False)
     return float(sing[0] / sing[-1])
@@ -88,8 +101,7 @@ def _off_diagonal(g: list[list[int]]) -> float:
     the Frobenius norm of the off-diagonal part.
     """
     s = len(g)
-    total = sum(g[i][j] ** 2 for i in range(s) for j in range(s) if i != j)
-    return math.sqrt(total)
+    return _root(sum(g[i][j] ** 2 for i in range(s) for j in range(s) if i != j))
 
 
 def _off_diagonal_normalized(g: list[list[int]]) -> float:

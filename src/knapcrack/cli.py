@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, pipeline
-from .disagg import DisaggParams, cuts_off, is_ideal, jump_points, row_coeffs, uk_bound
+from .disagg import DisaggParams, cuts_off, is_ideal, jump_points, modular_transform, row_coeffs
 from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams, InvalidRow,
                      ParseError, SearchExhausted, SizeLimit)
 from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
@@ -235,10 +235,10 @@ def cmd_jumps(args) -> int:
         return EXIT_CAP
     for jp in points:
         r = jp.value
-        uk = uk_bound(problem, r)
-        ideal = is_ideal(problem, DisaggParams(r.numerator, r.denominator))
+        params = DisaggParams(r.numerator, r.denominator)
+        img = modular_transform(*problem, params)
         srcs = ",".join(sorted(jp.sources))
-        print(f"{r}\t{srcs}\tu_k={uk}\tn_k={uk.bit_length()}\tideal={ideal}")
+        print(f"{r}\t{srcs}\tu_k={img.u_k}\tn_k={img.n_k}\tideal={is_ideal(problem, params)}")
     return EXIT_SOLVED
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidParams, InvalidRow, NotASolution, SizeLimit
 from .problems import LdeSystem
@@ -84,17 +85,6 @@ def g_value(problem, r: Fraction) -> Fraction:
     bt = sum(a) - b
     return bt * r + (b * r.numerator // r.denominator) - sum(
         ai * r.numerator // r.denominator for ai in a)
-
-
-def uk_bound(problem, r: Fraction) -> int:
-    """floor(b~ r) + floor(b r) - sum floor(a_i r); nonnegative always."""
-    a, b = row_coeffs(problem)
-    r = Fraction(r)
-    if not 0 < r < 1:
-        raise ValueError(f"need 0 < r < 1, got {r}")
-    num, den = r.numerator, r.denominator
-    bt = sum(a) - b
-    return bt * num // den + b * num // den - sum(ai * num // den for ai in a)
 
 
 def is_ideal(problem, params: DisaggParams) -> bool:
@@ -213,15 +203,16 @@ def cuts_off(problem, r: Fraction, x_tilde) -> bool:
     """Does the transform at r exclude the integer solution x_tilde?
 
     True exactly when the implied slack w - v . x_tilde falls outside
-    [0, u_k]; binary solutions are never cut.
+    [0, u_k]; binary solutions are never cut.  Raises ValueError unless
+    0 < r < 1.
     """
     a, b = row_coeffs(problem)
     x = [int(v) for v in x_tilde]
     if sum(ai * xi for ai, xi in zip(a, x)) != b or len(x) != len(a):
         raise NotASolution("x_tilde does not solve a . x = b")
     r = Fraction(r)
-    num, den = r.numerator, r.denominator
-    v = [ai * num // den for ai in a]
-    w = b * num // den
-    k = w - sum(vi * xi for vi, xi in zip(v, x))
-    return k < 0 or k > uk_bound((a, b), r)
+    if not 0 < r < 1:
+        raise ValueError(f"need 0 < r < 1, got {r}")
+    img = modular_transform(a, b, DisaggParams(r.numerator, r.denominator))
+    k = img.w - sum(map(mul, img.v, x))
+    return k < 0 or k > img.u_k

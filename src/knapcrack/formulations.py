@@ -5,6 +5,12 @@ structure of its LLL reduction (kernel basis, companion block, and the
 row-space basis E with A*C = E), and implements the three classic
 column-scan attacks (LO, CJLOSS, AHL) on top of the same exact LLL.
 
+Every basis is one block shape, [h*I; 0; t*A] plus at most one column, built
+by ``_stacked``: [I; N*A] to decompose, LO's b-free prefix [I; -a], CJLOSS's
+[2I; 2N*A] and AHL's [I; 0; N2*A].  Bases stay tuples of column tuples through
+LLL, ``decompose`` slices D, C and E out of the reduced columns, and the
+decomposition transposes D to columns once.
+
 Every decomposition is checked before it is returned: A*D = 0, A*C = E,
 and U = (D | C) unimodular.  Unimodularity is read from the integral
 Gram-Schmidt of D, which the decomposition keeps for the sweeps and the
@@ -110,8 +116,13 @@ class KernelDecomposition:
     E: tuple[tuple[int, ...], ...]
     N_used: int
 
-    def kernel_columns(self) -> list[list[int]]:
-        return [list(col) for col in zip(*self.D)]
+    def kernel_columns(self) -> tuple[tuple[int, ...], ...]:
+        """D's columns, transposed once per decomposition; callers only read them."""
+        return self._kernel_columns
+
+    @cached_property
+    def _kernel_columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.D))
 
     @cached_property
     def gso(self) -> tuple[list[int], list[list[int]]]:
@@ -119,18 +130,17 @@ class KernelDecomposition:
         return integral_gso(self.kernel_columns())
 
 
+def _stacked(sys: LdeSystem, head: int, tail: int, gap: int = 0) -> tuple[tuple[int, ...], ...]:
+    """The n columns head * e_j over gap zeros over tail * (column j of A)."""
+    return tuple((0,) * j + (head,) + (0,) * (sys.n - 1 - j + gap) + tuple(tail * v for v in col)
+                 for j, col in enumerate(zip(*sys.A)))
+
+
 def build_lattice_B(sys: LdeSystem, N: int) -> LatticeBasis:
     """The (n+m) x n stacked basis: column j is e_j over N * (column j of A)."""
     if N < 1:
         raise InvalidN(f"N must be positive, got {N}")
-    n, m = sys.n, sys.m
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[j] = 1
-        col.extend(N * sys.A[i][j] for i in range(m))
-        cols.append(col)
-    return LatticeBasis.from_columns(cols)
+    return LatticeBasis(_stacked(sys, 1, N))
 
 
 def decompose(sys: LdeSystem, N: int = DEFAULT_N,
@@ -141,17 +151,16 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
     enough N, so when it fails to appear N is squared and the reduction is
     retried (at most MAX_ESCALATIONS times).
     """
-    n, m = sys.n, sys.m
+    n, s = sys.n, sys.n - sys.m
     current = N
     for _ in range(MAX_ESCALATIONS + 1):
-        reduced = lll(build_lattice_B(sys, current), alpha)
-        cols = reduced.column_lists()
-        if all(cols[j][n + i] == 0 for j in range(n - m) for i in range(m)):
-            d_rows = tuple(tuple(cols[j][i] for j in range(n - m)) for i in range(n))
-            c_rows = tuple(tuple(cols[n - m + j][i] for j in range(m)) for i in range(n))
-            e_rows = tuple(tuple(cols[n - m + j][n + i] // current for j in range(m))
-                           for i in range(m))
-            kd = KernelDecomposition(D=d_rows, C=c_rows, E=e_rows, N_used=current)
+        cols = lll(build_lattice_B(sys, current), alpha).columns
+        if not any(any(c[n:]) for c in cols[:s]):
+            kd = KernelDecomposition(
+                D=tuple(zip(*(c[:n] for c in cols[:s]))),
+                C=tuple(zip(*(c[:n] for c in cols[s:]))),
+                E=tuple(zip(*(tuple(v // current for v in c[n:]) for c in cols[s:]))),
+                N_used=current)
             _check_decomposition(sys, kd)
             return kd
         current = max(current * current, 2 * current)
@@ -188,7 +197,7 @@ def special_solution(kd: KernelDecomposition, b) -> list[int] | None:
     return mat_vec(kd.C, [int(v) for v in y])
 
 
-def _scan_lo(cols: list[list[int]], n: int):
+def _scan_lo(cols: tuple[tuple[int, ...], ...], n: int):
     """Columns whose first n entries lie in {0, lambda} with zero tail."""
     for j, col in enumerate(cols):
         if any(v != 0 for v in col[n:]):
@@ -214,11 +223,11 @@ def attack_lo(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
         raise ValueError("lo takes a subset-sum instance: one equation, positive "
                          "coefficients and 0 < b < sum(a)")
     targets = list(_attack_targets(sys))
-    a, n = sys.A[0], sys.n
-    prefix = [[int(i == j) for i in range(n)] + [-a[j]] for j in range(n)]
-    lasts = [[0] * n + [target.b[0]] for target, _ in targets]
-    for (target, flipped), reduced in zip(targets, lll_shared_prefix(prefix, lasts, alpha)):
-        for j, lam, x in _scan_lo(reduced.column_lists(), n):
+    n = sys.n
+    lasts = [(0,) * n + target.b for target, _ in targets]
+    reductions = lll_shared_prefix(_stacked(sys, 1, -1), lasts, alpha)
+    for (target, flipped), reduced in zip(targets, reductions):
+        for j, lam, x in _scan_lo(reduced.columns, n):
             if target.is_solution(x):
                 return binary_verdict(sys, [1 - v for v in x] if flipped else x,
                                       algorithm="lo", column=j, scan_lambda=lam,
@@ -233,7 +242,7 @@ def _attack_targets(sys: LdeSystem):
     yield complement(first), not flipped
 
 
-def _scan_pm1(cols: list[list[int]], n: int):
+def _scan_pm1(cols: tuple[tuple[int, ...], ...], n: int):
     """Columns (or negations) with first n entries in {-1, +1} and zero tail."""
     for j, col in enumerate(cols):
         if any(v != 0 for v in col[n:]):
@@ -251,22 +260,14 @@ def cjloss_basis(sys: LdeSystem, N: int) -> LatticeBasis:
     out: the other n are a basis of the same lattice.  Raises InvalidN
     unless N > sqrt(n)/2.
     """
-    n, m = sys.n, sys.m
+    n = sys.n
     if 4 * N * N <= n:
         raise InvalidN(f"need N > sqrt(n)/2, got N={N}, n={n}")
-    cols = []
-    for j in range(n):
-        col = [0] * (n + m)
-        col[j] = 2
-        for i in range(m):
-            col[n + i] = 2 * N * sys.A[i][j]
-        cols.append(col)
-    last = [1] * n + [2 * N * bi for bi in sys.b]
+    cols = _stacked(sys, 2, 2 * N)
     if all(2 * bi == sum(row) for row, bi in zip(sys.A, sys.b)):
-        # last is then half the sum of the other n columns.
-        cols.pop()
-    cols.append(last)
-    return LatticeBasis.from_columns(cols)
+        # The last column is then half the sum of the other n.
+        cols = cols[:-1]
+    return LatticeBasis(cols + ((1,) * n + tuple(2 * N * bi for bi in sys.b),))
 
 
 def attack_cjloss(sys: LdeSystem, N: int = DEFAULT_N,
@@ -285,7 +286,7 @@ def attack_cjloss(sys: LdeSystem, N: int = DEFAULT_N,
     n = 16-30 with seeds 0-19, n = 40, 50, ..., 100 with seeds 0-9).
     """
     reduced = lll(cjloss_basis(sys, N), alpha)
-    for j, x, negated in _scan_pm1(reduced.column_lists(), sys.n):
+    for j, x, negated in _scan_pm1(reduced.columns, sys.n):
         if sys.is_solution(x):
             return binary_verdict(sys, x, algorithm="cjloss", column=j, negated=negated)
     return AttackVerdict(FAILURE, meta={"algorithm": "cjloss"})
@@ -297,17 +298,8 @@ attack_cjloss_system = attack_cjloss
 
 def ahl_basis(sys: LdeSystem, N1: int, N2: int) -> LatticeBasis:
     """The (n+m+1) x (n+1) AHL basis [I, 0; 0, N1; A*N2, -b*N2]."""
-    n, m = sys.n, sys.m
-    cols = []
-    for j in range(n):
-        col = [0] * (n + 1 + m)
-        col[j] = 1
-        for i in range(m):
-            col[n + 1 + i] = N2 * sys.A[i][j]
-        cols.append(col)
-    last = [0] * n + [N1] + [-N2 * bi for bi in sys.b]
-    cols.append(last)
-    return LatticeBasis.from_columns(cols)
+    last = (0,) * sys.n + (N1,) + tuple(-N2 * bi for bi in sys.b)
+    return LatticeBasis(_stacked(sys, 1, N2, gap=1) + (last,))
 
 
 def attack_ahl(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
@@ -322,7 +314,7 @@ def attack_ahl(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict
     N1 = DEFAULT_N1
     N2 = 2 ** (n + m) * N1 * N1 + 1
     reduced = lll(ahl_basis(sys, N1, N2), alpha)
-    col = reduced.column_lists()[n - m]
+    col = reduced.columns[n - m]
     if abs(col[n]) == N1 and all(v == 0 for v in col[n + 1:]):
         if col[n] == -N1:
             col = [-v for v in col]

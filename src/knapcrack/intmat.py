@@ -15,14 +15,14 @@ from .errors import DimensionMismatch, SingularE
 def mat_vec(rows: list[list[int]], x: list[int]) -> list[int]:
     if any(len(r) != len(x) for r in rows):
         raise DimensionMismatch(f"matrix width != vector length {len(x)}")
-    return [sum(a * b for a, b in zip(r, x)) for r in rows]
+    return [sum(map(mul, r, x)) for r in rows]
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch("inner dimensions differ")
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def gram(cols: list[list[int]]) -> list[list[int]]:

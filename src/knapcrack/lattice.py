@@ -1,7 +1,9 @@
 """Exact LLL basis reduction.
 
 Bases are column-major: a ``LatticeBasis`` holds ``n`` integer columns of
-equal dimension.  The Gram-Schmidt convention is fixed as
+equal dimension, each a tuple of ints.  The kernel reads these tuples and
+yields tuples, so ``lll`` and ``lll_shared_prefix`` wrap its output as it
+is, with no per-entry conversion.  The Gram-Schmidt convention is fixed as
 
     B = B* . M^T,   i.e.   b_i = sum_{j <= i} mu[i][j] * b*_j,
 
@@ -47,16 +49,9 @@ class LatticeBasis:
         if any(len(c) != dim for c in self.columns):
             raise ValueError("columns must share one dimension")
 
-    @classmethod
-    def from_columns(cls, cols) -> "LatticeBasis":
-        return cls(tuple(tuple(map(int, c)) for c in cols))
-
     @property
     def n(self) -> int:
         return len(self.columns)
-
-    def column_lists(self) -> list[list[int]]:
-        return [list(c) for c in self.columns]
 
 
 def _lovasz(alpha) -> Fraction:
@@ -74,12 +69,12 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
     ||b*_i + mu[i][i-1] b*_{i-1}||^2 >= alpha ||b*_{i-1}||^2.
     """
     alpha = _lovasz(alpha)
-    cols = basis.column_lists()
-    reduced = next(lll_reduce_lasts(cols[:-1], cols[-1:], alpha.numerator, alpha.denominator))
-    return LatticeBasis.from_columns(reduced)
+    cols = basis.columns
+    return LatticeBasis(next(lll_reduce_lasts(cols[:-1], cols[-1:], alpha.numerator,
+                                              alpha.denominator)))
 
 
-def lll_shared_prefix(prefix: Sequence[Sequence[int]], lasts: Sequence[Sequence[int]],
+def lll_shared_prefix(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, ...]],
                       alpha: Fraction = DEFAULT_ALPHA) -> Iterator[LatticeBasis]:
     """Iterate lll(prefix + [last], alpha) over the lasts, reducing prefix once.
 
@@ -89,9 +84,6 @@ def lll_shared_prefix(prefix: Sequence[Sequence[int]], lasts: Sequence[Sequence[
     DependentColumns comes from the next() whose basis is dependent.
     """
     alpha = _lovasz(alpha)
-    prefix = [list(c) for c in prefix]
-    lasts = [list(c) for c in lasts]
     for last in lasts:
-        LatticeBasis.from_columns([*prefix, last])  # raises on a bad shape
-    return map(LatticeBasis.from_columns,
-               lll_reduce_lasts(prefix, lasts, alpha.numerator, alpha.denominator))
+        LatticeBasis((*prefix, last))  # raises on a bad shape
+    return map(LatticeBasis, lll_reduce_lasts(prefix, lasts, alpha.numerator, alpha.denominator))

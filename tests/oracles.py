@@ -11,12 +11,15 @@ by its definition, an n x n Bareiss determinant of (D | C).
 ``brute_force_solve`` lists every binary solution (direct enumeration to
 n = 20, meet-in-the-middle to n = 30), and the ``njp_*`` functions state the
 paper's cut-off implications between neighbouring jump points, which no
-attack uses.  ``enumerate_jump_points`` lists jump points by sorting every
-j/den, the reference for the package's heap merge, and ``kernel_of`` wraps
-a plain matrix as a decomposition holding only D, the one kernel shape
-the sweeps and the features take.  ``attack_lo_two_lll`` runs LO's
-complement fallback as two full ``lll`` calls, the reference for LO, the
-one attack that reduces a shared prefix once.  ``rank_fraction`` and
+attack uses; ``uk_bound`` is the floor formula of the slack bound, the
+reference for ``modular_transform``'s u_k.  ``enumerate_jump_points`` lists
+jump points by sorting every j/den, the reference for the package's heap
+merge, and ``kernel_of`` wraps a plain matrix as a decomposition holding
+only D, the one kernel shape the sweeps and the features take;
+``basis_of`` wraps any integer columns as a ``LatticeBasis`` of int tuples,
+the one basis format.  ``attack_lo_two_lll`` runs LO's complement fallback
+as two full ``lll`` calls, the reference for LO, the one attack that
+reduces a shared prefix once.  ``rank_fraction`` and
 ``solve_exact_fraction`` eliminate in Fractions and ``det_leibniz`` sums
 over permutations: the references for the package's one fraction-free
 elimination.
@@ -586,13 +589,18 @@ def attack_lo_two_lll(sys: LdeSystem, alpha=DEFAULT_ALPHA) -> AttackVerdict:
             cols[j][j] = 1
             cols[j][n] = -a[j]
         cols[n][n] = b
-        reduced = lll(LatticeBasis.from_columns(cols), alpha)
-        for j, lam, x in _scan_lo(reduced.column_lists(), n):
+        reduced = lll(basis_of(cols), alpha)
+        for j, lam, x in _scan_lo(reduced.columns, n):
             if target.is_solution(x):
                 return binary_verdict(sys, [1 - v for v in x] if flipped else x,
                                       algorithm="lo", column=j, scan_lambda=lam,
                                       used_complement=flipped)
     return AttackVerdict(FAILURE, meta={"algorithm": "lo"})
+
+
+def basis_of(cols) -> LatticeBasis:
+    """A LatticeBasis of any integer columns: lists, tuples, numpy or sympy ints."""
+    return LatticeBasis(tuple(tuple(map(int, c)) for c in cols))
 
 
 def minor_gcd(rows: list[list[int]]) -> int:
@@ -675,6 +683,21 @@ def brute_force_solve(sys: LdeSystem) -> list[tuple[int, ...]]:
     if sys.n <= MITM_LIMIT:
         return _enumerate_mitm(sys)
     raise TooLarge(f"n={sys.n} exceeds the exhaustive-search limit {MITM_LIMIT}")
+
+
+def uk_bound(problem, r: Fraction) -> int:
+    """floor(b~ r) + floor(b r) - sum floor(a_i r); nonnegative always.
+
+    The floor formula of the slack bound, the reference for
+    ``modular_transform``'s u_k.
+    """
+    a, b = row_coeffs(problem)
+    r = Fraction(r)
+    if not 0 < r < 1:
+        raise ValueError(f"need 0 < r < 1, got {r}")
+    num, den = r.numerator, r.denominator
+    bt = sum(a) - b
+    return bt * num // den + b * num // den - sum(ai * num // den for ai in a)
 
 
 def enumerate_jump_points(problem, cap: int = JUMP_CAP) -> list[JumpPoint]:

@@ -13,20 +13,20 @@ from fractions import Fraction
 
 from knapcrack.analysis import gamma, lattice_volume, min_volume_ellipsoid
 from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off, is_ideal,
-                              jump_points, modular_transform, uk_bound)
+                              jump_points, modular_transform)
 from knapcrack.errors import DependentColumns, RankDeficient, SearchExhausted
 from knapcrack.formulations import decompose, special_solution
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
-from knapcrack.lattice import LatticeBasis, lll
+from knapcrack.lattice import lll
 from knapcrack.pipeline import (SearchConfig, attack, attack_with_dag,
                                 generate_instance)
 from knapcrack.problems import LdeSystem
 from knapcrack.reduction import reduce_half, reduce_solution
 
-from oracles import (binary_solutions_naive, det_d_c, gso, gso_after_reduce,
+from oracles import (basis_of, binary_solutions_naive, det_d_c, gso, gso_after_reduce,
                      gso_after_swap, half_sweep_fraction, hnf_columns, integer_solvable,
                      kernel_basis, kernel_of, njp_left_dominates, njp_right_dominates,
-                     sweep_fraction)
+                     sweep_fraction, uk_bound)
 
 
 def report(num: int, text: str) -> None:
@@ -160,7 +160,7 @@ def test_criterion_07_lll_contract():
         n = rng.randint(2, 6)
         dim = n + rng.randint(0, 2)
         cols = [[rng.randint(-10**6, 10**6) for _ in range(dim)] for _ in range(n)]
-        basis = LatticeBasis.from_columns(cols)
+        basis = basis_of(cols)
         try:
             reduced = lll(basis, alpha)
         except DependentColumns:
@@ -278,17 +278,16 @@ def test_criterion_11_disaggregation_soundness():
         assert sols
         for jp in jump_points((a, b)):
             r = jp.value
-            num, den = r.numerator, r.denominator
-            v = [ai * num // den for ai in a]
-            w = b * num // den
-            uk = uk_bound((a, b), r)
+            img = modular_transform(a, b, DisaggParams(r.numerator, r.denominator))
+            assert img.u_k == uk_bound((a, b), r)
             for x in sols:
-                k = w - sum(vi * xi for vi, xi in zip(v, x))
-                assert 0 <= k <= uk
+                k = img.w - sum(vi * xi for vi, xi in zip(img.v, x))
+                assert 0 <= k <= img.u_k
             points_checked += 1
         for _ in range(1000):
             r = Fraction(rng.randint(1, 9999), 10000)
-            assert uk_bound((a, b), r) >= 0
+            img = modular_transform(a, b, DisaggParams(r.numerator, r.denominator))
+            assert img.u_k == uk_bound((a, b), r) >= 0
         for _ in range(50):
             t = rng.randint(1, 29)
             M = rng.randint(t + 1, 30)

@@ -1,17 +1,22 @@
 """Kernel geometry features against the worked fixtures and closed forms."""
 
+import csv
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from knapcrack.analysis import (FeatureRecord, compute_features,
+from knapcrack.analysis import (FeatureRecord, _off_diagonal, compute_features,
                                 export_features_csv, gamma, lambda_tilde,
                                 lattice_volume, min_volume_ellipsoid)
+from knapcrack.cli import main
 from knapcrack.errors import DependentColumns
 from knapcrack.formulations import KernelDecomposition, decompose
+from knapcrack.intmat import gram
 from knapcrack.pipeline import generate_system
+from knapcrack.problems import LdeSystem, save_system
 
 from oracles import kernel_of, project_preserving_gram
 
@@ -61,6 +66,23 @@ class TestVolume:
         kd = KernelDecomposition(D=((2**600,), (1,)), C=((0,), (1,)), E=((1,),), N_used=1)
         assert lattice_volume(kd) == 2.0**600
         assert compute_features(kd).volume == 2.0**600
+
+    def test_volume_beyond_the_float_range_is_inf(self):
+        # d[s] = 2**2200 + 1: its root, about 2**1100, is no float.
+        assert lattice_volume(kernel_of([[2**1100], [1]])) == math.inf
+        assert lattice_volume(kernel_of([[2**1100, 0], [0, 1]])) == math.inf  # a square
+
+    def test_analyze_writes_an_infinite_volume(self, tmp_path):
+        # 1100-bit coefficients give a kernel volume of about 2**1100.
+        rng = random.Random(5)
+        a = [rng.getrandbits(1100) | 1 << 1099 for _ in range(6)]
+        path, out = tmp_path / "huge.txt", tmp_path / "huge.csv"
+        save_system(LdeSystem.from_rows([a], [a[0] + a[2] + a[3]]), path)
+        assert main(["analyze", "--input", str(path), "--modulus", "1000",
+                     "--t-range", "1..2", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["volume"] for row in rows] == ["inf", "inf"]
 
 
 class TestProjection:
@@ -169,6 +191,13 @@ class TestRectangularity:
             assert math.isclose(d, np.linalg.norm(off),
                                 rel_tol=1e-12, abs_tol=1e-12)
 
+    def test_beyond_the_float_range(self):
+        # Gram off-diagonals 2**600 and 2**1200: squared, both exceed the float range.
+        assert _off_diagonal(gram([[2**300, 1], [2**300, 0]])) == pytest.approx(2**600.5)
+        kd = kernel_of([[2**600, 2**600], [1, 0]])
+        assert _off_diagonal(gram(kd.kernel_columns())) == math.inf
+        assert compute_features(kd).d == math.inf
+
     def test_invariances(self):
         D = [[3, 1, 2], [1, 4, 1], [0, 2, 5], [1, 1, 1]]
         base = compute_features(kernel_of(D)).d
@@ -192,6 +221,12 @@ class TestLambdaTilde:
     def test_regression_fixture(self):
         # Frozen from the closed form on the worked scenario basis.
         assert lambda_tilde(kernel_of(D_SCEN_A)) == pytest.approx(1.7900900554, abs=1e-6)
+
+    def test_huge_entry(self):
+        # The column (2**600, 1) squares past the float range unless scaled first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda_tilde(kernel_of([[2**600], [1]])) == 1.0
 
 
 class TestCsvExport:

@@ -7,12 +7,12 @@ import pytest
 
 from knapcrack import disagg
 from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off, g_value, is_ideal,
-                              jump_points, modular_transform, uk_bound)
+                              jump_points, modular_transform)
 from knapcrack.errors import InvalidParams, NotASolution, SizeLimit
 from knapcrack.problems import LdeSystem
 
 from oracles import (NotNeighbours, binary_solutions_naive, enumerate_jump_points, njp_deltas,
-                     njp_left_dominates, njp_right_dominates)
+                     njp_left_dominates, njp_right_dominates, uk_bound)
 
 TOY = ([3, 15, 6], 9)
 TOY_A, TOY_B = TOY
@@ -21,6 +21,11 @@ MH_A = [171, 196, 457, 1191, 2410]
 MH_B = 3797
 EX3 = LdeSystem.from_rows([[63, 9, 34, 46, 2, 55], [51, 19, 12, 44, 3, 25]], [99, 66])
 X_TILDE = [0, 1, -1]
+
+
+def image_at(problem, r: Fraction):
+    """modular_transform of the (a, b) row at the ratio r = t/M."""
+    return modular_transform(*problem, DisaggParams(r.numerator, r.denominator))
 
 
 class TestModularTransform:
@@ -84,31 +89,32 @@ class TestBoundFunctions:
         rng = random.Random(1)
         for _ in range(300):
             r = Fraction(rng.randint(1, 999), 1000)
-            assert uk_bound(TOY, r) == g_value(TOY, r).__floor__()
+            assert image_at(TOY, r).u_k == uk_bound(TOY, r) == g_value(TOY, r).__floor__()
 
     def test_uk_worked_values(self):
-        assert uk_bound(TOY, Fraction(2, 5)) == 0
-        assert uk_bound(([63, 9, 34, 46, 2, 55], 99), Fraction(1, 63)) == 1
+        assert image_at(TOY, Fraction(2, 5)).u_k == 0
+        img = image_at(([63, 9, 34, 46, 2, 55], 99), Fraction(1, 63))
+        assert (img.u_k, img.n_k) == (1, 1)
 
     def test_every_binary_solution_respects_bound(self):
         sols = binary_solutions_naive([TOY_A], [TOY_B])
         assert sols
         for jp in jump_points(TOY):
             r = jp.value
-            num, den = r.numerator, r.denominator
-            v = [ai * num // den for ai in TOY_A]
-            w = TOY_B * num // den
-            uk = uk_bound(TOY, r)
+            img = image_at(TOY, r)
+            assert img.u_k == uk_bound(TOY, r)
             for x in sols:
-                k = w - sum(vi * xi for vi, xi in zip(v, x))
-                assert 0 <= k <= uk
+                k = img.w - sum(vi * xi for vi, xi in zip(img.v, x))
+                assert 0 <= k <= img.u_k
 
     def test_corollary_nonnegative(self):
         rng = random.Random(2)
         for inst in (TOY, (MH_A, MH_B)):
             for _ in range(1000):
                 r = Fraction(rng.randint(1, 9999), 10000)
-                assert uk_bound(inst, r) >= 0
+                img = image_at(inst, r)
+                assert img.u_k == uk_bound(inst, r) >= 0
+                assert img.n_k == img.u_k.bit_length()
 
 
 class TestIdealPoints:
@@ -206,6 +212,11 @@ class TestCutsOff:
     def test_non_solution_rejected(self):
         with pytest.raises(NotASolution):
             cuts_off(TOY, Fraction(1, 2), [1, 1, 1])
+
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)])
+    def test_ratio_outside_the_unit_interval_rejected(self, r):
+        with pytest.raises(ValueError, match="need 0 < r < 1"):
+            cuts_off(TOY, r, X_TILDE)
 
 
 class TestNjp:

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knapcrack.errors import InvalidN, RankDeficient, SingularE
-from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, attack_ahl,
-                                    attack_cjloss, attack_lo,
+from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, ahl_basis,
+                                    attack_ahl, attack_cjloss, attack_lo,
                                     binary_verdict, build_lattice_B, cjloss_basis,
                                     decompose, special_solution, _check_decomposition,
                                     _scan_lo, _scan_pm1)
@@ -57,11 +57,29 @@ class TestBuildLattice:
             basis = build_lattice_B(sys, 10**8)
             gso(basis.columns)  # raises on dependence
 
+    def test_formulation_bases_on_the_toy(self):
+        # AHL: [I; 0; N2*A] and (0; N1; -N2*b).  CJLOSS: [2I; 2N*A] and (1; 2N*b).
+        ahl = ahl_basis(TOY_SYS, 7, 10)
+        assert ahl.columns == ((1, 0, 0, 0, 30), (0, 1, 0, 0, 150), (0, 0, 1, 0, 60),
+                               (0, 0, 0, 7, -90))
+        cjloss = cjloss_basis(TOY_SYS, 10)
+        assert cjloss.columns == ((2, 0, 0, 60), (0, 2, 0, 300), (0, 0, 2, 120),
+                                  (1, 1, 1, 180))
+        for basis in (ahl, cjloss, build_lattice_B(TOY_SYS, 10)):
+            assert all(type(c) is tuple and all(type(v) is int for v in c)
+                       for c in basis.columns)
+
 
 class TestDecompose:
     def test_e_is_extended_gcd(self):
         kd = decompose(TOY_SYS)
         assert kd.E == ((gcd(gcd(3, 15), 6),),)
+
+    def test_kernel_columns_transpose_d_once(self):
+        kd = decompose(generate_system(2, 12, 3).system)
+        cols = kd.kernel_columns()
+        assert cols == tuple(zip(*kd.D))
+        assert kd.kernel_columns() is cols
 
     def test_blocks_satisfy_relations(self):
         rng = random.Random(1)

@@ -16,11 +16,11 @@ from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, build_latt
 from knapcrack import _lll_py
 from knapcrack._lll_py import gso_row, integral_gso, round_nearest
 from knapcrack.intmat import det_bareiss, gram
-from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll, lll_shared_prefix
+from knapcrack.lattice import DEFAULT_ALPHA, lll, lll_shared_prefix
 from knapcrack.pipeline import generate_instance
 from knapcrack.problems import complement
 
-from oracles import (enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
+from oracles import (basis_of, enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
                      hnf_columns, independent_short_vectors, is_lll_reduced, lemma_lll,
                      naive_lll)
 
@@ -30,7 +30,7 @@ def random_basis(rng, n, dim, lo=-30, hi=30):
         cols = [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(n)]
         try:
             gso(cols)
-            return LatticeBasis.from_columns(cols)
+            return basis_of(cols)
         except DependentColumns:
             continue
 
@@ -161,17 +161,17 @@ class TestIncrementalUpdates:
 
 class TestLll:
     def test_identity_already_reduced(self):
-        basis = LatticeBasis.from_columns([(1, 0), (0, 1)])
+        basis = basis_of([(1, 0), (0, 1)])
         assert lll(basis, Fraction(3, 4)).columns == basis.columns
 
     def test_alpha_validation(self):
-        basis = LatticeBasis.from_columns([(1, 0), (0, 1)])
+        basis = basis_of([(1, 0), (0, 1)])
         for bad in (Fraction(1, 4), Fraction(1), Fraction(5, 4), Fraction(0)):
             with pytest.raises(InvalidAlpha):
                 lll(basis, bad)
 
     def test_finds_short_vector(self):
-        basis = LatticeBasis.from_columns([(1, 0), (99, 1)])
+        basis = basis_of([(1, 0), (99, 1)])
         reduced = lll(basis, Fraction(3, 4))
         first_norm = sum(x * x for x in reduced.columns[0])
         assert first_norm <= 2
@@ -207,16 +207,16 @@ class TestLll:
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(DependentColumns):
-            lll(LatticeBasis.from_columns([(1, 2), (2, 4)]))
+            lll(basis_of([(1, 2), (2, 4)]))
 
     def test_dependency_in_last_column_rejected(self):
         # The first three columns reduce before the fourth is reached.
         with pytest.raises(DependentColumns, match="column 3"):
-            lll(LatticeBasis.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+            lll(basis_of([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
 
     def test_zero_first_column_rejected(self):
         with pytest.raises(DependentColumns, match="column 0"):
-            lll(LatticeBasis.from_columns([(0, 0), (1, 2)]))
+            lll(basis_of([(0, 0), (1, 2)]))
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_attack_bases_match_naive_reference(self, n):
@@ -311,14 +311,14 @@ class TestSharedPrefix:
         prefix = [[1, 0, 0], [0, 1, 0]]
         lasts = [[0, 0, 5], [3, -2, 0]]
         reduced = lll_shared_prefix(prefix, lasts)
-        assert next(reduced) == lll(LatticeBasis.from_columns(prefix + lasts[:1]))
+        assert next(reduced) == lll(basis_of(prefix + lasts[:1]))
         with pytest.raises(DependentColumns) as exc:
             next(reduced)
         assert str(exc.value) == lll_or_message(prefix + lasts[1:])
 
     def test_empty_prefix(self):
         assert list(lll_shared_prefix([], [[3, 4], [0, -2]])) == \
-            [LatticeBasis.from_columns([[3, 4]]), LatticeBasis.from_columns([[0, -2]])]
+            [basis_of([[3, 4]]), basis_of([[0, -2]])]
 
     def test_alpha_and_shape_checked_at_the_call(self):
         with pytest.raises(InvalidAlpha):
@@ -355,7 +355,7 @@ def reduce_or_message(reduce, cols, alpha):
 
 
 def kernel(cols, alpha):
-    return lll(LatticeBasis.from_columns(cols), alpha).columns
+    return lll(basis_of(cols), alpha).columns
 
 
 class TestPackedColumns:
@@ -482,7 +482,7 @@ def sympy_lll():
         # sympy reduces rows, so our columns go in as its rows.
         rows = DomainMatrix([[sympy.ZZ(x) for x in c] for c in basis.columns],
                             (basis.n, len(basis.columns[0])), sympy.ZZ)
-        return LatticeBasis.from_columns(rows.lll(delta=sympy.QQ(99, 100)).to_list())
+        return basis_of(rows.lll(delta=sympy.QQ(99, 100)).to_list())
 
     return reduce
 
