@@ -123,6 +123,7 @@ class KernelFeatures:
     volume: float
     semi_axes: tuple[float, ...]
     mve_volume: float
+    gamma_check: float
     lambda_tilde: float
     d: float
     d_tilde: float
@@ -134,12 +135,18 @@ def compute_features(kd: KernelDecomposition, cut: bool = False,
                      success: bool = False) -> KernelFeatures:
     vol = lattice_volume(kd)
     mve = min_volume_ellipsoid(kd)
+    s = len(mve.semi_axes)
+    check = mve.volume / (gamma(s) * vol)
+    if not math.isfinite(check):  # inf / inf beyond the float range: take logs of d[s]
+        check = math.exp(sum(map(math.log, mve.semi_axes)) + math.log(_unit_ball_volume(s))
+                         - math.log(gamma(s)) - math.log(kd.gso[0][-1]) / 2)
     g = gram(kd.kernel_columns())
     return KernelFeatures(
-        dim=len(mve.semi_axes),
+        dim=s,
         volume=vol,
         semi_axes=mve.semi_axes,
         mve_volume=mve.volume,
+        gamma_check=check,
         lambda_tilde=lambda_tilde(kd),
         d=_off_diagonal(g),
         d_tilde=_off_diagonal_normalized(g),
@@ -175,8 +182,7 @@ def export_features_csv(records, path) -> None:
             f = r.features
             axes = [repr(a) for a in f.semi_axes] + [""] * (s_max - f.dim)
             w.writerow([r.instance_id, r.m, r.n, r.t, r.M, f.dim,
-                        repr(f.volume), repr(f.mve_volume),
-                        repr(f.mve_volume / (gamma(f.dim) * f.volume))]
+                        repr(f.volume), repr(f.mve_volume), repr(f.gamma_check)]
                        + axes
                        + [repr(f.lambda_tilde), repr(f.d), repr(f.d_tilde),
                           int(f.cut), int(f.success)])

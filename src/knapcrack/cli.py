@@ -2,7 +2,7 @@
 
 Exit codes: 0 solved / done, 1 attack did not produce a binary solution
 (for bench: some job raised and was counted unsolved), 2 usage error,
-3 I/O failure, 4 malformed input file, 5 enumeration cap exceeded.
+3 I/O failure, 4 malformed or missing input file, 5 enumeration cap exceeded.
 Rational flags (alpha, t/M ratios) are written P/Q; decimals
 are rejected to keep exactness-critical parameters exact.
 """
@@ -206,10 +206,7 @@ def cmd_attack(args) -> int:
         v = outcome.verdict
         print(f"status: {v.status}")
         if v.x is not None:
-            if all(i in (0, 1) for i in v.x):
-                print("solution: " + "".join(str(i) for i in v.x))
-            else:
-                print("solution: " + " ".join(str(i) for i in v.x))
+            print("solution: " + ("" if v.solved else " ").join(str(i) for i in v.x))
         if outcome.t_found is not None:
             print(f"t_found: {outcome.t_found}")
         print(f"wall_time_ms: {outcome.wall_time * 1000:.3f}")
@@ -287,6 +284,9 @@ def cmd_bench(args) -> int:
         cells = _parse_grid(args.grid)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -421,10 +421,7 @@ def cmd_analyze(args) -> int:
             verdict = pipeline.attack_decomposed(aug, kd, algo)
         else:
             verdict = pipeline.run_algorithm(aug, config)
-        success = False
-        if verdict.x is not None:
-            head = list(verdict.x[:system.n])
-            success = all(v in (0, 1) for v in head) and system.is_solution(head)
+        success = pipeline.map_back(system, verdict, False).solved
         records.append(analysis.FeatureRecord(
             instance_id=instance_id, m=system.m, n=system.n,
             t=label.t, M=label.M,

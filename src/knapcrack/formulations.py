@@ -46,7 +46,7 @@ from ._lll_py import integral_gso
 from .errors import DependentColumns, EscalationExhausted, InvalidN
 from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll, lll_shared_prefix
-from .problems import LdeSystem, complement, is_subset_sum, normalize
+from .problems import LdeSystem, complement, is_subset_sum
 
 DEFAULT_N = 10**8
 DEFAULT_N1 = 10**4
@@ -75,30 +75,16 @@ class AttackVerdict:
                 "meta": dict(self.meta)}
 
 
-def binary_verdict(problem, x, **meta) -> AttackVerdict:
-    """BinarySolution verdict; substitution is checked here, and a miss is a bug."""
-    x = tuple(int(v) for v in x)
-    if any(v not in (0, 1) for v in x):
-        raise AssertionError("binary verdict with non-binary vector")
-    if not problem.is_solution(x):
-        raise AssertionError("binary verdict does not satisfy the problem")
-    return AttackVerdict(BINARY, x, dict(meta))
-
-
-def short_nonbinary_verdict(problem, x, **meta) -> AttackVerdict:
-    x = tuple(int(v) for v in x)
-    if all(v in (0, 1) for v in x):
-        raise AssertionError("vector is binary, not a short non-binary witness")
-    if not problem.is_solution(x):
-        raise AssertionError("witness does not satisfy the problem")
-    return AttackVerdict(SHORT_NONBINARY, x, dict(meta))
-
-
 def classify_solution(problem, x, **meta) -> AttackVerdict:
-    """Binary or short-non-binary verdict for a verified integer solution."""
-    if all(v in (0, 1) for v in x):
-        return binary_verdict(problem, x, **meta)
-    return short_nonbinary_verdict(problem, x, **meta)
+    """The one verdict for an integer vector x: BINARY or SHORT_NONBINARY.
+
+    Substitution is checked here, and a vector that misses it is a bug.
+    """
+    x = tuple(int(v) for v in x)
+    if not problem.is_solution(x):
+        raise AssertionError("verdict vector does not satisfy the problem")
+    return AttackVerdict(BINARY if all(v in (0, 1) for v in x) else SHORT_NONBINARY,
+                         x, dict(meta))
 
 
 @dataclass(frozen=True)
@@ -214,32 +200,25 @@ def attack_lo(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
     """LO attack: reduce [I, 0; -a, b] and scan for a {0, lambda} column.
 
     Candidate columns are divided by lambda (any sign, any magnitude) and
-    feasibility-checked; on a miss the complementary problem is tried.  It
-    shares a, so only the last column differs: the b-free prefix is reduced
+    feasibility-checked, on sys as given and then on its complement.  Both
+    share a, so only the last column differs: the b-free prefix is reduced
     once, and the complement's reduction resumes from it (lll_shared_prefix).
     Raises ValueError unless sys is a subset-sum instance (``is_subset_sum``).
     """
     if not is_subset_sum(sys):
         raise ValueError("lo takes a subset-sum instance: one equation, positive "
                          "coefficients and 0 < b < sum(a)")
-    targets = list(_attack_targets(sys))
     n = sys.n
-    lasts = [(0,) * n + target.b for target, _ in targets]
-    reductions = lll_shared_prefix(_stacked(sys, 1, -1), lasts, alpha)
-    for (target, flipped), reduced in zip(targets, reductions):
+    targets = (sys, complement(sys))
+    reductions = lll_shared_prefix(_stacked(sys, 1, -1),
+                                   [(0,) * n + target.b for target in targets], alpha)
+    for flipped, (target, reduced) in enumerate(zip(targets, reductions)):
         for j, lam, x in _scan_lo(reduced.columns, n):
             if target.is_solution(x):
-                return binary_verdict(sys, [1 - v for v in x] if flipped else x,
-                                      algorithm="lo", column=j, scan_lambda=lam,
-                                      used_complement=flipped)
+                return classify_solution(sys, [1 - v for v in x] if flipped else x,
+                                         algorithm="lo", column=j, scan_lambda=lam,
+                                         used_complement=bool(flipped))
     return AttackVerdict(FAILURE, meta={"algorithm": "lo"})
-
-
-def _attack_targets(sys: LdeSystem):
-    """(system, flipped): the normalized instance, then its complement as the fallback."""
-    first, flipped = normalize(sys)
-    yield first, flipped
-    yield complement(first), not flipped
 
 
 def _scan_pm1(cols: tuple[tuple[int, ...], ...], n: int):
@@ -288,7 +267,7 @@ def attack_cjloss(sys: LdeSystem, N: int = DEFAULT_N,
     reduced = lll(cjloss_basis(sys, N), alpha)
     for j, x, negated in _scan_pm1(reduced.columns, sys.n):
         if sys.is_solution(x):
-            return binary_verdict(sys, x, algorithm="cjloss", column=j, negated=negated)
+            return classify_solution(sys, x, algorithm="cjloss", column=j, negated=negated)
     return AttackVerdict(FAILURE, meta={"algorithm": "cjloss"})
 
 

@@ -15,7 +15,8 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import formulations as fm
@@ -105,63 +106,64 @@ def check_shape(m: int, n: int) -> None:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
 
 
+def _planted(rng: random.Random, n: int) -> list[int]:
+    """A 0/1 vector with n/2 ones on a uniform support."""
+    support = set(rng.sample(range(n), n // 2))
+    return [int(i in support) for i in range(n)]
+
+
+def _admissible(row: list[int], x: list[int]) -> tuple[int, float] | None:
+    """(b, density) of a drawn row against the planted x, or None to redraw.
+
+    A row is admissible when its density n / log2(max(row)) lies in (0.99,
+    1.01) and b = row . x satisfies max(row) < b <= sum(row)/2.
+    """
+    b = sum(ai for ai, xi in zip(row, x) if xi)
+    d = len(row) / math.log2(max(row))
+    return (b, d) if 0.99 < d < 1.01 and max(row) < b and 2 * b <= sum(row) else None
+
+
 def generate_instance(n: int, seed: int) -> GeneratedInstance:
     """Seeded density-one instance with a planted cardinality-n/2 solution.
 
-    Coefficients are uniform on [1, 2^n]; draws are rejected until the
-    density lands in (0.99, 1.01) and b = a . x satisfies max(a) < b
-    <= sum(a)/2.  The genuinely targeted band (0.99, 1.00) is unreachable
-    whenever max(a) = 2^n exactly, so the accepted band is symmetric and
-    the realized density is recorded.
+    Coefficients are uniform on [1, 2^n]; draws are rejected until the row
+    is ``_admissible``.  The genuinely targeted band (0.99, 1.00) is
+    unreachable whenever max(a) = 2^n exactly, so the accepted band is
+    symmetric and the realized density is recorded.
     """
     check_shape(1, n)
     rng = random.Random(seed)
     for _ in range(GENERATION_BUDGET):
         a = [rng.getrandbits(n) + 1 for _ in range(n)]
-        support = rng.sample(range(n), n // 2)
-        x = [0] * n
-        for i in support:
-            x[i] = 1
-        b = sum(ai for ai, xi in zip(a, x) if xi)
-        d = n / math.log2(max(a))
-        if not 0.99 < d < 1.01:
-            continue
-        if not (b > max(a) and 2 * b <= sum(a)):
-            continue
-        return GeneratedInstance(LdeSystem.from_rows([a], [b]), tuple(x), d, seed)
+        x = _planted(rng, n)
+        found = _admissible(a, x)
+        if found is not None:
+            b, d = found
+            return GeneratedInstance(LdeSystem.from_rows([a], [b]), tuple(x), d, seed)
     raise GenerationBudgetExceeded(f"no admissible instance after {GENERATION_BUDGET} draws")
 
 
 def generate_system(m: int, n: int, seed: int) -> GeneratedSystem:
     """Seeded m-row system sharing one planted cardinality-n/2 solution.
 
-    Every row independently satisfies the same designation rules as
-    generate_instance, against the shared planted vector.
+    Every row is drawn as in generate_instance and must be ``_admissible``
+    against the shared planted vector.
     """
     check_shape(m, n)
     rng = random.Random(seed)
-    support = rng.sample(range(n), n // 2)
-    x = [0] * n
-    for i in support:
-        x[i] = 1
-    rows: list[list[int]] = []
-    dens: list[float] = []
-    budget = GENERATION_BUDGET
-    while len(rows) < m:
-        if budget <= 0:
-            raise GenerationBudgetExceeded(f"no admissible row after {GENERATION_BUDGET} draws")
-        budget -= 1
+    x = _planted(rng, n)
+    rows, found = [], []
+    for _ in range(GENERATION_BUDGET):
         row = [rng.getrandbits(n) + 1 for _ in range(n)]
-        bi = sum(ai for ai, xi in zip(row, x) if xi)
-        d = n / math.log2(max(row))
-        if not 0.99 < d < 1.01:
-            continue
-        if not (bi > max(row) and 2 * bi <= sum(row)):
+        admissible = _admissible(row, x)
+        if admissible is None:
             continue
         rows.append(row)
-        dens.append(d)
-    system = LdeSystem.from_rows(rows, [sum(ai for ai, xi in zip(r, x) if xi) for r in rows])
-    return GeneratedSystem(system, tuple(x), tuple(dens), seed)
+        found.append(admissible)
+        if len(rows) == m:
+            b, dens = zip(*found)
+            return GeneratedSystem(LdeSystem.from_rows(rows, b), tuple(x), dens, seed)
+    raise GenerationBudgetExceeded(f"no admissible row after {GENERATION_BUDGET} draws")
 
 
 def run_algorithm(sys: LdeSystem, config: SearchConfig) -> fm.AttackVerdict:
@@ -187,15 +189,17 @@ def attack_decomposed(sys: LdeSystem, kd: fm.KernelDecomposition,
     return fm.classify_solution(sys, sol, algorithm=algo)
 
 
-def _map_back(problem: LdeSystem, verdict: fm.AttackVerdict, flipped: bool) -> fm.AttackVerdict:
-    """Re-express a verdict about the normalized problem over the original.
+def map_back(problem: LdeSystem, verdict: fm.AttackVerdict, flipped: bool) -> fm.AttackVerdict:
+    """Re-express a verdict about the normalized, maybe augmented, problem over the original.
 
-    LO's ``used_complement`` becomes the net flip relative to the original:
-    the attack's own complement fallback XOR the normalization.
+    Keeps x's first ``problem.n`` entries (the truncation rule), undoes the
+    complement when ``flipped`` and classifies the result.  LO's
+    ``used_complement`` becomes the net flip: its own complement XOR ``flipped``.
     """
     if verdict.x is None:
         return verdict
-    x = [1 - v for v in verdict.x] if flipped else list(verdict.x)
+    head = verdict.x[:problem.n]
+    x = [1 - v for v in head] if flipped else head
     meta = dict(verdict.meta)
     if "used_complement" in meta:
         meta["used_complement"] = meta["used_complement"] != flipped
@@ -211,8 +215,7 @@ def attack(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
         return attack_with_dag(problem, config)
     t0 = time.perf_counter()
     work, flipped = normalize(problem)
-    verdict = run_algorithm(work, config)
-    verdict = _map_back(problem, verdict, flipped)
+    verdict = map_back(problem, run_algorithm(work, config), flipped)
     return AttackOutcome(verdict=verdict, wall_time=time.perf_counter() - t0)
 
 
@@ -263,7 +266,7 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     work, flipped = normalize(problem)
     if not 0 <= config.row_index < work.m:
         raise InvalidRow(f"row {config.row_index} outside 0..{work.m - 1}")
-    base = _map_back(problem, run_algorithm(work, config), flipped)
+    base = map_back(problem, run_algorithm(work, config), flipped)
     if base.solved:
         return AttackOutcome(verdict=base, wall_time=time.perf_counter() - t0)
     best = base if base.status == fm.SHORT_NONBINARY else None
@@ -271,19 +274,15 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
         aug, _ = augment(work, [(config.row_index, DisaggParams(t, config.M))])
         if aug is None or aug.m == work.m:
             continue  # skipped, or the derived row was dropped: nothing new to attack
-        verdict = run_algorithm(aug, config)
+        verdict = map_back(problem, run_algorithm(aug, config), flipped)
         if verdict.x is None:
             continue
-        # Any solution of the augmented system solves the base on its x prefix.
-        head = list(verdict.x[:work.n])
-        x = [1 - v for v in head] if flipped else head
-        if all(v in (0, 1) for v in x):
-            final = fm.binary_verdict(problem, x, **{**verdict.meta, "t": t, "M": config.M})
-            return AttackOutcome(verdict=final, dag_used=True, t_found=t,
+        if verdict.solved:
+            verdict = replace(verdict, meta={**verdict.meta, "t": t, "M": config.M})
+            return AttackOutcome(verdict=verdict, dag_used=True, t_found=t,
                                  wall_time=time.perf_counter() - t0)
-        witness = fm.short_nonbinary_verdict(problem, x, **verdict.meta)
-        if best is None or sum(v * v for v in x) < sum(v * v for v in best.x):
-            best = witness
+        if best is None or sum(v * v for v in verdict.x) < sum(v * v for v in best.x):
+            best = verdict
     raise SearchExhausted(
         f"no valid t in 1..{config.t_max} with M={config.M}", best=best)
 
@@ -367,22 +366,17 @@ def bench(cells: list[BenchCell]) -> list[BenchRow]:
     its row's errors, so one failure does not discard the grid.
     """
     workers = resolve_workers()
-    jobs = [(ci, i) for ci, cell in enumerate(cells) for i in range(cell.count)]
-    results: dict[tuple[int, int], tuple[bool, int | None, float, str | None]] = {}
-    if workers > 1 and len(jobs) > 1:
+    cell_of = [cell for cell in cells for _ in range(cell.count)]
+    index = [i for cell in cells for i in range(cell.count)]
+    parallel = workers > 1 and len(cell_of) > 1
+    if parallel:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_bench_one, cells[ci], i): (ci, i) for ci, i in jobs}
-            for fut, key in futs.items():
-                results[key] = fut.result()
-    else:
-        for ci, i in jobs:
-            results[ci, i] = _bench_one(cells[ci], i)
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        results = iter(list((pool.map if parallel else map)(_bench_one, cell_of, index)))
     rows = []
-    for ci, cell in enumerate(cells):
+    for cell in cells:
         row = BenchRow(cell=cell, successes=0)
-        for i in range(cell.count):
-            solved, t_found, ms, error = results[ci, i]
+        for i, (solved, t_found, ms, error) in zip(range(cell.count), results):
             row.successes += int(solved)
             if t_found is not None:
                 row.valid_ts.append(t_found)

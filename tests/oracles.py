@@ -39,10 +39,10 @@ from knapcrack.disagg import JUMP_CAP, JumpPoint, _jump_denominators, row_coeffs
 from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackError,
                               RankDeficient, SingularE, SizeLimit)
 from knapcrack.formulations import (FAILURE, AttackVerdict, KernelDecomposition,
-                                    _attack_targets, _scan_lo, binary_verdict)
+                                    _scan_lo, classify_solution)
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
 from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll
-from knapcrack.problems import LdeSystem
+from knapcrack.problems import LdeSystem, complement
 
 FULL_ENUM_LIMIT = 20
 MITM_LIMIT = 30
@@ -580,8 +580,11 @@ def check_decomposition_bareiss(sys, kd) -> None:
 
 
 def attack_lo_two_lll(sys: LdeSystem, alpha=DEFAULT_ALPHA) -> AttackVerdict:
-    """LO with one full ``lll`` per target, the reference for ``attack_lo``."""
-    for target, flipped in _attack_targets(sys):
+    """LO with one full ``lll`` per target, the reference for ``attack_lo``.
+
+    The targets are the instance as given, then its complement.
+    """
+    for target, flipped in ((sys, False), (complement(sys), True)):
         a, b = target.A[0], target.b[0]
         n = target.n
         cols = [[0] * (n + 1) for _ in range(n + 1)]
@@ -592,9 +595,9 @@ def attack_lo_two_lll(sys: LdeSystem, alpha=DEFAULT_ALPHA) -> AttackVerdict:
         reduced = lll(basis_of(cols), alpha)
         for j, lam, x in _scan_lo(reduced.columns, n):
             if target.is_solution(x):
-                return binary_verdict(sys, [1 - v for v in x] if flipped else x,
-                                      algorithm="lo", column=j, scan_lambda=lam,
-                                      used_complement=flipped)
+                return classify_solution(sys, [1 - v for v in x] if flipped else x,
+                                         algorithm="lo", column=j, scan_lambda=lam,
+                                         used_complement=flipped)
     return AttackVerdict(FAILURE, meta={"algorithm": "lo"})
 
 

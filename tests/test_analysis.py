@@ -83,6 +83,8 @@ class TestVolume:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["volume"] for row in rows] == ["inf", "inf"]
+        # inf / inf would be nan; the ratio comes from the exact d[s] instead.
+        assert all(abs(float(row["gamma_check"]) - 1) < 1e-9 for row in rows)
 
 
 class TestProjection:

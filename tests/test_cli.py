@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from knapcrack.cli import main
+from knapcrack.disagg import DisaggParams
 from knapcrack.formulations import BINARY, AttackVerdict
-from knapcrack.pipeline import generate_instance, generate_system
+from knapcrack.pipeline import (SearchConfig, augment, generate_instance, generate_system,
+                                run_algorithm)
 from knapcrack.problems import LdeSystem, load_system, save_system
 
 # (t, kernel_dim, volume, cut, success) per row.
@@ -77,6 +79,17 @@ class TestGen:
                   "--seed", "5", "--out", str(out)])
         for name in ("inst_1_12_0.txt", "inst_1_12_2.txt", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_two_row_manifest_lists_two_densities(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["gen", "--m", "2", "--n", "12", "--count", "2",
+                     "--seed", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for idx, entry in enumerate(manifest):
+            gen = generate_system(2, 12, 3 + idx)
+            assert entry["file"] == f"inst_2_12_{idx}.txt"
+            assert entry["densities"] == list(gen.densities) and len(gen.densities) == 2
+            assert load_system(out / entry["file"]) == gen.system
 
     def test_odd_n_rejected(self, tmp_path, capsys):
         assert main(["gen", "--m", "1", "--n", "15", "--count", "1",
@@ -353,8 +366,9 @@ class TestBench:
         ("4 4 reduce 0 1000 5 1 0", "need 1 <= m < n, got m=4, n=4"),
         ("1 16 reduce 1 1000 5 -2 0", "count must be at least 1, got -2"),
         ("1 16 reduce yes 1000 5 1 0", "'yes'"),
+        ("1 16 bogus 0 1000 5 1 0", "unknown algorithm 'bogus'"),
     ], ids=["non-integer", "dag-t-max", "odd-n", "m-not-below-n", "count-below-one",
-            "dag-field"])
+            "dag-field", "unknown-algo"])
     def test_bad_grid_line_is_parse_error(self, tmp_path, capsys, line, message):
         grid = tmp_path / "grid.txt"
         grid.write_text(f"1 8 reduce 0 100 10 2 1\n{line}\n")
@@ -383,6 +397,14 @@ class TestBench:
         out = tmp_path / "desk.csv"
         assert main(["bench", "--grid", str(GRID), "--out", str(out), "--no-timing"]) == 0
         assert out.read_text() == GOLDEN_DESK_CSV
+
+    def test_missing_grid_exits_like_a_missing_input(self, tmp_path, capsys):
+        missing, out = tmp_path / "missing.grid", tmp_path / "bench.csv"
+        assert main(["attack", "--algo", "reduce", "--input", str(missing)]) == 4
+        attack_err = capsys.readouterr().err
+        assert main(["bench", "--grid", str(missing), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == attack_err
+        assert attack_err.startswith("error: ") and not out.exists()
 
     def test_bad_grid(self, tmp_path):
         grid = tmp_path / "grid.txt"
@@ -535,6 +557,41 @@ class TestAnalyze:
         assert rows == 4
         # One for the baseline attack, then one per scenario.
         assert len(calls) == 1 + rows
+
+    @pytest.mark.parametrize("algo", ["cjloss", "ahl"])
+    def test_scan_attack_labels_success(self, ex3_file, tmp_path, algo):
+        # The label is the scan attack's verdict on each augmented system,
+        # binary on the first n coordinates.
+        out = tmp_path / f"{algo}.csv"
+        assert main(["analyze", "--input", ex3_file, "--out", str(out), "--algo", algo,
+                     "--modulus", "63", "--t-range", "1..4"]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        system, want = load_system(ex3_file), []
+        for t in range(1, 5):
+            aug, _ = augment(system, [(0, DisaggParams(t, 63))])
+            x = run_algorithm(aug, SearchConfig(algo=algo)).x
+            want.append(str(int(x is not None and all(v in (0, 1) for v in x[:6]))))
+        assert [(r["t"], r["success"]) for r in rows] == list(zip("1234", want))
+
+    def test_escalation_skips_one_scenario(self, ex3_file, tmp_path, capsys, monkeypatch):
+        from knapcrack import cli
+        from knapcrack.errors import EscalationExhausted
+        calls, real = [], cli.decompose
+
+        def decompose(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:  # the second scenario, t = 2
+                raise EscalationExhausted("zero block absent")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", decompose)
+        out = tmp_path / "skip.csv"
+        assert main(["analyze", "--input", ex3_file, "--out", str(out),
+                     "--modulus", "63", "--t-range", "1..3"]) == 0
+        assert "skipped 2/63: zero block absent" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            assert [r["t"] for r in csv.DictReader(fh)] == ["1", "3"]
 
     @pytest.mark.parametrize("spec", ["0:5/3", "7:1/3"])
     def test_invalid_apply_is_usage_error(self, toy_file, tmp_path, capsys, spec):

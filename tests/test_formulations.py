@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from knapcrack.errors import InvalidN, RankDeficient, SingularE
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, ahl_basis,
                                     attack_ahl, attack_cjloss, attack_lo,
-                                    binary_verdict, build_lattice_B, cjloss_basis,
+                                    build_lattice_B, cjloss_basis, classify_solution,
                                     decompose, special_solution, _check_decomposition,
                                     _scan_lo, _scan_pm1)
 from knapcrack.intmat import det_bareiss, gram, mat_mul
@@ -242,6 +242,12 @@ class TestAttacks:
                 assert gen.instance.is_solution(verdict.x)
         assert solved >= 1
 
+    def test_lo_tries_the_instance_as_given_first(self):
+        # b above sum/2 is not normalized here: 010 solves the instance itself.
+        verdict = attack_lo(LdeSystem.from_rows([[3, 15, 6]], [15]))
+        assert verdict.solved and verdict.x == (0, 1, 0)
+        assert verdict.meta["used_complement"] is False
+
     def test_cjloss_above_half_sum(self):
         # b above sum/2 is attacked as given: the complement's solution 101
         # is the same lattice vector as 010, negated.
@@ -293,7 +299,7 @@ class TestAttacks:
     def test_binary_verdict_verifies(self):
         # A verdict that fails substitution is a bug, not an input error.
         with pytest.raises(AssertionError):
-            binary_verdict(TOY_SYS, [1, 1, 0])
+            classify_solution(TOY_SYS, [1, 1, 0])
 
 
 def pinned_instances():

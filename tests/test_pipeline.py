@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from knapcrack.disagg import DisaggParams, DisaggregatedSystem, build_disaggregated
 from knapcrack.errors import (DependentColumns, EscalationExhausted, GenerationBudgetExceeded,
                               InvalidRow, RankDeficient, SearchExhausted)
+from knapcrack.formulations import BINARY, FAILURE, SHORT_NONBINARY, AttackVerdict
 from knapcrack.pipeline import (AttackOutcome, BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, default_modulus,
-                                generate_instance, generate_system, resolve_workers)
+                                generate_instance, generate_system, map_back,
+                                resolve_workers)
 from knapcrack.problems import LdeSystem
 
 from oracles import TooLarge, _enumerate_full, _enumerate_mitm, brute_force_solve
@@ -115,6 +117,21 @@ class TestAttack:
                 out = attack(gen.instance, SearchConfig(algo=algo))
                 if out.solved:
                     assert out.verdict.x in sols
+
+    def test_map_back_truncates_flips_and_classifies(self):
+        # Vectors about the normalized toy (b = 9), each with one extra
+        # augmented coordinate, re-expressed over the original b = 15.
+        inst = LdeSystem.from_rows([[3, 15, 6]], [15])
+        lo = AttackVerdict(BINARY, (1, 0, 1, 1), {"algorithm": "lo", "used_complement": True})
+        assert map_back(inst, lo, True) == AttackVerdict(
+            BINARY, (0, 1, 0), {"algorithm": "lo", "used_complement": False})
+        short = AttackVerdict(SHORT_NONBINARY, (-2, 1, 0, 7), {"algorithm": "ahl"})
+        assert map_back(inst, short, True) == AttackVerdict(
+            SHORT_NONBINARY, (3, 0, 1), {"algorithm": "ahl"})
+        failure = AttackVerdict(FAILURE, meta={"algorithm": "cjloss"})
+        assert map_back(inst, failure, True) is failure
+        with pytest.raises(AssertionError, match="does not satisfy"):
+            map_back(inst, short, False)
 
     def test_outcome_invariant(self):
         with pytest.raises(AssertionError):
