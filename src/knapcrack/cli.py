@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis, pipeline
+from . import pipeline
 from .disagg import DisaggParams, cuts_off, is_ideal, jump_points, modular_transform, row_coeffs
 from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams, InvalidRow,
                      ParseError, SearchExhausted, SizeLimit)
@@ -354,6 +354,8 @@ def _analyze_scenarios(args, system):
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis  # numpy; every other command starts without it
+
     algo = ALGO_FLAGS[args.algo]
     if algo == "lo":
         # Every augmented system has m >= 2 equations; lo takes only one.

@@ -42,10 +42,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from ._lll_py import integral_gso
 from .errors import DependentColumns, EscalationExhausted, InvalidN
 from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
-from .lattice import DEFAULT_ALPHA, LatticeBasis, lll, lll_shared_prefix
+from .lattice import DEFAULT_ALPHA, LatticeBasis, integral_gso, lll, lll_shared_prefix
 from .problems import LdeSystem, complement, is_subset_sum
 
 DEFAULT_N = 10**8

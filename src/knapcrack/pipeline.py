@@ -365,10 +365,10 @@ def bench(cells: list[BenchCell]) -> list[BenchRow]:
     A job that raises a KnapcrackError counts as unsolved and is listed in
     its row's errors, so one failure does not discard the grid.
     """
-    workers = resolve_workers()
     cell_of = [cell for cell in cells for _ in range(cell.count)]
     index = [i for cell in cells for i in range(cell.count)]
-    parallel = workers > 1 and len(cell_of) > 1
+    workers = min(resolve_workers(), len(cell_of))  # a fork pool starts every worker
+    parallel = workers > 1
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:

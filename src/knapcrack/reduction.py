@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from operator import sub
 
-from ._lll_py import gso_row, round_nearest
 from .formulations import KernelDecomposition
 from .intmat import mat_vec
+from .lattice import gso_row, round_nearest
 
 
 def _sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:

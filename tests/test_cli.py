@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import knapcrack
 from knapcrack.cli import main
 from knapcrack.disagg import DisaggParams
 from knapcrack.formulations import BINARY, AttackVerdict
@@ -111,6 +115,22 @@ class TestAttack:
         assert main(["attack", "--algo", "reduce-half", "--input", toy_file]) == 0
         out = capsys.readouterr().out
         assert "solution: 101" in out
+
+    def test_attack_starts_without_numpy(self, toy_file):
+        # Only analyze needs numpy (through analysis); a fresh interpreter shows
+        # what the other commands import.
+        argv = ["attack", "--algo", "reduce-half", "--input", toy_file]
+        code = ("import sys\n"
+                "from knapcrack import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = str(Path(knapcrack.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "solution: 101" in run.stdout
 
     def test_dag_on_worked_system(self, ex3_file):
         assert main(["attack", "--algo", "reduce", "--dag", "--modulus", "63",

@@ -15,7 +15,7 @@ from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, 
                                     decompose, special_solution, _check_decomposition,
                                     _scan_lo, _scan_pm1)
 from knapcrack.intmat import det_bareiss, gram, mat_mul
-from knapcrack import _lll_py
+from knapcrack import lattice
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem, complement, normalize
 
@@ -314,13 +314,13 @@ def pinned_instances():
 def visits(monkeypatch) -> list:
     """One entry per first visit of a column in the LLL kernel."""
     seen = []
-    real = _lll_py._visit
+    real = lattice._visit
 
     def counting(*args):
         seen.append(1)
         return real(*args)
 
-    monkeypatch.setattr(_lll_py, "_visit", counting)
+    monkeypatch.setattr(lattice, "_visit", counting)
     return seen
 
 

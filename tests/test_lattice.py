@@ -13,10 +13,10 @@ from knapcrack.disagg import DisaggParams, build_disaggregated
 from knapcrack.errors import DependentColumns, InvalidAlpha
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, build_lattice_B,
                                     cjloss_basis)
-from knapcrack import _lll_py
-from knapcrack._lll_py import gso_row, integral_gso, round_nearest
+from knapcrack import lattice
 from knapcrack.intmat import det_bareiss, gram
-from knapcrack.lattice import DEFAULT_ALPHA, lll, lll_shared_prefix
+from knapcrack.lattice import (DEFAULT_ALPHA, gso_row, integral_gso, lll, lll_shared_prefix,
+                              round_nearest)
 from knapcrack.pipeline import generate_instance
 from knapcrack.problems import complement
 
@@ -463,7 +463,7 @@ class TestZeroPrefix:
             gammas.append(round_nearest(num, den))
             return gammas[-1]
 
-        monkeypatch.setattr(_lll_py, "round_nearest", spy)
+        monkeypatch.setattr(lattice, "round_nearest", spy)
         for n, seed, reference in ((20, 0, lemma_lll), (20, 1, lemma_lll), (10, 0, naive_lll)):
             basis = build_lattice_B(generate_instance(n, seed).instance, DEFAULT_N)
             before = len(gammas)

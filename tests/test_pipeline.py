@@ -321,6 +321,32 @@ class TestBench:
         parallel = bench_csv(bench(cells), timing=False)
         assert serial == parallel
 
+    def test_pool_capped_at_job_count(self, monkeypatch):
+        # A fork pool starts all max_workers processes at the first submit;
+        # the fake runs the jobs serially and starts none.
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cells = [BenchCell(1, 10, "reduce_half", False, 100, 10, 3, 9)]
+        monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
+        serial = bench_csv(bench(cells), timing=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("KNAPCRACK_THREADS", "64")
+        assert bench_csv(bench(cells), timing=False) == serial
+        assert sizes == [3]
 
     @pytest.mark.parametrize("raw, workers", [("1", 1), ("3", 3), ("0", os.cpu_count() or 1)])
     def test_thread_count(self, monkeypatch, raw, workers):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from knapcrack._lll_py import integral_gso
 from knapcrack.errors import DependentColumns, DimensionMismatch
 from knapcrack.formulations import attack_ahl, decompose, special_solution
+from knapcrack.lattice import integral_gso
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
 from knapcrack.reduction import reduce_half, reduce_solution

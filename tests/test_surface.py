@@ -3,7 +3,7 @@
 own definition, each function takes one input shape, so no function
 branches on the type of its input, and no handler catches every error.
 Code that only tests use belongs in ``tests/oracles.py``.  The LLL kernel
-keeps one loop: exactly one function in ``_lll_py`` holds the exchange step.
+keeps one loop: exactly one function in ``lattice`` holds the exchange step.
 
 A reference is a name or attribute lookup, or a string constant equal to
 the name (``perfbench/layers.py`` patches attributes by name, and
@@ -123,11 +123,10 @@ def swapping_functions(path) -> set[str]:
 def test_one_lll_loop():
     # LLL's exchange step swaps two adjacent columns; lll and
     # lll_shared_prefix both run the one loop that does it.
-    assert len(swapping_functions(PACKAGE / "_lll_py.py")) == 1
+    assert len(swapping_functions(PACKAGE / "lattice.py")) == 1
 
 
-EXACT_CORE = ["_lll_py", "lattice", "intmat", "reduction", "formulations", "disagg",
-              "problems"]
+EXACT_CORE = ["lattice", "intmat", "reduction", "formulations", "disagg", "problems"]
 INEXACT_NAMES = {"float", "math", "numpy"}
 
 
