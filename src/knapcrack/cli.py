@@ -1,8 +1,10 @@
 """Command-line surface: gen, attack, jumps, bench, analyze.
 
 Exit codes: 0 solved / done, 1 attack did not produce a binary solution
-(for bench: some job raised and was counted unsolved), 2 usage error,
-3 I/O failure, 4 malformed or missing input file, 5 enumeration cap exceeded.
+(for bench: some job raised and was counted unsolved).  Commands raise on
+errors, and main maps each error to its exit code and stderr line through
+one table, EXITS: 1 N escalation exhausted, 2 usage error, 3 I/O failure,
+4 malformed or missing input file, 5 enumeration cap exceeded.
 Rational flags (alpha, t/M ratios) are written P/Q; decimals
 are rejected to keep exactness-critical parameters exact.
 """
@@ -14,6 +16,7 @@ import json
 import re
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from . import pipeline
 from .disagg import DisaggParams, cuts_off, is_ideal, jump_points, modular_transform, row_coeffs
 from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams, InvalidRow,
                      ParseError, SearchExhausted, SizeLimit)
-from .formulations import DEFAULT_N, FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
+from .formulations import FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
 from .lattice import DEFAULT_ALPHA
 from .problems import load_system, save_system
 
@@ -81,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--t-max", type=int, default=None)
     atk.add_argument("--row", type=int, default=None, help="row to disaggregate (with --dag)")
     atk.add_argument("--alpha", type=_fraction_flag, default=DEFAULT_ALPHA)
-    atk.add_argument("--bign", type=int, default=DEFAULT_N)
+    atk.add_argument("--bign", type=int, default=None)
     atk.add_argument("--json", action="store_true")
 
     jumps = sub.add_parser("jumps", help="list jump points of an instance")
@@ -110,96 +113,87 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def cmd_gen(args) -> int:
+class UsageError(Exception):
+    """A flag value or combination the command refuses (exit 2)."""
+
+
+class MissingInput(Exception):
+    """An input or grid file that does not exist (exit 4, unlike a missing output's 3)."""
+
+
+@contextmanager
+def _usage_errors():
+    """Report a library ValueError raised inside as a usage error."""
     try:
-        pipeline.check_shape(args.m, args.n)
+        yield
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from exc
+
+
+def _read_input(load, path: str):
+    """load(path) of an input or grid file.
+
+    A missing file raises MissingInput, and bytes that are not UTF-8 raise
+    ParseError, like any other malformed input.
+    """
     try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = []
-        for idx in range(args.count):
-            seed = args.seed + idx
-            if args.m == 1:
-                gen = pipeline.generate_instance(args.n, seed)
-                system = gen.instance
-                dens = [gen.density]
-            else:
-                gen = pipeline.generate_system(args.m, args.n, seed)
-                system = gen.system
-                dens = list(gen.densities)
-            name = f"inst_{args.m}_{args.n}_{idx}.txt"
-            save_system(system, out / name)
-            manifest.append({
-                "file": name, "m": args.m, "n": args.n, "seed": seed,
-                "densities": dens,
-                "planted": "".join(str(v) for v in gen.planted),
-                "b": list(system.b),
-            })
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return load(path)
+    except FileNotFoundError as exc:
+        raise MissingInput(exc) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+
+
+def cmd_gen(args) -> int:
+    with _usage_errors():
+        pipeline.check_shape(args.m, args.n)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for idx in range(args.count):
+        seed = args.seed + idx
+        if args.m == 1:
+            gen = pipeline.generate_instance(args.n, seed)
+            system = gen.instance
+            dens = [gen.density]
+        else:
+            gen = pipeline.generate_system(args.m, args.n, seed)
+            system = gen.system
+            dens = list(gen.densities)
+        name = f"inst_{args.m}_{args.n}_{idx}.txt"
+        save_system(system, out / name)
+        manifest.append({
+            "file": name, "m": args.m, "n": args.n, "seed": seed,
+            "densities": dens,
+            "planted": "".join(str(v) for v in gen.planted),
+            "b": list(system.b),
+        })
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {args.count} files + manifest to {args.out}")
     return EXIT_SOLVED
 
 
-def _load_or_exit(path: str):
-    """Load a system file; returns (system, None) or (None, exit_code)."""
-    try:
-        return load_system(path), None
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-
-
 def cmd_attack(args) -> int:
-    if args.modulus is not None and args.modulus < 2:
-        print(f"error: --modulus must be at least 2, got {args.modulus}: the DAG search "
-              "needs 0 < t_max < M", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.dag:
-        for flag, value in (("--row", args.row), ("--modulus", args.modulus),
-                            ("--t-max", args.t_max)):
-            if value is not None:
-                print(f"error: {flag} is read only by the DAG search; it needs --dag",
-                      file=sys.stderr)
-                return EXIT_USAGE
-    system, err = _load_or_exit(args.input)
-    if err is not None:
-        return err
+    system = _read_input(load_system, args.input)
     algo = ALGO_FLAGS[args.algo]
     modulus = pipeline.default_modulus(system.n) if args.modulus is None else args.modulus
     t_max = pipeline.SearchConfig.t_max if args.t_max is None else args.t_max
     t0 = time.perf_counter()
     try:
-        config = pipeline.SearchConfig(algo=algo, use_dag=args.dag, M=modulus,
-                                       t_max=min(t_max, modulus - 1),
-                                       alpha=args.alpha, N=args.bign,
-                                       row_index=args.row or 0)
-        outcome = pipeline.attack(system, config)
+        with _usage_errors():
+            config = pipeline.SearchConfig(
+                algo=algo, use_dag=args.dag, M=modulus, t_max=min(t_max, modulus - 1),
+                alpha=args.alpha, N=pipeline.SearchConfig.N if args.bign is None else args.bign,
+                row_index=args.row or 0)
+            outcome = pipeline.attack(system, config)
     except SearchExhausted as exc:
         best = exc.best
         outcome = pipeline.AttackOutcome(
             verdict=best if best is not None
             else AttackVerdict(FAILURE, meta={"algorithm": algo}),
             dag_used=True, wall_time=time.perf_counter() - t0)
-    except (ValueError, InvalidAlpha, InvalidN, InvalidRow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EscalationExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVED
     if args.json:
         print(json.dumps(outcome.to_dict(), sort_keys=True))
     else:
@@ -214,22 +208,12 @@ def cmd_attack(args) -> int:
 
 
 def cmd_jumps(args) -> int:
-    system, err = _load_or_exit(args.input)
-    if err is not None:
-        return err
+    system = _read_input(load_system, args.input)
     if system.m != 1:
-        print(f"error: jumps takes a single-equation file, got {system.m} equations",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"jumps takes a single-equation file, got {system.m} equations")
     problem = (list(system.A[0]), system.b[0])
-    try:
+    with _usage_errors():
         points = jump_points(problem, args.limit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SizeLimit as exc:
-        print(f"error: {exc} (use --limit)", file=sys.stderr)
-        return EXIT_CAP
     for jp in points:
         r = jp.value
         params = DisaggParams(r.numerator, r.denominator)
@@ -275,30 +259,13 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
 
 
 def cmd_bench(args) -> int:
-    try:
+    with _usage_errors():
         pipeline.resolve_workers()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cells = _parse_grid(args.grid)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cells = _read_input(_parse_grid, args.grid)
     rows = pipeline.bench(cells)
     text = pipeline.bench_csv(rows, timing=not args.no_timing)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     print(f"wrote {len(rows)} rows to {args.out}")
     failures = [(row.cell, seed, message) for row in rows for seed, message in row.errors]
     for c, seed, message in failures:
@@ -312,13 +279,13 @@ def _parse_apply(spec: str, m: int) -> list[tuple[int, DisaggParams]]:
 
     Step i may name a row derived by an earlier step, so its row lies in
     0..m+i-1.  Raises InvalidRow or InvalidParams on a bad step, and
-    ValueError on a step not written ROW:T/M.
+    UsageError on a step not written ROW:T/M.
     """
     steps = []
     for i, part in enumerate(spec.split(",")):
         match = APPLY_STEP.fullmatch(part)
         if match is None:
-            raise ValueError(f"--apply expects ROW:T/M[,ROW:T/M...], got {spec!r}")
+            raise UsageError(f"--apply expects ROW:T/M[,ROW:T/M...], got {spec!r}")
         row, t, modulus = map(int, match.groups())
         if not 0 <= row < m + i:
             raise InvalidRow(f"--apply {spec}: row {row} outside 0..{m + i - 1}")
@@ -341,14 +308,14 @@ def _analyze_scenarios(args, system):
             yield [(row, DisaggParams(r.numerator, r.denominator))]
         return
     if args.t_range is None or args.modulus is None:
-        raise ValueError("need --t-range with --modulus, or --all-jumps, or --apply")
+        raise UsageError("need --t-range with --modulus, or --all-jumps, or --apply")
     match = T_RANGE.fullmatch(args.t_range)
     if match is None:
-        raise ValueError(f"--t-range expects A..B, got {args.t_range!r}")
+        raise UsageError(f"--t-range expects A..B, got {args.t_range!r}")
     lo, hi = map(int, match.groups())
     ts = range(max(lo, 1), min(hi, args.modulus - 1) + 1)
     if not ts:
-        raise ValueError(f"--t-range {args.t_range} holds no t with 0 < t < {args.modulus}")
+        raise UsageError(f"--t-range {args.t_range} holds no t with 0 < t < {args.modulus}")
     for t in ts:
         yield [(row, DisaggParams(t, args.modulus))]
 
@@ -356,50 +323,17 @@ def _analyze_scenarios(args, system):
 def cmd_analyze(args) -> int:
     from . import analysis  # numpy; every other command starts without it
 
-    algo = ALGO_FLAGS[args.algo]
-    if algo == "lo":
-        # Every augmented system has m >= 2 equations; lo takes only one.
-        print("error: --algo lo handles single equations only; analyze augments "
-              "every system to two or more", file=sys.stderr)
-        return EXIT_USAGE
-    if args.modulus is not None and args.modulus < 2:
-        print(f"error: --modulus must be at least 2, got {args.modulus}: no t satisfies "
-              "0 < t < M", file=sys.stderr)
-        return EXIT_USAGE
-    if args.modulus is not None and args.t_range is None:
-        print("error: --modulus is the M of --t-range; it needs --t-range", file=sys.stderr)
-        return EXIT_USAGE
-    if args.limit is not None and not args.all_jumps:
-        print("error: --limit caps the jump points of --all-jumps; it needs --all-jumps",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.row is not None and args.apply:
-        print("error: --row does not apply with --apply, whose steps name their own rows",
-              file=sys.stderr)
-        return EXIT_USAGE
-    system, err = _load_or_exit(args.input)
-    if err is not None:
-        return err
-    try:
+    system = _read_input(load_system, args.input)
+    with _usage_errors():
         scenarios = list(_analyze_scenarios(args, system))
         # A base row that cannot be disaggregated (negative entries, b above
         # the row sum) is bad input, not a per-scenario skip.
         for row in sorted({row for steps in scenarios for row, _ in steps
                            if row < system.m}):
             row_coeffs((system.A[row], system.b[row]))
-    except SizeLimit as exc:
-        print(f"error: {exc} (use --limit)", file=sys.stderr)
-        return EXIT_CAP
-    except (ValueError, InvalidParams, InvalidRow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    algo = ALGO_FLAGS[args.algo]
     config = pipeline.SearchConfig(algo=algo)
-
-    try:
-        baseline = pipeline.attack(system, config)
-    except EscalationExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVED
+    baseline = pipeline.attack(system, config)
     x_tilde = list(baseline.verdict.x) if baseline.verdict.status == SHORT_NONBINARY else None
 
     instance_id = Path(args.input).stem
@@ -428,21 +362,74 @@ def cmd_analyze(args) -> int:
             instance_id=instance_id, m=system.m, n=system.n,
             t=label.t, M=label.M,
             features=analysis.compute_features(kd, cut=cut, success=success)))
-    try:
-        analysis.export_features_csv(records, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    analysis.export_features_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     return EXIT_SOLVED
 
 
+def _modulus_below_two(args) -> bool:
+    return args.modulus is not None and args.modulus < 2
+
+
+# The flags each command refuses before it reads its input, in the order
+# they are checked: (refused(args), message formatted with the flags).
+FLAG_CHECKS = {
+    "attack": [
+        (_modulus_below_two, "--modulus must be at least 2, got {modulus}: the DAG search "
+                             "needs 0 < t_max < M"),
+        (lambda a: a.row is not None and not a.dag,
+         "--row is read only by the DAG search; it needs --dag"),
+        (lambda a: a.modulus is not None and not a.dag,
+         "--modulus is read only by the DAG search; it needs --dag"),
+        (lambda a: a.t_max is not None and not a.dag,
+         "--t-max is read only by the DAG search; it needs --dag"),
+        (lambda a: a.bign is not None and a.algo in ("lo", "ahl"),
+         "--bign is read only by reduce, reduce-half and cjloss; --algo {algo} ignores it"),
+    ],
+    "analyze": [
+        # Every augmented system has m >= 2 equations; lo takes only one.
+        (lambda a: a.algo == "lo", "--algo lo handles single equations only; analyze "
+                                  "augments every system to two or more"),
+        (_modulus_below_two, "--modulus must be at least 2, got {modulus}: no t satisfies "
+                             "0 < t < M"),
+        (lambda a: a.modulus is not None and a.t_range is None,
+         "--modulus is the M of --t-range; it needs --t-range"),
+        (lambda a: a.limit is not None and not a.all_jumps,
+         "--limit caps the jump points of --all-jumps; it needs --all-jumps"),
+        (lambda a: a.row is not None and a.apply,
+         "--row does not apply with --apply, whose steps name their own rows"),
+    ],
+}
+
+COMMANDS = {"gen": cmd_gen, "attack": cmd_attack, "jumps": cmd_jumps,
+            "bench": cmd_bench, "analyze": cmd_analyze}
+
+# What main reports for an error a command raises: the first row whose
+# types include the error's gives the exit code and the stderr line.
+# Anything else is a bug and ends in a traceback.
+EXITS = [
+    ((ParseError,), EXIT_PARSE, "parse error: {}"),
+    ((MissingInput,), EXIT_PARSE, "error: {}"),
+    ((SizeLimit,), EXIT_CAP, "error: {} (use --limit)"),
+    ((EscalationExhausted,), EXIT_UNSOLVED, "error: {}"),
+    ((OSError,), EXIT_IO, "error: {}"),
+    ((InvalidAlpha, InvalidN, InvalidParams, InvalidRow, UsageError), EXIT_USAGE, "error: {}"),
+]
+REPORTED = tuple(kind for kinds, _, _ in EXITS for kind in kinds)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {"gen": cmd_gen, "attack": cmd_attack, "jumps": cmd_jumps,
-               "bench": cmd_bench, "analyze": cmd_analyze}[args.command]
-    return handler(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        for refused, message in FLAG_CHECKS.get(args.command, ()):
+            if refused(args):
+                raise UsageError(message.format_map(vars(args)))
+        return COMMANDS[args.command](args)
+    except REPORTED as exc:
+        code, line = next((code, line) for kinds, code, line in EXITS
+                          if issubclass(type(exc), kinds))
+        print(line.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

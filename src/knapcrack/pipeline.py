@@ -345,9 +345,10 @@ def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float, st
 
 
 def resolve_workers() -> int:
-    """Worker count from KNAPCRACK_THREADS (0 = all cores, unset = serial).
+    """Worker count from KNAPCRACK_THREADS (0 = all usable cores, unset = serial).
 
-    Raises ValueError, naming the variable, when it is not a whole number >= 0.
+    0 counts the CPUs this process may run on, not the host's.  Raises
+    ValueError, naming the variable, when it is not a whole number >= 0.
     """
     raw = os.environ.get("KNAPCRACK_THREADS", "1")
     if not raw.isdecimal():
@@ -355,7 +356,10 @@ def resolve_workers() -> int:
                          f"(0 = all cores), got {raw!r}")
     val = int(raw)
     if val == 0:
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on macOS or Windows
+            return os.cpu_count() or 1
     return val
 
 

@@ -264,6 +264,20 @@ class TestAttack:
         assert main(["attack", "--algo", "ahl", "--input", str(path)]) == 1
         assert "status: failure" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo", ["lo", "ahl"])
+    def test_bign_without_a_reader_is_usage_error(self, toy_file, capsys, algo):
+        # Neither attack scales by N; the flag used to be dropped silently.
+        assert main(["attack", "--algo", algo, "--bign", "0", "--input", toy_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --bign is read only by reduce, reduce-half and "
+                                f"cjloss; --algo {algo} ignores it\n")
+        assert captured.out == ""
+
+    def test_input_directory_is_io_error(self, tmp_path, capsys):
+        assert main(["attack", "--algo", "reduce", "--input", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_alpha_must_be_rational_flag(self, toy_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "--algo", "lo", "--alpha", "0.99",
@@ -678,3 +692,58 @@ class TestAnalyze:
                      "--row", str(len(rows) - 1)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestExitPath:
+    """What main's one table makes of an error: its code and stderr line, or a traceback."""
+
+    @pytest.mark.parametrize("command", ["attack", "jumps", "analyze", "bench"])
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        if command == "bench":
+            path.write_bytes(b"1 8 reduce 0 100 10 1 1\n# \xff\n")
+        else:
+            path.write_bytes(b"1 3\n3 15 6\n9 \xff\n")
+        out = tmp_path / "out.csv"
+        argv = {"attack": ["attack", "--algo", "reduce", "--input", str(path)],
+                "jumps": ["jumps", "--input", str(path)],
+                "analyze": ["analyze", "--input", str(path), "--out", str(out), "--all-jumps"],
+                "bench": ["bench", "--grid", str(path), "--out", str(out)]}[command]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: not UTF-8 text: ")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "bench", "analyze"])
+    def test_unwritable_output_is_io_error(self, toy_file, tmp_path, capsys, command):
+        # A missing input exits 4; an output that cannot be written exits 3,
+        # a missing directory included.  gen makes missing directories, so
+        # its output sits under a file instead.
+        missing = tmp_path / "missing"
+        if command == "gen":
+            missing.write_text("")
+        grid = tmp_path / "grid.txt"
+        grid.write_text("1 8 reduce 0 100 10 1 1\n")
+        argv = {"gen": ["gen", "--n", "8", "--out", str(missing / "d")],
+                "bench": ["bench", "--grid", str(grid), "--out", str(missing / "b.csv"),
+                          "--no-timing"],
+                "analyze": ["analyze", "--input", toy_file, "--out", str(missing / "a.csv"),
+                            "--all-jumps", "--limit", "2"]}[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+        assert captured.out == ""
+
+    def test_library_bug_is_a_traceback(self, toy_file, tmp_path, monkeypatch):
+        # numpy's LinAlgError is a ValueError, but not a usage error.
+        import numpy
+
+        from knapcrack import analysis
+
+        def compute_features(*args, **kwargs):
+            raise numpy.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(analysis, "compute_features", compute_features)
+        with pytest.raises(numpy.linalg.LinAlgError):
+            main(["analyze", "--input", toy_file, "--out", str(tmp_path / "f.csv"),
+                  "--all-jumps", "--limit", "2"])

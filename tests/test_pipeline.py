@@ -348,10 +348,18 @@ class TestBench:
         assert bench_csv(bench(cells), timing=False) == serial
         assert sizes == [3]
 
-    @pytest.mark.parametrize("raw, workers", [("1", 1), ("3", 3), ("0", os.cpu_count() or 1)])
+    @pytest.mark.parametrize("raw, workers", [("1", 1), ("3", 3),
+                                              ("0", len(os.sched_getaffinity(0)))])
     def test_thread_count(self, monkeypatch, raw, workers):
         monkeypatch.setenv("KNAPCRACK_THREADS", raw)
         assert resolve_workers() == workers
+
+    def test_all_cores_means_the_cores_this_process_may_use(self, monkeypatch):
+        # A container pinned to one core of a 64-core host gets one worker.
+        monkeypatch.setenv("KNAPCRACK_THREADS", "0")
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert resolve_workers() == 1
 
     @pytest.mark.parametrize("raw", ["abc", "-3", "", "2.5"])
     def test_malformed_thread_count_names_the_variable(self, monkeypatch, raw):

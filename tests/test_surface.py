@@ -4,6 +4,7 @@ own definition, each function takes one input shape, so no function
 branches on the type of its input, and no handler catches every error.
 Code that only tests use belongs in ``tests/oracles.py``.  The LLL kernel
 keeps one loop: exactly one function in ``lattice`` holds the exchange step.
+The CLI keeps one exit path: only ``cli.main`` turns an error into an exit code.
 
 A reference is a name or attribute lookup, or a string constant equal to
 the name (``perfbench/layers.py`` patches attributes by name, and
@@ -124,6 +125,23 @@ def test_one_lll_loop():
     # LLL's exchange step swaps two adjacent columns; lll and
     # lll_shared_prefix both run the one loop that does it.
     assert len(swapping_functions(PACKAGE / "lattice.py")) == 1
+
+
+def returns_from_except(path) -> list[str]:
+    """Names of the functions in path that return from inside an except clause."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            handlers = [sub for sub in ast.walk(node) if isinstance(sub, ast.ExceptHandler)]
+            if any(isinstance(sub, ast.Return) for h in handlers for sub in ast.walk(h)):
+                found.append(node.name)
+    return found
+
+
+def test_one_exit_path():
+    # Commands raise; main alone maps an error to its EXIT_* code and stderr
+    # line, through one table.
+    assert returns_from_except(PACKAGE / "cli.py") == ["main"]
 
 
 EXACT_CORE = ["lattice", "intmat", "reduction", "formulations", "disagg", "problems"]
