@@ -181,6 +181,7 @@ def cmd_attack(args) -> int:
     modulus = pipeline.default_modulus(system.n) if args.modulus is None else args.modulus
     t_max = pipeline.SearchConfig.t_max if args.t_max is None else args.t_max
     t0 = time.perf_counter()
+    exhausted = False
     try:
         with _usage_errors():
             config = pipeline.SearchConfig(
@@ -189,21 +190,22 @@ def cmd_attack(args) -> int:
                 row_index=args.row or 0)
             outcome = pipeline.attack(system, config)
     except SearchExhausted as exc:
-        best = exc.best
+        exhausted = True
         outcome = pipeline.AttackOutcome(
-            verdict=best if best is not None
-            else AttackVerdict(FAILURE, meta={"algorithm": algo}),
-            dag_used=True, wall_time=time.perf_counter() - t0)
+            exc.best if exc.best is not None
+            else AttackVerdict(FAILURE, meta={"algorithm": algo}))
+    wall_time = time.perf_counter() - t0
+    v, t_found = outcome.verdict, outcome.t_found
     if args.json:
-        print(json.dumps(outcome.to_dict(), sort_keys=True))
+        print(json.dumps({"verdict": v.to_dict(), "dag_used": exhausted or t_found is not None,
+                          "t_found": t_found, "wall_time": wall_time}, sort_keys=True))
     else:
-        v = outcome.verdict
         print(f"status: {v.status}")
         if v.x is not None:
             print("solution: " + ("" if v.solved else " ").join(str(i) for i in v.x))
-        if outcome.t_found is not None:
-            print(f"t_found: {outcome.t_found}")
-        print(f"wall_time_ms: {outcome.wall_time * 1000:.3f}")
+        if t_found is not None:
+            print(f"t_found: {t_found}")
+        print(f"wall_time_ms: {wall_time * 1000:.3f}")
     return EXIT_SOLVED if outcome.solved else EXIT_UNSOLVED
 
 
@@ -247,12 +249,13 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
                 raise ParseError(f"grid line {lineno}: dag must be one of "
                                  f"{', '.join(DAG_FIELDS)}, got {toks[3]!r}")
             dag = DAG_FIELDS[toks[3]]
-            if algo == "lo" and (dag or m != 1):
+            try:
+                pipeline.SearchConfig(algo=algo, use_dag=dag, M=M, t_max=t_max)
+            except ValueError as exc:
+                raise ParseError(f"grid line {lineno}: {exc}") from None
+            if algo == "lo" and m != 1:
                 raise ParseError(f"grid line {lineno}: lo handles single equations "
-                                 "only, without DAG")
-            if dag and not 0 < t_max < M:
-                raise ParseError(f"grid line {lineno}: DAG needs 0 < t_max < M, "
-                                 f"got t_max={t_max}, M={M}")
+                                 f"only, got m={m}")
             cells.append(pipeline.BenchCell(m=m, n=n, algo=algo, dag=dag, M=M,
                                             t_max=t_max, count=count, seed=seed))
     return cells

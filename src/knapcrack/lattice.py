@@ -74,9 +74,10 @@ their bases share their first ``n - 1`` columns and differ in the last.
 Before ``k`` first reaches index ``n - 1`` the loop reads and writes only
 columns ``0..k_max < n - 1``: the last column is read at its first visit
 and not before.  So the state at that point (packed columns, ``d``,
-``lam``, ``k``, ``k_max``) is the same whichever last column follows; it is
-computed once, and each last column's reduction continues from a copy of
-it.  Each output is, bit for bit, that of one run from scratch on
+``lam``, ``k``, ``k_max``) is the same whichever last column follows, and
+it is the state a run over the prefix alone ends in.  That run is made
+once, and each last column's reduction continues from a copy of it.  Each
+output is, bit for bit, that of one run from scratch on
 ``prefix + [last]``.  The slot width is computed once, from the prefix and
 every last column: it is at least the width each run needs, and a wider slot
 changes only the representation, not a single value.  The premise check
@@ -224,20 +225,16 @@ def _unpack(pk: int, w: int, offset: int, dim: int) -> tuple[int, ...]:
     return tuple(((s >> (w * r)) & mask) - half for r in range(dim))
 
 
-def _reduce(cols: Sequence[Sequence[int]], n: int, k: int, kmax: int, packed: list[int],
+def _reduce(cols: Sequence[Sequence[int]], k: int, kmax: int, packed: list[int],
             d: list[int], lam: list[list[int]], w: int, offset: int,
             p: int, q: int) -> tuple[int, int]:
-    """Run the LLL loop on n columns from index k; return the final (k, kmax).
+    """Run the LLL loop on the columns cols from index k; return the final (k, kmax).
 
-    cols holds the input columns given so far.  The loop stops at n, or
-    when k first reaches len(cols) < n: column k is not given yet, and the
-    state (packed, d, lam) covers columns 0..k-1 only.  The Lovasz
-    parameter is alpha = p/q.
+    The Lovasz parameter is alpha = p/q.
     """
+    n = len(cols)
     while k < n:
         if k > kmax:
-            if k == len(cols):
-                break
             # First visit: column k is still the input column, and columns
             # 0..k-1 are size-reduced, so their slots decode exactly.
             kmax = k
@@ -313,10 +310,10 @@ def _reduce_lasts(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, 
     packed: list[int] = []  # packed[i] = sum_r b_i[r] << (w * r) for i <= kmax
     d = [1]
     lam: list[list[int]] = []
-    k, kmax = _reduce(prefix, n, 0, -1, packed, d, lam, w, offset, p, q)
+    k, kmax = _reduce(prefix, 0, -1, packed, d, lam, w, offset, p, q)
     for last, bound in zip(lasts, bounds):
         run_packed, run_d, run_lam = packed[:], d[:], [row[:] for row in lam]
-        _reduce([*prefix, last], n, k, kmax, run_packed, run_d, run_lam, w, offset, p, q)
+        _reduce([*prefix, last], k, kmax, run_packed, run_d, run_lam, w, offset, p, q)
         for j in range(n):
             if run_d[j + 1] > bound * run_d[j]:
                 raise AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")

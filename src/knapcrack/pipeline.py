@@ -56,30 +56,31 @@ class SearchConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"algo must be one of {ALGORITHMS}")
+        if self.use_dag and self.algo == "lo":
+            raise ValueError("lo handles single equations only; the DAG search "
+                             "augments every system to two or more")
         if self.use_dag and not 0 < self.t_max < self.M:
-            raise ValueError("DAG search needs 0 < t_max < M")
+            raise ValueError(f"DAG search needs 0 < t_max < M, "
+                             f"got t_max={self.t_max}, M={self.M}")
 
 
 @dataclass(frozen=True)
 class AttackOutcome:
-    """Verdict plus search telemetry; t_found only on a DAG rescue."""
+    """The verdict of one attack run.
+
+    A DAG rescue records its t and M in the verdict's meta; t_found reads
+    that t, and is None for every other run.
+    """
 
     verdict: fm.AttackVerdict
-    dag_used: bool = False
-    t_found: int | None = None
-    wall_time: float = 0.0
-
-    def __post_init__(self):
-        if self.t_found is not None and not (self.verdict.solved and self.dag_used):
-            raise AssertionError("t_found requires a DAG-found binary solution")
 
     @property
     def solved(self) -> bool:
         return self.verdict.solved
 
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict.to_dict(), "dag_used": self.dag_used,
-                "t_found": self.t_found, "wall_time": self.wall_time}
+    @property
+    def t_found(self) -> int | None:
+        return self.verdict.meta.get("t")
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,8 @@ def attack(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     """
     if config.use_dag:
         return attack_with_dag(problem, config)
-    t0 = time.perf_counter()
     work, flipped = normalize(problem)
-    verdict = map_back(problem, run_algorithm(work, config), flipped)
-    return AttackOutcome(verdict=verdict, wall_time=time.perf_counter() - t0)
+    return AttackOutcome(map_back(problem, run_algorithm(work, config), flipped))
 
 
 def augment(system: LdeSystem, steps: list[tuple[int, DisaggParams]]
@@ -255,20 +254,17 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     skipped, or whose derived row is dropped as dependent, is not attacked.
     Raises SearchExhausted, carrying the shortest short-non-binary witness
     seen, when no t works.
-    Raises ValueError for lo, and InvalidRow for a row_index outside the
-    system, before any attack: every augmented system has two or more
-    equations, and each augments the configured row.
+    Raises before any attack: ValueError for settings SearchConfig refuses
+    with use_dag set (lo; t_max outside 0 < t_max < M), checked even when
+    config.use_dag is off, and InvalidRow for a row_index outside the system.
     """
-    if config.algo == "lo":
-        raise ValueError("lo handles single equations only; the DAG search "
-                         "augments every system to two or more")
-    t0 = time.perf_counter()
+    config = replace(config, use_dag=True)
     work, flipped = normalize(problem)
     if not 0 <= config.row_index < work.m:
         raise InvalidRow(f"row {config.row_index} outside 0..{work.m - 1}")
     base = map_back(problem, run_algorithm(work, config), flipped)
     if base.solved:
-        return AttackOutcome(verdict=base, wall_time=time.perf_counter() - t0)
+        return AttackOutcome(base)
     best = base if base.status == fm.SHORT_NONBINARY else None
     for t in range(1, config.t_max + 1):
         aug, _ = augment(work, [(config.row_index, DisaggParams(t, config.M))])
@@ -278,9 +274,7 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
         if verdict.x is None:
             continue
         if verdict.solved:
-            verdict = replace(verdict, meta={**verdict.meta, "t": t, "M": config.M})
-            return AttackOutcome(verdict=verdict, dag_used=True, t_found=t,
-                                 wall_time=time.perf_counter() - t0)
+            return AttackOutcome(replace(verdict, meta={**verdict.meta, "t": t, "M": config.M}))
         if best is None or sum(v * v for v in verdict.x) < sum(v * v for v in best.x):
             best = verdict
     raise SearchExhausted(
@@ -333,15 +327,16 @@ def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float, st
         problem = generate_system(cell.m, cell.n, seed).system
     config = SearchConfig(algo=cell.algo, use_dag=cell.dag, M=cell.M,
                           t_max=cell.t_max, seed=seed)
+    solved, t_found, error = False, None, None
     t0 = time.perf_counter()
     try:
         outcome = attack(problem, config)
+        solved, t_found = outcome.solved, outcome.t_found
     except SearchExhausted:
-        return False, None, (time.perf_counter() - t0) * 1000.0, None
+        pass
     except KnapcrackError as exc:
-        return (False, None, (time.perf_counter() - t0) * 1000.0,
-                f"{type(exc).__name__}: {exc}")
-    return outcome.solved, outcome.t_found, outcome.wall_time * 1000.0, None
+        error = f"{type(exc).__name__}: {exc}"
+    return solved, t_found, (time.perf_counter() - t0) * 1000.0, error
 
 
 def resolve_workers() -> int:

@@ -401,8 +401,10 @@ class TestBench:
         ("1 16 reduce 1 1000 5 -2 0", "count must be at least 1, got -2"),
         ("1 16 reduce yes 1000 5 1 0", "'yes'"),
         ("1 16 bogus 0 1000 5 1 0", "unknown algorithm 'bogus'"),
+        ("1 20 lo 1 1000 5 2 0", "lo handles single equations only; the DAG search "
+                                 "augments every system to two or more"),
     ], ids=["non-integer", "dag-t-max", "odd-n", "m-not-below-n", "count-below-one",
-            "dag-field", "unknown-algo"])
+            "dag-field", "unknown-algo", "lo-dag"])
     def test_bad_grid_line_is_parse_error(self, tmp_path, capsys, line, message):
         grid = tmp_path / "grid.txt"
         grid.write_text(f"1 8 reduce 0 100 10 2 1\n{line}\n")

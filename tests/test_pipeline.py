@@ -13,7 +13,7 @@ from knapcrack.disagg import DisaggParams, DisaggregatedSystem, build_disaggrega
 from knapcrack.errors import (DependentColumns, EscalationExhausted, GenerationBudgetExceeded,
                               InvalidRow, RankDeficient, SearchExhausted)
 from knapcrack.formulations import BINARY, FAILURE, SHORT_NONBINARY, AttackVerdict
-from knapcrack.pipeline import (AttackOutcome, BenchCell, SearchConfig, attack,
+from knapcrack.pipeline import (BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, default_modulus,
                                 generate_instance, generate_system, map_back,
                                 resolve_workers)
@@ -133,10 +133,11 @@ class TestAttack:
         with pytest.raises(AssertionError, match="does not satisfy"):
             map_back(inst, short, False)
 
-    def test_outcome_invariant(self):
-        with pytest.raises(AssertionError):
-            AttackOutcome(verdict=attack(TOY, SearchConfig(algo="cjloss")).verdict,
-                          dag_used=False, t_found=3)
+    def test_t_found_is_the_rescue_t(self):
+        out = attack_with_dag(TOY, SearchConfig(algo="reduce", use_dag=True, M=15, t_max=14))
+        assert out.t_found is not None and out.t_found == out.verdict.meta["t"]
+        assert out.verdict.meta["M"] == 15
+        assert attack(TOY, SearchConfig(algo="cjloss")).t_found is None
 
 
 class TestDagLoop:
@@ -144,12 +145,12 @@ class TestDagLoop:
         cfg = SearchConfig(algo="reduce", use_dag=True, M=15, t_max=14)
         out = attack_with_dag(TOY, cfg)
         assert out.solved and out.verdict.x == (1, 0, 1)
-        assert out.dag_used and out.t_found is not None
+        assert out.t_found is not None
 
     def test_initial_success_skips_search(self):
         cfg = SearchConfig(algo="cjloss", use_dag=True, M=100, t_max=10)
         out = attack_with_dag(TOY, cfg)
-        assert out.solved and not out.dag_used and out.t_found is None
+        assert out.solved and out.t_found is None
 
     def test_exhaustion_carries_best_witness(self):
         hard = LdeSystem.from_rows([[5, 9, 11]], [8])  # no binary subset hits 8
@@ -243,9 +244,23 @@ class TestDagLoop:
             raise AssertionError("an attack ran")
 
         monkeypatch.setattr(pl, "run_algorithm", run_algorithm)
-        cfg = SearchConfig(algo="lo", use_dag=True, M=15, t_max=14)
         with pytest.raises(ValueError, match="single equations"):
-            attack_with_dag(TOY, cfg)
+            SearchConfig(algo="lo", use_dag=True, M=15, t_max=14)
+        with pytest.raises(ValueError, match="single equations"):
+            attack_with_dag(TOY, SearchConfig(algo="lo", M=15, t_max=14))
+
+    def test_bad_t_max_rejected_before_any_attack(self, monkeypatch):
+        # A config built without use_dag skips the t_max rule; attack_with_dag
+        # still applies it, instead of attacking until t reaches M.
+        import knapcrack.pipeline as pl
+
+        def run_algorithm(sys, config):
+            raise AssertionError("an attack ran")
+
+        monkeypatch.setattr(pl, "run_algorithm", run_algorithm)
+        hard = LdeSystem.from_rows([[5, 9, 11]], [8])
+        with pytest.raises(ValueError, match="t_max=20, M=10"):
+            attack_with_dag(hard, SearchConfig(algo="reduce", M=10, t_max=20))
 
     @settings(max_examples=300, deadline=None)
     @given(algo=st.sampled_from(["reduce", "reduce_half", "cjloss", "ahl"]),
