@@ -3,8 +3,8 @@
 Exit codes: 0 solved / done, 1 attack did not produce a binary solution
 (for bench: some job raised and was counted unsolved).  Commands raise on
 errors, and main maps each error to its exit code and stderr line through
-one table, EXITS: 1 N escalation exhausted, 2 usage error, 3 I/O failure,
-4 malformed or missing input file, 5 enumeration cap exceeded.
+one table, EXITS: 1 N escalation exhausted, 2 refused input (InvalidInput),
+3 I/O failure, 4 malformed or missing input file, 5 enumeration cap exceeded.
 Rational flags (alpha, t/M ratios) are written P/Q; decimals
 are rejected to keep exactness-critical parameters exact.
 """
@@ -16,17 +16,16 @@ import json
 import re
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 from . import pipeline
 from .disagg import DisaggParams, cuts_off, is_ideal, jump_points, modular_transform, row_coeffs
-from .errors import (EscalationExhausted, InvalidAlpha, InvalidN, InvalidParams, InvalidRow,
-                     ParseError, SearchExhausted, SizeLimit)
+from .errors import (EscalationExhausted, InvalidInput, InvalidRow, ParseError, SearchExhausted,
+                     SizeLimit)
 from .formulations import FAILURE, SHORT_NONBINARY, AttackVerdict, decompose
 from .lattice import DEFAULT_ALPHA
-from .problems import load_system, save_system
+from .problems import load_system, normalize, save_system
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVED = 1
@@ -113,21 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-class UsageError(Exception):
-    """A flag value or combination the command refuses (exit 2)."""
-
-
 class MissingInput(Exception):
     """An input or grid file that does not exist (exit 4, unlike a missing output's 3)."""
-
-
-@contextmanager
-def _usage_errors():
-    """Report a library ValueError raised inside as a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(exc) from exc
 
 
 def _read_input(load, path: str):
@@ -145,8 +131,7 @@ def _read_input(load, path: str):
 
 
 def cmd_gen(args) -> int:
-    with _usage_errors():
-        pipeline.check_shape(args.m, args.n)
+    pipeline.check_shape(args.m, args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -183,12 +168,11 @@ def cmd_attack(args) -> int:
     t0 = time.perf_counter()
     exhausted = False
     try:
-        with _usage_errors():
-            config = pipeline.SearchConfig(
-                algo=algo, use_dag=args.dag, M=modulus, t_max=min(t_max, modulus - 1),
-                alpha=args.alpha, N=pipeline.SearchConfig.N if args.bign is None else args.bign,
-                row_index=args.row or 0)
-            outcome = pipeline.attack(system, config)
+        config = pipeline.SearchConfig(
+            algo=algo, use_dag=args.dag, M=modulus, t_max=min(t_max, modulus - 1),
+            alpha=args.alpha, N=pipeline.SearchConfig.N if args.bign is None else args.bign,
+            row_index=args.row or 0)
+        outcome = pipeline.attack(system, config)
     except SearchExhausted as exc:
         exhausted = True
         outcome = pipeline.AttackOutcome(
@@ -212,11 +196,9 @@ def cmd_attack(args) -> int:
 def cmd_jumps(args) -> int:
     system = _read_input(load_system, args.input)
     if system.m != 1:
-        raise UsageError(f"jumps takes a single-equation file, got {system.m} equations")
+        raise InvalidInput(f"jumps takes a single-equation file, got {system.m} equations")
     problem = (list(system.A[0]), system.b[0])
-    with _usage_errors():
-        points = jump_points(problem, args.limit)
-    for jp in points:
+    for jp in jump_points(problem, args.limit):
         r = jp.value
         params = DisaggParams(r.numerator, r.denominator)
         img = modular_transform(*problem, params)
@@ -262,8 +244,7 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
 
 
 def cmd_bench(args) -> int:
-    with _usage_errors():
-        pipeline.resolve_workers()
+    pipeline.resolve_workers()
     cells = _read_input(_parse_grid, args.grid)
     rows = pipeline.bench(cells)
     text = pipeline.bench_csv(rows, timing=not args.no_timing)
@@ -282,13 +263,13 @@ def _parse_apply(spec: str, m: int) -> list[tuple[int, DisaggParams]]:
 
     Step i may name a row derived by an earlier step, so its row lies in
     0..m+i-1.  Raises InvalidRow or InvalidParams on a bad step, and
-    UsageError on a step not written ROW:T/M.
+    InvalidInput on a step not written ROW:T/M.
     """
     steps = []
     for i, part in enumerate(spec.split(",")):
         match = APPLY_STEP.fullmatch(part)
         if match is None:
-            raise UsageError(f"--apply expects ROW:T/M[,ROW:T/M...], got {spec!r}")
+            raise InvalidInput(f"--apply expects ROW:T/M[,ROW:T/M...], got {spec!r}")
         row, t, modulus = map(int, match.groups())
         if not 0 <= row < m + i:
             raise InvalidRow(f"--apply {spec}: row {row} outside 0..{m + i - 1}")
@@ -311,14 +292,14 @@ def _analyze_scenarios(args, system):
             yield [(row, DisaggParams(r.numerator, r.denominator))]
         return
     if args.t_range is None or args.modulus is None:
-        raise UsageError("need --t-range with --modulus, or --all-jumps, or --apply")
+        raise InvalidInput("need --t-range with --modulus, or --all-jumps, or --apply")
     match = T_RANGE.fullmatch(args.t_range)
     if match is None:
-        raise UsageError(f"--t-range expects A..B, got {args.t_range!r}")
+        raise InvalidInput(f"--t-range expects A..B, got {args.t_range!r}")
     lo, hi = map(int, match.groups())
     ts = range(max(lo, 1), min(hi, args.modulus - 1) + 1)
     if not ts:
-        raise UsageError(f"--t-range {args.t_range} holds no t with 0 < t < {args.modulus}")
+        raise InvalidInput(f"--t-range {args.t_range} holds no t with 0 < t < {args.modulus}")
     for t in ts:
         yield [(row, DisaggParams(t, args.modulus))]
 
@@ -327,23 +308,23 @@ def cmd_analyze(args) -> int:
     from . import analysis  # numpy; every other command starts without it
 
     system = _read_input(load_system, args.input)
-    with _usage_errors():
-        scenarios = list(_analyze_scenarios(args, system))
-        # A base row that cannot be disaggregated (negative entries, b above
-        # the row sum) is bad input, not a per-scenario skip.
-        for row in sorted({row for steps in scenarios for row, _ in steps
-                           if row < system.m}):
-            row_coeffs((system.A[row], system.b[row]))
+    scenarios = list(_analyze_scenarios(args, system))
+    # A base row that cannot be disaggregated (negative entries, b above
+    # the row sum) is bad input, not a per-scenario skip.
+    for row in sorted({row for steps in scenarios for row, _ in steps if row < system.m}):
+        row_coeffs((system.A[row], system.b[row]))
     algo = ALGO_FLAGS[args.algo]
     config = pipeline.SearchConfig(algo=algo)
     baseline = pipeline.attack(system, config)
     x_tilde = list(baseline.verdict.x) if baseline.verdict.status == SHORT_NONBINARY else None
 
+    # Augment the system attack --dag augments, so success at t is its verdict at t.
+    work, flipped = normalize(system)
     instance_id = Path(args.input).stem
     records = []
     for steps in scenarios:
         label = steps[-1][1]
-        aug, reason = pipeline.augment(system, steps)
+        aug, reason = pipeline.augment(work, steps)
         if aug is None:
             print(f"skipped {label.t}/{label.M}: {reason}", file=sys.stderr)
             continue
@@ -360,7 +341,7 @@ def cmd_analyze(args) -> int:
             verdict = pipeline.attack_decomposed(aug, kd, algo)
         else:
             verdict = pipeline.run_algorithm(aug, config)
-        success = pipeline.map_back(system, verdict, False).solved
+        success = pipeline.map_back(system, verdict, flipped).solved
         records.append(analysis.FeatureRecord(
             instance_id=instance_id, m=system.m, n=system.n,
             t=label.t, M=label.M,
@@ -416,7 +397,7 @@ EXITS = [
     ((SizeLimit,), EXIT_CAP, "error: {} (use --limit)"),
     ((EscalationExhausted,), EXIT_UNSOLVED, "error: {}"),
     ((OSError,), EXIT_IO, "error: {}"),
-    ((InvalidAlpha, InvalidN, InvalidParams, InvalidRow, UsageError), EXIT_USAGE, "error: {}"),
+    ((InvalidInput,), EXIT_USAGE, "error: {}"),
 ]
 REPORTED = tuple(kind for kinds, _, _ in EXITS for kind in kinds)
 
@@ -426,7 +407,7 @@ def main(argv=None) -> int:
     try:
         for refused, message in FLAG_CHECKS.get(args.command, ()):
             if refused(args):
-                raise UsageError(message.format_map(vars(args)))
+                raise InvalidInput(message.format_map(vars(args)))
         return COMMANDS[args.command](args)
     except REPORTED as exc:
         code, line = next((code, line) for kinds, code, line in EXITS

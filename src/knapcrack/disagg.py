@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InvalidParams, InvalidRow, NotASolution, SizeLimit
+from .errors import InvalidInput, InvalidParams, InvalidRow, NotASolution, SizeLimit
 from .problems import LdeSystem
 
 JUMP_CAP = 10**6
@@ -24,15 +24,15 @@ JUMP_CAP = 10**6
 def row_coeffs(problem) -> tuple[list[int], int]:
     """The (a, b) row pair as ints, checked that it can be disaggregated.
 
-    Raises ValueError when a coefficient or b is negative, or b exceeds sum(a).
+    Raises InvalidInput when a coefficient or b is negative, or b exceeds sum(a).
     """
     a, b = problem
     a = [int(x) for x in a]
     b = int(b)
     if any(x < 0 for x in a) or b < 0:
-        raise ValueError("coefficients must be nonnegative")
+        raise InvalidInput("coefficients must be nonnegative")
     if b > sum(a):
-        raise ValueError("right-hand side exceeds the coefficient sum")
+        raise InvalidInput("right-hand side exceeds the coefficient sum")
     return a, b
 
 

@@ -5,11 +5,15 @@ class KnapcrackError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
+class InvalidInput(KnapcrackError, ValueError):
+    """Caller input the library refuses (the CLI's exit 2); a plain ValueError is a bug."""
+
+
 class DependentColumns(KnapcrackError):
     """A basis operation hit linearly dependent columns."""
 
 
-class InvalidAlpha(KnapcrackError):
+class InvalidAlpha(InvalidInput):
     """The LLL quality parameter must satisfy 1/4 < alpha < 1."""
 
 
@@ -25,7 +29,7 @@ class EscalationExhausted(KnapcrackError):
     """The zero block never appeared, even after enlarging N."""
 
 
-class InvalidN(KnapcrackError):
+class InvalidN(InvalidInput):
     """Scaling integer N violates its lower bound."""
 
 
@@ -33,11 +37,11 @@ class DimensionMismatch(KnapcrackError):
     """Vector/matrix dimensions do not line up."""
 
 
-class InvalidParams(KnapcrackError):
+class InvalidParams(InvalidInput):
     """Disaggregation parameters must satisfy 0 < t < M."""
 
 
-class InvalidRow(KnapcrackError):
+class InvalidRow(InvalidInput):
     """Row index outside the system."""
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DependentColumns, EscalationExhausted, InvalidN
+from .errors import DependentColumns, EscalationExhausted, InvalidInput, InvalidN
 from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, integral_gso, lll, lll_shared_prefix
 from .problems import LdeSystem, complement, is_subset_sum
@@ -202,10 +202,10 @@ def attack_lo(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
     feasibility-checked, on sys as given and then on its complement.  Both
     share a, so only the last column differs: the b-free prefix is reduced
     once, and the complement's reduction resumes from it (lll_shared_prefix).
-    Raises ValueError unless sys is a subset-sum instance (``is_subset_sum``).
+    Raises InvalidInput unless sys is a subset-sum instance (``is_subset_sum``).
     """
     if not is_subset_sum(sys):
-        raise ValueError("lo takes a subset-sum instance: one equation, positive "
+        raise InvalidInput("lo takes a subset-sum instance: one equation, positive "
                          "coefficients and 0 < b < sum(a)")
     n = sys.n
     targets = (sys, complement(sys))

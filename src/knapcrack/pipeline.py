@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import formulations as fm
-from .disagg import DisaggParams, build_disaggregated
-from .errors import (GenerationBudgetExceeded, InvalidRow, KnapcrackError, RankDeficient,
-                     SearchExhausted)
+from .disagg import DisaggParams, build_disaggregated, row_coeffs
+from .errors import (GenerationBudgetExceeded, InvalidInput, InvalidRow, KnapcrackError,
+                     RankDeficient, SearchExhausted)
 from .lattice import DEFAULT_ALPHA
 from .problems import LdeSystem, normalize
 from .reduction import reduce_half, reduce_solution
@@ -55,12 +55,12 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
-            raise ValueError(f"algo must be one of {ALGORITHMS}")
+            raise InvalidInput(f"algo must be one of {ALGORITHMS}")
         if self.use_dag and self.algo == "lo":
-            raise ValueError("lo handles single equations only; the DAG search "
+            raise InvalidInput("lo handles single equations only; the DAG search "
                              "augments every system to two or more")
         if self.use_dag and not 0 < self.t_max < self.M:
-            raise ValueError(f"DAG search needs 0 < t_max < M, "
+            raise InvalidInput(f"DAG search needs 0 < t_max < M, "
                              f"got t_max={self.t_max}, M={self.M}")
 
 
@@ -100,11 +100,11 @@ class GeneratedSystem:
 
 
 def check_shape(m: int, n: int) -> None:
-    """The generators' shapes: n even and >= 4, 1 <= m < n; ValueError otherwise."""
+    """The generators' shapes: n even and >= 4, 1 <= m < n; InvalidInput otherwise."""
     if n < 4 or n % 2:
-        raise ValueError(f"n must be even and >= 4, got {n}")
+        raise InvalidInput(f"n must be even and >= 4, got {n}")
     if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+        raise InvalidInput(f"need 1 <= m < n, got m={m}, n={n}")
 
 
 def _planted(rng: random.Random, n: int) -> list[int]:
@@ -254,14 +254,16 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     skipped, or whose derived row is dropped as dependent, is not attacked.
     Raises SearchExhausted, carrying the shortest short-non-binary witness
     seen, when no t works.
-    Raises before any attack: ValueError for settings SearchConfig refuses
+    Raises before any attack: InvalidInput for settings SearchConfig refuses
     with use_dag set (lo; t_max outside 0 < t_max < M), checked even when
-    config.use_dag is off, and InvalidRow for a row_index outside the system.
+    config.use_dag is off, InvalidRow for a row_index outside the system,
+    and InvalidInput for a row the transform cannot take (``row_coeffs``).
     """
     config = replace(config, use_dag=True)
     work, flipped = normalize(problem)
     if not 0 <= config.row_index < work.m:
         raise InvalidRow(f"row {config.row_index} outside 0..{work.m - 1}")
+    row_coeffs((work.A[config.row_index], work.b[config.row_index]))
     base = map_back(problem, run_algorithm(work, config), flipped)
     if base.solved:
         return AttackOutcome(base)
@@ -343,11 +345,11 @@ def resolve_workers() -> int:
     """Worker count from KNAPCRACK_THREADS (0 = all usable cores, unset = serial).
 
     0 counts the CPUs this process may run on, not the host's.  Raises
-    ValueError, naming the variable, when it is not a whole number >= 0.
+    InvalidInput, naming the variable, when it is not a whole number >= 0.
     """
     raw = os.environ.get("KNAPCRACK_THREADS", "1")
     if not raw.isdecimal():
-        raise ValueError(f"KNAPCRACK_THREADS must be a whole number >= 0 "
+        raise InvalidInput(f"KNAPCRACK_THREADS must be a whole number >= 0 "
                          f"(0 = all cores), got {raw!r}")
     val = int(raw)
     if val == 0:

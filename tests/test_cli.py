@@ -16,7 +16,7 @@ from knapcrack.disagg import DisaggParams
 from knapcrack.formulations import BINARY, AttackVerdict
 from knapcrack.pipeline import (SearchConfig, augment, generate_instance, generate_system,
                                 run_algorithm)
-from knapcrack.problems import LdeSystem, load_system, save_system
+from knapcrack.problems import LdeSystem, complement, load_system, save_system
 
 # (t, kernel_dim, volume, cut, success) per row.
 GRID = Path(__file__).resolve().parent.parent / "benchmarks" / "grids" / "desk_small.grid"
@@ -203,6 +203,20 @@ class TestAttack:
         captured = capsys.readouterr()
         assert captured.err == f"error: row {row} outside 0..0\n"
         assert captured.out == ""
+
+    def test_dag_refuses_a_row_the_transform_cannot_take(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # b = 30 exceeds sum(a) = 24: refused before the base attack runs.
+        from knapcrack import pipeline
+        calls = []
+        monkeypatch.setattr(pipeline, "run_algorithm", lambda *a, **kw: calls.append(1))
+        path = tmp_path / "over.txt"
+        save_system(LdeSystem.from_rows([[3, 15, 6]], [30]), path)
+        assert main(["attack", "--algo", "reduce", "--dag", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: right-hand side exceeds the coefficient sum\n"
+        assert captured.out == ""
+        assert calls == []
 
     def test_row_without_dag_is_usage_error(self, toy_file, capsys):
         # Only the DAG search disaggregates a row; the plain attack would solve the toy.
@@ -696,6 +710,25 @@ class TestAnalyze:
         assert not out.exists()
 
 
+    def test_labels_match_the_complemented_instance(self, tmp_path):
+        # attack --dag complements an m = 1 row with 2b > sum(a); analyze
+        # augments the same normalized system, so a file and its complement
+        # get the same rows.
+        system = generate_instance(16, 0).instance
+        rows = []
+        for name, target in (("inst", system), ("comp", complement(system))):
+            path, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            save_system(target, path)
+            assert main(["analyze", "--input", str(path), "--out", str(out),
+                         "--algo", "reduce-half", "--modulus", "1000",
+                         "--t-range", "1..30"]) == 0
+            with open(out, newline="") as fh:
+                rows.append([{k: v for k, v in r.items() if k != "instance_id"}
+                             for r in csv.DictReader(fh)])
+        assert len(rows[0]) == 30
+        assert rows[0] == rows[1]
+
+
 class TestExitPath:
     """What main's one table makes of an error: its code and stderr line, or a traceback."""
 
@@ -749,3 +782,15 @@ class TestExitPath:
         with pytest.raises(numpy.linalg.LinAlgError):
             main(["analyze", "--input", toy_file, "--out", str(tmp_path / "f.csv"),
                   "--all-jumps", "--limit", "2"])
+
+    def test_value_error_in_the_t_loop_is_a_traceback(self, toy_file, monkeypatch):
+        # Only InvalidInput is a usage error; a plain ValueError is a bug.
+        from knapcrack.disagg import DisaggregatedSystem
+
+        def system(self):
+            raise ValueError("bug inside the t-loop")
+
+        monkeypatch.setattr(DisaggregatedSystem, "system", property(system))
+        with pytest.raises(ValueError, match="bug inside the t-loop"):
+            main(["attack", "--algo", "reduce", "--dag", "--modulus", "15",
+                  "--t-max", "14", "--input", toy_file])

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knapcrack.disagg import DisaggParams, DisaggregatedSystem, build_disaggregated
+from knapcrack.disagg import DisaggParams, DisaggregatedSystem, build_disaggregated, row_coeffs
 from knapcrack.errors import (DependentColumns, EscalationExhausted, GenerationBudgetExceeded,
-                              InvalidRow, RankDeficient, SearchExhausted)
-from knapcrack.formulations import BINARY, FAILURE, SHORT_NONBINARY, AttackVerdict
+                              InvalidInput, InvalidRow, RankDeficient, SearchExhausted)
+from knapcrack.formulations import BINARY, FAILURE, SHORT_NONBINARY, AttackVerdict, attack_lo
 from knapcrack.pipeline import (BenchCell, SearchConfig, attack,
-                                attack_with_dag, bench, bench_csv, default_modulus,
-                                generate_instance, generate_system, map_back,
-                                resolve_workers)
+                                attack_with_dag, bench, bench_csv, check_shape,
+                                default_modulus, generate_instance, generate_system,
+                                map_back, resolve_workers)
 from knapcrack.problems import LdeSystem
 
 from oracles import TooLarge, _enumerate_full, _enumerate_mitm, brute_force_solve
@@ -449,3 +449,25 @@ class TestErrorPaths:
         assert kd.N_used >= 1
         cols = kd.kernel_columns()
         assert all(sum(a * v for a, v in zip(sys.A[0], c)) == 0 for c in cols)
+
+
+class TestInvalidInput:
+    # Each library check of caller input raises InvalidInput, which the CLI
+    # reports as exit 2; it is still a ValueError for library callers.
+    @pytest.mark.parametrize("check, message", [
+        (lambda: SearchConfig(algo="nope"), "algo must be one of"),
+        (lambda: SearchConfig(algo="lo", use_dag=True), "lo handles single equations"),
+        (lambda: SearchConfig(use_dag=True, M=10, t_max=10), "0 < t_max < M"),
+        (lambda: check_shape(1, 7), "n must be even and >= 4, got 7"),
+        (lambda: check_shape(8, 8), "need 1 <= m < n, got m=8, n=8"),
+        (resolve_workers, "KNAPCRACK_THREADS must be a whole number"),
+        (lambda: row_coeffs(([3, -1, 6], 2)), "coefficients must be nonnegative"),
+        (lambda: row_coeffs(([3, 15, 6], 30)), "right-hand side exceeds the coefficient sum"),
+        (lambda: attack_lo(EX3), "lo takes a subset-sum instance"),
+    ], ids=["algo", "lo-with-dag", "t-max", "odd-n", "m-not-below-n", "threads",
+            "negative-entry", "b-above-sum", "lo-on-two-rows"])
+    def test_each_check_raises_invalid_input(self, monkeypatch, check, message):
+        monkeypatch.setenv("KNAPCRACK_THREADS", "two")
+        with pytest.raises(InvalidInput, match=message) as caught:
+            check()
+        assert isinstance(caught.value, ValueError)

@@ -4,7 +4,9 @@ own definition, each function takes one input shape, so no function
 branches on the type of its input, and no handler catches every error.
 Code that only tests use belongs in ``tests/oracles.py``.  The LLL kernel
 keeps one loop: exactly one function in ``lattice`` holds the exchange step.
-The CLI keeps one exit path: only ``cli.main`` turns an error into an exit code.
+The CLI keeps one exit path: only ``cli.main`` turns an error into an exit code,
+and it handles ValueError only where it parses a flag or a grid line, so a
+ValueError from the library is a usage error only when it is an InvalidInput.
 
 A reference is a name or attribute lookup, or a string constant equal to
 the name (``perfbench/layers.py`` patches attributes by name, and
@@ -142,6 +144,26 @@ def test_one_exit_path():
     # Commands raise; main alone maps an error to its EXIT_* code and stderr
     # line, through one table.
     assert returns_from_except(PACKAGE / "cli.py") == ["main"]
+
+
+def value_error_handlers(path) -> list[str]:
+    """Names of the functions in path with a handler that names ValueError."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            kinds = [sub.type for sub in ast.walk(node)
+                     if isinstance(sub, ast.ExceptHandler) and sub.type is not None]
+            if any(getattr(name, "id", None) == "ValueError"
+                   for kind in kinds for name in ast.walk(kind)):
+                found.append(node.name)
+    return found
+
+
+def test_value_errors_are_handled_only_where_text_is_parsed():
+    # int() and Fraction() of a flag or a grid field raise ValueError; any
+    # other ValueError reaching the CLI is a bug, or an InvalidInput for main.
+    assert sorted(value_error_handlers(PACKAGE / "cli.py")) == [
+        "_fraction_flag", "_limit_flag", "_parse_grid"]
 
 
 EXACT_CORE = ["lattice", "intmat", "reduction", "formulations", "disagg", "problems"]
