@@ -4,20 +4,29 @@ The search loop mirrors the experimental procedure: run the configured
 lattice attack; on a non-binary outcome walk t = 1, 2, ... with a fixed
 modulus M, disaggregate the configured row, re-attack the augmented
 system, and accept as soon as the first n coordinates are binary and solve
-the original system.
+the original system.  The t's after the first run in parallel lanes, one
+process per usable CPU, and are judged in t order, so the outcome is the
+one-lane outcome.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import os
+import pickle
 import random
+import signal
+import sys
+import threading
 import time
-from contextlib import nullcontext
+from collections.abc import Callable, Iterator
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from . import formulations as fm
 from .disagg import DisaggParams, build_disaggregated, row_coeffs
@@ -252,6 +261,7 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     attack's vector is accepted when its first n coordinates are binary and
     solve the original system (truncation rule).  A t whose augmentation is
     skipped, or whose derived row is dropped as dependent, is not attacked.
+    The t's are judged in order, whichever lane ran them (``_t_records``).
     Raises SearchExhausted, carrying the shortest short-non-binary witness
     seen, when no t works.
     Raises before any attack: InvalidInput for settings SearchConfig refuses
@@ -268,19 +278,103 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     if base.solved:
         return AttackOutcome(base)
     best = base if base.status == fm.SHORT_NONBINARY else None
-    for t in range(1, config.t_max + 1):
-        aug, _ = augment(work, [(config.row_index, DisaggParams(t, config.M))])
-        if aug is None or aug.m == work.m:
-            continue  # skipped, or the derived row was dropped: nothing new to attack
-        verdict = map_back(problem, run_algorithm(aug, config), flipped)
-        if verdict.x is None:
-            continue
-        if verdict.solved:
-            return AttackOutcome(replace(verdict, meta={**verdict.meta, "t": t, "M": config.M}))
-        if best is None or sum(v * v for v in verdict.x) < sum(v * v for v in best.x):
-            best = verdict
+    step = partial(_t_step, problem, work, flipped, config)
+    with closing(_t_records(step, config.t_max)) as records:
+        for t, verdict in records:
+            if verdict is None or verdict.x is None:
+                continue
+            if verdict.solved:
+                return AttackOutcome(replace(verdict, meta={**verdict.meta, "t": t, "M": config.M}))
+            if best is None or sum(v * v for v in verdict.x) < sum(v * v for v in best.x):
+                best = verdict
     raise SearchExhausted(
         f"no valid t in 1..{config.t_max} with M={config.M}", best=best)
+
+
+def _t_step(problem: LdeSystem, work: LdeSystem, flipped: bool, config: SearchConfig,
+            t: int) -> fm.AttackVerdict | None:
+    """The attack at t, mapped back to problem; None when t is not attacked."""
+    aug, _ = augment(work, [(config.row_index, DisaggParams(t, config.M))])
+    if aug is None or aug.m == work.m:
+        return None  # skipped, or the derived row was dropped: nothing new to attack
+    return map_back(problem, run_algorithm(aug, config), flipped)
+
+
+_MISSING = object()  # a lane raised or died before it sent this t's record
+
+
+def _t_records(step: Callable[[int], fm.AttackVerdict | None], t_max: int
+               ) -> Iterator[tuple[int, fm.AttackVerdict | None]]:
+    """(t, step(t)) for t = 1..t_max in t order, with t >= 2 run in parallel lanes.
+
+    t = 1 runs here before any fork, so a search it ends starts no process.
+    Then one child is forked per lane beyond the first (``search_lanes``);
+    with L lanes, lane i walks t = 2 + i, 2 + i + L, ... and this process is
+    lane 0.  Records are taken in t order, so a t that raises here raises
+    only after every smaller t has been judged.  A t without a record,
+    because its lane raised, died or could not be forked, runs here, with
+    its own errors.  Closing the generator kills and reaps every child.
+    """
+    yield 1, step(1)
+    rest = range(2, t_max + 1)
+    lanes = min(search_lanes(), len(rest))
+    readers, pids = {}, []
+    try:
+        for lane in range(1, lanes):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the t's of this lane on run here
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _lane(step, rest[lane::lanes], w, [r, *(f.fileno() for f in readers.values())])
+            pids.append(pid)
+            os.close(w)
+            readers[lane] = open(r, "rb")
+        for t in rest:
+            reader = readers.get((t - 2) % lanes)
+            record = _MISSING if reader is None else _next_record(reader)
+            yield t, step(t) if record is _MISSING else record
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers.values():
+            reader.close()
+
+
+def _next_record(reader) -> object:
+    """The lane's next record, or _MISSING once the lane has raised or died."""
+    try:
+        return pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):  # a lane killed mid-write leaves a torn record
+        return _MISSING
+
+
+def _lane(step: Callable[[int], fm.AttackVerdict | None], ts: range, fd: int,
+          inherited: list[int]) -> None:
+    """A forked lane: one pickled record per t of ts into the pipe fd; leaves by os._exit.
+
+    It closes the parent's pipe ends it inherited and freezes the objects it
+    inherited, so no finalizer of the parent's runs here.  It stops after a
+    rescue, since its later t's come after it.  An error, or a failed write
+    once the parent is gone, ends it without a record.
+    """
+    try:
+        gc.freeze()
+        for other in inherited:
+            os.close(other)
+        with open(fd, "wb") as out:
+            for t in ts:
+                record = step(t)
+                pickle.dump(record, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+                if record is not None and record.solved:
+                    break
+    finally:
+        os._exit(0)
 
 
 @dataclass(frozen=True)
@@ -352,12 +446,31 @@ def resolve_workers() -> int:
         raise InvalidInput(f"KNAPCRACK_THREADS must be a whole number >= 0 "
                          f"(0 = all cores), got {raw!r}")
     val = int(raw)
-    if val == 0:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on macOS or Windows
-            return os.cpu_count() or 1
-    return val
+    return usable_cpus() if val == 0 else val
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, by its affinity, not the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def search_lanes() -> int:
+    """Processes one DAG t-search runs in: one per usable CPU.
+
+    One without ``os.fork``; one while other threads run, since a forked
+    child keeps only the forking thread and a lock another thread held
+    stays held; and one inside a multiprocessing worker, such as a job of
+    ``bench``'s pool, since the pool already holds the cores.  Such a worker
+    has imported ``multiprocessing``.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if (getattr(os, "fork", None) is None or threading.active_count() > 1
+            or (mp is not None and mp.parent_process() is not None)):
+        return 1
+    return usable_cpus()
 
 
 def bench(cells: list[BenchCell]) -> list[BenchRow]:

@@ -3,6 +3,8 @@
 import math
 import os
 import random
+import signal
+import threading
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from knapcrack.formulations import BINARY, FAILURE, SHORT_NONBINARY, AttackVerdi
 from knapcrack.pipeline import (BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, check_shape,
                                 default_modulus, generate_instance, generate_system,
-                                map_back, resolve_workers)
+                                map_back, resolve_workers, search_lanes)
 from knapcrack.problems import LdeSystem
 
 from oracles import TooLarge, _enumerate_full, _enumerate_mitm, brute_force_solve
@@ -24,6 +26,49 @@ from oracles import TooLarge, _enumerate_full, _enumerate_mitm, brute_force_solv
 TOY = LdeSystem.from_rows([[3, 15, 6]], [9])
 MH = LdeSystem.from_rows([[171, 196, 457, 1191, 2410]], [3797])
 EX3 = LdeSystem.from_rows([[63, 9, 34, 46, 2, 55], [51, 19, 12, 44, 3, 25]], [99, 66])
+
+
+@pytest.fixture
+def one_lane(monkeypatch):
+    # The DAG t-search runs in one process, as on a host with one usable CPU.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert search_lanes() == 1
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    # Two lanes on any host: this process walks t = 2, 4, ... and one child
+    # t = 3, 5, ...
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert search_lanes() == 2
+
+
+def no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def planted_dag_case(algo, m, n, M, seed, alpha, shift=0):
+    """(system, config) of a random small system with coefficients up to 2^n
+    and a planted binary solution, b moved by shift, or None when its rows
+    are dependent."""
+    rng = random.Random(seed)
+    x = [0] * n
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        x[i] = 1
+    rows = [[rng.randint(1, 2 ** n) for _ in range(n)] for _ in range(m)]
+    try:
+        sys = LdeSystem.from_rows(rows, [sum(map(math.prod, zip(r, x))) + shift for r in rows])
+    except RankDeficient:
+        return None
+    t_max = rng.randint(1, M - 1)
+    return sys, SearchConfig(algo=algo, use_dag=True, M=M, t_max=t_max, alpha=alpha)
+
+
+DAG_CASES = dict(algo=st.sampled_from(["reduce", "reduce_half", "cjloss", "ahl"]),
+                 m=st.integers(1, 2), n=st.integers(4, 10), M=st.integers(3, 40),
+                 seed=st.integers(0, 2 ** 32 - 1),
+                 alpha=st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
 
 
 class TestGenerators:
@@ -192,7 +237,7 @@ class TestDagLoop:
             attack_with_dag(sys, cfg)
 
     @pytest.mark.parametrize("entry", [attack, attack_with_dag])
-    def test_dependent_derived_row_is_not_attacked(self, monkeypatch, entry):
+    def test_dependent_derived_row_is_not_attacked(self, monkeypatch, one_lane, entry):
         # At M = 3 both t = 1 and t = 2 derive a multiple of the toy's row
         # (v = a/3 and 2a/3), so each augmentation is the base system again
         # and only the base attack runs.
@@ -263,26 +308,15 @@ class TestDagLoop:
             attack_with_dag(hard, SearchConfig(algo="reduce", M=10, t_max=20))
 
     @settings(max_examples=300, deadline=None)
-    @given(algo=st.sampled_from(["reduce", "reduce_half", "cjloss", "ahl"]),
-           m=st.integers(1, 2), n=st.integers(4, 10), M=st.integers(3, 40),
-           seed=st.integers(0, 2 ** 32 - 1),
-           alpha=st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
+    @given(**DAG_CASES)
     def test_verdicts_are_sound(self, algo, m, n, M, seed, alpha):
-        # Small systems with coefficients up to 2^n and a planted binary
-        # solution: a binary verdict is a real solution found within t_max,
-        # and an exhausted search's best witness still solves the system.
-        # The weak alpha fails more plain attacks, so the t-search runs.
-        rng = random.Random(seed)
-        x = [0] * n
-        for i in rng.sample(range(n), rng.randint(1, n)):
-            x[i] = 1
-        rows = [[rng.randint(1, 2 ** n) for _ in range(n)] for _ in range(m)]
-        try:
-            sys = LdeSystem.from_rows(rows, [sum(map(math.prod, zip(r, x))) for r in rows])
-        except RankDeficient:
+        # A binary verdict is a real solution found within t_max, and an
+        # exhausted search's best witness still solves the system.  The weak
+        # alpha fails more plain attacks, so the t-search runs.
+        case = planted_dag_case(algo, m, n, M, seed, alpha)
+        if case is None:
             return
-        t_max = rng.randint(1, M - 1)
-        cfg = SearchConfig(algo=algo, use_dag=True, M=M, t_max=t_max, alpha=alpha)
+        sys, cfg = case
         try:
             out = attack_with_dag(sys, cfg)
         except SearchExhausted as exc:
@@ -290,7 +324,7 @@ class TestDagLoop:
             return
         if out.verdict.status == "binary":
             assert out.verdict.x in brute_force_solve(sys)
-            assert out.t_found is None or 1 <= out.t_found <= t_max
+            assert out.t_found is None or 1 <= out.t_found <= cfg.t_max
 
     def test_dag_success_only_on_solvable(self):
         hard = LdeSystem.from_rows([[5, 9, 11]], [8])
@@ -298,6 +332,113 @@ class TestDagLoop:
         cfg = SearchConfig(algo="reduce_half", use_dag=True, M=30, t_max=29)
         with pytest.raises(SearchExhausted):
             attack_with_dag(hard, cfg)
+
+
+def searched(system, cfg):
+    """attack_with_dag's outcome, or the type, message and best witness of what it raised."""
+    try:
+        return attack_with_dag(system, cfg)
+    except SearchExhausted as exc:
+        return SearchExhausted, str(exc), exc.best
+    except Exception as exc:  # any other error is compared by its type and message
+        return type(exc), str(exc)
+
+
+class TestLanes:
+    # The DAG t-search runs t >= 2 in parallel lanes, one process per usable
+    # CPU, and judges the t's in order: its outcome is the one-lane outcome.
+
+    @settings(max_examples=100, deadline=None)
+    @given(**{**DAG_CASES, "n": st.integers(4, 12)}, shift=st.integers(0, 1))
+    def test_lanes_match_one_lane(self, algo, m, n, M, seed, alpha, shift):
+        # A shifted b has most searches exhaust, so best's strict < in t order
+        # is compared too; a b above the row sum raises InvalidInput.
+        case = planted_dag_case(algo, m, n, M, seed, alpha, shift)
+        if case is None:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+            assert search_lanes() == 3
+            lanes = searched(*case)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert searched(*case) == lanes
+        no_child_left()
+
+    def test_error_in_a_child_lane_surfaces_with_its_type(self, monkeypatch, two_lanes):
+        # t = 3 raises in the child, which leaves without a record; this
+        # process then runs t = 3 itself and raises.
+        import knapcrack.pipeline as pl
+        real = pl.augment
+
+        def augment(system, steps):
+            if steps[0][1].t == 3:
+                raise DependentColumns("augmented basis at t = 3")
+            return real(system, steps)
+
+        monkeypatch.setattr(pl, "augment", augment)
+        hard = LdeSystem.from_rows([[5, 9, 11]], [8])
+        with pytest.raises(DependentColumns, match="augmented basis at t = 3"):
+            attack_with_dag(hard, SearchConfig(algo="reduce", use_dag=True, M=20, t_max=19))
+        no_child_left()
+
+    def test_a_lane_that_dies_is_made_up_here(self, monkeypatch, two_lanes):
+        # The child is killed at t = 5, after it sent t = 3; the toy at M = 8
+        # is rescued at t = 5 all the same.
+        import knapcrack.pipeline as pl
+        parent, real = os.getpid(), pl.augment
+
+        def augment(system, steps):
+            if steps[0][1].t == 5 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(system, steps)
+
+        monkeypatch.setattr(pl, "augment", augment)
+        out = attack_with_dag(TOY, SearchConfig(algo="reduce", use_dag=True, M=8, t_max=7))
+        assert (out.t_found, out.verdict.x) == (5, (1, 0, 1))
+        no_child_left()
+
+    def test_a_failed_fork_leaves_the_t_to_this_process(self, monkeypatch, two_lanes):
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        out = attack_with_dag(TOY, SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30))
+        assert (out.t_found, out.verdict.x) == (3, (1, 0, 1))
+
+    @pytest.mark.parametrize("problem, M, t_max, expected", [
+        (TOY, 31, 30, 3),  # rescued in the child's lane
+        (generate_instance(10, 14).instance, 50, 49, 4),  # rescued in this process's lane
+        (LdeSystem.from_rows([[5, 9, 11]], [8]), 20, 19, SearchExhausted),
+    ], ids=["child-lane-rescue", "parent-lane-rescue", "exhausted"])
+    def test_no_child_is_left(self, monkeypatch, two_lanes, problem, M, t_max, expected):
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        found = searched(problem, SearchConfig(algo="reduce", use_dag=True, M=M, t_max=t_max))
+        if expected is SearchExhausted:
+            assert found[0] is SearchExhausted
+        else:
+            assert found.t_found == expected
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_one_lane_without_fork_or_beside_another_thread(self, monkeypatch, two_lanes):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert search_lanes() == 1
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert search_lanes() == 2
+        monkeypatch.delattr(os, "fork")
+        assert search_lanes() == 1
 
 
 class TestBench:
@@ -362,6 +503,30 @@ class TestBench:
         monkeypatch.setenv("KNAPCRACK_THREADS", "64")
         assert bench_csv(bench(cells), timing=False) == serial
         assert sizes == [3]
+
+    def test_a_pool_job_never_forks(self, monkeypatch, tmp_path):
+        # Each job of a pool runs its t-search in one lane, since the pool
+        # already holds the cores: only this process forks, to start the
+        # pool.  Run serially, the same jobs fork lanes from this process.
+        log = tmp_path / "forks"
+        real_fork = os.fork
+
+        def fork():
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cells = [BenchCell(1, 12, "reduce", True, 50, 49, 2, 3)]  # both search past t = 1
+        monkeypatch.setenv("KNAPCRACK_THREADS", "2")
+        pooled = bench_csv(bench(cells), timing=False)
+        assert log.read_text().split() == [str(os.getpid())] * 2  # the two workers
+        log.unlink()
+        monkeypatch.delenv("KNAPCRACK_THREADS")
+        assert bench_csv(bench(cells), timing=False) == pooled
+        assert log.read_text().split() == [str(os.getpid())] * 2  # one lane per search
+        no_child_left()
 
     @pytest.mark.parametrize("raw, workers", [("1", 1), ("3", 3),
                                               ("0", len(os.sched_getaffinity(0)))])
