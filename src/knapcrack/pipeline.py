@@ -5,8 +5,8 @@ lattice attack; on a non-binary outcome walk t = 1, 2, ... with a fixed
 modulus M, disaggregate the configured row, re-attack the augmented
 system, and accept as soon as the first n coordinates are binary and solve
 the original system.  The t's after the first run in parallel lanes, one
-process per usable CPU, and are judged in t order, so the outcome is the
-one-lane outcome.
+process per usable CPU up to MAX_LANES, and are judged in t order, so the
+outcome is the one-lane outcome.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 import threading
 import time
 from collections.abc import Callable, Iterator
-from contextlib import closing, nullcontext
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -38,6 +38,11 @@ from .reduction import reduce_half, reduce_solution
 
 ALGORITHMS = ("reduce", "reduce_half", "lo", "cjloss", "ahl")
 GENERATION_BUDGET = 10_000
+# The most processes (lanes) one DAG t-search runs in, the count measured to
+# pay on dag_rescue.  All L - 1 children are forked before t = 2, so a short
+# search pays for each; a higher cap needs its own measurement on a host
+# with that many CPUs.
+MAX_LANES = 2
 
 
 def default_modulus(n: int) -> int:
@@ -312,8 +317,10 @@ def _t_records(step: Callable[[int], fm.AttackVerdict | None], t_max: int
     with L lanes, lane i walks t = 2 + i, 2 + i + L, ... and this process is
     lane 0.  Records are taken in t order, so a t that raises here raises
     only after every smaller t has been judged.  A t without a record,
-    because its lane raised, died or could not be forked, runs here, with
-    its own errors.  Closing the generator kills and reaps every child.
+    because its lane raised, died or could not get a pipe or a process,
+    runs here, with its own errors.  Closing the generator kills and reaps
+    every child; one already reaped elsewhere (SIGCHLD ignored, a
+    ``waitpid(-1)`` of the host) is gone, which is all the cleanup needs.
     """
     yield 1, step(1)
     rest = range(2, t_max + 1)
@@ -321,12 +328,13 @@ def _t_records(step: Callable[[int], fm.AttackVerdict | None], t_max: int
     readers, pids = {}, []
     try:
         for lane in range(1, lanes):
-            r, w = os.pipe()
+            pipe = ()
             try:
+                pipe = r, w = os.pipe()
                 pid = os.fork()
-            except OSError:  # no process to spare: the t's of this lane on run here
-                os.close(r)
-                os.close(w)
+            except OSError:  # no descriptor or process to spare: this lane's t's run here
+                for fd in pipe:
+                    os.close(fd)
                 break
             if pid == 0:
                 _lane(step, rest[lane::lanes], w, [r, *(f.fileno() for f in readers.values())])
@@ -339,8 +347,9 @@ def _t_records(step: Callable[[int], fm.AttackVerdict | None], t_max: int
             yield t, step(t) if record is _MISSING else record
     finally:
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         for reader in readers.values():
             reader.close()
 
@@ -458,7 +467,7 @@ def usable_cpus() -> int:
 
 
 def search_lanes() -> int:
-    """Processes one DAG t-search runs in: one per usable CPU.
+    """Processes one DAG t-search runs in: one per usable CPU, at most MAX_LANES.
 
     One without ``os.fork``; one while other threads run, since a forked
     child keeps only the forking thread and a lock another thread held
@@ -470,7 +479,7 @@ def search_lanes() -> int:
     if (getattr(os, "fork", None) is None or threading.active_count() > 1
             or (mp is not None and mp.parent_process() is not None)):
         return 1
-    return usable_cpus()
+    return min(MAX_LANES, usable_cpus())
 
 
 def bench(cells: list[BenchCell]) -> list[BenchRow]:

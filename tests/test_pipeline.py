@@ -1,5 +1,6 @@
 """Generators, the brute-force oracle, attack orchestration, DAG loop, bench."""
 
+import errno
 import math
 import os
 import random
@@ -353,10 +354,13 @@ class TestLanes:
     def test_lanes_match_one_lane(self, algo, m, n, M, seed, alpha, shift):
         # A shifted b has most searches exhaust, so best's strict < in t order
         # is compared too; a b above the row sum raises InvalidInput.
+        import knapcrack.pipeline as pl
         case = planted_dag_case(algo, m, n, M, seed, alpha, shift)
         if case is None:
             return
         with pytest.MonkeyPatch.context() as mp:
+            # Three lanes, above the cap, so the stride is checked beyond two.
+            mp.setattr(pl, "MAX_LANES", 3)
             mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
             assert search_lanes() == 3
             lanes = searched(*case)
@@ -397,13 +401,43 @@ class TestLanes:
         assert (out.t_found, out.verdict.x) == (5, (1, 0, 1))
         no_child_left()
 
-    def test_a_failed_fork_leaves_the_t_to_this_process(self, monkeypatch, two_lanes):
-        def fork():
-            raise BlockingIOError("no process to spare")
+    @pytest.mark.parametrize("call, error", [
+        ("fork", BlockingIOError("no process to spare")),
+        ("pipe", OSError(errno.EMFILE, "too many open files")),
+    ])
+    def test_a_failed_fork_leaves_the_t_to_this_process(self, monkeypatch, two_lanes,
+                                                         call, error):
+        def fail():
+            raise error
 
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, call, fail)
         out = attack_with_dag(TOY, SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30))
         assert (out.t_found, out.verdict.x) == (3, (1, 0, 1))
+        no_child_left()
+
+    @pytest.mark.parametrize("problem, M, t_max", [
+        (TOY, 31, 30),  # the child stops after its rescue at t = 3
+        (generate_instance(10, 14).instance, 50, 49),  # rescued in this process's lane
+        (LdeSystem.from_rows([[5, 9, 11]], [8]), 20, 19),  # the child runs out of t's
+    ], ids=["child-lane-rescue", "parent-lane-rescue", "exhausted"])
+    def test_children_reaped_elsewhere(self, monkeypatch, problem, M, t_max):
+        # With SIGCHLD ignored the kernel reaps each child as it exits, so the
+        # cleanup finds it gone; the outcome is still the one-lane outcome.
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=M, t_max=t_max)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = searched(problem, cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert searched(problem, cfg) == alone
+        finally:
+            signal.signal(signal.SIGCHLD, before)
+        no_child_left()
+
+    def test_lanes_are_capped(self, monkeypatch):
+        import knapcrack.pipeline as pl
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+        assert search_lanes() == pl.MAX_LANES == 2
 
     @pytest.mark.parametrize("problem, M, t_max, expected", [
         (TOY, 31, 30, 3),  # rescued in the child's lane
