@@ -244,7 +244,6 @@ def _parse_grid(path: str) -> list[pipeline.BenchCell]:
 
 
 def cmd_bench(args) -> int:
-    pipeline.resolve_workers()
     cells = _read_input(_parse_grid, args.grid)
     rows = pipeline.bench(cells)
     text = pipeline.bench_csv(rows, timing=not args.no_timing)

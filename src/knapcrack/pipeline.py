@@ -444,20 +444,6 @@ def _bench_one(cell: BenchCell, index: int) -> tuple[bool, int | None, float, st
     return solved, t_found, (time.perf_counter() - t0) * 1000.0, error
 
 
-def resolve_workers() -> int:
-    """Worker count from KNAPCRACK_THREADS (0 = all usable cores, unset = serial).
-
-    0 counts the CPUs this process may run on, not the host's.  Raises
-    InvalidInput, naming the variable, when it is not a whole number >= 0.
-    """
-    raw = os.environ.get("KNAPCRACK_THREADS", "1")
-    if not raw.isdecimal():
-        raise InvalidInput(f"KNAPCRACK_THREADS must be a whole number >= 0 "
-                         f"(0 = all cores), got {raw!r}")
-    val = int(raw)
-    return usable_cpus() if val == 0 else val
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on, by its affinity, not the host's count."""
     try:
@@ -485,12 +471,15 @@ def search_lanes() -> int:
 def bench(cells: list[BenchCell]) -> list[BenchRow]:
     """Run every cell; deterministic apart from the timing column.
 
-    A job that raises a KnapcrackError counts as unsolved and is listed in
-    its row's errors, so one failure does not discard the grid.
+    The jobs run on one worker per usable CPU, at most one per job: with
+    one worker they run here, where a DAG search gets its lanes, and with
+    more in a process pool, where each searches in one lane.  A job that
+    raises a KnapcrackError counts as unsolved and is listed in its row's
+    errors, so one failure does not discard the grid.
     """
     cell_of = [cell for cell in cells for _ in range(cell.count)]
     index = [i for cell in cells for i in range(cell.count)]
-    workers = min(resolve_workers(), len(cell_of))  # a fork pool starts every worker
+    workers = min(usable_cpus(), len(cell_of))  # a fork pool starts every worker
     parallel = workers > 1
     if parallel:
         from concurrent.futures import ProcessPoolExecutor

@@ -19,7 +19,7 @@ from knapcrack.formulations import BINARY, FAILURE, SHORT_NONBINARY, AttackVerdi
 from knapcrack.pipeline import (BenchCell, SearchConfig, attack,
                                 attack_with_dag, bench, bench_csv, check_shape,
                                 default_modulus, generate_instance, generate_system,
-                                map_back, resolve_workers, search_lanes)
+                                map_back, search_lanes, usable_cpus)
 from knapcrack.problems import LdeSystem
 
 from oracles import TooLarge, _enumerate_full, _enumerate_mitm, brute_force_solve
@@ -42,6 +42,42 @@ def two_lanes(monkeypatch):
     # t = 3, 5, ...
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert search_lanes() == 2
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    # The sizes of the process pools bench builds; the fake runs each pool's
+    # jobs in this process and starts none.
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def fork_log(monkeypatch, log):
+    # Each os.fork appends the forking process's pid to the file log.
+    real_fork = os.fork
+
+    def fork():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
 
 
 def no_child_left() -> None:
@@ -505,86 +541,58 @@ class TestBench:
 
     def test_worker_pool_matches_serial(self, monkeypatch):
         cells = [BenchCell(1, 10, "reduce_half", False, 100, 10, 4, 9)]
-        monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = bench_csv(bench(cells), timing=False)
-        monkeypatch.setenv("KNAPCRACK_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         parallel = bench_csv(bench(cells), timing=False)
         assert serial == parallel
 
-    def test_pool_capped_at_job_count(self, monkeypatch):
-        # A fork pool starts all max_workers processes at the first submit;
-        # the fake runs the jobs serially and starts none.
-        import concurrent.futures
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_pool_capped_at_job_count(self, monkeypatch, pools):
+        # One worker per usable CPU, at most one per job, since a fork pool
+        # starts all max_workers processes at the first submit; one usable
+        # CPU builds no pool.
         cells = [BenchCell(1, 10, "reduce_half", False, 100, 10, 3, 9)]
-        monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = bench_csv(bench(cells), timing=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setenv("KNAPCRACK_THREADS", "64")
+        assert pools == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         assert bench_csv(bench(cells), timing=False) == serial
-        assert sizes == [3]
+        assert pools == [3]
+
+    def test_a_one_job_grid_runs_here_with_its_lanes(self, monkeypatch, two_lanes, pools,
+                                                     tmp_path):
+        log = tmp_path / "forks"
+        fork_log(monkeypatch, log)
+        row = bench([BenchCell(1, 12, "reduce", True, 50, 49, 1, 4)])[0]
+        assert (row.successes, row.valid_ts) == (1, [32])
+        assert pools == []
+        assert log.read_text().split() == [str(os.getpid())]  # its one child lane
+        no_child_left()
 
     def test_a_pool_job_never_forks(self, monkeypatch, tmp_path):
         # Each job of a pool runs its t-search in one lane, since the pool
         # already holds the cores: only this process forks, to start the
-        # pool.  Run serially, the same jobs fork lanes from this process.
+        # pool.
         log = tmp_path / "forks"
-        real_fork = os.fork
-
-        def fork():
-            with open(log, "a") as out:
-                out.write(f"{os.getpid()}\n")
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fork_log(monkeypatch, log)
         cells = [BenchCell(1, 12, "reduce", True, 50, 49, 2, 3)]  # both search past t = 1
-        monkeypatch.setenv("KNAPCRACK_THREADS", "2")
-        pooled = bench_csv(bench(cells), timing=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = bench_csv(bench(cells), timing=False)
+        assert not log.exists()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert bench_csv(bench(cells), timing=False) == serial
         assert log.read_text().split() == [str(os.getpid())] * 2  # the two workers
-        log.unlink()
-        monkeypatch.delenv("KNAPCRACK_THREADS")
-        assert bench_csv(bench(cells), timing=False) == pooled
-        assert log.read_text().split() == [str(os.getpid())] * 2  # one lane per search
         no_child_left()
 
-    @pytest.mark.parametrize("raw, workers", [("1", 1), ("3", 3),
-                                              ("0", len(os.sched_getaffinity(0)))])
-    def test_thread_count(self, monkeypatch, raw, workers):
-        monkeypatch.setenv("KNAPCRACK_THREADS", raw)
-        assert resolve_workers() == workers
-
     def test_all_cores_means_the_cores_this_process_may_use(self, monkeypatch):
-        # A container pinned to one core of a 64-core host gets one worker.
-        monkeypatch.setenv("KNAPCRACK_THREADS", "0")
+        # A container pinned to one core of a 64-core host counts one CPU.
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert resolve_workers() == 1
+        assert usable_cpus() == 1
 
-    @pytest.mark.parametrize("raw", ["abc", "-3", "", "2.5"])
-    def test_malformed_thread_count_names_the_variable(self, monkeypatch, raw):
-        # Once read as serial; now bench refuses it (the CLI exits 2).
-        monkeypatch.setenv("KNAPCRACK_THREADS", raw)
-        with pytest.raises(ValueError, match=f"KNAPCRACK_THREADS .* got {raw!r}"):
-            resolve_workers()
-        with pytest.raises(ValueError, match="KNAPCRACK_THREADS"):
-            bench([BenchCell(1, 10, "reduce", False, 100, 10, 1, 0)])
-
-    def test_failing_job_counts_unsolved(self, monkeypatch):
+    def test_failing_job_counts_unsolved(self, monkeypatch, one_lane):
+        # One usable CPU runs the jobs here, so the patch holds under any
+        # start method.
         import knapcrack.pipeline as pl
         real_attack = pl.attack
         failing_seed = 4
@@ -595,7 +603,6 @@ class TestBench:
             return real_attack(problem, config)
 
         cells = [BenchCell(1, 10, "reduce_half", False, 100, 10, 4, 3)]
-        monkeypatch.delenv("KNAPCRACK_THREADS", raising=False)
         clean = bench(cells)[0]
         monkeypatch.setattr(pl, "attack", attack)
         row = bench(cells)[0]
@@ -659,14 +666,12 @@ class TestInvalidInput:
         (lambda: SearchConfig(use_dag=True, M=10, t_max=10), "0 < t_max < M"),
         (lambda: check_shape(1, 7), "n must be even and >= 4, got 7"),
         (lambda: check_shape(8, 8), "need 1 <= m < n, got m=8, n=8"),
-        (resolve_workers, "KNAPCRACK_THREADS must be a whole number"),
         (lambda: row_coeffs(([3, -1, 6], 2)), "coefficients must be nonnegative"),
         (lambda: row_coeffs(([3, 15, 6], 30)), "right-hand side exceeds the coefficient sum"),
         (lambda: attack_lo(EX3), "lo takes a subset-sum instance"),
-    ], ids=["algo", "lo-with-dag", "t-max", "odd-n", "m-not-below-n", "threads",
+    ], ids=["algo", "lo-with-dag", "t-max", "odd-n", "m-not-below-n",
             "negative-entry", "b-above-sum", "lo-on-two-rows"])
-    def test_each_check_raises_invalid_input(self, monkeypatch, check, message):
-        monkeypatch.setenv("KNAPCRACK_THREADS", "two")
+    def test_each_check_raises_invalid_input(self, check, message):
         with pytest.raises(InvalidInput, match=message) as caught:
             check()
         assert isinstance(caught.value, ValueError)

@@ -7,6 +7,8 @@ keeps one loop: exactly one function in ``lattice`` holds the exchange step.
 The CLI keeps one exit path: only ``cli.main`` turns an error into an exit code,
 and it handles ValueError only where it parses a flag or a grid line, so a
 ValueError from the library is a usage error only when it is an InvalidInput.
+No module reads the environment: the CPU affinity is the one control of
+every parallel path.
 
 A reference is a name or attribute lookup, or a string constant equal to
 the name (``perfbench/layers.py`` patches attributes by name, and
@@ -195,3 +197,24 @@ def test_exact_core_has_no_float():
     # outside the core.
     found = {stem: inexact_uses(PACKAGE / f"{stem}.py") for stem in EXACT_CORE}
     assert {stem: uses for stem, uses in found.items() if uses} == {}
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads() -> list[str]:
+    """``module:line`` of each use of os.environ, os.getenv or their bytes forms."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "attr", getattr(node, "id", None))])
+            if ENVIRONMENT_READS.intersection(names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # How many processes bench and the DAG search run in follows the CPU
+    # affinity alone (``taskset`` narrows it), not a variable.
+    assert environment_reads() == []
