@@ -32,7 +32,21 @@ the exchange updates run over rows ``k+1..k_max`` only.  A dependency is
 found when its column is first visited, after the independent prefix
 before it has been reduced.
 
-Inside the loop each column is one Python int (Kronecker
+Two kernels run this loop, and compute one function.  ``_lll.c`` is the
+loop in C over GMP ``mpz_t``, step for step: the same first visits and
+zero-prefix skip, the same rounding, Lovasz test and exchange update, with
+``mpz_fdiv_q`` wherever the Python loop floors with ``//``, so on every input
+it returns the same columns and raises the same ``DependentColumns`` (same
+column) and premise ``AssertionError``.  It is built on the first reduction
+in a process (``_native``): ``cc -O2 -shared -fPIC ... -lgmp`` writes it next
+to its source under a name keyed to a hash of the source, renamed into place
+whole, and ``ctypes`` loads it.  Entries cross as hex text.  Where the build
+or the load fails (no C compiler, no GMP, a read-only directory) the Python
+loop runs instead, and the build is not tried again in that process.  The
+Python loop is that fallback and the reference the tests hold the C loop to;
+``kernel_name()`` says which one runs.
+
+Inside the Python loop each column is one Python int (Kronecker
 substitution): with slot width ``w``, column ``b`` is packed as
 ``P = sum_r b[r] * 2**(w*r)``, entry ``r`` in slot ``r`` in signed form.
 Packing is Z-linear, so both size-reduction updates are one big-integer
@@ -83,7 +97,9 @@ every last column: it is at least the width each run needs, and a wider slot
 changes only the representation, not a single value.  The premise check
 keeps each run's own bound, ``B = max(prefix input norms, ||last||^2)``.
 The runs are lazy: a last column's reduction runs when its result is asked
-for, so a fallback that is not needed costs nothing.
+for, so a fallback that is not needed costs nothing.  The C loop reduces each
+``prefix + [last]`` whole, lazily too; by the above, its bases are the
+shared-prefix run's.
 
 Two exact shortcuts cut interpreter steps without changing a value.  Most
 size reductions have ``gamma = +-1`` (over three quarters on the column-scan
@@ -102,19 +118,107 @@ entries on the column-scan attacks are such zeros).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import add, mul, sub
+from pathlib import Path
 
 from .errors import DependentColumns, InvalidAlpha
 
 DEFAULT_ALPHA = Fraction(99, 100)
 
+_SOURCE = Path(__file__).with_name("_lll.c")
+BUILD_TIMEOUT_S = 120
+C_DEPENDENT, C_PREMISE, C_NO_MEMORY = 1, 2, 3  # knapcrack_lll's failure statuses
+_UNBUILT = object()
+# The C loop once _native has loaded it, or None where it cannot be built;
+# one value per process, as the build is tried once.
+_kernel: object = _UNBUILT
+# (cols, p, q) -> the reduced columns of cols at alpha = p/q
+NativeReduce = Callable[[Sequence[Sequence[int]], int, int], tuple[tuple[int, ...], ...]]
+
 
 def kernel_name() -> str:
-    """Name of the LLL kernel, recorded in benchmark provenance."""
-    return "python"
+    """The LLL kernel that runs in this process: "gmp" (the C loop) or "python"."""
+    return "python" if _native() is None else "gmp"
+
+
+def _native() -> NativeReduce | None:
+    """The C loop, built and loaded at the first call; None where it cannot be."""
+    global _kernel
+    if _kernel is _UNBUILT:
+        _kernel = _load(_SOURCE)
+    return _kernel
+
+
+def _load(source: Path) -> NativeReduce | None:
+    """Load the C loop of source, built next to it on first use, and wrap it.
+
+    The library's name carries a hash of the source, so an edited source is
+    never run from an old binary.  Without a C compiler or GMP, or in a
+    read-only directory, this returns None.
+    """
+    import ctypes
+    import hashlib
+
+    try:
+        code = source.read_bytes()
+        binary = source.with_name(f"{source.stem}_{hashlib.sha256(code).hexdigest()[:16]}.so")
+        if not binary.exists() and not _build(source, binary):
+            return None
+        lib = ctypes.CDLL(str(binary))
+    except OSError:
+        return None
+    c_lll, c_free = lib.knapcrack_lll, lib.knapcrack_free
+    c_lll.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_char_p,
+                      ctypes.c_char_p, ctypes.POINTER(ctypes.c_void_p),
+                      ctypes.POINTER(ctypes.c_int)]
+    c_lll.restype = ctypes.c_int
+    c_free.argtypes = [ctypes.c_void_p]
+    c_free.restype = None
+
+    def reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
+        dim = len(cols[0])
+        out, where = ctypes.c_void_p(), ctypes.c_int()
+        status = c_lll(len(cols), dim, ",".join(map(hex, chain.from_iterable(cols))).encode(),
+                       hex(p).encode(), hex(q).encode(), ctypes.byref(out), ctypes.byref(where))
+        if status == C_DEPENDENT:
+            raise _dependent(where.value)
+        if status == C_PREMISE:
+            raise _premise_failure(where.value, max(sum(x * x for x in c) for c in cols))
+        if status == C_NO_MEMORY:
+            raise MemoryError("the C LLL loop could not allocate its state")
+        try:
+            text = ctypes.string_at(out.value)
+        finally:
+            c_free(out)
+        entries = map(int, text.split(b","), repeat(16))
+        return tuple(zip(*[entries] * dim))  # dim consecutive entries per column
+
+    return reduce
+
+
+def _build(source: Path, binary: Path) -> bool:
+    """Compile source into the shared library binary; False when that fails.
+
+    The library is linked in a fresh directory and renamed into place whole,
+    so a concurrent process never loads a half-written file.
+    """
+    import subprocess
+    import tempfile
+
+    try:
+        with tempfile.TemporaryDirectory(prefix=f"{source.stem}_build_",
+                                         dir=source.parent) as tmp:
+            built = Path(tmp, binary.name)
+            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", str(built), str(source),
+                            "-lgmp"], check=True, capture_output=True, timeout=BUILD_TIMEOUT_S)
+            built.replace(binary)
+    except (OSError, subprocess.CalledProcessError, subprocess.TimeoutExpired):
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -169,6 +273,14 @@ def gso_row(g_row: list[int], d: list[int], lam: list[list[int]]) -> list[int]:
     return row
 
 
+def _dependent(k: int) -> DependentColumns:
+    return DependentColumns(f"column {k} is dependent on earlier columns")
+
+
+def _premise_failure(j: int, bound: int) -> AssertionError:
+    return AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
+
+
 def _append_row(g_row: list[int], k: int, d: list[int], lam: list[list[int]]) -> None:
     """Append column k's GSO row to (d, lam), which cover columns 0..k-1.
 
@@ -178,7 +290,7 @@ def _append_row(g_row: list[int], k: int, d: list[int], lam: list[list[int]]) ->
     row = gso_row(g_row, d, lam)
     dk = row.pop()
     if dk == 0:
-        raise DependentColumns(f"column {k} is dependent on earlier columns")
+        raise _dependent(k)
     d.append(dk)
     lam.append(row)
 
@@ -295,6 +407,22 @@ def _reduce_lasts(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, 
                   alpha: Fraction) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield the LLL reduction of prefix + [last], as column tuples, per last.
 
+    Each last column's reduction runs at its own next().  The C loop reduces
+    each prefix + [last] whole; the Python loop reduces the prefix once and
+    continues from it, with the same outputs (module docstring).
+    """
+    reduce = _native()
+    if reduce is None:
+        yield from _python_lasts(prefix, lasts, alpha)
+        return
+    for last in lasts:
+        yield reduce([*prefix, last], alpha.numerator, alpha.denominator)
+
+
+def _python_lasts(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, ...]],
+                  alpha: Fraction) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """_reduce_lasts in the Python loop.
+
     The prefix is reduced once, at the first next(); each yield then
     finishes one last column's reduction from a copy of that state.
     """
@@ -316,7 +444,7 @@ def _reduce_lasts(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, 
         _reduce([*prefix, last], k, kmax, run_packed, run_d, run_lam, w, offset, p, q)
         for j in range(n):
             if run_d[j + 1] > bound * run_d[j]:
-                raise AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
+                raise _premise_failure(j, bound)
         yield tuple(_unpack(pk, w, offset, dim) for pk in run_packed)
 
 

@@ -131,8 +131,11 @@ def _admissible(row: list[int], x: list[int]) -> tuple[int, float] | None:
     """(b, density) of a drawn row against the planted x, or None to redraw.
 
     A row is admissible when its density n / log2(max(row)) lies in (0.99,
-    1.01) and b = row . x satisfies max(row) < b <= sum(row)/2.
+    1.01) and b = row . x satisfies max(row) < b <= sum(row)/2.  A row of
+    ones has no finite density and is never admissible.
     """
+    if max(row) == 1:
+        return None
     b = sum(ai for ai, xi in zip(row, x) if xi)
     d = len(row) / math.log2(max(row))
     return (b, d) if 0.99 < d < 1.01 and max(row) < b and 2 * b <= sum(row) else None

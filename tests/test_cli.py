@@ -95,6 +95,16 @@ class TestGen:
             assert entry["densities"] == list(gen.densities) and len(gen.densities) == 2
             assert load_system(out / entry["file"]) == gen.system
 
+    @pytest.mark.parametrize("m, seed", [(1, 2526), (2, 2272)])
+    def test_a_row_of_ones_is_redrawn(self, tmp_path, m, seed):
+        # The seed draws a = (1, 1, 1, 1) first, which used to end in a
+        # ZeroDivisionError traceback.
+        out = tmp_path / "d"
+        assert main(["gen", "--m", str(m), "--n", "4", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        gen = generate_instance(4, seed).instance if m == 1 else generate_system(2, 4, seed).system
+        assert load_system(out / f"inst_{m}_4_0.txt") == gen
+
     def test_odd_n_rejected(self, tmp_path, capsys):
         assert main(["gen", "--m", "1", "--n", "15", "--count", "1",
                      "--seed", "0", "--out", str(tmp_path / "x")]) == 2

@@ -311,8 +311,8 @@ def pinned_instances():
 
 
 @pytest.fixture
-def visits(monkeypatch) -> list:
-    """One entry per first visit of a column in the LLL kernel."""
+def visits(monkeypatch, python_kernel) -> list:
+    """One entry per first visit of a column in the Python LLL loop."""
     seen = []
     real = lattice._visit
 
@@ -350,6 +350,28 @@ class TestComplementFallback:
             assert len(visits) == system.n + tails
             tails_seen.add(tails)
         assert tails_seen == {1, 2}
+
+    def test_native_complement_runs_only_after_a_miss(self, gmp_kernel, monkeypatch):
+        # The C loop reduces the target's basis, then the complement's only
+        # when the target's scan misses.
+        calls = []
+
+        def counting(cols, p, q):
+            calls.append(cols[-1])
+            return gmp_kernel(cols, p, q)
+
+        monkeypatch.setattr(lattice, "_kernel", counting)
+        counts_seen = set()
+        for seed in range(20):
+            system = generate_instance(20, seed).instance
+            calls.clear()
+            verdict = attack_lo(system)
+            first_solved = verdict.solved and \
+                verdict.meta["used_complement"] == normalize(system)[1]
+            lasts = [(0,) * system.n + target.b for target in (system, complement(system))]
+            assert calls == (lasts[:1] if first_solved else lasts)
+            counts_seen.add(len(calls))
+        assert counts_seen == {1, 2}
 
     def test_cjloss_reduces_once(self, visits):
         # One reduction visits each of the n + 1 basis columns once, on a hit

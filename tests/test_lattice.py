@@ -1,8 +1,12 @@
 """Exact LLL and its rational GSO oracle: worked examples, update lemmas, and
 reduction contracts."""
 
+import hashlib
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
-from knapcrack.errors import DependentColumns, InvalidAlpha
-from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, build_lattice_B,
-                                    cjloss_basis)
+from knapcrack.errors import DependentColumns, InvalidAlpha, SearchExhausted
+from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, attack_ahl, attack_cjloss,
+                                    attack_lo, build_lattice_B, cjloss_basis)
 from knapcrack import lattice
 from knapcrack.intmat import det_bareiss, gram
 from knapcrack.lattice import (DEFAULT_ALPHA, gso_row, integral_gso, lll, lll_shared_prefix,
                               round_nearest)
-from knapcrack.pipeline import generate_instance
+from knapcrack.pipeline import SearchConfig, attack, generate_instance, generate_system
 from knapcrack.problems import complement
 
 from oracles import (basis_of, enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
@@ -271,8 +275,11 @@ def lo_prefix_and_lasts(system):
     return prefix, [[0] * n + [b], [0] * n + [sum(a) - b]]
 
 
+@pytest.mark.usefixtures("python_kernel")
 class TestSharedPrefix:
-    """lll_shared_prefix(prefix, lasts) yields exactly lll(prefix + [last])."""
+    """lll_shared_prefix(prefix, lasts) yields exactly lll(prefix + [last]): the
+    Python loop's continuation from the reduced prefix (the C loop reduces each
+    basis whole, and TestGmpKernel holds it to the Python loop)."""
 
     def test_random_bases(self):
         rng = random.Random(10)
@@ -358,8 +365,9 @@ def kernel(cols, alpha):
     return lll(basis_of(cols), alpha).columns
 
 
+@pytest.mark.usefixtures("python_kernel")
 class TestPackedColumns:
-    """The kernel packs each column into one int; decoding must be exact."""
+    """The Python loop packs each column into one int; decoding must be exact."""
 
     @settings(max_examples=200, deadline=None)
     @given(packing_bases(), st.sampled_from([Fraction(26, 100), Fraction(3, 4),
@@ -453,7 +461,7 @@ class TestZeroPrefix:
         assert (d, lam) == integral_from_rational(cols)
         assert d == [1, 5, 25, 225, 5625] and lam[2] == [0, 0] and lam[3] == [0, 0, 75]
 
-    def test_knapsack_lll_takes_unit_steps(self, monkeypatch):
+    def test_knapsack_lll_takes_unit_steps(self, monkeypatch, python_kernel):
         # [I; N a] at n = 20, where most size reductions have gamma = +-1.
         # naive_lll takes about a minute per basis at that size; lemma_lll is
         # pinned to it by TestPackedColumns, and naive_lll itself checks n = 10.
@@ -510,3 +518,168 @@ class TestAgainstSympy:
             ours, theirs = lll(basis), sympy_lll(basis)
             assert column_hnf(ours) == column_hnf(theirs) == column_hnf(basis)
             assert is_lll_reduced(ours.columns) and is_lll_reduced(theirs.columns)
+
+
+def outcomes_in(kernel, prefix, lasts, alpha=DEFAULT_ALPHA):
+    """Each basis lll_shared_prefix yields with lattice._kernel set to kernel
+    (None: the Python loop), then the type and message of what it raised."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_kernel", kernel)
+        try:
+            for basis in lll_shared_prefix(prefix, lasts, alpha):
+                out.append([list(c) for c in basis.columns])
+        except (DependentColumns, AssertionError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+# alpha = p/q with p and q beyond 64 bits, near 1 and near 1/2
+WIDE_ALPHAS = [Fraction(2**65 + 1, 2**65 + 3), Fraction(2**66 + 1, 2**67 + 5)]
+TWIN_ENTRIES = st.one_of(ENTRIES, st.integers(-1000, 1000), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def twin_inputs(draw):
+    """(prefix, lasts) of random shape, with zero columns and dependencies drawn in."""
+    n = draw(st.integers(1, 7))
+    dim = draw(st.integers(1, 8))
+    column = st.lists(TWIN_ENTRIES, min_size=dim, max_size=dim)
+    cols = [draw(column) for _ in range(n)]
+    if draw(st.booleans()):
+        cols[draw(st.integers(0, n - 1))] = [0] * dim
+    if n > 1 and draw(st.booleans()):  # column k a combination of the columns before it
+        k = draw(st.integers(1, n - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        cols[k] = [sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(dim)]
+    return cols[:-1], [cols[-1]] + draw(st.lists(column, max_size=1))
+
+
+class TestGmpKernel:
+    """The C loop (_lll.c) returns the Python loop's columns and raises its errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(twin_inputs(), st.sampled_from([Fraction(26, 100), Fraction(1, 2), Fraction(3, 4),
+                                           DEFAULT_ALPHA, *WIDE_ALPHAS]))
+    def test_matches_python(self, gmp_kernel, inputs, alpha):
+        prefix, lasts = inputs
+        assert outcomes_in(gmp_kernel, prefix, lasts, alpha) == \
+            outcomes_in(None, prefix, lasts, alpha)
+
+    @pytest.mark.parametrize("cols", [[[5]], [[0]], [[-3, 4]], [[3], [4]], [[0, 0], [1, 2]],
+                                      [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+                                      [[1, 1], [1, 0]]],
+                             ids=["one-entry", "zero-entry", "one-column", "dim-1-dependent",
+                                  "zero-first-column", "dependent-last-column",
+                                  "lovasz-tie-at-1/2"])
+    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, Fraction(1, 2), *WIDE_ALPHAS],
+                             ids=["99/100", "1/2", "wide-near-1", "wide-near-1/2"])
+    def test_edge_shapes_match_python(self, gmp_kernel, cols, alpha):
+        assert outcomes_in(gmp_kernel, cols[:-1], cols[-1:], alpha) == \
+            outcomes_in(None, cols[:-1], cols[-1:], alpha)
+
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_attack_bases_match_python(self, gmp_kernel, n):
+        # The LO pair, and the kernel, CJLOSS and AHL bases of an instance, its
+        # complement, a two-row system and a DAG-augmented instance.
+        for seed in range(2):
+            instance = generate_instance(n, seed).instance
+            systems = [instance, complement(instance), generate_system(2, n, seed).system,
+                       build_disaggregated(instance, 0, DisaggParams(1 + seed, 100)).system]
+            inputs = [lo_prefix_and_lasts(instance)]
+            for system in systems:
+                n2 = 2 ** (n + system.m) * DEFAULT_N1 ** 2 + 1
+                for basis in (build_lattice_B(system, DEFAULT_N), cjloss_basis(system, DEFAULT_N),
+                              ahl_basis(system, DEFAULT_N1, n2)):
+                    cols = [list(c) for c in basis.columns]
+                    inputs.append((cols[:-1], cols[-1:]))
+            for prefix, lasts in inputs:
+                assert outcomes_in(gmp_kernel, prefix, lasts) == outcomes_in(None, prefix, lasts)
+
+
+def copy_of_source(directory):
+    source = directory / "_lll.c"
+    source.write_bytes(lattice._SOURCE.read_bytes())
+    return source
+
+
+def built_name(source):
+    """The file name the C loop of source is built under."""
+    return f"_lll_{hashlib.sha256(source.read_bytes()).hexdigest()[:16]}.so"
+
+
+def no_compiler(argv, **kwargs):
+    raise FileNotFoundError(2, "No such file or directory", argv[0])
+
+
+def no_gmp(argv, **kwargs):
+    raise subprocess.CalledProcessError(1, argv)
+
+
+def hung_compiler(argv, **kwargs):
+    raise subprocess.TimeoutExpired(argv, lattice.BUILD_TIMEOUT_S)
+
+
+def verdicts():
+    """LO, CJLOSS, AHL and a DAG search on three n = 16 instances."""
+    out = []
+    config = SearchConfig(algo="reduce_half", use_dag=True, M=1000, t_max=20)
+    for seed in range(3):
+        instance = generate_instance(16, seed).instance
+        out += [attack_lo(instance).to_dict(), attack_cjloss(instance).to_dict(),
+                attack_ahl(instance).to_dict()]
+        try:
+            out.append(attack(instance, config).verdict.to_dict())
+        except SearchExhausted as exc:
+            out.append((str(exc), exc.best and exc.best.to_dict()))
+    return out
+
+
+class TestKernelBuild:
+    """The C loop is built next to its source on first use; any failure leaves
+    the Python loop, with the same results."""
+
+    def test_builds_once_under_its_source_hash(self, gmp_kernel, tmp_path, monkeypatch):
+        source = copy_of_source(tmp_path)
+        reduce = lattice._load(source)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", built_name(source)]
+        cols = build_lattice_B(generate_instance(16, 0).instance, DEFAULT_N).columns
+        assert reduce(cols, 99, 100) == gmp_kernel(cols, 99, 100)
+        # The built library is loaded again without a compiler; an edited
+        # source is not, since its hash names another file.
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert lattice._load(source)(cols, 99, 100) == reduce(cols, 99, 100)
+        source.write_bytes(source.read_bytes() + b"\n")
+        assert lattice._load(source) is None
+
+    def test_concurrent_first_builds_leave_one_binary(self, gmp_kernel, tmp_path):
+        # Processes that start together may each build; each renames its own
+        # finished file into place, and every one of them loads the C loop.
+        source = copy_of_source(tmp_path)
+        code = ("import sys; from pathlib import Path; from knapcrack import lattice; "
+                "sys.exit(lattice._load(Path(sys.argv[1])) is None)")
+        env = {**os.environ, "PYTHONPATH": str(lattice._SOURCE.parent.parent)}
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(source)], env=env)
+                 for _ in range(3)]
+        assert [proc.wait(timeout=300) for proc in procs] == [0, 0, 0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", built_name(source)]
+
+    @pytest.mark.parametrize("failure", [no_compiler, no_gmp, hung_compiler])
+    def test_a_failed_build_runs_the_python_loop(self, gmp_kernel, tmp_path, monkeypatch,
+                                                 failure):
+        builds = []
+
+        def build(argv, **kwargs):
+            builds.append(argv)
+            failure(argv, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", build)
+        monkeypatch.setattr(lattice, "_SOURCE", copy_of_source(tmp_path))
+        monkeypatch.setattr(lattice, "_kernel", lattice._UNBUILT)
+        fallback = verdicts()
+        assert lattice.kernel_name() == "python"
+        assert len(builds) == 1  # tried once per process
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c"]
+        monkeypatch.setattr(lattice, "_kernel", gmp_kernel)
+        assert lattice.kernel_name() == "gmp"
+        assert verdicts() == fallback

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knapcrack import pipeline
 from knapcrack.disagg import DisaggParams, DisaggregatedSystem, build_disaggregated, row_coeffs
 from knapcrack.errors import (DependentColumns, EscalationExhausted, GenerationBudgetExceeded,
                               InvalidInput, InvalidRow, RankDeficient, SearchExhausted)
@@ -128,6 +129,24 @@ class TestGenerators:
             generate_instance(15, 0)
         with pytest.raises(ValueError):
             generate_instance(2, 0)
+
+    @pytest.mark.parametrize("m, seed", [(1, 2526), (1, 3082), (1, 3587), (2, 2272)])
+    def test_a_row_of_ones_is_redrawn(self, monkeypatch, m, seed):
+        # These seeds draw a = (1, 1, 1, 1) at n = 4, whose density n / log2(1)
+        # has no value; the row is rejected like any inadmissible draw.
+        rows = []
+
+        def spy(row, x):
+            rows.append(list(row))
+            return admissible(row, x)
+
+        admissible = pipeline._admissible
+        monkeypatch.setattr(pipeline, "_admissible", spy)
+        gen = generate_instance(4, seed) if m == 1 else generate_system(m, 4, seed)
+        system = gen.instance if m == 1 else gen.system
+        assert [1, 1, 1, 1] in rows
+        assert system.is_solution(gen.planted)
+        assert all(max(row) > 1 for row in system.A)
 
     def test_system_determinism_and_constraints(self):
         gen = generate_system(2, 30, 11)

@@ -3,7 +3,9 @@
 own definition, each function takes one input shape, so no function
 branches on the type of its input, and no handler catches every error.
 Code that only tests use belongs in ``tests/oracles.py``.  The LLL kernel
-keeps one loop: exactly one function in ``lattice`` holds the exchange step.
+keeps one Python loop: exactly one function in ``lattice`` holds the exchange
+step; the C loop in ``_lll.c`` is its twin, and stays out of floating point
+as the Python exact core does.
 The CLI keeps one exit path: only ``cli.main`` turns an error into an exit code,
 and it handles ValueError only where it parses a flag or a grid line, so a
 ValueError from the library is a usage error only when it is an InvalidInput.
@@ -16,6 +18,7 @@ the name (``perfbench/layers.py`` patches attributes by name, and
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -127,7 +130,9 @@ def swapping_functions(path) -> set[str]:
 
 def test_one_lll_loop():
     # LLL's exchange step swaps two adjacent columns; lll and
-    # lll_shared_prefix both run the one loop that does it.
+    # lll_shared_prefix both run the one Python loop that does it.  Its one
+    # twin is the C loop in _lll.c, held to it output for output and error
+    # for error by tests/test_lattice.py::TestGmpKernel.
     assert len(swapping_functions(PACKAGE / "lattice.py")) == 1
 
 
@@ -197,6 +202,18 @@ def test_exact_core_has_no_float():
     # outside the core.
     found = {stem: inexact_uses(PACKAGE / f"{stem}.py") for stem in EXACT_CORE}
     assert {stem: uses for stem, uses in found.items() if uses} == {}
+
+
+C_INEXACT = re.compile(r"\b(float|double)\b|\bmpf_|\bmpfr")
+
+
+def test_c_loop_has_no_float():
+    # The C LLL loop is in the exact core too: mpz_t only, no C floating
+    # types and no GMP or MPFR floats.
+    found = [f"{i}: {line.strip()}" for i, line in
+             enumerate((PACKAGE / "_lll.c").read_text(encoding="utf-8").splitlines(), 1)
+             if C_INEXACT.search(line)]
+    assert found == []
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
