@@ -44,7 +44,7 @@ from functools import cached_property
 
 from .errors import DependentColumns, EscalationExhausted, InvalidInput, InvalidN
 from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
-from .lattice import DEFAULT_ALPHA, LatticeBasis, integral_gso, lll, lll_shared_prefix
+from .lattice import DEFAULT_ALPHA, LatticeBasis, integral_gso, lll
 from .problems import LdeSystem, complement, is_subset_sum
 
 DEFAULT_N = 10**8
@@ -199,19 +199,18 @@ def attack_lo(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
     """LO attack: reduce [I, 0; -a, b] and scan for a {0, lambda} column.
 
     Candidate columns are divided by lambda (any sign, any magnitude) and
-    feasibility-checked, on sys as given and then on its complement.  Both
-    share a, so only the last column differs: the b-free prefix is reduced
-    once, and the complement's reduction resumes from it (lll_shared_prefix).
+    feasibility-checked, on sys as given and then on its complement.  The
+    complement's basis differs only in its last column, and its reduction is
+    a second lll, run only after the scan of sys's reduced basis misses.
     Raises InvalidInput unless sys is a subset-sum instance (``is_subset_sum``).
     """
     if not is_subset_sum(sys):
         raise InvalidInput("lo takes a subset-sum instance: one equation, positive "
                          "coefficients and 0 < b < sum(a)")
     n = sys.n
-    targets = (sys, complement(sys))
-    reductions = lll_shared_prefix(_stacked(sys, 1, -1),
-                                   [(0,) * n + target.b for target in targets], alpha)
-    for flipped, (target, reduced) in enumerate(zip(targets, reductions)):
+    prefix = _stacked(sys, 1, -1)
+    for flipped, target in enumerate((sys, complement(sys))):
+        reduced = lll(LatticeBasis(prefix + ((0,) * n + target.b,)), alpha)
         for j, lam, x in _scan_lo(reduced.columns, n):
             if target.is_solution(x):
                 return classify_solution(sys, [1 - v for v in x] if flipped else x,

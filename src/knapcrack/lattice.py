@@ -1,9 +1,9 @@
 """Exact LLL basis reduction and the integral Gram-Schmidt state it runs in.
 
 Bases are column-major: a ``LatticeBasis`` holds ``n`` integer columns of
-equal dimension, each a tuple of ints.  The loop reads these tuples and
-yields tuples, so ``lll`` and ``lll_shared_prefix`` wrap its output as it
-is, with no per-entry conversion.  The Gram-Schmidt convention is fixed as
+equal dimension, each a tuple of ints.  Both kernels read these tuples and
+return tuples, so ``lll`` wraps their output as it is, with no per-entry
+conversion.  The Gram-Schmidt convention is fixed as
 
     B = B* . M^T,   i.e.   b_i = sum_{j <= i} mu[i][j] * b*_j,
 
@@ -20,16 +20,16 @@ are exact.  The GSO set-up (``integral_gso``, ``gso_row``) and
 ``round_nearest`` are shared with the decomposition's contract in
 ``formulations`` and the solution-shortening sweeps in ``reduction``.
 
-The loop (``_reduce``) is Cohen's integral LLL (*A Course in Computational
-Algebraic Number Theory*, Alg. 2.6.7): it keeps ``k_max``, the largest
-index visited so far, and holds GSO rows only for columns ``0..k_max``.
-Column ``k`` is untouched until ``k`` first passes ``k_max``, and its row
-is then built from its inner products with the current columns ``0..k``
-(``gso_row``).  Each ``d[i]`` and ``lam[i][j]`` depends only on the current
-columns ``0..i``, so the lazy row equals the one an up-front set-up would
-have carried through the earlier exchanges, and the output is the same;
-the exchange updates run over rows ``k+1..k_max`` only.  A dependency is
-found when its column is first visited, after the independent prefix
+The loop (``_python_reduce``) is Cohen's integral LLL (*A Course in
+Computational Algebraic Number Theory*, Alg. 2.6.7): it keeps ``k_max``, the
+largest index visited so far, and holds GSO rows only for columns
+``0..k_max``.  Column ``k`` is untouched until ``k`` first passes ``k_max``,
+and its row is then built from its inner products with the current columns
+``0..k`` (``gso_row``).  Each ``d[i]`` and ``lam[i][j]`` depends only on the
+current columns ``0..i``, so the lazy row equals the one an up-front set-up
+would have carried through the earlier exchanges, and the output is the
+same; the exchange updates run over rows ``k+1..k_max`` only.  A dependency
+is found when its column is first visited, after the independent prefix
 before it has been reduced.
 
 Two kernels run this loop, and compute one function.  ``_lll.c`` is the
@@ -44,7 +44,8 @@ whole, and ``ctypes`` loads it.  Entries cross as hex text.  Where the build
 or the load fails (no C compiler, no GMP, a read-only directory) the Python
 loop runs instead, and the build is not tried again in that process.  The
 Python loop is that fallback and the reference the tests hold the C loop to;
-``kernel_name()`` says which one runs.
+``kernel_name()`` says which one runs.  Both take ``(cols, p, q)`` and return
+the reduced columns, and ``lll`` calls whichever runs.
 
 Inside the Python loop each column is one Python int (Kronecker
 substitution): with slot width ``w``, column ``b`` is packed as
@@ -82,25 +83,6 @@ basis; decoding the whole prefix on every first visit costs most of what
 packing saves.  The input column is packed at its first visit, and every
 column is unpacked once at exit.
 
-One prefix, several last columns (``lll_shared_prefix``; ``lll`` is the
-case of one last column).  LO's target and its complement are its one use:
-their bases share their first ``n - 1`` columns and differ in the last.
-Before ``k`` first reaches index ``n - 1`` the loop reads and writes only
-columns ``0..k_max < n - 1``: the last column is read at its first visit
-and not before.  So the state at that point (packed columns, ``d``,
-``lam``, ``k``, ``k_max``) is the same whichever last column follows, and
-it is the state a run over the prefix alone ends in.  That run is made
-once, and each last column's reduction continues from a copy of it.  Each
-output is, bit for bit, that of one run from scratch on
-``prefix + [last]``.  The slot width is computed once, from the prefix and
-every last column: it is at least the width each run needs, and a wider slot
-changes only the representation, not a single value.  The premise check
-keeps each run's own bound, ``B = max(prefix input norms, ||last||^2)``.
-The runs are lazy: a last column's reduction runs when its result is asked
-for, so a fallback that is not needed costs nothing.  The C loop reduces each
-``prefix + [last]`` whole, lazily too; by the above, its bases are the
-shared-prefix run's.
-
 Two exact shortcuts cut interpreter steps without changing a value.  Most
 size reductions have ``gamma = +-1`` (over three quarters on the column-scan
 attacks), and for those the ``lam`` row update is ``map(sub, ...)`` or
@@ -118,7 +100,7 @@ entries on the column-scan attacks are such zeros).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -136,8 +118,8 @@ _UNBUILT = object()
 # The C loop once _native has loaded it, or None where it cannot be built;
 # one value per process, as the build is tried once.
 _kernel: object = _UNBUILT
-# (cols, p, q) -> the reduced columns of cols at alpha = p/q
-NativeReduce = Callable[[Sequence[Sequence[int]], int, int], tuple[tuple[int, ...], ...]]
+# Either kernel: (cols, p, q) -> the reduced columns of cols at alpha = p/q
+Reduce = Callable[[Sequence[Sequence[int]], int, int], tuple[tuple[int, ...], ...]]
 
 
 def kernel_name() -> str:
@@ -145,7 +127,7 @@ def kernel_name() -> str:
     return "python" if _native() is None else "gmp"
 
 
-def _native() -> NativeReduce | None:
+def _native() -> Reduce | None:
     """The C loop, built and loaded at the first call; None where it cannot be."""
     global _kernel
     if _kernel is _UNBUILT:
@@ -153,7 +135,7 @@ def _native() -> NativeReduce | None:
     return _kernel
 
 
-def _load(source: Path) -> NativeReduce | None:
+def _load(source: Path) -> Reduce | None:
     """Load the C loop of source, built next to it on first use, and wrap it.
 
     The library's name carries a hash of the source, so an edited source is
@@ -337,14 +319,19 @@ def _unpack(pk: int, w: int, offset: int, dim: int) -> tuple[int, ...]:
     return tuple(((s >> (w * r)) & mask) - half for r in range(dim))
 
 
-def _reduce(cols: Sequence[Sequence[int]], k: int, kmax: int, packed: list[int],
-            d: list[int], lam: list[list[int]], w: int, offset: int,
-            p: int, q: int) -> tuple[int, int]:
-    """Run the LLL loop on the columns cols from index k; return the final (k, kmax).
+def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The LLL-reduced columns of cols at alpha = p/q, in the Python loop.
 
-    The Lovasz parameter is alpha = p/q.
+    The C loop's reduce takes the same arguments and returns the same value.
     """
-    n = len(cols)
+    n, dim = len(cols), len(cols[0])
+    bound = max(sum(x * x for x in c) for c in cols)
+    w = ((1 + n) * bound).bit_length() // 2 + 3  # slot width, proved in the module docstring
+    offset = sum(1 << (w * r + w - 1) for r in range(dim))  # half of every slot
+    packed: list[int] = []  # packed[i] = sum_r b_i[r] << (w * r) for i <= kmax
+    d = [1]
+    lam: list[list[int]] = []
+    k, kmax = 0, -1
     while k < n:
         if k > kmax:
             # First visit: column k is still the input column, and columns
@@ -400,70 +387,10 @@ def _reduce(cols: Sequence[Sequence[int]], k: int, kmax: int, packed: list[int],
                     lk[j] = lkj - gamma * dj
             packed[k] = pk
             k += 1
-    return k, kmax
-
-
-def _reduce_lasts(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, ...]],
-                  alpha: Fraction) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the LLL reduction of prefix + [last], as column tuples, per last.
-
-    Each last column's reduction runs at its own next().  The C loop reduces
-    each prefix + [last] whole; the Python loop reduces the prefix once and
-    continues from it, with the same outputs (module docstring).
-    """
-    reduce = _native()
-    if reduce is None:
-        yield from _python_lasts(prefix, lasts, alpha)
-        return
-    for last in lasts:
-        yield reduce([*prefix, last], alpha.numerator, alpha.denominator)
-
-
-def _python_lasts(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, ...]],
-                  alpha: Fraction) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """_reduce_lasts in the Python loop.
-
-    The prefix is reduced once, at the first next(); each yield then
-    finishes one last column's reduction from a copy of that state.
-    """
-    if not lasts:
-        return
-    p, q = alpha.numerator, alpha.denominator
-    n = len(prefix) + 1
-    dim = len(lasts[0])
-    prefix_bound = max((sum(x * x for x in c) for c in prefix), default=0)
-    bounds = [max(prefix_bound, sum(x * x for x in c)) for c in lasts]
-    w = ((1 + n) * max(bounds)).bit_length() // 2 + 3  # slot width, proved in the module docstring
-    offset = sum(1 << (w * r + w - 1) for r in range(dim))  # half of every slot
-    packed: list[int] = []  # packed[i] = sum_r b_i[r] << (w * r) for i <= kmax
-    d = [1]
-    lam: list[list[int]] = []
-    k, kmax = _reduce(prefix, 0, -1, packed, d, lam, w, offset, p, q)
-    for last, bound in zip(lasts, bounds):
-        run_packed, run_d, run_lam = packed[:], d[:], [row[:] for row in lam]
-        _reduce([*prefix, last], k, kmax, run_packed, run_d, run_lam, w, offset, p, q)
-        for j in range(n):
-            if run_d[j + 1] > bound * run_d[j]:
-                raise _premise_failure(j, bound)
-        yield tuple(_unpack(pk, w, offset, dim) for pk in run_packed)
-
-
-def lll_shared_prefix(prefix: Sequence[tuple[int, ...]], lasts: Sequence[tuple[int, ...]],
-                      alpha: Fraction = DEFAULT_ALPHA) -> Iterator[LatticeBasis]:
-    """Iterate the LLL reduction of prefix + [last] over the lasts, reducing prefix once.
-
-    Each result is what lll(LatticeBasis((*prefix, last)), alpha) returns,
-    and lazy: a last column's reduction runs only when its basis is asked
-    for.  Alpha and the shape of every prefix + [last] are checked here;
-    DependentColumns comes from the next() whose basis is dependent: a
-    dependent prefix at the first, a last column at its own.
-    """
-    alpha = Fraction(alpha)
-    if not Fraction(1, 4) < alpha < 1:
-        raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
-    for last in lasts:
-        LatticeBasis((*prefix, last))  # raises on a bad shape
-    return map(LatticeBasis, _reduce_lasts(prefix, lasts, alpha))
+    for j in range(n):
+        if d[j + 1] > bound * d[j]:
+            raise _premise_failure(j, bound)
+    return tuple(_unpack(pk, w, offset, dim) for pk in packed)
 
 
 def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
@@ -473,5 +400,8 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
     j < i together with the Lovasz condition
     ||b*_i + mu[i][i-1] b*_{i-1}||^2 >= alpha ||b*_{i-1}||^2.
     """
-    cols = basis.columns
-    return next(lll_shared_prefix(cols[:-1], cols[-1:], alpha))
+    alpha = Fraction(alpha)
+    if not Fraction(1, 4) < alpha < 1:
+        raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
+    reduce = _native() or _python_reduce
+    return LatticeBasis(reduce(basis.columns, alpha.numerator, alpha.denominator))

@@ -17,9 +17,9 @@ jump points by sorting every j/den, the reference for the package's heap
 merge, and ``kernel_of`` wraps a plain matrix as a decomposition holding
 only D, the one kernel shape the sweeps and the features take;
 ``basis_of`` wraps any integer columns as a ``LatticeBasis`` of int tuples,
-the one basis format.  ``attack_lo_two_lll`` runs LO's complement fallback
-as two full ``lll`` calls, the reference for LO, the one attack that
-reduces a shared prefix once.  ``rank_fraction`` and
+the one basis format.  ``attack_lo_two_lll`` runs LO and its complement
+fallback on bases built entry by entry, the reference for ``attack_lo``
+and its ``_stacked`` basis.  ``rank_fraction`` and
 ``solve_exact_fraction`` eliminate in Fractions and ``det_leibniz`` sums
 over permutations: the references for the package's one fraction-free
 elimination.

@@ -325,7 +325,7 @@ def visits(monkeypatch, python_kernel) -> list:
 
 
 class TestComplementFallback:
-    """LO reduces the b-free prefix once for the target and its complement;
+    """LO reduces its complement's basis only after the target's scan misses;
     CJLOSS has no complement run, as both of its bases span one lattice."""
 
     @pytest.mark.parametrize("attack, reference", [(attack_lo, attack_lo_two_lll)],
@@ -338,18 +338,18 @@ class TestComplementFallback:
 
     @pytest.mark.parametrize("attack", [attack_lo], ids=["lo"])
     def test_complement_tail_runs_only_after_a_miss(self, attack, visits):
-        # The prefix visits n columns once; each target's tail visits its last one.
-        tails_seen = set()
+        # Each reduction visits the n + 1 columns of its basis once.
+        reductions_seen = set()
         for seed in range(20):
             system = generate_instance(20, seed).instance
             visits.clear()
             verdict = attack(system)
             first_solved = verdict.solved and \
                 verdict.meta["used_complement"] == normalize(system)[1]
-            tails = 1 if first_solved else 2
-            assert len(visits) == system.n + tails
-            tails_seen.add(tails)
-        assert tails_seen == {1, 2}
+            reductions = 1 if first_solved else 2
+            assert len(visits) == reductions * (system.n + 1)
+            reductions_seen.add(reductions)
+        assert reductions_seen == {1, 2}
 
     def test_native_complement_runs_only_after_a_miss(self, gmp_kernel, monkeypatch):
         # The C loop reduces the target's basis, then the complement's only

@@ -18,8 +18,7 @@ from knapcrack.errors import DependentColumns, InvalidAlpha, SearchExhausted
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, attack_ahl, attack_cjloss,
                                     attack_lo, build_lattice_B, cjloss_basis)
 from knapcrack import lattice
-from knapcrack.intmat import det_bareiss, gram
-from knapcrack.lattice import (DEFAULT_ALPHA, gso_row, integral_gso, lll, lll_shared_prefix,
+from knapcrack.lattice import (DEFAULT_ALPHA, LatticeBasis, gso_row, integral_gso, lll,
                               round_nearest)
 from knapcrack.pipeline import SearchConfig, attack, generate_instance, generate_system
 from knapcrack.problems import complement
@@ -253,85 +252,19 @@ class TestLll:
             assert [list(c) for c in ours.columns] == theirs
 
 
-def lll_or_message(cols, alpha=DEFAULT_ALPHA):
-    return reduce_or_message(kernel, cols, alpha)
-
-
-def shared_prefix_outcomes(prefix, lasts, alpha=DEFAULT_ALPHA):
-    """Columns of each basis the iterator yields, then its DependentColumns message."""
-    out = []
-    try:
-        for basis in lll_shared_prefix(prefix, lasts, alpha):
-            out.append([list(c) for c in basis.columns])
-    except DependentColumns as exc:
-        out.append(str(exc))
-    return out
-
-
-def lo_prefix_and_lasts(system):
+def lo_bases(system):
+    """LO's bases for the instance system and its complement."""
     a, b = system.A[0], system.b[0]
     n = system.n
     prefix = [[int(i == j) for i in range(n)] + [-a[j]] for j in range(n)]
-    return prefix, [[0] * n + [b], [0] * n + [sum(a) - b]]
+    return [prefix + [[0] * n + [b]], prefix + [[0] * n + [sum(a) - b]]]
 
 
-@pytest.mark.usefixtures("python_kernel")
-class TestSharedPrefix:
-    """lll_shared_prefix(prefix, lasts) yields exactly lll(prefix + [last]): the
-    Python loop's continuation from the reduced prefix (the C loop reduces each
-    basis whole, and TestGmpKernel holds it to the Python loop)."""
-
-    def test_random_bases(self):
-        rng = random.Random(10)
-        for _ in range(150):
-            n = rng.randint(2, 9)
-            dim = n + rng.randint(0, 2)
-            prefix = [list(c) for c in random_basis(rng, n - 1, dim, -1000, 1000).columns]
-            count, lasts = rng.randint(1, 3), []
-            while len(lasts) < count:
-                last = [rng.randint(-1000, 1000) for _ in range(dim)]
-                if det_bareiss(gram(prefix + [last])) != 0:  # independent
-                    lasts.append(last)
-            alpha = rng.choice([Fraction(26, 100), Fraction(3, 4), Fraction(99, 100)])
-            assert shared_prefix_outcomes(prefix, lasts, alpha) == \
-                [lll_or_message(prefix + [last], alpha) for last in lasts]
-
-    @pytest.mark.parametrize("n", [10, 16, 20])
-    def test_lo_and_cjloss_bases(self, n):
-        for seed in range(10):
-            system = generate_instance(n, seed).instance
-            bases = [cjloss_basis(t, DEFAULT_N) for t in (system, complement(system))]
-            for prefix, lasts in (lo_prefix_and_lasts(system),
-                                  ([list(c) for c in bases[0].columns[:-1]],
-                                   [list(b.columns[-1]) for b in bases])):
-                assert shared_prefix_outcomes(prefix, lasts) == \
-                    [lll_or_message(prefix + [last]) for last in lasts]
-
-    def test_dependent_prefix_raises_at_the_first_next(self):
-        prefix, lasts = [[1, 2, 0], [2, 4, 0]], [[0, 0, 1]]
-        reduced = lll_shared_prefix(prefix, lasts)
-        with pytest.raises(DependentColumns, match="column 1"):
-            next(reduced)
-        assert lll_or_message(prefix + lasts) == "column 1 is dependent on earlier columns"
-
-    def test_dependent_last_raises_at_its_turn(self):
-        prefix = [[1, 0, 0], [0, 1, 0]]
-        lasts = [[0, 0, 5], [3, -2, 0]]
-        reduced = lll_shared_prefix(prefix, lasts)
-        assert next(reduced) == lll(basis_of(prefix + lasts[:1]))
-        with pytest.raises(DependentColumns) as exc:
-            next(reduced)
-        assert str(exc.value) == lll_or_message(prefix + lasts[1:])
-
-    def test_empty_prefix(self):
-        assert list(lll_shared_prefix([], [[3, 4], [0, -2]])) == \
-            [basis_of([[3, 4]]), basis_of([[0, -2]])]
-
-    def test_alpha_and_shape_checked_at_the_call(self):
-        with pytest.raises(InvalidAlpha):
-            lll_shared_prefix([[1, 0]], [[0, 1]], Fraction(1))
-        with pytest.raises(ValueError):
-            lll_shared_prefix([[1, 0]], [[0, 1], [0, 1, 1]])
+class TestLatticeBasis:
+    def test_shape_checked(self):
+        for cols in ((), ((),), ((1, 0), (0, 1, 1))):
+            with pytest.raises(ValueError):
+                LatticeBasis(cols)
 
 
 BIG = 2 ** 200
@@ -520,17 +453,17 @@ class TestAgainstSympy:
             assert is_lll_reduced(ours.columns) and is_lll_reduced(theirs.columns)
 
 
-def outcomes_in(kernel, prefix, lasts, alpha=DEFAULT_ALPHA):
-    """Each basis lll_shared_prefix yields with lattice._kernel set to kernel
-    (None: the Python loop), then the type and message of what it raised."""
+def outcomes_in(kernel, bases, alpha=DEFAULT_ALPHA):
+    """lll's columns on each of the bases with lattice._kernel set to kernel
+    (None: the Python loop), or the type and message of what it raised."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_kernel", kernel)
-        try:
-            for basis in lll_shared_prefix(prefix, lasts, alpha):
-                out.append([list(c) for c in basis.columns])
-        except (DependentColumns, AssertionError) as exc:
-            out.append((type(exc).__name__, str(exc)))
+        for cols in bases:
+            try:
+                out.append([list(c) for c in lll(basis_of(cols), alpha).columns])
+            except (DependentColumns, AssertionError) as exc:
+                out.append((type(exc).__name__, str(exc)))
     return out
 
 
@@ -563,8 +496,8 @@ class TestGmpKernel:
                                            DEFAULT_ALPHA, *WIDE_ALPHAS]))
     def test_matches_python(self, gmp_kernel, inputs, alpha):
         prefix, lasts = inputs
-        assert outcomes_in(gmp_kernel, prefix, lasts, alpha) == \
-            outcomes_in(None, prefix, lasts, alpha)
+        bases = [prefix + [last] for last in lasts]
+        assert outcomes_in(gmp_kernel, bases, alpha) == outcomes_in(None, bases, alpha)
 
     @pytest.mark.parametrize("cols", [[[5]], [[0]], [[-3, 4]], [[3], [4]], [[0, 0], [1, 2]],
                                       [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
@@ -575,8 +508,7 @@ class TestGmpKernel:
     @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, Fraction(1, 2), *WIDE_ALPHAS],
                              ids=["99/100", "1/2", "wide-near-1", "wide-near-1/2"])
     def test_edge_shapes_match_python(self, gmp_kernel, cols, alpha):
-        assert outcomes_in(gmp_kernel, cols[:-1], cols[-1:], alpha) == \
-            outcomes_in(None, cols[:-1], cols[-1:], alpha)
+        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
 
     @pytest.mark.parametrize("n", [10, 20, 30])
     def test_attack_bases_match_python(self, gmp_kernel, n):
@@ -586,15 +518,13 @@ class TestGmpKernel:
             instance = generate_instance(n, seed).instance
             systems = [instance, complement(instance), generate_system(2, n, seed).system,
                        build_disaggregated(instance, 0, DisaggParams(1 + seed, 100)).system]
-            inputs = [lo_prefix_and_lasts(instance)]
+            bases = lo_bases(instance)
             for system in systems:
                 n2 = 2 ** (n + system.m) * DEFAULT_N1 ** 2 + 1
-                for basis in (build_lattice_B(system, DEFAULT_N), cjloss_basis(system, DEFAULT_N),
-                              ahl_basis(system, DEFAULT_N1, n2)):
-                    cols = [list(c) for c in basis.columns]
-                    inputs.append((cols[:-1], cols[-1:]))
-            for prefix, lasts in inputs:
-                assert outcomes_in(gmp_kernel, prefix, lasts) == outcomes_in(None, prefix, lasts)
+                bases += [basis.columns for basis in (build_lattice_B(system, DEFAULT_N),
+                                                      cjloss_basis(system, DEFAULT_N),
+                                                      ahl_basis(system, DEFAULT_N1, n2))]
+            assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
 
 
 def copy_of_source(directory):

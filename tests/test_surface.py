@@ -129,8 +129,8 @@ def swapping_functions(path) -> set[str]:
 
 
 def test_one_lll_loop():
-    # LLL's exchange step swaps two adjacent columns; lll and
-    # lll_shared_prefix both run the one Python loop that does it.  Its one
+    # LLL's exchange step swaps two adjacent columns; _python_reduce is the
+    # one Python loop that does it, and lll its one entry point.  Its one
     # twin is the C loop in _lll.c, held to it output for output and error
     # for error by tests/test_lattice.py::TestGmpKernel.
     assert len(swapping_functions(PACKAGE / "lattice.py")) == 1
