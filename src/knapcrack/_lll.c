@@ -1,18 +1,27 @@
-/* Exact LLL over GMP: the loop of lattice._reduce, run on mpz_t.
+/* Exact LLL and integral Gram-Schmidt over GMP: lattice._python_reduce and
+ * lattice._python_gso, run on mpz_t.
  *
- * This is the same Cohen integral LLL (Alg. 2.6.7) as the Python loop, step
- * for step: the same k_max first visits, the same zero-prefix skip of the
- * inner products (gso_row), the same nearest integer ceil(q - 1/2), the same
- * Lovasz test against alpha = p/q and the same exchange update of rows
+ * knapcrack_lll is the same Cohen integral LLL (Alg. 2.6.7) as the Python
+ * loop, step for step: the same k_max first visits, the same zero-prefix skip
+ * of the inner products (gso_row), the same nearest integer ceil(q - 1/2), the
+ * same Lovasz test against alpha = p/q and the same exchange update of rows
  * k+1..k_max.  Every Python `a // b` is mpz_fdiv_q, so both loops compute one
- * function of their input, bit for bit, and raise at the same column.  The
- * columns are plain mpz_t vectors: the Python loop's packing into one int per
- * column is a representation, not a step.  lattice.py builds this file on
- * first use and holds it to the Python loop in the tests.
+ * function of their input, bit for bit, and raise at the same column.  Each
+ * column is packed into one mpz_t as in the Python loop, with the same slot
+ * width w and offset (the width proof is in lattice.py's docstring): a size
+ * reduction is one mpz_sub, mpz_add or mpz_submul, an exchange one mpz_swap,
+ * and slots are decoded only at first visits, at the input column's nonzero
+ * coordinates, and once at exit.
+ *
+ * knapcrack_gso is integral_gso: (d, lam) of the columns it is given, from
+ * their Gram entries over each column's nonzero coordinates and the gso_row
+ * recurrence, stopping at the first dependent column as the Python code does.
+ * lattice.py builds this file on first use and holds both entries to their
+ * Python twins in the tests.
  *
  * Marshalling is text: the n * dim entries arrive column by column as
- * comma-separated Python hex() literals ("0x1f", "-0x1f"), and the reduced
- * entries leave in the same order as comma-separated base-16 digits ("-1f").
+ * comma-separated Python hex() literals ("0x1f", "-0x1f"), and the results
+ * leave as comma-separated base-16 digits ("-1f").
  */
 #include <gmp.h>
 #include <stdlib.h>
@@ -20,16 +29,91 @@
 
 enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_NO_MEMORY = 3 };
 
-/* The reduction state.  col[i] points at column i's dim entries, lam[i] at
- * row i of lam (entries 0..i-1 in use), d at d[0..n]; swapping two columns or
- * two rows swaps pointers. */
+/* The reduction state.  input holds the n input columns' dim entries, column
+ * by column, and at exit the reduced columns; packed[i] is column i packed as
+ * sum_r b[r] 2^(w r).  lam[i] points at row i of lam (entries 0..i-1 in use),
+ * d at d[0..n]; swapping two rows swaps pointers. */
 typedef struct {
     int n, dim;
-    mpz_ptr store;
-    mpz_ptr *col, *lam, d;
+    mp_bitcnt_t w;
+    mpz_ptr input, packed;
+    mpz_ptr *lam, d;
     int *nz;
-    mpz_t p, q, bound, gamma, num, dnew, t, t1, t2;
+    mpz_t p, q, bound, offset, half, gamma, num, dnew, t, t1, t2;
 } state;
+
+/* Parse count comma-separated hex() literals of text into store[0..count-1];
+ * text is cut up in place. */
+static void parse_entries(mpz_ptr store, size_t count, char *text)
+{
+    size_t e;
+    char *end;
+
+    for (e = 0; e < count; e++) {
+        end = strchr(text, ',');
+        if (end)
+            *end = '\0';
+        mpz_set_str(store + e, text, 0);
+        if (end)
+            text = end + 1;
+    }
+}
+
+/* store[0..count-1] as comma-separated base-16 text, or NULL. */
+static char *format_entries(mpz_srcptr store, size_t count)
+{
+    size_t size = 1, pos = 0, e;
+    char *text;
+
+    for (e = 0; e < count; e++)
+        size += mpz_sizeinbase(store + e, 16) + 2;
+    text = malloc(size);
+    if (!text)
+        return NULL;
+    for (e = 0; e < count; e++) {
+        if (pos)
+            text[pos++] = ',';
+        mpz_get_str(text + pos, 16, store + e);
+        pos += strlen(text + pos);
+    }
+    text[pos] = '\0';
+    return text;
+}
+
+/* The indices of col's nonzero entries into nz; returns their count. */
+static int nonzero(mpz_srcptr col, int dim, int *nz)
+{
+    int r, count = 0;
+
+    for (r = 0; r < dim; r++)
+        if (mpz_sgn(col + r))
+            nz[count++] = r;
+    return count;
+}
+
+/* Column k's GSO row from its inner products (lattice.gso_row): on entry
+ * lam[k][j] holds the inner product with column j < k and d[k+1] the squared
+ * norm; on return they hold lam = mu d[j+1] and the Gram determinant.  A zero
+ * prefix of the inner products telescopes to g[j] * d[z]. */
+static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, mpz_ptr t)
+{
+    mpz_ptr row = lam[k], u;
+    mpz_srcptr lj;
+    int z, j, i;
+
+    for (z = 0; z < k && !mpz_sgn(row + z); z++)
+        ;
+    for (j = z; j <= k; j++) {
+        u = j < k ? row + j : d + k + 1;
+        lj = j < k ? lam[j] : row;
+        mpz_mul(u, u, d + z);
+        for (i = z; i < j; i++) {
+            mpz_mul(t, d + i + 1, u);
+            mpz_submul(t, row + i, lj + i);
+            mpz_fdiv_q(u, t, d + i);
+        }
+    }
+}
 
 /* gamma = ceil(num/den - 1/2) = -((den - 2 num) // (2 den)), den > 0. */
 static void round_nearest(state *s, mpz_srcptr num, mpz_srcptr den)
@@ -56,47 +140,47 @@ static void sub_multiple(mpz_ptr v, mpz_srcptr w, int len, mpz_srcptr gamma)
             mpz_submul(v + i, gamma, w + i);
 }
 
-/* First visit of column k, still the input column: its GSO row into lam[k]
- * and d[k+1] (lattice.gso_row).  The inner products with columns 0..k-1 read
- * only the input column's nonzero coordinates.  Returns nonzero when column k
- * depends on columns 0..k-1. */
+/* out = the signed slot r of a packed column whose packing plus offset is
+ * shifted, with shifted >= 0. */
+static void slot(state *s, mpz_ptr out, mpz_srcptr shifted, int r)
+{
+    mpz_fdiv_q_2exp(out, shifted, s->w * r);
+    mpz_fdiv_r_2exp(out, out, s->w);
+    mpz_sub(out, out, s->half);
+}
+
+/* First visit of column k, still input column k: its GSO row into lam[k]
+ * and d[k+1], and its packing into packed[k] (lattice._visit).  The inner
+ * products read the slots of packed columns 0..k-1, which are size-reduced,
+ * only at the input column's nonzero coordinates.  Returns nonzero when
+ * column k depends on columns 0..k-1. */
 static int visit(state *s, int k)
 {
-    mpz_ptr ck = s->col[k], row = s->lam[k], d = s->d;
-    int nnz = 0, r, i, j, z;
+    mpz_ptr ck = s->input + (size_t)k * s->dim, row = s->lam[k], d = s->d;
+    int nnz = nonzero(ck, s->dim, s->nz), r, j;
 
-    for (r = 0; r < s->dim; r++)
-        if (mpz_sgn(ck + r))
-            s->nz[nnz++] = r;
     for (j = 0; j < k; j++) {
+        mpz_add(s->t, s->packed + j, s->offset);
         mpz_set_ui(row + j, 0);
-        for (r = 0; r < nnz; r++)
-            mpz_addmul(row + j, ck + s->nz[r], s->col[j] + s->nz[r]);
+        for (r = 0; r < nnz; r++) {
+            slot(s, s->t2, s->t, s->nz[r]);
+            mpz_addmul(row + j, ck + s->nz[r], s->t2);
+        }
     }
     mpz_set_ui(d + k + 1, 0);
     for (r = 0; r < nnz; r++)
         mpz_addmul(d + k + 1, ck + s->nz[r], ck + s->nz[r]);
-    if (mpz_cmp(d + k + 1, s->bound) > 0)
-        mpz_set(s->bound, d + k + 1);
-
-    /* Entry j is row[j] for j < k and d[k+1] for j = k; a zero prefix of the
-     * inner products telescopes to g[j] * d[z]. */
-    for (z = 0; z < k && !mpz_sgn(row + z); z++)
-        ;
-    for (j = z; j <= k; j++) {
-        mpz_ptr u = j < k ? row + j : d + k + 1;
-        mpz_srcptr lj = j < k ? s->lam[j] : row;
-        mpz_mul(u, u, d + z);
-        for (i = z; i < j; i++) {
-            mpz_mul(s->t1, d + i + 1, u);
-            mpz_submul(s->t1, row + i, lj + i);
-            mpz_fdiv_q(u, s->t1, d + i);
-        }
+    gso_row(s->lam, d, k, s->t1);
+    if (!mpz_sgn(d + k + 1))
+        return 1;
+    for (r = 0; r < nnz; r++) {
+        mpz_mul_2exp(s->t, ck + s->nz[r], s->w * s->nz[r]);
+        mpz_add(s->packed + k, s->packed + k, s->t);
     }
-    return !mpz_sgn(d + k + 1);
+    return 0;
 }
 
-/* Size-reduce column k against column j < k, as in _reduce. */
+/* Size-reduce column k against column j < k, as in _python_reduce. */
 static void size_reduce(state *s, int k, int j)
 {
     mpz_ptr lkj = s->lam[k] + j, dj = s->d + j + 1;
@@ -105,7 +189,7 @@ static void size_reduce(state *s, int k, int j)
     if (mpz_cmpabs(s->t1, dj) <= 0)
         return;
     round_nearest(s, lkj, dj);
-    sub_multiple(s->col[k], s->col[j], s->dim, s->gamma);
+    sub_multiple(s->packed + k, s->packed + j, 1, s->gamma);
     sub_multiple(s->lam[k], s->lam[j], j, s->gamma);
     mpz_submul(lkj, s->gamma, dj);
 }
@@ -117,7 +201,7 @@ static void exchange(state *s, int k, int kmax)
     mpz_ptr *lam = s->lam, d = s->d, swap, lkk, li;
     int i;
 
-    swap = s->col[k - 1], s->col[k - 1] = s->col[k], s->col[k] = swap;
+    mpz_swap(s->packed + k - 1, s->packed + k);
     /* Rows k-1 and k trade their entries for columns 0..k-2; lam[k][k-1]
      * stays. */
     swap = lam[k - 1], lam[k - 1] = lam[k], lam[k] = swap;
@@ -137,8 +221,8 @@ static void exchange(state *s, int k, int kmax)
     mpz_swap(d + k, s->dnew);
 }
 
-/* The loop of lattice._reduce from k = 0.  Returns LLL_DEPENDENT with *where
- * = k when column k depends on the columns before it. */
+/* The loop of lattice._python_reduce from k = 0.  Returns LLL_DEPENDENT with
+ * *where = k when column k depends on the columns before it. */
 static int reduce(state *s, int *where)
 {
     int n = s->n, k = 0, kmax = -1, j;
@@ -177,28 +261,44 @@ static int reduce(state *s, int *where)
     return LLL_OK;
 }
 
-/* The reduced columns as comma-separated base-16 text, or NULL. */
-static char *format_columns(state *s)
+/* B, the largest squared norm of the input columns; the slot width
+ * w = bitlen((1 + n) B) // 2 + 3; half = 2^(w-1) and offset, half of 2^w in
+ * every one of the dim slots. */
+static void set_width(state *s)
 {
-    size_t size = 1, pos = 0;
+    mpz_ptr col;
     int i, r;
-    char *text;
 
-    for (i = 0; i < s->n; i++)
+    for (i = 0; i < s->n; i++) {
+        col = s->input + (size_t)i * s->dim;
+        mpz_set_ui(s->t, 0);
         for (r = 0; r < s->dim; r++)
-            size += mpz_sizeinbase(s->col[i] + r, 16) + 2;
-    text = malloc(size);
-    if (!text)
-        return NULL;
-    for (i = 0; i < s->n; i++)
+            mpz_addmul(s->t, col + r, col + r);
+        if (mpz_cmp(s->t, s->bound) > 0)
+            mpz_set(s->bound, s->t);
+    }
+    mpz_mul_ui(s->t, s->bound, (unsigned long)s->n + 1);
+    s->w = (mpz_sgn(s->t) ? mpz_sizeinbase(s->t, 2) : 0) / 2 + 3;
+    mpz_setbit(s->half, s->w - 1);
+    for (r = 0; r < s->dim; r++)
+        mpz_setbit(s->offset, s->w * r + s->w - 1);
+}
+
+/* Decode every packed column, all size-reduced, into input. */
+static void unpack_all(state *s)
+{
+    mpz_ptr col;
+    int i, r;
+
+    for (i = 0; i < s->n; i++) {
+        col = s->input + (size_t)i * s->dim;
+        mpz_add(s->t, s->packed + i, s->offset);
         for (r = 0; r < s->dim; r++) {
-            if (pos)
-                text[pos++] = ',';
-            mpz_get_str(text + pos, 16, s->col[i] + r);
-            pos += strlen(text + pos);
+            mpz_fdiv_r_2exp(col + r, s->t, s->w);
+            mpz_sub(col + r, col + r, s->half);
+            mpz_fdiv_q_2exp(s->t, s->t, s->w);
         }
-    text[pos] = '\0';
-    return text;
+    }
 }
 
 /* LLL-reduce the n columns of dimension dim in `entries` with alpha = p/q
@@ -209,39 +309,32 @@ static char *format_columns(state *s)
 int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char *q,
                   char **out, int *where)
 {
-    size_t total = (size_t)n * dim + (size_t)n * n + n + 1, e;
+    size_t total = (size_t)n * dim + n + (size_t)n * n + n + 1, e;
     state s;
-    char *text = strdup(entries), *tok;
+    char *text = strdup(entries);
     int i, status = LLL_NO_MEMORY;
 
     *out = NULL;
     s.n = n;
     s.dim = dim;
-    s.store = malloc(total * sizeof(__mpz_struct));
-    s.col = malloc(n * sizeof(mpz_ptr));
+    s.input = malloc(total * sizeof(__mpz_struct));
     s.lam = malloc(n * sizeof(mpz_ptr));
     s.nz = malloc(dim * sizeof(int));
-    if (!text || !s.store || !s.col || !s.lam || !s.nz)
+    if (!text || !s.input || !s.lam || !s.nz)
         goto release;
     for (e = 0; e < total; e++)
-        mpz_init(s.store + e);
-    for (i = 0; i < n; i++) {
-        s.col[i] = s.store + (size_t)i * dim;
-        s.lam[i] = s.store + (size_t)n * dim + (size_t)i * n;
-    }
-    s.d = s.store + (size_t)n * dim + (size_t)n * n;
+        mpz_init(s.input + e);
+    s.packed = s.input + (size_t)n * dim;
+    for (i = 0; i < n; i++)
+        s.lam[i] = s.packed + n + (size_t)i * n;
+    s.d = s.packed + n + (size_t)n * n;
     mpz_set_ui(s.d, 1);
-    mpz_inits(s.p, s.q, s.bound, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2, NULL);
+    mpz_inits(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
+              NULL);
     mpz_set_str(s.p, p, 0);
     mpz_set_str(s.q, q, 0);
-    for (tok = text, e = 0; e < (size_t)n * dim; e++) {
-        char *end = strchr(tok, ',');
-        if (end)
-            *end = '\0';
-        mpz_set_str(s.store + e, tok, 0);
-        if (end)
-            tok = end + 1;
-    }
+    parse_entries(s.input, (size_t)n * dim, text);
+    set_width(&s);
 
     status = reduce(&s, where);
     for (i = 0; status == LLL_OK && i < n; i++) {
@@ -251,18 +344,77 @@ int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char
             status = LLL_PREMISE;
         }
     }
-    if (status == LLL_OK && !(*out = format_columns(&s)))
-        status = LLL_NO_MEMORY;
+    if (status == LLL_OK) {
+        unpack_all(&s);
+        if (!(*out = format_entries(s.input, (size_t)n * dim)))
+            status = LLL_NO_MEMORY;
+    }
 
-    mpz_clears(s.p, s.q, s.bound, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2, NULL);
+    mpz_clears(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
+               NULL);
     for (e = 0; e < total; e++)
-        mpz_clear(s.store + e);
+        mpz_clear(s.input + e);
 release:
     free(text);
-    free(s.store);
-    free(s.col);
+    free(s.input);
     free(s.lam);
     free(s.nz);
+    return status;
+}
+
+/* The integral GSO (d, lam) of the n columns of dimension dim in `entries`
+ * (hex() literals).  On LLL_OK, *out is d[0..n] followed by rows 1..n-1 of
+ * lam, entries 0..i-1 of row i, to be released with knapcrack_free.
+ * LLL_DEPENDENT: column *where depends on the columns before it. */
+int knapcrack_gso(int n, int dim, const char *entries, char **out, int *where)
+{
+    size_t cells = (size_t)n * dim, total = cells + n + 1 + (size_t)n * (n - 1) / 2, e;
+    mpz_ptr store = malloc(total * sizeof(__mpz_struct)), d, ck, g;
+    mpz_ptr *lam = malloc((n + 1) * sizeof(mpz_ptr));
+    int *nz = malloc((dim + 1) * sizeof(int));
+    char *text = strdup(entries);
+    int status = LLL_NO_MEMORY, nnz, k, j, r;
+    mpz_t t;
+
+    *out = NULL;
+    if (!store || !lam || !nz || !text)
+        goto release;
+    for (e = 0; e < total; e++)
+        mpz_init(store + e);
+    mpz_init(t);
+    parse_entries(store, cells, text);
+    d = store + cells;
+    mpz_set_ui(d, 1);
+    for (k = 0; k < n; k++)
+        lam[k] = d + n + 1 + (size_t)k * (k - 1) / 2;
+
+    status = LLL_OK;
+    for (k = 0; k < n; k++) {
+        ck = store + (size_t)k * dim;
+        nnz = nonzero(ck, dim, nz);
+        for (j = 0; j <= k; j++) {
+            g = j < k ? lam[k] + j : d + k + 1;
+            for (r = 0; r < nnz; r++)
+                mpz_addmul(g, ck + nz[r], store + (size_t)j * dim + nz[r]);
+        }
+        gso_row(lam, d, k, t);
+        if (!mpz_sgn(d + k + 1)) {
+            *where = k;
+            status = LLL_DEPENDENT;
+            break;
+        }
+    }
+    if (status == LLL_OK && !(*out = format_entries(d, total - cells)))
+        status = LLL_NO_MEMORY;
+
+    mpz_clear(t);
+    for (e = 0; e < total; e++)
+        mpz_clear(store + e);
+release:
+    free(store);
+    free(lam);
+    free(nz);
+    free(text);
     return status;
 }
 

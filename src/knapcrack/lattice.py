@@ -32,26 +32,34 @@ same; the exchange updates run over rows ``k+1..k_max`` only.  A dependency
 is found when its column is first visited, after the independent prefix
 before it has been reduced.
 
-Two kernels run this loop, and compute one function.  ``_lll.c`` is the
-loop in C over GMP ``mpz_t``, step for step: the same first visits and
-zero-prefix skip, the same rounding, Lovasz test and exchange update, with
+Two kernels run this loop and the set-up ``integral_gso``, and compute one
+function.  ``_lll.c`` holds both in C over GMP ``mpz_t``, step for step:
+``knapcrack_lll`` has the same first visits, packed columns and zero-prefix
+skip, the same rounding, Lovasz test and exchange update, with
 ``mpz_fdiv_q`` wherever the Python loop floors with ``//``, so on every input
 it returns the same columns and raises the same ``DependentColumns`` (same
-column) and premise ``AssertionError``.  It is built on the first reduction
-in a process (``_native``): ``cc -O2 -shared -fPIC ... -lgmp`` writes it next
-to its source under a name keyed to a hash of the source, renamed into place
-whole, and ``ctypes`` loads it.  Entries cross as hex text.  Where the build
-or the load fails (no C compiler, no GMP, a read-only directory) the Python
-loop runs instead, and the build is not tried again in that process.  The
-Python loop is that fallback and the reference the tests hold the C loop to;
-``kernel_name()`` says which one runs.  Both take ``(cols, p, q)`` and return
-the reduced columns, and ``lll`` calls whichever runs.
+column) and premise ``AssertionError``; ``knapcrack_gso`` returns
+``_python_gso``'s ``(d, lam)``, or raises at the same column.  The file is
+built on the first call in a process (``_native``): ``cc -O2 -shared -fPIC
+... -lgmp`` writes it next to its source under a name keyed to a hash of the
+source, renamed into place whole, and ``ctypes`` loads it; that build then
+deletes the binaries of other sources beside it.  ``_kernel`` holds both
+entries as a ``Kernel(reduce, gso)``, or ``None``: ``_load`` returns both or
+neither.  Entries cross as hex text.  Where the build or the load fails (no
+C compiler, no GMP, a read-only directory) the Python code runs instead, and
+the build is not tried again in that process.  ``_python_reduce`` and
+``_python_gso`` are that fallback and the references the tests hold the C
+entries to; ``kernel_name()`` says which kernel runs.  Both loops take
+``(cols, p, q)`` and return the reduced columns, and ``lll`` calls whichever
+runs; ``integral_gso`` likewise.  The contract in ``formulations`` calls
+``integral_gso`` on D's columns, never on the loop's own state, so it checks
+the output of either loop from scratch.
 
-Inside the Python loop each column is one Python int (Kronecker
-substitution): with slot width ``w``, column ``b`` is packed as
+Inside both loops each column is one integer, a Python int or an ``mpz_t``
+(Kronecker substitution): with slot width ``w``, column ``b`` is packed as
 ``P = sum_r b[r] * 2**(w*r)``, entry ``r`` in slot ``r`` in signed form.
 Packing is Z-linear, so both size-reduction updates are one big-integer
-operation, ``P_k -= gamma * P_j``, and an exchange swaps two ints.  Slots
+operation, ``P_k -= gamma * P_j``, and an exchange swaps two integers.  Slots
 may overflow into each other while a column is not size-reduced; the int
 still equals the packing of the true column.  Only decoding needs the
 entries to fit: adding ``offset`` (half of ``2**w`` in every slot) makes
@@ -76,18 +84,21 @@ exchange that moves the index back to it).  The premise
 ``d[j+1] <= B * d[j]`` is checked on the output, and a failure raises
 ``AssertionError`` instead of returning wrapped entries.
 
-A first visit needs the input column's inner products with the current
-columns ``0..k-1``.  They are read from the packed columns only at the
-input column's nonzero coordinates, ``m + 1`` of them for an ``[I; N*A]``
-basis; decoding the whole prefix on every first visit costs most of what
-packing saves.  The input column is packed at its first visit, and every
-column is unpacked once at exit.
+Both loops use the same ``w`` and ``offset``, computed before the loop, and
+the proof and the decoding invariant hold for each.  A first visit needs the
+input column's inner products with the current columns ``0..k-1``.  They
+are read from the packed columns only at the input column's nonzero
+coordinates, ``m + 1`` of them for an ``[I; N*A]`` basis; decoding the whole
+prefix on every first visit costs most of what packing saves.  The input
+column is packed at its first visit, and every column is unpacked once at
+exit.
 
-Two exact shortcuts cut interpreter steps without changing a value.  Most
-size reductions have ``gamma = +-1`` (over three quarters on the column-scan
+Two exact shortcuts cut steps without changing a value.  Most size
+reductions have ``gamma = +-1`` (over three quarters on the column-scan
 attacks), and for those the ``lam`` row update is ``map(sub, ...)`` or
-``map(add, ...)``, run in C, instead of the general-``gamma`` comprehension.
-And ``gso_row`` skips the zero prefix of its inner products: when
+``map(add, ...)`` (``mpz_sub`` or ``mpz_add`` in C), instead of the
+general-``gamma`` multiply.  And ``gso_row`` skips the zero prefix of its
+inner products, in both kernels: when
 ``g_row[0..z-1]`` are 0, so are entries ``0..z-1`` of the row, and each of
 the first ``z`` steps of a later entry's recurrence is
 ``u -> u * d[k+1] / d[k]``; they telescope to ``g_row[j] * d[z]``, as
@@ -103,9 +114,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul, sub
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DependentColumns, InvalidAlpha
 
@@ -113,34 +125,44 @@ DEFAULT_ALPHA = Fraction(99, 100)
 
 _SOURCE = Path(__file__).with_name("_lll.c")
 BUILD_TIMEOUT_S = 120
-C_DEPENDENT, C_PREMISE, C_NO_MEMORY = 1, 2, 3  # knapcrack_lll's failure statuses
+C_DEPENDENT, C_PREMISE, C_NO_MEMORY = 1, 2, 3  # the C entries' failure statuses
 _UNBUILT = object()
-# The C loop once _native has loaded it, or None where it cannot be built;
-# one value per process, as the build is tried once.
+# The C entries once _native has loaded them, or None where they cannot be
+# built; one value per process, as the build is tried once.
 _kernel: object = _UNBUILT
-# Either kernel: (cols, p, q) -> the reduced columns of cols at alpha = p/q
+# Either LLL loop: (cols, p, q) -> the reduced columns of cols at alpha = p/q
 Reduce = Callable[[Sequence[Sequence[int]], int, int], tuple[tuple[int, ...], ...]]
+# Either integral Gram-Schmidt: cols -> (d, lam)
+Gso = Callable[[Sequence[Sequence[int]]], tuple[list[int], list[list[int]]]]
+
+
+class Kernel(NamedTuple):
+    """The C entries of _lll.c: the twins of _python_reduce and _python_gso."""
+
+    reduce: Reduce
+    gso: Gso
 
 
 def kernel_name() -> str:
-    """The LLL kernel that runs in this process: "gmp" (the C loop) or "python"."""
+    """The kernel that runs in this process: "gmp" (the C entries) or "python"."""
     return "python" if _native() is None else "gmp"
 
 
-def _native() -> Reduce | None:
-    """The C loop, built and loaded at the first call; None where it cannot be."""
+def _native() -> Kernel | None:
+    """The C entries, built and loaded at the first call; None where they cannot be."""
     global _kernel
     if _kernel is _UNBUILT:
         _kernel = _load(_SOURCE)
     return _kernel
 
 
-def _load(source: Path) -> Reduce | None:
-    """Load the C loop of source, built next to it on first use, and wrap it.
+def _load(source: Path) -> Kernel | None:
+    """Load the C entries of source, built next to it on first use, and wrap them.
 
     The library's name carries a hash of the source, so an edited source is
-    never run from an old binary.  Without a C compiler or GMP, or in a
-    read-only directory, this returns None.
+    never run from an old binary; a build removes the binaries of other
+    sources beside it.  Without a C compiler or GMP, or in a read-only
+    directory, this returns None.
     """
     import ctypes
     import hashlib
@@ -148,38 +170,52 @@ def _load(source: Path) -> Reduce | None:
     try:
         code = source.read_bytes()
         binary = source.with_name(f"{source.stem}_{hashlib.sha256(code).hexdigest()[:16]}.so")
-        if not binary.exists() and not _build(source, binary):
-            return None
+        if not binary.exists():
+            if not _build(source, binary):
+                return None
+            for stale in source.parent.glob(f"{source.stem}_{'[0-9a-f]' * 16}.so"):
+                if stale != binary:
+                    stale.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(binary))
     except OSError:
         return None
-    c_lll, c_free = lib.knapcrack_lll, lib.knapcrack_free
+    c_lll, c_gso, c_free = lib.knapcrack_lll, lib.knapcrack_gso, lib.knapcrack_free
+    out_args = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int)]
     c_lll.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_char_p,
-                      ctypes.c_char_p, ctypes.POINTER(ctypes.c_void_p),
-                      ctypes.POINTER(ctypes.c_int)]
-    c_lll.restype = ctypes.c_int
+                      ctypes.c_char_p, *out_args]
+    c_gso.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_char_p, *out_args]
+    c_lll.restype = c_gso.restype = ctypes.c_int
     c_free.argtypes = [ctypes.c_void_p]
     c_free.restype = None
 
-    def reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
-        dim = len(cols[0])
+    def call(entry, cols: Sequence[Sequence[int]], *args) -> map:
+        """The output entries of entry on cols and args; raises on its failures."""
         out, where = ctypes.c_void_p(), ctypes.c_int()
-        status = c_lll(len(cols), dim, ",".join(map(hex, chain.from_iterable(cols))).encode(),
-                       hex(p).encode(), hex(q).encode(), ctypes.byref(out), ctypes.byref(where))
+        status = entry(len(cols), len(cols[0]) if cols else 0,
+                       ",".join(map(hex, chain.from_iterable(cols))).encode(), *args,
+                       ctypes.byref(out), ctypes.byref(where))
         if status == C_DEPENDENT:
             raise _dependent(where.value)
         if status == C_PREMISE:
             raise _premise_failure(where.value, max(sum(x * x for x in c) for c in cols))
         if status == C_NO_MEMORY:
-            raise MemoryError("the C LLL loop could not allocate its state")
+            raise MemoryError("a C entry could not allocate its state")
         try:
             text = ctypes.string_at(out.value)
         finally:
             c_free(out)
-        entries = map(int, text.split(b","), repeat(16))
-        return tuple(zip(*[entries] * dim))  # dim consecutive entries per column
+        return map(int, text.split(b","), repeat(16))
 
-    return reduce
+    def reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
+        entries = call(c_lll, cols, hex(p).encode(), hex(q).encode())
+        return tuple(zip(*[entries] * len(cols[0])))  # dim consecutive entries per column
+
+    def gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+        entries = call(c_gso, cols)
+        d = list(islice(entries, len(cols) + 1))
+        return d, [list(islice(entries, i)) for i in range(len(cols))]  # row i: i entries
+
+    return Kernel(reduce, gso)
 
 
 def _build(source: Path, binary: Path) -> bool:
@@ -278,12 +314,19 @@ def _append_row(g_row: list[int], k: int, d: list[int], lam: list[list[int]]) ->
 
 
 def integral_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Integral GSO (d, lam) of the columns.
+    """Integral GSO (d, lam) of the columns, in the C entry where it loaded.
 
     d[i] is the Gram determinant of columns 0..i-1 and lam[i] holds
     lam[i][j] = mu_{i,j} * d[j+1] for j < i.  Raises DependentColumns when
     a column depends on the earlier ones.
     """
+    kernel = _native()
+    return kernel.gso(cols) if kernel else _python_gso(cols)
+
+
+def _python_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """integral_gso in Python; the C entry's gso takes the same argument and
+    returns the same value."""
     d = [1]
     lam: list[list[int]] = []
     for k, ck in enumerate(cols):
@@ -319,6 +362,12 @@ def _unpack(pk: int, w: int, offset: int, dim: int) -> tuple[int, ...]:
     return tuple(((s >> (w * r)) & mask) - half for r in range(dim))
 
 
+def _slot_width(n: int, bound: int) -> int:
+    """Both loops' slot width for n columns of largest squared norm bound
+    (module docstring)."""
+    return ((1 + n) * bound).bit_length() // 2 + 3
+
+
 def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """The LLL-reduced columns of cols at alpha = p/q, in the Python loop.
 
@@ -326,7 +375,7 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple
     """
     n, dim = len(cols), len(cols[0])
     bound = max(sum(x * x for x in c) for c in cols)
-    w = ((1 + n) * bound).bit_length() // 2 + 3  # slot width, proved in the module docstring
+    w = _slot_width(n, bound)
     offset = sum(1 << (w * r + w - 1) for r in range(dim))  # half of every slot
     packed: list[int] = []  # packed[i] = sum_r b_i[r] << (w * r) for i <= kmax
     d = [1]
@@ -403,5 +452,6 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
     alpha = Fraction(alpha)
     if not Fraction(1, 4) < alpha < 1:
         raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
-    reduce = _native() or _python_reduce
+    kernel = _native()
+    reduce = kernel.reduce if kernel else _python_reduce
     return LatticeBasis(reduce(basis.columns, alpha.numerator, alpha.denominator))

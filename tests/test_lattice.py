@@ -2,6 +2,7 @@
 reduction contracts."""
 
 import hashlib
+import math
 import operator
 import os
 import random
@@ -10,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
@@ -474,7 +475,7 @@ TWIN_ENTRIES = st.one_of(ENTRIES, st.integers(-1000, 1000), st.integers(-2**70, 
 
 @st.composite
 def twin_inputs(draw):
-    """(prefix, lasts) of random shape, with zero columns and dependencies drawn in."""
+    """Columns of random shape, with zero columns and dependencies drawn in."""
     n = draw(st.integers(1, 7))
     dim = draw(st.integers(1, 8))
     column = st.lists(TWIN_ENTRIES, min_size=dim, max_size=dim)
@@ -485,7 +486,19 @@ def twin_inputs(draw):
         k = draw(st.integers(1, n - 1))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
         cols[k] = [sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(dim)]
-    return cols[:-1], [cols[-1]] + draw(st.lists(column, max_size=1))
+    return cols
+
+
+def basis_of_width(rng, n, dim, w):
+    """n random dense columns of dimension dim whose packing slots are w bits wide."""
+    x = math.isqrt((1 << (2 * w - 6)) // (1 + n))  # (1 + n) * x^2 is about 2^(2w - 6)
+    cols = [[rng.randint(-x // dim, x // dim) for _ in range(dim)] for _ in range(n)]
+    cols[0][0] = x  # the largest squared norm, between x^2 and 2 x^2
+    return cols
+
+
+def slot_width(cols):
+    return lattice._slot_width(len(cols), max(sum(x * x for x in c) for c in cols))
 
 
 class TestGmpKernel:
@@ -494,10 +507,41 @@ class TestGmpKernel:
     @settings(max_examples=400, deadline=None)
     @given(twin_inputs(), st.sampled_from([Fraction(26, 100), Fraction(1, 2), Fraction(3, 4),
                                            DEFAULT_ALPHA, *WIDE_ALPHAS]))
-    def test_matches_python(self, gmp_kernel, inputs, alpha):
-        prefix, lasts = inputs
-        bases = [prefix + [last] for last in lasts]
-        assert outcomes_in(gmp_kernel, bases, alpha) == outcomes_in(None, bases, alpha)
+    def test_matches_python(self, gmp_kernel, cols, alpha):
+        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
+
+    @pytest.mark.parametrize("w", [63, 64, 65, 128, 129])
+    def test_slot_widths_at_limb_boundaries_match_python(self, gmp_kernel, w):
+        # Slots of one limb, one bit either side of it, and two limbs: slot
+        # edges fall on and off the limb edges of the packed column.
+        rng = random.Random(w)
+        bases = [basis_of_width(rng, n, dim, w)
+                 for n, dim in ((2, 2), (4, 5), (8, 8)) for _ in range(3)]
+        assert {slot_width(cols) for cols in bases} == {w}
+        assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
+
+    def test_wide_slots_match_python(self, gmp_kernel):
+        # Wider slots: the AHL basis of test_widest_slots_match_reference
+        # (entries near 2^88), dense entries near 2^200, and [I; a] with
+        # weights near 2^200.
+        n = 30
+        ahl = ahl_basis(generate_instance(n, 0).instance, DEFAULT_N1,
+                        2 ** (n + 1) * DEFAULT_N1 ** 2 + 1).columns
+        rng = random.Random(200)
+        dense = [[rng.randint(-BIG, BIG) for _ in range(6)] for _ in range(6)]
+        weights = [[int(i == j) for i in range(10)] + [rng.randint(BIG // 2, BIG)]
+                   for j in range(10)]
+        bases = [ahl, dense, weights]
+        assert [slot_width(cols) > w for cols, w in zip(bases, (65, 200, 200))] == [True] * 3
+        assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(staircase_columns(), twin_inputs()))
+    @example([])
+    def test_gso_matches_python(self, gmp_kernel, cols):
+        # The C integral_gso: the same (d, lam), or DependentColumns at the
+        # same column.
+        assert gso_or_message(gmp_kernel.gso, cols) == gso_or_message(lattice._python_gso, cols)
 
     @pytest.mark.parametrize("cols", [[[5]], [[0]], [[-3, 4]], [[3], [4]], [[0, 0], [1, 2]],
                                       [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
@@ -571,16 +615,31 @@ class TestKernelBuild:
 
     def test_builds_once_under_its_source_hash(self, gmp_kernel, tmp_path, monkeypatch):
         source = copy_of_source(tmp_path)
-        reduce = lattice._load(source)
+        reduce = lattice._load(source).reduce
         assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", built_name(source)]
         cols = build_lattice_B(generate_instance(16, 0).instance, DEFAULT_N).columns
-        assert reduce(cols, 99, 100) == gmp_kernel(cols, 99, 100)
+        assert reduce(cols, 99, 100) == gmp_kernel.reduce(cols, 99, 100)
         # The built library is loaded again without a compiler; an edited
         # source is not, since its hash names another file.
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        assert lattice._load(source)(cols, 99, 100) == reduce(cols, 99, 100)
+        assert lattice._load(source).reduce(cols, 99, 100) == reduce(cols, 99, 100)
         source.write_bytes(source.read_bytes() + b"\n")
         assert lattice._load(source) is None
+
+    def test_a_build_removes_stale_binaries(self, gmp_kernel, tmp_path):
+        # A build deletes the binaries of older sources beside it, but not
+        # the build directories of concurrent builds; a plain load deletes
+        # nothing.
+        source = copy_of_source(tmp_path)
+        stale = tmp_path / "_lll_0000000000000000.so"
+        stale.write_bytes(b"")
+        (tmp_path / "_lll_build_0000").mkdir()
+        assert lattice._load(source) is not None
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(["_lll.c", "_lll_build_0000", built_name(source)])
+        stale.write_bytes(b"")
+        assert lattice._load(source) is not None
+        assert stale.exists()
 
     def test_concurrent_first_builds_leave_one_binary(self, gmp_kernel, tmp_path):
         # Processes that start together may each build; each renames its own
@@ -603,13 +662,26 @@ class TestKernelBuild:
             builds.append(argv)
             failure(argv, **kwargs)
 
+        python_gsos = []
+
+        def python_gso(cols):
+            python_gsos.append(cols)
+            return real_gso(cols)
+
+        real_gso = lattice._python_gso
+        monkeypatch.setattr(lattice, "_python_gso", python_gso)
         monkeypatch.setattr(subprocess, "run", build)
         monkeypatch.setattr(lattice, "_SOURCE", copy_of_source(tmp_path))
         monkeypatch.setattr(lattice, "_kernel", lattice._UNBUILT)
+        stale = tmp_path / "_lll_0000000000000000.so"
+        stale.write_bytes(b"")
         fallback = verdicts()
         assert lattice.kernel_name() == "python"
         assert len(builds) == 1  # tried once per process
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c"]
+        assert python_gsos  # the kernel Gram-Schmidt fell back with the loop
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", stale.name]
+        python_gsos.clear()
         monkeypatch.setattr(lattice, "_kernel", gmp_kernel)
         assert lattice.kernel_name() == "gmp"
         assert verdicts() == fallback
+        assert not python_gsos
