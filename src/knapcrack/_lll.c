@@ -5,13 +5,36 @@
  * loop, step for step: the same k_max first visits, the same zero-prefix skip
  * of the inner products (gso_row), the same nearest integer ceil(q - 1/2), the
  * same Lovasz test against alpha = p/q and the same exchange update of rows
- * k+1..k_max.  Every Python `a // b` is mpz_fdiv_q, so both loops compute one
- * function of their input, bit for bit, and raise at the same column.  Each
- * column is packed into one mpz_t as in the Python loop, with the same slot
- * width w and offset (the width proof is in lattice.py's docstring): a size
- * reduction is one mpz_sub, mpz_add or mpz_submul, an exchange one mpz_swap,
- * and slots are decoded only at first visits, at the input column's nonzero
- * coordinates, and once at exit.
+ * k+1..k_max.  Both loops compute one function of their input, bit for bit,
+ * and raise at the same column.  Each column is packed into one mpz_t as in
+ * the Python loop, with the same slot width w and offset (the width proof is
+ * in lattice.py's docstring): a size reduction is one mpz_sub, mpz_add or
+ * mpz_submul, an exchange one mpz_swap, and slots are decoded only at first
+ * visits, at the input column's nonzero coordinates, and once at exit.
+ *
+ * Division.  The Python loop divides with `//`, which floors.  round_nearest's
+ * quotient is not exact, and it is mpz_fdiv_q here, the one floor division
+ * left.  The four other quotients are exact, and they are mpz_divexact: the new
+ * d[k] of an exchange, num / d[k], is the Gram determinant of the exchanged
+ * columns 0..k-1; its two row updates return lam[i][k] and lam[i][k-1] of the
+ * exchanged basis, lam = mu d[j+1] being a minor of the integral Gram matrix;
+ * and after step i of gso_row's recurrence u is d[i+1] times the inner product
+ * of two columns projected orthogonally to columns 0..i, the Gram determinant
+ * of columns 0..i bordered by the two, so an integer.  On an exact quotient a
+ * floor and an exact division agree.
+ *
+ * Machine words.  The entries of d and lam are mostly one limb, so GMP's cost
+ * there is its calls, not its arithmetic.  word() reads an mpz_t as a long
+ * when |z| <= LONG_MAX, and four steps compute in words when their operands
+ * are ones: the Lovasz test (lovasz_fails), the size reduction's test,
+ * rounding and updates (size_reduce, sub_multiple), and the quotients of the
+ * exchange and of gso_row (cross_quotient).  Each does its arithmetic in
+ * __int128, where a product of two longs and a sum of two such products are
+ * exact, or in long under __builtin_*_overflow, and writes a result with
+ * mpz_set_si only when it fits in a long; otherwise the step runs in GMP for
+ * that value.  Storage stays mpz_t, and every value and decision is the one
+ * GMP would compute.  The build needs __int128 (GCC or Clang on a 64-bit
+ * target) and stops with #error without it, so the Python loop runs.
  *
  * knapcrack_gso is integral_gso: (d, lam) of the columns it is given, from
  * their Gram entries over each column's nonzero coordinates and the gso_row
@@ -24,8 +47,13 @@
  * leave as comma-separated base-16 digits ("-1f").
  */
 #include <gmp.h>
+#include <limits.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef __SIZEOF_INT128__
+#error "the word path computes in __int128: build with GCC or Clang for a 64-bit target"
+#endif
 
 enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_NO_MEMORY = 3 };
 
@@ -41,6 +69,44 @@ typedef struct {
     int *nz;
     mpz_t p, q, bound, offset, half, gamma, num, dnew, t, t1, t2;
 } state;
+
+/* *v = z when |z| <= LONG_MAX; returns whether it is. */
+static inline int word(mpz_srcptr z, long *v)
+{
+    mp_limb_t low = mpz_getlimbn(z, 0);
+
+    if (mpz_size(z) > 1 || low > (mp_limb_t)LONG_MAX)
+        return 0;
+    *v = mpz_sgn(z) < 0 ? -(long)low : (long)low;
+    return 1;
+}
+
+/* out = (a b + sign c e) / den with sign +1 or -1, where the quotient is known
+ * to be exact (header).  When the five operands are words the numerator is
+ * exact in __int128, each product being below 2^126 in absolute value, and the
+ * quotient is written as a word where it fits one; otherwise GMP computes it
+ * with t, which is none of the others, as scratch. */
+static void cross_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b, int sign, mpz_srcptr c,
+                           mpz_srcptr e, mpz_srcptr den, mpz_ptr t)
+{
+    long va, vb, vc, ve, vd;
+    __int128 x;
+
+    if (word(a, &va) && word(b, &vb) && word(c, &vc) && word(e, &ve) && word(den, &vd)) {
+        x = (__int128)va * vb + sign * ((__int128)vc * ve);
+        x /= vd;
+        if (x >= LONG_MIN && x <= LONG_MAX) {
+            mpz_set_si(out, (long)x);
+            return;
+        }
+    }
+    mpz_mul(t, a, b);
+    if (sign > 0)
+        mpz_addmul(t, c, e);
+    else
+        mpz_submul(t, c, e);
+    mpz_divexact(out, t, den);
+}
 
 /* Parse count comma-separated hex() literals of text into store[0..count-1];
  * text is cut up in place. */
@@ -107,11 +173,8 @@ static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, mpz_ptr t)
         u = j < k ? row + j : d + k + 1;
         lj = j < k ? lam[j] : row;
         mpz_mul(u, u, d + z);
-        for (i = z; i < j; i++) {
-            mpz_mul(t, d + i + 1, u);
-            mpz_submul(t, row + i, lj + i);
-            mpz_fdiv_q(u, t, d + i);
-        }
+        for (i = z; i < j; i++)
+            cross_quotient(u, d + i + 1, u, -1, row + i, lj + i, d + i, t);
     }
 }
 
@@ -125,19 +188,25 @@ static void round_nearest(state *s, mpz_srcptr num, mpz_srcptr den)
     mpz_neg(s->gamma, s->gamma);
 }
 
-/* v[0..len-1] -= gamma * w[0..len-1] */
+/* v[0..len-1] -= gamma * w[0..len-1]: an entry in words where gamma, both
+ * entries and the result fit in one, else with mpz_sub (gamma = 1), mpz_add
+ * (gamma = -1) or mpz_submul. */
 static void sub_multiple(mpz_ptr v, mpz_srcptr w, int len, mpz_srcptr gamma)
 {
-    int i;
-    if (mpz_cmp_ui(gamma, 1) == 0)
-        for (i = 0; i < len; i++)
+    long g = 0, a, b, gb, r;
+    int i, small = word(gamma, &g);
+
+    for (i = 0; i < len; i++) {
+        if (small && word(v + i, &a) && word(w + i, &b) && !__builtin_mul_overflow(g, b, &gb)
+            && !__builtin_sub_overflow(a, gb, &r))
+            mpz_set_si(v + i, r);
+        else if (g == 1)
             mpz_sub(v + i, v + i, w + i);
-    else if (mpz_cmp_si(gamma, -1) == 0)
-        for (i = 0; i < len; i++)
+        else if (g == -1)
             mpz_add(v + i, v + i, w + i);
-    else
-        for (i = 0; i < len; i++)
+        else
             mpz_submul(v + i, gamma, w + i);
+    }
 }
 
 /* out = the signed slot r of a packed column whose packing plus offset is
@@ -180,18 +249,36 @@ static int visit(state *s, int k)
     return 0;
 }
 
-/* Size-reduce column k against column j < k, as in _python_reduce. */
+/* Size-reduce column k against column j < k, as in _python_reduce: when
+ * |2 lam[k][j]| > d[j+1], subtract gamma = round_nearest(lam[k][j], d[j+1])
+ * times column j. */
 static void size_reduce(state *s, int k, int j)
 {
     mpz_ptr lkj = s->lam[k] + j, dj = s->d + j + 1;
+    long l, d, g, r;
 
-    mpz_mul_2exp(s->t1, lkj, 1);
-    if (mpz_cmpabs(s->t1, dj) <= 0)
-        return;
-    round_nearest(s, lkj, dj);
+    if (word(lkj, &l) && word(dj, &d)) {
+        if (2 * (__int128)l <= d && -2 * (__int128)l <= d)
+            return;
+        /* ceil(l/d - 1/2) from C's division, which truncates: the quotient
+         * moves one away from zero where the remainder passes half of d,
+         * and at a negative half tie (4.5 -> 4, -4.5 -> -5). */
+        g = l / d;
+        r = l % d;
+        if (2 * (__int128)r > d)
+            g++;
+        else if (2 * (__int128)r <= -(__int128)d)
+            g--;
+        mpz_set_si(s->gamma, g);
+    } else {
+        mpz_mul_2exp(s->t1, lkj, 1);
+        if (mpz_cmpabs(s->t1, dj) <= 0)
+            return;
+        round_nearest(s, lkj, dj);
+    }
     sub_multiple(s->packed + k, s->packed + j, 1, s->gamma);
     sub_multiple(s->lam[k], s->lam[j], j, s->gamma);
-    mpz_submul(lkj, s->gamma, dj);
+    sub_multiple(lkj, dj, 1, s->gamma);
 }
 
 /* Exchange columns k-1 and k, the Lovasz test having failed; s->num holds
@@ -207,18 +294,47 @@ static void exchange(state *s, int k, int kmax)
     swap = lam[k - 1], lam[k - 1] = lam[k], lam[k] = swap;
     mpz_swap(lam[k] + k - 1, lam[k - 1] + k - 1);
     lkk = lam[k] + k - 1;
-    mpz_fdiv_q(s->dnew, s->num, d + k);
+    mpz_divexact(s->dnew, s->num, d + k);
     for (i = k + 1; i <= kmax; i++) {
         li = lam[i];
         mpz_swap(s->t, li + k);
-        mpz_mul(s->t1, d + k + 1, li + k - 1);
-        mpz_submul(s->t1, lkk, s->t);
-        mpz_fdiv_q(li + k, s->t1, d + k);
-        mpz_mul(s->t1, s->dnew, s->t);
-        mpz_addmul(s->t1, lkk, li + k);
-        mpz_fdiv_q(li + k - 1, s->t1, d + k + 1);
+        cross_quotient(li + k, d + k + 1, li + k - 1, -1, lkk, s->t, d + k, s->t1);
+        cross_quotient(li + k - 1, s->dnew, s->t, 1, lkk, li + k, d + k + 1, s->t1);
     }
     mpz_swap(d + k, s->dnew);
+}
+
+/* Nonzero when the Lovasz test fails at k > 0, so columns k-1 and k are
+ * exchanged: when ||b*_k + mu b*_{k-1}||^2 < alpha ||b*_{k-1}||^2, that is
+ * q num < p d[k]^2 with num = d[k+1] d[k-1] + lam[k][k-1]^2, which is left in
+ * s->num for the exchange.  Where d[k+1], d[k-1] and lam[k][k-1] are words,
+ * num is exact in __int128 (below 2^127, the d being positive), and where p,
+ * q and d[k] are words too and neither product overflows, the comparison is
+ * too. */
+static int lovasz_fails(state *s, int k)
+{
+    mpz_srcptr d = s->d, lkk = s->lam[k] + k - 1;
+    long a, b, l, dk, p, q;
+    unsigned __int128 num = 0, lhs, rhs;
+    int small = word(d + k + 1, &a) && word(d + k - 1, &b) && word(lkk, &l);
+
+    if (small)
+        num = (unsigned __int128)((__int128)a * b + (__int128)l * l);
+    if (small && num <= LONG_MAX)
+        mpz_set_si(s->num, (long)num);
+    else {
+        mpz_mul(s->num, d + k + 1, d + k - 1);
+        mpz_addmul(s->num, lkk, lkk);
+    }
+    if (small && word(d + k, &dk) && word(s->p, &p) && word(s->q, &q)
+        && !__builtin_mul_overflow(num, (unsigned __int128)q, &lhs)
+        && !__builtin_mul_overflow((unsigned __int128)dk * (unsigned long)dk,
+                                   (unsigned __int128)p, &rhs))
+        return lhs < rhs;
+    mpz_mul(s->t1, s->q, s->num);
+    mpz_mul(s->t2, d + k, d + k);
+    mpz_mul(s->t2, s->t2, s->p);
+    return mpz_cmp(s->t1, s->t2) < 0;
 }
 
 /* The loop of lattice._python_reduce from k = 0.  Returns LLL_DEPENDENT with
@@ -226,7 +342,6 @@ static void exchange(state *s, int k, int kmax)
 static int reduce(state *s, int *where)
 {
     int n = s->n, k = 0, kmax = -1, j;
-    mpz_ptr d = s->d, lkk;
 
     while (k < n) {
         if (k > kmax) {
@@ -241,14 +356,7 @@ static int reduce(state *s, int *where)
             }
         }
         size_reduce(s, k, k - 1);
-        lkk = s->lam[k] + k - 1;
-        mpz_mul(s->num, d + k + 1, d + k - 1);
-        mpz_addmul(s->num, lkk, lkk);
-        /* Exchange when ||b*_k + mu b*_{k-1}||^2 < alpha ||b*_{k-1}||^2. */
-        mpz_mul(s->t1, s->q, s->num);
-        mpz_mul(s->t2, d + k, d + k);
-        mpz_mul(s->t2, s->t2, s->p);
-        if (mpz_cmp(s->t1, s->t2) < 0) {
+        if (lovasz_fails(s, k)) {
             exchange(s, k, kmax);
             if (k > 1)
                 k--;

@@ -35,8 +35,7 @@ before it has been reduced.
 Two kernels run this loop and the set-up ``integral_gso``, and compute one
 function.  ``_lll.c`` holds both in C over GMP ``mpz_t``, step for step:
 ``knapcrack_lll`` has the same first visits, packed columns and zero-prefix
-skip, the same rounding, Lovasz test and exchange update, with
-``mpz_fdiv_q`` wherever the Python loop floors with ``//``, so on every input
+skip, the same rounding, Lovasz test and exchange update, so on every input
 it returns the same columns and raises the same ``DependentColumns`` (same
 column) and premise ``AssertionError``; ``knapcrack_gso`` returns
 ``_python_gso``'s ``(d, lam)``, or raises at the same column.  The file is
@@ -46,14 +45,33 @@ source, renamed into place whole, and ``ctypes`` loads it; that build then
 deletes the binaries of other sources beside it.  ``_kernel`` holds both
 entries as a ``Kernel(reduce, gso)``, or ``None``: ``_load`` returns both or
 neither.  Entries cross as hex text.  Where the build or the load fails (no
-C compiler, no GMP, a read-only directory) the Python code runs instead, and
-the build is not tried again in that process.  ``_python_reduce`` and
-``_python_gso`` are that fallback and the references the tests hold the C
-entries to; ``kernel_name()`` says which kernel runs.  Both loops take
-``(cols, p, q)`` and return the reduced columns, and ``lll`` calls whichever
-runs; ``integral_gso`` likewise.  The contract in ``formulations`` calls
-``integral_gso`` on D's columns, never on the loop's own state, so it checks
-the output of either loop from scratch.
+C compiler, no GMP, no ``__int128``, a read-only directory) the Python code
+runs instead, and the build is not tried again in that process.
+``_python_reduce`` and ``_python_gso`` are that fallback and the references
+the tests hold the C entries to; ``kernel_name()`` says which kernel runs.
+Both loops take ``(cols, p, q)`` and return the reduced columns, and ``lll``
+calls whichever runs; ``integral_gso`` likewise.  The contract in
+``formulations`` calls ``integral_gso`` on D's columns, never on the loop's
+own state, so it checks the output of either loop from scratch.
+
+The Python code divides with ``//``, which floors; the C code floors with
+``mpz_fdiv_q`` only in ``round_nearest``, whose quotient is not exact.  Its
+four other quotients are exact, and ``mpz_divexact`` computes them: the new
+``d[k]`` of an exchange, ``num // d[k]``, is the Gram determinant of the
+exchanged columns ``0..k-1``; the exchange's two row updates return
+``lam[i][k]`` and ``lam[i][k-1]`` of the exchanged basis, minors of its
+integral Gram matrix; and after step ``i`` of ``gso_row``'s recurrence,
+``u`` is ``d[i+1]`` times the inner product of two columns projected
+orthogonally to columns ``0..i``, a Gram determinant of columns ``0..i``
+bordered by the two.  All are integers, and on an exact quotient ``//`` and
+exact division agree.  Most ``d`` and ``lam`` the C loop meets fit in one
+64-bit limb, so its four hot steps (the Lovasz test, the size reduction,
+the exchange's row update and the ``gso_row`` step) compute in machine words
+when their operands fit in a C ``long``: in ``__int128``, where a product
+of two longs and a sum of two such products are exact, or in ``long`` under
+overflow checks.  A result is stored from a word only when it fits in a
+``long``, and GMP computes any other, so every value and decision is the
+one GMP computes.
 
 Inside both loops each column is one integer, a Python int or an ``mpz_t``
 (Kronecker substitution): with slot width ``w``, column ``b`` is packed as
@@ -161,8 +179,8 @@ def _load(source: Path) -> Kernel | None:
 
     The library's name carries a hash of the source, so an edited source is
     never run from an old binary; a build removes the binaries of other
-    sources beside it.  Without a C compiler or GMP, or in a read-only
-    directory, this returns None.
+    sources beside it.  Without a C compiler with ``__int128`` or GMP, or in
+    a read-only directory, this returns None.
     """
     import ctypes
     import hashlib

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -501,6 +502,33 @@ def slot_width(cols):
     return lattice._slot_width(len(cols), max(sum(x * x for x in c) for c in cols))
 
 
+# Around 2^31, whose squares and products straddle 2^63, and around +-2^62,
+# whose differences are words again
+WORD_EDGE = st.one_of(st.integers(2**29, 2**33), st.integers(-2**33, -2**29),
+                      st.integers(2**62 - 2**12, 2**62 + 2**12),
+                      st.integers(-2**62 - 2**12, -2**62 + 2**12), st.integers(-2, 2))
+
+
+@st.composite
+def word_edge_inputs(draw):
+    """[I; W] with m = 1 or 2 rows of weights drawn from WORD_EDGE.
+
+    The C loop runs d and lam in machine words while they fit in a long and
+    in GMP beyond: a reduction of such a basis starts with d and lam beyond
+    2^63, ends with them within it, and crosses 2^63 both ways between.
+    """
+    n, m = draw(st.integers(2, 8)), draw(st.integers(1, 2))
+    weights = st.lists(WORD_EDGE, min_size=m, max_size=m)
+    return [[int(i == j) for i in range(n)] + draw(weights) for j in range(n)]
+
+
+def word_sized(cols):
+    """True when every d and lam of the columns' Gram-Schmidt is below 2^31,
+    so that each product of two is a word; LLL only lowers the d."""
+    d, lam = lattice._python_gso(cols)
+    return all(abs(x) < 2**31 for x in chain(d, *lam))
+
+
 class TestGmpKernel:
     """The C loop (_lll.c) returns the Python loop's columns and raises its errors."""
 
@@ -535,12 +563,35 @@ class TestGmpKernel:
         assert [slot_width(cols) > w for cols, w in zip(bases, (65, 200, 200))] == [True] * 3
         assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(staircase_columns(), twin_inputs()))
+    @settings(max_examples=300, deadline=None)
+    @given(word_edge_inputs(), st.sampled_from([Fraction(1, 2), DEFAULT_ALPHA,
+                                                Fraction(2**62 - 1, 2**62 + 1), WIDE_ALPHAS[0]]))
+    def test_word_edge_matches_python(self, gmp_kernel, cols, alpha):
+        # d and lam cross 2^63 both ways within one reduction, so each step
+        # switches between its word path and GMP.  With p and q near 2^62 the
+        # Lovasz test's products overflow 128 bits where num is past 2^66;
+        # WIDE_ALPHAS[0] keeps the test in GMP while the other steps switch.
+        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
+
+    def test_word_sized_bases_match_python(self, gmp_kernel):
+        # Bases whose d and lam stay within one word for the whole reduction,
+        # so every step on them takes its word path.
+        rng = random.Random(63)
+        bases = [[[int(i == j) for i in range(10)] + [rng.randint(1, 2**12)] for j in range(10)]
+                 for _ in range(5)]
+        bases += [[[rng.randint(-3, 3) for _ in range(7)] for _ in range(7)] for _ in range(5)]
+        assert all(map(word_sized, bases))
+        for alpha in (Fraction(1, 2), DEFAULT_ALPHA):
+            assert outcomes_in(gmp_kernel, bases, alpha) == outcomes_in(None, bases, alpha)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(staircase_columns(), twin_inputs(), word_edge_inputs(),
+                     st.lists(st.lists(WORD_EDGE, min_size=4, max_size=4), min_size=1,
+                              max_size=5)))
     @example([])
     def test_gso_matches_python(self, gmp_kernel, cols):
         # The C integral_gso: the same (d, lam), or DependentColumns at the
-        # same column.
+        # same column, also where d and lam cross 2^63 (WORD_EDGE).
         assert gso_or_message(gmp_kernel.gso, cols) == gso_or_message(lattice._python_gso, cols)
 
     @pytest.mark.parametrize("cols", [[[5]], [[0]], [[-3, 4]], [[3], [4]], [[0, 0], [1, 2]],
