@@ -6,11 +6,45 @@
  * of the inner products (gso_row), the same nearest integer ceil(q - 1/2), the
  * same Lovasz test against alpha = p/q and the same exchange update of rows
  * k+1..k_max.  Both loops compute one function of their input, bit for bit,
- * and raise at the same column.  Each column is packed into one mpz_t as in
- * the Python loop, with the same slot width w and offset (the width proof is
- * in lattice.py's docstring): a size reduction is one mpz_sub, mpz_add or
- * mpz_submul, an exchange one mpz_swap, and slots are decoded only at first
- * visits, at the input column's nonzero coordinates, and once at exit.
+ * and raise at the same column.  The Python loop runs on plain integer
+ * columns; here each column is packed into one mpz_t (Packing, below), so a
+ * size reduction is one mpz_sub, mpz_add or mpz_submul, an exchange one
+ * mpz_swap, and slots are decoded only at first visits, at the input column's
+ * nonzero coordinates, and once at exit.  The packing is this file's own
+ * format, so the tests that hold this loop to the Python one check it against
+ * plain integer arithmetic.
+ *
+ * Packing.  Each column is one integer (Kronecker substitution): with slot
+ * width w, column b is packed as P = sum_r b[r] 2^(w r), entry r in slot r in
+ * signed form.  Packing is Z-linear, so both size-reduction updates are one
+ * big-integer operation, P_k -= gamma P_j, and an exchange swaps two
+ * integers.  Slots may overflow into each other while a column is not
+ * size-reduced; the integer still equals the packing of the true column.
+ * Only decoding needs the entries to fit: adding offset (half of 2^w in every
+ * slot) makes every slot hold b[r] + 2^(w-1) in [0, 2^w) with no borrow, and
+ * a shift and mask read it.
+ *
+ * The width comes from a proof, not from tracking.  Let B be the largest
+ * squared norm of the n input columns.  Every ||b*_j||^2 is at most B: a
+ * Gram-Schmidt vector is a projection of its column, which is an input column
+ * until it is first visited, and an exchange at k makes b*_{k-1} shorter than
+ * the old b*_{k-1} (the Lovasz test failed) and the new b*_k a projection of
+ * the old b*_{k-1}.  A size-reduced column b_i = b*_i + sum_{j<i} mu_{i,j}
+ * b*_j with |mu_{i,j}| <= 1/2 then has ||b_i||^2 <= (1 + n/4) B < (1 + n) B
+ * < 2^L, where L is the bit length of (1 + n) B, so every entry is below
+ * 2^(L/2 + 1) in absolute value (L/2 rounded down) and w = L/2 + 3 leaves the
+ * sign bit and one spare (set_width).  Columns are decoded only while
+ * size-reduced: at exit, and at the first visit of column k, when columns
+ * 0..k-1 are (LLL's invariant: at index k the columns before k are
+ * size-reduced, since a column changes only while the index is at it, by
+ * reduction, or by an exchange that moves the index back to it).  The premise
+ * d[j+1] <= B d[j] is checked on the output, and a failure returns
+ * LLL_PREMISE instead of wrapped entries; the Python loop checks it too, so
+ * both raise the same AssertionError.  A first visit needs the input column's
+ * inner products with the current columns 0..k-1; they are read from the
+ * packed columns only at the input column's nonzero coordinates, m + 1 of
+ * them for an [I; N A] basis, as decoding the whole prefix on every first
+ * visit costs most of what packing saves.
  *
  * Division.  The Python loop divides with `//`, which floors.  round_nearest's
  * quotient is not exact, and it is mpz_fdiv_q here, the one floor division
@@ -219,7 +253,7 @@ static void slot(state *s, mpz_ptr out, mpz_srcptr shifted, int r)
 }
 
 /* First visit of column k, still input column k: its GSO row into lam[k]
- * and d[k+1], and its packing into packed[k] (lattice._visit).  The inner
+ * and d[k+1] (lattice._visit), and its packing into packed[k].  The inner
  * products read the slots of packed columns 0..k-1, which are size-reduced,
  * only at the input column's nonzero coordinates.  Returns nonzero when
  * column k depends on columns 0..k-1. */
@@ -370,8 +404,8 @@ static int reduce(state *s, int *where)
 }
 
 /* B, the largest squared norm of the input columns; the slot width
- * w = bitlen((1 + n) B) // 2 + 3; half = 2^(w-1) and offset, half of 2^w in
- * every one of the dim slots. */
+ * w = bitlen((1 + n) B) // 2 + 3 (header: Packing); half = 2^(w-1) and
+ * offset, half of 2^w in every one of the dim slots. */
 static void set_width(state *s)
 {
     mpz_ptr col;

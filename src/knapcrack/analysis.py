@@ -26,7 +26,7 @@ from .intmat import det_bareiss, gram  # noqa: F401
 
 
 def _float_matrix(kd: KernelDecomposition) -> np.ndarray:
-    return np.array(kd.kernel_columns(), dtype=float).T
+    return np.array(kd.kernel_columns, dtype=float).T
 
 
 def _root(x: int) -> float:
@@ -140,7 +140,7 @@ def compute_features(kd: KernelDecomposition, cut: bool = False,
     if not math.isfinite(check):  # inf / inf beyond the float range: take logs of d[s]
         check = math.exp(sum(map(math.log, mve.semi_axes)) + math.log(_unit_ball_volume(s))
                          - math.log(gamma(s)) - math.log(kd.gso[0][-1]) / 2)
-    g = gram(kd.kernel_columns())
+    g = gram(kd.kernel_columns)
     return KernelFeatures(
         dim=s,
         volume=vol,

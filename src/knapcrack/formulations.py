@@ -101,18 +101,15 @@ class KernelDecomposition:
     E: tuple[tuple[int, ...], ...]
     N_used: int
 
+    @cached_property
     def kernel_columns(self) -> tuple[tuple[int, ...], ...]:
         """D's columns, transposed once per decomposition; callers only read them."""
-        return self._kernel_columns
-
-    @cached_property
-    def _kernel_columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.D))
 
     @cached_property
     def gso(self) -> tuple[list[int], list[list[int]]]:
         """``integral_gso`` (d, lam) of the kernel columns; callers only read it."""
-        return integral_gso(self.kernel_columns())
+        return integral_gso(self.kernel_columns)
 
 
 def _stacked(sys: LdeSystem, head: int, tail: int, gap: int = 0) -> tuple[tuple[int, ...], ...]:

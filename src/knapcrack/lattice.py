@@ -34,18 +34,22 @@ before it has been reduced.
 
 Two kernels run this loop and the set-up ``integral_gso``, and compute one
 function.  ``_lll.c`` holds both in C over GMP ``mpz_t``, step for step:
-``knapcrack_lll`` has the same first visits, packed columns and zero-prefix
-skip, the same rounding, Lovasz test and exchange update, so on every input
-it returns the same columns and raises the same ``DependentColumns`` (same
-column) and premise ``AssertionError``; ``knapcrack_gso`` returns
-``_python_gso``'s ``(d, lam)``, or raises at the same column.  The file is
-built on the first call in a process (``_native``): ``cc -O2 -shared -fPIC
-... -lgmp`` writes it next to its source under a name keyed to a hash of the
-source, renamed into place whole, and ``ctypes`` loads it; that build then
-deletes the binaries of other sources beside it.  ``_kernel`` holds both
-entries as a ``Kernel(reduce, gso)``, or ``None``: ``_load`` returns both or
-neither.  Entries cross as hex text.  Where the build or the load fails (no
-C compiler, no GMP, no ``__int128``, a read-only directory) the Python code
+``knapcrack_lll`` has the same first visits and zero-prefix skip, the same
+rounding, Lovasz test and exchange update, so on every input it returns the
+same columns and raises the same ``DependentColumns`` (same column) and
+premise ``AssertionError``; ``knapcrack_gso`` returns ``_python_gso``'s
+``(d, lam)``, or raises at the same column.  The C loop packs each column
+into one ``mpz_t``; that format, its slot width and the proof that the width
+suffices belong to ``_lll.c`` alone and are written in its header.  The
+Python loop runs on plain integer columns, so the tests hold the C loop's
+packing to plain integer arithmetic.  The file is built on the first call in
+a process (``_native``): ``cc -O2 -shared -fPIC ... -lgmp`` writes it next
+to its source under a name keyed to a hash of the source, renamed into place
+whole, and ``ctypes`` loads it; that build then deletes the binaries of
+other sources beside it.  ``_kernel`` holds both entries as a
+``Kernel(reduce, gso)``, or ``None``: ``_load`` returns both or neither.
+Entries cross as hex text.  Where the build or the load fails (no C
+compiler, no GMP, no ``__int128``, a read-only directory) the Python code
 runs instead, and the build is not tried again in that process.
 ``_python_reduce`` and ``_python_gso`` are that fallback and the references
 the tests hold the C entries to; ``kernel_name()`` says which kernel runs.
@@ -73,58 +77,27 @@ overflow checks.  A result is stored from a word only when it fits in a
 ``long``, and GMP computes any other, so every value and decision is the
 one GMP computes.
 
-Inside both loops each column is one integer, a Python int or an ``mpz_t``
-(Kronecker substitution): with slot width ``w``, column ``b`` is packed as
-``P = sum_r b[r] * 2**(w*r)``, entry ``r`` in slot ``r`` in signed form.
-Packing is Z-linear, so both size-reduction updates are one big-integer
-operation, ``P_k -= gamma * P_j``, and an exchange swaps two integers.  Slots
-may overflow into each other while a column is not size-reduced; the int
-still equals the packing of the true column.  Only decoding needs the
-entries to fit: adding ``offset`` (half of ``2**w`` in every slot) makes
-every slot hold ``b[r] + 2**(w-1)`` in ``[0, 2**w)`` with no borrow, and a
-shift and mask reads it.
+Let ``B`` be the largest squared norm of the ``n`` input columns.  LLL keeps
+every ``||b*_j||^2`` at most ``B``, that is ``d[j+1] <= B * d[j]``.  Both
+loops check this premise on the output, which the C loop's slot width rests
+on, and a failure raises ``AssertionError`` naming ``j``.
 
-The width comes from a proof, not from tracking.  Let ``B`` be the largest
-squared norm of the ``n`` input columns.  Every ``||b*_j||^2`` is at most
-``B``: a Gram-Schmidt vector is a projection of its column, which is an
-input column until it is first visited, and an exchange at ``k`` makes
-``b*_{k-1}`` shorter than the old ``b*_{k-1}`` (the Lovasz test failed) and
-the new ``b*_k`` a projection of the old ``b*_{k-1}``.  A size-reduced
-column ``b_i = b*_i + sum_{j<i} mu_{i,j} b*_j`` with ``|mu_{i,j}| <= 1/2``
-then has ``||b_i||^2 <= (1 + n/4) * B < (1 + n) * B < 2**L``, where ``L``
-is the bit length of ``(1 + n) * B``, so every entry is below
-``2**(L//2 + 1)`` in absolute value and ``w = L//2 + 3`` leaves the sign
-bit and one spare.  Columns are decoded only while size-reduced: at exit,
-and at the first visit of column ``k``, when columns ``0..k-1`` are (LLL's
-invariant: at index ``k`` the columns before ``k`` are size-reduced, since
-a column changes only while the index is at it, by reduction, or by an
-exchange that moves the index back to it).  The premise
-``d[j+1] <= B * d[j]`` is checked on the output, and a failure raises
-``AssertionError`` instead of returning wrapped entries.
-
-Both loops use the same ``w`` and ``offset``, computed before the loop, and
-the proof and the decoding invariant hold for each.  A first visit needs the
-input column's inner products with the current columns ``0..k-1``.  They
-are read from the packed columns only at the input column's nonzero
-coordinates, ``m + 1`` of them for an ``[I; N*A]`` basis; decoding the whole
-prefix on every first visit costs most of what packing saves.  The input
-column is packed at its first visit, and every column is unpacked once at
-exit.
-
-Two exact shortcuts cut steps without changing a value.  Most size
-reductions have ``gamma = +-1`` (over three quarters on the column-scan
-attacks), and for those the ``lam`` row update is ``map(sub, ...)`` or
+A first visit (``_visit``) takes the input column's inner products with the
+current columns ``0..k`` and appends its row with ``gso_row``;
+``_python_gso`` is a first visit of every column in turn.  Two exact
+shortcuts cut steps without changing a value.  Most size reductions have
+``gamma = +-1`` (over three quarters on the column-scan attacks), and for
+those the column and ``lam`` row updates are ``map(sub, ...)`` or
 ``map(add, ...)`` (``mpz_sub`` or ``mpz_add`` in C), instead of the
 general-``gamma`` multiply.  And ``gso_row`` skips the zero prefix of its
-inner products, in both kernels: when
-``g_row[0..z-1]`` are 0, so are entries ``0..z-1`` of the row, and each of
-the first ``z`` steps of a later entry's recurrence is
-``u -> u * d[k+1] / d[k]``; they telescope to ``g_row[j] * d[z]``, as
-``d[0] = 1``.  The remaining steps walk zipped slices of ``d``, the row and
-``lam[j]``.  First visits of an ``[I; N*A]`` basis have long zero prefixes:
-the new column ``e_k + N*a_k`` is orthogonal to every kernel vector
-already reduced, and LLL moves those to the front (59% of first-visit
-entries on the column-scan attacks are such zeros).
+inner products, in both kernels: when ``g_row[0..z-1]`` are 0, so are
+entries ``0..z-1`` of the row, and each of the first ``z`` steps of a later
+entry's recurrence is ``u -> u * d[k+1] / d[k]``; they telescope to
+``g_row[j] * d[z]``, as ``d[0] = 1``.  The remaining steps walk zipped
+slices of ``d``, the row and ``lam[j]``.  First visits of an ``[I; N*A]``
+basis have long zero prefixes: the new column ``e_k + N*a_k`` is orthogonal
+to every kernel vector already reduced, and LLL moves those to the front
+(59% of first-visit entries on the column-scan attacks are such zeros).
 """
 
 from __future__ import annotations
@@ -317,20 +290,6 @@ def _premise_failure(j: int, bound: int) -> AssertionError:
     return AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
 
 
-def _append_row(g_row: list[int], k: int, d: list[int], lam: list[list[int]]) -> None:
-    """Append column k's GSO row to (d, lam), which cover columns 0..k-1.
-
-    g_row holds column k's inner products with columns 0..k, its own
-    squared norm last.
-    """
-    row = gso_row(g_row, d, lam)
-    dk = row.pop()
-    if dk == 0:
-        raise _dependent(k)
-    d.append(dk)
-    lam.append(row)
-
-
 def integral_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Integral GSO (d, lam) of the columns, in the C entry where it loaded.
 
@@ -345,45 +304,29 @@ def integral_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[in
 def _python_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """integral_gso in Python; the C entry's gso takes the same argument and
     returns the same value."""
+    b: list[Sequence[int]] = []
     d = [1]
     lam: list[list[int]] = []
-    for k, ck in enumerate(cols):
-        _append_row([sum(map(mul, ck, cj)) for cj in cols[:k + 1]], k, d, lam)
+    for col in cols:
+        _visit(col, b, d, lam)
     return d, lam
 
 
-def _visit(col: Sequence[int], packed: list[int], w: int, offset: int,
-           d: list[int], lam: list[list[int]]) -> None:
-    """First visit of the input column col as column k = len(packed).
+def _visit(col: Sequence[int], b: list[Sequence[int]], d: list[int],
+           lam: list[list[int]]) -> None:
+    """First visit of col as column k = len(b), where b holds columns 0..k-1
+    and (d, lam) their GSO.
 
-    Appends its GSO row to (d, lam) and its packing to packed.  The inner
-    products read the slots of the packed columns 0..k-1 only where col is
-    nonzero.
+    Appends col to b and its GSO row to (d, lam); raises DependentColumns
+    when col depends on columns 0..k-1.
     """
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    nz = [(w * r, x) for r, x in enumerate(col) if x]
-    g_row = []
-    for pj in packed:
-        s = pj + offset
-        g_row.append(sum(x * (((s >> sh) & mask) - half) for sh, x in nz))
-    g_row.append(sum(x * x for _, x in nz))
-    _append_row(g_row, len(packed), d, lam)
-    packed.append(sum(x << sh for sh, x in nz))
-
-
-def _unpack(pk: int, w: int, offset: int, dim: int) -> tuple[int, ...]:
-    """The dim signed w-bit slots of pk, lowest slot first."""
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    s = pk + offset
-    return tuple(((s >> (w * r)) & mask) - half for r in range(dim))
-
-
-def _slot_width(n: int, bound: int) -> int:
-    """Both loops' slot width for n columns of largest squared norm bound
-    (module docstring)."""
-    return ((1 + n) * bound).bit_length() // 2 + 3
+    b.append(col)
+    row = gso_row([sum(map(mul, col, bj)) for bj in b], d, lam)  # its own norm last
+    dk = row.pop()
+    if dk == 0:
+        raise _dependent(len(b) - 1)
+    d.append(dk)
+    lam.append(row)
 
 
 def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
@@ -391,20 +334,17 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple
 
     The C loop's reduce takes the same arguments and returns the same value.
     """
-    n, dim = len(cols), len(cols[0])
+    n = len(cols)
     bound = max(sum(x * x for x in c) for c in cols)
-    w = _slot_width(n, bound)
-    offset = sum(1 << (w * r + w - 1) for r in range(dim))  # half of every slot
-    packed: list[int] = []  # packed[i] = sum_r b_i[r] << (w * r) for i <= kmax
+    b: list[Sequence[int]] = []  # the current columns 0..kmax
     d = [1]
     lam: list[list[int]] = []
     k, kmax = 0, -1
     while k < n:
         if k > kmax:
-            # First visit: column k is still the input column, and columns
-            # 0..k-1 are size-reduced, so their slots decode exactly.
+            # First visit: column k is still the input column.
             kmax = k
-            _visit(cols[k], packed, w, offset, d, lam)
+            _visit(cols[k], b, d, lam)
             if k == 0:
                 k = 1
                 continue
@@ -413,20 +353,22 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple
         lkk = lk[k - 1]
         if abs(2 * lkk) > dk:
             gamma = round_nearest(lkk, dk)
-            packed[k] -= gamma * packed[k - 1]
             if gamma == 1:
+                b[k] = list(map(sub, b[k], b[k - 1]))
                 lk[:k - 1] = map(sub, lk, lam[k - 1])
             elif gamma == -1:
+                b[k] = list(map(add, b[k], b[k - 1]))
                 lk[:k - 1] = map(add, lk, lam[k - 1])
             else:
-                lk[:k - 1] = [a - gamma * b for a, b in zip(lk, lam[k - 1])]
+                b[k] = [x - gamma * y for x, y in zip(b[k], b[k - 1])]
+                lk[:k - 1] = [x - gamma * y for x, y in zip(lk, lam[k - 1])]
             lkk -= gamma * dk
             lk[k - 1] = lkk
         dk1 = d[k + 1]
         num = dk1 * d[k - 1] + lkk * lkk
         # Exchange when ||b*_k + mu b*_{k-1}||^2 < alpha ||b*_{k-1}||^2.
         if q * num < p * dk * dk:
-            packed[k - 1], packed[k] = packed[k], packed[k - 1]
+            b[k - 1], b[k] = b[k], b[k - 1]
             # Rows k-1 and k trade their entries for columns 0..k-2.
             lam[k - 1], lk[:k - 1] = lk[:k - 1], lam[k - 1]
             dnew = num // dk
@@ -438,26 +380,28 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple
             if k > 1:
                 k -= 1
         else:
-            pk = packed[k]
+            bk = b[k]
             for j in range(k - 2, -1, -1):
                 dj = d[j + 1]
                 lkj = lk[j]
                 if abs(2 * lkj) > dj:
                     gamma = round_nearest(lkj, dj)
-                    pk -= gamma * packed[j]
                     if gamma == 1:
+                        bk = list(map(sub, bk, b[j]))
                         lk[:j] = map(sub, lk, lam[j])
                     elif gamma == -1:
+                        bk = list(map(add, bk, b[j]))
                         lk[:j] = map(add, lk, lam[j])
                     else:
-                        lk[:j] = [a - gamma * b for a, b in zip(lk, lam[j])]
+                        bk = [x - gamma * y for x, y in zip(bk, b[j])]
+                        lk[:j] = [x - gamma * y for x, y in zip(lk, lam[j])]
                     lk[j] = lkj - gamma * dj
-            packed[k] = pk
+            b[k] = bk
             k += 1
     for j in range(n):
         if d[j + 1] > bound * d[j]:
             raise _premise_failure(j, bound)
-    return tuple(_unpack(pk, w, offset, dim) for pk in packed)
+    return tuple(map(tuple, b))
 
 
 def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:

@@ -41,7 +41,7 @@ def _sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
     follow each subtraction in closed form; target - D*q is built once, at
     the end.
     """
-    cols = kd.kernel_columns()
+    cols = kd.kernel_columns
     d, lam = kd.gso
     lam_t = gso_row(mat_vec(cols, target), d, lam)  # DimensionMismatch on a wrong length
     qs = [0] * len(cols)

@@ -77,9 +77,9 @@ class TestDecompose:
 
     def test_kernel_columns_transpose_d_once(self):
         kd = decompose(generate_system(2, 12, 3).system)
-        cols = kd.kernel_columns()
+        cols = kd.kernel_columns
         assert cols == tuple(zip(*kd.D))
-        assert kd.kernel_columns() is cols
+        assert kd.kernel_columns is cols
 
     def test_blocks_satisfy_relations(self):
         rng = random.Random(1)
@@ -101,7 +101,7 @@ class TestDecompose:
             n = m + rng.randint(2, 3)
             sys = random_system(rng, m, n, hi=20)
             kd = decompose(sys)
-            ours = kd.kernel_columns()
+            ours = kd.kernel_columns
             theirs = kernel_basis([list(r) for r in sys.A])
             h_ours = hnf_columns([[c[i] for c in ours] for i in range(n)])
             h_theirs = hnf_columns([[c[i] for c in theirs] for i in range(n)])
@@ -149,7 +149,7 @@ class TestContract:
         assert abs(det_bareiss([list(r) for r in kd.E])) == delta
         assert d[-1] * delta * delta == det_bareiss(gram(a_rows))
 
-        d_cols, c_cols = kd.kernel_columns(), [list(c) for c in zip(*kd.C)]
+        d_cols, c_cols = kd.kernel_columns, [list(c) for c in zip(*kd.C)]
         s, j = len(d_cols), data.draw(st.integers(0, sys.m - 1))
         e_col = [row[j] for row in kd.E]
         broken = [dataclasses.replace(kd, C=with_column(kd.C, j, [2 * v for v in c_cols[j]]),

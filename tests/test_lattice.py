@@ -300,10 +300,18 @@ def kernel(cols, alpha):
     return lll(basis_of(cols), alpha).columns
 
 
-@pytest.mark.usefixtures("python_kernel")
-class TestPackedColumns:
-    """The Python loop packs each column into one int; decoding must be exact."""
+@pytest.fixture(params=["python_kernel", "gmp_kernel"])
+def either_kernel(request, monkeypatch):
+    """Run the test once on each kernel: the Python loop, then the C loop."""
+    monkeypatch.setattr(lattice, "_kernel", request.getfixturevalue(request.param))
 
+
+class TestPackedColumns:
+    """Both loops on the columns that stress the C loop's packing (zeros, +-1
+    and +-2^200, some dense), held to naive_lll and lemma_lll, which compute
+    on plain integer columns and share no code with either loop."""
+
+    @pytest.mark.usefixtures("either_kernel")
     @settings(max_examples=200, deadline=None)
     @given(packing_bases(), st.sampled_from([Fraction(26, 100), Fraction(3, 4),
                                              Fraction(99, 100)]))
@@ -311,6 +319,7 @@ class TestPackedColumns:
         assert reduce_or_message(kernel, cols, alpha) == \
             reduce_or_message(naive_lll, cols, alpha)
 
+    @pytest.mark.usefixtures("either_kernel")
     def test_widest_slots_match_reference(self):
         # AHL at n = 30: entries N2 * a_i near 2^88, the widest slots of the
         # attack bases at this size.  naive_lll would take minutes here;
@@ -499,7 +508,10 @@ def basis_of_width(rng, n, dim, w):
 
 
 def slot_width(cols):
-    return lattice._slot_width(len(cols), max(sum(x * x for x in c) for c in cols))
+    """The C loop's packing slot width for cols, as _lll.c::set_width computes
+    it: bitlen((1 + n) B) // 2 + 3, B the largest squared norm of a column."""
+    bound = max(sum(x * x for x in c) for c in cols)
+    return ((1 + len(cols)) * bound).bit_length() // 2 + 3
 
 
 # Around 2^31, whose squares and products straddle 2^63, and around +-2^62,

@@ -672,7 +672,7 @@ class TestErrorPaths:
         sys = generate_instance(8, 1).instance
         kd = decompose(sys, N=1)
         assert kd.N_used >= 1
-        cols = kd.kernel_columns()
+        cols = kd.kernel_columns
         assert all(sum(a * v for a, v in zip(sys.A[0], c)) == 0 for c in cols)
 
 

@@ -40,7 +40,7 @@ class TestReduce:
     def test_difference_lies_in_kernel_lattice(self):
         rng = random.Random(0)
         kd = toy_kernel()
-        cols = kd.kernel_columns()
+        cols = kd.kernel_columns
         for _ in range(20):
             z = [rng.randint(-5, 5) for _ in cols]
             xb = [3 + sum(c[i] * zi for c, zi in zip(cols, z)) for i in range(3)]
@@ -78,7 +78,7 @@ class TestInvarianceTheorems:
     def test_input_shift_invariance(self):
         rng = random.Random(2)
         kd = toy_kernel()
-        cols = kd.kernel_columns()
+        cols = kd.kernel_columns
         xb = special_solution(kd, [9])
         base = reduce_solution(xb, kd)
         base_half = reduce_half(xb, kd)
@@ -95,7 +95,7 @@ class TestInvarianceTheorems:
             gen = generate_instance(8, seed)
             sys = gen.instance
             kd = decompose(sys)
-            cols = kd.kernel_columns()
+            cols = kd.kernel_columns
             xb = special_solution(kd, sys.b)
             base = reduce_solution(xb, kd)
             base_half = reduce_half(xb, kd)
@@ -113,7 +113,7 @@ class TestInvarianceTheorems:
             gen = generate_instance(8, seed)
             sys = gen.instance
             kd = decompose(sys)
-            cols = kd.kernel_columns()
+            cols = kd.kernel_columns
             xb = special_solution(kd, sys.b)
             base = sweep_fraction(cols, xb, "symmetric")
             base_half = half_sweep_fraction(cols, xb, "symmetric")
@@ -129,7 +129,7 @@ class TestKernelGso:
     @pytest.mark.parametrize("m, n, seed", [(1, 12, 0), (1, 16, 1), (2, 14, 2), (3, 16, 3)])
     def test_decomposition_gso_is_integral_gso_of_d(self, m, n, seed):
         kd = decompose(generate_system(m, n, seed).system)
-        assert kd.gso == integral_gso(kd.kernel_columns())
+        assert kd.gso == integral_gso(kd.kernel_columns)
 
     def test_decomposition_equals_plain_matrix(self):
         rng = random.Random(4)
@@ -201,7 +201,7 @@ class TestOracleAgreement:
     def test_decomposed_kernels(self, n, seed, shift):
         sys = generate_instance(n, seed).instance
         kd = decompose(sys)
-        cols = kd.kernel_columns()
+        cols = kd.kernel_columns
         xb = [v + dv for v, dv in zip(special_solution(kd, sys.b), shift)]
         assert reduce_solution(xb, kd) == sweep_fraction(cols, xb, "asymmetric")
         assert reduce_half(xb, kd) == half_sweep_fraction(cols, xb, "asymmetric")
