@@ -1,5 +1,4 @@
-/* Exact LLL and integral Gram-Schmidt over GMP: lattice._python_reduce and
- * lattice._python_gso, run on mpz_t.
+/* Exact LLL over GMP: lattice._python_reduce, run on mpz_t.
  *
  * knapcrack_lll is the same Cohen integral LLL (Alg. 2.6.7) as the Python
  * loop, step for step: the same k_max first visits, the same zero-prefix skip
@@ -30,21 +29,26 @@
  * until it is first visited, and an exchange at k makes b*_{k-1} shorter than
  * the old b*_{k-1} (the Lovasz test failed) and the new b*_k a projection of
  * the old b*_{k-1}.  A size-reduced column b_i = b*_i + sum_{j<i} mu_{i,j}
- * b*_j with |mu_{i,j}| <= 1/2 then has ||b_i||^2 <= (1 + n/4) B < (1 + n) B
- * < 2^L, where L is the bit length of (1 + n) B, so every entry is below
- * 2^(L/2 + 1) in absolute value (L/2 rounded down) and w = L/2 + 3 leaves the
- * sign bit and one spare (set_width).  Columns are decoded only while
- * size-reduced: at exit, and at the first visit of column k, when columns
- * 0..k-1 are (LLL's invariant: at index k the columns before k are
- * size-reduced, since a column changes only while the index is at it, by
- * reduction, or by an exchange that moves the index back to it).  The premise
- * d[j+1] <= B d[j] is checked on the output, and a failure returns
- * LLL_PREMISE instead of wrapped entries; the Python loop checks it too, so
+ * b*_j with |mu_{i,j}| <= 1/2 then has ||b_i||^2 <= (1 + (n-1)/4) B.  Let L
+ * be the bit length of (1 + n) B and h = L/2 rounded down.  For even L,
+ * (1 + (n-1)/4) B < (1 + n) B < 2^L = 2^(2h); for odd L, B < 2^L / (1 + n)
+ * and (n + 3) / (n + 1) <= 2 give (1 + (n-1)/4) B < 2^(L-1) = 2^(2h).  So
+ * every entry of a size-reduced column is below 2^h in absolute value, and
+ * the slot width w = h + 3 (set_width) leaves the sign bit and two spare
+ * bits.  Width w - 2 would be sound too.  Width w - 3 is not: its slots hold
+ * only entries in [-2^(h-1), 2^(h-1)), and reduced entries of bit length h
+ * occur (the slot-width tests in tests/test_lattice.py reach them).  Columns
+ * are decoded only while size-reduced: at exit, and at the first visit of
+ * column k, when columns 0..k-1 are (LLL's invariant: at index k the columns
+ * before k are size-reduced, since a column changes only while the index is at
+ * it, by reduction, or by an exchange that moves the index back to it).  The
+ * premise d[j+1] <= B d[j] is checked on the output, and a failure returns
+ * LLL_PREMISE instead of the output; the Python loop checks it too, so
  * both raise the same AssertionError.  A first visit needs the input column's
  * inner products with the current columns 0..k-1; they are read from the
- * packed columns only at the input column's nonzero coordinates, m + 1 of
- * them for an [I; N A] basis, as decoding the whole prefix on every first
- * visit costs most of what packing saves.
+ * packed columns only at the input column's nonzero coordinates, m + 1 of them
+ * for an [I; N A] basis, as decoding the whole prefix on every first visit
+ * costs most of what packing saves.
  *
  * Division.  The Python loop divides with `//`, which floors.  round_nearest's
  * quotient is not exact, and it is mpz_fdiv_q here, the one floor division
@@ -70,11 +74,12 @@
  * GMP would compute.  The build needs __int128 (GCC or Clang on a 64-bit
  * target) and stops with #error without it, so the Python loop runs.
  *
- * knapcrack_gso is integral_gso: (d, lam) of the columns it is given, from
- * their Gram entries over each column's nonzero coordinates and the gso_row
- * recurrence, stopping at the first dependent column as the Python code does.
- * lattice.py builds this file on first use and holds both entries to their
- * Python twins in the tests.
+ * Output.  At exit d and lam are exact for the reduced columns, and the
+ * caller names a prefix k: the reduced columns leave followed by d[1..k] and
+ * lam rows 1..k-1 (row i has entries 0..i-1), the Gram-Schmidt of the first
+ * k columns; d[0] = 1 and the empty row 0 are not sent, so with k = 0 only
+ * the columns leave.  lattice.py builds this file on first use, and the tests
+ * hold this loop to the Python one.
  *
  * Marshalling is text: the n * dim entries arrive column by column as
  * comma-separated Python hex() literals ("0x1f", "-0x1f"), and the results
@@ -157,27 +162,6 @@ static void parse_entries(mpz_ptr store, size_t count, char *text)
         if (end)
             text = end + 1;
     }
-}
-
-/* store[0..count-1] as comma-separated base-16 text, or NULL. */
-static char *format_entries(mpz_srcptr store, size_t count)
-{
-    size_t size = 1, pos = 0, e;
-    char *text;
-
-    for (e = 0; e < count; e++)
-        size += mpz_sizeinbase(store + e, 16) + 2;
-    text = malloc(size);
-    if (!text)
-        return NULL;
-    for (e = 0; e < count; e++) {
-        if (pos)
-            text[pos++] = ',';
-        mpz_get_str(text + pos, 16, store + e);
-        pos += strlen(text + pos);
-    }
-    text[pos] = '\0';
-    return text;
 }
 
 /* The indices of col's nonzero entries into nz; returns their count. */
@@ -426,6 +410,35 @@ static void set_width(state *s)
         mpz_setbit(s->offset, s->w * r + s->w - 1);
 }
 
+/* z in base 16 at text + pos, after a comma unless pos = 0; returns the end.
+ * With text NULL, returns pos plus room enough for it. */
+static size_t put(char *text, size_t pos, mpz_srcptr z)
+{
+    if (!text)
+        return pos + mpz_sizeinbase(z, 16) + 2;
+    if (pos)
+        text[pos++] = ',';
+    mpz_get_str(text + pos, 16, z);
+    return pos + strlen(text + pos);
+}
+
+/* The output (header: Output) at text, for the prefix k; returns its length,
+ * or with text NULL an upper bound of it. */
+static size_t put_output(state *s, int k, char *text)
+{
+    size_t pos = 0, e;
+    int i, j;
+
+    for (e = 0; e < (size_t)s->n * s->dim; e++)
+        pos = put(text, pos, s->input + e);
+    for (i = 1; i <= k; i++)
+        pos = put(text, pos, s->d + i);
+    for (i = 1; i < k; i++)
+        for (j = 0; j < i; j++)
+            pos = put(text, pos, s->lam[i] + j);
+    return pos;
+}
+
 /* Decode every packed column, all size-reduced, into input. */
 static void unpack_all(state *s)
 {
@@ -444,12 +457,14 @@ static void unpack_all(state *s)
 }
 
 /* LLL-reduce the n columns of dimension dim in `entries` with alpha = p/q
- * (hex() literals, any size).  On LLL_OK, *out is the reduced columns' text,
- * to be released with knapcrack_free.  LLL_DEPENDENT: column *where depends
- * on the columns before it.  LLL_PREMISE: d[j+1] > B d[j] at j = *where,
- * where B is the largest squared norm of an input column. */
+ * (hex() literals, any size).  On LLL_OK, *out is the text of the reduced
+ * columns and the Gram-Schmidt of the first prefix of them, 0 <= prefix <= n
+ * (header: Output), to be released with knapcrack_free.  LLL_DEPENDENT:
+ * column *where depends on the columns before it.  LLL_PREMISE: d[j+1] >
+ * B d[j] at j = *where, where B is the largest squared norm of an input
+ * column. */
 int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char *q,
-                  char **out, int *where)
+                  int prefix, char **out, int *where)
 {
     size_t total = (size_t)n * dim + n + (size_t)n * n + n + 1, e;
     state s;
@@ -488,7 +503,9 @@ int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char
     }
     if (status == LLL_OK) {
         unpack_all(&s);
-        if (!(*out = format_entries(s.input, (size_t)n * dim)))
+        if ((*out = malloc(put_output(&s, prefix, NULL) + 1)))
+            (*out)[put_output(&s, prefix, *out)] = '\0';
+        else
             status = LLL_NO_MEMORY;
     }
 
@@ -501,62 +518,6 @@ release:
     free(s.input);
     free(s.lam);
     free(s.nz);
-    return status;
-}
-
-/* The integral GSO (d, lam) of the n columns of dimension dim in `entries`
- * (hex() literals).  On LLL_OK, *out is d[0..n] followed by rows 1..n-1 of
- * lam, entries 0..i-1 of row i, to be released with knapcrack_free.
- * LLL_DEPENDENT: column *where depends on the columns before it. */
-int knapcrack_gso(int n, int dim, const char *entries, char **out, int *where)
-{
-    size_t cells = (size_t)n * dim, total = cells + n + 1 + (size_t)n * (n - 1) / 2, e;
-    mpz_ptr store = malloc(total * sizeof(__mpz_struct)), d, ck, g;
-    mpz_ptr *lam = malloc((n + 1) * sizeof(mpz_ptr));
-    int *nz = malloc((dim + 1) * sizeof(int));
-    char *text = strdup(entries);
-    int status = LLL_NO_MEMORY, nnz, k, j, r;
-    mpz_t t;
-
-    *out = NULL;
-    if (!store || !lam || !nz || !text)
-        goto release;
-    for (e = 0; e < total; e++)
-        mpz_init(store + e);
-    mpz_init(t);
-    parse_entries(store, cells, text);
-    d = store + cells;
-    mpz_set_ui(d, 1);
-    for (k = 0; k < n; k++)
-        lam[k] = d + n + 1 + (size_t)k * (k - 1) / 2;
-
-    status = LLL_OK;
-    for (k = 0; k < n; k++) {
-        ck = store + (size_t)k * dim;
-        nnz = nonzero(ck, dim, nz);
-        for (j = 0; j <= k; j++) {
-            g = j < k ? lam[k] + j : d + k + 1;
-            for (r = 0; r < nnz; r++)
-                mpz_addmul(g, ck + nz[r], store + (size_t)j * dim + nz[r]);
-        }
-        gso_row(lam, d, k, t);
-        if (!mpz_sgn(d + k + 1)) {
-            *where = k;
-            status = LLL_DEPENDENT;
-            break;
-        }
-    }
-    if (status == LLL_OK && !(*out = format_entries(d, total - cells)))
-        status = LLL_NO_MEMORY;
-
-    mpz_clear(t);
-    for (e = 0; e < total; e++)
-        mpz_clear(store + e);
-release:
-    free(store);
-    free(lam);
-    free(nz);
-    free(text);
     return status;
 }
 

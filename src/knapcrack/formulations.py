@@ -32,8 +32,16 @@ Delta(A) the gcd of A's m x m minors, |det U| = [ker_Z A : L(D)] *
 |det E| / Delta(A) and vol(ker_Z A)^2 = det(A A^T) / Delta(A)^2; both
 factors of |det U| are positive integers, so the one identity holds iff
 D spans ker_Z(A) and |det E| = Delta(A).  Delta(A) cancels and is never
-computed.  The GSO comes from D's columns, not from LLL's state, so the
-check stays independent of the kernel that produced D.
+computed.
+
+The Gram-Schmidt of D is LLL's own final state: D is the first s reduced
+columns, and ``lll`` returns d[0..s] and lam rows 0..s-1 with them, so it
+is not computed a second time from D's columns.  That is a trade against an
+independent check.  A*D = 0 and A*C = E are still checked on the columns,
+but the unimodularity identity reads the loop's d[s].  A wrong d[s] still
+fails the identity, unless it happens to equal det(A A^T) / det(E)^2.  A
+wrong lam is read only by the sweeps, whose vector is x_b - D*q: it can
+lose a rescue, but a wrong verdict still cannot pass substitution.
 """
 
 from __future__ import annotations
@@ -42,9 +50,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DependentColumns, EscalationExhausted, InvalidInput, InvalidN
+from .errors import EscalationExhausted, InvalidInput, InvalidN
 from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
-from .lattice import DEFAULT_ALPHA, LatticeBasis, integral_gso, lll
+from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from .problems import LdeSystem, complement, is_subset_sum
 
 DEFAULT_N = 10**8
@@ -92,24 +100,21 @@ class KernelDecomposition:
 
     D columns span ker_Z(A) exactly, A*C = E, and (D | C) is unimodular.
     All matrices row-major; N_used is the scaling that produced the zero
-    block.  ``gso`` is the integral Gram-Schmidt of D's columns, built once
-    and shared by the contract, the sweeps and the features.
+    block.  ``gso`` is the integral Gram-Schmidt (d, lam) of D's columns,
+    read off LLL's state and shared by the contract, the sweeps and the
+    features; callers only read it.
     """
 
     D: tuple[tuple[int, ...], ...]
     C: tuple[tuple[int, ...], ...]
     E: tuple[tuple[int, ...], ...]
     N_used: int
+    gso: tuple[list[int], list[list[int]]]
 
     @cached_property
     def kernel_columns(self) -> tuple[tuple[int, ...], ...]:
         """D's columns, transposed once per decomposition; callers only read them."""
         return tuple(zip(*self.D))
-
-    @cached_property
-    def gso(self) -> tuple[list[int], list[list[int]]]:
-        """``integral_gso`` (d, lam) of the kernel columns; callers only read it."""
-        return integral_gso(self.kernel_columns)
 
 
 def _stacked(sys: LdeSystem, head: int, tail: int, gap: int = 0) -> tuple[tuple[int, ...], ...]:
@@ -136,13 +141,13 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
     n, s = sys.n, sys.n - sys.m
     current = N
     for _ in range(MAX_ESCALATIONS + 1):
-        cols = lll(build_lattice_B(sys, current), alpha).columns
+        cols, d, lam = lll(build_lattice_B(sys, current), alpha, s)
         if not any(any(c[n:]) for c in cols[:s]):
             kd = KernelDecomposition(
                 D=tuple(zip(*(c[:n] for c in cols[:s]))),
                 C=tuple(zip(*(c[:n] for c in cols[s:]))),
                 E=tuple(zip(*(tuple(v // current for v in c[n:]) for c in cols[s:]))),
-                N_used=current)
+                N_used=current, gso=(d, lam))
             _check_decomposition(sys, kd)
             return kd
         current = max(current * current, 2 * current)
@@ -157,10 +162,7 @@ def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
         raise AssertionError("A*D != 0 in decomposition")
     if mat_mul(sys.A, kd.C) != [list(r) for r in kd.E]:
         raise AssertionError("A*C != E in decomposition")
-    try:
-        d, _ = kd.gso
-    except DependentColumns:
-        raise AssertionError("D has dependent columns") from None
+    d, _ = kd.gso
     det_e = det_bareiss(kd.E)
     if d[-1] * det_e * det_e != det_bareiss(gram(sys.A)):
         raise AssertionError("(D|C) is not unimodular")

@@ -2,8 +2,8 @@
 
 Bases are column-major: a ``LatticeBasis`` holds ``n`` integer columns of
 equal dimension, each a tuple of ints.  Both kernels read these tuples and
-return tuples, so ``lll`` wraps their output as it is, with no per-entry
-conversion.  The Gram-Schmidt convention is fixed as
+return tuples, with no per-entry conversion.  The Gram-Schmidt convention is
+fixed as
 
     B = B* . M^T,   i.e.   b_i = sum_{j <= i} mu[i][j] * b*_j,
 
@@ -16,9 +16,8 @@ updates stay in integer arithmetic.  The reduce/exchange updates below are
 the incremental closed forms for this state with denominators cleared; all
 comparisons (size reduction, the Lovasz test, and the nearest integer under
 the one asymmetric half-tie rule, ``ceil(q - 1/2)``: 4.5 -> 4, -4.5 -> -5)
-are exact.  The GSO set-up (``integral_gso``, ``gso_row``) and
-``round_nearest`` are shared with the decomposition's contract in
-``formulations`` and the solution-shortening sweeps in ``reduction``.
+are exact.  ``gso_row`` and ``round_nearest`` are shared with the
+solution-shortening sweeps in ``reduction``.
 
 The loop (``_python_reduce``) is Cohen's integral LLL (*A Course in
 Computational Algebraic Number Theory*, Alg. 2.6.7): it keeps ``k_max``, the
@@ -32,31 +31,34 @@ same; the exchange updates run over rows ``k+1..k_max`` only.  A dependency
 is found when its column is first visited, after the independent prefix
 before it has been reduced.
 
-Two kernels run this loop and the set-up ``integral_gso``, and compute one
-function.  ``_lll.c`` holds both in C over GMP ``mpz_t``, step for step:
-``knapcrack_lll`` has the same first visits and zero-prefix skip, the same
-rounding, Lovasz test and exchange update, so on every input it returns the
-same columns and raises the same ``DependentColumns`` (same column) and
-premise ``AssertionError``; ``knapcrack_gso`` returns ``_python_gso``'s
-``(d, lam)``, or raises at the same column.  The C loop packs each column
-into one ``mpz_t``; that format, its slot width and the proof that the width
-suffices belong to ``_lll.c`` alone and are written in its header.  The
-Python loop runs on plain integer columns, so the tests hold the C loop's
-packing to plain integer arithmetic.  The file is built on the first call in
-a process (``_native``): ``cc -O2 -shared -fPIC ... -lgmp`` writes it next
-to its source under a name keyed to a hash of the source, renamed into place
-whole, and ``ctypes`` loads it; that build then deletes the binaries of
-other sources beside it.  ``_kernel`` holds both entries as a
-``Kernel(reduce, gso)``, or ``None``: ``_load`` returns both or neither.
-Entries cross as hex text.  Where the build or the load fails (no C
-compiler, no GMP, no ``__int128``, a read-only directory) the Python code
-runs instead, and the build is not tried again in that process.
-``_python_reduce`` and ``_python_gso`` are that fallback and the references
-the tests hold the C entries to; ``kernel_name()`` says which kernel runs.
-Both loops take ``(cols, p, q)`` and return the reduced columns, and ``lll``
-calls whichever runs; ``integral_gso`` likewise.  The contract in
-``formulations`` calls ``integral_gso`` on D's columns, never on the loop's
-own state, so it checks the output of either loop from scratch.
+The loop ends with exact ``d`` and ``lam`` of the columns it returns.  It
+returns one record, ``Reduced``: those columns, and ``d[0..k]`` with ``lam``
+rows ``0..k-1``, the Gram-Schmidt of the first ``k`` columns, for a prefix
+``k`` its caller names (0 unless asked).  ``decompose`` asks for the kernel
+basis, the first ``s`` columns, and keeps that state instead of building it
+again from D's columns.
+
+Two kernels run this loop and compute one function.  ``_lll.c`` holds it in
+C over GMP ``mpz_t``, step for step: ``knapcrack_lll`` has the same first
+visits and zero-prefix skip, the same rounding, Lovasz test and exchange
+update, so on every input it returns the same record and raises the same
+``DependentColumns`` (same column) and premise ``AssertionError``.  Only the
+prefix's state crosses back from C, after the columns.  The C loop packs
+each column into one ``mpz_t``; that format, its slot width and the proof
+that the width suffices belong to ``_lll.c`` alone and are written in its
+header.  The Python loop runs on plain integer columns, so the tests hold
+the C loop's packing to plain integer arithmetic.  The file is built on the
+first call in a process (``_native``): ``cc -O2 -shared -fPIC ... -lgmp``
+writes it next to its source under a name keyed to a hash of the source,
+renamed into place whole, and ``ctypes`` loads it; that build then deletes
+the binaries of other sources beside it.  ``_kernel`` holds the C loop, or
+``None``.  Entries cross as hex text.  Where the build or the load fails
+(no C compiler, no GMP, no ``__int128``, a read-only directory) the Python
+loop runs instead, and the build is not tried again in that process.
+``_python_reduce`` is that fallback and the reference the tests hold the C
+loop to; ``kernel_name()`` says which loop runs.  Both loops take
+``(cols, p, q, prefix)`` and return a ``Reduced``, and ``lll`` calls
+whichever runs.
 
 The Python code divides with ``//``, which floors; the C code floors with
 ``mpz_fdiv_q`` only in ``round_nearest``, whose quotient is not exact.  Its
@@ -83,8 +85,7 @@ loops check this premise on the output, which the C loop's slot width rests
 on, and a failure raises ``AssertionError`` naming ``j``.
 
 A first visit (``_visit``) takes the input column's inner products with the
-current columns ``0..k`` and appends its row with ``gso_row``;
-``_python_gso`` is a first visit of every column in turn.  Two exact
+current columns ``0..k`` and appends its row with ``gso_row``.  Two exact
 shortcuts cut steps without changing a value.  Most size reductions have
 ``gamma = +-1`` (over three quarters on the column-scan attacks), and for
 those the column and ``lam`` row updates are ``map(sub, ...)`` or
@@ -116,39 +117,41 @@ DEFAULT_ALPHA = Fraction(99, 100)
 
 _SOURCE = Path(__file__).with_name("_lll.c")
 BUILD_TIMEOUT_S = 120
-C_DEPENDENT, C_PREMISE, C_NO_MEMORY = 1, 2, 3  # the C entries' failure statuses
+C_DEPENDENT, C_PREMISE, C_NO_MEMORY = 1, 2, 3  # the C loop's failure statuses
 _UNBUILT = object()
-# The C entries once _native has loaded them, or None where they cannot be
-# built; one value per process, as the build is tried once.
+# The C loop once _native has loaded it, or None where it cannot be built;
+# one value per process, as the build is tried once.
 _kernel: object = _UNBUILT
-# Either LLL loop: (cols, p, q) -> the reduced columns of cols at alpha = p/q
-Reduce = Callable[[Sequence[Sequence[int]], int, int], tuple[tuple[int, ...], ...]]
-# Either integral Gram-Schmidt: cols -> (d, lam)
-Gso = Callable[[Sequence[Sequence[int]]], tuple[list[int], list[list[int]]]]
 
 
-class Kernel(NamedTuple):
-    """The C entries of _lll.c: the twins of _python_reduce and _python_gso."""
+class Reduced(NamedTuple):
+    """What an LLL loop returns: the reduced columns, and d[0..k] and lam
+    rows 0..k-1 of their integral Gram-Schmidt for the prefix k asked for."""
 
-    reduce: Reduce
-    gso: Gso
+    columns: tuple[tuple[int, ...], ...]
+    d: list[int]
+    lam: list[list[int]]
+
+
+# Either LLL loop: (cols, p, q, prefix) -> the reduction of cols at alpha = p/q
+Reduce = Callable[[Sequence[Sequence[int]], int, int, int], Reduced]
 
 
 def kernel_name() -> str:
-    """The kernel that runs in this process: "gmp" (the C entries) or "python"."""
+    """The kernel that runs in this process: "gmp" (the C loop) or "python"."""
     return "python" if _native() is None else "gmp"
 
 
-def _native() -> Kernel | None:
-    """The C entries, built and loaded at the first call; None where they cannot be."""
+def _native() -> Reduce | None:
+    """The C loop, built and loaded at the first call; None where it cannot be."""
     global _kernel
     if _kernel is _UNBUILT:
         _kernel = _load(_SOURCE)
     return _kernel
 
 
-def _load(source: Path) -> Kernel | None:
-    """Load the C entries of source, built next to it on first use, and wrap them.
+def _load(source: Path) -> Reduce | None:
+    """Load the C loop of source, built next to it on first use, and wrap it.
 
     The library's name carries a hash of the source, so an edited source is
     never run from an old binary; a build removes the binaries of other
@@ -170,43 +173,39 @@ def _load(source: Path) -> Kernel | None:
         lib = ctypes.CDLL(str(binary))
     except OSError:
         return None
-    c_lll, c_gso, c_free = lib.knapcrack_lll, lib.knapcrack_gso, lib.knapcrack_free
-    out_args = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int)]
+    c_lll, c_free = lib.knapcrack_lll, lib.knapcrack_free
     c_lll.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_char_p,
-                      ctypes.c_char_p, *out_args]
-    c_gso.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_char_p, *out_args]
-    c_lll.restype = c_gso.restype = ctypes.c_int
+                      ctypes.c_char_p, ctypes.c_int, ctypes.POINTER(ctypes.c_void_p),
+                      ctypes.POINTER(ctypes.c_int)]
+    c_lll.restype = ctypes.c_int
     c_free.argtypes = [ctypes.c_void_p]
     c_free.restype = None
 
-    def call(entry, cols: Sequence[Sequence[int]], *args) -> map:
-        """The output entries of entry on cols and args; raises on its failures."""
+    def reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -> Reduced:
+        n, dim = len(cols), len(cols[0])
         out, where = ctypes.c_void_p(), ctypes.c_int()
-        status = entry(len(cols), len(cols[0]) if cols else 0,
-                       ",".join(map(hex, chain.from_iterable(cols))).encode(), *args,
-                       ctypes.byref(out), ctypes.byref(where))
+        status = c_lll(n, dim, ",".join(map(hex, chain.from_iterable(cols))).encode(),
+                       hex(p).encode(), hex(q).encode(), prefix, ctypes.byref(out),
+                       ctypes.byref(where))
         if status == C_DEPENDENT:
             raise _dependent(where.value)
         if status == C_PREMISE:
             raise _premise_failure(where.value, max(sum(x * x for x in c) for c in cols))
         if status == C_NO_MEMORY:
-            raise MemoryError("a C entry could not allocate its state")
+            raise MemoryError("the C loop could not allocate its state")
         try:
             text = ctypes.string_at(out.value)
         finally:
             c_free(out)
-        return map(int, text.split(b","), repeat(16))
+        entries = map(int, text.split(b","), repeat(16))
+        cells = islice(entries, n * dim)
+        columns = tuple(zip(*[cells] * dim))  # dim consecutive entries per column
+        # Then d[1..prefix] and lam rows 1..prefix-1, row i of i entries; d[0] = 1
+        # and the empty row 0 are not sent.
+        d = [1, *islice(entries, prefix)]
+        return Reduced(columns, d, [list(islice(entries, i)) for i in range(prefix)])
 
-    def reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
-        entries = call(c_lll, cols, hex(p).encode(), hex(q).encode())
-        return tuple(zip(*[entries] * len(cols[0])))  # dim consecutive entries per column
-
-    def gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-        entries = call(c_gso, cols)
-        d = list(islice(entries, len(cols) + 1))
-        return d, [list(islice(entries, i)) for i in range(len(cols))]  # row i: i entries
-
-    return Kernel(reduce, gso)
+    return reduce
 
 
 def _build(source: Path, binary: Path) -> bool:
@@ -290,28 +289,6 @@ def _premise_failure(j: int, bound: int) -> AssertionError:
     return AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
 
 
-def integral_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Integral GSO (d, lam) of the columns, in the C entry where it loaded.
-
-    d[i] is the Gram determinant of columns 0..i-1 and lam[i] holds
-    lam[i][j] = mu_{i,j} * d[j+1] for j < i.  Raises DependentColumns when
-    a column depends on the earlier ones.
-    """
-    kernel = _native()
-    return kernel.gso(cols) if kernel else _python_gso(cols)
-
-
-def _python_gso(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """integral_gso in Python; the C entry's gso takes the same argument and
-    returns the same value."""
-    b: list[Sequence[int]] = []
-    d = [1]
-    lam: list[list[int]] = []
-    for col in cols:
-        _visit(col, b, d, lam)
-    return d, lam
-
-
 def _visit(col: Sequence[int], b: list[Sequence[int]], d: list[int],
            lam: list[list[int]]) -> None:
     """First visit of col as column k = len(b), where b holds columns 0..k-1
@@ -329,10 +306,11 @@ def _visit(col: Sequence[int], b: list[Sequence[int]], d: list[int],
     lam.append(row)
 
 
-def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """The LLL-reduced columns of cols at alpha = p/q, in the Python loop.
+def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -> Reduced:
+    """The LLL reduction of cols at alpha = p/q, in the Python loop, with the
+    Gram-Schmidt of its first prefix columns.
 
-    The C loop's reduce takes the same arguments and returns the same value.
+    The C loop takes the same arguments and returns the same value.
     """
     n = len(cols)
     bound = max(sum(x * x for x in c) for c in cols)
@@ -401,19 +379,23 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple
     for j in range(n):
         if d[j + 1] > bound * d[j]:
             raise _premise_failure(j, bound)
-    return tuple(map(tuple, b))
+    return Reduced(tuple(map(tuple, b)), d[:prefix + 1], lam[:prefix])
 
 
-def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA) -> LatticeBasis:
+def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0) -> Reduced:
     """LLL-reduce the basis columns with Lovasz parameter alpha.
 
-    The output spans the same lattice and satisfies |mu[i][j]| <= 1/2 for
-    j < i together with the Lovasz condition
-    ||b*_i + mu[i][i-1] b*_{i-1}||^2 >= alpha ||b*_{i-1}||^2.
+    The output columns span the same lattice and satisfy |mu[i][j]| <= 1/2
+    for j < i together with the Lovasz condition
+    ||b*_i + mu[i][i-1] b*_{i-1}||^2 >= alpha ||b*_{i-1}||^2.  The record
+    also holds d[0..prefix] and lam rows 0..prefix-1 of the output columns:
+    d[i] is the Gram determinant of columns 0..i-1 and lam[i][j] =
+    mu[i][j] * d[j+1].
     """
     alpha = Fraction(alpha)
     if not Fraction(1, 4) < alpha < 1:
         raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
-    kernel = _native()
-    reduce = kernel.reduce if kernel else _python_reduce
-    return LatticeBasis(reduce(basis.columns, alpha.numerator, alpha.denominator))
+    if not 0 <= prefix <= basis.n:
+        raise ValueError(f"prefix must lie in 0..{basis.n}, got {prefix}")
+    reduce = _native() or _python_reduce
+    return reduce(basis.columns, alpha.numerator, alpha.denominator, prefix)

@@ -11,8 +11,8 @@ The q's need only ``lam_t``, so the vector is built once, as x - D*q; all
 arithmetic is exact integer.  The result differs from x by a kernel
 vector, so it solves the same system.
 
-The GSO of D is the one the ``KernelDecomposition`` built for its
-contract (``kd.gso``).
+The GSO of D is the one LLL ended with, which the ``KernelDecomposition``
+keeps for its contract (``kd.gso``).
 
 The half-shift variant is the sweep of (2D | 2x - 1): doubling the kernel
 and centering the target on the all-half point steers the sweep toward

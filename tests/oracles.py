@@ -6,8 +6,13 @@ reduce against the HNF pivot structure, and existence questions are
 settled by exhaustive enumeration.  Gram-Schmidt is done once, in plain
 Fractions (``gso``); the update lemmas, the reduced-basis check, the
 textbook LLL (recomputing its GSO, or carrying it by the lemmas) and the
-rational sweep are all built on it.  The decomposition contract is checked
-by its definition, an n x n Bareiss determinant of (D | C).
+rational sweep are all built on it.  ``integral_gso`` does share one
+piece: it computes the integral (d, lam) of given columns from scratch with
+the package's ``gso_row`` recurrence on dense inner products, and the tests
+pin it to the rational ``gso``.  It is the reference that the Gram-Schmidt
+an LLL loop returns with its columns is held to.  The decomposition
+contract is checked by its definition, an n x n Bareiss determinant of
+(D | C).
 ``brute_force_solve`` lists every binary solution (direct enumeration to
 n = 20, meet-in-the-middle to n = 30), and the ``njp_*`` functions state the
 paper's cut-off implications between neighbouring jump points, which no
@@ -15,11 +20,11 @@ attack uses; ``uk_bound`` is the floor formula of the slack bound, the
 reference for ``modular_transform``'s u_k.  ``enumerate_jump_points`` lists
 jump points by sorting every j/den, the reference for the package's heap
 merge, and ``kernel_of`` wraps a plain matrix as a decomposition holding
-only D, the one kernel shape the sweeps and the features take;
-``basis_of`` wraps any integer columns as a ``LatticeBasis`` of int tuples,
-the one basis format.  ``attack_lo_two_lll`` runs LO and its complement
-fallback on bases built entry by entry, the reference for ``attack_lo``
-and its ``_stacked`` basis.  ``rank_fraction`` and
+only D and its ``integral_gso``, the one kernel shape the sweeps and the
+features take; ``basis_of`` wraps any integer columns as a
+``LatticeBasis`` of int tuples, the one basis format.  ``attack_lo_two_lll``
+runs LO and its complement fallback on bases built entry by entry, the
+reference for ``attack_lo`` and its ``_stacked`` basis.  ``rank_fraction`` and
 ``solve_exact_fraction`` eliminate in Fractions and ``det_leibniz`` sums
 over permutations: the references for the package's one fraction-free
 elimination.
@@ -32,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import numpy as np
 
@@ -41,7 +47,7 @@ from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackErro
 from knapcrack.formulations import (FAILURE, AttackVerdict, KernelDecomposition,
                                     _scan_lo, classify_solution)
 from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
-from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, lll
+from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, gso_row, lll
 from knapcrack.problems import LdeSystem, complement
 
 FULL_ENUM_LIMIT = 20
@@ -259,6 +265,27 @@ def gso(cols) -> GsoResult:
         mu=tuple(tuple(row) for row in mu),
         bstar=tuple(tuple(col) for col in bstar),
     )
+
+
+def integral_gso(cols) -> tuple[list[int], list[list[int]]]:
+    """Integral GSO (d, lam) of the columns, computed from scratch.
+
+    d[i] is the Gram determinant of columns 0..i-1 and lam[i] holds
+    lam[i][j] = mu_{i,j} * d[j+1] for j < i: each column's row is
+    ``gso_row`` of its inner products with columns 0..k, its own norm last.
+    Raises DependentColumns at the first column that depends on the earlier
+    ones, with the LLL loops' message.
+    """
+    d = [1]
+    lam: list[list[int]] = []
+    for k, col in enumerate(cols):
+        row = gso_row([sum(map(mul, col, c)) for c in cols[:k + 1]], d, lam)
+        dk = row.pop()
+        if dk == 0:
+            raise DependentColumns(f"column {k} is dependent on earlier columns")
+        d.append(dk)
+        lam.append(row)
+    return d, lam
 
 
 def gso_after_reduce(g: GsoResult, k: int, l: int, gamma: int) -> GsoResult:
@@ -536,14 +563,15 @@ def det_leibniz(mat: list[list[int]]) -> int:
 
 
 def kernel_of(D) -> KernelDecomposition:
-    """A KernelDecomposition holding only the n x s row-major matrix D.
+    """A KernelDecomposition holding only the n x s row-major matrix D and
+    the ``integral_gso`` of its columns.
 
-    C and E are empty and nothing checks D, so the sweeps and the features
-    can be run on any matrix; dependent columns raise DependentColumns when
-    the GSO is first read.
+    C and E are empty and nothing else checks D, so the sweeps and the
+    features can be run on any matrix of independent columns; dependent
+    columns raise DependentColumns here.
     """
-    return KernelDecomposition(D=tuple(tuple(int(x) for x in r) for r in D),
-                               C=(), E=(), N_used=0)
+    D = tuple(tuple(int(x) for x in r) for r in D)
+    return KernelDecomposition(D=D, C=(), E=(), N_used=0, gso=integral_gso(tuple(zip(*D))))
 
 
 def project_preserving_gram(D) -> np.ndarray:

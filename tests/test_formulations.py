@@ -117,6 +117,15 @@ def with_column(rows, j, col):
     return tuple(r[:j] + (v,) + r[j + 1:] for r, v in zip(rows, col))
 
 
+def with_kernel_column(kd, i, col):
+    """kd with column i of D replaced by col.  The contract reads only d[s] of
+    the Gram-Schmidt, and d[s] becomes det(D^T D) of the new columns, as a
+    loop that returned them would hold it (0 where they are dependent)."""
+    D = with_column(kd.D, i, col)
+    d, lam = kd.gso
+    return dataclasses.replace(kd, D=D, gso=(d[:-1] + [det_bareiss(gram(list(zip(*D))))], lam))
+
+
 @st.composite
 def contract_systems(draw):
     """m in 1..3, n up to 16; about half get a row with a common factor, so Delta(A) > 1."""
@@ -156,8 +165,7 @@ class TestContract:
                                       E=with_column(kd.E, j, [2 * v for v in e_col]))]
         if s:
             i = data.draw(st.integers(0, s - 1))
-            broken.append(dataclasses.replace(
-                kd, D=with_column(kd.D, i, [2 * v for v in d_cols[i]])))
+            broken.append(with_kernel_column(kd, i, [2 * v for v in d_cols[i]]))
             fine = dataclasses.replace(
                 kd, C=with_column(kd.C, j, [u + v for u, v in zip(c_cols[j], d_cols[i])]))
             _check_decomposition(sys, fine)
@@ -166,8 +174,8 @@ class TestContract:
             # Column i becomes the sum of two others (possibly the same one twice).
             others = [k for k in range(s) if k != i]
             k1, k2 = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
-            broken.append(dataclasses.replace(kd, D=with_column(
-                kd.D, i, [u + v for u, v in zip(d_cols[k1], d_cols[k2])])))
+            broken.append(with_kernel_column(
+                kd, i, [u + v for u, v in zip(d_cols[k1], d_cols[k2])]))
         for bad in broken:
             with pytest.raises(AssertionError):
                 _check_decomposition(sys, bad)
@@ -192,7 +200,7 @@ class TestSpecialSolution:
 
     def test_singular_e_rejected(self):
         kd = KernelDecomposition(D=((1,), (0,), (0,)), C=((0, 0), (1, 0), (0, 1)),
-                                 E=((1, 2), (2, 4)), N_used=1)
+                                 E=((1, 2), (2, 4)), N_used=1, gso=([1, 1], [[]]))
         with pytest.raises(SingularE):
             special_solution(kd, [1, 2])
 
@@ -356,11 +364,12 @@ class TestComplementFallback:
         # when the target's scan misses.
         calls = []
 
-        def counting(cols, p, q):
+        def counting(cols, p, q, prefix):
+            assert prefix == 0  # an attack reads no Gram-Schmidt
             calls.append(cols[-1])
-            return gmp_kernel.reduce(cols, p, q)
+            return gmp_kernel(cols, p, q, prefix)
 
-        monkeypatch.setattr(lattice, "_kernel", gmp_kernel._replace(reduce=counting))
+        monkeypatch.setattr(lattice, "_kernel", counting)
         counts_seen = set()
         for seed in range(20):
             system = generate_instance(20, seed).instance

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
@@ -20,14 +20,13 @@ from knapcrack.errors import DependentColumns, InvalidAlpha, SearchExhausted
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, attack_ahl, attack_cjloss,
                                     attack_lo, build_lattice_B, cjloss_basis)
 from knapcrack import lattice
-from knapcrack.lattice import (DEFAULT_ALPHA, LatticeBasis, gso_row, integral_gso, lll,
-                              round_nearest)
+from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, gso_row, lll, round_nearest
 from knapcrack.pipeline import SearchConfig, attack, generate_instance, generate_system
 from knapcrack.problems import complement
 
 from oracles import (basis_of, enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
-                     hnf_columns, independent_short_vectors, is_lll_reduced, lemma_lll,
-                     naive_lll)
+                     hnf_columns, independent_short_vectors, integral_gso, is_lll_reduced,
+                     lemma_lll, naive_lll)
 
 
 def random_basis(rng, n, dim, lo=-30, hi=30):
@@ -449,7 +448,7 @@ class TestAgainstSympy:
         for _ in range(60):
             n = rng.randint(2, 8)
             basis = random_basis(rng, n, n + rng.randint(0, 2), -1000, 1000)
-            assert lll(basis) == sympy_lll(basis)
+            assert lll(basis).columns == sympy_lll(basis).columns
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_knapsack_bases_same_lattice(self, sympy_lll, n):
@@ -537,8 +536,47 @@ def word_edge_inputs(draw):
 def word_sized(cols):
     """True when every d and lam of the columns' Gram-Schmidt is below 2^31,
     so that each product of two is a word; LLL only lowers the d."""
-    d, lam = lattice._python_gso(cols)
+    d, lam = integral_gso(cols)
     return all(abs(x) < 2**31 for x in chain(d, *lam))
+
+
+def records_in(kernel, cols, alpha):
+    """lll's outcome on cols at every prefix 0..n with lattice._kernel set to
+    kernel (None: the Python loop): the columns, or the type and message of
+    what it raised, which must be the same at every prefix.  Each record's d
+    and lam must be the oracle's integral_gso of its first prefix columns."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_kernel", kernel)
+        for prefix in range(len(cols) + 1):
+            try:
+                reduced = lll(basis_of(cols), alpha, prefix)
+            except (DependentColumns, AssertionError) as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+            else:
+                assert (reduced.d, reduced.lam) == integral_gso(reduced.columns[:prefix])
+                outcomes.append(reduced.columns)
+    assert outcomes == outcomes[:1] * len(outcomes)
+    return outcomes[0]
+
+
+RECORD_INPUTS = st.one_of(staircase_columns(), twin_inputs(), word_edge_inputs())
+RECORD_ALPHAS = st.sampled_from([Fraction(1, 2), DEFAULT_ALPHA, WIDE_ALPHAS[0]])
+
+
+class TestReducedGso:
+    """The Gram-Schmidt a loop returns with its columns is that of their prefix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(RECORD_INPUTS, RECORD_ALPHAS)
+    def test_python_prefix_matches_oracle(self, cols, alpha):
+        records_in(None, cols, alpha)
+
+    def test_prefix_out_of_range_rejected(self):
+        basis = basis_of([(1, 0), (0, 1)])
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="prefix"):
+                lll(basis, DEFAULT_ALPHA, bad)
 
 
 class TestGmpKernel:
@@ -556,9 +594,14 @@ class TestGmpKernel:
         # edges fall on and off the limb edges of the packed column.
         rng = random.Random(w)
         bases = [basis_of_width(rng, n, dim, w)
-                 for n, dim in ((2, 2), (4, 5), (8, 8)) for _ in range(3)]
+                 for n, dim in ((2, 2), (4, 5), (8, 8), (1, 3), (2, 3)) for _ in range(3)]
         assert {slot_width(cols) for cols in bases} == {w}
-        assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
+        outcomes = outcomes_in(gmp_kernel, bases)
+        assert outcomes == outcomes_in(None, bases)
+        # Reduced entries reach bit length w - 3, the most the _lll.c header
+        # proves (the bases with n = 1 always do): width w - 2 would still
+        # hold them, and width w - 3 would not.
+        assert max(abs(x) for cols in outcomes for c in cols for x in c).bit_length() == w - 3
 
     def test_wide_slots_match_python(self, gmp_kernel):
         # Wider slots: the AHL basis of test_widest_slots_match_reference
@@ -596,15 +639,12 @@ class TestGmpKernel:
         for alpha in (Fraction(1, 2), DEFAULT_ALPHA):
             assert outcomes_in(gmp_kernel, bases, alpha) == outcomes_in(None, bases, alpha)
 
-    @settings(max_examples=600, deadline=None)
-    @given(st.one_of(staircase_columns(), twin_inputs(), word_edge_inputs(),
-                     st.lists(st.lists(WORD_EDGE, min_size=4, max_size=4), min_size=1,
-                              max_size=5)))
-    @example([])
-    def test_gso_matches_python(self, gmp_kernel, cols):
-        # The C integral_gso: the same (d, lam), or DependentColumns at the
-        # same column, also where d and lam cross 2^63 (WORD_EDGE).
-        assert gso_or_message(gmp_kernel.gso, cols) == gso_or_message(lattice._python_gso, cols)
+    @settings(max_examples=300, deadline=None)
+    @given(RECORD_INPUTS, RECORD_ALPHAS)
+    def test_prefix_matches_python_and_oracle(self, gmp_kernel, cols, alpha):
+        # The d and lam the C loop writes out after its columns, for every
+        # prefix, also where they cross 2^63 (word_edge_inputs).
+        assert records_in(gmp_kernel, cols, alpha) == records_in(None, cols, alpha)
 
     @pytest.mark.parametrize("cols", [[[5]], [[0]], [[-3, 4]], [[3], [4]], [[0, 0], [1, 2]],
                                       [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
@@ -678,14 +718,14 @@ class TestKernelBuild:
 
     def test_builds_once_under_its_source_hash(self, gmp_kernel, tmp_path, monkeypatch):
         source = copy_of_source(tmp_path)
-        reduce = lattice._load(source).reduce
+        reduce = lattice._load(source)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", built_name(source)]
         cols = build_lattice_B(generate_instance(16, 0).instance, DEFAULT_N).columns
-        assert reduce(cols, 99, 100) == gmp_kernel.reduce(cols, 99, 100)
+        assert reduce(cols, 99, 100, 15) == gmp_kernel(cols, 99, 100, 15)
         # The built library is loaded again without a compiler; an edited
         # source is not, since its hash names another file.
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        assert lattice._load(source).reduce(cols, 99, 100) == reduce(cols, 99, 100)
+        assert lattice._load(source)(cols, 99, 100, 15) == reduce(cols, 99, 100, 15)
         source.write_bytes(source.read_bytes() + b"\n")
         assert lattice._load(source) is None
 
@@ -725,14 +765,14 @@ class TestKernelBuild:
             builds.append(argv)
             failure(argv, **kwargs)
 
-        python_gsos = []
+        python_reduces = []
 
-        def python_gso(cols):
-            python_gsos.append(cols)
-            return real_gso(cols)
+        def python_reduce(*args):
+            python_reduces.append(args)
+            return real_reduce(*args)
 
-        real_gso = lattice._python_gso
-        monkeypatch.setattr(lattice, "_python_gso", python_gso)
+        real_reduce = lattice._python_reduce
+        monkeypatch.setattr(lattice, "_python_reduce", python_reduce)
         monkeypatch.setattr(subprocess, "run", build)
         monkeypatch.setattr(lattice, "_SOURCE", copy_of_source(tmp_path))
         monkeypatch.setattr(lattice, "_kernel", lattice._UNBUILT)
@@ -741,10 +781,11 @@ class TestKernelBuild:
         fallback = verdicts()
         assert lattice.kernel_name() == "python"
         assert len(builds) == 1  # tried once per process
-        assert python_gsos  # the kernel Gram-Schmidt fell back with the loop
+        # The attacks' reductions (prefix 0) and the decompositions' (prefix s)
+        assert {args[3] > 0 for args in python_reduces} == {False, True}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", stale.name]
-        python_gsos.clear()
+        python_reduces.clear()
         monkeypatch.setattr(lattice, "_kernel", gmp_kernel)
         assert lattice.kernel_name() == "gmp"
         assert verdicts() == fallback
-        assert not python_gsos
+        assert not python_reduces

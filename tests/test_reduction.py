@@ -7,14 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from knapcrack import lattice
 from knapcrack.errors import DependentColumns, DimensionMismatch
 from knapcrack.formulations import attack_ahl, decompose, special_solution
-from knapcrack.lattice import integral_gso
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
 from knapcrack.reduction import reduce_half, reduce_solution
 
-from oracles import half_sweep_fraction, kernel_of, solve_integer_combination, sweep_fraction
+from oracles import (half_sweep_fraction, integral_gso, kernel_of, solve_integer_combination,
+                     sweep_fraction)
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -127,9 +128,14 @@ class TestKernelGso:
     """The sweeps read the decomposition's GSO, the half sweep included."""
 
     @pytest.mark.parametrize("m, n, seed", [(1, 12, 0), (1, 16, 1), (2, 14, 2), (3, 16, 3)])
-    def test_decomposition_gso_is_integral_gso_of_d(self, m, n, seed):
-        kd = decompose(generate_system(m, n, seed).system)
-        assert kd.gso == integral_gso(kd.kernel_columns)
+    def test_decomposition_gso_is_integral_gso_of_d(self, m, n, seed, monkeypatch):
+        # The Gram-Schmidt LLL ended with, in the Python loop and in the C
+        # loop where it builds, against the oracle's of D.
+        system = generate_system(m, n, seed).system
+        for kernel in (None, lattice._native()):
+            monkeypatch.setattr(lattice, "_kernel", kernel)
+            kd = decompose(system)
+            assert kd.gso == integral_gso(kd.kernel_columns)
 
     def test_decomposition_equals_plain_matrix(self):
         rng = random.Random(4)
@@ -184,13 +190,13 @@ class TestOracleAgreement:
     @given(basis_and_target())
     def test_random_bases(self, case):
         cols, target = case
-        D = kernel_from_cols(cols)
         try:
             expected = sweep_fraction(cols, target, "asymmetric")
         except DependentColumns:
             with pytest.raises(DependentColumns):
-                reduce_solution(target, D)
+                kernel_from_cols(cols)
             return
+        D = kernel_from_cols(cols)
         assert reduce_solution(target, D) == expected
         assert reduce_half(target, D) == half_sweep_fraction(cols, target, "asymmetric")
 
@@ -243,7 +249,8 @@ class TestOracleAgreement:
                                       [[1, 2, 3], [0, 0, 0]],
                                       [[1, 1, 0], [0, 1, 1], [1, 2, 1]]])
     def test_dependent_basis_raises(self, cols):
-        with pytest.raises(DependentColumns):
-            reduce_solution([1, 2, 3], kernel_from_cols(cols))
-        with pytest.raises(DependentColumns):
-            reduce_half([1, 2, 3], kernel_from_cols(cols))
+        # A sweep reads the Gram-Schmidt its decomposition was built with, and
+        # none is built for dependent columns: LLL raises on them, and so
+        # does the oracle's kernel_of.
+        with pytest.raises(DependentColumns, match="column"):
+            kernel_from_cols(cols)
