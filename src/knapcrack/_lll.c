@@ -74,6 +74,16 @@
  * GMP would compute.  The build needs __int128 (GCC or Clang on a 64-bit
  * target) and stops with #error without it, so the Python loop runs.
  *
+ * Termination.  The loop checks the two steps of LLL's termination proof, as
+ * the Python loop does (lattice.py's docstring has the proof): each exchange
+ * lowers d[k] and leaves it positive, and there are at most q log2(P0) /
+ * (q - p) exchanges, with log2(P0) <= sum_i (n - i) bitlen(||b_i||^2) over
+ * the input columns.  set_width takes the norms it already computes for B.
+ * When either fails the loop returns LLL_BUDGET, and the wrapper raises the
+ * Python loop's AssertionError.  So a wrong d or lam ends in an error instead
+ * of an endless loop, at the latest once the budget runs out.  A budget
+ * beyond ULONG_MAX is never reached and is held as ULONG_MAX.
+ *
  * Output.  At exit d and lam are exact for the reduced columns, and the
  * caller names a prefix k: the reduced columns leave followed by d[1..k] and
  * lam rows 1..k-1 (row i has entries 0..i-1), the Gram-Schmidt of the first
@@ -94,15 +104,17 @@
 #error "the word path computes in __int128: build with GCC or Clang for a 64-bit target"
 #endif
 
-enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_NO_MEMORY = 3 };
+enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_NO_MEMORY = 3, LLL_BUDGET = 4 };
 
 /* The reduction state.  input holds the n input columns' dim entries, column
  * by column, and at exit the reduced columns; packed[i] is column i packed as
  * sum_r b[r] 2^(w r).  lam[i] points at row i of lam (entries 0..i-1 in use),
- * d at d[0..n]; swapping two rows swaps pointers. */
+ * d at d[0..n]; swapping two rows swaps pointers.  exchanges counts the
+ * exchanges against budget (header: Termination). */
 typedef struct {
     int n, dim;
     mp_bitcnt_t w;
+    unsigned long exchanges, budget;
     mpz_ptr input, packed;
     mpz_ptr *lam, d;
     int *nz;
@@ -300,19 +312,22 @@ static void size_reduce(state *s, int k, int j)
 }
 
 /* Exchange columns k-1 and k, the Lovasz test having failed; s->num holds
- * d[k+1] d[k-1] + lam[k][k-1]^2. */
-static void exchange(state *s, int k, int kmax)
+ * d[k+1] d[k-1] + lam[k][k-1]^2.  Returns 0, changing nothing, when the new
+ * d[k], num / d[k], is not in [1, d[k]) (header: Termination). */
+static int exchange(state *s, int k, int kmax)
 {
     mpz_ptr *lam = s->lam, d = s->d, swap, lkk, li;
     int i;
 
+    mpz_divexact(s->dnew, s->num, d + k);
+    if (mpz_sgn(s->dnew) <= 0 || mpz_cmp(s->dnew, d + k) >= 0)
+        return 0;
     mpz_swap(s->packed + k - 1, s->packed + k);
     /* Rows k-1 and k trade their entries for columns 0..k-2; lam[k][k-1]
      * stays. */
     swap = lam[k - 1], lam[k - 1] = lam[k], lam[k] = swap;
     mpz_swap(lam[k] + k - 1, lam[k - 1] + k - 1);
     lkk = lam[k] + k - 1;
-    mpz_divexact(s->dnew, s->num, d + k);
     for (i = k + 1; i <= kmax; i++) {
         li = lam[i];
         mpz_swap(s->t, li + k);
@@ -320,6 +335,7 @@ static void exchange(state *s, int k, int kmax)
         cross_quotient(li + k - 1, s->dnew, s->t, 1, lkk, li + k, d + k + 1, s->t1);
     }
     mpz_swap(d + k, s->dnew);
+    return 1;
 }
 
 /* Nonzero when the Lovasz test fails at k > 0, so columns k-1 and k are
@@ -356,7 +372,8 @@ static int lovasz_fails(state *s, int k)
 }
 
 /* The loop of lattice._python_reduce from k = 0.  Returns LLL_DEPENDENT with
- * *where = k when column k depends on the columns before it. */
+ * *where = k when column k depends on the columns before it, and LLL_BUDGET
+ * at an exchange past the budget or one that does not lower d[k]. */
 static int reduce(state *s, int *where)
 {
     int n = s->n, k = 0, kmax = -1, j;
@@ -375,7 +392,8 @@ static int reduce(state *s, int *where)
         }
         size_reduce(s, k, k - 1);
         if (lovasz_fails(s, k)) {
-            exchange(s, k, kmax);
+            if (++s->exchanges > s->budget || !exchange(s, k, kmax))
+                return LLL_BUDGET;
             if (k > 1)
                 k--;
         } else {
@@ -389,12 +407,15 @@ static int reduce(state *s, int *where)
 
 /* B, the largest squared norm of the input columns; the slot width
  * w = bitlen((1 + n) B) // 2 + 3 (header: Packing); half = 2^(w-1) and
- * offset, half of 2^w in every one of the dim slots. */
+ * offset, half of 2^w in every one of the dim slots; and from the same norms
+ * the exchange budget q sum_i (n - i) bitlen(||b_i||^2) / (q - p) (header:
+ * Termination), or ULONG_MAX where it is larger. */
 static void set_width(state *s)
 {
     mpz_ptr col;
     int i, r;
 
+    mpz_set_ui(s->t2, 0);
     for (i = 0; i < s->n; i++) {
         col = s->input + (size_t)i * s->dim;
         mpz_set_ui(s->t, 0);
@@ -402,7 +423,14 @@ static void set_width(state *s)
             mpz_addmul(s->t, col + r, col + r);
         if (mpz_cmp(s->t, s->bound) > 0)
             mpz_set(s->bound, s->t);
+        mpz_set_ui(s->t1, mpz_sgn(s->t) ? mpz_sizeinbase(s->t, 2) : 0);
+        mpz_addmul_ui(s->t2, s->t1, (unsigned long)(s->n - i));
     }
+    mpz_mul(s->t2, s->t2, s->q);
+    mpz_sub(s->t1, s->q, s->p);
+    mpz_fdiv_q(s->t2, s->t2, s->t1);
+    s->budget = mpz_fits_ulong_p(s->t2) ? mpz_get_ui(s->t2) : ULONG_MAX;
+    s->exchanges = 0;
     mpz_mul_ui(s->t, s->bound, (unsigned long)s->n + 1);
     s->w = (mpz_sgn(s->t) ? mpz_sizeinbase(s->t, 2) : 0) / 2 + 3;
     mpz_setbit(s->half, s->w - 1);
@@ -462,7 +490,8 @@ static void unpack_all(state *s)
  * (header: Output), to be released with knapcrack_free.  LLL_DEPENDENT:
  * column *where depends on the columns before it.  LLL_PREMISE: d[j+1] >
  * B d[j] at j = *where, where B is the largest squared norm of an input
- * column. */
+ * column.  LLL_BUDGET: an exchange did not lower d[k], or passed the
+ * exchange budget (header: Termination). */
 int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char *q,
                   int prefix, char **out, int *where)
 {

@@ -42,19 +42,20 @@ Two kernels run this loop and compute one function.  ``_lll.c`` holds it in
 C over GMP ``mpz_t``, step for step: ``knapcrack_lll`` has the same first
 visits and zero-prefix skip, the same rounding, Lovasz test and exchange
 update, so on every input it returns the same record and raises the same
-``DependentColumns`` (same column) and premise ``AssertionError``.  Only the
-prefix's state crosses back from C, after the columns.  The C loop packs
-each column into one ``mpz_t``; that format, its slot width and the proof
-that the width suffices belong to ``_lll.c`` alone and are written in its
-header.  The Python loop runs on plain integer columns, so the tests hold
-the C loop's packing to plain integer arithmetic.  The file is built on the
-first call in a process (``_native``): ``cc -O2 -shared -fPIC ... -lgmp``
-writes it next to its source under a name keyed to a hash of the source,
-renamed into place whole, and ``ctypes`` loads it; that build then deletes
-the binaries of other sources beside it.  ``_kernel`` holds the C loop, or
-``None``.  Entries cross as hex text.  Where the build or the load fails
-(no C compiler, no GMP, no ``__int128``, a read-only directory) the Python
-loop runs instead, and the build is not tried again in that process.
+``DependentColumns`` (same column) and premise or budget
+``AssertionError``.  Only the prefix's state crosses back from C, after the
+columns.  The C loop packs each column into one ``mpz_t``; that format, its
+slot width and the proof that the width suffices belong to ``_lll.c`` alone
+and are written in its header.  The Python loop runs on plain integer
+columns, so the tests hold the C loop's packing to plain integer arithmetic.
+The file is built on the first call in a process (``_native``): ``cc -O2
+-shared -fPIC ... -lgmp`` writes it next to its source under a name keyed to
+a hash of the source, renamed into place whole, and ``ctypes`` loads it;
+that build then deletes the binaries of other sources beside it.
+``_kernel`` holds the C loop, or ``None``.  Entries cross as hex text.
+Where the build or the load fails (no C compiler, no GMP, no ``__int128``,
+a read-only directory) the Python loop runs instead, and the build is not
+tried again in that process.
 ``_python_reduce`` is that fallback and the reference the tests hold the C
 loop to; ``kernel_name()`` says which loop runs.  Both loops take
 ``(cols, p, q, prefix)`` and return a ``Reduced``, and ``lll`` calls
@@ -83,6 +84,27 @@ Let ``B`` be the largest squared norm of the ``n`` input columns.  LLL keeps
 every ``||b*_j||^2`` at most ``B``, that is ``d[j+1] <= B * d[j]``.  Both
 loops check this premise on the output, which the C loop's slot width rests
 on, and a failure raises ``AssertionError`` naming ``j``.
+
+Both loops also check the two steps of LLL's termination proof: each
+exchange lowers ``d[k]`` and leaves it positive, and the exchanges stay
+within a budget (``_exchange_budget``).  So a wrong ``d`` or ``lam`` ends in
+an error instead of an endless loop.  Let ``r`` be the first dependent
+input column (or ``n``); the loop raises on visiting it, so every exchange
+is at some ``k < r``.  An exchange at ``k`` multiplies ``d[k]`` by less than ``alpha``
+and changes no other ``d[i]``, ``i <= r`` (for ``i > k`` the first ``i``
+columns are the same set, and size reductions change no Gram determinant).
+So ``P = d[1] ... d[r]``, a product of positive integers, falls by that
+factor at each exchange and stays at least 1.  By Hadamard,
+``log2 P0 <= sum_j (n - j) * bitlen(||b_j||^2)``, and ``ln(q/p) >= (q -
+p)/q`` with ``1/ln 2 > 1`` gives exchanges ``< q log2 P0 / (q - p)``.  Every
+step without an exchange raises ``k`` and an exchange lowers it by at most
+one, so the loop takes at most ``n + 2 * exchanges`` steps.  The norms are
+those the loops take ``B`` from, so the bound costs no pass of its own.
+When either step fails both loops raise the same ``AssertionError``; the C
+loop returns its own status for it, and its wrapper computes the same budget
+for the message.  In the Python loop the exact ``//`` always lowers ``d[k]``;
+in C the check can stop a wrong word-path step at the exchange it spoils,
+where the budget alone can take minutes.
 
 A first visit (``_visit``) takes the input column's inner products with the
 current columns ``0..k`` and appends its row with ``gso_row``.  Two exact
@@ -117,7 +139,7 @@ DEFAULT_ALPHA = Fraction(99, 100)
 
 _SOURCE = Path(__file__).with_name("_lll.c")
 BUILD_TIMEOUT_S = 120
-C_DEPENDENT, C_PREMISE, C_NO_MEMORY = 1, 2, 3  # the C loop's failure statuses
+C_DEPENDENT, C_PREMISE, C_NO_MEMORY, C_BUDGET = 1, 2, 3, 4  # the C loop's failure statuses
 _UNBUILT = object()
 # The C loop once _native has loaded it, or None where it cannot be built;
 # one value per process, as the build is tried once.
@@ -193,6 +215,9 @@ def _load(source: Path) -> Reduce | None:
             raise _premise_failure(where.value, max(sum(x * x for x in c) for c in cols))
         if status == C_NO_MEMORY:
             raise MemoryError("the C loop could not allocate its state")
+        if status == C_BUDGET:
+            norms = [sum(x * x for x in c) for c in cols]
+            raise _termination_failure(_exchange_budget(norms, p, q))
         try:
             text = ctypes.string_at(out.value)
         finally:
@@ -289,6 +314,21 @@ def _premise_failure(j: int, bound: int) -> AssertionError:
     return AssertionError(f"||b*_{j}||^2 exceeds the largest input norm {bound}")
 
 
+def _exchange_budget(norms: Sequence[int], p: int, q: int) -> int:
+    """The most exchanges LLL at alpha = p/q makes on columns of these squared norms.
+
+    The bound of LLL's termination proof (module docstring), q log2(P0) / (q - p)
+    with log2(P0) <= sum_j (n - j) bitlen(norms[j]).
+    """
+    n = len(norms)
+    return q * sum((n - j) * v.bit_length() for j, v in enumerate(norms)) // (q - p)
+
+
+def _termination_failure(budget: int) -> AssertionError:
+    return AssertionError(f"LLL left its termination proof: an exchange did not lower "
+                          f"d[k] to a positive value, or passed the budget of {budget}")
+
+
 def _visit(col: Sequence[int], b: list[Sequence[int]], d: list[int],
            lam: list[list[int]]) -> None:
     """First visit of col as column k = len(b), where b holds columns 0..k-1
@@ -313,7 +353,9 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -
     The C loop takes the same arguments and returns the same value.
     """
     n = len(cols)
-    bound = max(sum(x * x for x in c) for c in cols)
+    norms = [sum(x * x for x in c) for c in cols]
+    bound = max(norms)
+    budget, exchanges = _exchange_budget(norms, p, q), 0
     b: list[Sequence[int]] = []  # the current columns 0..kmax
     d = [1]
     lam: list[list[int]] = []
@@ -346,10 +388,13 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -
         num = dk1 * d[k - 1] + lkk * lkk
         # Exchange when ||b*_k + mu b*_{k-1}||^2 < alpha ||b*_{k-1}||^2.
         if q * num < p * dk * dk:
+            dnew = num // dk
+            exchanges += 1
+            if exchanges > budget or not 0 < dnew < dk:
+                raise _termination_failure(budget)
             b[k - 1], b[k] = b[k], b[k - 1]
             # Rows k-1 and k trade their entries for columns 0..k-2.
             lam[k - 1], lk[:k - 1] = lk[:k - 1], lam[k - 1]
-            dnew = num // dk
             for li in lam[k + 1:]:  # rows k+1..kmax; later rows are not built yet
                 t = li[k]
                 li[k] = u = (dk1 * li[k - 1] - lkk * t) // dk

@@ -6,24 +6,24 @@ modulus M, disaggregate the configured row, re-attack the augmented
 system, and accept as soon as the first n coordinates are binary and solve
 the original system.  The t's after the first run in parallel lanes, one
 process per usable CPU up to MAX_LANES, and are judged in t order, so the
-outcome is the one-lane outcome.
+outcome is the one-lane outcome.  The lanes beyond this process
+(``lanes``) are forked by the first search that needs them and serve every
+later search of the process that forked them; each runs the code and module
+state it had when it was forked.  They die with that process.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import math
 import os
-import pickle
 import random
-import signal
 import sys
 import threading
 import time
 from collections.abc import Callable, Iterator
-from contextlib import closing, nullcontext, suppress
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -39,9 +39,9 @@ from .reduction import reduce_half, reduce_solution
 ALGORITHMS = ("reduce", "reduce_half", "lo", "cjloss", "ahl")
 GENERATION_BUDGET = 10_000
 # The most processes (lanes) one DAG t-search runs in, the count measured to
-# pay on dag_rescue.  All L - 1 children are forked before t = 2, so a short
-# search pays for each; a higher cap needs its own measurement on a host
-# with that many CPUs.
+# pay on dag_rescue.  The L - 1 children are forked once per process, by its
+# first search that reaches t = 2; a higher cap needs its own measurement on
+# a host with that many CPUs.
 MAX_LANES = 2
 
 
@@ -308,85 +308,23 @@ def _t_step(problem: LdeSystem, work: LdeSystem, flipped: bool, config: SearchCo
     return map_back(problem, run_algorithm(aug, config), flipped)
 
 
-_MISSING = object()  # a lane raised or died before it sent this t's record
-
-
 def _t_records(step: Callable[[int], fm.AttackVerdict | None], t_max: int
                ) -> Iterator[tuple[int, fm.AttackVerdict | None]]:
     """(t, step(t)) for t = 1..t_max in t order, with t >= 2 run in parallel lanes.
 
-    t = 1 runs here before any fork, so a search it ends starts no process.
-    Then one child is forked per lane beyond the first (``search_lanes``);
-    with L lanes, lane i walks t = 2 + i, 2 + i + L, ... and this process is
-    lane 0.  Records are taken in t order, so a t that raises here raises
-    only after every smaller t has been judged.  A t without a record,
-    because its lane raised, died or could not get a pipe or a process,
-    runs here, with its own errors.  Closing the generator kills and reaps
-    every child; one already reaped elsewhere (SIGCHLD ignored, a
-    ``waitpid(-1)`` of the host) is gone, which is all the cleanup needs.
+    t = 1 runs here first, so a search it ends uses no lane.  The t's after
+    it run in ``search_lanes()`` lanes, at most one per t, through
+    ``lanes.run_in_lanes``.  That module is imported by the first search that
+    needs it, so a process that never runs one pays nothing for it.
     """
     yield 1, step(1)
     rest = range(2, t_max + 1)
     lanes = min(search_lanes(), len(rest))
-    readers, pids = {}, []
-    try:
-        for lane in range(1, lanes):
-            pipe = ()
-            try:
-                pipe = r, w = os.pipe()
-                pid = os.fork()
-            except OSError:  # no descriptor or process to spare: this lane's t's run here
-                for fd in pipe:
-                    os.close(fd)
-                break
-            if pid == 0:
-                _lane(step, rest[lane::lanes], w, [r, *(f.fileno() for f in readers.values())])
-            pids.append(pid)
-            os.close(w)
-            readers[lane] = open(r, "rb")
-        for t in rest:
-            reader = readers.get((t - 2) % lanes)
-            record = _MISSING if reader is None else _next_record(reader)
-            yield t, step(t) if record is _MISSING else record
-    finally:
-        for pid in pids:
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for reader in readers.values():
-            reader.close()
-
-
-def _next_record(reader) -> object:
-    """The lane's next record, or _MISSING once the lane has raised or died."""
-    try:
-        return pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):  # a lane killed mid-write leaves a torn record
-        return _MISSING
-
-
-def _lane(step: Callable[[int], fm.AttackVerdict | None], ts: range, fd: int,
-          inherited: list[int]) -> None:
-    """A forked lane: one pickled record per t of ts into the pipe fd; leaves by os._exit.
-
-    It closes the parent's pipe ends it inherited and freezes the objects it
-    inherited, so no finalizer of the parent's runs here.  It stops after a
-    rescue, since its later t's come after it.  An error, or a failed write
-    once the parent is gone, ends it without a record.
-    """
-    try:
-        gc.freeze()
-        for other in inherited:
-            os.close(other)
-        with open(fd, "wb") as out:
-            for t in ts:
-                record = step(t)
-                pickle.dump(record, out, pickle.HIGHEST_PROTOCOL)
-                out.flush()
-                if record is not None and record.solved:
-                    break
-    finally:
-        os._exit(0)
+    if lanes == 1:
+        yield from ((t, step(t)) for t in rest)
+        return
+    from .lanes import run_in_lanes
+    yield from run_in_lanes(step, rest, lanes)
 
 
 @dataclass(frozen=True)

@@ -579,6 +579,58 @@ class TestReducedGso:
                 lll(basis, DEFAULT_ALPHA, bad)
 
 
+def exchanges_made(cols, alpha):
+    """The exchanges the Python loop makes on cols: the least budget it finishes under."""
+    p, q = alpha.numerator, alpha.denominator
+    lo, hi = 0, lattice._exchange_budget([sum(x * x for x in c) for c in cols], p, q)
+    with pytest.MonkeyPatch.context() as mp:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            mp.setattr(lattice, "_exchange_budget", lambda *args: mid)
+            try:
+                lattice._python_reduce(cols, p, q, 0)
+                hi = mid
+            except AssertionError:
+                lo = mid + 1
+    return lo
+
+
+class TestExchangeBudget:
+    """Both loops count exchanges against LLL's termination bound and stop past it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+           st.sampled_from([Fraction(26, 100), Fraction(3, 4), DEFAULT_ALPHA]))
+    def test_the_exchanges_stay_within_the_proof(self, seed, n, alpha):
+        # Each exchange takes a factor alpha off P = d[1]...d[n] >= 1, so the
+        # count is below log(P0) / log(1/alpha), and the budget is above that.
+        cols = random_basis(random.Random(seed), n, n + 1, -2**20, 2**20).columns
+        made = exchanges_made(cols, alpha)
+        d, _ = integral_gso(cols)
+        assert made * math.log(1 / alpha) <= math.log(math.prod(d)) + 1e-9
+        norms = [sum(x * x for x in c) for c in cols]
+        assert made <= lattice._exchange_budget(norms, alpha.numerator, alpha.denominator)
+
+    def test_past_the_budget_both_loops_raise_alike(self, gmp_kernel, tmp_path, monkeypatch):
+        # A C loop built with a budget of four exchanges, and the Python loop
+        # given the same: each basis is reduced by both or stopped by both.
+        source = copy_of_source(tmp_path)
+        code = source.read_text()
+        line = "s->budget = mpz_fits_ulong_p(s->t2) ? mpz_get_ui(s->t2) : ULONG_MAX;"
+        assert line in code
+        source.write_text(code.replace(line, "s->budget = 4;"))
+        four = lattice._load(source)
+        monkeypatch.setattr(lattice, "_exchange_budget", lambda *args: 4)
+        rng = random.Random(5)
+        bases = [random_basis(rng, n, n, -10**6, 10**6).columns for n in range(2, 9)
+                 for _ in range(3)]
+        outcomes = outcomes_in(four, bases)
+        assert outcomes == outcomes_in(None, bases)
+        stopped = ("AssertionError", "LLL left its termination proof: an exchange did not "
+                                     "lower d[k] to a positive value, or passed the budget of 4")
+        assert stopped in outcomes and any(isinstance(o, list) for o in outcomes)
+
+
 class TestGmpKernel:
     """The C loop (_lll.c) returns the Python loop's columns and raises its errors."""
 

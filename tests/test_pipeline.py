@@ -6,13 +6,14 @@ import os
 import random
 import signal
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knapcrack import pipeline
+from knapcrack import lanes, pipeline
 from knapcrack.disagg import DisaggParams, DisaggregatedSystem, build_disaggregated, row_coeffs
 from knapcrack.errors import (DependentColumns, EscalationExhausted, GenerationBudgetExceeded,
                               InvalidInput, InvalidRow, RankDeficient, SearchExhausted)
@@ -81,9 +82,27 @@ def fork_log(monkeypatch, log):
     monkeypatch.setattr(os, "fork", fork)
 
 
+def fork_count(monkeypatch) -> list:
+    # One entry per os.fork of this process from now on.
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def no_child_left() -> None:
+    # Once this process's lanes are closed, no child of it is left.
+    lanes._close_lanes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def lane_alive(pid: int) -> bool:
+    return os.waitpid(pid, os.WNOHANG) == (0, 0)
 
 
 def planted_dag_case(algo, m, n, M, seed, alpha, shift=0):
@@ -418,10 +437,9 @@ class TestLanes:
             mp.setattr(pl, "MAX_LANES", 3)
             mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
             assert search_lanes() == 3
-            lanes = searched(*case)
+            in_lanes = searched(*case)
             mp.setattr(os, "sched_getaffinity", lambda pid: {0})
-            assert searched(*case) == lanes
-        no_child_left()
+            assert searched(*case) == in_lanes
 
     def test_error_in_a_child_lane_surfaces_with_its_type(self, monkeypatch, two_lanes):
         # t = 3 raises in the child, which leaves without a record; this
@@ -485,6 +503,7 @@ class TestLanes:
         before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             assert searched(problem, cfg) == alone
+            lanes._close_lanes()
         finally:
             signal.signal(signal.SIGCHLD, before)
         no_child_left()
@@ -494,26 +513,170 @@ class TestLanes:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
         assert search_lanes() == pl.MAX_LANES == 2
 
-    @pytest.mark.parametrize("problem, M, t_max, expected", [
-        (TOY, 31, 30, 3),  # rescued in the child's lane
-        (generate_instance(10, 14).instance, 50, 49, 4),  # rescued in this process's lane
-        (LdeSystem.from_rows([[5, 9, 11]], [8]), 20, 19, SearchExhausted),
-    ], ids=["child-lane-rescue", "parent-lane-rescue", "exhausted"])
-    def test_no_child_is_left(self, monkeypatch, two_lanes, problem, M, t_max, expected):
-        real_fork, forks = os.fork, []
+    SEARCHES = {
+        "child-lane-rescue": (TOY, 31, 30, 3),
+        "parent-lane-rescue": (generate_instance(10, 14).instance, 50, 49, 4),
+        "exhausted": (LdeSystem.from_rows([[5, 9, 11]], [8]), 20, 19, SearchExhausted),
+    }
 
-        def fork():
-            forks.append(None)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        found = searched(problem, SearchConfig(algo="reduce", use_dag=True, M=M, t_max=t_max))
-        if expected is SearchExhausted:
-            assert found[0] is SearchExhausted
-        else:
-            assert found.t_found == expected
+    @pytest.mark.parametrize("first", SEARCHES)
+    def test_no_child_is_left(self, monkeypatch, two_lanes, first):
+        # The three searches run back to back, from each one first: one fork
+        # serves them all, and each ends as in one lane.
+        order = [first, *(name for name in self.SEARCHES if name != first)]
+        forks = fork_count(monkeypatch)
+        for name in order:
+            problem, M, t_max, expected = self.SEARCHES[name]
+            found = searched(problem, SearchConfig(algo="reduce", use_dag=True, M=M,
+                                                   t_max=t_max))
+            if expected is SearchExhausted:
+                assert found[0] is SearchExhausted
+            else:
+                assert found.t_found == expected
+        assert len(forks) == 1
+        for name in order:
+            problem, M, t_max, _ = self.SEARCHES[name]
+            cfg = SearchConfig(algo="reduce", use_dag=True, M=M, t_max=t_max)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            alone = searched(problem, cfg)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            assert searched(problem, cfg) == alone
         assert len(forks) == 1
         no_child_left()
+
+    def test_a_t_that_raises_in_the_lane_leaves_it_serving(self, monkeypatch, two_lanes):
+        # t = 3 raises in the lane only; this process runs it again, and the
+        # lane, still alive, takes the next search without a fork.
+        import knapcrack.pipeline as pl
+        parent, real = os.getpid(), pl.augment
+
+        def augment(system, steps):
+            if steps[0][1].t == 3 and os.getpid() != parent:
+                raise DependentColumns("augmented basis at t = 3")
+            return real(system, steps)
+
+        monkeypatch.setattr(pl, "augment", augment)
+        forks = fork_count(monkeypatch)
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
+        assert attack_with_dag(TOY, cfg).t_found == 3
+        (lane, _, _), = lanes._lanes
+        assert lane_alive(lane)
+        assert attack_with_dag(TOY, cfg).t_found == 3
+        assert len(forks) == 1 and lanes._lanes[0][0] == lane
+        no_child_left()
+
+    def test_a_lane_killed_between_searches_is_replaced_once(self, monkeypatch, two_lanes):
+        # The search after the kill finds the lane dead and runs its t's here;
+        # the one after that forks a new lane.
+        import knapcrack.pipeline as pl
+        forks = fork_count(monkeypatch)
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
+        assert attack_with_dag(TOY, cfg).t_found == 3
+        (killed, _, _), = lanes._lanes
+        os.kill(killed, signal.SIGKILL)
+        for _ in range(3):
+            assert attack_with_dag(TOY, cfg).t_found == 3
+        assert len(forks) == 2
+        (lane, _, _), = lanes._lanes
+        assert lane != killed and lane_alive(lane)
+        no_child_left()
+
+    def test_a_child_forked_beside_a_lane_has_none(self, monkeypatch, two_lanes):
+        # A child of this process sees no lane and has none of their pipes,
+        # and closing its lanes on exit kills none of this process's.
+        import knapcrack.pipeline as pl
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
+        assert attack_with_dag(TOY, cfg).t_found == 3
+        (lane, commands, records), = lanes._lanes
+        child = os.fork()
+        if child == 0:
+            ok = lanes._lanes == []
+            for fd in (commands, records):
+                try:
+                    os.fstat(fd)
+                    ok = False
+                except OSError:
+                    pass
+            lanes._close_lanes()
+            os._exit(0 if ok else 1)
+        assert os.waitpid(child, 0)[1] == 0
+        assert lane_alive(lane)
+        forks = fork_count(monkeypatch)
+        assert attack_with_dag(TOY, cfg).t_found == 3
+        assert forks == [] and lanes._lanes[0][0] == lane
+        no_child_left()
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=st.fixed_dictionaries({**DAG_CASES, "shift": st.integers(0, 1)}),
+           second=st.fixed_dictionaries({**DAG_CASES, "shift": st.integers(0, 1)}),
+           stop=st.integers(1, 6))
+    def test_stale_records_never_leak(self, first, second, stop):
+        # Two searches back to back through one lane.  The first ends in this
+        # process's lane, by an error at t = 2 * stop, after a pause that lets
+        # the lane run ahead, so its unread records are still in the pipe when
+        # the second search starts; each ends as it does in one lane.
+        import knapcrack.pipeline as pl
+        cases = [planted_dag_case(**first), planted_dag_case(**second)]
+        if None in cases:
+            return
+        parent, real, stopping = os.getpid(), pl.augment, []
+
+        def augment(system, steps):
+            if stopping and os.getpid() == parent and steps[0][1].t == 2 * stop:
+                time.sleep(0.005)
+                raise DependentColumns(f"stop at t = {2 * stop}")
+            return real(system, steps)
+
+        def pair():
+            stopping.append(None)
+            ends = [searched(*cases[0])]
+            stopping.clear()
+            return ends + [searched(*cases[1])]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "augment", augment)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            alone = pair()
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            assert pair() == alone
+        assert len(lanes._lanes) <= 1
+
+    @pytest.mark.parametrize("leave", [
+        "",
+        "from knapcrack import cli; cli.main(['--no-such-flag'])",
+    ], ids=["normal-exit", "system-exit-from-cli"])
+    def test_no_lane_outlives_its_process(self, leave):
+        # A process with a lane exits, normally or by SystemExit from
+        # cli.main; its exit handler has killed and reaped the lane by then.
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent("""
+            import os
+            os.sched_getaffinity = lambda pid: {0, 1}
+            from knapcrack import lanes, pipeline as pl
+            from knapcrack.problems import LdeSystem
+            toy = LdeSystem.from_rows([[3, 15, 6]], [9])
+            cfg = pl.SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
+            assert pl.attack_with_dag(toy, cfg).t_found == 3
+            print(lanes._lanes[0][0], flush=True)
+        """) + leave + "\n"
+        src = os.path.join(os.path.dirname(pipeline.__file__), os.pardir)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+                              timeout=120)
+        assert proc.returncode == (2 if leave else 0), proc.stderr
+        lane = int(proc.stdout.split()[0])
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            try:
+                os.kill(lane, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"lane {lane} outlived its process: {proc.stderr}")
 
     def test_one_lane_without_fork_or_beside_another_thread(self, monkeypatch, two_lanes):
         release = threading.Event()

@@ -80,8 +80,10 @@ def test_one_input_shape_per_function():
 
 
 BROAD = {"KnapcrackError", "Exception", "BaseException"}
-# A bad job in a bench grid costs one row, not the whole run.
-BROAD_CATCH_ALLOWED = {"pipeline._bench_one"}
+# A bad job in a bench grid costs one row, not the whole run.  A DAG search
+# lane that fails at a t sends no record for it and serves the next search;
+# the searching process runs that t again and raises its error there.
+BROAD_CATCH_ALLOWED = {"pipeline._bench_one", "lanes._lane_search"}
 
 
 def _catches_broadly(kind) -> bool:
