@@ -1,17 +1,18 @@
-/* Exact LLL over GMP: lattice._python_reduce, run on mpz_t.
+/* Exact LLL over GMP: lattice._python_reduce, run on mpz_t, as the CPython
+ * extension module knapcrack._lll.
  *
- * knapcrack_lll is the same Cohen integral LLL (Alg. 2.6.7) as the Python
- * loop, step for step: the same k_max first visits, the same zero-prefix skip
- * of the inner products (gso_row), the same nearest integer ceil(q - 1/2), the
- * same Lovasz test against alpha = p/q and the same exchange update of rows
- * k+1..k_max.  Both loops compute one function of their input, bit for bit,
- * and raise at the same column.  The Python loop runs on plain integer
- * columns; here each column is packed into one mpz_t (Packing, below), so a
- * size reduction is one mpz_sub, mpz_add or mpz_submul, an exchange one
- * mpz_swap, and slots are decoded only at first visits, at the input column's
- * nonzero coordinates, and once at exit.  The packing is this file's own
- * format, so the tests that hold this loop to the Python one check it against
- * plain integer arithmetic.
+ * Its one entry, reduce, is the same Cohen integral LLL (Alg. 2.6.7) as the
+ * Python loop, step for step: the same k_max first visits, the same
+ * zero-prefix skip of the inner products (gso_row), the same nearest integer
+ * ceil(q - 1/2), the same Lovasz test against alpha = p/q and the same
+ * exchange update of rows k+1..k_max.  Both loops compute one function of their
+ * input, bit for bit, and raise at the same column.  The Python loop runs on
+ * plain integer columns; here each column is packed into one mpz_t (Packing,
+ * below), so a size reduction is one mpz_sub, mpz_add or mpz_submul, an
+ * exchange one mpz_swap, and slots are decoded only at first visits, at the
+ * input column's nonzero coordinates, and once at exit.  The packing is this
+ * file's own format, so the tests that hold this loop to the Python one check
+ * it against plain integer arithmetic.
  *
  * Packing.  Each column is one integer (Kronecker substitution): with slot
  * width w, column b is packed as P = sum_r b[r] 2^(w r), entry r in slot r in
@@ -85,26 +86,31 @@
  * beyond ULONG_MAX is never reached and is held as ULONG_MAX.
  *
  * Output.  At exit d and lam are exact for the reduced columns, and the
- * caller names a prefix k: the reduced columns leave followed by d[1..k] and
- * lam rows 1..k-1 (row i has entries 0..i-1), the Gram-Schmidt of the first
- * k columns; d[0] = 1 and the empty row 0 are not sent, so with k = 0 only
- * the columns leave.  lattice.py builds this file on first use, and the tests
- * hold this loop to the Python one.
+ * caller names a prefix k: reduce returns the reduced columns, a tuple of
+ * int tuples, with d[0..k] and lam rows 0..k-1 (row i has entries 0..i-1),
+ * the Gram-Schmidt of the first k columns, as lists; with k = 0 that is
+ * d = [1] and no rows.  lattice.py builds this file on first use, and the
+ * tests hold this loop to the Python one.
  *
- * Marshalling is text: the n * dim entries arrive column by column as
- * comma-separated Python hex() literals ("0x1f", "-0x1f"), and the results
- * leave as comma-separated base-16 digits ("-1f").
+ * Crossing.  An int is read through a C long where it fits one (mpz_set_si)
+ * and through its own hex text otherwise; a value is written through a long
+ * where word() reads it as one, and through GMP's base-16 text otherwise, so
+ * LONG_MIN, which word() excludes, is read as a word and written as text.
+ * The loop runs with the interpreter's lock released, between reading its
+ * input and building its output, and touches no Python object there.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <gmp.h>
 #include <limits.h>
-#include <stdlib.h>
 #include <string.h>
 
 #ifndef __SIZEOF_INT128__
 #error "the word path computes in __int128: build with GCC or Clang for a 64-bit target"
 #endif
 
-enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_NO_MEMORY = 3, LLL_BUDGET = 4 };
+/* reduce's statuses, which lattice.py names C_DEPENDENT, C_PREMISE and C_BUDGET */
+enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_BUDGET = 3 };
 
 /* The reduction state.  input holds the n input columns' dim entries, column
  * by column, and at exit the reduced columns; packed[i] is column i packed as
@@ -157,23 +163,6 @@ static void cross_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b, int sign, mp
     else
         mpz_submul(t, c, e);
     mpz_divexact(out, t, den);
-}
-
-/* Parse count comma-separated hex() literals of text into store[0..count-1];
- * text is cut up in place. */
-static void parse_entries(mpz_ptr store, size_t count, char *text)
-{
-    size_t e;
-    char *end;
-
-    for (e = 0; e < count; e++) {
-        end = strchr(text, ',');
-        if (end)
-            *end = '\0';
-        mpz_set_str(store + e, text, 0);
-        if (end)
-            text = end + 1;
-    }
 }
 
 /* The indices of col's nonzero entries into nz; returns their count. */
@@ -438,35 +427,6 @@ static void set_width(state *s)
         mpz_setbit(s->offset, s->w * r + s->w - 1);
 }
 
-/* z in base 16 at text + pos, after a comma unless pos = 0; returns the end.
- * With text NULL, returns pos plus room enough for it. */
-static size_t put(char *text, size_t pos, mpz_srcptr z)
-{
-    if (!text)
-        return pos + mpz_sizeinbase(z, 16) + 2;
-    if (pos)
-        text[pos++] = ',';
-    mpz_get_str(text + pos, 16, z);
-    return pos + strlen(text + pos);
-}
-
-/* The output (header: Output) at text, for the prefix k; returns its length,
- * or with text NULL an upper bound of it. */
-static size_t put_output(state *s, int k, char *text)
-{
-    size_t pos = 0, e;
-    int i, j;
-
-    for (e = 0; e < (size_t)s->n * s->dim; e++)
-        pos = put(text, pos, s->input + e);
-    for (i = 1; i <= k; i++)
-        pos = put(text, pos, s->d + i);
-    for (i = 1; i < k; i++)
-        for (j = 0; j < i; j++)
-            pos = put(text, pos, s->lam[i] + j);
-    return pos;
-}
-
 /* Decode every packed column, all size-reduced, into input. */
 static void unpack_all(state *s)
 {
@@ -484,30 +444,165 @@ static void unpack_all(state *s)
     }
 }
 
-/* LLL-reduce the n columns of dimension dim in `entries` with alpha = p/q
- * (hex() literals, any size).  On LLL_OK, *out is the text of the reduced
- * columns and the Gram-Schmidt of the first prefix of them, 0 <= prefix <= n
- * (header: Output), to be released with knapcrack_free.  LLL_DEPENDENT:
- * column *where depends on the columns before it.  LLL_PREMISE: d[j+1] >
- * B d[j] at j = *where, where B is the largest squared norm of an input
- * column.  LLL_BUDGET: an exchange did not lower d[k], or passed the
- * exchange budget (header: Termination). */
-int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char *q,
-                  int prefix, char **out, int *where)
-{
-    size_t total = (size_t)n * dim + n + (size_t)n * n + n + 1, e;
-    state s;
-    char *text = strdup(entries);
-    int i, status = LLL_NO_MEMORY;
 
-    *out = NULL;
-    s.n = n;
-    s.dim = dim;
-    s.input = malloc(total * sizeof(__mpz_struct));
-    s.lam = malloc(n * sizeof(mpz_ptr));
-    s.nz = malloc(dim * sizeof(int));
-    if (!text || !s.input || !s.lam || !s.nz)
+/* z = the int obj (header: Crossing).  Returns -1 with an exception set, a
+ * TypeError where obj is not an int. */
+static int read_int(mpz_ptr z, PyObject *obj)
+{
+    PyObject *text;
+    const char *digits;
+    long v;
+    int overflow, status;
+
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "an LLL entry must be an int, not %.100s",
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    v = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (!overflow) {
+        mpz_set_si(z, v);
+        return 0;
+    }
+    if (!(text = PyNumber_ToBase(obj, 16)))
+        return -1;
+    digits = PyUnicode_AsUTF8(text);
+    status = digits ? mpz_set_str(z, digits, 0) : -1;
+    if (digits && status)
+        PyErr_Format(PyExc_ValueError, "GMP cannot read %.100s", digits);
+    Py_DECREF(text);
+    return status;
+}
+
+/* The int z (header: Crossing), or NULL with an exception set. */
+static PyObject *new_int(mpz_srcptr z)
+{
+    void (*release)(void *, size_t);
+    PyObject *obj;
+    char *digits;
+    long v;
+
+    if (word(z, &v))
+        return PyLong_FromLong(v);
+    digits = mpz_get_str(NULL, 16, z);
+    obj = PyLong_FromString(digits, NULL, 16);
+    mp_get_memory_functions(NULL, NULL, &release);
+    release(digits, strlen(digits) + 1);
+    return obj;
+}
+
+/* The n columns of dim entries of cols, a list or tuple, into input, and p
+ * and q; returns -1 with an exception set where one is not read. */
+static int read_input(state *s, PyObject *cols, PyObject *p, PyObject *q)
+{
+    PyObject *col, **entries;
+    int i, r, status = 0;
+
+    for (i = 0; !status && i < s->n; i++) {
+        if (!(col = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, i),
+                                    "a column must be a sequence")))
+            return -1;
+        if (PySequence_Fast_GET_SIZE(col) != s->dim) {
+            PyErr_SetString(PyExc_ValueError, "columns must share one dimension");
+            status = -1;
+        }
+        entries = PySequence_Fast_ITEMS(col);
+        for (r = 0; !status && r < s->dim; r++)
+            status = read_int(s->input + (size_t)i * s->dim + r, entries[r]);
+        Py_DECREF(col);
+    }
+    if (status || read_int(s->p, p))
+        return -1;
+    return read_int(s->q, q);
+}
+
+/* (columns, d, lam) for the prefix k (header: Output), or NULL with an
+ * exception set. */
+static PyObject *output(state *s, int k)
+{
+    PyObject *cols = PyTuple_New(s->n), *d = PyList_New(k + 1), *lam = PyList_New(k), *seq, *x;
+    int i, j;
+
+    if (!cols || !d || !lam)
+        goto fail;
+    for (i = 0; i < s->n; i++) {
+        if (!(seq = PyTuple_New(s->dim)))
+            goto fail;
+        PyTuple_SET_ITEM(cols, i, seq);
+        for (j = 0; j < s->dim; j++) {
+            if (!(x = new_int(s->input + (size_t)i * s->dim + j)))
+                goto fail;
+            PyTuple_SET_ITEM(seq, j, x);
+        }
+    }
+    for (i = 0; i <= k; i++) {
+        if (!(x = new_int(s->d + i)))
+            goto fail;
+        PyList_SET_ITEM(d, i, x);
+    }
+    for (i = 0; i < k; i++) {
+        if (!(seq = PyList_New(i)))
+            goto fail;
+        PyList_SET_ITEM(lam, i, seq);
+        for (j = 0; j < i; j++) {
+            if (!(x = new_int(s->lam[i] + j)))
+                goto fail;
+            PyList_SET_ITEM(seq, j, x);
+        }
+    }
+    return Py_BuildValue("NNN", cols, d, lam);
+fail:
+    Py_XDECREF(cols);
+    Py_XDECREF(d);
+    Py_XDECREF(lam);
+    return NULL;
+}
+
+/* reduce(cols, p, q, prefix): LLL-reduce the columns cols, a list or tuple
+ * of n lists or tuples of dim ints, with alpha = p/q.  Returns (status,
+ * value): (LLL_OK, (columns, d, lam)) with the Gram-Schmidt of the first
+ * prefix columns, 0 <= prefix <= n (header: Output), or a failure status and
+ * where it happened.  LLL_DEPENDENT: column where depends on the columns
+ * before it.  LLL_PREMISE: d[j+1] > B d[j] at j = where, where B is the
+ * largest squared norm of an input column.  LLL_BUDGET: an exchange did not
+ * lower d[k], or passed the exchange budget (header: Termination).  An entry
+ * that is not an int raises TypeError. */
+static PyObject *lll_reduce(PyObject *module, PyObject *args)
+{
+    PyObject *cols, *p, *q, *seq, *value = NULL;
+    Py_ssize_t n, dim;
+    size_t total = 0, e;
+    state s;
+    int prefix, where = 0, status = LLL_OK, i;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOOi:reduce", &cols, &p, &q, &prefix)
+        || !(seq = PySequence_Fast(cols, "the columns must be a sequence")))
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(seq);
+    dim = n ? PySequence_Size(PySequence_Fast_GET_ITEM(seq, 0)) : 0;
+    s.input = NULL;
+    s.lam = NULL;
+    s.nz = NULL;
+    if (dim < 0)
         goto release;
+    if (n < 1 || n > INT_MAX || dim < 1 || dim > INT_MAX || prefix < 0 || prefix > n) {
+        PyErr_SetString(PyExc_ValueError, "reduce takes n >= 1 columns of dim >= 1 entries "
+                                          "and a prefix in 0..n");
+        goto release;
+    }
+    s.n = (int)n;
+    s.dim = (int)dim;
+    total = (size_t)n * dim + n + (size_t)n * n + n + 1;
+    s.input = PyMem_New(__mpz_struct, total);
+    s.lam = PyMem_New(mpz_ptr, n);
+    s.nz = PyMem_New(int, dim);
+    if (!s.input || !s.lam || !s.nz) {
+        PyErr_NoMemory();
+        goto release;
+    }
     for (e = 0; e < total; e++)
         mpz_init(s.input + e);
     s.packed = s.input + (size_t)n * dim;
@@ -517,25 +612,24 @@ int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char
     mpz_set_ui(s.d, 1);
     mpz_inits(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
               NULL);
-    mpz_set_str(s.p, p, 0);
-    mpz_set_str(s.q, q, 0);
-    parse_entries(s.input, (size_t)n * dim, text);
-    set_width(&s);
 
-    status = reduce(&s, where);
-    for (i = 0; status == LLL_OK && i < n; i++) {
-        mpz_mul(s.t1, s.bound, s.d + i);
-        if (mpz_cmp(s.d + i + 1, s.t1) > 0) {
-            *where = i;
-            status = LLL_PREMISE;
+    if (!read_input(&s, seq, p, q)) {
+        Py_BEGIN_ALLOW_THREADS
+        set_width(&s);
+        status = reduce(&s, &where);
+        for (i = 0; status == LLL_OK && i < n; i++) {
+            mpz_mul(s.t1, s.bound, s.d + i);
+            if (mpz_cmp(s.d + i + 1, s.t1) > 0) {
+                where = i;
+                status = LLL_PREMISE;
+            }
         }
-    }
-    if (status == LLL_OK) {
-        unpack_all(&s);
-        if ((*out = malloc(put_output(&s, prefix, NULL) + 1)))
-            (*out)[put_output(&s, prefix, *out)] = '\0';
-        else
-            status = LLL_NO_MEMORY;
+        if (status == LLL_OK)
+            unpack_all(&s);
+        Py_END_ALLOW_THREADS
+        value = status == LLL_OK ? output(&s, prefix) : PyLong_FromLong(where);
+        if (value)
+            value = Py_BuildValue("iN", status, value);
     }
 
     mpz_clears(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
@@ -543,14 +637,30 @@ int knapcrack_lll(int n, int dim, const char *entries, const char *p, const char
     for (e = 0; e < total; e++)
         mpz_clear(s.input + e);
 release:
-    free(text);
-    free(s.input);
-    free(s.lam);
-    free(s.nz);
-    return status;
+    PyMem_Free(s.input);
+    PyMem_Free(s.lam);
+    PyMem_Free(s.nz);
+    Py_DECREF(seq);
+    return value;
 }
 
-void knapcrack_free(char *text)
+static PyMethodDef methods[] = {
+    {"reduce", lll_reduce, METH_VARARGS,
+     "reduce(cols, p, q, prefix) -> (status, value): the LLL loop over GMP."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyModuleDef_Slot slots[] = {{0, NULL}};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_lll",
+    .m_doc = "lattice._python_reduce over GMP; lattice.py loads and wraps it.",
+    .m_methods = methods,
+    .m_slots = slots,
+};
+
+PyMODINIT_FUNC PyInit__lll(void)
 {
-    free(text);
+    return PyModuleDef_Init(&module);
 }

@@ -48,14 +48,20 @@ columns.  The C loop packs each column into one ``mpz_t``; that format, its
 slot width and the proof that the width suffices belong to ``_lll.c`` alone
 and are written in its header.  The Python loop runs on plain integer
 columns, so the tests hold the C loop's packing to plain integer arithmetic.
-The file is built on the first call in a process (``_native``): ``cc -O2
--shared -fPIC ... -lgmp`` writes it next to its source under a name keyed to
-a hash of the source, renamed into place whole, and ``ctypes`` loads it;
-that build then deletes the binaries of other sources beside it.
-``_kernel`` holds the C loop, or ``None``.  Entries cross as hex text.
-Where the build or the load fails (no C compiler, no GMP, no ``__int128``,
-a read-only directory) the Python loop runs instead, and the build is not
-tried again in that process.
+The file is a CPython extension module, built on the first call in a
+process (``_native``): ``cc -O2 -shared -fPIC -I<Python headers> ...
+-lgmp`` writes it next to its source under a name keyed to a hash of the
+source and ending in the interpreter's extension suffix, renamed into place
+whole, and ``importlib`` loads it as ``knapcrack._lll``, outside
+``sys.modules``, so that builds of several sources load side by side; that
+build then deletes the binaries of other sources beside it.  ``_kernel``
+holds the C loop, or ``None``.  Its entry takes the column tuples and
+returns the record's parts as ints, tuples and lists, or a failure as a
+status with its column or index, from which the wrapper raises the Python
+loop's error.  Where the build or the load fails (no C compiler, no GMP,
+no ``__int128``, no Python headers, a read-only directory, a binary that
+does not import) the Python loop runs instead, and the build is not tried
+again in that process.
 ``_python_reduce`` is that fallback and the reference the tests hold the C
 loop to; ``kernel_name()`` says which loop runs.  Both loops take
 ``(cols, p, q, prefix)`` and return a ``Reduced``, and ``lll`` calls
@@ -128,7 +134,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain
 from operator import add, mul, sub
 from pathlib import Path
 from typing import NamedTuple
@@ -139,7 +145,7 @@ DEFAULT_ALPHA = Fraction(99, 100)
 
 _SOURCE = Path(__file__).with_name("_lll.c")
 BUILD_TIMEOUT_S = 120
-C_DEPENDENT, C_PREMISE, C_NO_MEMORY, C_BUDGET = 1, 2, 3, 4  # the C loop's failure statuses
+C_DEPENDENT, C_PREMISE, C_BUDGET = 1, 2, 3  # the C loop's failure statuses
 _UNBUILT = object()
 # The C loop once _native has loaded it, or None where it cannot be built;
 # one value per process, as the build is tried once.
@@ -175,79 +181,68 @@ def _native() -> Reduce | None:
 def _load(source: Path) -> Reduce | None:
     """Load the C loop of source, built next to it on first use, and wrap it.
 
-    The library's name carries a hash of the source, so an edited source is
-    never run from an old binary; a build removes the binaries of other
-    sources beside it.  Without a C compiler with ``__int128`` or GMP, or in
-    a read-only directory, this returns None.
+    The extension's name carries a hash of the source, so an edited source
+    is never run from an old binary; a build removes the binaries of other
+    sources beside it, for this interpreter's suffix and the plain ``.so`` of
+    older builds.  Without a C compiler with ``__int128``, GMP or the Python
+    headers, in a read-only directory, or where the binary does not import,
+    this returns None.
     """
-    import ctypes
     import hashlib
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import module_from_spec, spec_from_file_location
 
+    suffix = EXTENSION_SUFFIXES[0]
     try:
         code = source.read_bytes()
-        binary = source.with_name(f"{source.stem}_{hashlib.sha256(code).hexdigest()[:16]}.so")
+        binary = source.with_name(f"{source.stem}_{hashlib.sha256(code).hexdigest()[:16]}{suffix}")
         if not binary.exists():
             if not _build(source, binary):
                 return None
-            for stale in source.parent.glob(f"{source.stem}_{'[0-9a-f]' * 16}.so"):
+            hashed = f"{source.stem}_{'[0-9a-f]' * 16}"
+            for stale in chain(source.parent.glob(hashed + suffix),
+                               source.parent.glob(hashed + ".so")):
                 if stale != binary:
                     stale.unlink(missing_ok=True)
-        lib = ctypes.CDLL(str(binary))
-    except OSError:
+        spec = spec_from_file_location("knapcrack._lll", binary)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (OSError, ImportError):
         return None
-    c_lll, c_free = lib.knapcrack_lll, lib.knapcrack_free
-    c_lll.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_char_p, ctypes.c_char_p,
-                      ctypes.c_char_p, ctypes.c_int, ctypes.POINTER(ctypes.c_void_p),
-                      ctypes.POINTER(ctypes.c_int)]
-    c_lll.restype = ctypes.c_int
-    c_free.argtypes = [ctypes.c_void_p]
-    c_free.restype = None
+    c_reduce = module.reduce
 
     def reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -> Reduced:
-        n, dim = len(cols), len(cols[0])
-        out, where = ctypes.c_void_p(), ctypes.c_int()
-        status = c_lll(n, dim, ",".join(map(hex, chain.from_iterable(cols))).encode(),
-                       hex(p).encode(), hex(q).encode(), prefix, ctypes.byref(out),
-                       ctypes.byref(where))
+        status, value = c_reduce(cols, p, q, prefix)
         if status == C_DEPENDENT:
-            raise _dependent(where.value)
+            raise _dependent(value)
         if status == C_PREMISE:
-            raise _premise_failure(where.value, max(sum(x * x for x in c) for c in cols))
-        if status == C_NO_MEMORY:
-            raise MemoryError("the C loop could not allocate its state")
+            raise _premise_failure(value, max(sum(x * x for x in c) for c in cols))
         if status == C_BUDGET:
             norms = [sum(x * x for x in c) for c in cols]
             raise _termination_failure(_exchange_budget(norms, p, q))
-        try:
-            text = ctypes.string_at(out.value)
-        finally:
-            c_free(out)
-        entries = map(int, text.split(b","), repeat(16))
-        cells = islice(entries, n * dim)
-        columns = tuple(zip(*[cells] * dim))  # dim consecutive entries per column
-        # Then d[1..prefix] and lam rows 1..prefix-1, row i of i entries; d[0] = 1
-        # and the empty row 0 are not sent.
-        d = [1, *islice(entries, prefix)]
-        return Reduced(columns, d, [list(islice(entries, i)) for i in range(prefix)])
+        return Reduced._make(value)
 
     return reduce
 
 
 def _build(source: Path, binary: Path) -> bool:
-    """Compile source into the shared library binary; False when that fails.
+    """Compile source into the extension module binary; False when that fails.
 
-    The library is linked in a fresh directory and renamed into place whole,
+    The module is linked in a fresh directory and renamed into place whole,
     so a concurrent process never loads a half-written file.
     """
     import subprocess
+    import sysconfig
     import tempfile
 
+    include = sysconfig.get_paths()["include"]
     try:
         with tempfile.TemporaryDirectory(prefix=f"{source.stem}_build_",
                                          dir=source.parent) as tmp:
             built = Path(tmp, binary.name)
-            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", str(built), str(source),
-                            "-lgmp"], check=True, capture_output=True, timeout=BUILD_TIMEOUT_S)
+            subprocess.run(["cc", "-O2", "-shared", "-fPIC", f"-I{include}", "-o", str(built),
+                            str(source), "-lgmp"],
+                           check=True, capture_output=True, timeout=BUILD_TIMEOUT_S)
             built.replace(binary)
     except (OSError, subprocess.CalledProcessError, subprocess.TimeoutExpired):
         return False

@@ -8,7 +8,9 @@ import os
 import random
 import subprocess
 import sys
+import sysconfig
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import chain
 
 import pytest
@@ -631,6 +633,19 @@ class TestExchangeBudget:
         assert stopped in outcomes and any(isinstance(o, list) for o in outcomes)
 
 
+# 0, +-1, and the edges of a C long and of two limbs, and far beyond both, in
+# order of absolute value
+CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**200, -2**200]
+
+
+def record_or_error(reduce, cols, p, q, prefix):
+    """reduce's record, or the type and message of what it raised."""
+    try:
+        return reduce(cols, p, q, prefix)
+    except (DependentColumns, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestGmpKernel:
     """The C loop (_lll.c) returns the Python loop's columns and raises its errors."""
 
@@ -709,6 +724,39 @@ class TestGmpKernel:
     def test_edge_shapes_match_python(self, gmp_kernel, cols, alpha):
         assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
 
+    def test_crossing_keeps_every_entry(self, gmp_kernel):
+        # A diagonal basis in order of norm is reduced, so every entry, d and
+        # lam crosses into C and back unchanged.  -2^63 is read as a word and
+        # written back through GMP.
+        entries = CROSSING[1:]
+        cols = [[x if r == i else 0 for r in range(len(entries))] for i, x in enumerate(entries)]
+        for alpha in (DEFAULT_ALPHA, *WIDE_ALPHAS):
+            p, q = alpha.numerator, alpha.denominator
+            for prefix in range(len(cols) + 1):
+                record = gmp_kernel(cols, p, q, prefix)
+                assert record == lattice._python_reduce(cols, p, q, prefix)
+                assert [list(c) for c in record.columns] == cols
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.lists(st.sampled_from(CROSSING), min_size=dim, max_size=dim), min_size=1,
+        max_size=4)), st.sampled_from([DEFAULT_ALPHA, *WIDE_ALPHAS]))
+    def test_crossing_records_match_python(self, gmp_kernel, cols, alpha):
+        p, q = alpha.numerator, alpha.denominator
+        for prefix in range(len(cols) + 1):
+            assert record_or_error(gmp_kernel, cols, p, q, prefix) == \
+                record_or_error(lattice._python_reduce, cols, p, q, prefix)
+
+    def test_a_non_int_entry_raises_type_error(self, gmp_kernel):
+        cols = [[2**200, 1], [3, -2**63]]
+        for bad in ([[2**200, 1], [3, 4.0]], [[1, "2"], [3, 4]], [[1, 2], [3, None]]):
+            with pytest.raises(TypeError, match="must be an int"):
+                gmp_kernel(bad, 99, 100, 2)
+        with pytest.raises(TypeError, match="must be an int"):
+            gmp_kernel(cols, Fraction(99), 100, 2)
+        # The state of the failed call was freed, and the next call runs.
+        assert gmp_kernel(cols, 99, 100, 2) == lattice._python_reduce(cols, 99, 100, 2)
+
     @pytest.mark.parametrize("n", [10, 20, 30])
     def test_attack_bases_match_python(self, gmp_kernel, n):
         # The LO pair, and the kernel, CJLOSS and AHL bases of an instance, its
@@ -734,7 +782,7 @@ def copy_of_source(directory):
 
 def built_name(source):
     """The file name the C loop of source is built under."""
-    return f"_lll_{hashlib.sha256(source.read_bytes()).hexdigest()[:16]}.so"
+    return f"_lll_{hashlib.sha256(source.read_bytes()).hexdigest()[:16]}{EXTENSION_SUFFIXES[0]}"
 
 
 def no_compiler(argv, **kwargs):
@@ -747,6 +795,14 @@ def no_gmp(argv, **kwargs):
 
 def hung_compiler(argv, **kwargs):
     raise subprocess.TimeoutExpired(argv, lattice.BUILD_TIMEOUT_S)
+
+
+RUN = subprocess.run
+
+
+def no_python_headers(argv, **kwargs):
+    """The compiler itself, whose -I names a directory without Python.h."""
+    return RUN(argv, **kwargs)
 
 
 def verdicts():
@@ -782,19 +838,52 @@ class TestKernelBuild:
         assert lattice._load(source) is None
 
     def test_a_build_removes_stale_binaries(self, gmp_kernel, tmp_path):
-        # A build deletes the binaries of older sources beside it, but not
-        # the build directories of concurrent builds; a plain load deletes
-        # nothing.
+        # A build deletes the binaries of older sources beside it, under this
+        # interpreter's suffix or the plain .so of older builds, but not a
+        # binary under another suffix or the build directories of concurrent
+        # builds; a plain load deletes nothing.
         source = copy_of_source(tmp_path)
-        stale = tmp_path / "_lll_0000000000000000.so"
-        stale.write_bytes(b"")
+        stale = [tmp_path / f"_lll_0000000000000000{EXTENSION_SUFFIXES[0]}",
+                 tmp_path / "_lll_0000000000000000.so"]
+        other = tmp_path / "_lll_0000000000000000.abi3.so"
+        for path in (*stale, other):
+            path.write_bytes(b"")
         (tmp_path / "_lll_build_0000").mkdir()
         assert lattice._load(source) is not None
         assert sorted(p.name for p in tmp_path.iterdir()) == \
-            sorted(["_lll.c", "_lll_build_0000", built_name(source)])
-        stale.write_bytes(b"")
+            sorted(["_lll.c", "_lll_build_0000", other.name, built_name(source)])
+        stale[0].write_bytes(b"")
         assert lattice._load(source) is not None
-        assert stale.exists()
+        assert stale[0].exists()
+
+    @pytest.mark.parametrize("binary", ["not-a-library", "no-init-function"])
+    def test_a_binary_that_does_not_import_runs_the_python_loop(self, gmp_kernel, tmp_path,
+                                                               monkeypatch, binary):
+        source = copy_of_source(tmp_path)
+        built = tmp_path / built_name(source)
+        if binary == "not-a-library":
+            built.write_bytes(b"not a shared library\n")
+        else:
+            (tmp_path / "empty.c").write_text("int knapcrack_empty;\n")
+            subprocess.run(["cc", "-shared", "-fPIC", "-o", str(built), str(tmp_path / "empty.c")],
+                           check=True, capture_output=True)
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(lattice, "_SOURCE", source)
+        monkeypatch.setattr(lattice, "_kernel", lattice._UNBUILT)
+        assert lattice._load(source) is None
+        assert lattice.kernel_name() == "python"
+        python_reduces = []
+
+        def python_reduce(*args):
+            python_reduces.append(args)
+            return real_reduce(*args)
+
+        real_reduce = lattice._python_reduce
+        monkeypatch.setattr(lattice, "_python_reduce", python_reduce)
+        basis = build_lattice_B(generate_instance(16, 0).instance, DEFAULT_N)
+        assert lll(basis) == gmp_kernel(basis.columns, 99, 100, 0)
+        assert len(python_reduces) == 1
+        assert built.exists()
 
     def test_concurrent_first_builds_leave_one_binary(self, gmp_kernel, tmp_path):
         # Processes that start together may each build; each renames its own
@@ -808,7 +897,7 @@ class TestKernelBuild:
         assert [proc.wait(timeout=300) for proc in procs] == [0, 0, 0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", built_name(source)]
 
-    @pytest.mark.parametrize("failure", [no_compiler, no_gmp, hung_compiler])
+    @pytest.mark.parametrize("failure", [no_compiler, no_gmp, hung_compiler, no_python_headers])
     def test_a_failed_build_runs_the_python_loop(self, gmp_kernel, tmp_path, monkeypatch,
                                                  failure):
         builds = []
@@ -828,7 +917,10 @@ class TestKernelBuild:
         monkeypatch.setattr(subprocess, "run", build)
         monkeypatch.setattr(lattice, "_SOURCE", copy_of_source(tmp_path))
         monkeypatch.setattr(lattice, "_kernel", lattice._UNBUILT)
-        stale = tmp_path / "_lll_0000000000000000.so"
+        # Python's include directory has no headers; only no_python_headers
+        # runs the compiler to find that out.
+        monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path / "include")})
+        stale = tmp_path / f"_lll_0000000000000000{EXTENSION_SUFFIXES[0]}"
         stale.write_bytes(b"")
         fallback = verdicts()
         assert lattice.kernel_name() == "python"
