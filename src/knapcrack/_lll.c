@@ -1,7 +1,8 @@
-/* Exact LLL over GMP: lattice._python_reduce, run on mpz_t, as the CPython
- * extension module knapcrack._lll.
+/* Exact LLL over GMP and the kernel sweep that follows it: lattice._python_reduce
+ * and reduction._sweep, run on mpz_t, as the CPython extension module
+ * knapcrack._lll.
  *
- * Its one entry, reduce, is the same Cohen integral LLL (Alg. 2.6.7) as the
+ * Its first entry, reduce, is the same Cohen integral LLL (Alg. 2.6.7) as the
  * Python loop, step for step: the same k_max first visits, the same
  * zero-prefix skip of the inner products (gso_row), the same nearest integer
  * ceil(q - 1/2), the same Lovasz test against alpha = p/q and the same
@@ -12,7 +13,8 @@
  * exchange one mpz_swap, and slots are decoded only at first visits, at the
  * input column's nonzero coordinates, and once at exit.  The packing is this
  * file's own format, so the tests that hold this loop to the Python one check
- * it against plain integer arithmetic.
+ * it against plain integer arithmetic.  Its second entry, sweep, is
+ * reduction._sweep (Sweep, below).
  *
  * Packing.  Each column is one integer (Kronecker substitution): with slot
  * width w, column b is packed as P = sum_r b[r] 2^(w r), entry r in slot r in
@@ -66,14 +68,14 @@
  * there is its calls, not its arithmetic.  word() reads an mpz_t as a long
  * when |z| <= LONG_MAX, and four steps compute in words when their operands
  * are ones: the Lovasz test (lovasz_fails), the size reduction's test,
- * rounding and updates (size_reduce, sub_multiple), and the quotients of the
- * exchange and of gso_row (cross_quotient).  Each does its arithmetic in
- * __int128, where a product of two longs and a sum of two such products are
- * exact, or in long under __builtin_*_overflow, and writes a result with
- * mpz_set_si only when it fits in a long; otherwise the step runs in GMP for
- * that value.  Storage stays mpz_t, and every value and decision is the one
- * GMP would compute.  The build needs __int128 (GCC or Clang on a 64-bit
- * target) and stops with #error without it, so the Python loop runs.
+ * rounding and updates (size_reduce, round_nearest, sub_multiple), and the
+ * quotients of the exchange and of gso_row (cross_quotient).  Each does its
+ * arithmetic in __int128, where a product of two longs and a sum of two such
+ * products are exact, or in long under __builtin_*_overflow, and writes a
+ * result with mpz_set_si only when it fits in a long; otherwise the step runs
+ * in GMP for that value.  Storage stays mpz_t, and every value and decision
+ * is the one GMP would compute.  The build needs __int128 (GCC or Clang on a
+ * 64-bit target) and stops with #error without it, so the Python loop runs.
  *
  * Termination.  The loop checks the two steps of LLL's termination proof, as
  * the Python loop does (lattice.py's docstring has the proof): each exchange
@@ -98,6 +100,27 @@
  * LONG_MIN, which word() excludes, is read as a word and written as text.
  * The loop runs with the interpreter's lock released, between reading its
  * input and building its output, and touches no Python object there.
+ *
+ * Sweep.  sweep(cols, d, lam, target, step) is reduction._sweep, Babai's
+ * nearest-plane rounding of target against the kernel basis D, whose s
+ * columns are cols and whose integral Gram-Schmidt is (d, lam), as LLL left it
+ * for decompose.  It takes the target's inner products with the columns,
+ * extends them to the target's row lam_t of the same Gram-Schmidt with
+ * gso_row, the recurrence the LLL loop's first visits run, stopped before the
+ * norm entry; picks q_j = step round_nearest(lam_t[j], step d[j+1]) from the
+ * last column down, clearing each from lam_t with sub_multiple; and builds
+ * target - D q once, at the end.  So its rounding, its exact quotients and
+ * their word paths are the LLL loop's own, written once.  D and the target
+ * are read as C longs, a vector through GMP only where one of its entries is
+ * not a long: copying every entry of D into an mpz_t costs more than the
+ * sweep's arithmetic.  Their inner products and target - D q then run in
+ * __int128 under overflow checks, and GMP computes any that overflows.  d and
+ * lam are read into mpz_t with read_int, as gso_row and sub_multiple take
+ * them, and an entry of target - D q beyond a long is written with new_int
+ * (Crossing).  The half shift of reduce_half, 2x - 1 and its undoing, stays
+ * in Python.  The sweep
+ * holds the interpreter's lock: it is short, and it reads Python objects
+ * until it has its input.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -176,11 +199,13 @@ static int nonzero(mpz_srcptr col, int dim, int *nz)
     return count;
 }
 
-/* Column k's GSO row from its inner products (lattice.gso_row): on entry
- * lam[k][j] holds the inner product with column j < k and d[k+1] the squared
- * norm; on return they hold lam = mu d[j+1] and the Gram determinant.  A zero
- * prefix of the inner products telescopes to g[j] * d[z]. */
-static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, mpz_ptr t)
+/* Row k of the GSO from its inner products (lattice.gso_row): on entry
+ * lam[k][j] holds the inner product with column j < k, and with len = k + 1
+ * d[k+1] the squared norm; on return they hold lam = mu d[j+1] and the Gram
+ * determinant.  With len = k the row stops before the norm entry and d[k+1]
+ * is not read.  A zero prefix of the inner products telescopes to
+ * g[j] * d[z]. */
+static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, int len, mpz_ptr t)
 {
     mpz_ptr row = lam[k], u;
     mpz_srcptr lj;
@@ -188,7 +213,7 @@ static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, mpz_ptr t)
 
     for (z = 0; z < k && !mpz_sgn(row + z); z++)
         ;
-    for (j = z; j <= k; j++) {
+    for (j = z; j < len; j++) {
         u = j < k ? row + j : d + k + 1;
         lj = j < k ? lam[j] : row;
         mpz_mul(u, u, d + z);
@@ -197,14 +222,31 @@ static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, mpz_ptr t)
     }
 }
 
-/* gamma = ceil(num/den - 1/2) = -((den - 2 num) // (2 den)), den > 0. */
-static void round_nearest(state *s, mpz_srcptr num, mpz_srcptr den)
+/* gamma = ceil(num/den - 1/2) = -((den - 2 num) // (2 den)), den > 0.  Where
+ * both are words, from C's division, which truncates: the quotient moves one
+ * away from zero where the remainder passes half of den, and at a negative
+ * half tie (4.5 -> 4, -4.5 -> -5).  Otherwise in GMP, with t1 and t2 as
+ * scratch. */
+static void round_nearest(mpz_ptr gamma, mpz_srcptr num, mpz_srcptr den, mpz_ptr t1,
+                          mpz_ptr t2)
 {
-    mpz_mul_2exp(s->t1, num, 1);
-    mpz_sub(s->t1, den, s->t1);
-    mpz_mul_2exp(s->t2, den, 1);
-    mpz_fdiv_q(s->gamma, s->t1, s->t2);
-    mpz_neg(s->gamma, s->gamma);
+    long l, d, g, r;
+
+    if (word(num, &l) && word(den, &d)) {
+        g = l / d;
+        r = l % d;
+        if (2 * (__int128)r > d)
+            g++;
+        else if (2 * (__int128)r <= -(__int128)d)
+            g--;
+        mpz_set_si(gamma, g);
+        return;
+    }
+    mpz_mul_2exp(t1, num, 1);
+    mpz_sub(t1, den, t1);
+    mpz_mul_2exp(t2, den, 1);
+    mpz_fdiv_q(gamma, t1, t2);
+    mpz_neg(gamma, gamma);
 }
 
 /* v[0..len-1] -= gamma * w[0..len-1]: an entry in words where gamma, both
@@ -258,7 +300,7 @@ static int visit(state *s, int k)
     mpz_set_ui(d + k + 1, 0);
     for (r = 0; r < nnz; r++)
         mpz_addmul(d + k + 1, ck + s->nz[r], ck + s->nz[r]);
-    gso_row(s->lam, d, k, s->t1);
+    gso_row(s->lam, d, k, k + 1, s->t1);
     if (!mpz_sgn(d + k + 1))
         return 1;
     for (r = 0; r < nnz; r++) {
@@ -274,27 +316,17 @@ static int visit(state *s, int k)
 static void size_reduce(state *s, int k, int j)
 {
     mpz_ptr lkj = s->lam[k] + j, dj = s->d + j + 1;
-    long l, d, g, r;
+    long l, d;
 
     if (word(lkj, &l) && word(dj, &d)) {
         if (2 * (__int128)l <= d && -2 * (__int128)l <= d)
             return;
-        /* ceil(l/d - 1/2) from C's division, which truncates: the quotient
-         * moves one away from zero where the remainder passes half of d,
-         * and at a negative half tie (4.5 -> 4, -4.5 -> -5). */
-        g = l / d;
-        r = l % d;
-        if (2 * (__int128)r > d)
-            g++;
-        else if (2 * (__int128)r <= -(__int128)d)
-            g--;
-        mpz_set_si(s->gamma, g);
     } else {
         mpz_mul_2exp(s->t1, lkj, 1);
         if (mpz_cmpabs(s->t1, dj) <= 0)
             return;
-        round_nearest(s, lkj, dj);
     }
+    round_nearest(s->gamma, lkj, dj, s->t1, s->t2);
     sub_multiple(s->packed + k, s->packed + j, 1, s->gamma);
     sub_multiple(s->lam[k], s->lam[j], j, s->gamma);
     sub_multiple(lkj, dj, 1, s->gamma);
@@ -445,6 +477,15 @@ static void unpack_all(state *s)
 }
 
 
+/* 0 where obj is an int; else -1 with a TypeError set. */
+static int check_int(PyObject *obj)
+{
+    if (PyLong_Check(obj))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "an entry must be an int, not %.100s", Py_TYPE(obj)->tp_name);
+    return -1;
+}
+
 /* z = the int obj (header: Crossing).  Returns -1 with an exception set, a
  * TypeError where obj is not an int. */
 static int read_int(mpz_ptr z, PyObject *obj)
@@ -454,11 +495,8 @@ static int read_int(mpz_ptr z, PyObject *obj)
     long v;
     int overflow, status;
 
-    if (!PyLong_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "an LLL entry must be an int, not %.100s",
-                     Py_TYPE(obj)->tp_name);
+    if (check_int(obj))
         return -1;
-    }
     v = PyLong_AsLongAndOverflow(obj, &overflow);
     if (v == -1 && PyErr_Occurred())
         return -1;
@@ -644,9 +682,267 @@ release:
     return value;
 }
 
+/* A vector of the sweep (header: Sweep): its entries as words in w, or,
+ * where one of them is not a word, all of them in z, with wide set. */
+typedef struct {
+    long *w;
+    mpz_ptr z;
+    int wide;
+} ints;
+
+/* The len ints of items into v; returns -1 with an exception set where one is
+ * not read, a TypeError where it is not an int. */
+static int read_ints(ints *v, PyObject **items, int len)
+{
+    int r, overflow;
+
+    v->wide = 0;
+    for (r = 0; r < len; r++) {
+        if (check_int(items[r]))
+            return -1;
+        v->w[r] = PyLong_AsLongAndOverflow(items[r], &overflow);
+        if (v->w[r] == -1 && PyErr_Occurred())
+            return -1;
+        v->wide |= overflow != 0;
+    }
+    for (r = 0; v->wide && r < len; r++)
+        if (read_int(v->z + r, items[r]))
+            return -1;
+    return 0;
+}
+
+/* Entry r of v as an mpz_t, set into t where v is words. */
+static mpz_srcptr entry(const ints *v, int r, mpz_ptr t)
+{
+    if (v->wide)
+        return v->z + r;
+    mpz_set_si(t, v->w[r]);
+    return t;
+}
+
+/* out = the inner product of a and b, of len entries each: in __int128 where
+ * both are words and no sum overflows, written as a word where it fits one;
+ * otherwise in GMP, with t1 and t2 as scratch.  A product of two longs is at
+ * most 2^126 in absolute value, so only the sums need a check. */
+static void dot(mpz_ptr out, const ints *a, const ints *b, int len, mpz_ptr t1, mpz_ptr t2)
+{
+    __int128 acc = 0;
+    int r;
+
+    if (!a->wide && !b->wide) {
+        for (r = 0; r < len; r++)
+            if (__builtin_add_overflow(acc, (__int128)a->w[r] * b->w[r], &acc))
+                break;
+        if (r == len && acc >= LONG_MIN && acc <= LONG_MAX) {
+            mpz_set_si(out, (long)acc);
+            return;
+        }
+    }
+    mpz_set_ui(out, 0);
+    for (r = 0; r < len; r++)
+        mpz_addmul(out, entry(a, r, t1), entry(b, r, t2));
+}
+
+/* The sweep's state (header: Sweep).  cols[j] is column j of D and x the
+ * target, n entries each; d holds d[0..s]; rows[j] points at lam row j
+ * (entries 0..j-1) for j < s and rows[s] at lam_t; q[j] is the multiple of
+ * column j, and the nq columns with q[j] != 0 are listed in used, with q[j]
+ * in qw[j] where every such q and column is a word (small). */
+typedef struct {
+    int s, n, nq, small;
+    ints *cols, x;
+    mpz_ptr d, q, *rows;
+    int *used;
+    long *qw;
+    mpz_t den, gamma, t, t1, t2;
+} sweep_state;
+
+/* The target's row lam_t and the q's, from the last column down
+ * (reduction._sweep). */
+static void babai(sweep_state *s, unsigned long step)
+{
+    mpz_ptr lam_t = s->rows[s->s];
+    int j;
+
+    for (j = 0; j < s->s; j++)
+        dot(lam_t + j, s->cols + j, &s->x, s->n, s->t1, s->t2);
+    gso_row(s->rows, s->d, s->s, s->s, s->t);
+    s->nq = 0;
+    s->small = !s->x.wide;
+    for (j = s->s - 1; j >= 0; j--) {
+        mpz_mul_ui(s->den, s->d + j + 1, step);
+        round_nearest(s->gamma, lam_t + j, s->den, s->t1, s->t2);
+        mpz_mul_ui(s->q + j, s->gamma, step);
+        if (!mpz_sgn(s->q + j))
+            continue;
+        sub_multiple(lam_t, s->rows[j], j, s->q + j);
+        s->used[s->nq++] = j;
+        s->small = s->small && !s->cols[j].wide && word(s->q + j, s->qw + j);
+    }
+}
+
+/* Entry r of target - D q as an int, or NULL with an exception set: in
+ * __int128 where every operand is a word and no step overflows, written as a
+ * word where it fits one; otherwise in GMP. */
+static PyObject *residual(sweep_state *s, int r)
+{
+    __int128 acc = s->x.w[r];
+    int i, j, small = s->small;
+
+    for (i = 0; small && i < s->nq; i++) {
+        j = s->used[i];
+        small = !__builtin_sub_overflow(acc, (__int128)s->qw[j] * s->cols[j].w[r], &acc);
+    }
+    if (small && acc >= LONG_MIN && acc <= LONG_MAX)
+        return PyLong_FromLong((long)acc);
+    mpz_set(s->t, entry(&s->x, r, s->t1));
+    for (i = 0; i < s->nq; i++) {
+        j = s->used[i];
+        mpz_submul(s->t, s->q + j, entry(s->cols + j, r, s->t1));
+    }
+    return new_int(s->t);
+}
+
+/* Reads the columns, d, lam rows 0..s-1 and the target (header: Sweep);
+ * returns -1 with an exception set where one is not read. */
+static int read_sweep(sweep_state *s, PyObject *cols, PyObject *d, PyObject *lam,
+                      PyObject *target)
+{
+    PyObject *seq;
+    int j, i, status = 0;
+
+    if (read_ints(&s->x, PySequence_Fast_ITEMS(target), s->n))
+        return -1;
+    for (j = 0; !status && j < s->s; j++) {
+        if (!(seq = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, j),
+                                    "a column must be a sequence")))
+            return -1;
+        if (PySequence_Fast_GET_SIZE(seq) != s->n) {
+            PyErr_SetString(PyExc_ValueError, "the columns and the target must share one "
+                                              "dimension");
+            status = -1;
+        }
+        if (!status)
+            status = read_ints(s->cols + j, PySequence_Fast_ITEMS(seq), s->n);
+        Py_DECREF(seq);
+    }
+    for (j = 0; !status && j <= s->s; j++) {
+        status = read_int(s->d + j, PySequence_Fast_GET_ITEM(d, j));
+        if (!status && mpz_sgn(s->d + j) <= 0) {
+            PyErr_SetString(PyExc_ValueError, "d must be positive");
+            status = -1;
+        }
+    }
+    for (j = 0; !status && j < s->s; j++) {
+        if (!(seq = PySequence_Fast(PySequence_Fast_GET_ITEM(lam, j),
+                                    "a lam row must be a sequence")))
+            return -1;
+        if (PySequence_Fast_GET_SIZE(seq) != j) {
+            PyErr_SetString(PyExc_ValueError, "lam row j must have j entries");
+            status = -1;
+        }
+        for (i = 0; !status && i < j; i++)
+            status = read_int(s->rows[j] + i, PySequence_Fast_GET_ITEM(seq, i));
+        Py_DECREF(seq);
+    }
+    return status;
+}
+
+/* sweep(cols, d, lam, target, step): reduction._sweep of target, a list or
+ * tuple of n ints, against the s columns cols of D, lists or tuples of n
+ * ints, whose integral Gram-Schmidt is d[0..s] and lam rows 0..s-1, with
+ * step >= 1 (header: Sweep).  Returns target - D q as a list of n ints.  An
+ * entry that is not an int raises TypeError; shapes that do not match raise
+ * ValueError. */
+static PyObject *lll_sweep(PyObject *module, PyObject *args)
+{
+    PyObject *cols, *d, *lam, *target, *out = NULL, *x;
+    PyObject *seqs[4] = {NULL, NULL, NULL, NULL};
+    Py_ssize_t s_size, n_size;
+    size_t words = 0, mpzs = 0, e;
+    sweep_state s;
+    mpz_ptr z = NULL;
+    long *w = NULL;
+    int step, j, r;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOOOi:sweep", &cols, &d, &lam, &target, &step)
+        || !(seqs[0] = PySequence_Fast(cols, "the columns must be a sequence"))
+        || !(seqs[1] = PySequence_Fast(d, "d must be a sequence"))
+        || !(seqs[2] = PySequence_Fast(lam, "lam must be a sequence"))
+        || !(seqs[3] = PySequence_Fast(target, "the target must be a sequence")))
+        goto release;
+    s_size = PySequence_Fast_GET_SIZE(seqs[0]);
+    n_size = PySequence_Fast_GET_SIZE(seqs[3]);
+    if (s_size > INT_MAX || n_size < 1 || n_size > INT_MAX
+        || PySequence_Fast_GET_SIZE(seqs[1]) <= s_size
+        || PySequence_Fast_GET_SIZE(seqs[2]) < s_size || step < 1) {
+        PyErr_SetString(PyExc_ValueError, "sweep takes s columns, d[0..s], lam rows "
+                                          "0..s-1, a target of n >= 1 entries and a step >= 1");
+        goto release;
+    }
+    s.s = (int)s_size;
+    s.n = (int)n_size;
+    s.cols = PyMem_New(ints, s.s);
+    s.rows = PyMem_New(mpz_ptr, s.s + 1);
+    s.used = PyMem_New(int, s.s);
+    /* words: the columns, the target and qw; mpzs: the same vectors' GMP
+     * copies, d, the lam rows, lam_t and q */
+    words = (size_t)(s.s + 1) * s.n + s.s;
+    mpzs = (size_t)(s.s + 1) * s.n + (s.s + 1) + (size_t)s.s * (s.s - 1) / 2 + 2 * (size_t)s.s;
+    w = PyMem_New(long, words);
+    z = PyMem_New(__mpz_struct, mpzs);
+    if (!s.cols || !s.rows || !s.used || !w || !z) {
+        PyErr_NoMemory();
+        goto free;
+    }
+    for (e = 0; e < mpzs; e++)
+        mpz_init(z + e);
+    for (j = 0; j <= s.s; j++) {
+        ints *v = j < s.s ? s.cols + j : &s.x;
+
+        v->w = w + (size_t)j * s.n;
+        v->z = z + (size_t)j * s.n;
+    }
+    s.qw = w + (size_t)(s.s + 1) * s.n;
+    s.d = z + (size_t)(s.s + 1) * s.n;
+    s.rows[0] = s.d + s.s + 1;
+    for (j = 0; j < s.s; j++)
+        s.rows[j + 1] = s.rows[j] + j;
+    s.q = s.rows[s.s] + s.s;
+    mpz_inits(s.den, s.gamma, s.t, s.t1, s.t2, NULL);
+
+    if (!read_sweep(&s, seqs[0], seqs[1], seqs[2], seqs[3])) {
+        babai(&s, (unsigned long)step);
+        out = PyList_New(s.n);
+        for (r = 0; out && r < s.n; r++) {
+            if (!(x = residual(&s, r)))
+                Py_CLEAR(out);
+            else
+                PyList_SET_ITEM(out, r, x);
+        }
+    }
+
+    mpz_clears(s.den, s.gamma, s.t, s.t1, s.t2, NULL);
+    for (e = 0; e < mpzs; e++)
+        mpz_clear(z + e);
+free:
+    PyMem_Free(s.cols);
+    PyMem_Free(s.rows);
+    PyMem_Free(s.used);
+    PyMem_Free(w);
+    PyMem_Free(z);
+release:
+    for (j = 0; j < 4; j++)
+        Py_XDECREF(seqs[j]);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"reduce", lll_reduce, METH_VARARGS,
      "reduce(cols, p, q, prefix) -> (status, value): the LLL loop over GMP."},
+    {"sweep", lll_sweep, METH_VARARGS,
+     "sweep(cols, d, lam, target, step) -> list: reduction._sweep over GMP."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -655,7 +951,7 @@ static PyModuleDef_Slot slots[] = {{0, NULL}};
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_lll",
-    .m_doc = "lattice._python_reduce over GMP; lattice.py loads and wraps it.",
+    .m_doc = "lattice._python_reduce and reduction._sweep over GMP; lattice.py loads them.",
     .m_methods = methods,
     .m_slots = slots,
 };

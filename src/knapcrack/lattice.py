@@ -50,20 +50,23 @@ and are written in its header.  The Python loop runs on plain integer
 columns, so the tests hold the C loop's packing to plain integer arithmetic.
 The file is a CPython extension module, built on the first call in a
 process (``_native``): ``cc -O2 -shared -fPIC -I<Python headers> ...
--lgmp`` writes it next to its source under a name keyed to a hash of the
-source and ending in the interpreter's extension suffix, renamed into place
-whole, and ``importlib`` loads it as ``knapcrack._lll``, outside
-``sys.modules``, so that builds of several sources load side by side; that
-build then deletes the binaries of other sources beside it.  ``_kernel``
-holds the C loop, or ``None``.  Its entry takes the column tuples and
-returns the record's parts as ints, tuples and lists, or a failure as a
-status with its column or index, from which the wrapper raises the Python
-loop's error.  Where the build or the load fails (no C compiler, no GMP,
-no ``__int128``, no Python headers, a read-only directory, a binary that
-does not import) the Python loop runs instead, and the build is not tried
-again in that process.
+-lgmp`` writes it next to its source under a name keyed to a 64-bit digest
+of the source (``_binary_name``) and ending in the interpreter's extension
+suffix, renamed into place whole, and ``importlib`` loads it as
+``knapcrack._lll``, outside ``sys.modules``, so that builds of several
+sources load side by side; that build then deletes the binaries of other
+sources beside it.  The extension has two entries: ``reduce``, this loop,
+and ``sweep``, the kernel sweep of ``reduction``, which reuses the C
+``gso_row`` and rounding.  ``_kernel`` holds both, as a ``Kernel``, or
+``None``: one build, one binary, and one ``kernel_name()`` for both.
+``reduce`` takes the column tuples and returns the record's parts as ints,
+tuples and lists, or a failure as a status with its column or index, from
+which the wrapper raises the Python loop's error.  Where the build or the
+load fails (no C compiler, no GMP, no ``__int128``, no Python headers, a
+read-only directory, a binary that does not import) the Python loop and
+sweep run instead, and the build is not tried again in that process.
 ``_python_reduce`` is that fallback and the reference the tests hold the C
-loop to; ``kernel_name()`` says which loop runs.  Both loops take
+loop to; ``kernel_name()`` says which kernel runs.  Both loops take
 ``(cols, p, q, prefix)`` and return a ``Reduced``, and ``lll`` calls
 whichever runs.
 
@@ -147,8 +150,8 @@ _SOURCE = Path(__file__).with_name("_lll.c")
 BUILD_TIMEOUT_S = 120
 C_DEPENDENT, C_PREMISE, C_BUDGET = 1, 2, 3  # the C loop's failure statuses
 _UNBUILT = object()
-# The C loop once _native has loaded it, or None where it cannot be built;
-# one value per process, as the build is tried once.
+# The C entries once _native has loaded them, or None where they cannot be
+# built; one value per process, as the build is tried once.
 _kernel: object = _UNBUILT
 
 
@@ -165,37 +168,55 @@ class Reduced(NamedTuple):
 Reduce = Callable[[Sequence[Sequence[int]], int, int, int], Reduced]
 
 
+class Kernel(NamedTuple):
+    """The C extension's two entries: the LLL loop, wrapped to return a
+    ``Reduced`` or raise the Python loop's errors, and ``reduction``'s sweep,
+    ``(cols, d, lam, target, step) -> list``, as it is."""
+
+    reduce: Reduce
+    sweep: Callable[..., list[int]]
+
+
 def kernel_name() -> str:
-    """The kernel that runs in this process: "gmp" (the C loop) or "python"."""
+    """The kernel that runs in this process: "gmp" (the C entries) or "python"."""
     return "python" if _native() is None else "gmp"
 
 
-def _native() -> Reduce | None:
-    """The C loop, built and loaded at the first call; None where it cannot be."""
+def _native() -> Kernel | None:
+    """The C entries, built and loaded at the first call; None where they cannot be."""
     global _kernel
     if _kernel is _UNBUILT:
         _kernel = _load(_SOURCE)
     return _kernel
 
 
-def _load(source: Path) -> Reduce | None:
-    """Load the C loop of source, built next to it on first use, and wrap it.
+def _binary_name(source: Path) -> str:
+    """The file name the extension of source is built and loaded under: its
+    stem, a 64-bit digest of its content (CRC-32 and Adler-32, from ``zlib``,
+    which ``site`` has already imported) and the interpreter's extension suffix."""
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from zlib import adler32, crc32
 
-    The extension's name carries a hash of the source, so an edited source
+    code = source.read_bytes()
+    return f"{source.stem}_{crc32(code):08x}{adler32(code):08x}{EXTENSION_SUFFIXES[0]}"
+
+
+def _load(source: Path) -> Kernel | None:
+    """Load the C entries of source, built next to it on first use.
+
+    The extension's name carries a digest of the source, so an edited source
     is never run from an old binary; a build removes the binaries of other
     sources beside it, for this interpreter's suffix and the plain ``.so`` of
     older builds.  Without a C compiler with ``__int128``, GMP or the Python
     headers, in a read-only directory, or where the binary does not import,
     this returns None.
     """
-    import hashlib
     from importlib.machinery import EXTENSION_SUFFIXES
     from importlib.util import module_from_spec, spec_from_file_location
 
     suffix = EXTENSION_SUFFIXES[0]
     try:
-        code = source.read_bytes()
-        binary = source.with_name(f"{source.stem}_{hashlib.sha256(code).hexdigest()[:16]}{suffix}")
+        binary = source.with_name(_binary_name(source))
         if not binary.exists():
             if not _build(source, binary):
                 return None
@@ -222,7 +243,7 @@ def _load(source: Path) -> Reduce | None:
             raise _termination_failure(_exchange_budget(norms, p, q))
         return Reduced._make(value)
 
-    return reduce
+    return Kernel(reduce, module.sweep)
 
 
 def _build(source: Path, binary: Path) -> bool:
@@ -437,5 +458,6 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0) -
         raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
     if not 0 <= prefix <= basis.n:
         raise ValueError(f"prefix must lie in 0..{basis.n}, got {prefix}")
-    reduce = _native() or _python_reduce
+    kernel = _native()
+    reduce = kernel.reduce if kernel else _python_reduce
     return reduce(basis.columns, alpha.numerator, alpha.denominator, prefix)

@@ -22,15 +22,23 @@ target's coefficients are mu/2 and the nearest multiple of 2D_j is
 round(mu_j / 2), so q = round(lam_t[j] / (2 d[j+1])) with lam_t taken
 against D, and the sweep subtracts 2q * D_j and 2q * lam[j]: the same q's,
 and the same vector, as the doubled basis gives.
+
+The sweep runs in C, as the second entry of the LLL loop's extension
+(``_lll.c``), wherever that loads (``lattice.kernel_name()`` is "gmp"), and
+``_sweep`` otherwise: the Python fallback, and the reference the tests hold
+the C entry to.  Both return the same vector on every input; the target's
+length is checked here, before either runs, and the half shift's parity
+check and undoing stay here too.
 """
 
 from __future__ import annotations
 
 from operator import sub
 
+from .errors import DimensionMismatch
 from .formulations import KernelDecomposition
 from .intmat import mat_vec
-from .lattice import gso_row, round_nearest
+from .lattice import _native, gso_row, round_nearest
 
 
 def _sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
@@ -53,17 +61,27 @@ def _sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
     return list(map(sub, target, mat_vec(kd.D, qs)))
 
 
+def _run_sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
+    """_sweep, in the C extension where it loads."""
+    kernel = _native()
+    if kernel is None:
+        return _sweep(kd, target, step)
+    if len(target) != len(kd.D):
+        raise DimensionMismatch(f"matrix width != vector length {len(target)}")
+    return kernel.sweep(kd.kernel_columns, *kd.gso, target, step)
+
+
 def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:
     """Shorten an integer solution x_b by the kernel basis D of kd.
 
     The result differs from x_b by a kernel vector.
     """
-    return _sweep(kd, [int(v) for v in x_b], 1)
+    return _run_sweep(kd, [int(v) for v in x_b], 1)
 
 
 def reduce_half(x_b, kd: KernelDecomposition) -> list[int]:
     """Half-shifted variant: sweep (2D | 2x_b - 1), then undo the shift."""
-    reduced = _sweep(kd, [2 * int(v) - 1 for v in x_b], 2)
+    reduced = _run_sweep(kd, [2 * int(v) - 1 for v in x_b], 2)
     if any((v + 1) % 2 for v in reduced):
         raise AssertionError("half-shift sweep lost the odd parity")
     return [(v + 1) // 2 for v in reduced]

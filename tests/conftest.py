@@ -1,11 +1,13 @@
-"""Fixtures that choose the LLL loop a test runs, and keep DAG search lanes per test.
+"""Fixtures that choose the kernel a test runs, and keep DAG search lanes per test.
 
-The library picks its loop itself: the C loop over GMP (``_lll.c``) where it
-builds, the Python loop elsewhere.  Either returns the reduced columns with
-the Gram-Schmidt of the prefix its caller names, which is all the
-decomposition's Gram-Schmidt there is.  Tests that instrument the Python
-loop pin it by setting ``lattice._kernel``; tests of the C loop ask for it
-and hold it to its Python twin.
+The library picks its kernel itself: the C extension over GMP (``_lll.c``)
+where it builds, Python elsewhere.  The extension holds two entries, the LLL
+loop and the kernel sweep, and ``lattice._kernel`` holds both or neither.
+Either LLL loop returns the reduced columns with the Gram-Schmidt of the
+prefix its caller names, which is all the decomposition's Gram-Schmidt there
+is.  Tests that instrument the Python code pin it by setting
+``lattice._kernel``; tests of the C entries ask for them and hold each to
+its Python twin.
 
 A DAG search lane runs the code and module state it was forked with, and it
 serves every later search of its process.  So each test starts and ends with
@@ -27,13 +29,15 @@ def no_lanes_across_tests():
 
 @pytest.fixture
 def python_kernel(monkeypatch):
-    """Run every reduction of the test, and so every decomposition's Gram-Schmidt, in Python."""
+    """Run every reduction of the test, and so every decomposition's Gram-Schmidt,
+    and every sweep in Python."""
     monkeypatch.setattr(lattice, "_kernel", None)
 
 
 @pytest.fixture(scope="session")
 def gmp_kernel():
-    """The C loop, lattice._python_reduce's twin; skips only where it cannot be built."""
+    """The C entries, a lattice.Kernel: the LLL loop, lattice._python_reduce's twin,
+    and the sweep, reduction._sweep's; skips only where they cannot be built."""
     kernel = lattice._native()
     if kernel is None:
         pytest.skip("no C compiler or GMP here to build the C loop")

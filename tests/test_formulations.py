@@ -367,9 +367,9 @@ class TestComplementFallback:
         def counting(cols, p, q, prefix):
             assert prefix == 0  # an attack reads no Gram-Schmidt
             calls.append(cols[-1])
-            return gmp_kernel(cols, p, q, prefix)
+            return gmp_kernel.reduce(cols, p, q, prefix)
 
-        monkeypatch.setattr(lattice, "_kernel", counting)
+        monkeypatch.setattr(lattice, "_kernel", gmp_kernel._replace(reduce=counting))
         counts_seen = set()
         for seed in range(20):
             system = generate_instance(20, seed).instance

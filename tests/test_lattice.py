@@ -1,7 +1,6 @@
 """Exact LLL and its rational GSO oracle: worked examples, update lemmas, and
 reduction contracts."""
 
-import hashlib
 import math
 import operator
 import os
@@ -733,7 +732,7 @@ class TestGmpKernel:
         for alpha in (DEFAULT_ALPHA, *WIDE_ALPHAS):
             p, q = alpha.numerator, alpha.denominator
             for prefix in range(len(cols) + 1):
-                record = gmp_kernel(cols, p, q, prefix)
+                record = gmp_kernel.reduce(cols, p, q, prefix)
                 assert record == lattice._python_reduce(cols, p, q, prefix)
                 assert [list(c) for c in record.columns] == cols
 
@@ -744,18 +743,18 @@ class TestGmpKernel:
     def test_crossing_records_match_python(self, gmp_kernel, cols, alpha):
         p, q = alpha.numerator, alpha.denominator
         for prefix in range(len(cols) + 1):
-            assert record_or_error(gmp_kernel, cols, p, q, prefix) == \
+            assert record_or_error(gmp_kernel.reduce, cols, p, q, prefix) == \
                 record_or_error(lattice._python_reduce, cols, p, q, prefix)
 
     def test_a_non_int_entry_raises_type_error(self, gmp_kernel):
         cols = [[2**200, 1], [3, -2**63]]
         for bad in ([[2**200, 1], [3, 4.0]], [[1, "2"], [3, 4]], [[1, 2], [3, None]]):
             with pytest.raises(TypeError, match="must be an int"):
-                gmp_kernel(bad, 99, 100, 2)
+                gmp_kernel.reduce(bad, 99, 100, 2)
         with pytest.raises(TypeError, match="must be an int"):
-            gmp_kernel(cols, Fraction(99), 100, 2)
+            gmp_kernel.reduce(cols, Fraction(99), 100, 2)
         # The state of the failed call was freed, and the next call runs.
-        assert gmp_kernel(cols, 99, 100, 2) == lattice._python_reduce(cols, 99, 100, 2)
+        assert gmp_kernel.reduce(cols, 99, 100, 2) == lattice._python_reduce(cols, 99, 100, 2)
 
     @pytest.mark.parametrize("n", [10, 20, 30])
     def test_attack_bases_match_python(self, gmp_kernel, n):
@@ -781,8 +780,8 @@ def copy_of_source(directory):
 
 
 def built_name(source):
-    """The file name the C loop of source is built under."""
-    return f"_lll_{hashlib.sha256(source.read_bytes()).hexdigest()[:16]}{EXTENSION_SUFFIXES[0]}"
+    """The file name the C extension of source is built under."""
+    return lattice._binary_name(source)
 
 
 def no_compiler(argv, **kwargs):
@@ -826,14 +825,14 @@ class TestKernelBuild:
 
     def test_builds_once_under_its_source_hash(self, gmp_kernel, tmp_path, monkeypatch):
         source = copy_of_source(tmp_path)
-        reduce = lattice._load(source)
+        reduce = lattice._load(source).reduce
         assert sorted(p.name for p in tmp_path.iterdir()) == ["_lll.c", built_name(source)]
         cols = build_lattice_B(generate_instance(16, 0).instance, DEFAULT_N).columns
-        assert reduce(cols, 99, 100, 15) == gmp_kernel(cols, 99, 100, 15)
+        assert reduce(cols, 99, 100, 15) == gmp_kernel.reduce(cols, 99, 100, 15)
         # The built library is loaded again without a compiler; an edited
         # source is not, since its hash names another file.
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        assert lattice._load(source)(cols, 99, 100, 15) == reduce(cols, 99, 100, 15)
+        assert lattice._load(source).reduce(cols, 99, 100, 15) == reduce(cols, 99, 100, 15)
         source.write_bytes(source.read_bytes() + b"\n")
         assert lattice._load(source) is None
 
@@ -881,7 +880,7 @@ class TestKernelBuild:
         real_reduce = lattice._python_reduce
         monkeypatch.setattr(lattice, "_python_reduce", python_reduce)
         basis = build_lattice_B(generate_instance(16, 0).instance, DEFAULT_N)
-        assert lll(basis) == gmp_kernel(basis.columns, 99, 100, 0)
+        assert lll(basis) == gmp_kernel.reduce(basis.columns, 99, 100, 0)
         assert len(python_reduces) == 1
         assert built.exists()
 

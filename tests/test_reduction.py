@@ -2,17 +2,18 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from knapcrack import lattice
+from knapcrack import lattice, reduction
 from knapcrack.errors import DependentColumns, DimensionMismatch
 from knapcrack.formulations import attack_ahl, decompose, special_solution
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
-from knapcrack.reduction import reduce_half, reduce_solution
+from knapcrack.reduction import _sweep, reduce_half, reduce_solution
 
 from oracles import (half_sweep_fraction, integral_gso, kernel_of, solve_integer_combination,
                      sweep_fraction)
@@ -22,6 +23,18 @@ TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
 def toy_kernel():
     return decompose(TOY_SYS)
+
+
+def in_each_sweep(run):
+    """run() with the Python sweep pinned, then with the C sweep where it
+    builds (the Python one again where it does not): both results."""
+    native = lattice._native()
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        for kernel in (None, native):
+            mp.setattr(lattice, "_kernel", kernel)
+            results.append(run())
+    return results
 
 
 class TestReduce:
@@ -51,8 +64,18 @@ class TestReduce:
             assert solve_integer_combination(cols, diff) is not None
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            reduce_solution([1, 2], toy_kernel())
+        # The C sweep's wrapper checks the length before the call, as
+        # mat_vec does in the Python sweep.
+        kd = toy_kernel()
+
+        def mismatches():
+            for reduce in (reduce_solution, reduce_half):
+                for target in ([1, 2], [1, 2, 3, 4]):
+                    with pytest.raises(DimensionMismatch):
+                        reduce(target, kd)
+            return reduce_half([1, 2, 3], kd)
+
+        assert in_each_sweep(mismatches) == [reduce_half([1, 2, 3], kd)] * 2
 
 
 class TestReduceHalf:
@@ -209,8 +232,10 @@ class TestOracleAgreement:
         kd = decompose(sys)
         cols = kd.kernel_columns
         xb = [v + dv for v, dv in zip(special_solution(kd, sys.b), shift)]
-        assert reduce_solution(xb, kd) == sweep_fraction(cols, xb, "asymmetric")
-        assert reduce_half(xb, kd) == half_sweep_fraction(cols, xb, "asymmetric")
+        expected = (sweep_fraction(cols, xb, "asymmetric"),
+                    half_sweep_fraction(cols, xb, "asymmetric"))
+        assert in_each_sweep(lambda: (reduce_solution(xb, kd), reduce_half(xb, kd))) == \
+            [expected] * 2
 
     @pytest.mark.parametrize("rounding, expected", [("asymmetric", [1, 0, 5]),
                                                     ("symmetric", [-1, 0, 5])])
@@ -219,8 +244,9 @@ class TestOracleAgreement:
         cols = [[2, 0, 0], [1, 1, 0]]
         target = [2, 1, 5]
         assert sweep_fraction(cols, target, rounding) == expected
-        assert reduce_solution(target, kernel_from_cols(cols)) == sweep_fraction(
-            cols, target, "asymmetric")
+        kd = kernel_from_cols(cols)
+        assert in_each_sweep(lambda: reduce_solution(target, kd)) == \
+            [sweep_fraction(cols, target, "asymmetric")] * 2
 
     @pytest.mark.parametrize("target, rounding, expected", [
         ([1, 0], "asymmetric", [1, 0]),
@@ -233,8 +259,9 @@ class TestOracleAgreement:
     def test_single_vector_ties(self, target, rounding, expected):
         cols = [[2, 0]]
         assert sweep_fraction(cols, target, rounding) == expected
-        assert reduce_solution(target, kernel_from_cols(cols)) == sweep_fraction(
-            cols, target, "asymmetric")
+        kd = kernel_from_cols(cols)
+        assert in_each_sweep(lambda: reduce_solution(target, kd)) == \
+            [sweep_fraction(cols, target, "asymmetric")] * 2
 
     @pytest.mark.parametrize("rounding, expected", [("asymmetric", [1, 0]),
                                                     ("symmetric", [0, 0])])
@@ -242,8 +269,9 @@ class TestOracleAgreement:
         # (2D | 2x - 1) = ((2, 0) | (1, -1)): the coefficient is exactly 1/2.
         cols = [[1, 0]]
         assert half_sweep_fraction(cols, [1, 0], rounding) == expected
-        assert reduce_half([1, 0], kernel_from_cols(cols)) == half_sweep_fraction(
-            cols, [1, 0], "asymmetric")
+        kd = kernel_from_cols(cols)
+        assert in_each_sweep(lambda: reduce_half([1, 0], kd)) == \
+            [half_sweep_fraction(cols, [1, 0], "asymmetric")] * 2
 
     @pytest.mark.parametrize("cols", [[[1, 0, 0], [2, 0, 0]],
                                       [[1, 2, 3], [0, 0, 0]],
@@ -254,3 +282,145 @@ class TestOracleAgreement:
         # does the oracle's kernel_of.
         with pytest.raises(DependentColumns, match="column"):
             kernel_from_cols(cols)
+
+
+# 0, +-1, and the edges of a C long and of two limbs, and far beyond both
+CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**200, -2**200]
+SWEEP_ENTRIES = st.one_of(st.sampled_from(CROSSING), st.integers(-3, 3))
+
+
+def e(r, v=1, dim=5):
+    return [v if i == r else 0 for i in range(dim)]
+
+
+# Two-column kernels whose d[1] or lam[1][0] is each value of CROSSING that a
+# d or a lam can take: d[1] = ||D_0||^2 with 2^63 - 1 as a sum of four
+# squares, and lam[1][0] = <D_1, D_0>.
+EDGE_GSO_KERNELS = (
+    [[col, [1, 0, 0, 0, 1]] for col in (e(0), [3037000499, 76994, 671, 23, 0],
+                                        [2**31, 2**31, 0, 0, 0], e(0, 2**32), e(0, 2**100))]
+    + [[e(0), [v, 0, 0, 0, 1]] for v in CROSSING])
+
+
+@st.composite
+def crossing_kernel_and_target(draw):
+    """Independent columns and a target whose entries cross a C long, so
+    that their d and lam do too."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(1, n))
+    column = st.lists(SWEEP_ENTRIES, min_size=n, max_size=n)
+    cols = [draw(column) for _ in range(s)]
+    try:
+        integral_gso(cols)
+    except DependentColumns:
+        assume(False)
+    return cols, draw(column)
+
+
+def c_sweep_outcome(gmp_kernel, cols, target, step):
+    """The C sweep's vector and the Python sweep's, on the decomposition of cols."""
+    kd = kernel_from_cols(cols)
+    return (gmp_kernel.sweep(kd.kernel_columns, *kd.gso, target, step),
+            _sweep(kd, target, step))
+
+
+class TestCSweep:
+    """The C sweep (_lll.c) returns reduction._sweep's vector on every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(crossing_kernel_and_target(), st.sampled_from([1, 2]))
+    def test_crossing_entries_match_python(self, gmp_kernel, case, step):
+        cols, target = case
+        ours, reference = c_sweep_outcome(gmp_kernel, cols, target, step)
+        assert ours == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(EDGE_GSO_KERNELS), st.lists(SWEEP_ENTRIES, min_size=5, max_size=5),
+           st.sampled_from([1, 2]))
+    def test_edge_d_and_lam_match_python(self, gmp_kernel, cols, target, step):
+        ours, reference = c_sweep_outcome(gmp_kernel, cols, target, step)
+        assert ours == reference
+
+    def test_edge_kernels_reach_every_value(self):
+        d1 = {integral_gso(cols)[0][1] for cols in EDGE_GSO_KERNELS}
+        lam10 = {integral_gso(cols)[1][1][0] for cols in EDGE_GSO_KERNELS}
+        assert {2**63 - 1, 2**63, 2**64, 2**200} <= d1
+        assert set(CROSSING) <= lam10
+
+    @pytest.mark.parametrize("target", [[0, 0, 5, 7], [0, 0, 0, 7], [0, 0, 0, 0],
+                                        [0, 0, -2**63, 2**200]])
+    def test_zero_prefix_of_inner_products(self, gmp_kernel, target):
+        # The target is orthogonal to the first two columns, or all three.
+        cols = [e(0, 3, 4), e(1, 2, 4), [1, 1, 1, 0]]
+        for step in (1, 2):
+            ours, reference = c_sweep_outcome(gmp_kernel, cols, target, step)
+            assert ours == reference
+
+    def test_sums_past_int128_match_python(self, gmp_kernel):
+        # An inner product of four terms 2^126, whose sum wraps to 0 in 128
+        # bits; and a target in the lattice of columns -2^63 e_0 + e_(j+1),
+        # whose q's are +-(2^63 - 1), so that target - D q passes 2^127
+        # between words before it returns to 0.
+        a = 2**63 - 1
+        cases = [([[-2**63] * 4 + [1]], [-2**63] * 4 + [0])]
+        cols = [[-2**63] + e(j, 1, 6) for j in range(6)]
+        for target in ([0, -a, -a, -a, a, a, a], [0, -a, -a, -a, a, a, a - 1]):
+            cases.append((cols, target))
+        for cols, target in cases:
+            for step in (1, 2):
+                ours, reference = c_sweep_outcome(gmp_kernel, cols, target, step)
+                assert ours == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(SWEEP_ENTRIES, min_size=n, max_size=n).filter(any),
+        st.lists(SWEEP_ENTRIES, min_size=n, max_size=n))), st.sampled_from([1, 2]))
+    def test_one_column_kernels_match_python(self, gmp_kernel, case, step):
+        col, target = case
+        ours, reference = c_sweep_outcome(gmp_kernel, [col], target, step)
+        assert ours == reference
+
+    def test_the_library_runs_the_c_sweep(self, gmp_kernel, monkeypatch):
+        # With the C entries loaded, reduce_solution and reduce_half never
+        # reach the Python sweep.
+        kd = toy_kernel()
+        expected = reduce_solution([3, 0, 0], kd), reduce_half([3, 0, 0], kd)
+        monkeypatch.setattr(lattice, "_kernel", gmp_kernel)
+
+        def no_python_sweep(*args):
+            raise AssertionError("the Python sweep ran")
+
+        monkeypatch.setattr(reduction, "_sweep", no_python_sweep)
+        assert (reduce_solution([3, 0, 0], kd), reduce_half([3, 0, 0], kd)) == expected
+
+    def test_a_non_int_entry_raises_type_error(self, gmp_kernel):
+        kd = toy_kernel()
+        cols, (d, lam), target = kd.kernel_columns, kd.gso, [3, 0, 0]
+        bad_cols = [list(c) for c in cols]
+        bad_cols[-1][-1] = 1.0
+        bad_lam = [list(row) for row in lam]
+        bad_lam[-1][-1] = Fraction(bad_lam[-1][-1])
+        for args in ((bad_cols, d, lam, target), (cols, [*d[:-1], str(d[-1])], lam, target),
+                     (cols, d, bad_lam, target), (cols, d, lam, [3, None, 0])):
+            for step in (1, 2):
+                with pytest.raises(TypeError, match="must be an int"):
+                    gmp_kernel.sweep(*args, step)
+        # The state of the failed call was freed, and the next call runs.
+        assert gmp_kernel.sweep(cols, d, lam, target, 1) == _sweep(kd, target, 1)
+
+    def test_an_empty_kernel_leaves_the_target(self):
+        kd = kernel_of([[], [], []])
+        assert in_each_sweep(lambda: (reduce_solution([3, -2**200, 0], kd),
+                                      reduce_half([3, -2**200, 0], kd))) == \
+            [([3, -2**200, 0], [3, -2**200, 0])] * 2
+
+    def test_shapes_that_do_not_match_raise_value_error(self, gmp_kernel):
+        kd = toy_kernel()
+        cols, (d, lam) = kd.kernel_columns, kd.gso
+        for args in ((cols, d, lam, [], 1),
+                     (cols, d, lam, [3, 0, 0], 0), (cols, d[:-1], lam, [3, 0, 0], 1),
+                     (cols, d, lam[:-1], [3, 0, 0], 1), (cols, d, [[], [1, 2]], [3, 0, 0], 1),
+                     (cols, [1, 0, d[2]], lam, [3, 0, 0], 1),
+                     ([cols[0], cols[1][:2]], d, lam, [3, 0, 0], 1)):
+            with pytest.raises(ValueError):
+                gmp_kernel.sweep(*args)
