@@ -24,7 +24,10 @@
  * size-reduced; the integer still equals the packing of the true column.
  * Only decoding needs the entries to fit: adding offset (half of 2^w in every
  * slot) makes every slot hold b[r] + 2^(w-1) in [0, 2^w) with no borrow, and
- * a shift and mask read it.
+ * a shift and mask read it.  Where w <= 64 (most bases), a slot spans at most
+ * two limbs and is read from them (slot), and an input column, whose entries
+ * are below 2^(w-1) in absolute value (below), is packed by writing each
+ * |b[r]| into its slot of a positive or a negative part (pack).
  *
  * The width comes from a proof, not from tracking.  Let B be the largest
  * squared norm of the n input columns.  Every ||b*_j||^2 is at most B: a
@@ -85,7 +88,21 @@
  * When either fails the loop returns LLL_BUDGET, and the wrapper raises the
  * Python loop's AssertionError.  So a wrong d or lam ends in an error instead
  * of an endless loop, at the latest once the budget runs out.  A budget
- * beyond ULONG_MAX is never reached and is held as ULONG_MAX.
+ * beyond ULONG_MAX is never reached and is held as ULONG_MAX: for alpha so
+ * close to 1 that q / (q - p) is near 2^64, as for p/q = (2^65 + 1) /
+ * (2^65 + 3), only the falling-d check guards the loop.  A resumed run
+ * counts its exchanges from 0 against the budget of its own input (Resume).
+ *
+ * Resume.  reduce takes a start, the record of a run on the first r of its
+ * columns with prefix r, and runs from k = r and k_max = r - 1 with those
+ * columns, packed whole, and the start's d[0..r] and lam rows 0..r-1, which
+ * it reads into its own mpz_t and so never writes.  Cohen's loop first
+ * visits column r at exactly the step where a run on columns 0..r-1 ends, in
+ * that state, so the output is the whole run's, bit for bit.  B, the budget
+ * and the width come from the input as given, the start's columns and the
+ * new ones, and the proofs above hold for it: each head ||b*_j||^2 is at
+ * most the squared norm of its column, an input column, so at most B, and
+ * the head's d are the input's Gram determinants, bounded as P0 is.
  *
  * Output.  At exit d and lam are exact for the reduced columns, and the
  * caller names a prefix k: reduce returns the reduced columns, a tuple of
@@ -94,12 +111,17 @@
  * d = [1] and no rows.  lattice.py builds this file on first use, and the
  * tests hold this loop to the Python one.
  *
- * Crossing.  An int is read through a C long where it fits one (mpz_set_si)
- * and through its own hex text otherwise; a value is written through a long
- * where word() reads it as one, and through GMP's base-16 text otherwise, so
- * LONG_MIN, which word() excludes, is read as a word and written as text.
- * The loop runs with the interpreter's lock released, between reading its
- * input and building its output, and touches no Python object there.
+ * Crossing.  An int is read through a C long where it fits one and through
+ * its own hex text otherwise; a value is written through a long where word()
+ * reads it as one, and through GMP's base-16 text otherwise, so LONG_MIN,
+ * which word() excludes, is read as a word and written as text.  The input
+ * columns, which the loop only reads, are read into read-only views of one
+ * limb each (read_view, mpz_roinit_n) where they fit a long, which allocate
+ * nothing; a start's d and lam, which the loop writes, and p and q into
+ * mpz_t of their own (read_int).  The output columns are decoded from their
+ * packing.  The loop runs with the interpreter's lock released, between
+ * reading its input and building its output, and touches no Python object
+ * there.
  *
  * Sweep.  sweep(cols, d, lam, target, step) is reduction._sweep, Babai's
  * nearest-plane rounding of target against the kernel basis D, whose s
@@ -115,12 +137,12 @@
  * not a long: copying every entry of D into an mpz_t costs more than the
  * sweep's arithmetic.  Their inner products and target - D q then run in
  * __int128 under overflow checks, and GMP computes any that overflows.  d and
- * lam are read into mpz_t with read_int, as gso_row and sub_multiple take
- * them, and an entry of target - D q beyond a long is written with new_int
- * (Crossing).  The half shift of reduce_half, 2x - 1 and its undoing, stays
- * in Python.  The sweep
- * holds the interpreter's lock: it is short, and it reads Python objects
- * until it has its input.
+ * lam are read as gso_row and sub_multiple take them, as mpz_t, which the
+ * sweep only reads, so through read_view, and an entry of target - D q
+ * beyond a long is written with new_int (Crossing).  The half shift of
+ * reduce_half, 2x - 1 and its undoing, stays in Python.  The sweep holds the
+ * interpreter's lock: it is short, and it reads Python objects until it has
+ * its input.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -130,6 +152,9 @@
 
 #ifndef __SIZEOF_INT128__
 #error "the word path computes in __int128: build with GCC or Clang for a 64-bit target"
+#endif
+#if GMP_NAIL_BITS != 0 || GMP_NUMB_BITS != 64 || LONG_MAX >> 62 != 1
+#error "words and slots are read from 64-bit limbs: build for a 64-bit target"
 #endif
 
 /* reduce's statuses, which lattice.py names C_DEPENDENT, C_PREMISE and C_BUDGET */
@@ -145,6 +170,7 @@ typedef struct {
     mp_bitcnt_t w;
     unsigned long exchanges, budget;
     mpz_ptr input, packed;
+    mp_limb_t *limbs;
     mpz_ptr *lam, d;
     int *nz;
     mpz_t p, q, bound, offset, half, gamma, num, dnew, t, t1, t2;
@@ -271,12 +297,67 @@ static void sub_multiple(mpz_ptr v, mpz_srcptr w, int len, mpz_srcptr gamma)
 }
 
 /* out = the signed slot r of a packed column whose packing plus offset is
- * shifted, with shifted >= 0. */
+ * shifted, with shifted >= 0: where a slot fits in a limb, from the one or
+ * two limbs it spans (mpz_getlimbn reads 0 past the top one), else in GMP. */
 static void slot(state *s, mpz_ptr out, mpz_srcptr shifted, int r)
 {
-    mpz_fdiv_q_2exp(out, shifted, s->w * r);
+    mp_bitcnt_t at = s->w * r;
+    mp_size_t i = (mp_size_t)(at / GMP_NUMB_BITS);
+    unsigned shift = (unsigned)(at % GMP_NUMB_BITS);
+    mp_limb_t u;
+
+    if (s->w <= GMP_NUMB_BITS) {
+        u = mpz_getlimbn(shifted, i) >> shift;
+        if (shift)
+            u |= mpz_getlimbn(shifted, i + 1) << (GMP_NUMB_BITS - shift);
+        if (s->w < GMP_NUMB_BITS)
+            u &= ((mp_limb_t)1 << s->w) - 1;
+        mpz_set_si(out, (long)(u - ((mp_limb_t)1 << (s->w - 1))));
+        return;
+    }
+    mpz_fdiv_q_2exp(out, shifted, at);
     mpz_fdiv_r_2exp(out, out, s->w);
     mpz_sub(out, out, s->half);
+}
+
+/* packed[k] = input column k packed, its nnz nonzero coordinates being in nz.
+ * Where a slot fits in a limb, each |b[r]| < 2^(w-1) (header: Packing) is
+ * written into its slot of the positive or the negative part, two limb
+ * arrays in t1 and t2, and packed[k] is their difference; else in GMP. */
+static void pack(state *s, int k, int nnz)
+{
+    mpz_srcptr ck = s->input + (size_t)k * s->dim, b;
+    mp_size_t size = (mp_size_t)(s->w * s->dim / GMP_NUMB_BITS) + 2;
+    mp_bitcnt_t at;
+    mp_ptr pos, neg, part;
+    mp_limb_t v;
+    unsigned shift;
+    int r;
+
+    if (s->w > GMP_NUMB_BITS) {
+        for (r = 0; r < nnz; r++) {
+            mpz_mul_2exp(s->t, ck + s->nz[r], s->w * s->nz[r]);
+            mpz_add(s->packed + k, s->packed + k, s->t);
+        }
+        return;
+    }
+    pos = mpz_limbs_write(s->t1, size);
+    neg = mpz_limbs_write(s->t2, size);
+    memset(pos, 0, size * sizeof(mp_limb_t));
+    memset(neg, 0, size * sizeof(mp_limb_t));
+    for (r = 0; r < nnz; r++) {
+        b = ck + s->nz[r];
+        v = mpz_getlimbn(b, 0);
+        part = mpz_sgn(b) > 0 ? pos : neg;
+        at = s->w * s->nz[r];
+        shift = (unsigned)(at % GMP_NUMB_BITS);
+        part[at / GMP_NUMB_BITS] |= v << shift;
+        if (shift)
+            part[at / GMP_NUMB_BITS + 1] |= v >> (GMP_NUMB_BITS - shift);
+    }
+    mpz_limbs_finish(s->t1, size);
+    mpz_limbs_finish(s->t2, size);
+    mpz_sub(s->packed + k, s->t1, s->t2);
 }
 
 /* First visit of column k, still input column k: its GSO row into lam[k]
@@ -303,10 +384,7 @@ static int visit(state *s, int k)
     gso_row(s->lam, d, k, k + 1, s->t1);
     if (!mpz_sgn(d + k + 1))
         return 1;
-    for (r = 0; r < nnz; r++) {
-        mpz_mul_2exp(s->t, ck + s->nz[r], s->w * s->nz[r]);
-        mpz_add(s->packed + k, s->packed + k, s->t);
-    }
+    pack(s, k, nnz);
     return 0;
 }
 
@@ -392,12 +470,13 @@ static int lovasz_fails(state *s, int k)
     return mpz_cmp(s->t1, s->t2) < 0;
 }
 
-/* The loop of lattice._python_reduce from k = 0.  Returns LLL_DEPENDENT with
- * *where = k when column k depends on the columns before it, and LLL_BUDGET
- * at an exchange past the budget or one that does not lower d[k]. */
-static int reduce(state *s, int *where)
+/* The loop of lattice._python_reduce from k = r, columns 0..r-1 and their
+ * GSO being the start's (header: Resume).  Returns LLL_DEPENDENT with *where
+ * = k when column k depends on the columns before it, and LLL_BUDGET at an
+ * exchange past the budget or one that does not lower d[k]. */
+static int reduce(state *s, int r, int *where)
 {
-    int n = s->n, k = 0, kmax = -1, j;
+    int n = s->n, k = r, kmax = r - 1, j;
 
     while (k < n) {
         if (k > kmax) {
@@ -459,23 +538,6 @@ static void set_width(state *s)
         mpz_setbit(s->offset, s->w * r + s->w - 1);
 }
 
-/* Decode every packed column, all size-reduced, into input. */
-static void unpack_all(state *s)
-{
-    mpz_ptr col;
-    int i, r;
-
-    for (i = 0; i < s->n; i++) {
-        col = s->input + (size_t)i * s->dim;
-        mpz_add(s->t, s->packed + i, s->offset);
-        for (r = 0; r < s->dim; r++) {
-            mpz_fdiv_r_2exp(col + r, s->t, s->w);
-            mpz_sub(col + r, col + r, s->half);
-            mpz_fdiv_q_2exp(s->t, s->t, s->w);
-        }
-    }
-}
-
 
 /* 0 where obj is an int; else -1 with a TypeError set. */
 static int check_int(PyObject *obj)
@@ -514,6 +576,37 @@ static int read_int(mpz_ptr z, PyObject *obj)
     return status;
 }
 
+/* z = the int obj, as a read-only view of *limb where it is a word
+ * (mpz_roinit_n), so that reading it allocates nothing, and otherwise through
+ * read_int into z, initialised here.  z must be a view on entry, and only
+ * clear_view may clear it.  Returns -1 with an exception set, a TypeError
+ * where obj is not an int. */
+static int read_view(mpz_ptr z, mp_limb_t *limb, PyObject *obj)
+{
+    long v;
+    int overflow;
+
+    if (check_int(obj))
+        return -1;
+    v = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow) {
+        mpz_init(z);
+        return read_int(z, obj);
+    }
+    *limb = v < 0 ? -(mp_limb_t)v : (mp_limb_t)v;
+    mpz_roinit_n(z, limb, v < 0 ? -1 : v > 0);
+    return 0;
+}
+
+/* Clears z unless it is a view of limb (read_view). */
+static void clear_view(mpz_ptr z, const mp_limb_t *limb)
+{
+    if (mpz_limbs_read(z) != limb)
+        mpz_clear(z);
+}
+
 /* The int z (header: Crossing), or NULL with an exception set. */
 static PyObject *new_int(mpz_srcptr z)
 {
@@ -531,8 +624,9 @@ static PyObject *new_int(mpz_srcptr z)
     return obj;
 }
 
-/* The n columns of dim entries of cols, a list or tuple, into input, and p
- * and q; returns -1 with an exception set where one is not read. */
+/* The n columns of dim entries of cols, a list or tuple, into input, as
+ * views where they are words (read_view), and p and q; returns -1 with an
+ * exception set where one is not read. */
 static int read_input(state *s, PyObject *cols, PyObject *p, PyObject *q)
 {
     PyObject *col, **entries;
@@ -548,7 +642,8 @@ static int read_input(state *s, PyObject *cols, PyObject *p, PyObject *q)
         }
         entries = PySequence_Fast_ITEMS(col);
         for (r = 0; !status && r < s->dim; r++)
-            status = read_int(s->input + (size_t)i * s->dim + r, entries[r]);
+            status = read_view(s->input + (size_t)i * s->dim + r,
+                               s->limbs + (size_t)i * s->dim + r, entries[r]);
         Py_DECREF(col);
     }
     if (status || read_int(s->p, p))
@@ -556,8 +651,38 @@ static int read_input(state *s, PyObject *cols, PyObject *p, PyObject *q)
     return read_int(s->q, q);
 }
 
-/* (columns, d, lam) for the prefix k (header: Output), or NULL with an
- * exception set. */
+/* d[0..r] and lam rows 0..r-1 of a start (header: Resume), from the
+ * sequences d and lam; returns -1 with an exception set where they do not
+ * have that shape, an entry is not an int or a d is not positive. */
+static int read_start(state *s, PyObject *d, PyObject *lam, int r)
+{
+    PyObject *row;
+    int i, j, status = 0;
+
+    for (i = 0; !status && i <= r; i++) {
+        status = read_int(s->d + i, PySequence_Fast_GET_ITEM(d, i));
+        if (!status && mpz_sgn(s->d + i) <= 0) {
+            PyErr_SetString(PyExc_ValueError, "the start's d must be positive");
+            status = -1;
+        }
+    }
+    for (i = 0; !status && i < r; i++) {
+        if (!(row = PySequence_Fast(PySequence_Fast_GET_ITEM(lam, i),
+                                    "a lam row must be a sequence")))
+            return -1;
+        if (PySequence_Fast_GET_SIZE(row) != i) {
+            PyErr_SetString(PyExc_ValueError, "the start's lam row i must have i entries");
+            status = -1;
+        }
+        for (j = 0; !status && j < i; j++)
+            status = read_int(s->lam[i] + j, PySequence_Fast_GET_ITEM(row, j));
+        Py_DECREF(row);
+    }
+    return status;
+}
+
+/* (columns, d, lam) for the prefix k (header: Output), the columns decoded
+ * from their packing, or NULL with an exception set. */
 static PyObject *output(state *s, int k)
 {
     PyObject *cols = PyTuple_New(s->n), *d = PyList_New(k + 1), *lam = PyList_New(k), *seq, *x;
@@ -569,8 +694,10 @@ static PyObject *output(state *s, int k)
         if (!(seq = PyTuple_New(s->dim)))
             goto fail;
         PyTuple_SET_ITEM(cols, i, seq);
+        mpz_add(s->t, s->packed + i, s->offset);
         for (j = 0; j < s->dim; j++) {
-            if (!(x = new_int(s->input + (size_t)i * s->dim + j)))
+            slot(s, s->t2, s->t, j);
+            if (!(x = new_int(s->t2)))
                 goto fail;
             PyTuple_SET_ITEM(seq, j, x);
         }
@@ -598,30 +725,34 @@ fail:
     return NULL;
 }
 
-/* reduce(cols, p, q, prefix): LLL-reduce the columns cols, a list or tuple
- * of n lists or tuples of dim ints, with alpha = p/q.  Returns (status,
- * value): (LLL_OK, (columns, d, lam)) with the Gram-Schmidt of the first
- * prefix columns, 0 <= prefix <= n (header: Output), or a failure status and
- * where it happened.  LLL_DEPENDENT: column where depends on the columns
- * before it.  LLL_PREMISE: d[j+1] > B d[j] at j = where, where B is the
- * largest squared norm of an input column.  LLL_BUDGET: an exchange did not
- * lower d[k], or passed the exchange budget (header: Termination).  An entry
- * that is not an int raises TypeError. */
+/* reduce(cols, p, q, prefix, start=None): LLL-reduce the columns cols, a
+ * list or tuple of n lists or tuples of dim ints, with alpha = p/q, resumed
+ * from start, a tuple (columns, d, lam) with d[0..r] and lam rows 0..r-1 of
+ * cols' first r columns, or from k = 0 where start is None (header:
+ * Resume).  Returns (status, value): (LLL_OK, (columns, d, lam)) with the
+ * Gram-Schmidt of the first prefix columns, 0 <= prefix <= n (header:
+ * Output), or a failure status and where it happened.  LLL_DEPENDENT: column
+ * where depends on the columns before it.  LLL_PREMISE: d[j+1] > B d[j] at
+ * j = where, where B is the largest squared norm of an input column.
+ * LLL_BUDGET: an exchange did not lower d[k], or passed the exchange budget
+ * (header: Termination).  An entry that is not an int raises TypeError, and
+ * a start of another shape ValueError. */
 static PyObject *lll_reduce(PyObject *module, PyObject *args)
 {
-    PyObject *cols, *p, *q, *seq, *value = NULL;
-    Py_ssize_t n, dim;
+    PyObject *cols, *p, *q, *seq, *start = Py_None, *d = NULL, *lam = NULL, *value = NULL;
+    Py_ssize_t n, dim, r = 0;
     size_t total = 0, e;
     state s;
     int prefix, where = 0, status = LLL_OK, i;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OOOi:reduce", &cols, &p, &q, &prefix)
+    if (!PyArg_ParseTuple(args, "OOOi|O:reduce", &cols, &p, &q, &prefix, &start)
         || !(seq = PySequence_Fast(cols, "the columns must be a sequence")))
         return NULL;
     n = PySequence_Fast_GET_SIZE(seq);
     dim = n ? PySequence_Size(PySequence_Fast_GET_ITEM(seq, 0)) : 0;
     s.input = NULL;
+    s.limbs = NULL;
     s.lam = NULL;
     s.nz = NULL;
     if (dim < 0)
@@ -631,17 +762,29 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
                                           "and a prefix in 0..n");
         goto release;
     }
+    if (start != Py_None) {
+        if (!PyTuple_Check(start) || PyTuple_GET_SIZE(start) != 3
+            || !(d = PySequence_Fast(PyTuple_GET_ITEM(start, 1), "d must be a sequence"))
+            || !(lam = PySequence_Fast(PyTuple_GET_ITEM(start, 2), "lam must be a sequence")))
+            goto bad_start;
+        r = PySequence_Fast_GET_SIZE(lam);
+        if (r > n || PySequence_Fast_GET_SIZE(d) != r + 1)
+            goto bad_start;
+    }
     s.n = (int)n;
     s.dim = (int)dim;
     total = (size_t)n * dim + n + (size_t)n * n + n + 1;
     s.input = PyMem_New(__mpz_struct, total);
+    s.limbs = PyMem_New(mp_limb_t, (size_t)n * dim);
     s.lam = PyMem_New(mpz_ptr, n);
     s.nz = PyMem_New(int, dim);
-    if (!s.input || !s.lam || !s.nz) {
+    if (!s.input || !s.limbs || !s.lam || !s.nz) {
         PyErr_NoMemory();
         goto release;
     }
-    for (e = 0; e < total; e++)
+    for (e = 0; e < (size_t)n * dim; e++)
+        mpz_roinit_n(s.input + e, s.limbs + e, 0);
+    for (; e < total; e++)
         mpz_init(s.input + e);
     s.packed = s.input + (size_t)n * dim;
     for (i = 0; i < n; i++)
@@ -651,10 +794,12 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
     mpz_inits(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
               NULL);
 
-    if (!read_input(&s, seq, p, q)) {
+    if (!read_input(&s, seq, p, q) && !(d && read_start(&s, d, lam, (int)r))) {
         Py_BEGIN_ALLOW_THREADS
         set_width(&s);
-        status = reduce(&s, &where);
+        for (i = 0; i < r; i++)
+            pack(&s, i, nonzero(s.input + (size_t)i * s.dim, s.dim, s.nz));
+        status = reduce(&s, (int)r, &where);
         for (i = 0; status == LLL_OK && i < n; i++) {
             mpz_mul(s.t1, s.bound, s.d + i);
             if (mpz_cmp(s.d + i + 1, s.t1) > 0) {
@@ -662,8 +807,6 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
                 status = LLL_PREMISE;
             }
         }
-        if (status == LLL_OK)
-            unpack_all(&s);
         Py_END_ALLOW_THREADS
         value = status == LLL_OK ? output(&s, prefix) : PyLong_FromLong(where);
         if (value)
@@ -672,14 +815,24 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
 
     mpz_clears(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
                NULL);
-    for (e = 0; e < total; e++)
+    for (e = 0; e < (size_t)n * dim; e++)
+        clear_view(s.input + e, s.limbs + e);
+    for (; e < total; e++)
         mpz_clear(s.input + e);
 release:
     PyMem_Free(s.input);
+    PyMem_Free(s.limbs);
     PyMem_Free(s.lam);
     PyMem_Free(s.nz);
+    Py_XDECREF(d);
+    Py_XDECREF(lam);
     Py_DECREF(seq);
     return value;
+bad_start:
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "a start is a tuple (columns, d, lam) with d[0..r] "
+                                          "and lam rows 0..r-1, r <= n");
+    goto release;
 }
 
 /* A vector of the sweep (header: Sweep): its entries as words in w, or,
@@ -745,13 +898,16 @@ static void dot(mpz_ptr out, const ints *a, const ints *b, int len, mpz_ptr t1, 
 
 /* The sweep's state (header: Sweep).  cols[j] is column j of D and x the
  * target, n entries each; d holds d[0..s]; rows[j] points at lam row j
- * (entries 0..j-1) for j < s and rows[s] at lam_t; q[j] is the multiple of
- * column j, and the nq columns with q[j] != 0 are listed in used, with q[j]
- * in qw[j] where every such q and column is a word (small). */
+ * (entries 0..j-1) for j < s and rows[s] at lam_t; d and rows 0..s-1 are
+ * only read, and they follow each other, as views of limbs where they are
+ * words (read_view); q[j] is the multiple of column j, and the nq columns
+ * with q[j] != 0 are listed in used, with q[j] in qw[j] where every such q
+ * and column is a word (small). */
 typedef struct {
     int s, n, nq, small;
     ints *cols, x;
     mpz_ptr d, q, *rows;
+    mp_limb_t *limbs;
     int *used;
     long *qw;
     mpz_t den, gamma, t, t1, t2;
@@ -827,7 +983,7 @@ static int read_sweep(sweep_state *s, PyObject *cols, PyObject *d, PyObject *lam
         Py_DECREF(seq);
     }
     for (j = 0; !status && j <= s->s; j++) {
-        status = read_int(s->d + j, PySequence_Fast_GET_ITEM(d, j));
+        status = read_view(s->d + j, s->limbs + j, PySequence_Fast_GET_ITEM(d, j));
         if (!status && mpz_sgn(s->d + j) <= 0) {
             PyErr_SetString(PyExc_ValueError, "d must be positive");
             status = -1;
@@ -842,7 +998,8 @@ static int read_sweep(sweep_state *s, PyObject *cols, PyObject *d, PyObject *lam
             status = -1;
         }
         for (i = 0; !status && i < j; i++)
-            status = read_int(s->rows[j] + i, PySequence_Fast_GET_ITEM(seq, i));
+            status = read_view(s->rows[j] + i, s->limbs + (s->rows[j] + i - s->d),
+                               PySequence_Fast_GET_ITEM(seq, i));
         Py_DECREF(seq);
     }
     return status;
@@ -859,7 +1016,7 @@ static PyObject *lll_sweep(PyObject *module, PyObject *args)
     PyObject *cols, *d, *lam, *target, *out = NULL, *x;
     PyObject *seqs[4] = {NULL, NULL, NULL, NULL};
     Py_ssize_t s_size, n_size;
-    size_t words = 0, mpzs = 0, e;
+    size_t words = 0, mpzs = 0, views = 0, e;
     sweep_state s;
     mpz_ptr z = NULL;
     long *w = NULL;
@@ -886,30 +1043,34 @@ static PyObject *lll_sweep(PyObject *module, PyObject *args)
     s.cols = PyMem_New(ints, s.s);
     s.rows = PyMem_New(mpz_ptr, s.s + 1);
     s.used = PyMem_New(int, s.s);
-    /* words: the columns, the target and qw; mpzs: the same vectors' GMP
-     * copies, d, the lam rows, lam_t and q */
+    /* words: the columns, the target and qw; mpzs: d and the lam rows, as
+     * views of limbs, then lam_t, q and the vectors' GMP copies */
     words = (size_t)(s.s + 1) * s.n + s.s;
-    mpzs = (size_t)(s.s + 1) * s.n + (s.s + 1) + (size_t)s.s * (s.s - 1) / 2 + 2 * (size_t)s.s;
+    views = (size_t)(s.s + 1) + (size_t)s.s * (s.s - 1) / 2;
+    mpzs = views + 2 * (size_t)s.s + (size_t)(s.s + 1) * s.n;
     w = PyMem_New(long, words);
     z = PyMem_New(__mpz_struct, mpzs);
-    if (!s.cols || !s.rows || !s.used || !w || !z) {
+    s.limbs = PyMem_New(mp_limb_t, views);
+    if (!s.cols || !s.rows || !s.used || !w || !z || !s.limbs) {
         PyErr_NoMemory();
         goto free;
     }
-    for (e = 0; e < mpzs; e++)
+    for (e = 0; e < views; e++)
+        mpz_roinit_n(z + e, s.limbs + e, 0);
+    for (; e < mpzs; e++)
         mpz_init(z + e);
-    for (j = 0; j <= s.s; j++) {
-        ints *v = j < s.s ? s.cols + j : &s.x;
-
-        v->w = w + (size_t)j * s.n;
-        v->z = z + (size_t)j * s.n;
-    }
-    s.qw = w + (size_t)(s.s + 1) * s.n;
-    s.d = z + (size_t)(s.s + 1) * s.n;
+    s.d = z;
     s.rows[0] = s.d + s.s + 1;
     for (j = 0; j < s.s; j++)
         s.rows[j + 1] = s.rows[j] + j;
     s.q = s.rows[s.s] + s.s;
+    for (j = 0; j <= s.s; j++) {
+        ints *v = j < s.s ? s.cols + j : &s.x;
+
+        v->w = w + (size_t)j * s.n;
+        v->z = s.q + s.s + (size_t)j * s.n;
+    }
+    s.qw = w + (size_t)(s.s + 1) * s.n;
     mpz_inits(s.den, s.gamma, s.t, s.t1, s.t2, NULL);
 
     if (!read_sweep(&s, seqs[0], seqs[1], seqs[2], seqs[3])) {
@@ -924,9 +1085,12 @@ static PyObject *lll_sweep(PyObject *module, PyObject *args)
     }
 
     mpz_clears(s.den, s.gamma, s.t, s.t1, s.t2, NULL);
-    for (e = 0; e < mpzs; e++)
+    for (e = 0; e < views; e++)
+        clear_view(z + e, s.limbs + e);
+    for (; e < mpzs; e++)
         mpz_clear(z + e);
 free:
+    PyMem_Free(s.limbs);
     PyMem_Free(s.cols);
     PyMem_Free(s.rows);
     PyMem_Free(s.used);
@@ -940,7 +1104,7 @@ release:
 
 static PyMethodDef methods[] = {
     {"reduce", lll_reduce, METH_VARARGS,
-     "reduce(cols, p, q, prefix) -> (status, value): the LLL loop over GMP."},
+     "reduce(cols, p, q, prefix, start=None) -> (status, value): the LLL loop over GMP."},
     {"sweep", lll_sweep, METH_VARARGS,
      "sweep(cols, d, lam, target, step) -> list: reduction._sweep over GMP."},
     {NULL, NULL, 0, NULL},

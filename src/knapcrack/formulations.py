@@ -199,17 +199,19 @@ def attack_lo(sys: LdeSystem, alpha: Fraction = DEFAULT_ALPHA) -> AttackVerdict:
 
     Candidate columns are divided by lambda (any sign, any magnitude) and
     feasibility-checked, on sys as given and then on its complement.  The
-    complement's basis differs only in its last column, and its reduction is
-    a second lll, run only after the scan of sys's reduced basis misses.
+    two bases differ only in their last column, and LLL reaches it only once
+    the b-free prefix [I; -a] is reduced, so that prefix is reduced once and
+    each target's reduction resumes from it (``lll``'s start).  The
+    complement's tail runs only after the scan of sys's reduced basis misses.
     Raises InvalidInput unless sys is a subset-sum instance (``is_subset_sum``).
     """
     if not is_subset_sum(sys):
         raise InvalidInput("lo takes a subset-sum instance: one equation, positive "
                          "coefficients and 0 < b < sum(a)")
     n = sys.n
-    prefix = _stacked(sys, 1, -1)
+    head = lll(LatticeBasis(_stacked(sys, 1, -1)), alpha, n)
     for flipped, target in enumerate((sys, complement(sys))):
-        reduced = lll(LatticeBasis(prefix + ((0,) * n + target.b,)), alpha)
+        reduced = lll(LatticeBasis(head.columns + ((0,) * n + target.b,)), alpha, start=head)
         for j, lam, x in _scan_lo(reduced.columns, n):
             if target.is_solution(x):
                 return classify_solution(sys, [1 - v for v in x] if flipped else x,

@@ -31,6 +31,18 @@ same; the exchange updates run over rows ``k+1..k_max`` only.  A dependency
 is found when its column is first visited, after the independent prefix
 before it has been reduced.
 
+So a run on n columns reduces columns 0..r-1 exactly as a run on those r
+columns alone, and first visits column r at the step where that run ends,
+with k = r and k_max = r - 1.  ``lll``'s ``start`` is that run's record with
+prefix r; both loops resume from it, from its columns, ``d[0..r]`` and
+``lam`` rows ``0..r-1``, and return what the whole run returns.  LO's two
+bases differ only in their last column, so it reduces their shared prefix
+once.  A resumed run is a run on its own input, the start's columns and
+the new ones, for everything below: its ``B``, its budget (its exchanges
+are counted from 0) and the C slot width.  The proofs hold for that input
+because each head ``||b*_j||^2`` is at most its column's squared norm, at
+most ``B``, and the head's ``d`` are that input's Gram determinants.
+
 The loop ends with exact ``d`` and ``lam`` of the columns it returns.  It
 returns one record, ``Reduced``: those columns, and ``d[0..k]`` with ``lam``
 rows ``0..k-1``, the Gram-Schmidt of the first ``k`` columns, for a prefix
@@ -67,7 +79,7 @@ read-only directory, a binary that does not import) the Python loop and
 sweep run instead, and the build is not tried again in that process.
 ``_python_reduce`` is that fallback and the reference the tests hold the C
 loop to; ``kernel_name()`` says which kernel runs.  Both loops take
-``(cols, p, q, prefix)`` and return a ``Reduced``, and ``lll`` calls
+``(cols, p, q, prefix, start)`` and return a ``Reduced``, and ``lll`` calls
 whichever runs.
 
 The Python code divides with ``//``, which floors; the C code floors with
@@ -109,6 +121,9 @@ p)/q`` with ``1/ln 2 > 1`` gives exchanges ``< q log2 P0 / (q - p)``.  Every
 step without an exchange raises ``k`` and an exchange lowers it by at most
 one, so the loop takes at most ``n + 2 * exchanges`` steps.  The norms are
 those the loops take ``B`` from, so the bound costs no pass of its own.
+Where alpha is so close to 1 that the budget passes ``ULONG_MAX``, as for
+``p/q = (2^65 + 1)/(2^65 + 3)``, no loop reaches it (the C loop holds it as
+``ULONG_MAX``), and only the falling-``d`` check guards such a run.
 When either step fails both loops raise the same ``AssertionError``; the C
 loop returns its own status for it, and its wrapper computes the same budget
 for the message.  In the Python loop the exact ``//`` always lowers ``d[k]``;
@@ -164,8 +179,12 @@ class Reduced(NamedTuple):
     lam: list[list[int]]
 
 
-# Either LLL loop: (cols, p, q, prefix) -> the reduction of cols at alpha = p/q
-Reduce = Callable[[Sequence[Sequence[int]], int, int, int], Reduced]
+# The start of a run from k = 0: no columns, d = [1] and no lam rows.
+_NO_START = Reduced((), [1], [])
+
+# Either LLL loop: (cols, p, q, prefix, start) -> the reduction of cols at
+# alpha = p/q, resumed from start or None
+Reduce = Callable[[Sequence[Sequence[int]], int, int, int, Reduced | None], Reduced]
 
 
 class Kernel(NamedTuple):
@@ -232,8 +251,9 @@ def _load(source: Path) -> Kernel | None:
         return None
     c_reduce = module.reduce
 
-    def reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -> Reduced:
-        status, value = c_reduce(cols, p, q, prefix)
+    def reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int,
+               start: Reduced | None = None) -> Reduced:
+        status, value = c_reduce(cols, p, q, prefix, start)
         if status == C_DEPENDENT:
             raise _dependent(value)
         if status == C_PREMISE:
@@ -362,9 +382,10 @@ def _visit(col: Sequence[int], b: list[Sequence[int]], d: list[int],
     lam.append(row)
 
 
-def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -> Reduced:
+def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int,
+                   start: Reduced | None = None) -> Reduced:
     """The LLL reduction of cols at alpha = p/q, in the Python loop, with the
-    Gram-Schmidt of its first prefix columns.
+    Gram-Schmidt of its first prefix columns, resumed from start when given.
 
     The C loop takes the same arguments and returns the same value.
     """
@@ -372,10 +393,14 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -
     norms = [sum(x * x for x in c) for c in cols]
     bound = max(norms)
     budget, exchanges = _exchange_budget(norms, p, q), 0
-    b: list[Sequence[int]] = []  # the current columns 0..kmax
-    d = [1]
-    lam: list[list[int]] = []
-    k, kmax = 0, -1
+    start = start or _NO_START
+    # The current columns 0..kmax and their GSO; start's rows are copied, as
+    # the loop writes them.
+    b: list[Sequence[int]] = list(start.columns)
+    d = start.d[:]
+    lam = [row[:] for row in start.lam]
+    k = len(b)
+    kmax = k - 1
     while k < n:
         if k > kmax:
             # First visit: column k is still the input column.
@@ -443,7 +468,8 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int) -
     return Reduced(tuple(map(tuple, b)), d[:prefix + 1], lam[:prefix])
 
 
-def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0) -> Reduced:
+def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0,
+        start: Reduced | None = None) -> Reduced:
     """LLL-reduce the basis columns with Lovasz parameter alpha.
 
     The output columns span the same lattice and satisfy |mu[i][j]| <= 1/2
@@ -452,12 +478,23 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0) -
     also holds d[0..prefix] and lam rows 0..prefix-1 of the output columns:
     d[i] is the Gram determinant of columns 0..i-1 and lam[i][j] =
     mu[i][j] * d[j+1].
+
+    start, when given, is what ``lll`` returned at this alpha, with prefix r,
+    for the first r columns of a basis B, and the basis is B with those
+    columns replaced by start's.  The loop resumes from start (module
+    docstring) and returns what ``lll(B, alpha, prefix)`` returns; start is
+    only read.
     """
     alpha = Fraction(alpha)
     if not Fraction(1, 4) < alpha < 1:
         raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
     if not 0 <= prefix <= basis.n:
         raise ValueError(f"prefix must lie in 0..{basis.n}, got {prefix}")
+    if start is not None:
+        r = len(start.columns)
+        if basis.columns[:r] != start.columns or len(start.d) != r + 1 or len(start.lam) != r:
+            raise ValueError("start must be the reduction of the basis's first columns, "
+                             "with their Gram-Schmidt")
     kernel = _native()
     reduce = kernel.reduce if kernel else _python_reduce
-    return reduce(basis.columns, alpha.numerator, alpha.denominator, prefix)
+    return reduce(basis.columns, alpha.numerator, alpha.denominator, prefix, start)

@@ -311,10 +311,11 @@ class TestAttacks:
 
 
 def pinned_instances():
-    """n = 20 seeds 0-19 and their complements, n = 30 seeds 0-4, and a flipped toy."""
+    """n = 20 seeds 0-19 and their complements, n = 30 and n = 40 seeds 0-4, and a
+    flipped toy."""
     n20 = [generate_instance(20, seed).instance for seed in range(20)]
     return (n20 + [complement(s) for s in n20]
-            + [generate_instance(30, seed).instance for seed in range(5)]
+            + [generate_instance(n, seed).instance for n in (30, 40) for seed in range(5)]
             + [LdeSystem.from_rows([[3, 15, 6]], [15])])
 
 
@@ -333,8 +334,9 @@ def visits(monkeypatch, python_kernel) -> list:
 
 
 class TestComplementFallback:
-    """LO reduces its complement's basis only after the target's scan misses;
-    CJLOSS has no complement run, as both of its bases span one lattice."""
+    """LO reduces its b-free prefix once and resumes from it per target, the
+    complement only after the target's scan misses; CJLOSS has no complement
+    run, as both of its bases span one lattice."""
 
     @pytest.mark.parametrize("attack, reference", [(attack_lo, attack_lo_two_lll)],
                              ids=["lo"])
@@ -346,28 +348,34 @@ class TestComplementFallback:
 
     @pytest.mark.parametrize("attack", [attack_lo], ids=["lo"])
     def test_complement_tail_runs_only_after_a_miss(self, attack, visits):
-        # Each reduction visits the n + 1 columns of its basis once.
-        reductions_seen = set()
+        # The prefix's reduction visits its n columns once, and each tail
+        # visits only its basis's last column.
+        tails_seen = set()
         for seed in range(20):
             system = generate_instance(20, seed).instance
             visits.clear()
             verdict = attack(system)
             first_solved = verdict.solved and \
                 verdict.meta["used_complement"] == normalize(system)[1]
-            reductions = 1 if first_solved else 2
-            assert len(visits) == reductions * (system.n + 1)
-            reductions_seen.add(reductions)
-        assert reductions_seen == {1, 2}
+            tails = 1 if first_solved else 2
+            assert len(visits) == system.n + tails
+            tails_seen.add(tails)
+        assert tails_seen == {1, 2}
 
     def test_native_complement_runs_only_after_a_miss(self, gmp_kernel, monkeypatch):
-        # The C loop reduces the target's basis, then the complement's only
-        # when the target's scan misses.
+        # The C loop reduces the b-free prefix with its Gram-Schmidt, then
+        # resumes from it for the target's basis, and for the complement's
+        # only when the target's scan misses.
         calls = []
 
-        def counting(cols, p, q, prefix):
-            assert prefix == 0  # an attack reads no Gram-Schmidt
-            calls.append(cols[-1])
-            return gmp_kernel.reduce(cols, p, q, prefix)
+        def counting(cols, p, q, prefix, start=None):
+            if start is None:
+                assert prefix == len(cols)  # the prefix, kept whole as the start
+                calls.append("head")
+            else:
+                assert prefix == 0 and cols[:-1] == start.columns
+                calls.append(cols[-1])
+            return gmp_kernel.reduce(cols, p, q, prefix, start)
 
         monkeypatch.setattr(lattice, "_kernel", gmp_kernel._replace(reduce=counting))
         counts_seen = set()
@@ -378,9 +386,9 @@ class TestComplementFallback:
             first_solved = verdict.solved and \
                 verdict.meta["used_complement"] == normalize(system)[1]
             lasts = [(0,) * system.n + target.b for target in (system, complement(system))]
-            assert calls == (lasts[:1] if first_solved else lasts)
+            assert calls == ["head"] + (lasts[:1] if first_solved else lasts)
             counts_seen.add(len(calls))
-        assert counts_seen == {1, 2}
+        assert counts_seen == {2, 3}
 
     def test_cjloss_reduces_once(self, visits):
         # One reduction visits each of the n + 1 basis columns once, on a hit

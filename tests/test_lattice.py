@@ -1,6 +1,7 @@
 """Exact LLL and its rational GSO oracle: worked examples, update lemmas, and
 reduction contracts."""
 
+import copy
 import math
 import operator
 import os
@@ -13,7 +14,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knapcrack.disagg import DisaggParams, build_disaggregated
@@ -637,10 +638,10 @@ class TestExchangeBudget:
 CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**200, -2**200]
 
 
-def record_or_error(reduce, cols, p, q, prefix):
+def record_or_error(reduce, cols, p, q, prefix, start=None):
     """reduce's record, or the type and message of what it raised."""
     try:
-        return reduce(cols, p, q, prefix)
+        return reduce(cols, p, q, prefix, start)
     except (DependentColumns, AssertionError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -771,6 +772,138 @@ class TestGmpKernel:
                                                       cjloss_basis(system, DEFAULT_N),
                                                       ahl_basis(system, DEFAULT_N1, n2))]
             assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
+
+
+# CROSSING's 0, +-1, edges of a C long and of two limbs and +-2^200, and small entries
+RESUME_ENTRIES = st.one_of(st.sampled_from(CROSSING), st.integers(-20, 20))
+
+
+@st.composite
+def resume_inputs(draw):
+    """n <= 5 columns of dimension n..n+2, drawn from RESUME_ENTRIES."""
+    n = draw(st.integers(1, 5))
+    dim = draw(st.integers(n, n + 2))
+    return [draw(st.lists(RESUME_ENTRIES, min_size=dim, max_size=dim)) for _ in range(n)]
+
+
+def resumed(cols, alpha, r, prefix):
+    """lll on cols resumed from the reduction of their first r columns, which
+    must be left as it was; or the type and message of what it raised."""
+    try:
+        start = lll(basis_of(cols[:r]), alpha, r)
+        before = copy.deepcopy(start)
+        reduced = lll(LatticeBasis(start.columns + tuple(map(tuple, cols[r:]))), alpha, prefix,
+                      start)
+    except (DependentColumns, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    assert start == before
+    return reduced
+
+
+def full(cols, alpha, prefix):
+    """lll on cols from k = 0, or the type and message of what it raised."""
+    try:
+        return lll(basis_of(cols), alpha, prefix)
+    except (DependentColumns, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.usefixtures("either_kernel")
+class TestResume:
+    """A loop resumed from the reduction of a basis's first r columns returns
+    what it returns on the whole basis, in either kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(resume_inputs(), st.sampled_from([DEFAULT_ALPHA, *WIDE_ALPHAS]))
+    def test_every_split_and_prefix_matches_the_whole_run(self, cols, alpha):
+        # Where column j depends on the columns before it, a split r > j
+        # raises in the start's own run, at the same column.
+        n = len(cols)
+        for prefix in range(n + 1):
+            whole = full(cols, alpha, prefix)
+            for r in range(1, n + 1):
+                assert resumed(cols, alpha, r, prefix) == whole
+
+    @settings(max_examples=100, deadline=None)
+    @given(resume_inputs(), st.data())
+    def test_a_dependent_new_column_raises_at_its_index(self, cols, data):
+        # Independent columns, then column k, a combination of them, after a
+        # split r <= k: the resumed run visits it last, as the whole run does.
+        while cols and not isinstance(full(cols, DEFAULT_ALPHA, 0), lattice.Reduced):
+            cols.pop()
+        assume(cols)
+        k = len(cols)
+        r = data.draw(st.integers(1, k))
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        cols.append([sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(len(cols[0]))])
+        whole = full(cols, DEFAULT_ALPHA, 0)
+        assert whole == ("DependentColumns", f"column {k} is dependent on earlier columns")
+        assert resumed(cols, DEFAULT_ALPHA, r, 0) == whole
+
+    @pytest.mark.parametrize("w", [63, 64, 65])
+    def test_head_columns_at_limb_boundaries(self, w):
+        # The C loop packs the start's columns whole, in slots of one limb,
+        # one bit either side of it.
+        rng = random.Random(w)
+        for n, dim in ((2, 3), (4, 5), (6, 6)):
+            cols = basis_of_width(rng, n, dim, w)
+            for r in range(1, n + 1):
+                assert resumed(cols, DEFAULT_ALPHA, r, n) == full(cols, DEFAULT_ALPHA, n)
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_lo_targets_resume_from_one_prefix(self, n):
+        for seed in range(3):
+            for cols in lo_bases(generate_instance(n, seed).instance):
+                assert resumed(cols, DEFAULT_ALPHA, n, n + 1) == full(cols, DEFAULT_ALPHA, n + 1)
+
+    def test_a_start_that_does_not_match_raises(self):
+        cols = [(3, 1, 0), (1, 4, 1), (0, 2, 5)]
+        start = lll(basis_of(cols[:2]), DEFAULT_ALPHA, 2)
+        basis = LatticeBasis(start.columns + (cols[2],))
+        bad = [
+            (LatticeBasis(tuple(cols)), start),  # the basis does not begin with its columns
+            (basis, start._replace(d=start.d[:2])),  # d for prefix 1
+            (basis, start._replace(lam=start.lam[:1])),
+            (basis, lll(basis_of(cols[:2]), DEFAULT_ALPHA, 1)),  # reduced with prefix 1
+        ]
+        for b, s in bad:
+            with pytest.raises(ValueError, match="start"):
+                lll(b, DEFAULT_ALPHA, 0, s)
+
+
+class TestGmpResume:
+    """The C entry checks a start's shape itself and reads it without writing."""
+
+    def test_a_malformed_start_raises_value_error(self, gmp_kernel):
+        cols = [(3, 1, 0), (1, 4, 1), (0, 2, 5)]
+        start = gmp_kernel.reduce(cols[:2], 99, 100, 2)
+        for bad in (start[:2], (start.columns, start.d, start.lam[:1]),
+                    (start.columns, [1, 10, 0], start.lam),  # a d not positive
+                    (start.columns, start.d, [[], [1, 2]]),  # row 1 with two entries
+                    (start.columns, start.d + [1, 1], start.lam + [[0, 0], [0, 0, 0]])):
+            with pytest.raises(ValueError):
+                gmp_kernel.reduce(cols, 99, 100, 0, bad)
+        with pytest.raises(TypeError, match="must be an int"):
+            gmp_kernel.reduce(cols, 99, 100, 0, (start.columns, [1, 10.0, 3], start.lam))
+        # The state of the failed calls was freed, and the next call runs.
+        head = start.columns + (cols[2],)
+        assert gmp_kernel.reduce(head, 99, 100, 3, start) == \
+            lattice._python_reduce(head, 99, 100, 3, start) == lll(basis_of(cols), DEFAULT_ALPHA, 3)
+
+    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, *WIDE_ALPHAS])
+    def test_crossing_starts_match_python(self, gmp_kernel, alpha):
+        # A start whose columns hold the CROSSING entries, -2^63 among them,
+        # and whose d and lam run from words to beyond two limbs.
+        p, q = alpha.numerator, alpha.denominator
+        entries = CROSSING[1:]
+        cols = [[x if r == i else (1 if r == i + 1 else 0) for r in range(len(entries) + 1)]
+                for i, x in enumerate(entries)]
+        cols.append([1] * (len(entries) + 1))
+        for r in range(1, len(cols)):
+            start = lattice._python_reduce(cols[:r], p, q, r)
+            head = [list(c) for c in start.columns] + cols[r:]
+            assert record_or_error(gmp_kernel.reduce, head, p, q, len(cols), start) == \
+                record_or_error(lattice._python_reduce, head, p, q, len(cols), start)
 
 
 def copy_of_source(directory):
