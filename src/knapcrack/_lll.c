@@ -1,5 +1,6 @@
-/* Exact LLL over GMP and the kernel sweep that follows it: lattice._python_reduce
- * and reduction._sweep, run on mpz_t, as the CPython extension module
+/* Exact LLL over GMP, the kernel sweep that follows it and the exact integer
+ * products around them: lattice._python_reduce, reduction._sweep and
+ * intmat._products, run on mpz_t, as the CPython extension module
  * knapcrack._lll.
  *
  * Its first entry, reduce, is the same Cohen integral LLL (Alg. 2.6.7) as the
@@ -14,7 +15,8 @@
  * input column's nonzero coordinates, and once at exit.  The packing is this
  * file's own format, so the tests that hold this loop to the Python one check
  * it against plain integer arithmetic.  Its second entry, sweep, is
- * reduction._sweep (Sweep, below).
+ * reduction._sweep (Sweep, below), and its third, products, is
+ * intmat._products (Products, below).
  *
  * Packing.  Each column is one integer (Kronecker substitution): with slot
  * width w, column b is packed as P = sum_r b[r] 2^(w r), entry r in slot r in
@@ -143,6 +145,19 @@
  * reduce_half, 2x - 1 and its undoing, stays in Python.  The sweep holds the
  * interpreter's lock: it is short, and it reads Python objects until it has
  * its input.
+ *
+ * Products.  products(rows, cols) is intmat._products: the exact inner
+ * product of every row with every column, out[i][j] = <rows[i], cols[j]>,
+ * for the Gram matrix of the kernel features (intmat.gram) and the
+ * decomposition's contract, A D = 0 and A C = E (formulations).  It is the
+ * sweep's word path, written once: each vector is read as C longs, or
+ * through GMP where one of its entries is not a long (read_ints); each
+ * product is dot, in __int128 under overflow checks where both vectors are
+ * words, in GMP otherwise; and each result is written with new_int.  Each
+ * row and each column is read once, however many products it enters.  The
+ * lengths are checked here too, with a ValueError, and intmat checks them
+ * first, with its own DimensionMismatch, before either twin runs.  Like the
+ * sweep, it holds the interpreter's lock.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -835,8 +850,9 @@ bad_start:
     goto release;
 }
 
-/* A vector of the sweep (header: Sweep): its entries as words in w, or,
- * where one of them is not a word, all of them in z, with wide set. */
+/* A vector of the sweep or of products (header: Sweep, Products): its entries
+ * as words in w, or, where one of them is not a word, all of them in z, with
+ * wide set. */
 typedef struct {
     long *w;
     mpz_ptr z;
@@ -1102,11 +1118,106 @@ release:
     return out;
 }
 
+/* products(rows, cols): the inner product of every row with every column,
+ * each a list or tuple of n ints (header: Products).  Returns a list of r
+ * lists of c ints, out[i][j] = <rows[i], cols[j]>.  An entry that is not an
+ * int raises TypeError; vectors of unequal length raise ValueError. */
+static PyObject *lll_products(PyObject *module, PyObject *args)
+{
+    PyObject *rows, *cols, *out = NULL, *seq, *line, *x;
+    PyObject *seqs[2] = {NULL, NULL};
+    Py_ssize_t r_size, c_size, n_size = 0;
+    size_t entries = 0, e;
+    ints *v = NULL;
+    long *w = NULL;
+    mpz_ptr z = NULL;
+    mpz_t t, t1, t2;
+    int r, c, n, i, j, status = 0;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OO:products", &rows, &cols)
+        || !(seqs[0] = PySequence_Fast(rows, "the rows must be a sequence"))
+        || !(seqs[1] = PySequence_Fast(cols, "the columns must be a sequence")))
+        goto release;
+    r_size = PySequence_Fast_GET_SIZE(seqs[0]);
+    c_size = PySequence_Fast_GET_SIZE(seqs[1]);
+    if (r_size + c_size)
+        n_size = PySequence_Size(r_size ? PySequence_Fast_GET_ITEM(seqs[0], 0)
+                                        : PySequence_Fast_GET_ITEM(seqs[1], 0));
+    if (n_size < 0)
+        goto release;
+    if (r_size > INT_MAX / 2 || c_size > INT_MAX / 2 || n_size > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "too many rows, columns or entries");
+        goto release;
+    }
+    r = (int)r_size;
+    c = (int)c_size;
+    n = (int)n_size;
+    entries = (size_t)(r + c) * n;
+    v = PyMem_New(ints, r + c);
+    w = PyMem_New(long, entries);
+    z = PyMem_New(__mpz_struct, entries);
+    if (!v || !w || !z) {
+        PyErr_NoMemory();
+        goto free;
+    }
+    for (e = 0; e < entries; e++)
+        mpz_init(z + e);
+    mpz_inits(t, t1, t2, NULL);
+
+    for (i = 0; !status && i < r + c; i++) {
+        if (!(seq = PySequence_Fast(i < r ? PySequence_Fast_GET_ITEM(seqs[0], i)
+                                          : PySequence_Fast_GET_ITEM(seqs[1], i - r),
+                                    "a vector must be a sequence"))) {
+            status = -1;
+            break;
+        }
+        v[i].w = w + (size_t)i * n;
+        v[i].z = z + (size_t)i * n;
+        if (PySequence_Fast_GET_SIZE(seq) != n) {
+            PyErr_SetString(PyExc_ValueError, "the rows and the columns must share one length");
+            status = -1;
+        } else
+            status = read_ints(v + i, PySequence_Fast_ITEMS(seq), n);
+        Py_DECREF(seq);
+    }
+    if (!status && (out = PyList_New(r)))
+        for (i = 0; out && i < r; i++) {
+            if (!(line = PyList_New(c))) {
+                Py_CLEAR(out);
+                break;
+            }
+            PyList_SET_ITEM(out, i, line);
+            for (j = 0; j < c; j++) {
+                dot(t, v + i, v + r + j, n, t1, t2);
+                if (!(x = new_int(t))) {
+                    Py_CLEAR(out);
+                    break;
+                }
+                PyList_SET_ITEM(line, j, x);
+            }
+        }
+
+    mpz_clears(t, t1, t2, NULL);
+    for (e = 0; e < entries; e++)
+        mpz_clear(z + e);
+free:
+    PyMem_Free(v);
+    PyMem_Free(w);
+    PyMem_Free(z);
+release:
+    Py_XDECREF(seqs[0]);
+    Py_XDECREF(seqs[1]);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"reduce", lll_reduce, METH_VARARGS,
      "reduce(cols, p, q, prefix, start=None) -> (status, value): the LLL loop over GMP."},
     {"sweep", lll_sweep, METH_VARARGS,
      "sweep(cols, d, lam, target, step) -> list: reduction._sweep over GMP."},
+    {"products", lll_products, METH_VARARGS,
+     "products(rows, cols) -> list: intmat._products over GMP."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1115,7 +1226,8 @@ static PyModuleDef_Slot slots[] = {{0, NULL}};
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_lll",
-    .m_doc = "lattice._python_reduce and reduction._sweep over GMP; lattice.py loads them.",
+    .m_doc = "lattice._python_reduce, reduction._sweep and intmat._products over GMP; "
+             "lattice.py loads them.",
     .m_methods = methods,
     .m_slots = slots,
 };

@@ -8,13 +8,16 @@ column-scan attacks (LO, CJLOSS, AHL) on top of the same exact LLL.
 Every basis is one block shape, [h*I; 0; t*A] plus at most one column, built
 by ``_stacked``: [I; N*A] to decompose, LO's b-free prefix [I; -a], CJLOSS's
 [2I; 2N*A] and AHL's [I; 0; N2*A].  Bases stay tuples of column tuples through
-LLL, ``decompose`` slices D, C and E out of the reduced columns, and the
-decomposition transposes D to columns once.
+LLL, and ``decompose`` slices D, C and E out of the reduced columns.  It
+keeps the heads of the first s columns as the decomposition's
+``kernel_columns``, so D is transposed once, into its rows.
 
 Every decomposition is checked before it is returned: A*D = 0, A*C = E,
-and U = (D | C) unimodular.  Unimodularity is read from the integral
-Gram-Schmidt of D, which the decomposition keeps for the sweeps and the
-features, instead of an n x n determinant.  With s = n - m, d[s] =
+and U = (D | C) unimodular.  The contract reads the columns: A*D on
+``kernel_columns`` and A*C on C's, through ``intmat.products``, which runs
+in the C extension where it loads.  Unimodularity is read from the
+integral Gram-Schmidt of D, which the decomposition keeps for the sweeps
+and the features, instead of an n x n determinant.  With s = n - m, d[s] =
 det(D^T D), and A of full row rank m:
 
     det(U)^2 * det(A A^T) = d[s] * det(E)^2.
@@ -51,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EscalationExhausted, InvalidInput, InvalidN
-from .intmat import det_bareiss, gram, mat_mul, mat_vec, solve_exact
+from .intmat import det_bareiss, gram, mat_vec, products, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from .problems import LdeSystem, complement, is_subset_sum
 
@@ -87,7 +90,7 @@ def classify_solution(problem, x, **meta) -> AttackVerdict:
 
     Substitution is checked here, and a vector that misses it is a bug.
     """
-    x = tuple(int(v) for v in x)
+    x = tuple(map(int, x))
     if not problem.is_solution(x):
         raise AssertionError("verdict vector does not satisfy the problem")
     return AttackVerdict(BINARY if all(v in (0, 1) for v in x) else SHORT_NONBINARY,
@@ -113,13 +116,18 @@ class KernelDecomposition:
 
     @cached_property
     def kernel_columns(self) -> tuple[tuple[int, ...], ...]:
-        """D's columns, transposed once per decomposition; callers only read them."""
+        """D's columns, transposed once per decomposition; callers only read them.
+
+        ``decompose`` fills this from LLL's columns, so D is not transposed
+        back; a copy made with ``dataclasses.replace`` transposes its own D.
+        """
         return tuple(zip(*self.D))
 
 
 def _stacked(sys: LdeSystem, head: int, tail: int, gap: int = 0) -> tuple[tuple[int, ...], ...]:
     """The n columns head * e_j over gap zeros over tail * (column j of A)."""
-    return tuple((0,) * j + (head,) + (0,) * (sys.n - 1 - j + gap) + tuple(tail * v for v in col)
+    zeros = (0,) * (sys.n - 1 + gap)
+    return tuple(zeros[:j] + (head,) + zeros[j:] + tuple([tail * v for v in col])
                  for j, col in enumerate(zip(*sys.A)))
 
 
@@ -143,11 +151,13 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
     for _ in range(MAX_ESCALATIONS + 1):
         cols, d, lam = lll(build_lattice_B(sys, current), alpha, s)
         if not any(any(c[n:]) for c in cols[:s]):
+            heads = tuple(c[:n] for c in cols[:s])
             kd = KernelDecomposition(
-                D=tuple(zip(*(c[:n] for c in cols[:s]))),
+                D=tuple(zip(*heads)),
                 C=tuple(zip(*(c[:n] for c in cols[s:]))),
                 E=tuple(zip(*(tuple(v // current for v in c[n:]) for c in cols[s:]))),
                 N_used=current, gso=(d, lam))
+            vars(kd)["kernel_columns"] = heads  # the property's cache: no transpose back
             _check_decomposition(sys, kd)
             return kd
         current = max(current * current, 2 * current)
@@ -156,11 +166,11 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
 
 
 def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
-    """A*D = 0, A*C = E, and d[s] * det(E)^2 = det(A A^T) (module docstring)."""
-    ad = mat_mul(sys.A, kd.D)
-    if any(x != 0 for row in ad for x in row):
+    """A*D = 0 and A*C = E on the columns of D and C, and d[s] * det(E)^2 =
+    det(A A^T) (module docstring)."""
+    if any(map(any, products(sys.A, kd.kernel_columns))):
         raise AssertionError("A*D != 0 in decomposition")
-    if mat_mul(sys.A, kd.C) != [list(r) for r in kd.E]:
+    if products(sys.A, tuple(zip(*kd.C))) != list(map(list, kd.E)):
         raise AssertionError("A*C != E in decomposition")
     d, _ = kd.gso
     det_e = det_bareiss(kd.E)

@@ -2,14 +2,26 @@
 
 Everything here works on rows of Python ints, so values of arbitrary
 magnitude are handled without overflow.  Matrices are stored row-major.
+
+``products`` computes the inner product of every row with every column,
+for the Gram matrix of the kernel features (``gram``) and the
+decomposition's contract (``formulations``).  It runs in C, as the third
+entry of the LLL loop's extension (``_lll.c``), wherever that loads
+(``lattice.kernel_name()`` is "gmp"), and ``_products`` otherwise: the
+Python fallback, and the reference the tests hold the C entry to.  Both
+return the same lists on every input; the lengths are checked here, before
+either runs.  ``mat_vec`` stays in Python.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .errors import DimensionMismatch, SingularE
+from .lattice import _native
 
 
 def mat_vec(rows: list[list[int]], x: list[int]) -> list[int]:
@@ -18,24 +30,31 @@ def mat_vec(rows: list[list[int]], x: list[int]) -> list[int]:
     return [sum(map(mul, r, x)) for r in rows]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatch("inner dimensions differ")
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+              ) -> list[list[int]]:
+    """[[<row, col> for col in cols] for row in rows], in Python."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+             ) -> list[list[int]]:
+    """The inner product of every row with every column: out[i][j] = <rows[i], cols[j]>.
+
+    rows and cols are sequences of int vectors of one length; vectors of
+    unequal length raise DimensionMismatch.  In the C extension where it
+    loads, else in ``_products`` (module docstring).
+    """
+    if len(set(map(len, chain(rows, cols)))) > 1:
+        raise DimensionMismatch("the rows and the columns must share one length")
+    kernel = _native()
+    if kernel is None:
+        return _products(rows, cols)
+    return kernel.products(rows, cols)
 
 
 def gram(cols: list[list[int]]) -> list[list[int]]:
     """Gram matrix of a column set: G[i][j] = <col_i, col_j>."""
-    n = len(cols)
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i + 1):
-            s = sum(map(mul, ci, cols[j]))
-            g[i][j] = s
-            g[j][i] = s
-    return g
+    return products(cols, cols)
 
 
 def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:

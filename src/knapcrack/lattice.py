@@ -67,16 +67,18 @@ of the source (``_binary_name``) and ending in the interpreter's extension
 suffix, renamed into place whole, and ``importlib`` loads it as
 ``knapcrack._lll``, outside ``sys.modules``, so that builds of several
 sources load side by side; that build then deletes the binaries of other
-sources beside it.  The extension has two entries: ``reduce``, this loop,
-and ``sweep``, the kernel sweep of ``reduction``, which reuses the C
-``gso_row`` and rounding.  ``_kernel`` holds both, as a ``Kernel``, or
-``None``: one build, one binary, and one ``kernel_name()`` for both.
+sources beside it.  The extension has three entries: ``reduce``, this
+loop; ``sweep``, the kernel sweep of ``reduction``, which reuses the C
+``gso_row`` and rounding; and ``products``, ``intmat``'s exact inner
+products, which reuse the sweep's word path.  ``_kernel`` holds all three,
+as a ``Kernel``, or ``None``: one build, one binary, and one
+``kernel_name()`` for all of them.
 ``reduce`` takes the column tuples and returns the record's parts as ints,
 tuples and lists, or a failure as a status with its column or index, from
 which the wrapper raises the Python loop's error.  Where the build or the
 load fails (no C compiler, no GMP, no ``__int128``, no Python headers, a
-read-only directory, a binary that does not import) the Python loop and
-sweep run instead, and the build is not tried again in that process.
+read-only directory, a binary that does not import) the Python loop, sweep
+and products run instead, and the build is not tried again in that process.
 ``_python_reduce`` is that fallback and the reference the tests hold the C
 loop to; ``kernel_name()`` says which kernel runs.  Both loops take
 ``(cols, p, q, prefix, start)`` and return a ``Reduced``, and ``lll`` calls
@@ -188,12 +190,14 @@ Reduce = Callable[[Sequence[Sequence[int]], int, int, int, Reduced | None], Redu
 
 
 class Kernel(NamedTuple):
-    """The C extension's two entries: the LLL loop, wrapped to return a
-    ``Reduced`` or raise the Python loop's errors, and ``reduction``'s sweep,
-    ``(cols, d, lam, target, step) -> list``, as it is."""
+    """The C extension's three entries: the LLL loop, wrapped to return a
+    ``Reduced`` or raise the Python loop's errors; ``reduction``'s sweep,
+    ``(cols, d, lam, target, step) -> list``; and ``intmat``'s products,
+    ``(rows, cols) -> list of lists``; the last two as they are."""
 
     reduce: Reduce
     sweep: Callable[..., list[int]]
+    products: Callable[..., list[list[int]]]
 
 
 def kernel_name() -> str:
@@ -263,7 +267,7 @@ def _load(source: Path) -> Kernel | None:
             raise _termination_failure(_exchange_budget(norms, p, q))
         return Reduced._make(value)
 
-    return Kernel(reduce, module.sweep)
+    return Kernel(reduce, module.sweep, module.products)
 
 
 def _build(source: Path, binary: Path) -> bool:

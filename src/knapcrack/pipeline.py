@@ -277,7 +277,8 @@ def attack_with_dag(problem: LdeSystem, config: SearchConfig) -> AttackOutcome:
     config.use_dag is off, InvalidRow for a row_index outside the system,
     and InvalidInput for a row the transform cannot take (``row_coeffs``).
     """
-    config = replace(config, use_dag=True)
+    if not config.use_dag:
+        config = replace(config, use_dag=True)
     work, flipped = normalize(problem)
     if not 0 <= config.row_index < work.m:
         raise InvalidRow(f"row {config.row_index} outside 0..{work.m - 1}")

@@ -11,9 +11,10 @@ b.  Lines starting with ``#`` are comments and are skipped on parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ParseError, RankDeficient
-from .intmat import mat_vec, rank
+from .intmat import rank
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,10 @@ class LdeSystem:
     def n(self) -> int:
         return len(self.A[0])
 
-    def residual(self, x) -> list[int]:
-        return [lhs - rhs for lhs, rhs in zip(mat_vec(self.A, list(x)), self.b)]
-
     def is_solution(self, x) -> bool:
-        return len(x) == self.n and all(r == 0 for r in self.residual(x))
+        """A x = b, x a sequence of n ints, substituted row by row."""
+        return len(x) == self.n and all(sum(map(mul, row, x)) == bi
+                                        for row, bi in zip(self.A, self.b))
 
 
 def is_subset_sum(sys: LdeSystem) -> bool:

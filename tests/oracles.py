@@ -24,10 +24,11 @@ only D and its ``integral_gso``, the one kernel shape the sweeps and the
 features take; ``basis_of`` wraps any integer columns as a
 ``LatticeBasis`` of int tuples, the one basis format.  ``attack_lo_two_lll``
 runs LO and its complement fallback on bases built entry by entry, the
-reference for ``attack_lo`` and its ``_stacked`` basis.  ``rank_fraction`` and
-``solve_exact_fraction`` eliminate in Fractions and ``det_leibniz`` sums
-over permutations: the references for the package's one fraction-free
-elimination.
+reference for ``attack_lo`` and its ``_stacked`` basis.  ``mat_mul``
+multiplies two matrices in plain Python, for the contract's products.
+``rank_fraction`` and ``solve_exact_fraction`` eliminate in Fractions and
+``det_leibniz`` sums over permutations: the references for the package's
+one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from knapcrack.errors import (DependentColumns, DimensionMismatch, KnapcrackErro
                               RankDeficient, SingularE, SizeLimit)
 from knapcrack.formulations import (FAILURE, AttackVerdict, KernelDecomposition,
                                     _scan_lo, classify_solution)
-from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
+from knapcrack.intmat import det_bareiss, gram, solve_exact
 from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, gso_row, lll
 from knapcrack.problems import LdeSystem, complement
 
@@ -484,6 +485,14 @@ def binary_solutions_naive(rows: list[list[int]], rhs: list[int]) -> list[tuple[
 
 def transpose(a: list[list[int]]) -> list[list[int]]:
     return [list(r) for r in zip(*a)]
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two row-major matrices, entry by entry in Python."""
+    if a and b and len(a[0]) != len(b):
+        raise DimensionMismatch("inner dimensions differ")
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def solve_integer_combination(cols: list[list[int]], target: list[int]) -> list[int] | None:

@@ -16,7 +16,7 @@ from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off, is_id
                               jump_points, modular_transform)
 from knapcrack.errors import DependentColumns, RankDeficient, SearchExhausted
 from knapcrack.formulations import decompose, special_solution
-from knapcrack.intmat import det_bareiss, gram, mat_mul, solve_exact
+from knapcrack.intmat import det_bareiss, gram, solve_exact
 from knapcrack.lattice import lll
 from knapcrack.pipeline import (SearchConfig, attack, attack_with_dag,
                                 generate_instance)
@@ -25,8 +25,8 @@ from knapcrack.reduction import reduce_half, reduce_solution
 
 from oracles import (basis_of, binary_solutions_naive, det_d_c, gso, gso_after_reduce,
                      gso_after_swap, half_sweep_fraction, hnf_columns, integer_solvable,
-                     kernel_basis, kernel_of, njp_left_dominates, njp_right_dominates,
-                     sweep_fraction, uk_bound)
+                     kernel_basis, kernel_of, mat_mul, njp_left_dominates,
+                     njp_right_dominates, sweep_fraction, uk_bound)
 
 
 def report(num: int, text: str) -> None:

@@ -14,14 +14,14 @@ from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, 
                                     build_lattice_B, cjloss_basis, classify_solution,
                                     decompose, special_solution, _check_decomposition,
                                     _scan_lo, _scan_pm1)
-from knapcrack.intmat import det_bareiss, gram, mat_mul
+from knapcrack.intmat import det_bareiss, gram
 from knapcrack import lattice
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem, complement, normalize
 
 from oracles import (attack_lo_two_lll, check_decomposition_bareiss,
                      det_d_c, gso, hnf_member, hnf_columns, integer_solvable, kernel_basis,
-                     lattices_equal, minor_gcd)
+                     lattices_equal, mat_mul, minor_gcd)
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -181,6 +181,42 @@ class TestContract:
                 _check_decomposition(sys, bad)
             with pytest.raises(AssertionError):
                 check_decomposition_bareiss(sys, bad)
+
+
+@pytest.mark.usefixtures("either_kernel")
+class TestContractProducts:
+    """The contract's A*D = 0 and A*C = E, read through intmat.products on
+    the columns of D and C, in each kernel."""
+
+    def test_a_kernel_column_outside_ker_a_raises(self):
+        sys = generate_system(2, 12, 3).system
+        kd = decompose(sys)
+        cols = kd.kernel_columns
+        for shift in (1, 2**64, 2**200):
+            outside = [cols[0][0] + shift, *cols[0][1:]]
+            with pytest.raises(AssertionError, match=r"A\*D != 0"):
+                _check_decomposition(sys, with_kernel_column(kd, 0, outside))
+        # A unimodular change of D keeps the lattice, past a C long too.
+        inside = [u + 2**200 * v for u, v in zip(cols[0], cols[1])]
+        _check_decomposition(sys, with_kernel_column(kd, 0, inside))
+
+    def test_an_altered_e_raises(self):
+        sys = generate_system(2, 12, 3).system
+        kd = decompose(sys)
+        for j, shift in ((0, 1), (1, -1), (0, 2**64), (1, -2**200)):
+            e_col = [row[j] + shift * (i == j) for i, row in enumerate(kd.E)]
+            with pytest.raises(AssertionError, match=r"A\*C != E"):
+                _check_decomposition(sys, dataclasses.replace(kd, E=with_column(kd.E, j, e_col)))
+
+    def test_the_contract_reads_the_columns_lll_returned(self):
+        # decompose keeps LLL's column heads as kernel_columns, equal to D's
+        # columns; a copy with another D reads its own.
+        sys = generate_system(2, 12, 3).system
+        kd = decompose(sys)
+        assert kd.kernel_columns == tuple(zip(*kd.D))
+        other = dataclasses.replace(kd, D=with_column(kd.D, 0, [0] * sys.n))
+        assert other.kernel_columns[0] == (0,) * sys.n
+        assert other.kernel_columns[1:] == kd.kernel_columns[1:]
 
 
 class TestSpecialSolution:

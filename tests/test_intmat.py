@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knapcrack import intmat, lattice
 from knapcrack.errors import DimensionMismatch, SingularE
-from knapcrack.intmat import det_bareiss, gram, mat_mul, mat_vec, rank, solve_exact
+from knapcrack.intmat import _products, det_bareiss, gram, mat_vec, products, rank, solve_exact
 
-from oracles import (det_leibniz, rank_fraction, solve_exact_fraction,
+from oracles import (det_leibniz, mat_mul, rank_fraction, solve_exact_fraction,
                      solve_integer_combination, transpose)
 
 ENTRIES = st.one_of(st.sampled_from([0, 1, -1, 2, -2, 2**200, -2**200]),
@@ -89,6 +90,86 @@ class TestBasics:
     def test_gram_symmetry(self):
         g = gram([[1, 2, 3], [0, 1, 1]])
         assert g == [[14, 5], [5, 2]]
+
+
+# 0, +-1, and the edges of a C long and of two limbs, and far beyond both
+CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**200, -2**200]
+PRODUCT_ENTRIES = st.one_of(st.sampled_from(CROSSING), st.integers(-3, 3))
+
+
+@st.composite
+def row_and_column_sets(draw):
+    """0-6 rows and 0-6 columns of one length 0-6, entries from CROSSING or small."""
+    n = draw(st.integers(0, 6))
+    vectors = st.lists(st.lists(PRODUCT_ENTRIES, min_size=n, max_size=n), max_size=6)
+    return draw(vectors), draw(vectors)
+
+
+class TestCProducts:
+    """The C products (_lll.c) return intmat._products' lists on every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_and_column_sets())
+    def test_crossing_entries_match_python(self, gmp_kernel, case):
+        rows, cols = case
+        expected = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
+        assert _products(rows, cols) == expected
+        assert gmp_kernel.products(rows, cols) == expected
+        assert gmp_kernel.products(tuple(map(tuple, rows)), tuple(map(tuple, cols))) == expected
+
+    def test_sums_past_int128_match_python(self, gmp_kernel):
+        # Two products of 2^126 pass 2^127; four wrap to 0 in 128 bits; and
+        # a sum that passes 2^127 comes back to 0.
+        a, low = 2**63 - 1, -2**63
+        cases = [([[low] * 2], [[low] * 2]), ([[low] * 4], [[low] * 4, [low, low, a, 0]]),
+                 ([[low, low, low, low, 2]], [[low, low, a, a, low], [a] * 5])]
+        for rows, cols in cases:
+            assert gmp_kernel.products(rows, cols) == _products(rows, cols)
+
+    def test_the_library_runs_the_c_products(self, gmp_kernel, monkeypatch):
+        # With the C entries loaded, gram and products never reach the Python products.
+        cols = [[1, 2, -2**70], [3, 0, 1]]
+        expected = gram(cols), products(cols[:1], cols)
+        monkeypatch.setattr(lattice, "_kernel", gmp_kernel)
+
+        def no_python_products(*args):
+            raise AssertionError("the Python products ran")
+
+        monkeypatch.setattr(intmat, "_products", no_python_products)
+        assert (gram(cols), products(cols[:1], cols)) == expected
+
+    def test_a_non_int_entry_raises_type_error(self, gmp_kernel):
+        rows, cols = [[1, 2], [2**200, 3]], [[4, 5]]
+        for bad in ([[1, 2.0], [2**200, 3]], [[1, 2], [2**200, "3"]], [[1, 2], [None, 2**200]]):
+            for args in ((bad, cols), (cols, bad)):
+                with pytest.raises(TypeError, match="must be an int"):
+                    gmp_kernel.products(*args)
+        # The state of the failed call was freed, and the next call runs.
+        assert gmp_kernel.products(rows, cols) == _products(rows, cols)
+
+    def test_unequal_lengths_raise_value_error(self, gmp_kernel):
+        for rows, cols in (([[1, 2]], [[1]]), ([[1], [1, 2]], [[1]]), ([], [[1], [1, 2]]),
+                           ([[1, 2]], [[2**200, 1], [2**200]])):
+            with pytest.raises(ValueError, match="share one length"):
+                gmp_kernel.products(rows, cols)
+
+
+class TestProducts:
+    @pytest.mark.usefixtures("either_kernel")
+    def test_unequal_lengths_raise_dimension_mismatch(self):
+        # The Python products would zip them short, so both kernels check first.
+        for rows, cols in (([[1, 2]], [[1]]), ([[1], [1, 2]], [[1]]), ([], [[1], [1, 2]])):
+            with pytest.raises(DimensionMismatch):
+                products(rows, cols)
+        with pytest.raises(DimensionMismatch):
+            gram([[1, 2, 3], [0, 1]])
+
+    @pytest.mark.usefixtures("either_kernel")
+    def test_empty_shapes(self):
+        assert products([], []) == []
+        assert products([[1, 2], [3, 4]], []) == [[], []]
+        assert products([], [[1, 2]]) == []
+        assert products([[], []], [[]]) == [[0], [0]]
 
 
 class TestEliminationAgainstReferences:

@@ -301,12 +301,6 @@ def kernel(cols, alpha):
     return lll(basis_of(cols), alpha).columns
 
 
-@pytest.fixture(params=["python_kernel", "gmp_kernel"])
-def either_kernel(request, monkeypatch):
-    """Run the test once on each kernel: the Python loop, then the C loop."""
-    monkeypatch.setattr(lattice, "_kernel", request.getfixturevalue(request.param))
-
-
 class TestPackedColumns:
     """Both loops on the columns that stress the C loop's packing (zeros, +-1
     and +-2^200, some dense), held to naive_lll and lemma_lll, which compute
