@@ -1,62 +1,44 @@
 /* Exact LLL over GMP, the kernel sweep that follows it and the exact integer
  * products around them: lattice._python_reduce, reduction._sweep and
- * intmat._products, run on mpz_t, as the CPython extension module
- * knapcrack._lll.
+ * intmat._products, run on machine words and mpz_t, as the CPython extension
+ * module knapcrack._lll.
  *
  * Its first entry, reduce, is the same Cohen integral LLL (Alg. 2.6.7) as the
  * Python loop, step for step: the same k_max first visits, the same
  * zero-prefix skip of the inner products (gso_row), the same nearest integer
  * ceil(q - 1/2), the same Lovasz test against alpha = p/q and the same
  * exchange update of rows k+1..k_max.  Both loops compute one function of their
- * input, bit for bit, and raise at the same column.  The Python loop runs on
- * plain integer columns; here each column is packed into one mpz_t (Packing,
- * below), so a size reduction is one mpz_sub, mpz_add or mpz_submul, an
- * exchange one mpz_swap, and slots are decoded only at first visits, at the
- * input column's nonzero coordinates, and once at exit.  The packing is this
- * file's own format, so the tests that hold this loop to the Python one check
- * it against plain integer arithmetic.  Its second entry, sweep, is
- * reduction._sweep (Sweep, below), and its third, products, is
- * intmat._products (Products, below).
+ * input, bit for bit, and raise at the same column.  Both run on plain integer
+ * columns; here a column's entries are C longs while they fit in one
+ * (Columns, below).  Its second entry, sweep, is reduction._sweep (Sweep,
+ * below), and its third, products, is intmat._products (Products, below).
  *
- * Packing.  Each column is one integer (Kronecker substitution): with slot
- * width w, column b is packed as P = sum_r b[r] 2^(w r), entry r in slot r in
- * signed form.  Packing is Z-linear, so both size-reduction updates are one
- * big-integer operation, P_k -= gamma P_j, and an exchange swaps two
- * integers.  Slots may overflow into each other while a column is not
- * size-reduced; the integer still equals the packing of the true column.
- * Only decoding needs the entries to fit: adding offset (half of 2^w in every
- * slot) makes every slot hold b[r] + 2^(w-1) in [0, 2^w) with no borrow, and
- * a shift and mask read it.  Where w <= 64 (most bases), a slot spans at most
- * two limbs and is read from them (slot), and an input column, whose entries
- * are below 2^(w-1) in absolute value (below), is packed by writing each
- * |b[r]| into its slot of a positive or a negative part (pack).
+ * Columns.  A column is held as the sweep and products hold a vector (ints):
+ * its dim entries as C longs, or, where one of them is not a long, all of them
+ * as mpz_t, the column being wide.  A size reduction, column k -= gamma column
+ * j, is one loop over the entries in long under __builtin_*_overflow
+ * (sub_column).  At the first entry where a product or a difference overflows,
+ * the column is widened, with the entries before it updated and the rest not,
+ * and GMP carries the update on from that entry; after an update in GMP, the
+ * column goes back to words where every entry fits in a long again.  An
+ * exchange swaps the two columns' pointers.  A first visit reads the input
+ * column's inner products with columns 0..k-1 (dot) only at its nonzero
+ * coordinates, m + 1 of them for an [I; N A] basis, in __int128 where both
+ * columns are words.  The input columns are the loop's columns until they are
+ * first visited, so they are read once into the state and written out from it.
+ * No bound on the entries is needed: a column of any size is exact.  A wide
+ * column costs one GMP call per entry, so columns that stay wide, as on the
+ * augmented systems at n = 100, whose columns start near 2^127, are its slow
+ * case.
  *
- * The width comes from a proof, not from tracking.  Let B be the largest
- * squared norm of the n input columns.  Every ||b*_j||^2 is at most B: a
- * Gram-Schmidt vector is a projection of its column, which is an input column
- * until it is first visited, and an exchange at k makes b*_{k-1} shorter than
- * the old b*_{k-1} (the Lovasz test failed) and the new b*_k a projection of
- * the old b*_{k-1}.  A size-reduced column b_i = b*_i + sum_{j<i} mu_{i,j}
- * b*_j with |mu_{i,j}| <= 1/2 then has ||b_i||^2 <= (1 + (n-1)/4) B.  Let L
- * be the bit length of (1 + n) B and h = L/2 rounded down.  For even L,
- * (1 + (n-1)/4) B < (1 + n) B < 2^L = 2^(2h); for odd L, B < 2^L / (1 + n)
- * and (n + 3) / (n + 1) <= 2 give (1 + (n-1)/4) B < 2^(L-1) = 2^(2h).  So
- * every entry of a size-reduced column is below 2^h in absolute value, and
- * the slot width w = h + 3 (set_width) leaves the sign bit and two spare
- * bits.  Width w - 2 would be sound too.  Width w - 3 is not: its slots hold
- * only entries in [-2^(h-1), 2^(h-1)), and reduced entries of bit length h
- * occur (the slot-width tests in tests/test_lattice.py reach them).  Columns
- * are decoded only while size-reduced: at exit, and at the first visit of
- * column k, when columns 0..k-1 are (LLL's invariant: at index k the columns
- * before k are size-reduced, since a column changes only while the index is at
- * it, by reduction, or by an exchange that moves the index back to it).  The
- * premise d[j+1] <= B d[j] is checked on the output, and a failure returns
- * LLL_PREMISE instead of the output; the Python loop checks it too, so
- * both raise the same AssertionError.  A first visit needs the input column's
- * inner products with the current columns 0..k-1; they are read from the
- * packed columns only at the input column's nonzero coordinates, m + 1 of them
- * for an [I; N A] basis, as decoding the whole prefix on every first visit
- * costs most of what packing saves.
+ * The LLL invariant.  Let B be the largest squared norm of the n input
+ * columns.  Every ||b*_j||^2 is at most B: a Gram-Schmidt vector is a
+ * projection of its column, which is an input column until it is first
+ * visited, and an exchange at k makes b*_{k-1} shorter than the old b*_{k-1}
+ * (the Lovasz test failed) and the new b*_k a projection of the old b*_{k-1}.
+ * So d[j+1] <= B d[j] for every j.  The loop checks this on its output, and a
+ * failure returns LLL_PREMISE instead of the output; the Python loop checks it
+ * too, so both raise the same AssertionError.
  *
  * Division.  The Python loop divides with `//`, which floors.  round_nearest's
  * quotient is not exact, and it is mpz_fdiv_q here, the one floor division
@@ -73,20 +55,21 @@
  * there is its calls, not its arithmetic.  word() reads an mpz_t as a long
  * when |z| <= LONG_MAX, and four steps compute in words when their operands
  * are ones: the Lovasz test (lovasz_fails), the size reduction's test,
- * rounding and updates (size_reduce, round_nearest, sub_multiple), and the
+ * rounding and lam updates (size_reduce, round_nearest, sub_multiple), and the
  * quotients of the exchange and of gso_row (cross_quotient).  Each does its
  * arithmetic in __int128, where a product of two longs and a sum of two such
  * products are exact, or in long under __builtin_*_overflow, and writes a
  * result with mpz_set_si only when it fits in a long; otherwise the step runs
- * in GMP for that value.  Storage stays mpz_t, and every value and decision
- * is the one GMP would compute.  The build needs __int128 (GCC or Clang on a
- * 64-bit target) and stops with #error without it, so the Python loop runs.
+ * in GMP for that value.  d and lam are stored as mpz_t, and every value and
+ * decision is the one GMP would compute.  The build needs __int128 (GCC or
+ * Clang on a 64-bit target) and stops with #error without it, so the Python
+ * loop runs.
  *
  * Termination.  The loop checks the two steps of LLL's termination proof, as
  * the Python loop does (lattice.py's docstring has the proof): each exchange
  * lowers d[k] and leaves it positive, and there are at most q log2(P0) /
  * (q - p) exchanges, with log2(P0) <= sum_i (n - i) bitlen(||b_i||^2) over
- * the input columns.  set_width takes the norms it already computes for B.
+ * the input columns.  set_budget takes the norms it computes for B.
  * When either fails the loop returns LLL_BUDGET, and the wrapper raises the
  * Python loop's AssertionError.  So a wrong d or lam ends in an error instead
  * of an endless loop, at the latest once the budget runs out.  A budget
@@ -97,14 +80,14 @@
  *
  * Resume.  reduce takes a start, the record of a run on the first r of its
  * columns with prefix r, and runs from k = r and k_max = r - 1 with those
- * columns, packed whole, and the start's d[0..r] and lam rows 0..r-1, which
- * it reads into its own mpz_t and so never writes.  Cohen's loop first
- * visits column r at exactly the step where a run on columns 0..r-1 ends, in
- * that state, so the output is the whole run's, bit for bit.  B, the budget
- * and the width come from the input as given, the start's columns and the
- * new ones, and the proofs above hold for it: each head ||b*_j||^2 is at
- * most the squared norm of its column, an input column, so at most B, and
- * the head's d are the input's Gram determinants, bounded as P0 is.
+ * columns, read as every input column is, and the start's d[0..r] and lam rows
+ * 0..r-1, which it reads into its own mpz_t and so never writes.  Cohen's loop
+ * first visits column r at exactly the step where a run on columns 0..r-1
+ * ends, in that state, so the output is the whole run's, bit for bit.  B and
+ * the budget come from the input as given, the start's columns and the new
+ * ones, and the proofs above hold for it: each head ||b*_j||^2 is at most the
+ * squared norm of its column, an input column, so at most B, and the head's d
+ * are the input's Gram determinants, bounded as P0 is.
  *
  * Output.  At exit d and lam are exact for the reduced columns, and the
  * caller names a prefix k: reduce returns the reduced columns, a tuple of
@@ -114,16 +97,14 @@
  * tests hold this loop to the Python one.
  *
  * Crossing.  An int is read through a C long where it fits one and through
- * its own hex text otherwise; a value is written through a long where word()
+ * its own hex text otherwise; an mpz_t is written through a long where word()
  * reads it as one, and through GMP's base-16 text otherwise, so LONG_MIN,
  * which word() excludes, is read as a word and written as text.  The input
- * columns, which the loop only reads, are read into read-only views of one
- * limb each (read_view, mpz_roinit_n) where they fit a long, which allocate
- * nothing; a start's d and lam, which the loop writes, and p and q into
- * mpz_t of their own (read_int).  The output columns are decoded from their
- * packing.  The loop runs with the interpreter's lock released, between
- * reading its input and building its output, and touches no Python object
- * there.
+ * columns are read as ints (read_ints), a word column's entries written back
+ * through a long, LONG_MIN among them; a start's d and lam, which the loop
+ * writes, and p and q into mpz_t of their own (read_int).  The loop runs with
+ * the interpreter's lock released, between reading its input and building its
+ * output, and touches no Python object there.
  *
  * Sweep.  sweep(cols, d, lam, target, step) is reduction._sweep, Babai's
  * nearest-plane rounding of target against the kernel basis D, whose s
@@ -169,26 +150,33 @@
 #error "the word path computes in __int128: build with GCC or Clang for a 64-bit target"
 #endif
 #if GMP_NAIL_BITS != 0 || GMP_NUMB_BITS != 64 || LONG_MAX >> 62 != 1
-#error "words and slots are read from 64-bit limbs: build for a 64-bit target"
+#error "words are read from and into 64-bit limbs: build for a 64-bit target"
 #endif
 
 /* reduce's statuses, which lattice.py names C_DEPENDENT, C_PREMISE and C_BUDGET */
 enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_BUDGET = 3 };
 
-/* The reduction state.  input holds the n input columns' dim entries, column
- * by column, and at exit the reduced columns; packed[i] is column i packed as
- * sum_r b[r] 2^(w r).  lam[i] points at row i of lam (entries 0..i-1 in use),
- * d at d[0..n]; swapping two rows swaps pointers.  exchanges counts the
- * exchanges against budget (header: Termination). */
+/* A column of the LLL loop or a vector of the sweep or of products (header:
+ * Columns, Sweep): its entries as words in w, or, where one of them is not a
+ * word, all of them in z, with wide set. */
+typedef struct {
+    long *w;
+    mpz_ptr z;
+    int wide;
+} ints;
+
+/* The reduction state.  cols holds the n columns of dim entries, the input
+ * ones until they are first visited and at exit the reduced ones.  lam[i]
+ * points at row i of lam (entries 0..i-1 in use), d at d[0..n]; swapping two
+ * columns or two rows swaps pointers.  exchanges counts the exchanges against
+ * budget (header: Termination). */
 typedef struct {
     int n, dim;
-    mp_bitcnt_t w;
     unsigned long exchanges, budget;
-    mpz_ptr input, packed;
-    mp_limb_t *limbs;
+    ints *cols;
     mpz_ptr *lam, d;
     int *nz;
-    mpz_t p, q, bound, offset, half, gamma, num, dnew, t, t1, t2;
+    mpz_t p, q, bound, gamma, num, dnew, t, t1, t2;
 } state;
 
 /* *v = z when |z| <= LONG_MAX; returns whether it is. */
@@ -229,13 +217,51 @@ static void cross_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b, int sign, mp
     mpz_divexact(out, t, den);
 }
 
-/* The indices of col's nonzero entries into nz; returns their count. */
-static int nonzero(mpz_srcptr col, int dim, int *nz)
+/* Entry r of v as an mpz_t, set into t where v is words. */
+static mpz_srcptr entry(const ints *v, int r, mpz_ptr t)
+{
+    if (v->wide)
+        return v->z + r;
+    mpz_set_si(t, v->w[r]);
+    return t;
+}
+
+/* out = the inner product of a and b over len coordinates, the first len of
+ * at or, where at is NULL, 0..len-1: in __int128 where both are words and no
+ * sum overflows, written as a word where it fits one; otherwise in GMP, with
+ * t1 and t2 as scratch.  A product of two longs is at most 2^126 in absolute
+ * value, so only the sums need a check. */
+static void dot(mpz_ptr out, const ints *a, const ints *b, const int *at, int len, mpz_ptr t1,
+                mpz_ptr t2)
+{
+    __int128 acc = 0;
+    int i, r;
+
+    if (!a->wide && !b->wide) {
+        for (i = 0; i < len; i++) {
+            r = at ? at[i] : i;
+            if (__builtin_add_overflow(acc, (__int128)a->w[r] * b->w[r], &acc))
+                break;
+        }
+        if (i == len && acc >= LONG_MIN && acc <= LONG_MAX) {
+            mpz_set_si(out, (long)acc);
+            return;
+        }
+    }
+    mpz_set_ui(out, 0);
+    for (i = 0; i < len; i++) {
+        r = at ? at[i] : i;
+        mpz_addmul(out, entry(a, r, t1), entry(b, r, t2));
+    }
+}
+
+/* The indices of v's nonzero entries, of dim, into nz; returns their count. */
+static int nonzero(const ints *v, int dim, int *nz)
 {
     int r, count = 0;
 
     for (r = 0; r < dim; r++)
-        if (mpz_sgn(col + r))
+        if (v->wide ? mpz_sgn(v->z + r) : v->w[r])
             nz[count++] = r;
     return count;
 }
@@ -311,96 +337,72 @@ static void sub_multiple(mpz_ptr v, mpz_srcptr w, int len, mpz_srcptr gamma)
     }
 }
 
-/* out = the signed slot r of a packed column whose packing plus offset is
- * shifted, with shifted >= 0: where a slot fits in a limb, from the one or
- * two limbs it spans (mpz_getlimbn reads 0 past the top one), else in GMP. */
-static void slot(state *s, mpz_ptr out, mpz_srcptr shifted, int r)
+/* Column v of dim entries into GMP: its words into its mpz_t. */
+static void widen(ints *v, int dim)
 {
-    mp_bitcnt_t at = s->w * r;
-    mp_size_t i = (mp_size_t)(at / GMP_NUMB_BITS);
-    unsigned shift = (unsigned)(at % GMP_NUMB_BITS);
-    mp_limb_t u;
-
-    if (s->w <= GMP_NUMB_BITS) {
-        u = mpz_getlimbn(shifted, i) >> shift;
-        if (shift)
-            u |= mpz_getlimbn(shifted, i + 1) << (GMP_NUMB_BITS - shift);
-        if (s->w < GMP_NUMB_BITS)
-            u &= ((mp_limb_t)1 << s->w) - 1;
-        mpz_set_si(out, (long)(u - ((mp_limb_t)1 << (s->w - 1))));
-        return;
-    }
-    mpz_fdiv_q_2exp(out, shifted, at);
-    mpz_fdiv_r_2exp(out, out, s->w);
-    mpz_sub(out, out, s->half);
-}
-
-/* packed[k] = input column k packed, its nnz nonzero coordinates being in nz.
- * Where a slot fits in a limb, each |b[r]| < 2^(w-1) (header: Packing) is
- * written into its slot of the positive or the negative part, two limb
- * arrays in t1 and t2, and packed[k] is their difference; else in GMP. */
-static void pack(state *s, int k, int nnz)
-{
-    mpz_srcptr ck = s->input + (size_t)k * s->dim, b;
-    mp_size_t size = (mp_size_t)(s->w * s->dim / GMP_NUMB_BITS) + 2;
-    mp_bitcnt_t at;
-    mp_ptr pos, neg, part;
-    mp_limb_t v;
-    unsigned shift;
     int r;
 
-    if (s->w > GMP_NUMB_BITS) {
-        for (r = 0; r < nnz; r++) {
-            mpz_mul_2exp(s->t, ck + s->nz[r], s->w * s->nz[r]);
-            mpz_add(s->packed + k, s->packed + k, s->t);
-        }
+    for (r = 0; r < dim; r++)
+        mpz_set_si(v->z + r, v->w[r]);
+    v->wide = 1;
+}
+
+/* Wide column v of dim entries back into words where every entry fits in a
+ * long. */
+static void narrow(ints *v, int dim)
+{
+    int r;
+
+    for (r = 0; r < dim; r++)
+        if (!mpz_fits_slong_p(v->z + r))
+            return;
+    for (r = 0; r < dim; r++)
+        v->w[r] = mpz_get_si(v->z + r);
+    v->wide = 0;
+}
+
+/* Column v -= gamma times column w, dim entries each (header: Columns): in
+ * words while gamma and both columns are words and no product or difference
+ * overflows, and from the entry where one does on in GMP, v being widened
+ * first and narrowed after.  A word entry of w enters GMP as the unsigned
+ * long factor of mpz_submul_ui or mpz_addmul_ui, and a zero one not at all. */
+static void sub_column(ints *v, const ints *w, int dim, mpz_srcptr gamma)
+{
+    long g, x;
+    int r = 0;
+
+    if (!v->wide && !w->wide && word(gamma, &g))
+        for (; r < dim && !__builtin_mul_overflow(g, w->w[r], &x)
+               && !__builtin_sub_overflow(v->w[r], x, &x); r++)
+            v->w[r] = x;
+    if (r == dim)
         return;
-    }
-    pos = mpz_limbs_write(s->t1, size);
-    neg = mpz_limbs_write(s->t2, size);
-    memset(pos, 0, size * sizeof(mp_limb_t));
-    memset(neg, 0, size * sizeof(mp_limb_t));
-    for (r = 0; r < nnz; r++) {
-        b = ck + s->nz[r];
-        v = mpz_getlimbn(b, 0);
-        part = mpz_sgn(b) > 0 ? pos : neg;
-        at = s->w * s->nz[r];
-        shift = (unsigned)(at % GMP_NUMB_BITS);
-        part[at / GMP_NUMB_BITS] |= v << shift;
-        if (shift)
-            part[at / GMP_NUMB_BITS + 1] |= v >> (GMP_NUMB_BITS - shift);
-    }
-    mpz_limbs_finish(s->t1, size);
-    mpz_limbs_finish(s->t2, size);
-    mpz_sub(s->packed + k, s->t1, s->t2);
+    if (!v->wide)
+        widen(v, dim);
+    for (; r < dim; r++)
+        if (w->wide)
+            mpz_submul(v->z + r, gamma, w->z + r);
+        else if (w->w[r] > 0)
+            mpz_submul_ui(v->z + r, gamma, (unsigned long)w->w[r]);
+        else if (w->w[r] < 0)
+            mpz_addmul_ui(v->z + r, gamma, -(unsigned long)w->w[r]);
+    narrow(v, dim);
 }
 
 /* First visit of column k, still input column k: its GSO row into lam[k]
- * and d[k+1] (lattice._visit), and its packing into packed[k].  The inner
- * products read the slots of packed columns 0..k-1, which are size-reduced,
- * only at the input column's nonzero coordinates.  Returns nonzero when
- * column k depends on columns 0..k-1. */
+ * and d[k+1] (lattice._visit), from its inner products with columns 0..k-1
+ * and its squared norm, read only at its nonzero coordinates.  Returns
+ * nonzero when column k depends on columns 0..k-1. */
 static int visit(state *s, int k)
 {
-    mpz_ptr ck = s->input + (size_t)k * s->dim, row = s->lam[k], d = s->d;
-    int nnz = nonzero(ck, s->dim, s->nz), r, j;
+    const ints *ck = s->cols + k;
+    int nnz = nonzero(ck, s->dim, s->nz), j;
 
-    for (j = 0; j < k; j++) {
-        mpz_add(s->t, s->packed + j, s->offset);
-        mpz_set_ui(row + j, 0);
-        for (r = 0; r < nnz; r++) {
-            slot(s, s->t2, s->t, s->nz[r]);
-            mpz_addmul(row + j, ck + s->nz[r], s->t2);
-        }
-    }
-    mpz_set_ui(d + k + 1, 0);
-    for (r = 0; r < nnz; r++)
-        mpz_addmul(d + k + 1, ck + s->nz[r], ck + s->nz[r]);
-    gso_row(s->lam, d, k, k + 1, s->t1);
-    if (!mpz_sgn(d + k + 1))
-        return 1;
-    pack(s, k, nnz);
-    return 0;
+    for (j = 0; j < k; j++)
+        dot(s->lam[k] + j, ck, s->cols + j, s->nz, nnz, s->t1, s->t2);
+    dot(s->d + k + 1, ck, ck, s->nz, nnz, s->t1, s->t2);
+    gso_row(s->lam, s->d, k, k + 1, s->t1);
+    return !mpz_sgn(s->d + k + 1);
 }
 
 /* Size-reduce column k against column j < k, as in _python_reduce: when
@@ -420,7 +422,7 @@ static void size_reduce(state *s, int k, int j)
             return;
     }
     round_nearest(s->gamma, lkj, dj, s->t1, s->t2);
-    sub_multiple(s->packed + k, s->packed + j, 1, s->gamma);
+    sub_column(s->cols + k, s->cols + j, s->dim, s->gamma);
     sub_multiple(s->lam[k], s->lam[j], j, s->gamma);
     sub_multiple(lkj, dj, 1, s->gamma);
 }
@@ -431,12 +433,13 @@ static void size_reduce(state *s, int k, int j)
 static int exchange(state *s, int k, int kmax)
 {
     mpz_ptr *lam = s->lam, d = s->d, swap, lkk, li;
+    ints col;
     int i;
 
     mpz_divexact(s->dnew, s->num, d + k);
     if (mpz_sgn(s->dnew) <= 0 || mpz_cmp(s->dnew, d + k) >= 0)
         return 0;
-    mpz_swap(s->packed + k - 1, s->packed + k);
+    col = s->cols[k - 1], s->cols[k - 1] = s->cols[k], s->cols[k] = col;
     /* Rows k-1 and k trade their entries for columns 0..k-2; lam[k][k-1]
      * stays. */
     swap = lam[k - 1], lam[k - 1] = lam[k], lam[k] = swap;
@@ -520,37 +523,53 @@ static int reduce(state *s, int r, int *where)
     return LLL_OK;
 }
 
-/* B, the largest squared norm of the input columns; the slot width
- * w = bitlen((1 + n) B) // 2 + 3 (header: Packing); half = 2^(w-1) and
- * offset, half of 2^w in every one of the dim slots; and from the same norms
+/* B, the largest squared norm of the input columns, and from the same norms
  * the exchange budget q sum_i (n - i) bitlen(||b_i||^2) / (q - p) (header:
- * Termination), or ULONG_MAX where it is larger. */
-static void set_width(state *s)
+ * Termination), or ULONG_MAX where it is larger.  A word column's norm is
+ * summed in unsigned __int128, and a wide one's, or one whose sum overflows,
+ * in GMP (dot).  A sum of bit lengths past ULONG_MAX is held as ULONG_MAX,
+ * which puts the budget past it too. */
+static void set_budget(state *s)
 {
-    mpz_ptr col;
-    int i, r;
+    unsigned __int128 norm, top = 0;
+    unsigned long bits, sum = 0;
+    const ints *c;
+    mp_ptr limb;
+    int i, r, big;
 
-    mpz_set_ui(s->t2, 0);
     for (i = 0; i < s->n; i++) {
-        col = s->input + (size_t)i * s->dim;
-        mpz_set_ui(s->t, 0);
-        for (r = 0; r < s->dim; r++)
-            mpz_addmul(s->t, col + r, col + r);
-        if (mpz_cmp(s->t, s->bound) > 0)
-            mpz_set(s->bound, s->t);
-        mpz_set_ui(s->t1, mpz_sgn(s->t) ? mpz_sizeinbase(s->t, 2) : 0);
-        mpz_addmul_ui(s->t2, s->t1, (unsigned long)(s->n - i));
+        c = s->cols + i;
+        norm = 0;
+        for (r = 0, big = c->wide; !big && r < s->dim; r++)
+            big = __builtin_add_overflow(norm, (unsigned __int128)((__int128)c->w[r] * c->w[r]),
+                                         &norm);
+        if (big) {
+            dot(s->t, c, c, NULL, s->dim, s->t1, s->t2);
+            if (mpz_cmp(s->t, s->bound) > 0)
+                mpz_set(s->bound, s->t);
+            bits = mpz_sgn(s->t) ? mpz_sizeinbase(s->t, 2) : 0;
+        } else {
+            if (norm > top)
+                top = norm;
+            bits = norm >> 64 ? 128 - __builtin_clzl((unsigned long)(norm >> 64))
+                   : norm ? 64 - __builtin_clzl((unsigned long)norm) : 0;
+        }
+        if (__builtin_mul_overflow(bits, (unsigned long)(s->n - i), &bits)
+            || __builtin_add_overflow(sum, bits, &sum))
+            sum = ULONG_MAX;
     }
+    limb = mpz_limbs_write(s->t, 2);
+    limb[0] = (mp_limb_t)top;
+    limb[1] = (mp_limb_t)(top >> 64);
+    mpz_limbs_finish(s->t, limb[1] ? 2 : limb[0] != 0);
+    if (mpz_cmp(s->t, s->bound) > 0)
+        mpz_set(s->bound, s->t);
+    mpz_set_ui(s->t2, sum);
     mpz_mul(s->t2, s->t2, s->q);
     mpz_sub(s->t1, s->q, s->p);
     mpz_fdiv_q(s->t2, s->t2, s->t1);
     s->budget = mpz_fits_ulong_p(s->t2) ? mpz_get_ui(s->t2) : ULONG_MAX;
     s->exchanges = 0;
-    mpz_mul_ui(s->t, s->bound, (unsigned long)s->n + 1);
-    s->w = (mpz_sgn(s->t) ? mpz_sizeinbase(s->t, 2) : 0) / 2 + 3;
-    mpz_setbit(s->half, s->w - 1);
-    for (r = 0; r < s->dim; r++)
-        mpz_setbit(s->offset, s->w * r + s->w - 1);
 }
 
 
@@ -639,13 +658,34 @@ static PyObject *new_int(mpz_srcptr z)
     return obj;
 }
 
-/* The n columns of dim entries of cols, a list or tuple, into input, as
- * views where they are words (read_view), and p and q; returns -1 with an
- * exception set where one is not read. */
+/* The len ints of items into v; returns -1 with an exception set where one is
+ * not read, a TypeError where it is not an int. */
+static int read_ints(ints *v, PyObject **items, int len)
+{
+    int r, overflow;
+
+    v->wide = 0;
+    for (r = 0; r < len; r++) {
+        if (check_int(items[r]))
+            return -1;
+        v->w[r] = PyLong_AsLongAndOverflow(items[r], &overflow);
+        if (v->w[r] == -1 && PyErr_Occurred())
+            return -1;
+        v->wide |= overflow != 0;
+    }
+    for (r = 0; v->wide && r < len; r++)
+        if (read_int(v->z + r, items[r]))
+            return -1;
+    return 0;
+}
+
+/* The n columns of dim entries of cols, a list or tuple, into the state's
+ * columns (read_ints), and p and q; returns -1 with an exception set where
+ * one is not read. */
 static int read_input(state *s, PyObject *cols, PyObject *p, PyObject *q)
 {
-    PyObject *col, **entries;
-    int i, r, status = 0;
+    PyObject *col;
+    int i, status = 0;
 
     for (i = 0; !status && i < s->n; i++) {
         if (!(col = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, i),
@@ -654,11 +694,8 @@ static int read_input(state *s, PyObject *cols, PyObject *p, PyObject *q)
         if (PySequence_Fast_GET_SIZE(col) != s->dim) {
             PyErr_SetString(PyExc_ValueError, "columns must share one dimension");
             status = -1;
-        }
-        entries = PySequence_Fast_ITEMS(col);
-        for (r = 0; !status && r < s->dim; r++)
-            status = read_view(s->input + (size_t)i * s->dim + r,
-                               s->limbs + (size_t)i * s->dim + r, entries[r]);
+        } else
+            status = read_ints(s->cols + i, PySequence_Fast_ITEMS(col), s->dim);
         Py_DECREF(col);
     }
     if (status || read_int(s->p, p))
@@ -696,11 +733,12 @@ static int read_start(state *s, PyObject *d, PyObject *lam, int r)
     return status;
 }
 
-/* (columns, d, lam) for the prefix k (header: Output), the columns decoded
- * from their packing, or NULL with an exception set. */
+/* (columns, d, lam) for the prefix k (header: Output), or NULL with an
+ * exception set. */
 static PyObject *output(state *s, int k)
 {
     PyObject *cols = PyTuple_New(s->n), *d = PyList_New(k + 1), *lam = PyList_New(k), *seq, *x;
+    const ints *c;
     int i, j;
 
     if (!cols || !d || !lam)
@@ -709,10 +747,9 @@ static PyObject *output(state *s, int k)
         if (!(seq = PyTuple_New(s->dim)))
             goto fail;
         PyTuple_SET_ITEM(cols, i, seq);
-        mpz_add(s->t, s->packed + i, s->offset);
+        c = s->cols + i;
         for (j = 0; j < s->dim; j++) {
-            slot(s, s->t2, s->t, j);
-            if (!(x = new_int(s->t2)))
+            if (!(x = c->wide ? new_int(c->z + j) : PyLong_FromLong(c->w[j])))
                 goto fail;
             PyTuple_SET_ITEM(seq, j, x);
         }
@@ -758,6 +795,8 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
     Py_ssize_t n, dim, r = 0;
     size_t total = 0, e;
     state s;
+    long *words = NULL;
+    mpz_ptr z = NULL;
     int prefix, where = 0, status = LLL_OK, i;
 
     (void)module;
@@ -766,8 +805,7 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
         return NULL;
     n = PySequence_Fast_GET_SIZE(seq);
     dim = n ? PySequence_Size(PySequence_Fast_GET_ITEM(seq, 0)) : 0;
-    s.input = NULL;
-    s.limbs = NULL;
+    s.cols = NULL;
     s.lam = NULL;
     s.nz = NULL;
     if (dim < 0)
@@ -788,32 +826,31 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
     }
     s.n = (int)n;
     s.dim = (int)dim;
-    total = (size_t)n * dim + n + (size_t)n * n + n + 1;
-    s.input = PyMem_New(__mpz_struct, total);
-    s.limbs = PyMem_New(mp_limb_t, (size_t)n * dim);
+    /* the columns' GMP entries, then lam and d */
+    total = (size_t)n * dim + (size_t)n * n + n + 1;
+    s.cols = PyMem_New(ints, n);
+    words = PyMem_New(long, (size_t)n * dim);
+    z = PyMem_New(__mpz_struct, total);
     s.lam = PyMem_New(mpz_ptr, n);
     s.nz = PyMem_New(int, dim);
-    if (!s.input || !s.limbs || !s.lam || !s.nz) {
+    if (!s.cols || !words || !z || !s.lam || !s.nz) {
         PyErr_NoMemory();
         goto release;
     }
-    for (e = 0; e < (size_t)n * dim; e++)
-        mpz_roinit_n(s.input + e, s.limbs + e, 0);
-    for (; e < total; e++)
-        mpz_init(s.input + e);
-    s.packed = s.input + (size_t)n * dim;
-    for (i = 0; i < n; i++)
-        s.lam[i] = s.packed + n + (size_t)i * n;
-    s.d = s.packed + n + (size_t)n * n;
+    for (e = 0; e < total; e++)
+        mpz_init(z + e);
+    for (i = 0; i < n; i++) {
+        s.cols[i].w = words + (size_t)i * dim;
+        s.cols[i].z = z + (size_t)i * dim;
+        s.lam[i] = z + (size_t)n * dim + (size_t)i * n;
+    }
+    s.d = z + (size_t)n * dim + (size_t)n * n;
     mpz_set_ui(s.d, 1);
-    mpz_inits(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
-              NULL);
+    mpz_inits(s.p, s.q, s.bound, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2, NULL);
 
     if (!read_input(&s, seq, p, q) && !(d && read_start(&s, d, lam, (int)r))) {
         Py_BEGIN_ALLOW_THREADS
-        set_width(&s);
-        for (i = 0; i < r; i++)
-            pack(&s, i, nonzero(s.input + (size_t)i * s.dim, s.dim, s.nz));
+        set_budget(&s);
         status = reduce(&s, (int)r, &where);
         for (i = 0; status == LLL_OK && i < n; i++) {
             mpz_mul(s.t1, s.bound, s.d + i);
@@ -828,15 +865,13 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
             value = Py_BuildValue("iN", status, value);
     }
 
-    mpz_clears(s.p, s.q, s.bound, s.offset, s.half, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2,
-               NULL);
-    for (e = 0; e < (size_t)n * dim; e++)
-        clear_view(s.input + e, s.limbs + e);
-    for (; e < total; e++)
-        mpz_clear(s.input + e);
+    mpz_clears(s.p, s.q, s.bound, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2, NULL);
+    for (e = 0; e < total; e++)
+        mpz_clear(z + e);
 release:
-    PyMem_Free(s.input);
-    PyMem_Free(s.limbs);
+    PyMem_Free(s.cols);
+    PyMem_Free(words);
+    PyMem_Free(z);
     PyMem_Free(s.lam);
     PyMem_Free(s.nz);
     Py_XDECREF(d);
@@ -848,68 +883,6 @@ bad_start:
         PyErr_SetString(PyExc_ValueError, "a start is a tuple (columns, d, lam) with d[0..r] "
                                           "and lam rows 0..r-1, r <= n");
     goto release;
-}
-
-/* A vector of the sweep or of products (header: Sweep, Products): its entries
- * as words in w, or, where one of them is not a word, all of them in z, with
- * wide set. */
-typedef struct {
-    long *w;
-    mpz_ptr z;
-    int wide;
-} ints;
-
-/* The len ints of items into v; returns -1 with an exception set where one is
- * not read, a TypeError where it is not an int. */
-static int read_ints(ints *v, PyObject **items, int len)
-{
-    int r, overflow;
-
-    v->wide = 0;
-    for (r = 0; r < len; r++) {
-        if (check_int(items[r]))
-            return -1;
-        v->w[r] = PyLong_AsLongAndOverflow(items[r], &overflow);
-        if (v->w[r] == -1 && PyErr_Occurred())
-            return -1;
-        v->wide |= overflow != 0;
-    }
-    for (r = 0; v->wide && r < len; r++)
-        if (read_int(v->z + r, items[r]))
-            return -1;
-    return 0;
-}
-
-/* Entry r of v as an mpz_t, set into t where v is words. */
-static mpz_srcptr entry(const ints *v, int r, mpz_ptr t)
-{
-    if (v->wide)
-        return v->z + r;
-    mpz_set_si(t, v->w[r]);
-    return t;
-}
-
-/* out = the inner product of a and b, of len entries each: in __int128 where
- * both are words and no sum overflows, written as a word where it fits one;
- * otherwise in GMP, with t1 and t2 as scratch.  A product of two longs is at
- * most 2^126 in absolute value, so only the sums need a check. */
-static void dot(mpz_ptr out, const ints *a, const ints *b, int len, mpz_ptr t1, mpz_ptr t2)
-{
-    __int128 acc = 0;
-    int r;
-
-    if (!a->wide && !b->wide) {
-        for (r = 0; r < len; r++)
-            if (__builtin_add_overflow(acc, (__int128)a->w[r] * b->w[r], &acc))
-                break;
-        if (r == len && acc >= LONG_MIN && acc <= LONG_MAX) {
-            mpz_set_si(out, (long)acc);
-            return;
-        }
-    }
-    mpz_set_ui(out, 0);
-    for (r = 0; r < len; r++)
-        mpz_addmul(out, entry(a, r, t1), entry(b, r, t2));
 }
 
 /* The sweep's state (header: Sweep).  cols[j] is column j of D and x the
@@ -937,7 +910,7 @@ static void babai(sweep_state *s, unsigned long step)
     int j;
 
     for (j = 0; j < s->s; j++)
-        dot(lam_t + j, s->cols + j, &s->x, s->n, s->t1, s->t2);
+        dot(lam_t + j, s->cols + j, &s->x, NULL, s->n, s->t1, s->t2);
     gso_row(s->rows, s->d, s->s, s->s, s->t);
     s->nq = 0;
     s->small = !s->x.wide;
@@ -1189,7 +1162,7 @@ static PyObject *lll_products(PyObject *module, PyObject *args)
             }
             PyList_SET_ITEM(out, i, line);
             for (j = 0; j < c; j++) {
-                dot(t, v + i, v + r + j, n, t1, t2);
+                dot(t, v + i, v + r + j, NULL, n, t1, t2);
                 if (!(x = new_int(t))) {
                     Py_CLEAR(out);
                     break;

@@ -38,10 +38,10 @@ prefix r; both loops resume from it, from its columns, ``d[0..r]`` and
 ``lam`` rows ``0..r-1``, and return what the whole run returns.  LO's two
 bases differ only in their last column, so it reduces their shared prefix
 once.  A resumed run is a run on its own input, the start's columns and
-the new ones, for everything below: its ``B``, its budget (its exchanges
-are counted from 0) and the C slot width.  The proofs hold for that input
-because each head ``||b*_j||^2`` is at most its column's squared norm, at
-most ``B``, and the head's ``d`` are that input's Gram determinants.
+the new ones, for everything below: its ``B`` and its budget (its exchanges
+are counted from 0).  The proofs hold for that input because each head
+``||b*_j||^2`` is at most its column's squared norm, at most ``B``, and the
+head's ``d`` are that input's Gram determinants.
 
 The loop ends with exact ``d`` and ``lam`` of the columns it returns.  It
 returns one record, ``Reduced``: those columns, and ``d[0..k]`` with ``lam``
@@ -56,10 +56,9 @@ visits and zero-prefix skip, the same rounding, Lovasz test and exchange
 update, so on every input it returns the same record and raises the same
 ``DependentColumns`` (same column) and premise or budget
 ``AssertionError``.  Only the prefix's state crosses back from C, after the
-columns.  The C loop packs each column into one ``mpz_t``; that format, its
-slot width and the proof that the width suffices belong to ``_lll.c`` alone
-and are written in its header.  The Python loop runs on plain integer
-columns, so the tests hold the C loop's packing to plain integer arithmetic.
+columns.  Both loops run on plain integer columns; the C loop holds a
+column's entries as C ``long``s while all fit, and in GMP from an update
+that overflows one until they fit again (``_lll.c``'s header, "Columns").
 The file is a CPython extension module, built on the first call in a
 process (``_native``): ``cc -O2 -shared -fPIC -I<Python headers> ...
 -lgmp`` writes it next to its source under a name keyed to a 64-bit digest
@@ -105,8 +104,8 @@ one GMP computes.
 
 Let ``B`` be the largest squared norm of the ``n`` input columns.  LLL keeps
 every ``||b*_j||^2`` at most ``B``, that is ``d[j+1] <= B * d[j]``.  Both
-loops check this premise on the output, which the C loop's slot width rests
-on, and a failure raises ``AssertionError`` naming ``j``.
+loops check this invariant on the output, and a failure raises
+``AssertionError`` naming ``j``.
 
 Both loops also check the two steps of LLL's termination proof: each
 exchange lowers ``d[k]`` and leaves it positive, and the exchanges stay
@@ -137,13 +136,13 @@ current columns ``0..k`` and appends its row with ``gso_row``.  Two exact
 shortcuts cut steps without changing a value.  Most size reductions have
 ``gamma = +-1`` (over three quarters on the column-scan attacks), and for
 those the column and ``lam`` row updates are ``map(sub, ...)`` or
-``map(add, ...)`` (``mpz_sub`` or ``mpz_add`` in C), instead of the
-general-``gamma`` multiply.  And ``gso_row`` skips the zero prefix of its
-inner products, in both kernels: when ``g_row[0..z-1]`` are 0, so are
-entries ``0..z-1`` of the row, and each of the first ``z`` steps of a later
-entry's recurrence is ``u -> u * d[k+1] / d[k]``; they telescope to
-``g_row[j] * d[z]``, as ``d[0] = 1``.  The remaining steps walk zipped
-slices of ``d``, the row and ``lam[j]``.  First visits of an ``[I; N*A]``
+``map(add, ...)`` (``mpz_sub`` or ``mpz_add`` for a ``lam`` entry in GMP in
+C), instead of the general-``gamma`` multiply.  And ``gso_row`` skips the
+zero prefix of its inner products, in both kernels: when ``g_row[0..z-1]``
+are 0, so are entries ``0..z-1`` of the row, and each of the first ``z``
+steps of a later entry's recurrence is ``u -> u * d[k+1] / d[k]``; they
+telescope to ``g_row[j] * d[z]``, as ``d[0] = 1``.  The remaining steps walk
+zipped slices of ``d``, the row and ``lam[j]``.  First visits of an ``[I; N*A]``
 basis have long zero prefixes: the new column ``e_k + N*a_k`` is orthogonal
 to every kernel vector already reduced, and LLL moves those to the front
 (59% of first-visit entries on the column-scan attacks are such zeros).

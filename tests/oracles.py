@@ -417,6 +417,20 @@ def lemma_lll(cols: list[list[int]], alpha) -> list[list[int]]:
                          lambda g, cols, k: gso_after_swap(g, k))
 
 
+def size_reductions(cols: list[list[int]], alpha) -> list[tuple[list[int], list[int], int]]:
+    """Each column update lemma_lll makes on cols, in order: (column k before
+    it, column j, gamma), for column k -= gamma * column j.  A dependent
+    column raises DependentColumns."""
+    updates = []
+
+    def after_reduce(g, cols, k, j, gamma):
+        updates.append(([a + gamma * b for a, b in zip(cols[k], cols[j])], cols[j], gamma))
+        return gso_after_reduce(g, k, j, gamma)
+
+    _textbook_lll(cols, alpha, after_reduce, lambda g, cols, k: gso_after_swap(g, k))
+    return updates
+
+
 def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -> list[int]:
     """Rational Babai size reduction of target against vectors' GSO.
 

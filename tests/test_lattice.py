@@ -28,7 +28,7 @@ from knapcrack.problems import complement
 
 from oracles import (basis_of, enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
                      hnf_columns, independent_short_vectors, integral_gso, is_lll_reduced,
-                     lemma_lll, naive_lll)
+                     lemma_lll, naive_lll, size_reductions)
 
 
 def random_basis(rng, n, dim, lo=-30, hi=30):
@@ -276,8 +276,9 @@ ENTRIES = st.one_of(st.just(0), NONZERO)
 
 
 @st.composite
-def packing_bases(draw):
-    """Columns mixing zeros, +-1 and +-2^200, some dense, some dependent."""
+def mixed_bases(draw):
+    """Columns mixing zeros, +-1 and +-2^200, word columns and wide ones, some
+    dense, some dependent."""
     n = draw(st.integers(1, 5))
     dim = draw(st.integers(max(1, n - 1), n + 3))  # dim < n is a dependency
     cols = [draw(st.lists(NONZERO if draw(st.booleans()) else ENTRIES,
@@ -287,6 +288,77 @@ def packing_bases(draw):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
         cols[k] = [sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(dim)]
     return cols
+
+
+# alpha = p/q with p and q beyond 64 bits, near 1 and near 1/2
+WIDE_ALPHAS = [Fraction(2**65 + 1, 2**65 + 3), Fraction(2**66 + 1, 2**67 + 5)]
+
+
+def basis_of_bits(rng, n, dim, bits):
+    """n random dense columns of dimension dim whose widest entry has bit length bits."""
+    x = 1 << (bits - 1)
+    cols = [[rng.randint(1 - 2 * x, 2 * x - 1) for _ in range(dim)] for _ in range(n)]
+    cols[0][0] = x + rng.randrange(x)
+    return cols
+
+
+def a_long(x):
+    """Whether x fits in a C long, the C loop's word."""
+    return -2**63 <= x < 2**63
+
+
+def overflow_at(before, other, gamma):
+    """The coordinate at which the C loop's word path for the column update
+    before - gamma * other first leaves a long, in the product or the
+    difference, where gamma and both columns are words; else None."""
+    if a_long(gamma) and all(map(a_long, before + other)):
+        for r, (x, y) in enumerate(zip(before, other)):
+            if not (a_long(gamma * y) and a_long(x - gamma * y)):
+                return r
+    return None
+
+
+def leaves_the_words(cols, alpha=DEFAULT_ALPHA):
+    """Whether a size reduction of cols from word columns overflows a long."""
+    return any(overflow_at(*update) is not None for update in size_reductions(cols, alpha))
+
+
+def narrows(cols, alpha=DEFAULT_ALPHA):
+    """Whether a size reduction of cols turns a wide column into words."""
+    return any(not all(map(a_long, b)) and all(a_long(x - g * y) for x, y in zip(b, o))
+               for b, o, g in size_reductions(cols, alpha))
+
+
+# CROSSING's edges of a long, which are words, and of two limbs, which are not
+WORD_EDGES = st.sampled_from([2**63 - 1, 1 - 2**63, -2**63])
+LONG_EDGES = st.sampled_from([2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64])
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def partway_inputs(draw):
+    """Columns u and v, and up to two more, of dimension 2..4, where the loop's
+    first column update, v -= gamma u, leaves the words at a coordinate j > 0.
+
+    u is -x at a coordinate i < j, y at j, with 0 < y < x <= 3, and 0
+    elsewhere, up to a sign; v is words, with one word edge e at both i and j.
+    So gamma is about e (y - x) / (x^2 + y^2), entry i of the update about
+    e (y^2 + x y) / (x^2 + y^2), a word, and entry j about e (x^2 + x y) /
+    (x^2 + y^2), beyond a long.  The columns after them hold edges of a long
+    and of two limbs, and small entries.
+    """
+    dim = draw(st.integers(2, 4))
+    j = draw(st.integers(1, dim - 1))
+    i = draw(st.integers(0, j - 1))
+    y = draw(st.integers(1, 2))
+    x = draw(st.integers(y + 1, 3))
+    sign = draw(st.sampled_from([1, -1]))
+    u = [0] * dim
+    u[i], u[j] = -sign * x, sign * y
+    v = draw(st.lists(st.one_of(WORD_EDGES, SMALL), min_size=dim, max_size=dim))
+    v[i] = v[j] = draw(WORD_EDGES)
+    rest = st.lists(st.one_of(LONG_EDGES, SMALL), min_size=dim, max_size=dim)
+    return [u, v] + draw(st.lists(rest, max_size=2))
 
 
 def reduce_or_message(reduce, cols, alpha):
@@ -301,24 +373,27 @@ def kernel(cols, alpha):
     return lll(basis_of(cols), alpha).columns
 
 
-class TestPackedColumns:
-    """Both loops on the columns that stress the C loop's packing (zeros, +-1
-    and +-2^200, some dense), held to naive_lll and lemma_lll, which compute
-    on plain integer columns and share no code with either loop."""
+class TestColumnWords:
+    """Both loops on the columns that stress the C loop's column format, words
+    where every entry fits in a C long and GMP where one does not (zeros, +-1
+    and +-2^200, some dense), held to naive_lll and lemma_lll, which share no
+    code with either loop; and the C loop where a column update leaves the
+    words partway through a column, held to the Python loop."""
 
     @pytest.mark.usefixtures("either_kernel")
     @settings(max_examples=200, deadline=None)
-    @given(packing_bases(), st.sampled_from([Fraction(26, 100), Fraction(3, 4),
-                                             Fraction(99, 100)]))
+    @given(mixed_bases(), st.sampled_from([Fraction(26, 100), Fraction(3, 4),
+                                           Fraction(99, 100)]))
     def test_matches_naive_reference(self, cols, alpha):
         assert reduce_or_message(kernel, cols, alpha) == \
             reduce_or_message(naive_lll, cols, alpha)
 
     @pytest.mark.usefixtures("either_kernel")
-    def test_widest_slots_match_reference(self):
-        # AHL at n = 30: entries N2 * a_i near 2^88, the widest slots of the
-        # attack bases at this size.  naive_lll would take minutes here;
-        # lemma_lll is pinned against it on the bases of the property above.
+    def test_wide_input_columns_match_reference(self):
+        # AHL at n = 30: entries N2 * a_i near 2^88, the widest input columns
+        # of the attack bases at this size, which reduce to words.  naive_lll
+        # would take minutes here; lemma_lll is pinned against it on the bases
+        # of the property above.
         n = 30
         system = generate_instance(n, 0).instance
         n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1
@@ -328,10 +403,24 @@ class TestPackedColumns:
         assert [list(c) for c in lll(basis).columns] == lemma_lll(cols, DEFAULT_ALPHA)
 
     @settings(max_examples=100, deadline=None)
-    @given(packing_bases(), st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
+    @given(mixed_bases(), st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
     def test_lemma_reference_matches_naive(self, cols, alpha):
         assert reduce_or_message(lemma_lll, cols, alpha) == \
             reduce_or_message(naive_lll, cols, alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partway_inputs(), st.sampled_from([DEFAULT_ALPHA, Fraction(1, 2), WIDE_ALPHAS[0]]))
+    def test_partway_overflow_matches_python(self, gmp_kernel, cols, alpha):
+        # The first column update overflows a long after its first
+        # coordinate: the entries before it are updated as words, and the
+        # column must be widened before the entry that overflows is written.
+        u, v = cols[:2]
+        gamma = round_nearest(sum(map(operator.mul, u, v)), sum(x * x for x in u))
+        assert overflow_at(v, u, gamma) in range(1, len(v))
+        p, q = alpha.numerator, alpha.denominator
+        for prefix in range(len(cols) + 1):
+            assert record_or_error(gmp_kernel.reduce, cols, p, q, prefix) == \
+                record_or_error(lattice._python_reduce, cols, p, q, prefix)
 
 
 @st.composite
@@ -403,7 +492,7 @@ class TestZeroPrefix:
     def test_knapsack_lll_takes_unit_steps(self, monkeypatch, python_kernel):
         # [I; N a] at n = 20, where most size reductions have gamma = +-1.
         # naive_lll takes about a minute per basis at that size; lemma_lll is
-        # pinned to it by TestPackedColumns, and naive_lll itself checks n = 10.
+        # pinned to it by TestColumnWords, and naive_lll itself checks n = 10.
         gammas = []
 
         def spy(num, den):
@@ -473,8 +562,6 @@ def outcomes_in(kernel, bases, alpha=DEFAULT_ALPHA):
     return out
 
 
-# alpha = p/q with p and q beyond 64 bits, near 1 and near 1/2
-WIDE_ALPHAS = [Fraction(2**65 + 1, 2**65 + 3), Fraction(2**66 + 1, 2**67 + 5)]
 TWIN_ENTRIES = st.one_of(ENTRIES, st.integers(-1000, 1000), st.integers(-2**70, 2**70))
 
 
@@ -492,21 +579,6 @@ def twin_inputs(draw):
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
         cols[k] = [sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(dim)]
     return cols
-
-
-def basis_of_width(rng, n, dim, w):
-    """n random dense columns of dimension dim whose packing slots are w bits wide."""
-    x = math.isqrt((1 << (2 * w - 6)) // (1 + n))  # (1 + n) * x^2 is about 2^(2w - 6)
-    cols = [[rng.randint(-x // dim, x // dim) for _ in range(dim)] for _ in range(n)]
-    cols[0][0] = x  # the largest squared norm, between x^2 and 2 x^2
-    return cols
-
-
-def slot_width(cols):
-    """The C loop's packing slot width for cols, as _lll.c::set_width computes
-    it: bitlen((1 + n) B) // 2 + 3, B the largest squared norm of a column."""
-    bound = max(sum(x * x for x in c) for c in cols)
-    return ((1 + len(cols)) * bound).bit_length() // 2 + 3
 
 
 # Around 2^31, whose squares and products straddle 2^63, and around +-2^62,
@@ -650,24 +722,27 @@ class TestGmpKernel:
         assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
 
     @pytest.mark.parametrize("w", [63, 64, 65, 128, 129])
-    def test_slot_widths_at_limb_boundaries_match_python(self, gmp_kernel, w):
-        # Slots of one limb, one bit either side of it, and two limbs: slot
-        # edges fall on and off the limb edges of the packed column.
+    def test_word_boundaries_match_python(self, gmp_kernel, w):
+        # Widest input entries of w bits: words whose size reductions
+        # overflow a long (63), entries just beyond a long (64), and wide
+        # columns of two limbs and about either side of two limbs.
         rng = random.Random(w)
-        bases = [basis_of_width(rng, n, dim, w)
+        bases = [basis_of_bits(rng, n, dim, w)
                  for n, dim in ((2, 2), (4, 5), (8, 8), (1, 3), (2, 3)) for _ in range(3)]
-        assert {slot_width(cols) for cols in bases} == {w}
-        outcomes = outcomes_in(gmp_kernel, bases)
-        assert outcomes == outcomes_in(None, bases)
-        # Reduced entries reach bit length w - 3, the most the _lll.c header
-        # proves (the bases with n = 1 always do): width w - 2 would still
-        # hold them, and width w - 3 would not.
-        assert max(abs(x) for cols in outcomes for c in cols for x in c).bit_length() == w - 3
+        entries = [x for cols in bases for c in cols for x in c]
+        assert max(abs(x) for x in entries).bit_length() == w
+        if w == 63:
+            assert all(map(a_long, entries)) and any(map(leaves_the_words, bases))
+        else:
+            assert not any(a_long(cols[0][0]) for cols in bases)
+        if w == 64:  # and wide columns come back to words
+            assert any(map(narrows, bases))
+        assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
 
-    def test_wide_slots_match_python(self, gmp_kernel):
-        # Wider slots: the AHL basis of test_widest_slots_match_reference
+    def test_wide_columns_match_python(self, gmp_kernel):
+        # Wider columns: the AHL basis of test_wide_input_columns_match_reference
         # (entries near 2^88), dense entries near 2^200, and [I; a] with
-        # weights near 2^200.
+        # weights near 2^200; the first and last reduce to words.
         n = 30
         ahl = ahl_basis(generate_instance(n, 0).instance, DEFAULT_N1,
                         2 ** (n + 1) * DEFAULT_N1 ** 2 + 1).columns
@@ -676,7 +751,8 @@ class TestGmpKernel:
         weights = [[int(i == j) for i in range(10)] + [rng.randint(BIG // 2, BIG)]
                    for j in range(10)]
         bases = [ahl, dense, weights]
-        assert [slot_width(cols) > w for cols, w in zip(bases, (65, 200, 200))] == [True] * 3
+        assert not any(all(a_long(x) for c in cols for x in c) for cols in bases)
+        assert [narrows(cols) for cols in (ahl, weights)] == [True, True]
         assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
 
     @settings(max_examples=300, deadline=None)
@@ -836,11 +912,11 @@ class TestResume:
 
     @pytest.mark.parametrize("w", [63, 64, 65])
     def test_head_columns_at_limb_boundaries(self, w):
-        # The C loop packs the start's columns whole, in slots of one limb,
-        # one bit either side of it.
+        # The start's columns hold entries of w bits: words at the edge of a
+        # long (63), entries just beyond one (64) and of two limbs (65).
         rng = random.Random(w)
         for n, dim in ((2, 3), (4, 5), (6, 6)):
-            cols = basis_of_width(rng, n, dim, w)
+            cols = basis_of_bits(rng, n, dim, w)
             for r in range(1, n + 1):
                 assert resumed(cols, DEFAULT_ALPHA, r, n) == full(cols, DEFAULT_ALPHA, n)
 
