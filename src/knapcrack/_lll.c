@@ -13,18 +13,23 @@
  * (Columns, below).  Its second entry, sweep, is reduction._sweep (Sweep,
  * below), and its third, products, is intmat._products (Products, below).
  *
- * Columns.  A column is held as the sweep and products hold a vector (ints):
- * its dim entries as C longs, or, where one of them is not a long, all of them
- * as mpz_t, the column being wide.  A size reduction, column k -= gamma column
- * j, is one loop over the entries in long under __builtin_*_overflow
- * (sub_column).  At the first entry where a product or a difference overflows,
- * the column is widened, with the entries before it updated and the rest not,
- * and GMP carries the update on from that entry; after an update in GMP, the
- * column goes back to words where every entry fits in a long again.  An
- * exchange swaps the two columns' pointers.  A first visit reads the input
- * column's inner products with columns 0..k-1 (dot) only at its nonzero
- * coordinates, m + 1 of them for an [I; N A] basis, in __int128 where both
- * columns are words.  The input columns are the loop's columns until they are
+ * Columns.  A column is an ints: its dim entries as C longs, or, where one of
+ * them is not a long, all of them as mpz_t, the column being wide.  It is the
+ * one vector format of the file: the loop's columns, the sweep's columns and
+ * target and the rows and columns of products are ints, and one set of
+ * functions allocates them, in one block of their ints, words and mpz_t
+ * (new_vectors), reads them (read_vectors), writes one back as ints
+ * (write_ints) and frees them (free_vectors).  A size reduction, column k -=
+ * gamma column j, is one loop over the entries in long under
+ * __builtin_*_overflow (sub_column).  At the first entry where a product or a
+ * difference overflows, the column is widened, with the entries before it
+ * updated and the rest not, and GMP carries the update on from that entry;
+ * after an update in GMP, the column goes back to words where every entry fits
+ * in a long again.  An exchange swaps the two columns' pointers.  A first visit
+ * reads the input column's inner products with columns 0..k-1 (dot) only at
+ * its nonzero coordinates, m + 1 of them for an [I; N A] basis, in __int128
+ * where both columns are words, and writes the exact sum as a word or two
+ * limbs (set_int128).  The input columns are the loop's columns until they are
  * first visited, so they are read once into the state and written out from it.
  * No bound on the entries is needed: a column of any size is exact.  A wide
  * column costs one GMP call per entry, so columns that stay wide, as on the
@@ -96,49 +101,54 @@
  * d = [1] and no rows.  lattice.py builds this file on first use, and the
  * tests hold this loop to the Python one.
  *
- * Crossing.  An int is read through a C long where it fits one and through
- * its own hex text otherwise; an mpz_t is written through a long where word()
+ * Crossing.  An int is read through a C long where it fits one and through its
+ * own hex text otherwise; an mpz_t is written through a long where word()
  * reads it as one, and through GMP's base-16 text otherwise, so LONG_MIN,
- * which word() excludes, is read as a word and written as text.  The input
- * columns are read as ints (read_ints), a word column's entries written back
- * through a long, LONG_MIN among them; a start's d and lam, which the loop
- * writes, and p and q into mpz_t of their own (read_int).  The loop runs with
- * the interpreter's lock released, between reading its input and building its
- * output, and touches no Python object there.
+ * which word() excludes, is read as a word and written as text.  Vectors are
+ * read as ints (read_vectors) and written back by write_ints, a word vector's
+ * entries through a long, LONG_MIN among them: the loop's columns, and the
+ * sweep's target.  d and lam cross through read_gso: a start's, which the loop
+ * writes, into mpz_t of its own (read_int), as p and q are, and the sweep's as
+ * views (Sweep).  The loop runs with the interpreter's lock released, between
+ * reading its input and building its output, and touches no Python object
+ * there.
  *
  * Sweep.  sweep(cols, d, lam, target, step) is reduction._sweep, Babai's
- * nearest-plane rounding of target against the kernel basis D, whose s
- * columns are cols and whose integral Gram-Schmidt is (d, lam), as LLL left it
- * for decompose.  It takes the target's inner products with the columns,
- * extends them to the target's row lam_t of the same Gram-Schmidt with
- * gso_row, the recurrence the LLL loop's first visits run, stopped before the
- * norm entry; picks q_j = step round_nearest(lam_t[j], step d[j+1]) from the
- * last column down, clearing each from lam_t with sub_multiple; and builds
- * target - D q once, at the end.  So its rounding, its exact quotients and
- * their word paths are the LLL loop's own, written once.  D and the target
- * are read as C longs, a vector through GMP only where one of its entries is
- * not a long: copying every entry of D into an mpz_t costs more than the
- * sweep's arithmetic.  Their inner products and target - D q then run in
- * __int128 under overflow checks, and GMP computes any that overflows.  d and
- * lam are read as gso_row and sub_multiple take them, as mpz_t, which the
- * sweep only reads, so through read_view, and an entry of target - D q
- * beyond a long is written with new_int (Crossing).  The half shift of
+ * nearest-plane rounding of target against the kernel basis D, whose s columns
+ * are cols and whose integral Gram-Schmidt is (d, lam), as LLL left it for
+ * decompose.  It runs on the loop's own state, of s + 1 columns: D's, and the
+ * target as column s, whose lam row s is the target's row lam_t.  visit takes
+ * the target's inner products with the columns and extends them to lam_t with
+ * gso_row, as at a first visit, stopped before the norm entry; then babai
+ * picks q_j = step round_nearest(lam_t[j], step d[j+1]) from the last column
+ * down, clears each from lam_t with sub_multiple and takes q_j D_j off the
+ * target with sub_column, a size reduction of column s.  So its rounding, its
+ * exact quotients, its vector update and their word paths are the loop's own,
+ * written once, and the target is written back as the loop's columns are.  On
+ * the desk DAG kernels the running target stays inside a long (at most 25 bits
+ * in 1750 updates of 96 sweeps, n = 16 and 20); at paper scale it starts past
+ * one (66 to 109 bits at n = 60 and 100), and its updates run in GMP until it
+ * narrows, as a wide column's do.  The sweep only reads d and lam rows 0..s-1,
+ * so the state holds them as read-only views of one limb where they are words
+ * (read_view), its first views entries, rather than as mpz_t of their own:
+ * reading them into owned mpz_t costs an allocation and a free per entry, and
+ * took 25.7 us per call against 16.5 us on the desk sweeps (best of 45 per
+ * call, one core of a 2-core x86 VM).  Only lam_t is owned.  The half shift of
  * reduce_half, 2x - 1 and its undoing, stays in Python.  The sweep holds the
  * interpreter's lock: it is short, and it reads Python objects until it has
  * its input.
  *
- * Products.  products(rows, cols) is intmat._products: the exact inner
- * product of every row with every column, out[i][j] = <rows[i], cols[j]>,
- * for the Gram matrix of the kernel features (intmat.gram) and the
- * decomposition's contract, A D = 0 and A C = E (formulations).  It is the
- * sweep's word path, written once: each vector is read as C longs, or
- * through GMP where one of its entries is not a long (read_ints); each
- * product is dot, in __int128 under overflow checks where both vectors are
- * words, in GMP otherwise; and each result is written with new_int.  Each
- * row and each column is read once, however many products it enters.  The
- * lengths are checked here too, with a ValueError, and intmat checks them
- * first, with its own DimensionMismatch, before either twin runs.  Like the
- * sweep, it holds the interpreter's lock.
+ * Products.  products(rows, cols) is intmat._products: the exact inner product
+ * of every row with every column, out[i][j] = <rows[i], cols[j]>, for the Gram
+ * matrix of the kernel features (intmat.gram) and the decomposition's
+ * contract, A D = 0 and A C = E (formulations).  Its rows and columns are ints,
+ * allocated and read as the loop's columns are (new_vectors, read_vectors),
+ * each once, however many products it enters; each product is the first
+ * visit's dot, in __int128 under overflow checks where both vectors are words,
+ * in GMP otherwise, and each result is written with new_int.  The lengths are
+ * checked here too, with a ValueError, and intmat checks them first, with its
+ * own DimensionMismatch, before either twin runs.  Like the sweep, it holds the
+ * interpreter's lock.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -156,25 +166,31 @@
 /* reduce's statuses, which lattice.py names C_DEPENDENT, C_PREMISE and C_BUDGET */
 enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_BUDGET = 3 };
 
-/* A column of the LLL loop or a vector of the sweep or of products (header:
- * Columns, Sweep): its entries as words in w, or, where one of them is not a
- * word, all of them in z, with wide set. */
+/* A column of the LLL loop or of the sweep, or a vector of products (header:
+ * Columns): its entries as words in w, or, where one of them is not a word,
+ * all of them in z, with wide set.  new_vectors allocates them. */
 typedef struct {
     long *w;
     mpz_ptr z;
     int wide;
 } ints;
 
-/* The reduction state.  cols holds the n columns of dim entries, the input
- * ones until they are first visited and at exit the reduced ones.  lam[i]
- * points at row i of lam (entries 0..i-1 in use), d at d[0..n]; swapping two
- * columns or two rows swaps pointers.  exchanges counts the exchanges against
- * budget (header: Termination). */
+/* The state of the LLL loop and of the sweep (header: Sweep).  cols holds the
+ * n columns of dim entries: for reduce, the input ones until they are first
+ * visited and at exit the reduced ones; for the sweep, the kernel's and then
+ * the target, as column n - 1.  d points at d[0..n] and lam[i] at row i of lam
+ * (entries 0..i-1 in use), n entries each, which follow d in one block;
+ * swapping two columns or two rows swaps pointers.  The first views entries
+ * of that block are read-only views of their limbs (read_view), the sweep's d
+ * and kernel rows, and the others are owned.  exchanges counts the exchanges
+ * against budget (header: Termination). */
 typedef struct {
     int n, dim;
     unsigned long exchanges, budget;
     ints *cols;
     mpz_ptr *lam, d;
+    mp_limb_t *limbs;
+    size_t views;
     int *nz;
     mpz_t p, q, bound, gamma, num, dnew, t, t1, t2;
 } state;
@@ -226,11 +242,27 @@ static mpz_srcptr entry(const ints *v, int r, mpz_ptr t)
     return t;
 }
 
+/* z = mag, negated where negative: through a long where it fits one, else
+ * into two limbs, which mpz_limbs_finish trims to the ones in use. */
+static void set_int128(mpz_ptr z, unsigned __int128 mag, int negative)
+{
+    mp_ptr limb;
+
+    if (mag <= LONG_MAX) {
+        mpz_set_si(z, negative ? -(long)mag : (long)mag);
+        return;
+    }
+    limb = mpz_limbs_write(z, 2);
+    limb[0] = (mp_limb_t)mag;
+    limb[1] = (mp_limb_t)(mag >> 64);
+    mpz_limbs_finish(z, negative ? -2 : 2);
+}
+
 /* out = the inner product of a and b over len coordinates, the first len of
  * at or, where at is NULL, 0..len-1: in __int128 where both are words and no
- * sum overflows, written as a word where it fits one; otherwise in GMP, with
- * t1 and t2 as scratch.  A product of two longs is at most 2^126 in absolute
- * value, so only the sums need a check. */
+ * sum overflows, written with set_int128; otherwise in GMP, with t1 and t2 as
+ * scratch.  A product of two longs is at most 2^126 in absolute value, so only
+ * the sums need a check. */
 static void dot(mpz_ptr out, const ints *a, const ints *b, const int *at, int len, mpz_ptr t1,
                 mpz_ptr t2)
 {
@@ -243,8 +275,8 @@ static void dot(mpz_ptr out, const ints *a, const ints *b, const int *at, int le
             if (__builtin_add_overflow(acc, (__int128)a->w[r] * b->w[r], &acc))
                 break;
         }
-        if (i == len && acc >= LONG_MIN && acc <= LONG_MAX) {
-            mpz_set_si(out, (long)acc);
+        if (i == len) {
+            set_int128(out, acc < 0 ? -(unsigned __int128)acc : (unsigned __int128)acc, acc < 0);
             return;
         }
     }
@@ -389,20 +421,22 @@ static void sub_column(ints *v, const ints *w, int dim, mpz_srcptr gamma)
     narrow(v, dim);
 }
 
-/* First visit of column k, still input column k: its GSO row into lam[k]
- * and d[k+1] (lattice._visit), from its inner products with columns 0..k-1
- * and its squared norm, read only at its nonzero coordinates.  Returns
- * nonzero when column k depends on columns 0..k-1. */
-static int visit(state *s, int k)
+/* Row k of the GSO (lattice._visit), of column k at its first visit or of the
+ * sweep's target: its inner products with columns 0..k-1 into lam[k] and,
+ * with len = k + 1, its squared norm into d[k+1], read only at its nonzero
+ * coordinates, then gso_row.  Returns nonzero where len = k + 1 and column k
+ * depends on columns 0..k-1. */
+static int visit(state *s, int k, int len)
 {
     const ints *ck = s->cols + k;
     int nnz = nonzero(ck, s->dim, s->nz), j;
 
     for (j = 0; j < k; j++)
         dot(s->lam[k] + j, ck, s->cols + j, s->nz, nnz, s->t1, s->t2);
-    dot(s->d + k + 1, ck, ck, s->nz, nnz, s->t1, s->t2);
-    gso_row(s->lam, s->d, k, k + 1, s->t1);
-    return !mpz_sgn(s->d + k + 1);
+    if (len > k)
+        dot(s->d + k + 1, ck, ck, s->nz, nnz, s->t1, s->t2);
+    gso_row(s->lam, s->d, k, len, s->t1);
+    return len > k && !mpz_sgn(s->d + k + 1);
 }
 
 /* Size-reduce column k against column j < k, as in _python_reduce: when
@@ -499,7 +533,7 @@ static int reduce(state *s, int r, int *where)
     while (k < n) {
         if (k > kmax) {
             kmax = k;
-            if (visit(s, k)) {
+            if (visit(s, k, k + 1)) {
                 *where = k;
                 return LLL_DEPENDENT;
             }
@@ -523,6 +557,26 @@ static int reduce(state *s, int r, int *where)
     return LLL_OK;
 }
 
+/* reduction._sweep (header: Sweep): the target, column k = n - 1, gets its
+ * row lam_t = lam[k] without the norm entry; then from the last kernel column
+ * down, q = step round_nearest(lam_t[j], step d[j+1]) is cleared from lam_t
+ * and q times column j taken off the target. */
+static void babai(state *s, unsigned long step)
+{
+    int k = s->n - 1, j;
+
+    visit(s, k, k);
+    for (j = k - 1; j >= 0; j--) {
+        mpz_mul_ui(s->t, s->d + j + 1, step);
+        round_nearest(s->gamma, s->lam[k] + j, s->t, s->t1, s->t2);
+        if (!mpz_sgn(s->gamma))
+            continue;
+        mpz_mul_ui(s->gamma, s->gamma, step);
+        sub_multiple(s->lam[k], s->lam[j], j, s->gamma);
+        sub_column(s->cols + k, s->cols + j, s->dim, s->gamma);
+    }
+}
+
 /* B, the largest squared norm of the input columns, and from the same norms
  * the exchange budget q sum_i (n - i) bitlen(||b_i||^2) / (q - p) (header:
  * Termination), or ULONG_MAX where it is larger.  A word column's norm is
@@ -534,7 +588,6 @@ static void set_budget(state *s)
     unsigned __int128 norm, top = 0;
     unsigned long bits, sum = 0;
     const ints *c;
-    mp_ptr limb;
     int i, r, big;
 
     for (i = 0; i < s->n; i++) {
@@ -558,10 +611,7 @@ static void set_budget(state *s)
             || __builtin_add_overflow(sum, bits, &sum))
             sum = ULONG_MAX;
     }
-    limb = mpz_limbs_write(s->t, 2);
-    limb[0] = (mp_limb_t)top;
-    limb[1] = (mp_limb_t)(top >> 64);
-    mpz_limbs_finish(s->t, limb[1] ? 2 : limb[0] != 0);
+    set_int128(s->t, top, 0);
     if (mpz_cmp(s->t, s->bound) > 0)
         mpz_set(s->bound, s->t);
     mpz_set_ui(s->t2, sum);
@@ -658,8 +708,49 @@ static PyObject *new_int(mpz_srcptr z)
     return obj;
 }
 
-/* The len ints of items into v; returns -1 with an exception set where one is
- * not read, a TypeError where it is not an int. */
+/* count vectors of dim entries in one block: their ints, then their words,
+ * then their mpz_t, initialised; NULL with MemoryError where it cannot be
+ * allocated.  free_vectors frees them. */
+static ints *new_vectors(int count, int dim)
+{
+    size_t entries = (size_t)count * dim, e;
+    ints *v = NULL;
+    long *w;
+    mpz_ptr z;
+    int i;
+
+    if (entries <= PY_SSIZE_T_MAX / 64)
+        v = PyMem_Malloc(count * sizeof(ints) + entries * (sizeof(long) + sizeof(__mpz_struct)));
+    if (!v) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    w = (long *)(v + count);
+    z = (mpz_ptr)(w + entries);
+    for (e = 0; e < entries; e++)
+        mpz_init(z + e);
+    for (i = 0; i < count; i++) {
+        v[i].w = w + (size_t)i * dim;
+        v[i].z = z + (size_t)i * dim;
+    }
+    return v;
+}
+
+/* Frees the count vectors of dim entries of new_vectors, in whatever order
+ * their ints now are. */
+static void free_vectors(ints *v, int count, int dim)
+{
+    size_t entries = (size_t)count * dim, e;
+    mpz_ptr z = (mpz_ptr)((long *)(v + count) + entries);
+
+    for (e = 0; e < entries; e++)
+        mpz_clear(z + e);
+    PyMem_Free(v);
+}
+
+/* The len ints of items into v, through its words, or, where one is not a
+ * long, all of them through read_int (header: Crossing); returns -1 with an
+ * exception set where one is not read, a TypeError where it is not an int. */
 static int read_ints(ints *v, PyObject **items, int len)
 {
     int r, overflow;
@@ -679,42 +770,118 @@ static int read_ints(ints *v, PyObject **items, int len)
     return 0;
 }
 
-/* The n columns of dim entries of cols, a list or tuple, into the state's
- * columns (read_ints), and p and q; returns -1 with an exception set where
- * one is not read. */
-static int read_input(state *s, PyObject *cols, PyObject *p, PyObject *q)
+/* The count sequences items[0..count-1] of dim ints into v (read_ints);
+ * returns -1 with an exception set where one is not read, a ValueError where
+ * its length is not dim. */
+static int read_vectors(ints *v, PyObject *const *items, int count, int dim)
 {
-    PyObject *col;
+    PyObject *seq;
     int i, status = 0;
 
-    for (i = 0; !status && i < s->n; i++) {
-        if (!(col = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, i),
-                                    "a column must be a sequence")))
+    for (i = 0; !status && i < count; i++) {
+        if (!(seq = PySequence_Fast(items[i], "a vector must be a sequence")))
             return -1;
-        if (PySequence_Fast_GET_SIZE(col) != s->dim) {
-            PyErr_SetString(PyExc_ValueError, "columns must share one dimension");
+        if (PySequence_Fast_GET_SIZE(seq) != dim) {
+            PyErr_SetString(PyExc_ValueError, "the vectors must share one length");
             status = -1;
         } else
-            status = read_ints(s->cols + i, PySequence_Fast_ITEMS(col), s->dim);
-        Py_DECREF(col);
+            status = read_ints(v + i, PySequence_Fast_ITEMS(seq), dim);
+        Py_DECREF(seq);
     }
-    if (status || read_int(s->p, p))
-        return -1;
-    return read_int(s->q, q);
+    return status;
 }
 
-/* d[0..r] and lam rows 0..r-1 of a start (header: Resume), from the
- * sequences d and lam; returns -1 with an exception set where they do not
- * have that shape, an entry is not an int or a d is not positive. */
-static int read_start(state *s, PyObject *d, PyObject *lam, int r)
+/* The dim entries of v as a new list or tuple of ints, as make (PyList_New or
+ * PyTuple_New) makes it (header: Crossing), or NULL with an exception set. */
+static PyObject *write_ints(const ints *v, int dim, PyObject *(*make)(Py_ssize_t))
+{
+    PyObject *out = make(dim), **items;
+    int r;
+
+    if (!out)
+        return NULL;
+    items = PySequence_Fast_ITEMS(out);
+    for (r = 0; r < dim; r++)
+        if (!(items[r] = v->wide ? new_int(v->z + r) : PyLong_FromLong(v->w[r]))) {
+            Py_DECREF(out);
+            return NULL;
+        }
+    return out;
+}
+
+/* A state of n columns of dim entries (new_vectors), with one block for
+ * d[0..n], the n lam rows of n entries, the limbs of the first views of those,
+ * the row pointers and nz.  The first views entries start as zero views of
+ * their limbs, the others owned.  Returns -1 with MemoryError where it cannot
+ * be allocated; free_state frees it. */
+static int new_state(state *s, int n, int dim, size_t views)
+{
+    size_t total = (size_t)n * n + n + 1, e;
+    int i;
+
+    s->n = n;
+    s->dim = dim;
+    s->views = views;
+    if (!(s->cols = new_vectors(n, dim)))
+        return -1;
+    s->d = total <= PY_SSIZE_T_MAX / 64
+           ? PyMem_Malloc(total * sizeof(__mpz_struct) + views * sizeof(mp_limb_t)
+                          + n * sizeof(mpz_ptr) + dim * sizeof(int))
+           : NULL;
+    if (!s->d) {
+        free_vectors(s->cols, n, dim);
+        PyErr_NoMemory();
+        return -1;
+    }
+    s->limbs = (mp_limb_t *)(s->d + total);
+    s->lam = (mpz_ptr *)(s->limbs + views);
+    s->nz = (int *)(s->lam + n);
+    for (e = 0; e < views; e++)
+        mpz_roinit_n(s->d + e, s->limbs + e, 0);
+    for (; e < total; e++)
+        mpz_init(s->d + e);
+    for (i = 0; i < n; i++)
+        s->lam[i] = s->d + n + 1 + (size_t)i * n;
+    mpz_inits(s->p, s->q, s->bound, s->gamma, s->num, s->dnew, s->t, s->t1, s->t2, NULL);
+    return 0;
+}
+
+/* Frees a state of new_state, clearing every entry but a view (clear_view). */
+static void free_state(state *s)
+{
+    size_t total = (size_t)s->n * s->n + s->n + 1, e;
+
+    mpz_clears(s->p, s->q, s->bound, s->gamma, s->num, s->dnew, s->t, s->t1, s->t2, NULL);
+    for (e = 0; e < s->views; e++)
+        clear_view(s->d + e, s->limbs + e);
+    for (; e < total; e++)
+        mpz_clear(s->d + e);
+    PyMem_Free(s->d);
+    free_vectors(s->cols, s->n, s->dim);
+}
+
+/* z, an entry of d or lam, = the int obj: through read_view where z is one of
+ * the state's views, else through read_int. */
+static int read_entry(state *s, mpz_ptr z, PyObject *obj)
+{
+    size_t e = (size_t)(z - s->d);
+
+    return e < s->views ? read_view(z, s->limbs + e, obj) : read_int(z, obj);
+}
+
+/* d[0..r] and lam rows 0..r-1 from the sequences d and lam, a start's (header:
+ * Resume) or the sweep's kernel's (header: Sweep); returns -1 with an
+ * exception set where they do not have that shape, an entry is not an int or
+ * a d is not positive. */
+static int read_gso(state *s, PyObject *d, PyObject *lam, int r)
 {
     PyObject *row;
     int i, j, status = 0;
 
     for (i = 0; !status && i <= r; i++) {
-        status = read_int(s->d + i, PySequence_Fast_GET_ITEM(d, i));
+        status = read_entry(s, s->d + i, PySequence_Fast_GET_ITEM(d, i));
         if (!status && mpz_sgn(s->d + i) <= 0) {
-            PyErr_SetString(PyExc_ValueError, "the start's d must be positive");
+            PyErr_SetString(PyExc_ValueError, "d must be positive");
             status = -1;
         }
     }
@@ -723,11 +890,11 @@ static int read_start(state *s, PyObject *d, PyObject *lam, int r)
                                     "a lam row must be a sequence")))
             return -1;
         if (PySequence_Fast_GET_SIZE(row) != i) {
-            PyErr_SetString(PyExc_ValueError, "the start's lam row i must have i entries");
+            PyErr_SetString(PyExc_ValueError, "lam row i must have i entries");
             status = -1;
         }
         for (j = 0; !status && j < i; j++)
-            status = read_int(s->lam[i] + j, PySequence_Fast_GET_ITEM(row, j));
+            status = read_entry(s, s->lam[i] + j, PySequence_Fast_GET_ITEM(row, j));
         Py_DECREF(row);
     }
     return status;
@@ -738,21 +905,14 @@ static int read_start(state *s, PyObject *d, PyObject *lam, int r)
 static PyObject *output(state *s, int k)
 {
     PyObject *cols = PyTuple_New(s->n), *d = PyList_New(k + 1), *lam = PyList_New(k), *seq, *x;
-    const ints *c;
     int i, j;
 
     if (!cols || !d || !lam)
         goto fail;
     for (i = 0; i < s->n; i++) {
-        if (!(seq = PyTuple_New(s->dim)))
+        if (!(seq = write_ints(s->cols + i, s->dim, PyTuple_New)))
             goto fail;
         PyTuple_SET_ITEM(cols, i, seq);
-        c = s->cols + i;
-        for (j = 0; j < s->dim; j++) {
-            if (!(x = c->wide ? new_int(c->z + j) : PyLong_FromLong(c->w[j])))
-                goto fail;
-            PyTuple_SET_ITEM(seq, j, x);
-        }
     }
     for (i = 0; i <= k; i++) {
         if (!(x = new_int(s->d + i)))
@@ -793,10 +953,7 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
 {
     PyObject *cols, *p, *q, *seq, *start = Py_None, *d = NULL, *lam = NULL, *value = NULL;
     Py_ssize_t n, dim, r = 0;
-    size_t total = 0, e;
     state s;
-    long *words = NULL;
-    mpz_ptr z = NULL;
     int prefix, where = 0, status = LLL_OK, i;
 
     (void)module;
@@ -805,9 +962,6 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
         return NULL;
     n = PySequence_Fast_GET_SIZE(seq);
     dim = n ? PySequence_Size(PySequence_Fast_GET_ITEM(seq, 0)) : 0;
-    s.cols = NULL;
-    s.lam = NULL;
-    s.nz = NULL;
     if (dim < 0)
         goto release;
     if (n < 1 || n > INT_MAX || dim < 1 || dim > INT_MAX || prefix < 0 || prefix > n) {
@@ -824,31 +978,11 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
         if (r > n || PySequence_Fast_GET_SIZE(d) != r + 1)
             goto bad_start;
     }
-    s.n = (int)n;
-    s.dim = (int)dim;
-    /* the columns' GMP entries, then lam and d */
-    total = (size_t)n * dim + (size_t)n * n + n + 1;
-    s.cols = PyMem_New(ints, n);
-    words = PyMem_New(long, (size_t)n * dim);
-    z = PyMem_New(__mpz_struct, total);
-    s.lam = PyMem_New(mpz_ptr, n);
-    s.nz = PyMem_New(int, dim);
-    if (!s.cols || !words || !z || !s.lam || !s.nz) {
-        PyErr_NoMemory();
+    if (new_state(&s, (int)n, (int)dim, 0))
         goto release;
-    }
-    for (e = 0; e < total; e++)
-        mpz_init(z + e);
-    for (i = 0; i < n; i++) {
-        s.cols[i].w = words + (size_t)i * dim;
-        s.cols[i].z = z + (size_t)i * dim;
-        s.lam[i] = z + (size_t)n * dim + (size_t)i * n;
-    }
-    s.d = z + (size_t)n * dim + (size_t)n * n;
     mpz_set_ui(s.d, 1);
-    mpz_inits(s.p, s.q, s.bound, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2, NULL);
-
-    if (!read_input(&s, seq, p, q) && !(d && read_start(&s, d, lam, (int)r))) {
+    if (!read_vectors(s.cols, PySequence_Fast_ITEMS(seq), s.n, s.dim) && !read_int(s.p, p)
+        && !read_int(s.q, q) && !(d && read_gso(&s, d, lam, (int)r))) {
         Py_BEGIN_ALLOW_THREADS
         set_budget(&s);
         status = reduce(&s, (int)r, &where);
@@ -864,16 +998,8 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
         if (value)
             value = Py_BuildValue("iN", status, value);
     }
-
-    mpz_clears(s.p, s.q, s.bound, s.gamma, s.num, s.dnew, s.t, s.t1, s.t2, NULL);
-    for (e = 0; e < total; e++)
-        mpz_clear(z + e);
+    free_state(&s);
 release:
-    PyMem_Free(s.cols);
-    PyMem_Free(words);
-    PyMem_Free(z);
-    PyMem_Free(s.lam);
-    PyMem_Free(s.nz);
     Py_XDECREF(d);
     Py_XDECREF(lam);
     Py_DECREF(seq);
@@ -885,115 +1011,6 @@ bad_start:
     goto release;
 }
 
-/* The sweep's state (header: Sweep).  cols[j] is column j of D and x the
- * target, n entries each; d holds d[0..s]; rows[j] points at lam row j
- * (entries 0..j-1) for j < s and rows[s] at lam_t; d and rows 0..s-1 are
- * only read, and they follow each other, as views of limbs where they are
- * words (read_view); q[j] is the multiple of column j, and the nq columns
- * with q[j] != 0 are listed in used, with q[j] in qw[j] where every such q
- * and column is a word (small). */
-typedef struct {
-    int s, n, nq, small;
-    ints *cols, x;
-    mpz_ptr d, q, *rows;
-    mp_limb_t *limbs;
-    int *used;
-    long *qw;
-    mpz_t den, gamma, t, t1, t2;
-} sweep_state;
-
-/* The target's row lam_t and the q's, from the last column down
- * (reduction._sweep). */
-static void babai(sweep_state *s, unsigned long step)
-{
-    mpz_ptr lam_t = s->rows[s->s];
-    int j;
-
-    for (j = 0; j < s->s; j++)
-        dot(lam_t + j, s->cols + j, &s->x, NULL, s->n, s->t1, s->t2);
-    gso_row(s->rows, s->d, s->s, s->s, s->t);
-    s->nq = 0;
-    s->small = !s->x.wide;
-    for (j = s->s - 1; j >= 0; j--) {
-        mpz_mul_ui(s->den, s->d + j + 1, step);
-        round_nearest(s->gamma, lam_t + j, s->den, s->t1, s->t2);
-        mpz_mul_ui(s->q + j, s->gamma, step);
-        if (!mpz_sgn(s->q + j))
-            continue;
-        sub_multiple(lam_t, s->rows[j], j, s->q + j);
-        s->used[s->nq++] = j;
-        s->small = s->small && !s->cols[j].wide && word(s->q + j, s->qw + j);
-    }
-}
-
-/* Entry r of target - D q as an int, or NULL with an exception set: in
- * __int128 where every operand is a word and no step overflows, written as a
- * word where it fits one; otherwise in GMP. */
-static PyObject *residual(sweep_state *s, int r)
-{
-    __int128 acc = s->x.w[r];
-    int i, j, small = s->small;
-
-    for (i = 0; small && i < s->nq; i++) {
-        j = s->used[i];
-        small = !__builtin_sub_overflow(acc, (__int128)s->qw[j] * s->cols[j].w[r], &acc);
-    }
-    if (small && acc >= LONG_MIN && acc <= LONG_MAX)
-        return PyLong_FromLong((long)acc);
-    mpz_set(s->t, entry(&s->x, r, s->t1));
-    for (i = 0; i < s->nq; i++) {
-        j = s->used[i];
-        mpz_submul(s->t, s->q + j, entry(s->cols + j, r, s->t1));
-    }
-    return new_int(s->t);
-}
-
-/* Reads the columns, d, lam rows 0..s-1 and the target (header: Sweep);
- * returns -1 with an exception set where one is not read. */
-static int read_sweep(sweep_state *s, PyObject *cols, PyObject *d, PyObject *lam,
-                      PyObject *target)
-{
-    PyObject *seq;
-    int j, i, status = 0;
-
-    if (read_ints(&s->x, PySequence_Fast_ITEMS(target), s->n))
-        return -1;
-    for (j = 0; !status && j < s->s; j++) {
-        if (!(seq = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, j),
-                                    "a column must be a sequence")))
-            return -1;
-        if (PySequence_Fast_GET_SIZE(seq) != s->n) {
-            PyErr_SetString(PyExc_ValueError, "the columns and the target must share one "
-                                              "dimension");
-            status = -1;
-        }
-        if (!status)
-            status = read_ints(s->cols + j, PySequence_Fast_ITEMS(seq), s->n);
-        Py_DECREF(seq);
-    }
-    for (j = 0; !status && j <= s->s; j++) {
-        status = read_view(s->d + j, s->limbs + j, PySequence_Fast_GET_ITEM(d, j));
-        if (!status && mpz_sgn(s->d + j) <= 0) {
-            PyErr_SetString(PyExc_ValueError, "d must be positive");
-            status = -1;
-        }
-    }
-    for (j = 0; !status && j < s->s; j++) {
-        if (!(seq = PySequence_Fast(PySequence_Fast_GET_ITEM(lam, j),
-                                    "a lam row must be a sequence")))
-            return -1;
-        if (PySequence_Fast_GET_SIZE(seq) != j) {
-            PyErr_SetString(PyExc_ValueError, "lam row j must have j entries");
-            status = -1;
-        }
-        for (i = 0; !status && i < j; i++)
-            status = read_view(s->rows[j] + i, s->limbs + (s->rows[j] + i - s->d),
-                               PySequence_Fast_GET_ITEM(seq, i));
-        Py_DECREF(seq);
-    }
-    return status;
-}
-
 /* sweep(cols, d, lam, target, step): reduction._sweep of target, a list or
  * tuple of n ints, against the s columns cols of D, lists or tuples of n
  * ints, whose integral Gram-Schmidt is d[0..s] and lam rows 0..s-1, with
@@ -1002,14 +1019,11 @@ static int read_sweep(sweep_state *s, PyObject *cols, PyObject *d, PyObject *lam
  * ValueError. */
 static PyObject *lll_sweep(PyObject *module, PyObject *args)
 {
-    PyObject *cols, *d, *lam, *target, *out = NULL, *x;
+    PyObject *cols, *d, *lam, *target, *out = NULL;
     PyObject *seqs[4] = {NULL, NULL, NULL, NULL};
     Py_ssize_t s_size, n_size;
-    size_t words = 0, mpzs = 0, views = 0, e;
-    sweep_state s;
-    mpz_ptr z = NULL;
-    long *w = NULL;
-    int step, j, r;
+    state s;
+    int step, k, j;
 
     (void)module;
     if (!PyArg_ParseTuple(args, "OOOOi:sweep", &cols, &d, &lam, &target, &step)
@@ -1020,71 +1034,24 @@ static PyObject *lll_sweep(PyObject *module, PyObject *args)
         goto release;
     s_size = PySequence_Fast_GET_SIZE(seqs[0]);
     n_size = PySequence_Fast_GET_SIZE(seqs[3]);
-    if (s_size > INT_MAX || n_size < 1 || n_size > INT_MAX
+    if (s_size >= INT_MAX || n_size < 1 || n_size > INT_MAX
         || PySequence_Fast_GET_SIZE(seqs[1]) <= s_size
         || PySequence_Fast_GET_SIZE(seqs[2]) < s_size || step < 1) {
         PyErr_SetString(PyExc_ValueError, "sweep takes s columns, d[0..s], lam rows "
                                           "0..s-1, a target of n >= 1 entries and a step >= 1");
         goto release;
     }
-    s.s = (int)s_size;
-    s.n = (int)n_size;
-    s.cols = PyMem_New(ints, s.s);
-    s.rows = PyMem_New(mpz_ptr, s.s + 1);
-    s.used = PyMem_New(int, s.s);
-    /* words: the columns, the target and qw; mpzs: d and the lam rows, as
-     * views of limbs, then lam_t, q and the vectors' GMP copies */
-    words = (size_t)(s.s + 1) * s.n + s.s;
-    views = (size_t)(s.s + 1) + (size_t)s.s * (s.s - 1) / 2;
-    mpzs = views + 2 * (size_t)s.s + (size_t)(s.s + 1) * s.n;
-    w = PyMem_New(long, words);
-    z = PyMem_New(__mpz_struct, mpzs);
-    s.limbs = PyMem_New(mp_limb_t, views);
-    if (!s.cols || !s.rows || !s.used || !w || !z || !s.limbs) {
-        PyErr_NoMemory();
-        goto free;
-    }
-    for (e = 0; e < views; e++)
-        mpz_roinit_n(z + e, s.limbs + e, 0);
-    for (; e < mpzs; e++)
-        mpz_init(z + e);
-    s.d = z;
-    s.rows[0] = s.d + s.s + 1;
-    for (j = 0; j < s.s; j++)
-        s.rows[j + 1] = s.rows[j] + j;
-    s.q = s.rows[s.s] + s.s;
-    for (j = 0; j <= s.s; j++) {
-        ints *v = j < s.s ? s.cols + j : &s.x;
-
-        v->w = w + (size_t)j * s.n;
-        v->z = s.q + s.s + (size_t)j * s.n;
-    }
-    s.qw = w + (size_t)(s.s + 1) * s.n;
-    mpz_inits(s.den, s.gamma, s.t, s.t1, s.t2, NULL);
-
-    if (!read_sweep(&s, seqs[0], seqs[1], seqs[2], seqs[3])) {
+    /* The target is column k = s.  d[0..k+1] and lam rows 0..k-1, the
+     * k + 2 + k (k + 1) entries before lam_t in the state's block, are views. */
+    k = (int)s_size;
+    if (new_state(&s, k + 1, (int)n_size, (size_t)(k + 2) + (size_t)k * (k + 1)))
+        goto release;
+    if (!read_vectors(s.cols, PySequence_Fast_ITEMS(seqs[0]), k, s.dim)
+        && !read_vectors(s.cols + k, seqs + 3, 1, s.dim) && !read_gso(&s, seqs[1], seqs[2], k)) {
         babai(&s, (unsigned long)step);
-        out = PyList_New(s.n);
-        for (r = 0; out && r < s.n; r++) {
-            if (!(x = residual(&s, r)))
-                Py_CLEAR(out);
-            else
-                PyList_SET_ITEM(out, r, x);
-        }
+        out = write_ints(s.cols + k, s.dim, PyList_New);
     }
-
-    mpz_clears(s.den, s.gamma, s.t, s.t1, s.t2, NULL);
-    for (e = 0; e < views; e++)
-        clear_view(z + e, s.limbs + e);
-    for (; e < mpzs; e++)
-        mpz_clear(z + e);
-free:
-    PyMem_Free(s.limbs);
-    PyMem_Free(s.cols);
-    PyMem_Free(s.rows);
-    PyMem_Free(s.used);
-    PyMem_Free(w);
-    PyMem_Free(z);
+    free_state(&s);
 release:
     for (j = 0; j < 4; j++)
         Py_XDECREF(seqs[j]);
@@ -1097,15 +1064,12 @@ release:
  * int raises TypeError; vectors of unequal length raise ValueError. */
 static PyObject *lll_products(PyObject *module, PyObject *args)
 {
-    PyObject *rows, *cols, *out = NULL, *seq, *line, *x;
+    PyObject *rows, *cols, *out = NULL, *line, *x;
     PyObject *seqs[2] = {NULL, NULL};
     Py_ssize_t r_size, c_size, n_size = 0;
-    size_t entries = 0, e;
-    ints *v = NULL;
-    long *w = NULL;
-    mpz_ptr z = NULL;
+    ints *v;
     mpz_t t, t1, t2;
-    int r, c, n, i, j, status = 0;
+    int r, c, n, i, j;
 
     (void)module;
     if (!PyArg_ParseTuple(args, "OO:products", &rows, &cols)
@@ -1126,35 +1090,11 @@ static PyObject *lll_products(PyObject *module, PyObject *args)
     r = (int)r_size;
     c = (int)c_size;
     n = (int)n_size;
-    entries = (size_t)(r + c) * n;
-    v = PyMem_New(ints, r + c);
-    w = PyMem_New(long, entries);
-    z = PyMem_New(__mpz_struct, entries);
-    if (!v || !w || !z) {
-        PyErr_NoMemory();
-        goto free;
-    }
-    for (e = 0; e < entries; e++)
-        mpz_init(z + e);
+    if (!(v = new_vectors(r + c, n)))
+        goto release;
     mpz_inits(t, t1, t2, NULL);
-
-    for (i = 0; !status && i < r + c; i++) {
-        if (!(seq = PySequence_Fast(i < r ? PySequence_Fast_GET_ITEM(seqs[0], i)
-                                          : PySequence_Fast_GET_ITEM(seqs[1], i - r),
-                                    "a vector must be a sequence"))) {
-            status = -1;
-            break;
-        }
-        v[i].w = w + (size_t)i * n;
-        v[i].z = z + (size_t)i * n;
-        if (PySequence_Fast_GET_SIZE(seq) != n) {
-            PyErr_SetString(PyExc_ValueError, "the rows and the columns must share one length");
-            status = -1;
-        } else
-            status = read_ints(v + i, PySequence_Fast_ITEMS(seq), n);
-        Py_DECREF(seq);
-    }
-    if (!status && (out = PyList_New(r)))
+    if (!read_vectors(v, PySequence_Fast_ITEMS(seqs[0]), r, n)
+        && !read_vectors(v + r, PySequence_Fast_ITEMS(seqs[1]), c, n) && (out = PyList_New(r)))
         for (i = 0; out && i < r; i++) {
             if (!(line = PyList_New(c))) {
                 Py_CLEAR(out);
@@ -1170,14 +1110,8 @@ static PyObject *lll_products(PyObject *module, PyObject *args)
                 PyList_SET_ITEM(line, j, x);
             }
         }
-
     mpz_clears(t, t1, t2, NULL);
-    for (e = 0; e < entries; e++)
-        mpz_clear(z + e);
-free:
-    PyMem_Free(v);
-    PyMem_Free(w);
-    PyMem_Free(z);
+    free_vectors(v, r + c, n);
 release:
     Py_XDECREF(seqs[0]);
     Py_XDECREF(seqs[1]);

@@ -94,25 +94,23 @@ def lambda_tilde(kd: KernelDecomposition) -> float:
     return float(sing[0] / sing[-1])
 
 
-def _off_diagonal(g: list[list[int]]) -> float:
-    """Frobenius distance of the Gram matrix g from the nearest nonnegative diagonal.
+def _off_diagonal(g: list[list[int]]) -> tuple[float, float]:
+    """Frobenius distances of the Gram matrix g from the nearest nonnegative
+    diagonal: D's, and the column-normalized basis's (scale invariant).
 
-    The optimum puts the Gram diagonal on the diagonal, so the distance is
-    the Frobenius norm of the off-diagonal part.
+    The optimum puts the Gram diagonal on the diagonal, so each distance is
+    the Frobenius norm of the off-diagonal part.  One walk over g, row by
+    row, sums both: D's exactly, the normalized one in floats in that order.
     """
-    s = len(g)
-    return _root(sum(g[i][j] ** 2 for i in range(s) for j in range(s) if i != j))
-
-
-def _off_diagonal_normalized(g: list[list[int]]) -> float:
-    """_off_diagonal of the column-normalized basis's Gram matrix (scale invariant)."""
-    s = len(g)
-    total = 0.0
-    for i in range(s):
-        for j in range(s):
+    diag = [row[i] for i, row in enumerate(g)]
+    exact, normalized = 0, 0.0
+    for i, (row, gi) in enumerate(zip(g, diag)):
+        for j, (x, gj) in enumerate(zip(row, diag)):
             if i != j:
-                total += g[i][j] ** 2 / (g[i][i] * g[j][j])
-    return math.sqrt(total)
+                square = x * x
+                exact += square
+                normalized += square / (gi * gj)
+    return _root(exact), math.sqrt(normalized)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def compute_features(kd: KernelDecomposition, cut: bool = False,
     if not math.isfinite(check):  # inf / inf beyond the float range: take logs of d[s]
         check = math.exp(sum(map(math.log, mve.semi_axes)) + math.log(_unit_ball_volume(s))
                          - math.log(gamma(s)) - math.log(kd.gso[0][-1]) / 2)
-    g = gram(kd.kernel_columns)
+    d, d_tilde = _off_diagonal(gram(kd.kernel_columns))
     return KernelFeatures(
         dim=s,
         volume=vol,
@@ -148,8 +146,8 @@ def compute_features(kd: KernelDecomposition, cut: bool = False,
         mve_volume=mve.volume,
         gamma_check=check,
         lambda_tilde=lambda_tilde(kd),
-        d=_off_diagonal(g),
-        d_tilde=_off_diagonal_normalized(g),
+        d=d,
+        d_tilde=d_tilde,
         cut=cut,
         success=success,
     )

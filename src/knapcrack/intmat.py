@@ -6,7 +6,8 @@ magnitude are handled without overflow.  Matrices are stored row-major.
 ``products`` computes the inner product of every row with every column,
 for the Gram matrix of the kernel features (``gram``) and the
 decomposition's contract (``formulations``).  It runs in C, as the third
-entry of the LLL loop's extension (``_lll.c``), wherever that loads
+entry of the LLL loop's extension (``_lll.c``), which reads the rows and
+columns as the LLL loop reads its columns, wherever that loads
 (``lattice.kernel_name()`` is "gmp"), and ``_products`` otherwise: the
 Python fallback, and the reference the tests hold the C entry to.  Both
 return the same lists on every input; the lengths are checked here, before

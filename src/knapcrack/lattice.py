@@ -66,10 +66,13 @@ of the source (``_binary_name``) and ending in the interpreter's extension
 suffix, renamed into place whole, and ``importlib`` loads it as
 ``knapcrack._lll``, outside ``sys.modules``, so that builds of several
 sources load side by side; that build then deletes the binaries of other
-sources beside it.  The extension has three entries: ``reduce``, this
-loop; ``sweep``, the kernel sweep of ``reduction``, which reuses the C
-``gso_row`` and rounding; and ``products``, ``intmat``'s exact inner
-products, which reuse the sweep's word path.  ``_kernel`` holds all three,
+sources beside it.  The extension has three entries, on one vector format
+(``_lll.c``'s header, "Columns"): ``reduce``, this loop; ``sweep``, the
+kernel sweep of ``reduction``, which runs on this loop's own state with the
+target as one more column, so that the first visit's inner products and
+``gso_row``, the rounding and the column update are the loop's own; and
+``products``, ``intmat``'s exact inner products, which read their rows and
+columns as the loop reads its columns.  ``_kernel`` holds all three,
 as a ``Kernel``, or ``None``: one build, one binary, and one
 ``kernel_name()`` for all of them.
 ``reduce`` takes the column tuples and returns the record's parts as ints,

@@ -26,9 +26,12 @@ and the same vector, as the doubled basis gives.
 The sweep runs in C, as the second entry of the LLL loop's extension
 (``_lll.c``), wherever that loads (``lattice.kernel_name()`` is "gmp"), and
 ``_sweep`` otherwise: the Python fallback, and the reference the tests hold
-the C entry to.  Both return the same vector on every input; the target's
-length is checked here, before either runs, and the half shift's parity
-check and undoing stay here too.
+the C entry to.  The C sweep runs on the LLL loop's own state, with the
+target as one more column: its ``lam_t`` is that column's row, and it takes
+each ``q * D_j`` off the target with the loop's column update as it picks
+q, where ``_sweep`` builds ``x - D*q`` once at the end.  Both return the
+same vector on every input; the target's length is checked here, before
+either runs, and the half shift's parity check and undoing stay here too.
 """
 
 from __future__ import annotations

@@ -28,7 +28,10 @@ reference for ``attack_lo`` and its ``_stacked`` basis.  ``mat_mul``
 multiplies two matrices in plain Python, for the contract's products.
 ``rank_fraction`` and ``solve_exact_fraction`` eliminate in Fractions and
 ``det_leibniz`` sums over permutations: the references for the package's
-one fraction-free elimination.
+one fraction-free elimination.  ``size_reductions`` and ``sweep_updates``
+list the vector updates of the textbook LLL and of the rational sweep, and
+``a_long`` and ``overflow_at`` say where ``_lll.c``'s word path would leave
+a long on one: the preconditions of the tests that reach that path.
 """
 
 from __future__ import annotations
@@ -431,13 +434,16 @@ def size_reductions(cols: list[list[int]], alpha) -> list[tuple[list[int], list[
     return updates
 
 
-def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -> list[int]:
+def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str,
+                   updates: list | None = None) -> list[int]:
     """Rational Babai size reduction of target against vectors' GSO.
 
     The solution-shortening sweep in plain Fractions: full rational GSO,
     then nearest-integer subtraction from the last vector to the first,
     updating the remaining projection coefficients in closed form.  The
     reference the package's integral sweep is held to, tie rules included.
+    Each subtraction, out -= lam * vectors[j], is appended to updates as
+    (out before it, j, lam) where updates is a list.
     """
 
     def nearest_integer(q: Fraction, mode: str) -> int:
@@ -461,12 +467,41 @@ def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str) -
         lam = nearest_integer(coeff[j], rounding)
         if lam:
             vj = vectors[j]
+            if updates is not None:
+                updates.append((list(out), j, lam))
             for t in range(dim):
                 out[t] -= lam * vj[t]
             for i in range(j):
                 coeff[i] -= lam * g.mu[j][i]
             coeff[j] -= lam
     return out
+
+
+def sweep_updates(vectors: list[list[int]], target: list[int], step: int
+                  ) -> list[tuple[list[int], list[int], int]]:
+    """Each update of target in the sweep with step 1 or 2 (reduction._sweep),
+    in order: (target before it, vector j, q) for target -= q * vector j, q != 0.
+
+    With step 2 the sweep is sweep_fraction's against the doubled vectors."""
+    updates = []
+    sweep_fraction([[step * v for v in c] for c in vectors], target, "asymmetric", updates)
+    return [(before, vectors[j], step * lam) for before, j, lam in updates]
+
+
+def a_long(x: int) -> bool:
+    """Whether x fits in a C long, the word of _lll.c's columns and vectors."""
+    return -2**63 <= x < 2**63
+
+
+def overflow_at(before: list[int], other: list[int], gamma: int) -> int | None:
+    """The coordinate at which _lll.c's word path for the update
+    before - gamma * other (sub_column) first leaves a long, in the product or
+    the difference, where gamma and both vectors are words; else None."""
+    if a_long(gamma) and all(map(a_long, before + other)):
+        for r, (x, y) in enumerate(zip(before, other)):
+            if not (a_long(gamma * y) and a_long(x - gamma * y)):
+                return r
+    return None
 
 
 def half_sweep_fraction(vectors: list[list[int]], x: list[int], rounding: str) -> list[int]:

@@ -26,9 +26,9 @@ from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, gso_row, lll, round_n
 from knapcrack.pipeline import SearchConfig, attack, generate_instance, generate_system
 from knapcrack.problems import complement
 
-from oracles import (basis_of, enumerate_lattice_shortest, gso, gso_after_reduce, gso_after_swap,
-                     hnf_columns, independent_short_vectors, integral_gso, is_lll_reduced,
-                     lemma_lll, naive_lll, size_reductions)
+from oracles import (a_long, basis_of, enumerate_lattice_shortest, gso, gso_after_reduce,
+                     gso_after_swap, hnf_columns, independent_short_vectors, integral_gso,
+                     is_lll_reduced, lemma_lll, naive_lll, overflow_at, size_reductions)
 
 
 def random_basis(rng, n, dim, lo=-30, hi=30):
@@ -300,22 +300,6 @@ def basis_of_bits(rng, n, dim, bits):
     cols = [[rng.randint(1 - 2 * x, 2 * x - 1) for _ in range(dim)] for _ in range(n)]
     cols[0][0] = x + rng.randrange(x)
     return cols
-
-
-def a_long(x):
-    """Whether x fits in a C long, the C loop's word."""
-    return -2**63 <= x < 2**63
-
-
-def overflow_at(before, other, gamma):
-    """The coordinate at which the C loop's word path for the column update
-    before - gamma * other first leaves a long, in the product or the
-    difference, where gamma and both columns are words; else None."""
-    if a_long(gamma) and all(map(a_long, before + other)):
-        for r, (x, y) in enumerate(zip(before, other)):
-            if not (a_long(gamma * y) and a_long(x - gamma * y)):
-                return r
-    return None
 
 
 def leaves_the_words(cols, alpha=DEFAULT_ALPHA):

@@ -15,8 +15,8 @@ from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
 from knapcrack.reduction import _sweep, reduce_half, reduce_solution
 
-from oracles import (half_sweep_fraction, integral_gso, kernel_of, solve_integer_combination,
-                     sweep_fraction)
+from oracles import (a_long, half_sweep_fraction, integral_gso, kernel_of, overflow_at,
+                     solve_integer_combination, sweep_fraction, sweep_updates)
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -358,14 +358,23 @@ class TestCSweep:
 
     def test_sums_past_int128_match_python(self, gmp_kernel):
         # An inner product of four terms 2^126, whose sum wraps to 0 in 128
-        # bits; and a target in the lattice of columns -2^63 e_0 + e_(j+1),
+        # bits; a target in the lattice of columns -2^63 e_0 + e_(j+1),
         # whose q's are +-(2^63 - 1), so that target - D q passes 2^127
-        # between words before it returns to 0.
+        # between words before it returns to 0; and a target whose first
+        # update takes 2 (2^62 + 1) off its second coordinate, past a long,
+        # so that sub_column widens it partway, and whose second update brings
+        # it back to words.
         a = 2**63 - 1
         cases = [([[-2**63] * 4 + [1]], [-2**63] * 4 + [0])]
         cols = [[-2**63] + e(j, 1, 6) for j in range(6)]
         for target in ([0, -a, -a, -a, a, a, a], [0, -a, -a, -a, a, a, a - 1]):
             cases.append((cols, target))
+        cols, target = [[0, 2**62 + 1, 1], [1, 2**62 + 1, 0]], [2, -3, -2]
+        for step in (1, 2):
+            first, second = sweep_updates(cols, target, step)
+            assert overflow_at(*first) == 1 and not all(map(a_long, second[0]))
+            assert all(map(a_long, _sweep(kernel_from_cols(cols), target, step)))
+        cases.append((cols, target))
         for cols, target in cases:
             for step in (1, 2):
                 ours, reference = c_sweep_outcome(gmp_kernel, cols, target, step)
