@@ -5,13 +5,11 @@ magnitude are handled without overflow.  Matrices are stored row-major.
 
 ``products`` computes the inner product of every row with every column,
 for the Gram matrix of the kernel features (``gram``) and the
-decomposition's contract (``formulations``).  It runs in C, as the third
-entry of the LLL loop's extension (``_lll.c``), which reads the rows and
-columns as the LLL loop reads its columns, wherever that loads
-(``lattice.kernel_name()`` is "gmp"), and ``_products`` otherwise: the
-Python fallback, and the reference the tests hold the C entry to.  Both
-return the same lists on every input; the lengths are checked here, before
-either runs.  ``mat_vec`` stays in Python.
+decomposition's contract (``formulations``).  It is the ``products`` entry
+of the kernel ``lattice`` chose (its module docstring): the C extension's
+or its Python twin, ``lattice._python_products``, which return the same
+lists on every input; the lengths are checked here, before either runs.
+``mat_vec`` stays in Python.
 """
 
 from __future__ import annotations
@@ -31,26 +29,17 @@ def mat_vec(rows: list[list[int]], x: list[int]) -> list[int]:
     return [sum(map(mul, r, x)) for r in rows]
 
 
-def _products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
-              ) -> list[list[int]]:
-    """[[<row, col> for col in cols] for row in rows], in Python."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
-
-
 def products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
              ) -> list[list[int]]:
     """The inner product of every row with every column: out[i][j] = <rows[i], cols[j]>.
 
     rows and cols are sequences of int vectors of one length; vectors of
-    unequal length raise DimensionMismatch.  In the C extension where it
-    loads, else in ``_products`` (module docstring).
+    unequal length raise DimensionMismatch.  In the kernel's products
+    (module docstring).
     """
     if len(set(map(len, chain(rows, cols)))) > 1:
         raise DimensionMismatch("the rows and the columns must share one length")
-    kernel = _native()
-    if kernel is None:
-        return _products(rows, cols)
-    return kernel.products(rows, cols)
+    return _native().products(rows, cols)
 
 
 def gram(cols: list[list[int]]) -> list[list[int]]:

@@ -16,8 +16,8 @@ updates stay in integer arithmetic.  The reduce/exchange updates below are
 the incremental closed forms for this state with denominators cleared; all
 comparisons (size reduction, the Lovasz test, and the nearest integer under
 the one asymmetric half-tie rule, ``ceil(q - 1/2)``: 4.5 -> 4, -4.5 -> -5)
-are exact.  ``gso_row`` and ``round_nearest`` are shared with the
-solution-shortening sweeps in ``reduction``.
+are exact.  ``gso_row`` and ``round_nearest`` are shared with the Python
+twin of ``reduction``'s solution-shortening sweep (``_python_sweep``).
 
 The loop (``_python_reduce``) is Cohen's integral LLL (*A Course in
 Computational Algebraic Number Theory*, Alg. 2.6.7): it keeps ``k_max``, the
@@ -72,19 +72,21 @@ kernel sweep of ``reduction``, which runs on this loop's own state with the
 target as one more column, so that the first visit's inner products and
 ``gso_row``, the rounding and the column update are the loop's own; and
 ``products``, ``intmat``'s exact inner products, which read their rows and
-columns as the loop reads its columns.  ``_kernel`` holds all three,
-as a ``Kernel``, or ``None``: one build, one binary, and one
-``kernel_name()`` for all of them.
+columns as the loop reads its columns.
 ``reduce`` takes the column tuples and returns the record's parts as ints,
 tuples and lists, or a failure as a status with its column or index, from
 which the wrapper raises the Python loop's error.  Where the build or the
 load fails (no C compiler, no GMP, no ``__int128``, no Python headers, a
-read-only directory, a binary that does not import) the Python loop, sweep
-and products run instead, and the build is not tried again in that process.
-``_python_reduce`` is that fallback and the reference the tests hold the C
-loop to; ``kernel_name()`` says which kernel runs.  Both loops take
-``(cols, p, q, prefix, start)`` and return a ``Reduced``, and ``lll`` calls
-whichever runs.
+read-only directory, a binary that does not import) their Python twins run
+instead, and the build is not tried again in that process.  This module
+holds the three twins as ``_lll.c`` holds the three entries:
+``_python_reduce``, ``_python_sweep`` and ``_python_products`` take the C
+entries' arguments and return their values, and they are the fallback and
+the reference the tests hold the C entries to.  A kernel is a ``Kernel`` of
+three entries: the C ones, or ``PYTHON``, the twins.  ``_native()`` chooses
+one, once per process, and ``_kernel`` holds it; ``lll``, ``reduction``'s
+sweeps and ``intmat.products`` call its entries without asking which it is,
+and ``kernel_name()`` says which runs.
 
 The Python code divides with ``//``, which floors; the C code floors with
 ``mpz_fdiv_q`` only in ``round_nearest``, whose quotient is not exact.  Its
@@ -140,7 +142,10 @@ shortcuts cut steps without changing a value.  Most size reductions have
 ``gamma = +-1`` (over three quarters on the column-scan attacks), and for
 those the column and ``lam`` row updates are ``map(sub, ...)`` or
 ``map(add, ...)`` (``mpz_sub`` or ``mpz_add`` for a ``lam`` entry in GMP in
-C), instead of the general-``gamma`` multiply.  And ``gso_row`` skips the
+C), instead of the general-``gamma`` multiply.  ``_sub_multiple`` writes
+that update, ``v - gamma * w``, once for the Python twins: both size
+reductions of the loop and the sweep's updates of its target and its row
+call it.  And ``gso_row`` skips the
 zero prefix of its inner products, in both kernels: when ``g_row[0..z-1]``
 are 0, so are entries ``0..z-1`` of the row, and each of the first ``z``
 steps of a later entry's recurrence is ``u -> u * d[k+1] / d[k]``; they
@@ -169,7 +174,7 @@ _SOURCE = Path(__file__).with_name("_lll.c")
 BUILD_TIMEOUT_S = 120
 C_DEPENDENT, C_PREMISE, C_BUDGET = 1, 2, 3  # the C loop's failure statuses
 _UNBUILT = object()
-# The C entries once _native has loaded them, or None where they cannot be
+# The kernel _native chose: the C entries, or PYTHON where they cannot be
 # built; one value per process, as the build is tried once.
 _kernel: object = _UNBUILT
 
@@ -192,10 +197,11 @@ Reduce = Callable[[Sequence[Sequence[int]], int, int, int, Reduced | None], Redu
 
 
 class Kernel(NamedTuple):
-    """The C extension's three entries: the LLL loop, wrapped to return a
-    ``Reduced`` or raise the Python loop's errors; ``reduction``'s sweep,
-    ``(cols, d, lam, target, step) -> list``; and ``intmat``'s products,
-    ``(rows, cols) -> list of lists``; the last two as they are."""
+    """One kernel's three entries: the LLL loop, ``Reduce``; ``reduction``'s
+    sweep, ``(cols, d, lam, target, step) -> list``; and ``intmat``'s
+    products, ``(rows, cols) -> list of lists``.  The C extension's, with
+    its loop wrapped to return a ``Reduced`` or raise the Python loop's
+    errors, or ``PYTHON``, their Python twins."""
 
     reduce: Reduce
     sweep: Callable[..., list[int]]
@@ -204,11 +210,11 @@ class Kernel(NamedTuple):
 
 def kernel_name() -> str:
     """The kernel that runs in this process: "gmp" (the C entries) or "python"."""
-    return "python" if _native() is None else "gmp"
+    return "python" if _native() is PYTHON else "gmp"
 
 
-def _native() -> Kernel | None:
-    """The C entries, built and loaded at the first call; None where they cannot be."""
+def _native() -> Kernel:
+    """The C entries, built and loaded at the first call; PYTHON where they cannot be."""
     global _kernel
     if _kernel is _UNBUILT:
         _kernel = _load(_SOURCE)
@@ -226,7 +232,7 @@ def _binary_name(source: Path) -> str:
     return f"{source.stem}_{crc32(code):08x}{adler32(code):08x}{EXTENSION_SUFFIXES[0]}"
 
 
-def _load(source: Path) -> Kernel | None:
+def _load(source: Path) -> Kernel:
     """Load the C entries of source, built next to it on first use.
 
     The extension's name carries a digest of the source, so an edited source
@@ -234,7 +240,7 @@ def _load(source: Path) -> Kernel | None:
     sources beside it, for this interpreter's suffix and the plain ``.so`` of
     older builds.  Without a C compiler with ``__int128``, GMP or the Python
     headers, in a read-only directory, or where the binary does not import,
-    this returns None.
+    this returns PYTHON, the Python twins.
     """
     from importlib.machinery import EXTENSION_SUFFIXES
     from importlib.util import module_from_spec, spec_from_file_location
@@ -244,7 +250,7 @@ def _load(source: Path) -> Kernel | None:
         binary = source.with_name(_binary_name(source))
         if not binary.exists():
             if not _build(source, binary):
-                return None
+                return PYTHON
             hashed = f"{source.stem}_{'[0-9a-f]' * 16}"
             for stale in chain(source.parent.glob(hashed + suffix),
                                source.parent.glob(hashed + ".so")):
@@ -254,7 +260,7 @@ def _load(source: Path) -> Kernel | None:
         module = module_from_spec(spec)
         spec.loader.exec_module(module)
     except (OSError, ImportError):
-        return None
+        return PYTHON
     c_reduce = module.reduce
 
     def reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int,
@@ -388,6 +394,16 @@ def _visit(col: Sequence[int], b: list[Sequence[int]], d: list[int],
     lam.append(row)
 
 
+def _sub_multiple(v: Sequence[int], w: Sequence[int], gamma: int) -> list[int]:
+    """v - gamma * w over the first len(w) entries of v (zip's length), with
+    map(sub) and map(add) for gamma = +-1 (module docstring)."""
+    if gamma == 1:
+        return list(map(sub, v, w))
+    if gamma == -1:
+        return list(map(add, v, w))
+    return [x - gamma * y for x, y in zip(v, w)]
+
+
 def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int,
                    start: Reduced | None = None) -> Reduced:
     """The LLL reduction of cols at alpha = p/q, in the Python loop, with the
@@ -420,15 +436,8 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int,
         lkk = lk[k - 1]
         if abs(2 * lkk) > dk:
             gamma = round_nearest(lkk, dk)
-            if gamma == 1:
-                b[k] = list(map(sub, b[k], b[k - 1]))
-                lk[:k - 1] = map(sub, lk, lam[k - 1])
-            elif gamma == -1:
-                b[k] = list(map(add, b[k], b[k - 1]))
-                lk[:k - 1] = map(add, lk, lam[k - 1])
-            else:
-                b[k] = [x - gamma * y for x, y in zip(b[k], b[k - 1])]
-                lk[:k - 1] = [x - gamma * y for x, y in zip(lk, lam[k - 1])]
+            b[k] = _sub_multiple(b[k], b[k - 1], gamma)
+            lk[:k - 1] = _sub_multiple(lk, lam[k - 1], gamma)
             lkk -= gamma * dk
             lk[k - 1] = lkk
         dk1 = d[k + 1]
@@ -456,15 +465,8 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int,
                 lkj = lk[j]
                 if abs(2 * lkj) > dj:
                     gamma = round_nearest(lkj, dj)
-                    if gamma == 1:
-                        bk = list(map(sub, bk, b[j]))
-                        lk[:j] = map(sub, lk, lam[j])
-                    elif gamma == -1:
-                        bk = list(map(add, bk, b[j]))
-                        lk[:j] = map(add, lk, lam[j])
-                    else:
-                        bk = [x - gamma * y for x, y in zip(bk, b[j])]
-                        lk[:j] = [x - gamma * y for x, y in zip(lk, lam[j])]
+                    bk = _sub_multiple(bk, b[j], gamma)
+                    lk[:j] = _sub_multiple(lk, lam[j], gamma)
                     lk[j] = lkj - gamma * dj
             b[k] = bk
             k += 1
@@ -472,6 +474,36 @@ def _python_reduce(cols: Sequence[Sequence[int]], p: int, q: int, prefix: int,
         if d[j + 1] > bound * d[j]:
             raise _premise_failure(j, bound)
     return Reduced(tuple(map(tuple, b)), d[:prefix + 1], lam[:prefix])
+
+
+def _python_sweep(cols: Sequence[Sequence[int]], d: list[int], lam: list[list[int]],
+                  target: list[int], step: int) -> list[int]:
+    """``reduction``'s sweep in Python: target less q_j * cols[j] for each
+    kernel column j from the last down, where (d, lam) is the columns'
+    Gram-Schmidt.
+
+    Each q_j = step * round(mu_j / step) is picked on the target's row
+    lam_t, and taken off lam_t in closed form and off the target with the
+    loop's update (``_sub_multiple``), as the C sweep does; that takes the
+    same arguments and returns the same list.
+    """
+    lam_t = gso_row([sum(map(mul, col, target)) for col in cols], d, lam)
+    for j in range(len(cols) - 1, -1, -1):
+        q = step * round_nearest(lam_t[j], step * d[j + 1])
+        if q:
+            lam_t[:j] = _sub_multiple(lam_t, lam[j], q)
+            target = _sub_multiple(target, cols[j], q)
+    return target
+
+
+def _python_products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+                     ) -> list[list[int]]:
+    """``intmat.products`` in Python: [[<row, col> for col in cols] for row in rows]."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+# The Python twins of the C entries, the kernel where those cannot be built
+PYTHON = Kernel(_python_reduce, _python_sweep, _python_products)
 
 
 def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0,
@@ -489,7 +521,8 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0,
     for the first r columns of a basis B, and the basis is B with those
     columns replaced by start's.  The loop resumes from start (module
     docstring) and returns what ``lll(B, alpha, prefix)`` returns; start is
-    only read.
+    only read.  A start of another shape (lam row i holds i entries) or with
+    a d that is not positive raises ValueError, before either loop runs.
     """
     alpha = Fraction(alpha)
     if not Fraction(1, 4) < alpha < 1:
@@ -498,9 +531,9 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0,
         raise ValueError(f"prefix must lie in 0..{basis.n}, got {prefix}")
     if start is not None:
         r = len(start.columns)
-        if basis.columns[:r] != start.columns or len(start.d) != r + 1 or len(start.lam) != r:
+        if (basis.columns[:r] != start.columns or len(start.d) != r + 1
+                or any(d <= 0 for d in start.d) or len(start.lam) != r
+                or any(len(row) != i for i, row in enumerate(start.lam))):
             raise ValueError("start must be the reduction of the basis's first columns, "
                              "with their Gram-Schmidt")
-    kernel = _native()
-    reduce = kernel.reduce if kernel else _python_reduce
-    return reduce(basis.columns, alpha.numerator, alpha.denominator, prefix, start)
+    return _native().reduce(basis.columns, alpha.numerator, alpha.denominator, prefix, start)

@@ -6,9 +6,9 @@ Gram-Schmidt state as the LLL kernel: ``d[i]`` and ``lam = mu * d[j+1]``,
 with the target appended as one extra row of the same recurrence.  The
 sweep walks the target's coefficients from the last kernel vector down to
 the first, picking the nearest-integer multiple q_j and clearing it from
-the remaining coefficients in closed form (``lam_t[i] -= q_j * lam[j][i]``).
-The q's need only ``lam_t``, so the vector is built once, as x - D*q; all
-arithmetic is exact integer.  The result differs from x by a kernel
+the remaining coefficients in closed form (``lam_t[i] -= q_j * lam[j][i]``)
+and ``q_j * D_j`` from the target, with the LLL loop's own column update;
+all arithmetic is exact integer.  The result differs from x by a kernel
 vector, so it solves the same system.
 
 The GSO of D is the one LLL ended with, which the ``KernelDecomposition``
@@ -23,55 +23,27 @@ round(mu_j / 2), so q = round(lam_t[j] / (2 d[j+1])) with lam_t taken
 against D, and the sweep subtracts 2q * D_j and 2q * lam[j]: the same q's,
 and the same vector, as the doubled basis gives.
 
-The sweep runs in C, as the second entry of the LLL loop's extension
-(``_lll.c``), wherever that loads (``lattice.kernel_name()`` is "gmp"), and
-``_sweep`` otherwise: the Python fallback, and the reference the tests hold
-the C entry to.  The C sweep runs on the LLL loop's own state, with the
-target as one more column: its ``lam_t`` is that column's row, and it takes
-each ``q * D_j`` off the target with the loop's column update as it picks
-q, where ``_sweep`` builds ``x - D*q`` once at the end.  Both return the
-same vector on every input; the target's length is checked here, before
-either runs, and the half shift's parity check and undoing stay here too.
+The sweep is the ``sweep`` entry of the kernel ``lattice`` chose (its
+module docstring): the C extension's, which runs on the LLL loop's own
+state with the target as one more column, or its Python twin,
+``lattice._python_sweep``.  Both return the same vector on every input;
+the target's length is checked here, before either runs, and the half
+shift's parity check and undoing stay here too.
 """
 
 from __future__ import annotations
 
-from operator import sub
-
 from .errors import DimensionMismatch
 from .formulations import KernelDecomposition
-from .intmat import mat_vec
-from .lattice import _native, gso_row, round_nearest
-
-
-def _sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
-    """Subtract nearest multiples of step * D_j from target, j from last to first.
-
-    The multiple of D_j is step * q with q = round(mu_j / step).  Every q is
-    picked on the target's scaled projection coefficients lam_t alone, which
-    follow each subtraction in closed form; target - D*q is built once, at
-    the end.
-    """
-    cols = kd.kernel_columns
-    d, lam = kd.gso
-    lam_t = gso_row(mat_vec(cols, target), d, lam)  # DimensionMismatch on a wrong length
-    qs = [0] * len(cols)
-    for j in range(len(cols) - 1, -1, -1):
-        q = step * round_nearest(lam_t[j], step * d[j + 1])
-        if q:
-            qs[j] = q
-            lam_t[:j] = [a - q * b for a, b in zip(lam_t, lam[j])]
-    return list(map(sub, target, mat_vec(kd.D, qs)))
+from .lattice import _native
 
 
 def _run_sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
-    """_sweep, in the C extension where it loads."""
-    kernel = _native()
-    if kernel is None:
-        return _sweep(kd, target, step)
+    """Subtract nearest multiples of step * D_j from target, j from last to
+    first, in the kernel's sweep (module docstring)."""
     if len(target) != len(kd.D):
         raise DimensionMismatch(f"matrix width != vector length {len(target)}")
-    return kernel.sweep(kd.kernel_columns, *kd.gso, target, step)
+    return _native().sweep(kd.kernel_columns, *kd.gso, target, step)
 
 
 def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:

@@ -1,14 +1,16 @@
 """Fixtures that choose the kernel a test runs, and keep DAG search lanes per test.
 
-The library picks its kernel itself: the C extension over GMP (``_lll.c``)
-where it builds, Python elsewhere.  The extension holds three entries, the
-LLL loop, the kernel sweep and the exact products of ``intmat``, and
-``lattice._kernel`` holds all three or none.
+The library picks its kernel itself, in ``lattice`` alone: the C extension
+over GMP (``_lll.c``) where it builds, Python elsewhere.  Either is a
+``lattice.Kernel`` of three entries, the LLL loop, the kernel sweep and the
+exact products of ``intmat``, and ``lattice._kernel`` holds the one that
+runs: the C entries, or ``lattice.PYTHON``, their Python twins.
 Either LLL loop returns the reduced columns with the Gram-Schmidt of the
 prefix its caller names, which is all the decomposition's Gram-Schmidt there
-is.  Tests that instrument the Python code pin it by setting
-``lattice._kernel``; tests of the C entries ask for them and hold each to
-its Python twin.
+is.  Tests pin a kernel by setting ``lattice._kernel`` to one of the two
+(``python_kernel``, ``either_kernel``); tests of the C entries ask for them
+(``gmp_kernel``) and hold each to its Python twin, and ``kernel_calls``
+records which entries the library reaches.
 
 The extension is built once, before the first test runs
 (``built_kernel``): a test that bounds its own wall time must not pay the
@@ -41,8 +43,9 @@ def no_lanes_across_tests():
 @pytest.fixture
 def python_kernel(monkeypatch):
     """Run every reduction of the test, and so every decomposition's Gram-Schmidt,
-    and every sweep in Python."""
-    monkeypatch.setattr(lattice, "_kernel", None)
+    every sweep and every product in Python; returns lattice.PYTHON."""
+    monkeypatch.setattr(lattice, "_kernel", lattice.PYTHON)
+    return lattice.PYTHON
 
 
 @pytest.fixture(params=["python_kernel", "gmp_kernel"])
@@ -53,10 +56,26 @@ def either_kernel(request, monkeypatch):
 
 @pytest.fixture(scope="session")
 def gmp_kernel():
-    """The C entries, a lattice.Kernel: the LLL loop, lattice._python_reduce's twin,
-    the sweep, reduction._sweep's, and the products, intmat._products'; skips
-    only where they cannot be built."""
+    """The C entries, a lattice.Kernel: the twins of lattice.PYTHON's LLL loop,
+    sweep and products; skips only where they cannot be built."""
     kernel = lattice._native()
-    if kernel is None:
+    if kernel is lattice.PYTHON:
         pytest.skip("no C compiler or GMP here to build the C loop")
     return kernel
+
+
+@pytest.fixture
+def kernel_calls(gmp_kernel, monkeypatch):
+    """Pin the C entries, each wrapped to record its name (a field of
+    lattice.Kernel) when called; returns the list of names."""
+    calls = []
+
+    def recording(name, entry):
+        def run(*args):
+            calls.append(name)
+            return entry(*args)
+        return run
+
+    monkeypatch.setattr(lattice, "_kernel", lattice.Kernel._make(
+        map(recording, lattice.Kernel._fields, gmp_kernel)))
+    return calls

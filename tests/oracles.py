@@ -479,7 +479,7 @@ def sweep_fraction(vectors: list[list[int]], target: list[int], rounding: str,
 
 def sweep_updates(vectors: list[list[int]], target: list[int], step: int
                   ) -> list[tuple[list[int], list[int], int]]:
-    """Each update of target in the sweep with step 1 or 2 (reduction._sweep),
+    """Each update of target in the sweep with step 1 or 2 (reduction's sweep),
     in order: (target before it, vector j, q) for target -= q * vector j, q != 0.
 
     With step 2 the sweep is sweep_fraction's against the doubled vectors."""

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knapcrack import intmat, lattice
+from knapcrack import lattice
 from knapcrack.errors import DimensionMismatch, SingularE
-from knapcrack.intmat import _products, det_bareiss, gram, mat_vec, products, rank, solve_exact
+from knapcrack.intmat import det_bareiss, gram, mat_vec, products, rank, solve_exact
 
 from oracles import (det_leibniz, mat_mul, rank_fraction, solve_exact_fraction,
                      solve_integer_combination, transpose)
@@ -106,14 +106,14 @@ def row_and_column_sets(draw):
 
 
 class TestCProducts:
-    """The C products (_lll.c) return intmat._products' lists on every input."""
+    """The C products (_lll.c) return their Python twin's lists on every input."""
 
     @settings(max_examples=300, deadline=None)
     @given(row_and_column_sets())
     def test_crossing_entries_match_python(self, gmp_kernel, case):
         rows, cols = case
         expected = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
-        assert _products(rows, cols) == expected
+        assert lattice.PYTHON.products(rows, cols) == expected
         assert gmp_kernel.products(rows, cols) == expected
         assert gmp_kernel.products(tuple(map(tuple, rows)), tuple(map(tuple, cols))) == expected
 
@@ -124,19 +124,15 @@ class TestCProducts:
         cases = [([[low] * 2], [[low] * 2]), ([[low] * 4], [[low] * 4, [low, low, a, 0]]),
                  ([[low, low, low, low, 2]], [[low, low, a, a, low], [a] * 5])]
         for rows, cols in cases:
-            assert gmp_kernel.products(rows, cols) == _products(rows, cols)
+            assert gmp_kernel.products(rows, cols) == lattice.PYTHON.products(rows, cols)
 
-    def test_the_library_runs_the_c_products(self, gmp_kernel, monkeypatch):
-        # With the C entries loaded, gram and products never reach the Python products.
+    def test_the_library_runs_the_c_products(self, gmp_kernel, kernel_calls):
+        # With the C entries loaded, gram and products reach them, and return
+        # what they return.
         cols = [[1, 2, -2**70], [3, 0, 1]]
-        expected = gram(cols), products(cols[:1], cols)
-        monkeypatch.setattr(lattice, "_kernel", gmp_kernel)
-
-        def no_python_products(*args):
-            raise AssertionError("the Python products ran")
-
-        monkeypatch.setattr(intmat, "_products", no_python_products)
-        assert (gram(cols), products(cols[:1], cols)) == expected
+        assert gram(cols) == gmp_kernel.products(cols, cols)
+        assert products(cols[:1], cols) == gmp_kernel.products(cols[:1], cols)
+        assert kernel_calls == ["products", "products"]
 
     def test_a_non_int_entry_raises_type_error(self, gmp_kernel):
         rows, cols = [[1, 2], [2**200, 3]], [[4, 5]]
@@ -145,7 +141,7 @@ class TestCProducts:
                 with pytest.raises(TypeError, match="must be an int"):
                     gmp_kernel.products(*args)
         # The state of the failed call was freed, and the next call runs.
-        assert gmp_kernel.products(rows, cols) == _products(rows, cols)
+        assert gmp_kernel.products(rows, cols) == lattice.PYTHON.products(rows, cols)
 
     def test_unequal_lengths_raise_value_error(self, gmp_kernel):
         for rows, cols in (([[1, 2]], [[1]]), ([[1], [1, 2]], [[1]]), ([], [[1], [1, 2]]),

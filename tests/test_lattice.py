@@ -534,7 +534,7 @@ class TestAgainstSympy:
 
 def outcomes_in(kernel, bases, alpha=DEFAULT_ALPHA):
     """lll's columns on each of the bases with lattice._kernel set to kernel
-    (None: the Python loop), or the type and message of what it raised."""
+    (lattice.PYTHON: the Python loop), or the type and message of what it raised."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_kernel", kernel)
@@ -594,7 +594,7 @@ def word_sized(cols):
 
 def records_in(kernel, cols, alpha):
     """lll's outcome on cols at every prefix 0..n with lattice._kernel set to
-    kernel (None: the Python loop): the columns, or the type and message of
+    kernel (lattice.PYTHON: the Python loop): the columns, or the type and message of
     what it raised, which must be the same at every prefix.  Each record's d
     and lam must be the oracle's integral_gso of its first prefix columns."""
     outcomes = []
@@ -622,7 +622,7 @@ class TestReducedGso:
     @settings(max_examples=200, deadline=None)
     @given(RECORD_INPUTS, RECORD_ALPHAS)
     def test_python_prefix_matches_oracle(self, cols, alpha):
-        records_in(None, cols, alpha)
+        records_in(lattice.PYTHON, cols, alpha)
 
     def test_prefix_out_of_range_rejected(self):
         basis = basis_of([(1, 0), (0, 1)])
@@ -677,7 +677,7 @@ class TestExchangeBudget:
         bases = [random_basis(rng, n, n, -10**6, 10**6).columns for n in range(2, 9)
                  for _ in range(3)]
         outcomes = outcomes_in(four, bases)
-        assert outcomes == outcomes_in(None, bases)
+        assert outcomes == outcomes_in(lattice.PYTHON, bases)
         stopped = ("AssertionError", "LLL left its termination proof: an exchange did not "
                                      "lower d[k] to a positive value, or passed the budget of 4")
         assert stopped in outcomes and any(isinstance(o, list) for o in outcomes)
@@ -703,7 +703,7 @@ class TestGmpKernel:
     @given(twin_inputs(), st.sampled_from([Fraction(26, 100), Fraction(1, 2), Fraction(3, 4),
                                            DEFAULT_ALPHA, *WIDE_ALPHAS]))
     def test_matches_python(self, gmp_kernel, cols, alpha):
-        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
+        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(lattice.PYTHON, [cols], alpha)
 
     @pytest.mark.parametrize("w", [63, 64, 65, 128, 129])
     def test_word_boundaries_match_python(self, gmp_kernel, w):
@@ -721,7 +721,7 @@ class TestGmpKernel:
             assert not any(a_long(cols[0][0]) for cols in bases)
         if w == 64:  # and wide columns come back to words
             assert any(map(narrows, bases))
-        assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
+        assert outcomes_in(gmp_kernel, bases) == outcomes_in(lattice.PYTHON, bases)
 
     def test_wide_columns_match_python(self, gmp_kernel):
         # Wider columns: the AHL basis of test_wide_input_columns_match_reference
@@ -737,7 +737,7 @@ class TestGmpKernel:
         bases = [ahl, dense, weights]
         assert not any(all(a_long(x) for c in cols for x in c) for cols in bases)
         assert [narrows(cols) for cols in (ahl, weights)] == [True, True]
-        assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
+        assert outcomes_in(gmp_kernel, bases) == outcomes_in(lattice.PYTHON, bases)
 
     @settings(max_examples=300, deadline=None)
     @given(word_edge_inputs(), st.sampled_from([Fraction(1, 2), DEFAULT_ALPHA,
@@ -747,7 +747,7 @@ class TestGmpKernel:
         # switches between its word path and GMP.  With p and q near 2^62 the
         # Lovasz test's products overflow 128 bits where num is past 2^66;
         # WIDE_ALPHAS[0] keeps the test in GMP while the other steps switch.
-        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
+        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(lattice.PYTHON, [cols], alpha)
 
     def test_word_sized_bases_match_python(self, gmp_kernel):
         # Bases whose d and lam stay within one word for the whole reduction,
@@ -758,14 +758,15 @@ class TestGmpKernel:
         bases += [[[rng.randint(-3, 3) for _ in range(7)] for _ in range(7)] for _ in range(5)]
         assert all(map(word_sized, bases))
         for alpha in (Fraction(1, 2), DEFAULT_ALPHA):
-            assert outcomes_in(gmp_kernel, bases, alpha) == outcomes_in(None, bases, alpha)
+            assert outcomes_in(gmp_kernel, bases, alpha) == \
+                outcomes_in(lattice.PYTHON, bases, alpha)
 
     @settings(max_examples=300, deadline=None)
     @given(RECORD_INPUTS, RECORD_ALPHAS)
     def test_prefix_matches_python_and_oracle(self, gmp_kernel, cols, alpha):
         # The d and lam the C loop writes out after its columns, for every
         # prefix, also where they cross 2^63 (word_edge_inputs).
-        assert records_in(gmp_kernel, cols, alpha) == records_in(None, cols, alpha)
+        assert records_in(gmp_kernel, cols, alpha) == records_in(lattice.PYTHON, cols, alpha)
 
     @pytest.mark.parametrize("cols", [[[5]], [[0]], [[-3, 4]], [[3], [4]], [[0, 0], [1, 2]],
                                       [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
@@ -776,7 +777,7 @@ class TestGmpKernel:
     @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, Fraction(1, 2), *WIDE_ALPHAS],
                              ids=["99/100", "1/2", "wide-near-1", "wide-near-1/2"])
     def test_edge_shapes_match_python(self, gmp_kernel, cols, alpha):
-        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(None, [cols], alpha)
+        assert outcomes_in(gmp_kernel, [cols], alpha) == outcomes_in(lattice.PYTHON, [cols], alpha)
 
     def test_crossing_keeps_every_entry(self, gmp_kernel):
         # A diagonal basis in order of norm is reduced, so every entry, d and
@@ -825,7 +826,7 @@ class TestGmpKernel:
                 bases += [basis.columns for basis in (build_lattice_B(system, DEFAULT_N),
                                                       cjloss_basis(system, DEFAULT_N),
                                                       ahl_basis(system, DEFAULT_N1, n2))]
-            assert outcomes_in(gmp_kernel, bases) == outcomes_in(None, bases)
+            assert outcomes_in(gmp_kernel, bases) == outcomes_in(lattice.PYTHON, bases)
 
 
 # CROSSING's 0, +-1, edges of a C long and of two limbs and +-2^200, and small entries
@@ -920,6 +921,12 @@ class TestResume:
             (basis, start._replace(lam=start.lam[:1])),
             (basis, lll(basis_of(cols[:2]), DEFAULT_ALPHA, 1)),  # reduced with prefix 1
         ]
+        # The head of the 3 x 3 identity with lam row 1 of two entries, or a d
+        # that is not positive: lll checks what the C entry checks, so
+        # neither loop runs on it.
+        identity = basis_of([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        for d, lam in (([1, 1, 1], [[], [0, 0]]), ([1, 0, 1], [[], [0]]), ([1, -1, 1], [[], [0]])):
+            bad.append((identity, lattice.Reduced(identity.columns[:2], d, lam)))
         for b, s in bad:
             with pytest.raises(ValueError, match="start"):
                 lll(b, DEFAULT_ALPHA, 0, s)
@@ -1021,7 +1028,7 @@ class TestKernelBuild:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert lattice._load(source).reduce(cols, 99, 100, 15) == reduce(cols, 99, 100, 15)
         source.write_bytes(source.read_bytes() + b"\n")
-        assert lattice._load(source) is None
+        assert lattice._load(source) is lattice.PYTHON
 
     def test_a_build_removes_stale_binaries(self, gmp_kernel, tmp_path):
         # A build deletes the binaries of older sources beside it, under this
@@ -1035,11 +1042,11 @@ class TestKernelBuild:
         for path in (*stale, other):
             path.write_bytes(b"")
         (tmp_path / "_lll_build_0000").mkdir()
-        assert lattice._load(source) is not None
+        assert lattice._load(source) is not lattice.PYTHON
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted(["_lll.c", "_lll_build_0000", other.name, built_name(source)])
         stale[0].write_bytes(b"")
-        assert lattice._load(source) is not None
+        assert lattice._load(source) is not lattice.PYTHON
         assert stale[0].exists()
 
     @pytest.mark.parametrize("binary", ["not-a-library", "no-init-function"])
@@ -1056,16 +1063,15 @@ class TestKernelBuild:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         monkeypatch.setattr(lattice, "_SOURCE", source)
         monkeypatch.setattr(lattice, "_kernel", lattice._UNBUILT)
-        assert lattice._load(source) is None
-        assert lattice.kernel_name() == "python"
+        assert lattice._load(source) is lattice.PYTHON
         python_reduces = []
 
         def python_reduce(*args):
             python_reduces.append(args)
-            return real_reduce(*args)
+            return lattice._python_reduce(*args)
 
-        real_reduce = lattice._python_reduce
-        monkeypatch.setattr(lattice, "_python_reduce", python_reduce)
+        monkeypatch.setattr(lattice, "PYTHON", lattice.PYTHON._replace(reduce=python_reduce))
+        assert lattice.kernel_name() == "python"
         basis = build_lattice_B(generate_instance(16, 0).instance, DEFAULT_N)
         assert lll(basis) == gmp_kernel.reduce(basis.columns, 99, 100, 0)
         assert len(python_reduces) == 1
@@ -1076,7 +1082,7 @@ class TestKernelBuild:
         # finished file into place, and every one of them loads the C loop.
         source = copy_of_source(tmp_path)
         code = ("import sys; from pathlib import Path; from knapcrack import lattice; "
-                "sys.exit(lattice._load(Path(sys.argv[1])) is None)")
+                "sys.exit(lattice._load(Path(sys.argv[1])) is lattice.PYTHON)")
         env = {**os.environ, "PYTHONPATH": str(lattice._SOURCE.parent.parent)}
         procs = [subprocess.Popen([sys.executable, "-c", code, str(source)], env=env)
                  for _ in range(3)]
@@ -1096,10 +1102,9 @@ class TestKernelBuild:
 
         def python_reduce(*args):
             python_reduces.append(args)
-            return real_reduce(*args)
+            return lattice._python_reduce(*args)
 
-        real_reduce = lattice._python_reduce
-        monkeypatch.setattr(lattice, "_python_reduce", python_reduce)
+        monkeypatch.setattr(lattice, "PYTHON", lattice.PYTHON._replace(reduce=python_reduce))
         monkeypatch.setattr(subprocess, "run", build)
         monkeypatch.setattr(lattice, "_SOURCE", copy_of_source(tmp_path))
         monkeypatch.setattr(lattice, "_kernel", lattice._UNBUILT)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from knapcrack import lattice, reduction
+from knapcrack import lattice
 from knapcrack.errors import DependentColumns, DimensionMismatch
 from knapcrack.formulations import attack_ahl, decompose, special_solution
+from knapcrack.lattice import LatticeBasis, lll
 from knapcrack.pipeline import generate_instance, generate_system
 from knapcrack.problems import LdeSystem
-from knapcrack.reduction import _sweep, reduce_half, reduce_solution
+from knapcrack.reduction import reduce_half, reduce_solution
 
 from oracles import (a_long, half_sweep_fraction, integral_gso, kernel_of, overflow_at,
                      solve_integer_combination, sweep_fraction, sweep_updates)
@@ -31,7 +32,7 @@ def in_each_sweep(run):
     native = lattice._native()
     results = []
     with pytest.MonkeyPatch.context() as mp:
-        for kernel in (None, native):
+        for kernel in (lattice.PYTHON, native):
             mp.setattr(lattice, "_kernel", kernel)
             results.append(run())
     return results
@@ -64,8 +65,8 @@ class TestReduce:
             assert solve_integer_combination(cols, diff) is not None
 
     def test_dimension_mismatch(self):
-        # The C sweep's wrapper checks the length before the call, as
-        # mat_vec does in the Python sweep.
+        # reduction checks the target's length before either kernel's sweep
+        # runs.
         kd = toy_kernel()
 
         def mismatches():
@@ -155,7 +156,7 @@ class TestKernelGso:
         # The Gram-Schmidt LLL ended with, in the Python loop and in the C
         # loop where it builds, against the oracle's of D.
         system = generate_system(m, n, seed).system
-        for kernel in (None, lattice._native()):
+        for kernel in (lattice.PYTHON, lattice._native()):
             monkeypatch.setattr(lattice, "_kernel", kernel)
             kd = decompose(system)
             assert kd.gso == integral_gso(kd.kernel_columns)
@@ -321,11 +322,11 @@ def c_sweep_outcome(gmp_kernel, cols, target, step):
     """The C sweep's vector and the Python sweep's, on the decomposition of cols."""
     kd = kernel_from_cols(cols)
     return (gmp_kernel.sweep(kd.kernel_columns, *kd.gso, target, step),
-            _sweep(kd, target, step))
+            lattice.PYTHON.sweep(kd.kernel_columns, *kd.gso, target, step))
 
 
 class TestCSweep:
-    """The C sweep (_lll.c) returns reduction._sweep's vector on every input."""
+    """The C sweep (_lll.c) returns its Python twin's vector on every input."""
 
     @settings(max_examples=300, deadline=None)
     @given(crossing_kernel_and_target(), st.sampled_from([1, 2]))
@@ -373,7 +374,7 @@ class TestCSweep:
         for step in (1, 2):
             first, second = sweep_updates(cols, target, step)
             assert overflow_at(*first) == 1 and not all(map(a_long, second[0]))
-            assert all(map(a_long, _sweep(kernel_from_cols(cols), target, step)))
+            assert all(map(a_long, lattice.PYTHON.sweep(cols, *integral_gso(cols), target, step)))
         cases.append((cols, target))
         for cols, target in cases:
             for step in (1, 2):
@@ -389,18 +390,19 @@ class TestCSweep:
         ours, reference = c_sweep_outcome(gmp_kernel, [col], target, step)
         assert ours == reference
 
-    def test_the_library_runs_the_c_sweep(self, gmp_kernel, monkeypatch):
-        # With the C entries loaded, reduce_solution and reduce_half never
-        # reach the Python sweep.
+    def test_the_library_runs_the_c_sweep(self, gmp_kernel, kernel_calls):
+        # With the C entries loaded, lll and both sweeps reach them, and
+        # return what they return.
+        basis = LatticeBasis(((3, 1, 0), (1, 4, 1)))
+        assert lll(basis, prefix=2) == gmp_kernel.reduce(basis.columns, 99, 100, 2)
+        assert kernel_calls == ["reduce"]
         kd = toy_kernel()
-        expected = reduce_solution([3, 0, 0], kd), reduce_half([3, 0, 0], kd)
-        monkeypatch.setattr(lattice, "_kernel", gmp_kernel)
-
-        def no_python_sweep(*args):
-            raise AssertionError("the Python sweep ran")
-
-        monkeypatch.setattr(reduction, "_sweep", no_python_sweep)
-        assert (reduce_solution([3, 0, 0], kd), reduce_half([3, 0, 0], kd)) == expected
+        kernel_calls.clear()
+        cols, (d, lam) = kd.kernel_columns, kd.gso
+        assert reduce_solution([3, 0, 0], kd) == gmp_kernel.sweep(cols, d, lam, [3, 0, 0], 1)
+        assert reduce_half([3, 0, 0], kd) == \
+            [(v + 1) // 2 for v in gmp_kernel.sweep(cols, d, lam, [5, -1, -1], 2)]
+        assert kernel_calls == ["sweep", "sweep"]
 
     def test_a_non_int_entry_raises_type_error(self, gmp_kernel):
         kd = toy_kernel()
@@ -415,7 +417,8 @@ class TestCSweep:
                 with pytest.raises(TypeError, match="must be an int"):
                     gmp_kernel.sweep(*args, step)
         # The state of the failed call was freed, and the next call runs.
-        assert gmp_kernel.sweep(cols, d, lam, target, 1) == _sweep(kd, target, 1)
+        assert gmp_kernel.sweep(cols, d, lam, target, 1) == \
+            lattice.PYTHON.sweep(cols, d, lam, target, 1)
 
     def test_an_empty_kernel_leaves_the_target(self):
         kd = kernel_of([[], [], []])
