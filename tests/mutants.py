@@ -1,8 +1,8 @@
 """Committed mutants: small faults in the source that named tests must catch.
 
-Run from anywhere, with the names of some mutants or none for all:
+Run from anywhere; it runs every mutant:
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
 ``MUTANTS`` lists each mutant as (file, old text, new text, pytest
 arguments, time limit in seconds).  For each, the script copies ``src``,
@@ -135,21 +135,17 @@ def verdict(mutant: Mutant) -> tuple[bool, str]:
     return status is not None and (status == 1 or status < 0), tail
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - set(MUTANTS)
-    if unknown:
-        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     alive = 0
-    for name in names or MUTANTS:
+    for name, mutant in MUTANTS.items():
         start = time.monotonic()
-        killed, tail = verdict(MUTANTS[name])
+        killed, tail = verdict(mutant)
         alive += not killed
         print(f"{'killed' if killed else 'ALIVE '} {name} ({time.monotonic() - start:.0f} s)")
         print("    " + tail.replace("\n", "\n    "), flush=True)
-    print(f"{len(names or MUTANTS) - alive} killed, {alive} alive")
+    print(f"{len(MUTANTS) - alive} killed, {alive} alive")
     return 1 if alive else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
