@@ -1,7 +1,7 @@
 /* Exact LLL over GMP, the kernel sweep that follows it and the exact integer
- * products around them: lattice._python_reduce, reduction._sweep and
- * intmat._products, run on machine words and mpz_t, as the CPython extension
- * module knapcrack._lll.
+ * products around them: lattice._python_reduce, lattice._python_sweep and
+ * lattice._python_products, run on machine words and mpz_t, as the CPython
+ * extension module knapcrack._lll.
  *
  * Its first entry, reduce, is the same Cohen integral LLL (Alg. 2.6.7) as the
  * Python loop, step for step: the same k_max first visits, the same
@@ -10,8 +10,9 @@
  * exchange update of rows k+1..k_max.  Both loops compute one function of their
  * input, bit for bit, and raise at the same column.  Both run on plain integer
  * columns; here a column's entries are C longs while they fit in one
- * (Columns, below).  Its second entry, sweep, is reduction._sweep (Sweep,
- * below), and its third, products, is intmat._products (Products, below).
+ * (Columns, below).  Its second entry, sweep, is lattice._python_sweep
+ * (Sweep, below), and its third, products, is lattice._python_products
+ * (Products, below).
  *
  * Columns.  A column is an ints: its dim entries as C longs, or, where one of
  * them is not a long, all of them as mpz_t, the column being wide.  It is the
@@ -113,7 +114,7 @@
  * reading its input and building its output, and touches no Python object
  * there.
  *
- * Sweep.  sweep(cols, d, lam, target, step) is reduction._sweep, Babai's
+ * Sweep.  sweep(cols, d, lam, target, step) is lattice._python_sweep, Babai's
  * nearest-plane rounding of target against the kernel basis D, whose s columns
  * are cols and whose integral Gram-Schmidt is (d, lam), as LLL left it for
  * decompose.  It runs on the loop's own state, of s + 1 columns: D's, and the
@@ -138,16 +139,16 @@
  * interpreter's lock: it is short, and it reads Python objects until it has
  * its input.
  *
- * Products.  products(rows, cols) is intmat._products: the exact inner product
- * of every row with every column, out[i][j] = <rows[i], cols[j]>, for the Gram
- * matrix of the kernel features (intmat.gram) and the decomposition's
+ * Products.  products(rows, cols) is lattice._python_products: the exact inner
+ * product of every row with every column, out[i][j] = <rows[i], cols[j]>, for
+ * the Gram matrix of the kernel features (intmat.gram) and the decomposition's
  * contract, A D = 0 and A C = E (formulations).  Its rows and columns are ints,
  * allocated and read as the loop's columns are (new_vectors, read_vectors),
- * each once, however many products it enters; each product is the first
- * visit's dot, in __int128 under overflow checks where both vectors are words,
- * in GMP otherwise, and each result is written with new_int.  The lengths are
- * checked here too, with a ValueError, and intmat checks them first, with its
- * own DimensionMismatch, before either twin runs.  Like the sweep, it holds the
+ * each once, however many products it enters; each product is the first visit's
+ * dot, in __int128 under overflow checks where both vectors are words, in GMP
+ * otherwise, and each result is written with new_int.  The lengths are checked
+ * here too, with a ValueError, and intmat checks them first, with its own
+ * DimensionMismatch, before either twin runs.  Like the sweep, it holds the
  * interpreter's lock.
  */
 #define PY_SSIZE_T_CLEAN
@@ -557,7 +558,7 @@ static int reduce(state *s, int r, int *where)
     return LLL_OK;
 }
 
-/* reduction._sweep (header: Sweep): the target, column k = n - 1, gets its
+/* lattice._python_sweep (header: Sweep): the target, column k = n - 1, gets its
  * row lam_t = lam[k] without the norm entry; then from the last kernel column
  * down, q = step round_nearest(lam_t[j], step d[j+1]) is cleared from lam_t
  * and q times column j taken off the target. */
@@ -1011,7 +1012,7 @@ bad_start:
     goto release;
 }
 
-/* sweep(cols, d, lam, target, step): reduction._sweep of target, a list or
+/* sweep(cols, d, lam, target, step): lattice._python_sweep of target, a list or
  * tuple of n ints, against the s columns cols of D, lists or tuples of n
  * ints, whose integral Gram-Schmidt is d[0..s] and lam rows 0..s-1, with
  * step >= 1 (header: Sweep).  Returns target - D q as a list of n ints.  An
@@ -1122,9 +1123,9 @@ static PyMethodDef methods[] = {
     {"reduce", lll_reduce, METH_VARARGS,
      "reduce(cols, p, q, prefix, start=None) -> (status, value): the LLL loop over GMP."},
     {"sweep", lll_sweep, METH_VARARGS,
-     "sweep(cols, d, lam, target, step) -> list: reduction._sweep over GMP."},
+     "sweep(cols, d, lam, target, step) -> list: lattice._python_sweep over GMP."},
     {"products", lll_products, METH_VARARGS,
-     "products(rows, cols) -> list: intmat._products over GMP."},
+     "products(rows, cols) -> list: lattice._python_products over GMP."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1133,8 +1134,8 @@ static PyModuleDef_Slot slots[] = {{0, NULL}};
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_lll",
-    .m_doc = "lattice._python_reduce, reduction._sweep and intmat._products over GMP; "
-             "lattice.py loads them.",
+    .m_doc = "lattice._python_reduce, lattice._python_sweep and "
+             "lattice._python_products over GMP; lattice.py loads them.",
     .m_methods = methods,
     .m_slots = slots,
 };

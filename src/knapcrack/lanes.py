@@ -1,28 +1,30 @@
-"""The DAG t-search's lanes: child processes that run t's beside the caller.
+"""The DAG t-search's lane: one child process that runs every other t beside the caller.
 
-With L lanes, lane i of a search walks every L-th of its t's from its i-th
-on, and the calling process is lane 0 (``run_in_lanes``).  Lanes 1..L-1 are
-processes forked by the first search that needs them and kept for every
-later search of the process that forked them (``_fork_lane``).  Each search
-sends each lane the pickled step and the lane's t's under a new search
-number; the lane answers (search, t, step(t)) for each, and the records of
-earlier searches are read past.  A lane stops its search after a rescue,
-when it runs out of t's, or when a newer command is waiting, which it looks
-for between t's without waiting.  A t that raises an Exception in a lane
-gets a "no record" answer, and the lane waits for the next search.  The
-pipes carry length-prefixed pickles, read unbuffered, so a poll of a pipe
-sees every byte not yet read.
+The calling process runs a search's t's ts[0::2] and its lane ts[1::2]
+(``run_in_lanes``).  The lane is forked by the first search that needs it
+and kept for every later search of the process that forked it
+(``_fork_lane``).  The protocol has one invariant: every search sent to the
+lane ends with exactly one ``_DONE`` record, and before the next search is
+sent this process reads the lane's records up to that ``_DONE``.  A search
+is the pickled step and the lane's t's; the lane answers one record per t,
+step(t), or ``_NO_RECORD`` for a t that raised an Exception there, and goes
+on with its next t.  It ends its search after a rescue, when it runs out of
+t's, or at the stop (None), which it looks for between t's without waiting
+and which is the only command it can see mid-search; a stop read between
+searches belongs to one that had already ended.  The pipes carry
+length-prefixed pickles, read unbuffered, so a poll of a pipe sees every
+byte not yet read.
 
 A lane runs the code and module state it had when it was forked: a module
 patched or imported again since is not seen there.
 
-Lanes belong to the process that forked them.  A fork hook empties the
-lane table of every child forked later (a ``bench`` pool worker, a lane, a
-user's fork) and closes the pipes it inherited, and an exit handler kills
-and reaps the lanes; both are registered by the first fork, not at import.
-A lane leaves when its command pipe ends or a write fails, so one whose
-parent was killed does not linger.  A lane found dead (its pipe ended, a
-torn record, a failed send) is reaped, and the next search forks a new one.
+The lane belongs to the process that forked it.  A fork hook forgets it in
+every child forked later (a ``bench`` pool worker, a user's fork) and closes
+the pipes that child inherited, and an exit handler kills and reaps it; both
+are registered by the first fork, not at import.  A lane leaves when its
+command pipe ends or a write fails, so one whose parent was killed does not
+linger.  A lane found dead (its pipe ended, a torn record, a failed send) is
+reaped, and the next search forks a new one.
 """
 
 from __future__ import annotations
@@ -35,57 +37,52 @@ import select
 import signal
 from collections.abc import Callable, Iterator
 from contextlib import suppress
-from itertools import count
 
 from .formulations import AttackVerdict
 
-_MISSING = object()  # a lane raised or died before it sent this t's record
-_NO_RECORD = "no record"  # what a lane sends for a t that raised there
-# This process's lanes beyond lane 0, as (pid, command fd, record fd).
-_lanes: list[tuple[int, int, int]] = []
-_searches = count(1)  # the numbers of the searches sent to the lanes
+_NO_RECORD = "no record"  # the lane's record of a t that raised there
+_DONE = "done"  # the lane's last record of each search
+_lane: tuple[int, int, int] | None = None  # this process's lane: (pid, command fd, record fd)
+_owed = False  # whether the lane owes this process the _DONE of a search sent to it
 _registered = False  # whether the fork hook and the exit handler are in place
 
 
-def run_in_lanes(step: Callable[[int], AttackVerdict | None], ts: range, lanes: int
+def run_in_lanes(step: Callable[[int], AttackVerdict | None], ts: range
                  ) -> Iterator[tuple[int, AttackVerdict | None]]:
-    """(t, step(t)) for each t of ts in order, run in lanes processes.
+    """(t, step(t)) for each t of ts in order; the lane runs ts[1::2].
 
-    Lane i walks ts[i::lanes].  Records are taken in t order, so a t that
-    raises here raises only after every smaller t has been judged.  A t
-    without a record, because its lane raised, died or could not get a pipe
-    or a process, runs here, with its own errors.  Closing the generator
-    tells the lanes to stop this search and does not wait for them.
+    Records are taken in t order, so a t that raises here raises only after
+    every smaller t has been judged.  A t without a record, because the lane
+    raised at it, ended its search, died or could not get a pipe or a
+    process, runs here, with its own errors.  Closing the generator tells
+    the lane to stop this search and does not wait for it: the next search
+    reads what the lane still owes before it sends its own.
     """
-    while len(_lanes) < lanes - 1 and _fork_lane():
-        pass
-    search, readers = next(_searches), {}
+    global _owed
+    while _owed:  # the last search's records, up to its _DONE
+        _record()
+    if _lane is not None or _fork_lane():
+        _owed = _command((step, ts[1::2]))
     try:
-        for i, lane in enumerate(_lanes[:lanes - 1], 1):
-            if _command(lane, (search, step, ts[i::lanes])):
-                readers[i] = lane
         for j, t in enumerate(ts):
-            i = j % lanes
-            record = _record(readers[i], search) if i in readers else _MISSING
-            if record is _MISSING:
-                readers.pop(i, None)
-            yield t, step(t) if record is _MISSING else record
+            record = _record() if j % 2 and _owed else _NO_RECORD
+            yield t, step(t) if record == _NO_RECORD else record
     finally:
-        for lane in readers.values():
-            _command(lane, None)
+        if _owed:
+            _command(None)
 
 
 def _fork_lane() -> bool:
-    """Fork one more lane for this process; False when no pipe or process is to spare.
+    """Fork this process's lane; False when no pipe or process is to spare.
 
-    The first fork registers a fork hook, which empties the lane table of
-    every child forked later (a lane, a pool worker), and an exit handler
-    that kills and reaps the lanes (``_close_lanes``).
+    The first fork registers a fork hook, which forgets the lane in every
+    child forked later (``_forget_lane``), and an exit handler that kills
+    and reaps it (``_drop``).
     """
-    global _registered
+    global _registered, _lane
     if not _registered:
-        os.register_at_fork(after_in_child=_forget_lanes)
-        atexit.register(_close_lanes)
+        os.register_at_fork(after_in_child=_forget_lane)
+        atexit.register(_drop)
         _registered = True
     fds: list[int] = []
     try:
@@ -103,81 +100,67 @@ def _fork_lane() -> bool:
         _serve(commands, records)
     os.close(commands)
     os.close(records)
-    _lanes.append((pid, to_lane, from_lane))
+    _lane = (pid, to_lane, from_lane)
     return True
 
 
-def _forget_lanes() -> None:
-    """In a forked child: close the parent's lane pipes; the lanes are not its own."""
-    for _, commands, records in _lanes:
+def _forget_lane() -> None:
+    """Close the lane's pipes and forget it; in a forked child, the lane is not its own."""
+    global _lane, _owed
+    if _lane is not None:
+        _, commands, records = _lane
         os.close(commands)
         os.close(records)
-    _lanes.clear()
+    _lane, _owed = None, False
 
 
-def _close_lanes() -> None:
-    """Kill and reap every lane of this process; the next search forks anew."""
-    while _lanes:
-        _drop(_lanes[-1])
-
-
-def _drop(lane: tuple[int, int, int]) -> None:
-    """Close, kill and reap a lane.
+def _drop() -> None:
+    """Close, kill and reap this process's lane, if it has one; the next search forks anew.
 
     One already reaped elsewhere (SIGCHLD ignored, a ``waitpid(-1)`` of the
     host) is gone, which is all this needs.
     """
-    _lanes.remove(lane)
-    pid, commands, records = lane
-    os.close(commands)
-    os.close(records)
+    if _lane is None:
+        return
+    pid = _lane[0]
+    _forget_lane()
     with suppress(ProcessLookupError, ChildProcessError):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
-def _command(lane: tuple[int, int, int], message: object) -> bool:
-    """Send a lane a search, or None to stop one; False when the lane does not get it.
+def _command(message: object) -> bool:
+    """Send the lane a search, or None to stop one; False when the lane does not get it.
 
-    A lane found dead is dropped.  While the lane's command pipe is full, the
-    lane may be blocked writing records of an earlier search, so those are
-    read and thrown away.  A step that does not pickle, such as one of a
-    module imported again since, is not sent; its t's run here.
+    A lane found dead is dropped.  A step that does not pickle, such as a
+    closure or one of a module imported again since, is not sent; its t's
+    run here.
     """
-    _, commands, records = lane
-    if lane not in _lanes:  # closed while this search was open
+    try:
+        frame = _frame(message)
+    except (pickle.PicklingError, AttributeError, TypeError):
         return False
     try:
-        frame = memoryview(_frame(message))
-    except pickle.PicklingError:
-        return False
-    ready = select.poll()
-    ready.register(commands, select.POLLOUT)
-    ready.register(records, select.POLLIN)
-    try:
-        while frame:
-            if commands in dict(ready.poll()):
-                frame = frame[os.write(commands, frame[:select.PIPE_BUF]):]
-            else:
-                _receive(records)  # the lane has not read this command: the record is stale
-    except (OSError, EOFError):
-        _drop(lane)
+        _write(_lane[1], frame)
+    except OSError:
+        _drop()
         return False
     return True
 
 
-def _record(lane: tuple[int, int, int], search: int) -> object:
-    """The lane's next record of this search, past those of earlier searches;
-    _MISSING once it raised in this search, or died (and is dropped)."""
-    _, _, records = lane
+def _record() -> object:
+    """The lane's next record; _NO_RECORD once it ended its search (its _DONE
+    is read) or died (it is dropped)."""
+    global _owed
     try:
-        while True:
-            sent, _, record = _receive(records)
-            if sent == search:
-                return _MISSING if record == _NO_RECORD else record
+        record = _receive(_lane[2])
     except EOFError:  # a lane killed mid-write leaves a torn record
-        _drop(lane)
-        return _MISSING
+        _drop()
+        return _NO_RECORD
+    if record == _DONE:
+        _owed = False
+        return _NO_RECORD
+    return record
 
 
 def _frame(message: object) -> bytes:
@@ -202,8 +185,8 @@ def _read(fd: int, size: int) -> bytes:
     return b"".join(chunks)
 
 
-def _send(fd: int, message: object) -> None:
-    frame = memoryview(_frame(message))
+def _write(fd: int, frame: bytes) -> None:
+    frame = memoryview(frame)
     while frame:
         frame = frame[os.write(fd, frame):]
 
@@ -212,42 +195,38 @@ def _serve(commands: int, records: int) -> None:
     """A forked lane: runs the searches sent on commands; leaves by os._exit.
 
     It freezes the objects it inherited, so no finalizer of the parent's runs
-    here.  For each t of a search it sends (search, t, step(t)), or
-    (search, t, _NO_RECORD) when the step raises an Exception, and then waits
-    for the next command.  Before each t it looks for a newer command without
-    waiting, and it stops a search after a rescue, since its later t's come
-    after it.  It leaves when the command pipe ends or a write fails: the
-    parent is gone.
+    here.  It ends each search with one _DONE record and then waits for the
+    next command.  It leaves when the command pipe ends or a write fails:
+    the parent is gone.
     """
     try:
         gc.freeze()
         waiting = select.poll()
         waiting.register(commands, select.POLLIN)
-        message = _receive(commands)
         while True:
-            message = _lane_search(message, commands, records, waiting) or _receive(commands)
+            search = _receive(commands)
+            if search is not None:  # None: the stop of a search that had ended
+                _lane_search(*search, commands, records, waiting)
+                _write(records, _frame(_DONE))
     finally:
         os._exit(0)
 
 
-def _lane_search(message, commands: int, records: int, waiting) -> object:
-    """A lane's run of one search; the newer command that stopped it, or None.
+def _lane_search(step, ts, commands: int, records: int, waiting) -> None:
+    """A lane's run of one search: one record per t of ts, up to the stop or a rescue.
 
-    waiting polls the command pipe.  A solved record is a rescue, which ends
-    the search: the lane's later t's come after it.
+    waiting polls the command pipe, on which only the stop can come
+    mid-search.  A t that raises gets _NO_RECORD.  A solved record is a
+    rescue, which ends the search: the lane's later t's come after it.
     """
-    if message is None:  # a stop for a search this lane already left
-        return None
-    search, step, ts = message
     for t in ts:
         if waiting.poll(0):
-            return _receive(commands)
+            _receive(commands)
+            return
         try:
             record = step(t)
         except Exception:  # this process runs t again and raises it there
-            _send(records, (search, t, _NO_RECORD))
-            return None
-        _send(records, (search, t, record))
-        if record is not None and record.solved:
-            return None
-    return None
+            record = _NO_RECORD
+        _write(records, _frame(record))
+        if record is not _NO_RECORD and record is not None and record.solved:
+            return

@@ -4,12 +4,12 @@ The search loop mirrors the experimental procedure: run the configured
 lattice attack; on a non-binary outcome walk t = 1, 2, ... with a fixed
 modulus M, disaggregate the configured row, re-attack the augmented
 system, and accept as soon as the first n coordinates are binary and solve
-the original system.  The t's after the first run in parallel lanes, one
-process per usable CPU up to MAX_LANES, and are judged in t order, so the
-outcome is the one-lane outcome.  The lanes beyond this process
-(``lanes``) are forked by the first search that needs them and serve every
-later search of the process that forked them; each runs the code and module
-state it had when it was forked.  They die with that process.
+the original system.  The t's after the first run in two lanes when a second
+CPU is usable: this process takes every other t and one child process, its
+lane (``lanes``), the rest.  They are judged in t order, so the outcome is
+the one-lane outcome.  The lane is forked by the first search that needs it
+and serves every later search of the process that forked it; it runs the
+code and module state it had when it was forked, and dies with that process.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from .reduction import reduce_half, reduce_solution
 
 ALGORITHMS = ("reduce", "reduce_half", "lo", "cjloss", "ahl")
 GENERATION_BUDGET = 10_000
-# The most processes (lanes) one DAG t-search runs in, the count measured to
-# pay on dag_rescue.  The L - 1 children are forked once per process, by its
-# first search that reaches t = 2; a higher cap needs its own measurement on
-# a host with that many CPUs.
-MAX_LANES = 2
 
 
 def default_modulus(n: int) -> int:
@@ -311,21 +306,21 @@ def _t_step(problem: LdeSystem, work: LdeSystem, flipped: bool, config: SearchCo
 
 def _t_records(step: Callable[[int], fm.AttackVerdict | None], t_max: int
                ) -> Iterator[tuple[int, fm.AttackVerdict | None]]:
-    """(t, step(t)) for t = 1..t_max in t order, with t >= 2 run in parallel lanes.
+    """(t, step(t)) for t = 1..t_max in t order, with t >= 2 run in two lanes.
 
     t = 1 runs here first, so a search it ends uses no lane.  The t's after
-    it run in ``search_lanes()`` lanes, at most one per t, through
-    ``lanes.run_in_lanes``.  That module is imported by the first search that
-    needs it, so a process that never runs one pays nothing for it.
+    it, when there are two or more and ``search_lanes()`` is 2, run here and
+    in the child lane through ``lanes.run_in_lanes``.  That module is
+    imported by the first search that needs it, so a process that never runs
+    one pays nothing for it.
     """
     yield 1, step(1)
     rest = range(2, t_max + 1)
-    lanes = min(search_lanes(), len(rest))
-    if lanes == 1:
+    if len(rest) < 2 or search_lanes() == 1:
         yield from ((t, step(t)) for t in rest)
         return
     from .lanes import run_in_lanes
-    yield from run_in_lanes(step, rest, lanes)
+    yield from run_in_lanes(step, rest)
 
 
 @dataclass(frozen=True)
@@ -395,9 +390,11 @@ def usable_cpus() -> int:
 
 
 def search_lanes() -> int:
-    """Processes one DAG t-search runs in: one per usable CPU, at most MAX_LANES.
+    """Processes one DAG t-search runs in: 2 when a second CPU is usable, else 1.
 
-    One without ``os.fork``; one while other threads run, since a forked
+    Two is the count measured to pay on ``dag_rescue``; a third process
+    would need its own measurement on a host with that many CPUs.  One
+    without ``os.fork``; one while other threads run, since a forked
     child keeps only the forking thread and a lock another thread held
     stays held; and one inside a multiprocessing worker, such as a job of
     ``bench``'s pool, since the pool already holds the cores.  Such a worker
@@ -407,7 +404,7 @@ def search_lanes() -> int:
     if (getattr(os, "fork", None) is None or threading.active_count() > 1
             or (mp is not None and mp.parent_process() is not None)):
         return 1
-    return min(MAX_LANES, usable_cpus())
+    return min(2, usable_cpus())
 
 
 def bench(cells: list[BenchCell]) -> list[BenchRow]:

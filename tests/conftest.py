@@ -35,9 +35,9 @@ def built_kernel():
 
 @pytest.fixture(autouse=True)
 def no_lanes_across_tests():
-    lanes._close_lanes()
+    lanes._drop()
     yield
-    lanes._close_lanes()
+    lanes._drop()
 
 
 @pytest.fixture

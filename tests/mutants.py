@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 
 LLL_C = "src/knapcrack/_lll.c"
 LATTICE = "src/knapcrack/lattice.py"
+LANES = "src/knapcrack/lanes.py"
+PIPELINE_TESTS = "tests/test_pipeline.py"
 
 MUTANTS = {
     # The C sweep computes q but leaves the target as it was.
@@ -87,6 +89,27 @@ MUTANTS = {
         "        if (basis.columns[:r] != start.columns or len(start.d) != r + 1\n"
         "                or len(start.lam) != r):",
         ("tests/test_lattice.py", "-k", "Resume"), 300),
+    # A search is sent before the lane's records of the last one are read.
+    "lane-search-sent-without-drain": Mutant(
+        LANES,
+        "    while _owed:  # the last search's records, up to its _DONE\n"
+        "        _record()\n",
+        "",
+        (PIPELINE_TESTS, "-k", "test_stale_records_never_leak"), 300),
+    # The lane answers a t that raised as a t that was not attacked.
+    "lane-answers-a-raise-with-none": Mutant(
+        LANES,
+        "        except Exception:  # this process runs t again and raises it there\n"
+        "            record = _NO_RECORD\n",
+        "        except Exception:  # this process runs t again and raises it there\n"
+        "            record = None\n",
+        (PIPELINE_TESTS, "-k", "test_error_in_a_child_lane_surfaces_with_its_type"), 300),
+    # A step that pickle refuses with AttributeError ends the search.
+    "lane-send-catches-only-PicklingError": Mutant(
+        LANES,
+        "    except (pickle.PicklingError, AttributeError, TypeError):\n",
+        "    except pickle.PicklingError:\n",
+        (PIPELINE_TESTS, "-k", "test_a_step_that_does_not_pickle_runs_here"), 300),
 }
 
 

@@ -1,6 +1,7 @@
 """Generators, the brute-force oracle, attack orchestration, DAG loop, bench."""
 
 import errno
+import functools
 import math
 import os
 import random
@@ -95,14 +96,23 @@ def fork_count(monkeypatch) -> list:
 
 
 def no_child_left() -> None:
-    # Once this process's lanes are closed, no child of it is left.
-    lanes._close_lanes()
+    # Once this process's lane is dropped, no child of it is left.
+    lanes._drop()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def lane_alive(pid: int) -> bool:
     return os.waitpid(pid, os.WNOHANG) == (0, 0)
+
+
+T_STEP = pipeline._t_step
+
+
+def locked_step(lock, *args):
+    # The DAG search's step behind a lock, which pickle refuses with TypeError.
+    with lock:
+        return T_STEP(*args)
 
 
 def planted_dag_case(algo, m, n, M, seed, alpha, shift=0):
@@ -420,29 +430,27 @@ def searched(system, cfg):
 
 
 class TestLanes:
-    # The DAG t-search runs t >= 2 in parallel lanes, one process per usable
-    # CPU, and judges the t's in order: its outcome is the one-lane outcome.
+    # The DAG t-search runs t >= 2 in two lanes, this process and its child
+    # lane, when a second CPU is usable, and judges the t's in order: its
+    # outcome is the one-lane outcome.
 
     @settings(max_examples=100, deadline=None)
     @given(**{**DAG_CASES, "n": st.integers(4, 12)}, shift=st.integers(0, 1))
     def test_lanes_match_one_lane(self, algo, m, n, M, seed, alpha, shift):
         # A shifted b has most searches exhaust, so best's strict < in t order
         # is compared too; a b above the row sum raises InvalidInput.
-        import knapcrack.pipeline as pl
         case = planted_dag_case(algo, m, n, M, seed, alpha, shift)
         if case is None:
             return
         with pytest.MonkeyPatch.context() as mp:
-            # Three lanes, above the cap, so the stride is checked beyond two.
-            mp.setattr(pl, "MAX_LANES", 3)
-            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-            assert search_lanes() == 3
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            assert search_lanes() == 2
             in_lanes = searched(*case)
             mp.setattr(os, "sched_getaffinity", lambda pid: {0})
             assert searched(*case) == in_lanes
 
     def test_error_in_a_child_lane_surfaces_with_its_type(self, monkeypatch, two_lanes):
-        # t = 3 raises in the child, which leaves without a record; this
+        # t = 3 raises in the child, which sends no record for it; this
         # process then runs t = 3 itself and raises.
         import knapcrack.pipeline as pl
         real = pl.augment
@@ -503,15 +511,14 @@ class TestLanes:
         before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             assert searched(problem, cfg) == alone
-            lanes._close_lanes()
+            lanes._drop()
         finally:
             signal.signal(signal.SIGCHLD, before)
         no_child_left()
 
     def test_lanes_are_capped(self, monkeypatch):
-        import knapcrack.pipeline as pl
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
-        assert search_lanes() == pl.MAX_LANES == 2
+        assert search_lanes() == 2
 
     SEARCHES = {
         "child-lane-rescue": (TOY, 31, 30, 3),
@@ -545,24 +552,59 @@ class TestLanes:
         no_child_left()
 
     def test_a_t_that_raises_in_the_lane_leaves_it_serving(self, monkeypatch, two_lanes):
-        # t = 3 raises in the lane only; this process runs it again, and the
-        # lane, still alive, takes the next search without a fork.
+        # t = 3 raises in the lane only; this process runs it again and no
+        # other odd t, since the lane goes on to t = 5, the toy's rescue at
+        # M = 8.  The lane, still alive, takes the next search without a fork.
         import knapcrack.pipeline as pl
-        parent, real = os.getpid(), pl.augment
+        parent, real, here = os.getpid(), pl.augment, []
 
         def augment(system, steps):
-            if steps[0][1].t == 3 and os.getpid() != parent:
+            t = steps[0][1].t
+            if os.getpid() == parent:
+                here.append(t)
+            elif t == 3:
                 raise DependentColumns("augmented basis at t = 3")
             return real(system, steps)
 
         monkeypatch.setattr(pl, "augment", augment)
         forks = fork_count(monkeypatch)
-        cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
-        assert attack_with_dag(TOY, cfg).t_found == 3
-        (lane, _, _), = lanes._lanes
+        out = attack_with_dag(TOY, SearchConfig(algo="reduce", use_dag=True, M=8, t_max=7))
+        assert (out.t_found, here) == (5, [1, 2, 3, 4])
+        lane, _, _ = lanes._lane
         assert lane_alive(lane)
-        assert attack_with_dag(TOY, cfg).t_found == 3
-        assert len(forks) == 1 and lanes._lanes[0][0] == lane
+        here.clear()
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
+        assert (attack_with_dag(TOY, cfg).t_found, here) == (3, [1, 2, 3])
+        assert len(forks) == 1 and lanes._lane[0] == lane
+        no_child_left()
+
+    @pytest.mark.parametrize("unpicklable", ["closure", "lock"])
+    def test_a_step_that_does_not_pickle_runs_here(self, monkeypatch, two_lanes, unpicklable):
+        # pickle raises AttributeError for a local function and TypeError for
+        # a lock: the search runs in this process alone and ends as in one
+        # lane, and the lane forked for it serves the next search.
+        import knapcrack.pipeline as pl
+        parent, real_augment, real_step, here = os.getpid(), pl.augment, pl._t_step, []
+
+        def augment(system, steps):
+            if os.getpid() == parent:
+                here.append(steps[0][1].t)
+            return real_augment(system, steps)
+
+        def closure(*args):
+            return real_step(*args)
+
+        monkeypatch.setattr(pl, "augment", augment)
+        forks = fork_count(monkeypatch)
+        cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "_t_step", closure if unpicklable == "closure"
+                       else functools.partial(locked_step, threading.Lock()))
+            assert (attack_with_dag(TOY, cfg).t_found, here) == (3, [1, 2, 3])
+        lane, _, _ = lanes._lane
+        here.clear()
+        assert (attack_with_dag(TOY, cfg).t_found, here) == (3, [1, 2])
+        assert len(forks) == 1 and lanes._lane[0] == lane
         no_child_left()
 
     def test_a_lane_killed_between_searches_is_replaced_once(self, monkeypatch, two_lanes):
@@ -572,38 +614,38 @@ class TestLanes:
         forks = fork_count(monkeypatch)
         cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
         assert attack_with_dag(TOY, cfg).t_found == 3
-        (killed, _, _), = lanes._lanes
+        killed, _, _ = lanes._lane
         os.kill(killed, signal.SIGKILL)
         for _ in range(3):
             assert attack_with_dag(TOY, cfg).t_found == 3
         assert len(forks) == 2
-        (lane, _, _), = lanes._lanes
+        lane, _, _ = lanes._lane
         assert lane != killed and lane_alive(lane)
         no_child_left()
 
     def test_a_child_forked_beside_a_lane_has_none(self, monkeypatch, two_lanes):
-        # A child of this process sees no lane and has none of their pipes,
-        # and closing its lanes on exit kills none of this process's.
+        # A child of this process sees no lane and has none of its pipes,
+        # and dropping its lane on exit kills not this process's.
         import knapcrack.pipeline as pl
         cfg = SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
         assert attack_with_dag(TOY, cfg).t_found == 3
-        (lane, commands, records), = lanes._lanes
+        lane, commands, records = lanes._lane
         child = os.fork()
         if child == 0:
-            ok = lanes._lanes == []
+            ok = lanes._lane is None
             for fd in (commands, records):
                 try:
                     os.fstat(fd)
                     ok = False
                 except OSError:
                     pass
-            lanes._close_lanes()
+            lanes._drop()
             os._exit(0 if ok else 1)
         assert os.waitpid(child, 0)[1] == 0
         assert lane_alive(lane)
         forks = fork_count(monkeypatch)
         assert attack_with_dag(TOY, cfg).t_found == 3
-        assert forks == [] and lanes._lanes[0][0] == lane
+        assert forks == [] and lanes._lane[0] == lane
         no_child_left()
 
     @settings(max_examples=40, deadline=None)
@@ -639,7 +681,7 @@ class TestLanes:
             alone = pair()
             mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             assert pair() == alone
-        assert len(lanes._lanes) <= 1
+        assert lanes._lane is None or lane_alive(lanes._lane[0])
 
     @pytest.mark.parametrize("leave", [
         "",
@@ -660,7 +702,7 @@ class TestLanes:
             toy = LdeSystem.from_rows([[3, 15, 6]], [9])
             cfg = pl.SearchConfig(algo="reduce", use_dag=True, M=31, t_max=30)
             assert pl.attack_with_dag(toy, cfg).t_found == 3
-            print(lanes._lanes[0][0], flush=True)
+            print(lanes._lane[0], flush=True)
         """) + leave + "\n"
         src = os.path.join(os.path.dirname(pipeline.__file__), os.pardir)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
