@@ -57,19 +57,20 @@
  * of columns 0..i bordered by the two, so an integer.  On an exact quotient a
  * floor and an exact division agree.
  *
- * Machine words.  The entries of d and lam are mostly one limb, so GMP's cost
- * there is its calls, not its arithmetic.  word() reads an mpz_t as a long
- * when |z| <= LONG_MAX, and four steps compute in words when their operands
- * are ones: the Lovasz test (lovasz_fails), the size reduction's test,
- * rounding and lam updates (size_reduce, round_nearest, sub_multiple), and the
- * quotients of the exchange and of gso_row (cross_quotient).  Each does its
- * arithmetic in __int128, where a product of two longs and a sum of two such
- * products are exact, or in long under __builtin_*_overflow, and writes a
- * result with mpz_set_si only when it fits in a long; otherwise the step runs
- * in GMP for that value.  d and lam are stored as mpz_t, and every value and
- * decision is the one GMP would compute.  The build needs __int128 (GCC or
- * Clang on a 64-bit target) and stops with #error without it, so the Python
- * loop runs.
+ * Machine words.  The entries of d and lam are mostly one limb (at the
+ * exchanges of a lattice_scan pass, 68% of d[k] and 69% of the lam the row
+ * update reads), so GMP's cost there is its calls, not its arithmetic.  word()
+ * reads an mpz_t as a long when |z| <= LONG_MAX, and four steps compute in
+ * words when their operands are ones: the Lovasz test (lovasz_fails), the size
+ * reduction's test, rounding and lam updates (size_reduce, round_nearest,
+ * sub_multiple), and the quotients of the exchange and of gso_row
+ * (cross_quotient).  Each does its arithmetic in __int128, where a product of
+ * two longs and a sum of two such products are exact, or in long under
+ * __builtin_*_overflow, and writes a result with mpz_set_si only when it fits
+ * in a long; otherwise the step runs in GMP for that value.  d and lam are
+ * stored as mpz_t, and every value and decision is the one GMP would compute.
+ * The build needs __int128 (GCC or Clang on a 64-bit target) and stops with
+ * #error without it, so the Python loop runs.
  *
  * Termination.  The loop checks the two steps of LLL's termination proof, as
  * the Python loop does (lattice.py's docstring has the proof): each exchange
@@ -102,17 +103,26 @@
  * d = [1] and no rows.  lattice.py builds this file on first use, and the
  * tests hold this loop to the Python one.
  *
- * Crossing.  An int is read through a C long where it fits one and through its
- * own hex text otherwise; an mpz_t is written through a long where word()
- * reads it as one, and through GMP's base-16 text otherwise, so LONG_MIN,
- * which word() excludes, is read as a word and written as text.  Vectors are
- * read as ints (read_vectors) and written back by write_ints, a word vector's
- * entries through a long, LONG_MIN among them: the loop's columns, and the
- * sweep's target.  d and lam cross through read_gso: a start's, which the loop
- * writes, into mpz_t of its own (read_int), as p and q are, and the sweep's as
- * views (Sweep).  The loop runs with the interpreter's lock released, between
- * reading its input and building its output, and touches no Python object
- * there.
+ * Crossing.  Every int that enters, p and q, a start's d and lam, the sweep's
+ * d and lam and each entry of a column, row or target, crosses through two
+ * functions.  read_word checks that it is an int and reads it through a C long
+ * where it fits one.  read_int stores it: into an mpz_t of its own, or, where
+ * it is given a limb, as a read-only view of that limb where it is a word.  An
+ * int past a long is read through its own hex text (read_text) either way.  An
+ * mpz_t is written through a long where word() reads it as one, and through
+ * GMP's base-16 text otherwise, so LONG_MIN, which word() excludes, is read as
+ * a word and written as text.  Vectors are read as ints by read_vectors, each
+ * entry through read_word into the words or, where one is past a long, all of
+ * them through read_int into the mpz_t, and written back by write_ints, a word
+ * vector's entries through a long, LONG_MIN among them: the loop's columns,
+ * and the sweep's target.  d and lam cross through read_gso: a start's, which
+ * the loop writes, into mpz_t of its own, and the sweep's as views (Sweep).
+ * Only an int past a long crosses as text: a traced dag_rescue pass spent
+ * 0.176 s in LLL against 0.251 s in the ctypes library this module replaced,
+ * which built without the Python headers but passed every entry as hex text
+ * (one lane, medians of 7 runs).  The loop runs with the interpreter's lock
+ * released, between reading its input and building its output, and touches no
+ * Python object there.
  *
  * Sweep.  sweep(cols, d, lam, target, step) is lattice._python_sweep, Babai's
  * nearest-plane rounding of target against the kernel basis D, whose s columns
@@ -131,13 +141,15 @@
  * one (66 to 109 bits at n = 60 and 100), and its updates run in GMP until it
  * narrows, as a wide column's do.  The sweep only reads d and lam rows 0..s-1,
  * so the state holds them as read-only views of one limb where they are words
- * (read_view), its first views entries, rather than as mpz_t of their own:
- * reading them into owned mpz_t costs an allocation and a free per entry, and
- * took 25.7 us per call against 16.5 us on the desk sweeps (best of 45 per
- * call, one core of a 2-core x86 VM).  Only lam_t is owned.  The half shift of
- * reduce_half, 2x - 1 and its undoing, stays in Python.  The sweep holds the
- * interpreter's lock: it is short, and it reads Python objects until it has
- * its input.
+ * (read_int, given the limb by read_gso), its first views entries, rather than
+ * as mpz_t of their own: reading them into owned mpz_t costs an allocation and
+ * a free per entry, and took 25.7 us per call against 16.5 us on the desk
+ * sweeps (best of 45 per call, one core of a 2-core x86 VM).  Only lam_t is
+ * owned.  A traced dag_rescue pass (seed 941, one lane, medians of 14 runs)
+ * spends 0.026 s in its 268 sweeps, against 0.069 s with the Python twin.  The
+ * half shift of reduce_half, 2x - 1 and its undoing, stays in Python.  The
+ * sweep holds the interpreter's lock: it is short, and it reads Python objects
+ * until it has its input.
  *
  * Products.  products(rows, cols) is lattice._python_products: the exact inner
  * product of every row with every column, out[i][j] = <rows[i], cols[j]>, for
@@ -148,8 +160,12 @@
  * dot, in __int128 under overflow checks where both vectors are words, in GMP
  * otherwise, and each result is written with new_int.  The lengths are checked
  * here too, with a ValueError, and intmat checks them first, with its own
- * DimensionMismatch, before either twin runs.  Like the sweep, it holds the
- * interpreter's lock.
+ * DimensionMismatch, before either twin runs (the Python twin would zip a
+ * ragged input short).  Like the sweep, it holds the interpreter's lock.  The
+ * Gram matrix of a kernel_geometry kernel (31 columns of 34 entries) takes 78
+ * us here against 845 us in Python (best of 7 x 200 calls, a 2-core x86 VM);
+ * intmat's other products (mat_vec) stay in Python, where a call here would
+ * cost more than it saves.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -182,9 +198,9 @@ typedef struct {
  * the target, as column n - 1.  d points at d[0..n] and lam[i] at row i of lam
  * (entries 0..i-1 in use), n entries each, which follow d in one block;
  * swapping two columns or two rows swaps pointers.  The first views entries
- * of that block are read-only views of their limbs (read_view), the sweep's d
- * and kernel rows, and the others are owned.  exchanges counts the exchanges
- * against budget (header: Termination). */
+ * of that block are read-only views of their limbs (read_int, through
+ * read_gso), the sweep's d and kernel rows, and the others are owned.
+ * exchanges counts the exchanges against budget (header: Termination). */
 typedef struct {
     int n, dim;
     unsigned long exchanges, budget;
@@ -624,68 +640,66 @@ static void set_budget(state *s)
 }
 
 
-/* 0 where obj is an int; else -1 with a TypeError set. */
-static int check_int(PyObject *obj)
+/* *v = the int obj where it is a word: returns 0 where it is, 1 where obj is an
+ * int past a long, and -1 with an exception set, a TypeError where obj is not
+ * an int.  It reads every entry that enters, and is inline, as word() is:
+ * called, it made LO's resumed tails at n = 30 1.2-3.1% and the desk sweeps
+ * 3.2-5.2% slower (best of 100 per call, one core of a 2-core x86 VM). */
+static inline int read_word(PyObject *obj, long *v)
 {
-    if (PyLong_Check(obj))
-        return 0;
-    PyErr_Format(PyExc_TypeError, "an entry must be an int, not %.100s", Py_TYPE(obj)->tp_name);
-    return -1;
+    int overflow;
+
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "an entry must be an int, not %.100s", Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    *v = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (*v == -1 && PyErr_Occurred())
+        return -1;
+    return overflow != 0;
 }
 
-/* z = the int obj (header: Crossing).  Returns -1 with an exception set, a
- * TypeError where obj is not an int. */
-static int read_int(mpz_ptr z, PyObject *obj)
+/* z = the int obj through its hex text (header: Crossing); returns -1 with an
+ * exception set where it is not read. */
+static int read_text(mpz_ptr z, PyObject *obj)
 {
-    PyObject *text;
-    const char *digits;
-    long v;
-    int overflow, status;
+    PyObject *text = PyNumber_ToBase(obj, 16);
+    const char *digits = text ? PyUnicode_AsUTF8(text) : NULL;
+    int status = digits ? mpz_set_str(z, digits, 0) : -1;
 
-    if (check_int(obj))
-        return -1;
-    v = PyLong_AsLongAndOverflow(obj, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (!overflow) {
-        mpz_set_si(z, v);
-        return 0;
-    }
-    if (!(text = PyNumber_ToBase(obj, 16)))
-        return -1;
-    digits = PyUnicode_AsUTF8(text);
-    status = digits ? mpz_set_str(z, digits, 0) : -1;
     if (digits && status)
         PyErr_Format(PyExc_ValueError, "GMP cannot read %.100s", digits);
-    Py_DECREF(text);
+    Py_XDECREF(text);
     return status;
 }
 
-/* z = the int obj, as a read-only view of *limb where it is a word
- * (mpz_roinit_n), so that reading it allocates nothing, and otherwise through
- * read_int into z, initialised here.  z must be a view on entry, and only
- * clear_view may clear it.  Returns -1 with an exception set, a TypeError
- * where obj is not an int. */
-static int read_view(mpz_ptr z, mp_limb_t *limb, PyObject *obj)
+/* z = the int obj (header: Crossing).  Where limb is NULL, z is an mpz_t of
+ * its own.  Otherwise z is a view on entry, and only clear_view may clear it:
+ * a word becomes a read-only view of *limb (mpz_roinit_n), so that reading it
+ * allocates nothing, and an int past a long an mpz_t initialised here.
+ * Returns -1 with an exception set, a TypeError where obj is not an int. */
+static int read_int(mpz_ptr z, mp_limb_t *limb, PyObject *obj)
 {
     long v;
-    int overflow;
+    int status = read_word(obj, &v);
 
-    if (check_int(obj))
+    if (status < 0)
         return -1;
-    v = PyLong_AsLongAndOverflow(obj, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow) {
-        mpz_init(z);
-        return read_int(z, obj);
+    if (status) {
+        if (limb)
+            mpz_init(z);
+        return read_text(z, obj);
+    }
+    if (!limb) {
+        mpz_set_si(z, v);
+        return 0;
     }
     *limb = v < 0 ? -(mp_limb_t)v : (mp_limb_t)v;
     mpz_roinit_n(z, limb, v < 0 ? -1 : v > 0);
     return 0;
 }
 
-/* Clears z unless it is a view of limb (read_view). */
+/* Clears z unless it is a view of limb (read_int). */
 static void clear_view(mpz_ptr z, const mp_limb_t *limb)
 {
     if (mpz_limbs_read(z) != limb)
@@ -749,44 +763,33 @@ static void free_vectors(ints *v, int count, int dim)
     PyMem_Free(v);
 }
 
-/* The len ints of items into v, through its words, or, where one is not a
- * long, all of them through read_int (header: Crossing); returns -1 with an
- * exception set where one is not read, a TypeError where it is not an int. */
-static int read_ints(ints *v, PyObject **items, int len)
-{
-    int r, overflow;
-
-    v->wide = 0;
-    for (r = 0; r < len; r++) {
-        if (check_int(items[r]))
-            return -1;
-        v->w[r] = PyLong_AsLongAndOverflow(items[r], &overflow);
-        if (v->w[r] == -1 && PyErr_Occurred())
-            return -1;
-        v->wide |= overflow != 0;
-    }
-    for (r = 0; v->wide && r < len; r++)
-        if (read_int(v->z + r, items[r]))
-            return -1;
-    return 0;
-}
-
-/* The count sequences items[0..count-1] of dim ints into v (read_ints);
- * returns -1 with an exception set where one is not read, a ValueError where
- * its length is not dim. */
+/* The count sequences items[0..count-1] of dim ints into v: each through its
+ * words, or, where one of its ints is not a long, all of them through read_int
+ * (header: Crossing).  Returns -1 with an exception set where one is not read,
+ * a TypeError where it is not an int and a ValueError where a sequence's
+ * length is not dim. */
 static int read_vectors(ints *v, PyObject *const *items, int count, int dim)
 {
-    PyObject *seq;
-    int i, status = 0;
+    PyObject *seq, **item;
+    int i, r, wide, status = 0;
 
     for (i = 0; !status && i < count; i++) {
         if (!(seq = PySequence_Fast(items[i], "a vector must be a sequence")))
             return -1;
+        item = PySequence_Fast_ITEMS(seq);
+        wide = 0;
         if (PySequence_Fast_GET_SIZE(seq) != dim) {
             PyErr_SetString(PyExc_ValueError, "the vectors must share one length");
-            status = -1;
-        } else
-            status = read_ints(v + i, PySequence_Fast_ITEMS(seq), dim);
+            wide = -1;
+        }
+        /* wide is 1 once an entry is past a long, and -1, which absorbs both
+         * other results of read_word, once one is not read. */
+        for (r = 0; wide >= 0 && r < dim; r++)
+            wide |= read_word(item[r], v[i].w + r);
+        v[i].wide = wide > 0;
+        status = wide < 0 ? -1 : 0;
+        for (r = 0; !status && wide && r < dim; r++)
+            status = read_int(v[i].z + r, NULL, item[r]);
         Py_DECREF(seq);
     }
     return status;
@@ -861,26 +864,20 @@ static void free_state(state *s)
     free_vectors(s->cols, s->n, s->dim);
 }
 
-/* z, an entry of d or lam, = the int obj: through read_view where z is one of
- * the state's views, else through read_int. */
-static int read_entry(state *s, mpz_ptr z, PyObject *obj)
-{
-    size_t e = (size_t)(z - s->d);
-
-    return e < s->views ? read_view(z, s->limbs + e, obj) : read_int(z, obj);
-}
-
 /* d[0..r] and lam rows 0..r-1 from the sequences d and lam, a start's (header:
- * Resume) or the sweep's kernel's (header: Sweep); returns -1 with an
- * exception set where they do not have that shape, an entry is not an int or
- * a d is not positive. */
+ * Resume) or the sweep's kernel's (header: Sweep), through read_int: as views
+ * where they are among the state's first views entries, as mpz_t of their own
+ * past them.  Returns -1 with an exception set where they do not have that
+ * shape, an entry is not an int or a d is not positive. */
 static int read_gso(state *s, PyObject *d, PyObject *lam, int r)
 {
     PyObject *row;
+    size_t e;
     int i, j, status = 0;
 
     for (i = 0; !status && i <= r; i++) {
-        status = read_entry(s, s->d + i, PySequence_Fast_GET_ITEM(d, i));
+        status = read_int(s->d + i, (size_t)i < s->views ? s->limbs + i : NULL,
+                          PySequence_Fast_GET_ITEM(d, i));
         if (!status && mpz_sgn(s->d + i) <= 0) {
             PyErr_SetString(PyExc_ValueError, "d must be positive");
             status = -1;
@@ -894,8 +891,11 @@ static int read_gso(state *s, PyObject *d, PyObject *lam, int r)
             PyErr_SetString(PyExc_ValueError, "lam row i must have i entries");
             status = -1;
         }
-        for (j = 0; !status && j < i; j++)
-            status = read_entry(s, s->lam[i] + j, PySequence_Fast_GET_ITEM(row, j));
+        for (j = 0; !status && j < i; j++) {
+            e = (size_t)(s->lam[i] + j - s->d);
+            status = read_int(s->lam[i] + j, e < s->views ? s->limbs + e : NULL,
+                              PySequence_Fast_GET_ITEM(row, j));
+        }
         Py_DECREF(row);
     }
     return status;
@@ -982,8 +982,8 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
     if (new_state(&s, (int)n, (int)dim, 0))
         goto release;
     mpz_set_ui(s.d, 1);
-    if (!read_vectors(s.cols, PySequence_Fast_ITEMS(seq), s.n, s.dim) && !read_int(s.p, p)
-        && !read_int(s.q, q) && !(d && read_gso(&s, d, lam, (int)r))) {
+    if (!read_vectors(s.cols, PySequence_Fast_ITEMS(seq), s.n, s.dim) && !read_int(s.p, NULL, p)
+        && !read_int(s.q, NULL, q) && !(d && read_gso(&s, d, lam, (int)r))) {
         Py_BEGIN_ALLOW_THREADS
         set_budget(&s);
         status = reduce(&s, (int)r, &where);

@@ -10,7 +10,8 @@ by ``_stacked``: [I; N*A] to decompose, LO's b-free prefix [I; -a], CJLOSS's
 [2I; 2N*A] and AHL's [I; 0; N2*A].  Bases stay tuples of column tuples through
 LLL, and ``decompose`` slices D, C and E out of the reduced columns.  It
 keeps the heads of the first s columns as the decomposition's
-``kernel_columns``, so D is transposed once, into its rows.
+``kernel_columns``, which the contract, the sweeps and the features read;
+D, their rows, is derived only where a caller asks for it.
 
 Every decomposition is checked before it is returned: A*D = 0, A*C = E,
 and U = (D | C) unimodular.  The contract reads the columns: A*D on
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import EscalationExhausted, InvalidInput, InvalidN
 from .intmat import det_bareiss, gram, mat_vec, products, solve_exact
@@ -102,26 +102,23 @@ class KernelDecomposition:
     """(D, C, E) blocks of the LLL-reduced stacked basis.
 
     D columns span ker_Z(A) exactly, A*C = E, and (D | C) is unimodular.
-    All matrices row-major; N_used is the scaling that produced the zero
-    block.  ``gso`` is the integral Gram-Schmidt (d, lam) of D's columns,
-    read off LLL's state and shared by the contract, the sweeps and the
-    features; callers only read it.
+    ``kernel_columns`` holds D's columns, as LLL returned them; C and E are
+    row-major, and D is the rows of ``kernel_columns``.  N_used is the
+    scaling that produced the zero block.  ``gso`` is the integral
+    Gram-Schmidt (d, lam) of D's columns, read off LLL's state and shared by
+    the contract, the sweeps and the features; callers only read it.
     """
 
-    D: tuple[tuple[int, ...], ...]
+    kernel_columns: tuple[tuple[int, ...], ...]
     C: tuple[tuple[int, ...], ...]
     E: tuple[tuple[int, ...], ...]
     N_used: int
     gso: tuple[list[int], list[list[int]]]
 
-    @cached_property
-    def kernel_columns(self) -> tuple[tuple[int, ...], ...]:
-        """D's columns, transposed once per decomposition; callers only read them.
-
-        ``decompose`` fills this from LLL's columns, so D is not transposed
-        back; a copy made with ``dataclasses.replace`` transposes its own D.
-        """
-        return tuple(zip(*self.D))
+    @property
+    def D(self) -> tuple[tuple[int, ...], ...]:
+        """D row-major: the rows of ``kernel_columns``, transposed at each read."""
+        return tuple(zip(*self.kernel_columns))
 
 
 def _stacked(sys: LdeSystem, head: int, tail: int, gap: int = 0) -> tuple[tuple[int, ...], ...]:
@@ -151,13 +148,11 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
     for _ in range(MAX_ESCALATIONS + 1):
         cols, d, lam = lll(build_lattice_B(sys, current), alpha, s)
         if not any(any(c[n:]) for c in cols[:s]):
-            heads = tuple(c[:n] for c in cols[:s])
             kd = KernelDecomposition(
-                D=tuple(zip(*heads)),
+                kernel_columns=tuple(c[:n] for c in cols[:s]),
                 C=tuple(zip(*(c[:n] for c in cols[s:]))),
                 E=tuple(zip(*(tuple(v // current for v in c[n:]) for c in cols[s:]))),
                 N_used=current, gso=(d, lam))
-            vars(kd)["kernel_columns"] = heads  # the property's cache: no transpose back
             _check_decomposition(sys, kd)
             return kd
         current = max(current * current, 2 * current)

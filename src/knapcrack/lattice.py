@@ -51,7 +51,7 @@ basis, the first ``s`` columns, and keeps that state instead of building it
 again from D's columns.
 
 Two kernels run this loop and compute one function.  ``_lll.c`` holds it in
-C over GMP ``mpz_t``, step for step: ``knapcrack_lll`` has the same first
+C over GMP ``mpz_t``, step for step: its ``reduce`` has the same first
 visits and zero-prefix skip, the same rounding, Lovasz test and exchange
 update, so on every input it returns the same record and raises the same
 ``DependentColumns`` (same column) and premise or budget
@@ -87,6 +87,16 @@ three entries: the C ones, or ``PYTHON``, the twins.  ``_native()`` chooses
 one, once per process, and ``_kernel`` holds it; ``lll``, ``reduction``'s
 sweeps and ``intmat.products`` call its entries without asking which it is,
 and ``kernel_name()`` says which runs.
+
+The twins are 5.4-8.1x slower than the C entries on the benchmark
+workloads (README, "The LLL kernel").  Measured on the fallback
+(``perfbench/run.py``, ops/s of ``lattice_scan``, ``dag_rescue`` and
+``kernel_geometry``, alternating runs on a 2-core x86 VM): LO's resumed
+tails took ``lattice_scan`` from 36.0 to 41.5 (medians of 3); reading the
+kernel's Gram-Schmidt off the loop's state moved the three from 37.1, 39.4
+and 7.1 to 37.3, 41.3 and 7.5; and a Python loop that packed each column
+into one integer ran 16-23% more (44.9, 44.0 and 8.7 against 36.4, 38.0 and
+7.1); it runs on plain columns, as the C loop does.
 
 The Python code divides with ``//``, which floors; the C code floors with
 ``mpz_fdiv_q`` only in ``round_nearest``, whose quotient is not exact.  Its
@@ -224,7 +234,13 @@ def _native() -> Kernel:
 def _binary_name(source: Path) -> str:
     """The file name the extension of source is built and loaded under: its
     stem, a 64-bit digest of its content (CRC-32 and Adler-32, from ``zlib``,
-    which ``site`` has already imported) and the interpreter's extension suffix."""
+    which ``site`` has already imported) and the interpreter's extension suffix.
+
+    Reading and digesting the source and importing the binary take 0.74 ms
+    per process, against 5.4 ms when the name was a SHA-256 prefix that
+    imported ``hashlib`` and 3.9 ms for the ``ctypes`` library the extension
+    replaced (medians of 15 fresh processes each, Python 3.11.7, a 2-core x86
+    VM)."""
     from importlib.machinery import EXTENSION_SUFFIXES
     from zlib import adler32, crc32
 

@@ -27,8 +27,9 @@ The sweep is the ``sweep`` entry of the kernel ``lattice`` chose (its
 module docstring): the C extension's, which runs on the LLL loop's own
 state with the target as one more column, or its Python twin,
 ``lattice._python_sweep``.  Both return the same vector on every input;
-the target's length is checked here, before either runs, and the half
-shift's parity check and undoing stay here too.
+the target's length is checked here against D's columns, before either
+runs (an empty kernel has none, and leaves any target as it is), and the
+half shift's parity check and undoing stay here too.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from .lattice import _native
 def _run_sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
     """Subtract nearest multiples of step * D_j from target, j from last to
     first, in the kernel's sweep (module docstring)."""
-    if len(target) != len(kd.D):
+    cols = kd.kernel_columns
+    if cols and len(target) != len(cols[0]):
         raise DimensionMismatch(f"matrix width != vector length {len(target)}")
-    return _native().sweep(kd.kernel_columns, *kd.gso, target, step)
+    return _native().sweep(cols, *kd.gso, target, step)
 
 
 def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:

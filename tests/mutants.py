@@ -62,6 +62,35 @@ MUTANTS = {
         "        if (PySequence_Fast_GET_SIZE(seq) != dim) {",
         "        if (0) {",
         ("tests/test_intmat.py", "tests/test_reduction.py", "-k", "CProducts or CSweep"), 300),
+    # An int past a long is read as a word, so the value
+    # PyLong_AsLongAndOverflow leaves (-1) is stored in its place.
+    "read_word-reads-a-wide-int-as-a-word": Mutant(
+        LLL_C,
+        "    return overflow != 0;\n",
+        "    return 0;\n",
+        ("tests/test_lattice.py", "-k", "Gmp or ColumnWords"), 300),
+    # An inner product of word vectors sums in __int128 without its overflow
+    # check, so a sum past 2^127 wraps instead of going to GMP.
+    "dot-without-overflow-check": Mutant(
+        LLL_C,
+        "            if (__builtin_add_overflow(acc, (__int128)a->w[r] * b->w[r], &acc))\n"
+        "                break;\n",
+        "            acc += (__int128)a->w[r] * b->w[r];\n",
+        ("tests/test_lattice.py", "tests/test_intmat.py", "tests/test_reduction.py", "-k",
+         "Gmp or ColumnWords or CSweep or CProducts or Products"), 300),
+    # The C word path rounds a negative half tie up (-4.5 -> -4), not down.
+    "round_nearest-negative-tie-up": Mutant(
+        LLL_C,
+        "        else if (2 * (__int128)r <= -(__int128)d)\n",
+        "        else if (2 * (__int128)r < -(__int128)d)\n",
+        ("tests/test_lattice.py", "tests/test_reduction.py", "-k", "Gmp or ColumnWords or CSweep"),
+        300),
+    # The exchange's second row update subtracts where it adds.
+    "exchange-second-row-update-sign": Mutant(
+        LLL_C,
+        "s->t, 1, lkk",
+        "s->t, -1, lkk",
+        ("tests/test_lattice.py", "-k", "Gmp or ColumnWords"), 300),
     # The C sweep writes a wide target from its words, not from its mpz_t.
     "wide-sweep-target-from-words": Mutant(
         LLL_C,

@@ -621,15 +621,15 @@ def det_leibniz(mat: list[list[int]]) -> int:
 
 
 def kernel_of(D) -> KernelDecomposition:
-    """A KernelDecomposition holding only the n x s row-major matrix D and
-    the ``integral_gso`` of its columns.
+    """A KernelDecomposition holding only the columns of the n x s row-major
+    matrix D and their ``integral_gso``.
 
     C and E are empty and nothing else checks D, so the sweeps and the
     features can be run on any matrix of independent columns; dependent
     columns raise DependentColumns here.
     """
-    D = tuple(tuple(int(x) for x in r) for r in D)
-    return KernelDecomposition(D=D, C=(), E=(), N_used=0, gso=integral_gso(tuple(zip(*D))))
+    cols = tuple(zip(*(tuple(int(x) for x in r) for r in D)))
+    return KernelDecomposition(kernel_columns=cols, C=(), E=(), N_used=0, gso=integral_gso(cols))
 
 
 def project_preserving_gram(D) -> np.ndarray:

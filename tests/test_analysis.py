@@ -63,8 +63,8 @@ class TestVolume:
     def test_gram_determinant_beyond_the_float_range(self):
         # d[s] = 2**1200 + 1 is no square, and a float holds it only as inf;
         # its root, about 2**600, is a float.
-        kd = KernelDecomposition(D=((2**600,), (1,)), C=((0,), (1,)), E=((1,),), N_used=1,
-                                 gso=([1, 2**1200 + 1], [[]]))
+        kd = KernelDecomposition(kernel_columns=((2**600, 1),), C=((0,), (1,)), E=((1,),),
+                                 N_used=1, gso=([1, 2**1200 + 1], [[]]))
         assert lattice_volume(kd) == 2.0**600
         assert compute_features(kd).volume == 2.0**600
 

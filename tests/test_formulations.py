@@ -75,11 +75,11 @@ class TestDecompose:
         kd = decompose(TOY_SYS)
         assert kd.E == ((gcd(gcd(3, 15), 6),),)
 
-    def test_kernel_columns_transpose_d_once(self):
+    def test_d_is_the_rows_of_kernel_columns(self):
+        # decompose stores LLL's columns and nothing else: D is derived.
         kd = decompose(generate_system(2, 12, 3).system)
-        cols = kd.kernel_columns
-        assert cols == tuple(zip(*kd.D))
-        assert kd.kernel_columns is cols
+        assert kd.D == tuple(zip(*kd.kernel_columns))
+        assert vars(kd).keys() == {f.name for f in dataclasses.fields(kd)}
 
     def test_blocks_satisfy_relations(self):
         rng = random.Random(1)
@@ -121,9 +121,10 @@ def with_kernel_column(kd, i, col):
     """kd with column i of D replaced by col.  The contract reads only d[s] of
     the Gram-Schmidt, and d[s] becomes det(D^T D) of the new columns, as a
     loop that returned them would hold it (0 where they are dependent)."""
-    D = with_column(kd.D, i, col)
+    cols = kd.kernel_columns[:i] + (tuple(col),) + kd.kernel_columns[i + 1:]
     d, lam = kd.gso
-    return dataclasses.replace(kd, D=D, gso=(d[:-1] + [det_bareiss(gram(list(zip(*D))))], lam))
+    return dataclasses.replace(kd, kernel_columns=cols,
+                               gso=(d[:-1] + [det_bareiss(gram(cols))], lam))
 
 
 @st.composite
@@ -210,13 +211,12 @@ class TestContractProducts:
 
     def test_the_contract_reads_the_columns_lll_returned(self):
         # decompose keeps LLL's column heads as kernel_columns, equal to D's
-        # columns; a copy with another D reads its own.
+        # columns; a copy with other kernel columns has its own D.
         sys = generate_system(2, 12, 3).system
         kd = decompose(sys)
         assert kd.kernel_columns == tuple(zip(*kd.D))
-        other = dataclasses.replace(kd, D=with_column(kd.D, 0, [0] * sys.n))
-        assert other.kernel_columns[0] == (0,) * sys.n
-        assert other.kernel_columns[1:] == kd.kernel_columns[1:]
+        other = dataclasses.replace(kd, kernel_columns=((0,) * sys.n,) + kd.kernel_columns[1:])
+        assert other.D == with_column(kd.D, 0, [0] * sys.n)
 
 
 class TestSpecialSolution:
@@ -235,7 +235,7 @@ class TestSpecialSolution:
         assert special_solution(kd, [0]) == [0, 0, 0]
 
     def test_singular_e_rejected(self):
-        kd = KernelDecomposition(D=((1,), (0,), (0,)), C=((0, 0), (1, 0), (0, 1)),
+        kd = KernelDecomposition(kernel_columns=((1, 0, 0),), C=((0, 0), (1, 0), (0, 1)),
                                  E=((1, 2), (2, 4)), N_used=1, gso=([1, 1], [[]]))
         with pytest.raises(SingularE):
             special_solution(kd, [1, 2])
