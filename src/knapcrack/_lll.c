@@ -154,7 +154,7 @@
  * Products.  products(rows, cols) is lattice._python_products: the exact inner
  * product of every row with every column, out[i][j] = <rows[i], cols[j]>, for
  * the Gram matrix of the kernel features (intmat.gram) and the decomposition's
- * contract, A D = 0 and A C = E (formulations).  Its rows and columns are ints,
+ * contract, A (D | C) = (0 | E) in one call (formulations).  Its rows and columns are ints,
  * allocated and read as the loop's columns are (new_vectors, read_vectors),
  * each once, however many products it enters; each product is the first visit's
  * dot, in __int128 under overflow checks where both vectors are words, in GMP
@@ -164,8 +164,8 @@
  * ragged input short).  Like the sweep, it holds the interpreter's lock.  The
  * Gram matrix of a kernel_geometry kernel (31 columns of 34 entries) takes 78
  * us here against 845 us in Python (best of 7 x 200 calls, a 2-core x86 VM);
- * intmat's other products (mat_vec) stay in Python, where a call here would
- * cost more than it saves.
+ * the particular solution's C y (formulations.special_solution) stays in
+ * Python, where a call here would cost more than it saves.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

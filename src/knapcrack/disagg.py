@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvalidInput, InvalidParams, InvalidRow, NotASolution, SizeLimit
-from .problems import LdeSystem
+from .problems import LdeSystem, as_ints
 
 JUMP_CAP = 10**6
 
@@ -24,11 +24,11 @@ JUMP_CAP = 10**6
 def row_coeffs(problem) -> tuple[list[int], int]:
     """The (a, b) row pair as ints, checked that it can be disaggregated.
 
-    Raises InvalidInput when a coefficient or b is negative, or b exceeds sum(a).
+    Raises InvalidInput when a coefficient or b is not an integer (``as_ints``)
+    or is negative, or b exceeds sum(a).
     """
     a, b = problem
-    a = [int(x) for x in a]
-    b = int(b)
+    *a, b = as_ints([*a, b])
     if any(x < 0 for x in a) or b < 0:
         raise InvalidInput("coefficients must be nonnegative")
     if b > sum(a):
@@ -204,10 +204,11 @@ def cuts_off(problem, r: Fraction, x_tilde) -> bool:
 
     True exactly when the implied slack w - v . x_tilde falls outside
     [0, u_k]; binary solutions are never cut.  Raises ValueError unless
-    0 < r < 1.
+    0 < r < 1, and InvalidInput for an entry of x_tilde that is not an
+    integer (``as_ints``).
     """
     a, b = row_coeffs(problem)
-    x = [int(v) for v in x_tilde]
+    x = as_ints(x_tilde)
     if sum(ai * xi for ai, xi in zip(a, x)) != b or len(x) != len(a):
         raise NotASolution("x_tilde does not solve a . x = b")
     r = Fraction(r)

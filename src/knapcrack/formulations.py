@@ -14,12 +14,12 @@ keeps the heads of the first s columns as the decomposition's
 D, their rows, is derived only where a caller asks for it.
 
 Every decomposition is checked before it is returned: A*D = 0, A*C = E,
-and U = (D | C) unimodular.  The contract reads the columns: A*D on
-``kernel_columns`` and A*C on C's, through ``intmat.products``, which runs
-in the C extension where it loads.  Unimodularity is read from the
-integral Gram-Schmidt of D, which the decomposition keeps for the sweeps
-and the features, instead of an n x n determinant.  With s = n - m, d[s] =
-det(D^T D), and A of full row rank m:
+and U = (D | C) unimodular.  The contract reads the columns: one call of
+``intmat.products`` (in the C extension where it loads) gives A*U from
+``kernel_columns`` and C's, which must be (0 | E).  Unimodularity is read
+from the integral Gram-Schmidt of D, which the decomposition keeps for the
+sweeps and the features, instead of an n x n determinant.  With s = n - m,
+d[s] = det(D^T D), and A of full row rank m:
 
     det(U)^2 * det(A A^T) = d[s] * det(E)^2.
 
@@ -52,11 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import EscalationExhausted, InvalidInput, InvalidN
-from .intmat import det_bareiss, gram, mat_vec, products, solve_exact
+from .intmat import det_bareiss, gram, products, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
-from .problems import LdeSystem, complement, is_subset_sum
+from .problems import LdeSystem, as_ints, complement, is_subset_sum
 
 DEFAULT_N = 10**8
 DEFAULT_N1 = 10**4
@@ -89,8 +90,9 @@ def classify_solution(problem, x, **meta) -> AttackVerdict:
     """The one verdict for an integer vector x: BINARY or SHORT_NONBINARY.
 
     Substitution is checked here, and a vector that misses it is a bug.
+    Raises InvalidInput for an entry that is not an integer (``as_ints``).
     """
-    x = tuple(map(int, x))
+    x = tuple(as_ints(x))
     if not problem.is_solution(x):
         raise AssertionError("verdict vector does not satisfy the problem")
     return AttackVerdict(BINARY if all(v in (0, 1) for v in x) else SHORT_NONBINARY,
@@ -161,11 +163,13 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
 
 
 def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
-    """A*D = 0 and A*C = E on the columns of D and C, and d[s] * det(E)^2 =
-    det(A A^T) (module docstring)."""
-    if any(map(any, products(sys.A, kd.kernel_columns))):
+    """A*D = 0 and A*C = E from one product A*U on the columns of D and C,
+    and d[s] * det(E)^2 = det(A A^T) (module docstring)."""
+    s = len(kd.kernel_columns)
+    au = products(sys.A, kd.kernel_columns + tuple(zip(*kd.C)))
+    if any(any(row[:s]) for row in au):
         raise AssertionError("A*D != 0 in decomposition")
-    if products(sys.A, tuple(zip(*kd.C))) != list(map(list, kd.E)):
+    if [row[s:] for row in au] != list(map(list, kd.E)):
         raise AssertionError("A*C != E in decomposition")
     d, _ = kd.gso
     det_e = det_bareiss(kd.E)
@@ -174,16 +178,14 @@ def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
 
 
 def special_solution(kd: KernelDecomposition, b) -> list[int] | None:
-    """C * E^-1 * b when E^-1 b is integral; None when it is not.
+    """x_b = C * E^-1 * b when E^-1 b is integral; None when it is not.
 
-    A non-integral E^-1 b certifies that no integer solution exists.
-    Raises SingularE when E is singular.
+    As (D | C) is unimodular, None certifies that A x = b has no integer
+    solution.  Raises SingularE when E is singular, and InvalidInput for an
+    entry of b that is not an integer (``as_ints``).
     """
-    b = [int(v) for v in b]
-    y = solve_exact(kd.E, b)
-    if any(v.denominator != 1 for v in y):
-        return None
-    return mat_vec(kd.C, [int(v) for v in y])
+    y = solve_exact(kd.E, as_ints(b))
+    return None if y is None else [sum(map(mul, row, y)) for row in kd.C]
 
 
 def _scan_lo(cols: tuple[tuple[int, ...], ...], n: int):

@@ -1,4 +1,4 @@
-"""Exact arithmetic helpers for integer matrices (rational solve results).
+"""Exact arithmetic helpers for integer matrices.
 
 Everything here works on rows of Python ints, so values of arbitrary
 magnitude are handled without overflow.  Matrices are stored row-major.
@@ -9,24 +9,18 @@ decomposition's contract (``formulations``).  It is the ``products`` entry
 of the kernel ``lattice`` chose (its module docstring): the C extension's
 or its Python twin, ``lattice._python_products``, which return the same
 lists on every input; the lengths are checked here, before either runs.
-``mat_vec`` stays in Python.
+``solve_exact`` returns the integer solution of a nonsingular square
+system, or None when that solution is not integral.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 
 from .errors import DimensionMismatch, SingularE
 from .lattice import _native
-
-
-def mat_vec(rows: list[list[int]], x: list[int]) -> list[int]:
-    if any(len(r) != len(x) for r in rows):
-        raise DimensionMismatch(f"matrix width != vector length {len(x)}")
-    return [sum(map(mul, r, x)) for r in rows]
 
 
 def products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
@@ -94,11 +88,11 @@ def rank(mat: list[list[int]]) -> int:
     return len(_eliminate(mat)[1])
 
 
-def solve_exact(mat: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve a nonsingular square system exactly over the rationals.
+def solve_exact(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
+    """The integer solution of a nonsingular square system, or None if it has none.
 
-    Back-substitutes y = den * x, den the last pivot of (mat | rhs): y is
-    integral by Cramer's rule, so every division is exact.
+    Back-substitutes through the Bareiss form of (mat | rhs): a remainder in
+    x_k means x is not integral.  Raises SingularE when mat is singular.
     """
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
@@ -106,9 +100,10 @@ def solve_exact(mat: list[list[int]], rhs: list[int]) -> list[Fraction]:
     a, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(mat, rhs)])
     if pivots != list(range(n)):
         raise SingularE("singular coefficient matrix")
-    den = a[n - 1][n - 1] if n else 1
-    y = [0] * n
+    x = [0] * n
     for k in range(n - 1, -1, -1):
         row = a[k]
-        y[k] = (den * row[n] - sum(map(mul, row[k + 1:n], y[k + 1:]))) // row[k]
-    return [Fraction(v, den) for v in y]
+        x[k], rem = divmod(row[n] - sum(map(mul, row[k + 1:n], x[k + 1:])), row[k])
+        if rem:
+            return None
+    return x

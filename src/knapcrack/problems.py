@@ -13,8 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import ParseError, RankDeficient
+from .errors import InvalidInput, ParseError, RankDeficient
 from .intmat import rank
+
+
+def as_ints(values) -> list[int]:
+    """values as a list of ints, for caller input entering the exact core.
+
+    Raises InvalidInput (a ValueError) for a value that int() would change,
+    such as 3.9 or Fraction(7, 2); ints, bools and numpy integers pass.
+    """
+    values = list(values)
+    ints = list(map(int, values))
+    if ints != values:
+        raise InvalidInput(f"not all integers: {values}")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,8 @@ class LdeSystem:
 
     @classmethod
     def from_rows(cls, rows, b) -> "LdeSystem":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows), tuple(int(x) for x in b))
+        """The system of rows of A and b, each entry an integer (``as_ints``)."""
+        return cls(tuple(tuple(as_ints(r)) for r in rows), tuple(as_ints(b)))
 
     @property
     def m(self) -> int:

@@ -37,6 +37,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 from .formulations import KernelDecomposition
 from .lattice import _native
+from .problems import as_ints
 
 
 def _run_sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[int]:
@@ -51,14 +52,15 @@ def _run_sweep(kd: KernelDecomposition, target: list[int], step: int) -> list[in
 def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:
     """Shorten an integer solution x_b by the kernel basis D of kd.
 
-    The result differs from x_b by a kernel vector.
+    The result differs from x_b by a kernel vector.  Raises InvalidInput
+    for an entry of x_b that is not an integer (``as_ints``).
     """
-    return _run_sweep(kd, [int(v) for v in x_b], 1)
+    return _run_sweep(kd, as_ints(x_b), 1)
 
 
 def reduce_half(x_b, kd: KernelDecomposition) -> list[int]:
     """Half-shifted variant: sweep (2D | 2x_b - 1), then undo the shift."""
-    reduced = _run_sweep(kd, [2 * int(v) - 1 for v in x_b], 2)
+    reduced = _run_sweep(kd, [2 * v - 1 for v in as_ints(x_b)], 2)
     if any((v + 1) % 2 for v in reduced):
         raise AssertionError("half-shift sweep lost the odd parity")
     return [(v + 1) // 2 for v in reduced]

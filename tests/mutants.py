@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 LLL_C = "src/knapcrack/_lll.c"
 LATTICE = "src/knapcrack/lattice.py"
 LANES = "src/knapcrack/lanes.py"
+FORMULATIONS = "src/knapcrack/formulations.py"
 PIPELINE_TESTS = "tests/test_pipeline.py"
 
 MUTANTS = {
@@ -109,6 +110,31 @@ MUTANTS = {
         "            target = _sub_multiple(target, cols[j], q)\n",
         "",
         ("tests/test_reduction.py",), 300),
+    # gso_row counts the first nonzero inner product into the zero prefix,
+    # so the entry it stands for is read as 0.
+    "gso_row-zero-prefix-off-by-one": Mutant(
+        LATTICE,
+        "    for u in g_row:\n        if u:\n            break\n        z += 1\n",
+        "    for u in g_row:\n        z += 1\n        if u:\n            break\n",
+        ("tests/test_lattice.py", "-k", "TestZeroPrefix"), 300),
+    # The Python loop's exchange updates row i's entry k - 1 with - lkk * u.
+    "python-exchange-second-row-update-sign": Mutant(
+        LATTICE,
+        "                li[k - 1] = (dnew * t + lkk * u) // dk1\n",
+        "                li[k - 1] = (dnew * t - lkk * u) // dk1\n",
+        ("tests/test_lattice.py", "-k", "unit_steps or TestGmpKernel"), 300),
+    # The Python twins round a half tie up (4.5 -> 5), not down.
+    "python-round_nearest-tie-up": Mutant(
+        LATTICE,
+        "    return -((den - 2 * num) // (2 * den))\n",
+        "    return (2 * num + den) // (2 * den)\n",
+        ("tests/test_lattice.py", "-k", "TestNearestInteger"), 300),
+    # The contract compares only the first row of A*C with E.
+    "contract-checks-one-row-of-a-c": Mutant(
+        FORMULATIONS,
+        "    if [row[s:] for row in au] != list(map(list, kd.E)):\n",
+        "    if au[0][s:] != list(kd.E[0]):\n",
+        ("tests/test_formulations.py", "-k", "TestContractProducts"), 300),
     # lll passes a start with a malformed Gram-Schmidt to the loops.
     "lll-without-start-gso-check": Mutant(
         LATTICE,

@@ -557,12 +557,11 @@ def solve_integer_combination(cols: list[list[int]], target: list[int]) -> list[
     g = gram(cols)
     rhs = [sum(x * y for x, y in zip(c, target)) for c in cols]
     try:
-        coeffs = solve_exact(g, rhs)
+        z = solve_exact(g, rhs)
     except SingularE:
         return None
-    if any(c.denominator != 1 for c in coeffs):
+    if z is None:
         return None
-    z = [int(c) for c in coeffs]
     # Gram projection only gives the least-squares answer; confirm exactly.
     recon = [sum(cols[j][i] * z[j] for j in range(m)) for i in range(len(target))]
     return z if recon == list(target) else None

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from knapcrack import disagg
 from knapcrack.disagg import (DisaggParams, build_disaggregated, cuts_off, g_value, is_ideal,
-                              jump_points, modular_transform)
-from knapcrack.errors import InvalidParams, NotASolution, SizeLimit
+                              jump_points, modular_transform, row_coeffs)
+from knapcrack.errors import InvalidInput, InvalidParams, NotASolution, SizeLimit
 from knapcrack.problems import LdeSystem
 
 from oracles import (NotNeighbours, binary_solutions_naive, enumerate_jump_points, njp_deltas,
@@ -200,6 +201,23 @@ class TestJumpPoints:
         assert jump_points((MH_A, MH_B), 3) == enumerate_jump_points((MH_A, MH_B))[:3]
 
 
+class TestRowCoeffs:
+    def test_non_integral_row_refused(self):
+        # int() would truncate either row to TOY.
+        for row in (([Fraction(7, 2), 15, 6], 9), ([3, 15, 6], 9.9)):
+            with pytest.raises(InvalidInput, match="not all integers"):
+                row_coeffs(row)
+            for use in (lambda: jump_points(row, 3), lambda: is_ideal(row, DisaggParams(2, 5)),
+                        lambda: modular_transform(*row, DisaggParams(2, 5)),
+                        lambda: cuts_off(row, Fraction(2, 5), X_TILDE)):
+                with pytest.raises(InvalidInput, match="not all integers"):
+                    use()
+
+    def test_integers_of_any_type_pass(self):
+        a, b = row_coeffs(((np.int64(3), True, 6.0), np.int32(9)))
+        assert (a, b) == ([3, 1, 6], 9) and all(type(v) is int for v in a + [b])
+
+
 class TestCutsOff:
     def test_worked_values(self):
         assert cuts_off(TOY, Fraction(2, 5), X_TILDE) is True
@@ -212,6 +230,11 @@ class TestCutsOff:
     def test_non_solution_rejected(self):
         with pytest.raises(NotASolution):
             cuts_off(TOY, Fraction(1, 2), [1, 1, 1])
+
+    def test_non_integral_x_tilde_refused(self):
+        # int() would make it [1, 0, 1], a solution.
+        with pytest.raises(InvalidInput, match="not all integers"):
+            cuts_off(TOY, Fraction(1, 2), [1, 0.5, 1])
 
     @pytest.mark.parametrize("r", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)])
     def test_ratio_outside_the_unit_interval_rejected(self, r):

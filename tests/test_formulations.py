@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knapcrack.errors import InvalidN, RankDeficient, SingularE
+from knapcrack.errors import DimensionMismatch, InvalidInput, InvalidN, RankDeficient, SingularE
 from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, KernelDecomposition, ahl_basis,
                                     attack_ahl, attack_cjloss, attack_lo,
                                     build_lattice_B, cjloss_basis, classify_solution,
@@ -21,7 +21,7 @@ from knapcrack.problems import LdeSystem, complement, normalize
 
 from oracles import (attack_lo_two_lll, check_decomposition_bareiss,
                      det_d_c, gso, hnf_member, hnf_columns, integer_solvable, kernel_basis,
-                     lattices_equal, mat_mul, minor_gcd)
+                     lattices_equal, mat_mul, minor_gcd, solve_exact_fraction)
 
 TOY_SYS = LdeSystem.from_rows([[3, 15, 6]], [9])
 
@@ -37,6 +37,14 @@ def random_system(rng, m, n, hi=20):
             return LdeSystem.from_rows(rows, b)
         except (RankDeficient, ValueError):
             continue
+
+
+class TestClassifySolution:
+    def test_non_integral_entry_refused(self):
+        # int() would make it (1, 0, 1), a binary solution of the toy.
+        with pytest.raises(InvalidInput, match="not all integers"):
+            classify_solution(TOY_SYS, [1.5, 0, 1])
+        assert classify_solution(TOY_SYS, [True, 0.0, 1]).x == (1, 0, 1)
 
 
 class TestBuildLattice:
@@ -249,6 +257,31 @@ class TestSpecialSolution:
             b = [rng.randint(1, 40) for _ in range(m)]
             ours = special_solution(kd, b) is not None
             assert ours == integer_solvable([list(r) for r in sys.A], b)
+
+    def test_none_exactly_when_e_inverse_b_is_not_integral(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            m = rng.randint(1, 3)
+            sys = random_system(rng, m, m + rng.randint(1, 3), hi=30)
+            kd = decompose(sys)
+            b = [rng.randint(-60, 60) for _ in range(m)]
+            y = solve_exact_fraction([list(r) for r in kd.E], b)
+            x = special_solution(kd, b)
+            if any(v.denominator != 1 for v in y):
+                assert x is None
+            else:
+                assert x == [v for [v] in mat_mul([list(r) for r in kd.C], [[v] for v in y])]
+                assert [sum(a * v for a, v in zip(row, x)) for row in sys.A] == b
+
+    def test_b_of_the_wrong_length(self):
+        kd = decompose(TOY_SYS)
+        with pytest.raises(DimensionMismatch):
+            special_solution(kd, [9, 0])
+
+    def test_non_integral_b_refused(self):
+        # int() would make it [9], which TOY_SYS solves.
+        with pytest.raises(InvalidInput, match="not all integers"):
+            special_solution(decompose(TOY_SYS), [9.5])
 
 
 class TestScans:

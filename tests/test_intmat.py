@@ -1,6 +1,6 @@
 """Exact matrix helpers: determinants, solves, integer combinations."""
 
-from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from knapcrack import lattice
 from knapcrack.errors import DimensionMismatch, SingularE
-from knapcrack.intmat import det_bareiss, gram, mat_vec, products, rank, solve_exact
+from knapcrack.intmat import det_bareiss, gram, products, rank, solve_exact
 
 from oracles import (det_leibniz, mat_mul, rank_fraction, solve_exact_fraction,
                      solve_integer_combination, transpose)
@@ -59,8 +59,22 @@ class TestDeterminant:
 
 
 class TestSolve:
-    def test_exact_rational_solution(self):
-        assert solve_exact([[2, 0], [0, 4]], [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
+    def test_integral_solution_in_ints(self):
+        x = solve_exact([[2, 0], [0, 4]], [2, 8])
+        assert x == [1, 2] and all(type(v) is int for v in x)
+
+    def test_non_integral_solution_is_none(self):
+        assert solve_exact([[2, 0], [0, 4]], [1, 2]) is None
+        assert solve_exact([[2, 0], [0, 4]], [1, 4]) is None  # x_2 = 1 but x_1 = 1/2
+
+    def test_negative_pivots(self):
+        # det = -3: the back substitution divides by negative pivots.
+        rows = [[2, 1], [1, -1]]
+        assert det_bareiss(rows) == -3
+        assert solve_exact(rows, [3, 0]) == [1, 1]
+        assert solve_exact(rows, [-7, 1]) == [-2, -3]
+        assert solve_exact(rows, [1, 0]) is None  # x = (1/3, 1/3)
+        assert solve_exact(rows, [0, 1]) is None  # x = (1/3, -2/3)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularE):
@@ -76,11 +90,10 @@ class TestSolve:
 
 class TestBasics:
     def test_mat_ops_shapes(self):
-        assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
         assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
         assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
         with pytest.raises(DimensionMismatch):
-            mat_vec([[1, 2]], [1])
+            mat_mul([[1, 2]], [[1]])
 
     def test_rank(self):
         assert rank([[1, 2], [2, 4]]) == 1
@@ -177,14 +190,18 @@ class TestEliminationAgainstReferences:
         assert rank(rows) == rank_fraction(rows)
 
     @settings(max_examples=300, deadline=None)
-    @given(matrices(square=True), st.lists(ENTRIES, min_size=5, max_size=5))
-    def test_det_and_solve(self, rows, rhs):
+    @given(matrices(square=True), st.lists(ENTRIES, min_size=5, max_size=5), st.booleans())
+    def test_det_and_solve(self, rows, v, planted):
+        # A planted right-hand side rows * v has the integral solution v.
         assert det_bareiss(rows) == det_leibniz(rows)
-        rhs = rhs[:len(rows)]
+        v = v[:len(rows)]
+        rhs = [sum(map(mul, row, v)) for row in rows] if planted else v
         try:
             expected = solve_exact_fraction(rows, rhs)
         except SingularE:
             with pytest.raises(SingularE):
                 solve_exact(rows, rhs)
         else:
-            assert solve_exact(rows, rhs) == expected
+            assert not planted or expected == v
+            integral = all(q.denominator == 1 for q in expected)
+            assert solve_exact(rows, rhs) == (expected if integral else None)

@@ -893,8 +893,14 @@ class TestInvalidInput:
         (lambda: row_coeffs(([3, -1, 6], 2)), "coefficients must be nonnegative"),
         (lambda: row_coeffs(([3, 15, 6], 30)), "right-hand side exceeds the coefficient sum"),
         (lambda: attack_lo(EX3), "lo takes a subset-sum instance"),
+        # int() would truncate 3.9 to 3, and (1, 0, 1) would solve the result.
+        (lambda: attack(LdeSystem.from_rows([[3.9, 15, 6]], [9]),
+                        SearchConfig(algo="reduce_half")), "not all integers"),
+        (lambda: attack_with_dag(LdeSystem(((3.9, 15, 6),), (9,)),
+                                 SearchConfig(M=15, t_max=14)), "not all integers"),
     ], ids=["algo", "lo-with-dag", "t-max", "odd-n", "m-not-below-n",
-            "negative-entry", "b-above-sum", "lo-on-two-rows"])
+            "negative-entry", "b-above-sum", "lo-on-two-rows", "fractional-entry",
+            "fractional-dag-row"])
     def test_each_check_raises_invalid_input(self, check, message):
         with pytest.raises(InvalidInput, match=message) as caught:
             check()

@@ -1,7 +1,9 @@
 """The problem type, the complement map, density, and the text format."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from knapcrack.errors import ParseError, RankDeficient
@@ -77,6 +79,17 @@ class TestSystems:
     def test_dimension_rules(self):
         with pytest.raises(ValueError):
             LdeSystem.from_rows([[1, 2], [3, 5]], [1, 2])  # m == n
+
+    def test_from_rows_refuses_what_int_would_change(self):
+        # int() would truncate each of these to an entry of TOY.
+        for rows, b in (([[3.9, 15, 6]], [9]), ([[3, 15, 6]], [9.9]),
+                        ([[3, Fraction(31, 2), 6]], [9])):
+            with pytest.raises(ValueError, match="not all integers"):
+                LdeSystem.from_rows(rows, b)
+        sys = LdeSystem.from_rows([[np.int64(3), 15, 6.0], [True, 0, np.uint8(2)]],
+                                  (np.int32(9), False))
+        assert sys == LdeSystem.from_rows([[3, 15, 6], [1, 0, 2]], [9, 0])
+        assert all(type(v) is int for row in sys.A for v in row + sys.b)
 
     def test_solution_check(self):
         sys = TOY

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from knapcrack import lattice
-from knapcrack.errors import DependentColumns, DimensionMismatch
+from knapcrack.errors import DependentColumns, DimensionMismatch, InvalidInput
 from knapcrack.formulations import attack_ahl, decompose, special_solution
 from knapcrack.lattice import LatticeBasis, lll
 from knapcrack.pipeline import generate_instance, generate_system
@@ -77,6 +77,13 @@ class TestReduce:
             return reduce_half([1, 2, 3], kd)
 
         assert in_each_sweep(mismatches) == [reduce_half([1, 2, 3], kd)] * 2
+
+    def test_non_integral_x_b_refused(self):
+        # int() would truncate it to (3, 0, 0), the toy's particular solution.
+        kd = toy_kernel()
+        for reduce in (reduce_solution, reduce_half):
+            with pytest.raises(InvalidInput, match="not all integers"):
+                reduce([3.5, 0, Fraction(1, 2)], kd)
 
 
 class TestReduceHalf:
