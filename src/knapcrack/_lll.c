@@ -48,14 +48,37 @@
  *
  * Division.  The Python loop divides with `//`, which floors.  round_nearest's
  * quotient is not exact, and it is mpz_fdiv_q here, the one floor division
- * left.  The four other quotients are exact, and they are mpz_divexact: the new
- * d[k] of an exchange, num / d[k], is the Gram determinant of the exchanged
- * columns 0..k-1; its two row updates return lam[i][k] and lam[i][k-1] of the
- * exchanged basis, lam = mu d[j+1] being a minor of the integral Gram matrix;
- * and after step i of gso_row's recurrence u is d[i+1] times the inner product
- * of two columns projected orthogonally to columns 0..i, the Gram determinant
- * of columns 0..i bordered by the two, so an integer.  On an exact quotient a
- * floor and an exact division agree.
+ * left.  The four other quotients are exact: the new d[k] of an exchange, num /
+ * d[k], is the Gram determinant of the exchanged columns 0..k-1; its two row
+ * updates return lam[i][k] and lam[i][k-1] of the exchanged basis, lam = mu
+ * d[j+1] being a minor of the integral Gram matrix; and after step i of
+ * gso_row's recurrence u is d[i+1] times the inner product of two columns
+ * projected orthogonally to columns 0..i, the Gram determinant of columns 0..i
+ * bordered by the two, so an integer.  On an exact quotient a floor and an
+ * exact division agree.
+ *
+ * An exact quotient needs no division (Jebelean, "An algorithm for exact
+ * division", J. Symbolic Computation 1993).  Where den = 2^z o with o odd
+ * divides N, N modulo 2^128 shifted right by z is q o modulo 2^(128 - z), and
+ * times the inverse of o modulo 2^128 it is q modulo 2^(128 - z), which
+ * sign-extends to q where |q| < 2^(127 - z).  So the three quotients of
+ * cross_quotient, the row updates and gso_row's step, take three paths: the
+ * word path (Machine words); else two_limb_quotient, where the five operands
+ * are below 2^127 in absolute value and their bit lengths put q below 2^(125
+ * - z), two bits inside what it needs: with top the larger bit length of the
+ * two products, |N| < 2^(top + 1) and den >= 2^(bits(den) - 1), so the test is
+ * top + 2 - bits(den) <= 125 - z; else mpz_divexact.  A divisor's z and
+ * inverse (set_divisor) serve every quotient by it: the exchange reads d[k]
+ * and d[k+1] once each, at the first of its rows that needs one (Granlund and
+ * Montgomery, "Division by invariant integers using multiplication", PLDI
+ * 1994), and gso_row, whose divisor changes at each step, once per quotient;
+ * a variant that read every divisor of a row up front and dropped the word
+ * path made lattice_scan and dag_rescue 8-10% slower.  The divisors are Gram
+ * determinants, so positive; one that is not in [1, 2^127) leaves its
+ * quotients to GMP.  The exchange's new d[k] stays mpz_divexact: it is one
+ * quotient per exchange, and it is what the falling-d check (Termination)
+ * tests, which is there for a wrong state, where num need not be a multiple
+ * of d[k] and a modular quotient is any residue the check could pass.
  *
  * Machine words.  The entries of d and lam are mostly one limb (at the
  * exchanges of a lattice_scan pass, 68% of d[k] and 69% of the lam the row
@@ -67,8 +90,13 @@
  * (cross_quotient).  Each does its arithmetic in __int128, where a product of
  * two longs and a sum of two such products are exact, or in long under
  * __builtin_*_overflow, and writes a result with mpz_set_si only when it fits
- * in a long; otherwise the step runs in GMP for that value.  d and lam are
- * stored as mpz_t, and every value and decision is the one GMP would compute.
+ * in a long; otherwise the step runs in GMP for that value, but for the
+ * quotients, which try a two-limb path first (Division).  At [I; N A] scale
+ * an operand of a quotient is often past a long and within two limbs
+ * (two_limbs reads such an mpz_t as an __int128): of the 2.83 M quotients of
+ * a kernel_geometry pass, 1.72 M leave the word path, and 65 K of those go on
+ * to GMP.  d and lam are stored as mpz_t, and every value and decision is the
+ * one GMP would compute.
  * The build needs __int128 (GCC or Clang on a 64-bit target) and stops with
  * #error without it, so the Python loop runs.
  *
@@ -223,13 +251,121 @@ static inline int word(mpz_srcptr z, long *v)
     return 1;
 }
 
+/* z = mag, negated where negative: through a long where it fits one, else
+ * into two limbs, which mpz_limbs_finish trims to the ones in use. */
+static void set_int128(mpz_ptr z, unsigned __int128 mag, int negative)
+{
+    mp_ptr limb;
+
+    if (mag <= LONG_MAX) {
+        mpz_set_si(z, negative ? -(long)mag : (long)mag);
+        return;
+    }
+    limb = mpz_limbs_write(z, 2);
+    limb[0] = (mp_limb_t)mag;
+    limb[1] = (mp_limb_t)(mag >> 64);
+    mpz_limbs_finish(z, negative ? -2 : 2);
+}
+
+/* The bit length of x, 0 for x = 0. */
+static inline int bit_length(unsigned __int128 x)
+{
+    unsigned long high = (unsigned long)(x >> 64), low = (unsigned long)x;
+
+    return high ? 128 - __builtin_clzl(high) : low ? 64 - __builtin_clzl(low) : 0;
+}
+
+/* *v = z and returns its bit length where |z| < 2^127, else -1 (header:
+ * Machine words).  mpz_getlimbn reads a limb past z's size as 0. */
+static inline int two_limbs(mpz_srcptr z, __int128 *v)
+{
+    unsigned __int128 mag;
+
+    if (mpz_size(z) > 2)
+        return -1;
+    mag = (unsigned __int128)mpz_getlimbn(z, 1) << 64 | mpz_getlimbn(z, 0);
+    if (mag >> 127)
+        return -1;
+    *v = mpz_sgn(z) < 0 ? -(__int128)mag : (__int128)mag;
+    return bit_length(mag);
+}
+
+/* A divisor of the two-limb quotient (header: Division): its bit length, its
+ * count z of trailing zero bits and the inverse of its odd part modulo
+ * 2^128.  bits is 0 until set_divisor has read the divisor, and -1 where it is
+ * not in [1, 2^127). */
+typedef struct {
+    int bits, z;
+    unsigned __int128 inv;
+} divisor;
+
+/* dv = den's bit length, trailing zeros and odd part's inverse.  The
+ * inverse is Newton's x (2 - o x), which doubles the low bits that are right:
+ * (3 o) xor 2 is o's inverse modulo 2^5, four steps in a long give 64 bits and
+ * one in __int128 the 128. */
+static void set_divisor(divisor *dv, mpz_srcptr den)
+{
+    __int128 v;
+    unsigned __int128 odd;
+    unsigned long low, x;
+    int i;
+
+    dv->bits = two_limbs(den, &v);
+    if (dv->bits < 0 || v <= 0) {
+        dv->bits = -1;
+        return;
+    }
+    low = (unsigned long)v;
+    dv->z = low ? __builtin_ctzl(low) : 64 + __builtin_ctzl((unsigned long)(v >> 64));
+    odd = (unsigned __int128)v >> dv->z;
+    low = (unsigned long)odd;
+    x = (3 * low) ^ 2;
+    for (i = 0; i < 4; i++)
+        x *= 2 - low * x;
+    dv->inv = x * (2 - odd * x);
+}
+
+/* out = (a b + sign c e) / den in two limbs, where a, b, c, e and den, whose
+ * divisor dv is, are below 2^127 in absolute value and their bit lengths put
+ * the quotient below 2^(125 - z) (header: Division); returns whether it is.
+ * The numerator modulo 2^128, shifted right by z, times the inverse of den's
+ * odd part is the quotient modulo 2^(128 - z), which sign-extends to it.  The
+ * conversion to __int128 and its right shift are GCC's and Clang's: modulo
+ * 2^128 and arithmetic. */
+static __attribute__((noinline)) int two_limb_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b,
+                                                       int sign, mpz_srcptr c, mpz_srcptr e,
+                                                       mpz_srcptr den, divisor *dv)
+{
+    __int128 va = 0, vb = 0, vc = 0, ve = 0, q;
+    unsigned __int128 num, cross;
+    int la = two_limbs(a, &va), lb = two_limbs(b, &vb), lc = two_limbs(c, &vc),
+        le = two_limbs(e, &ve), top;
+
+    if (la < 0 || lb < 0 || lc < 0 || le < 0)
+        return 0;
+    if (!dv->bits)
+        set_divisor(dv, den);
+    top = la + lb > lc + le ? la + lb : lc + le;
+    /* |num| < 2^(top + 1) and den >= 2^(bits - 1) */
+    if (dv->bits < 0 || top + 2 - dv->bits > 125 - dv->z)
+        return 0;
+    num = (unsigned __int128)va * (unsigned __int128)vb;
+    cross = (unsigned __int128)vc * (unsigned __int128)ve;
+    num = sign > 0 ? num + cross : num - cross;
+    q = (__int128)(((num >> dv->z) * dv->inv) << dv->z) >> dv->z;
+    set_int128(out, q < 0 ? -(unsigned __int128)q : (unsigned __int128)q, q < 0);
+    return 1;
+}
+
 /* out = (a b + sign c e) / den with sign +1 or -1, where the quotient is known
  * to be exact (header).  When the five operands are words the numerator is
  * exact in __int128, each product being below 2^126 in absolute value, and the
- * quotient is written as a word where it fits one; otherwise GMP computes it
+ * quotient is written as a word where it fits one; otherwise two_limb_quotient
+ * computes it where it can, with den's divisor dv, and GMP where it cannot,
  * with t, which is none of the others, as scratch. */
-static void cross_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b, int sign, mpz_srcptr c,
-                           mpz_srcptr e, mpz_srcptr den, mpz_ptr t)
+static inline void cross_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b, int sign,
+                                  mpz_srcptr c, mpz_srcptr e, mpz_srcptr den, divisor *dv,
+                                  mpz_ptr t)
 {
     long va, vb, vc, ve, vd;
     __int128 x;
@@ -242,6 +378,8 @@ static void cross_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b, int sign, mp
             return;
         }
     }
+    if (two_limb_quotient(out, a, b, sign, c, e, den, dv))
+        return;
     mpz_mul(t, a, b);
     if (sign > 0)
         mpz_addmul(t, c, e);
@@ -257,22 +395,6 @@ static mpz_srcptr entry(const ints *v, int r, mpz_ptr t)
         return v->z + r;
     mpz_set_si(t, v->w[r]);
     return t;
-}
-
-/* z = mag, negated where negative: through a long where it fits one, else
- * into two limbs, which mpz_limbs_finish trims to the ones in use. */
-static void set_int128(mpz_ptr z, unsigned __int128 mag, int negative)
-{
-    mp_ptr limb;
-
-    if (mag <= LONG_MAX) {
-        mpz_set_si(z, negative ? -(long)mag : (long)mag);
-        return;
-    }
-    limb = mpz_limbs_write(z, 2);
-    limb[0] = (mp_limb_t)mag;
-    limb[1] = (mp_limb_t)(mag >> 64);
-    mpz_limbs_finish(z, negative ? -2 : 2);
 }
 
 /* out = the inner product of a and b over len coordinates, the first len of
@@ -325,6 +447,7 @@ static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, int len, mpz_ptr t)
 {
     mpz_ptr row = lam[k], u;
     mpz_srcptr lj;
+    divisor dv;
     int z, j, i;
 
     for (z = 0; z < k && !mpz_sgn(row + z); z++)
@@ -333,8 +456,10 @@ static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, int len, mpz_ptr t)
         u = j < k ? row + j : d + k + 1;
         lj = j < k ? lam[j] : row;
         mpz_mul(u, u, d + z);
-        for (i = z; i < j; i++)
-            cross_quotient(u, d + i + 1, u, -1, row + i, lj + i, d + i, t);
+        for (i = z; i < j; i++) {
+            dv.bits = 0;
+            cross_quotient(u, d + i + 1, u, -1, row + i, lj + i, d + i, &dv, t);
+        }
     }
 }
 
@@ -484,6 +609,7 @@ static void size_reduce(state *s, int k, int j)
 static int exchange(state *s, int k, int kmax)
 {
     mpz_ptr *lam = s->lam, d = s->d, swap, lkk, li;
+    divisor dk = {0, 0, 0}, dk1 = {0, 0, 0};
     ints col;
     int i;
 
@@ -499,8 +625,8 @@ static int exchange(state *s, int k, int kmax)
     for (i = k + 1; i <= kmax; i++) {
         li = lam[i];
         mpz_swap(s->t, li + k);
-        cross_quotient(li + k, d + k + 1, li + k - 1, -1, lkk, s->t, d + k, s->t1);
-        cross_quotient(li + k - 1, s->dnew, s->t, 1, lkk, li + k, d + k + 1, s->t1);
+        cross_quotient(li + k, d + k + 1, li + k - 1, -1, lkk, s->t, d + k, &dk, s->t1);
+        cross_quotient(li + k - 1, s->dnew, s->t, 1, lkk, li + k, d + k + 1, &dk1, s->t1);
     }
     mpz_swap(d + k, s->dnew);
     return 1;
@@ -621,8 +747,7 @@ static void set_budget(state *s)
         } else {
             if (norm > top)
                 top = norm;
-            bits = norm >> 64 ? 128 - __builtin_clzl((unsigned long)(norm >> 64))
-                   : norm ? 64 - __builtin_clzl((unsigned long)norm) : 0;
+            bits = bit_length(norm);
         }
         if (__builtin_mul_overflow(bits, (unsigned long)(s->n - i), &bits)
             || __builtin_add_overflow(sum, bits, &sum))

@@ -100,22 +100,31 @@ into one integer ran 16-23% more (44.9, 44.0 and 8.7 against 36.4, 38.0 and
 
 The Python code divides with ``//``, which floors; the C code floors with
 ``mpz_fdiv_q`` only in ``round_nearest``, whose quotient is not exact.  Its
-four other quotients are exact, and ``mpz_divexact`` computes them: the new
-``d[k]`` of an exchange, ``num // d[k]``, is the Gram determinant of the
-exchanged columns ``0..k-1``; the exchange's two row updates return
-``lam[i][k]`` and ``lam[i][k-1]`` of the exchanged basis, minors of its
-integral Gram matrix; and after step ``i`` of ``gso_row``'s recurrence,
-``u`` is ``d[i+1]`` times the inner product of two columns projected
-orthogonally to columns ``0..i``, a Gram determinant of columns ``0..i``
-bordered by the two.  All are integers, and on an exact quotient ``//`` and
-exact division agree.  Most ``d`` and ``lam`` the C loop meets fit in one
-64-bit limb, so its four hot steps (the Lovasz test, the size reduction,
-the exchange's row update and the ``gso_row`` step) compute in machine words
-when their operands fit in a C ``long``: in ``__int128``, where a product
-of two longs and a sum of two such products are exact, or in ``long`` under
-overflow checks.  A result is stored from a word only when it fits in a
-``long``, and GMP computes any other, so every value and decision is the
-one GMP computes.
+four other quotients are exact: the new ``d[k]`` of an exchange, ``num //
+d[k]``, is the Gram determinant of the exchanged columns ``0..k-1``; the
+exchange's two row updates return ``lam[i][k]`` and ``lam[i][k-1]`` of the
+exchanged basis, minors of its integral Gram matrix; and after step ``i`` of
+``gso_row``'s recurrence, ``u`` is ``d[i+1]`` times the inner product of two
+columns projected orthogonally to columns ``0..i``, a Gram determinant of
+columns ``0..i`` bordered by the two.  All are integers, and on an exact
+quotient ``//`` and exact division agree.  Most ``d`` and ``lam`` the C loop
+meets fit in one 64-bit limb, so its four hot steps (the Lovasz test, the
+size reduction, the exchange's row update and the ``gso_row`` step) compute
+in machine words when their operands fit in a C ``long``: in ``__int128``,
+where a product of two longs and a sum of two such products are exact, or in
+``long`` under overflow checks.  A result is stored from a word only when it
+fits in a ``long``, and GMP computes any other, so every value and decision
+is the one GMP computes.  The row update's and the ``gso_row`` step's
+quotients have a second path before GMP, for operands of up to two limbs:
+an exact quotient is the numerator modulo ``2^128``, shifted right by the
+divisor's ``z`` trailing zero bits, times the inverse of the divisor's odd
+part modulo ``2^128``, sign-extended from ``128 - z`` bits.  It runs where
+the operands are below ``2^127`` and their bit lengths put the quotient
+below ``2^(125 - z)``, two bits inside the ``2^(127 - z)`` it needs, and
+one inverse serves all rows of an exchange.  The new ``d[k]`` stays
+``mpz_divexact``: it is the value the falling-``d`` check of the
+termination proof tests, which guards against a wrong state, where ``num``
+need not be a multiple of ``d[k]`` and a modular quotient is any residue.
 
 Let ``B`` be the largest squared norm of the ``n`` input columns.  LLL keeps
 every ``||b*_j||^2`` at most ``B``, that is ``d[j+1] <= B * d[j]``.  Both

@@ -21,10 +21,14 @@ def as_ints(values) -> list[int]:
     """values as a list of ints, for caller input entering the exact core.
 
     Raises InvalidInput (a ValueError) for a value that int() would change,
-    such as 3.9 or Fraction(7, 2); ints, bools and numpy integers pass.
+    such as 3.9 or Fraction(7, 2), or cannot convert, such as NaN or inf;
+    ints, bools and numpy integers pass.
     """
     values = list(values)
-    ints = list(map(int, values))
+    try:
+        ints = list(map(int, values))
+    except (ValueError, OverflowError) as exc:
+        raise InvalidInput(f"not all integers: {values}") from exc
     if ints != values:
         raise InvalidInput(f"not all integers: {values}")
     return ints
@@ -35,13 +39,17 @@ class LdeSystem:
     """A x = b over binary unknowns, A an m x n integer matrix of full row rank.
 
     Entries are nonnegative (generated systems are strictly positive;
-    disaggregated rows may legitimately contain zeros).
+    disaggregated rows may legitimately contain zeros).  The constructor reads
+    A and b as tuples of ints (``as_ints``), so a value that int() would
+    change raises InvalidInput here instead of reaching the LLL kernel.
     """
 
     A: tuple[tuple[int, ...], ...]
     b: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "A", tuple(tuple(as_ints(r)) for r in self.A))
+        object.__setattr__(self, "b", tuple(as_ints(self.b)))
         m = len(self.A)
         if m < 1:
             raise ValueError("need at least one equation")
@@ -62,7 +70,7 @@ class LdeSystem:
     @classmethod
     def from_rows(cls, rows, b) -> "LdeSystem":
         """The system of rows of A and b, each entry an integer (``as_ints``)."""
-        return cls(tuple(tuple(as_ints(r)) for r in rows), tuple(as_ints(b)))
+        return cls(rows, b)
 
     @property
     def m(self) -> int:

@@ -92,6 +92,27 @@ MUTANTS = {
         "s->t, 1, lkk",
         "s->t, -1, lkk",
         ("tests/test_lattice.py", "-k", "Gmp or ColumnWords"), 300),
+    # The two-limb quotient's bound is loosened by three bits, so a quotient
+    # of 128 - z bits passes it and sign-extends to a wrong, negative value.
+    # Its two bits of slack make a loosening by one or two bits equivalent.
+    "two_limb-bound-loosened": Mutant(
+        LLL_C,
+        "125 - dv->z",
+        "128 - dv->z",
+        ("tests/test_lattice.py", "-k", "TwoLimb"), 300),
+    # The two-limb quotient multiplies the numerator by the odd part's
+    # inverse without first shifting out the divisor's z trailing zeros.
+    "two_limb-without-shift": Mutant(
+        LLL_C,
+        "(num >> dv->z) * dv->inv",
+        "num * dv->inv",
+        ("tests/test_lattice.py", "-k", "TwoLimb"), 300),
+    # The exchange's second row update divides by d[k+1] with d[k]'s inverse.
+    "exchange-divides-d_k1-with-d_k-inverse": Mutant(
+        LLL_C,
+        "d + k + 1, &dk1, s->t1);",
+        "d + k + 1, &dk, s->t1);",
+        ("tests/test_lattice.py", "-k", "TwoLimb"), 300),
     # The C sweep writes a wide target from its words, not from its mpz_t.
     "wide-sweep-target-from-words": Mutant(
         LLL_C,

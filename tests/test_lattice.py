@@ -829,6 +829,76 @@ class TestGmpKernel:
             assert outcomes_in(gmp_kernel, bases) == outcomes_in(lattice.PYTHON, bases)
 
 
+@st.composite
+def two_limb_bases(draw):
+    """[I; N A] with m = 2 or 3 rows of 25- to 30-bit weights and N = 10^8, the
+    shape of kernel_geometry's augmented system, times 2^s for s in 0..2.
+
+    The columns start near 2^57 and d[1] near 2^115, so d and lam pass a long
+    and stay within two limbs while LLL shortens them.  With s > 0 every d[i],
+    i >= 1, is divisible by 4^(s i), so every quotient by one has an even
+    divisor."""
+    m, s = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    n = draw(st.integers(m + 1, 9))
+    bits = draw(st.integers(25, 30))
+    rows = [draw(st.lists(st.integers(2 ** (bits - 1), 2 ** bits - 1), min_size=n, max_size=n))
+            for _ in range(m)]
+    return [[2**s * int(i == j) for i in range(n)] + [2**s * 10**8 * row[j] for row in rows]
+            for j in range(n)]
+
+
+def edge_quotient_basis(t, slack):
+    """Four columns whose first visit of column 3 ends at a quotient of 128 - z
+    - slack bits by d[1] = 4^t, z = 2t, and the operands' bit lengths put it
+    below exactly 2^(128 - z - slack), with (a, b, c, e, den, q) of that step.
+
+    The columns are 2^t e0, w e1, r e1 + w e2 and g e1 + h e2 + e3, with r =
+    w/2, so the first three are LLL-reduced and stay.  At step i = 1 of
+    gso_row's row 3, entry 2, u = (d[2] u - lam[3][1] lam[2][1]) / d[1] with d[2]
+    = 4^t w^2, u = 4^t (g r + h w), lam[3][1] = 4^t g w and lam[2][1] = 4^t r w.
+    With h w near -2 g r both products are near 2^(top - 1) and add, and w^2 and
+    g r have mantissas of about 1.8, so the quotient 4^t w^2 h w has the full
+    top + 2 - bits(d[1]) bits.
+    """
+    w = int(1.9 * 2 ** (31 - t))
+    r = w // 2
+    g = int(1.9 * 2 ** (31 - t - slack))
+    h = -round(2 * g * r / w)
+    x = 4**t
+    cols = [[2**t, 0, 0, 0], [0, w, 0, 0], [0, r, w, 0], [0, g, h, 1]]
+    a, b, c, e = x * w * w, x * (g * r + h * w), x * g * w, x * r * w
+    return cols, (a, b, c, e, x, x * w * w * h * w)
+
+
+class TestGmpTwoLimbQuotients:
+    """The C loop's two-limb quotients (_lll.c's header, "Division") return GMP's:
+    the same columns, d, lam and errors as the Python loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_limb_bases(), st.sampled_from([Fraction(1, 2), Fraction(3, 4), DEFAULT_ALPHA]))
+    def test_kernel_bases_match_python(self, gmp_kernel, cols, alpha):
+        p, q, n = alpha.numerator, alpha.denominator, len(cols)
+        assert record_or_error(gmp_kernel.reduce, cols, p, q, n) == \
+            record_or_error(lattice._python_reduce, cols, p, q, n)
+
+    @pytest.mark.parametrize("t", [0, 1, 5])
+    @pytest.mark.parametrize("slack", [0, 3], ids=["past-the-bound", "at-the-bound"])
+    def test_quotients_at_the_edge_match_python(self, gmp_kernel, t, slack):
+        # slack 3: the quotient has 125 - z bits, the most the two-limb path
+        # takes; slack 0: 128 - z bits, which sign-extend from 128 - z bits to
+        # a negative number, so GMP must take it.
+        cols, (a, b, c, e, den, quotient) = edge_quotient_basis(t, slack)
+        z = 2 * t
+        top = max(a.bit_length() + b.bit_length(), c.bit_length() + e.bit_length())
+        assert (a * b - c * e) == quotient * den and max(a, abs(b), c, e) < 2**127
+        assert top + 2 - den.bit_length() == abs(quotient).bit_length() == 128 - z - slack
+        for alpha in (DEFAULT_ALPHA, Fraction(1, 2)):
+            p, q = alpha.numerator, alpha.denominator
+            for prefix in range(len(cols) + 1):
+                assert gmp_kernel.reduce(cols, p, q, prefix) == \
+                    lattice._python_reduce(cols, p, q, prefix)
+
+
 # CROSSING's 0, +-1, edges of a C long and of two limbs and +-2^200, and small entries
 RESUME_ENTRIES = st.one_of(st.sampled_from(CROSSING), st.integers(-20, 20))
 

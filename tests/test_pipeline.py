@@ -905,3 +905,13 @@ class TestInvalidInput:
         with pytest.raises(InvalidInput, match=message) as caught:
             check()
         assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("algo", ["reduce_half", "cjloss"])
+    def test_a_system_built_directly_reads_its_entries_as_ints(self, either_kernel, algo):
+        # The constructor, not only from_rows, refuses 3.9 before it can reach
+        # either kernel's LLL, and reads 3.0 as the int 3.
+        with pytest.raises(InvalidInput, match="not all integers"):
+            attack(LdeSystem(((3.9, 15, 6),), (9,)), SearchConfig(algo=algo))
+        floats = LdeSystem(((3.0, 15, 6),), (9.0,))
+        assert floats == TOY and all(type(v) is int for v in floats.A[0] + floats.b)
+        assert attack(floats, SearchConfig(algo=algo)) == attack(TOY, SearchConfig(algo=algo))

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from knapcrack.errors import ParseError, RankDeficient
-from knapcrack.problems import (LdeSystem, complement, format_system, is_subset_sum,
+from knapcrack.errors import InvalidInput, ParseError, RankDeficient
+from knapcrack.problems import (LdeSystem, as_ints, complement, format_system, is_subset_sum,
                                 normalize, parse_system)
 
 from oracles import density
@@ -81,11 +81,18 @@ class TestSystems:
             LdeSystem.from_rows([[1, 2], [3, 5]], [1, 2])  # m == n
 
     def test_from_rows_refuses_what_int_would_change(self):
-        # int() would truncate each of these to an entry of TOY.
+        # int() would truncate the first three to an entry of TOY, and raises
+        # ValueError on NaN and OverflowError on an infinity.
+        nan, inf = float("nan"), float("inf")
         for rows, b in (([[3.9, 15, 6]], [9]), ([[3, 15, 6]], [9.9]),
-                        ([[3, Fraction(31, 2), 6]], [9])):
-            with pytest.raises(ValueError, match="not all integers"):
+                        ([[3, Fraction(31, 2), 6]], [9]), ([[nan, 15, 6]], [9]),
+                        ([[inf, 1, 2]], [3]), ([[3, 15, 6]], [-inf])):
+            with pytest.raises(InvalidInput, match="not all integers"):
                 LdeSystem.from_rows(rows, b)
+            with pytest.raises(InvalidInput, match="not all integers"):
+                LdeSystem(tuple(map(tuple, rows)), tuple(b))
+        with pytest.raises(InvalidInput, match="not all integers"):
+            as_ints([nan, 1])
         sys = LdeSystem.from_rows([[np.int64(3), 15, 6.0], [True, 0, np.uint8(2)]],
                                   (np.int32(9), False))
         assert sys == LdeSystem.from_rows([[3, 15, 6], [1, 0, 2]], [9, 0])
