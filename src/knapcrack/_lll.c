@@ -61,39 +61,61 @@
  * division", J. Symbolic Computation 1993).  Where den = 2^z o with o odd
  * divides N, N modulo 2^128 shifted right by z is q o modulo 2^(128 - z), and
  * times the inverse of o modulo 2^128 it is q modulo 2^(128 - z), which
- * sign-extends to q where |q| < 2^(127 - z).  So the three quotients of
- * cross_quotient, the row updates and gso_row's step, take three paths: the
- * word path (Machine words); else two_limb_quotient, where the five operands
- * are below 2^127 in absolute value and their bit lengths put q below 2^(125
- * - z), two bits inside what it needs: with top the larger bit length of the
- * two products, |N| < 2^(top + 1) and den >= 2^(bits(den) - 1), so the test is
- * top + 2 - bits(den) <= 125 - z; else mpz_divexact.  A divisor's z and
- * inverse (set_divisor) serve every quotient by it: the exchange reads d[k]
- * and d[k+1] once each, at the first of its rows that needs one (Granlund and
- * Montgomery, "Division by invariant integers using multiplication", PLDI
- * 1994), and gso_row, whose divisor changes at each step, once per quotient;
- * a variant that read every divisor of a row up front and dropped the word
- * path made lattice_scan and dag_rescue 8-10% slower.  The divisors are Gram
- * determinants, so positive; one that is not in [1, 2^127) leaves its
- * quotients to GMP.  The exchange's new d[k] stays mpz_divexact: it is one
- * quotient per exchange, and it is what the falling-d check (Termination)
- * tests, which is there for a wrong state, where num need not be a multiple
- * of d[k] and a modular quotient is any residue the check could pass.
+ * sign-extends to q where |q| < 2^(127 - z) (exact_quotient).  So the three
+ * quotients of cross_quotient, the row updates and gso_row's step, take three
+ * paths: the word path (Machine words); else two_limb_quotient, where the five
+ * operands are below 2^127 in absolute value and their bit lengths put q below
+ * 2^(125 - z), two bits inside what it needs: with top the larger bit length
+ * of the two products, |N| < 2^(top + 1) and den >= 2^(bits(den) - 1), so the
+ * test is top + 2 - bits(den) <= 125 - z; else mpz_divexact.  A divisor's z
+ * and inverse (set_divisor) serve every quotient by it: the exchange reads
+ * those of d[k] and d[k+1] once per exchange (Granlund and Montgomery,
+ * "Division by invariant integers using multiplication", PLDI 1994), and
+ * gso_row, whose divisor changes at each step, once per quotient; a variant
+ * that read every divisor of a row up front and dropped the word path made
+ * lattice_scan and dag_rescue 8-10% slower, and one that read gso_row's
+ * divisors once per visit gained no more than the host's noise (0-5%).  The
+ * exchange's rows whose operands are words do not go through cross_quotient: a
+ * numerator of words is exact in __int128, each product being below 2^126, so
+ * its quotient, below 2^127 / den <= 2^(127 - z), is exact_quotient of it, a
+ * few multiplications where the word path divides an __int128 by a long.  The
+ * second row update reads the first's result, so it runs there where that
+ * result is a word.  The divisors are Gram determinants, so positive; one that
+ * is not in [1, 2^127) leaves its quotients to GMP.  The exchange's new d[k]
+ * stays mpz_divexact: it is one quotient per exchange, and it is what the
+ * falling-d check (Termination) tests, which is there for a wrong state, where
+ * num need not be a multiple of d[k] and a modular quotient is any residue the
+ * check could pass.
  *
  * Machine words.  The entries of d and lam are mostly one limb (at the
  * exchanges of a lattice_scan pass, 68% of d[k] and 69% of the lam the row
- * update reads), so GMP's cost there is its calls, not its arithmetic.  word()
- * reads an mpz_t as a long when |z| <= LONG_MAX, and four steps compute in
- * words when their operands are ones: the Lovasz test (lovasz_fails), the size
- * reduction's test, rounding and lam updates (size_reduce, round_nearest,
- * sub_multiple), and the quotients of the exchange and of gso_row
- * (cross_quotient).  Each does its arithmetic in __int128, where a product of
+ * update reads), so the loop's cost there is reading them, not GMP's
+ * arithmetic.  Sampled with SIGPROF over the LLL calls of a dag_rescue,
+ * lattice_scan and kernel_geometry pass, word() was 41%, 30% and 25% of the
+ * samples in this file's code (which had 67%, 55% and 63% of them, GMP most
+ * of the rest) when it read a limb (mpz_getlimbn) before it checked the size
+ * (mpz_size) and took the sign (mpz_sgn); it is 18%, 16% and 11% now.  word()
+ * and two_limbs() read the size field, _mp_size, once and first, and then
+ * only the limbs of _mp_d that it names, the sign from the size as gmp.h's
+ * own mpz_sgn macro reads it (GMP's manual, "Integer Internals", describes
+ * both fields).  That took the loop's time on the workloads' LLL calls down
+ * by 11-14%, and with the exchange's single reads (Division) by 14-21%
+ * (benchmarks/kernel_ab.py: both builds in one process, on one core).  gmp.h's
+ * accessors in the same order compile to the same reads (x0.99-1.06 against
+ * these in 30 rounds); the fields are read directly so that the one read of
+ * the size stands where it is used.
+ *
+ * word() reads an mpz_t as a long when |z| <= LONG_MAX, and four steps compute
+ * in words when their operands are ones: the Lovasz test (lovasz_fails), the
+ * size reduction's test, rounding and lam updates (size_reduce, round_nearest,
+ * sub_multiple), and the quotients of the exchange and of gso_row (exchange,
+ * cross_quotient).  Each does its arithmetic in __int128, where a product of
  * two longs and a sum of two such products are exact, or in long under
  * __builtin_*_overflow, and writes a result with mpz_set_si only when it fits
  * in a long; otherwise the step runs in GMP for that value, but for the
  * quotients, which try a two-limb path first (Division).  At [I; N A] scale
  * an operand of a quotient is often past a long and within two limbs
- * (two_limbs reads such an mpz_t as an __int128): of the 2.83 M quotients of
+ * (two_limbs() reads such an mpz_t as an __int128): of the 2.83 M quotients of
  * a kernel_geometry pass, 1.72 M leave the word path, and 65 K of those go on
  * to GMP.  d and lam are stored as mpz_t, and every value and decision is the
  * one GMP would compute.
@@ -240,14 +262,20 @@ typedef struct {
     mpz_t p, q, bound, gamma, num, dnew, t, t1, t2;
 } state;
 
-/* *v = z when |z| <= LONG_MAX; returns whether it is. */
+/* *v = z when |z| <= LONG_MAX; returns whether it is.  It reads z's size once
+ * and then only the limb that size names, the sign from the size as gmp.h's
+ * mpz_sgn does (header: Machine words). */
 static inline int word(mpz_srcptr z, long *v)
 {
-    mp_limb_t low = mpz_getlimbn(z, 0);
+    int size = z->_mp_size;
+    mp_limb_t low;
 
-    if (mpz_size(z) > 1 || low > (mp_limb_t)LONG_MAX)
+    if (size > 1 || size < -1)
         return 0;
-    *v = mpz_sgn(z) < 0 ? -(long)low : (long)low;
+    low = size ? z->_mp_d[0] : 0;
+    if (low > (mp_limb_t)LONG_MAX)
+        return 0;
+    *v = size < 0 ? -(long)low : (long)low;
     return 1;
 }
 
@@ -276,17 +304,20 @@ static inline int bit_length(unsigned __int128 x)
 }
 
 /* *v = z and returns its bit length where |z| < 2^127, else -1 (header:
- * Machine words).  mpz_getlimbn reads a limb past z's size as 0. */
+ * Machine words).  Like word(), it reads z's size once and then only the
+ * limbs that size names. */
 static inline int two_limbs(mpz_srcptr z, __int128 *v)
 {
+    int size = z->_mp_size, len = size < 0 ? -size : size;
+    const mp_limb_t *limb = z->_mp_d;
     unsigned __int128 mag;
 
-    if (mpz_size(z) > 2)
+    if (len > 2)
         return -1;
-    mag = (unsigned __int128)mpz_getlimbn(z, 1) << 64 | mpz_getlimbn(z, 0);
+    mag = len == 2 ? (unsigned __int128)limb[1] << 64 | limb[0] : len ? limb[0] : 0;
     if (mag >> 127)
         return -1;
-    *v = mpz_sgn(z) < 0 ? -(__int128)mag : (__int128)mag;
+    *v = size < 0 ? -(__int128)mag : (__int128)mag;
     return bit_length(mag);
 }
 
@@ -325,13 +356,20 @@ static void set_divisor(divisor *dv, mpz_srcptr den)
     dv->inv = x * (2 - odd * x);
 }
 
+/* num / den for a multiple num of den, whose divisor dv is, where the quotient
+ * is below 2^(127 - z) in absolute value (header: Division): num modulo 2^128,
+ * shifted right by z, times the inverse of den's odd part is the quotient
+ * modulo 2^(128 - z), which sign-extends to it.  The conversion to __int128
+ * and its right shift are GCC's and Clang's: modulo 2^128 and arithmetic. */
+static inline __int128 exact_quotient(unsigned __int128 num, const divisor *dv)
+{
+    return (__int128)(((num >> dv->z) * dv->inv) << dv->z) >> dv->z;
+}
+
 /* out = (a b + sign c e) / den in two limbs, where a, b, c, e and den, whose
  * divisor dv is, are below 2^127 in absolute value and their bit lengths put
- * the quotient below 2^(125 - z) (header: Division); returns whether it is.
- * The numerator modulo 2^128, shifted right by z, times the inverse of den's
- * odd part is the quotient modulo 2^(128 - z), which sign-extends to it.  The
- * conversion to __int128 and its right shift are GCC's and Clang's: modulo
- * 2^128 and arithmetic. */
+ * the quotient below 2^(125 - z) (header: Division); returns whether it is,
+ * the quotient being exact_quotient of the numerator modulo 2^128. */
 static __attribute__((noinline)) int two_limb_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b,
                                                        int sign, mpz_srcptr c, mpz_srcptr e,
                                                        mpz_srcptr den, divisor *dv)
@@ -352,7 +390,7 @@ static __attribute__((noinline)) int two_limb_quotient(mpz_ptr out, mpz_srcptr a
     num = (unsigned __int128)va * (unsigned __int128)vb;
     cross = (unsigned __int128)vc * (unsigned __int128)ve;
     num = sign > 0 ? num + cross : num - cross;
-    q = (__int128)(((num >> dv->z) * dv->inv) << dv->z) >> dv->z;
+    q = exact_quotient(num, dv);
     set_int128(out, q < 0 ? -(unsigned __int128)q : (unsigned __int128)q, q < 0);
     return 1;
 }
@@ -605,13 +643,23 @@ static void size_reduce(state *s, int k, int j)
 
 /* Exchange columns k-1 and k, the Lovasz test having failed; s->num holds
  * d[k+1] d[k-1] + lam[k][k-1]^2.  Returns 0, changing nothing, when the new
- * d[k], num / d[k], is not in [1, d[k]) (header: Termination). */
+ * d[k], num / d[k], is not in [1, d[k]) (header: Termination).  Rows i > k
+ * get lam[i][k] = (d[k+1] lam[i][k-1] - lam[k][k-1] lam[i][k]) / d[k] and
+ * then lam[i][k-1] = (new d[k] lam[i][k] + lam[k][k-1] lam[i][k]') / d[k+1],
+ * with the old lam[i][k] and the new one ('), both exact (header: Division).
+ * d[k+1], the new d[k], lam[k][k-1] and the divisors of d[k] and d[k+1] are
+ * read once per exchange, and a row's two entries once per row.  Where those
+ * five are words, the first numerator is exact in __int128 and its quotient is
+ * exact_quotient, and where that quotient is a word too, so is the second.  Any
+ * other row goes through cross_quotient. */
 static int exchange(state *s, int k, int kmax)
 {
     mpz_ptr *lam = s->lam, d = s->d, swap, lkk, li;
     divisor dk = {0, 0, 0}, dk1 = {0, 0, 0};
+    long vd1 = 0, vdn = 0, vl = 0, a, b;
+    __int128 x, y;
     ints col;
-    int i;
+    int i, small;
 
     mpz_divexact(s->dnew, s->num, d + k);
     if (mpz_sgn(s->dnew) <= 0 || mpz_cmp(s->dnew, d + k) >= 0)
@@ -622,8 +670,24 @@ static int exchange(state *s, int k, int kmax)
     swap = lam[k - 1], lam[k - 1] = lam[k], lam[k] = swap;
     mpz_swap(lam[k] + k - 1, lam[k - 1] + k - 1);
     lkk = lam[k] + k - 1;
+    if (k < kmax) {
+        set_divisor(&dk, d + k);
+        set_divisor(&dk1, d + k + 1);
+    }
+    small = dk.bits > 0 && dk1.bits > 0 && word(d + k + 1, &vd1) && word(s->dnew, &vdn)
+            && word(lkk, &vl);
     for (i = k + 1; i <= kmax; i++) {
         li = lam[i];
+        if (small && word(li + k - 1, &a) && word(li + k, &b)) {
+            x = exact_quotient((__int128)vd1 * a - (__int128)vl * b, &dk);
+            if (x >= LONG_MIN && x <= LONG_MAX) {
+                y = exact_quotient((__int128)vdn * b + (__int128)vl * x, &dk1);
+                mpz_set_si(li + k, (long)x);
+                set_int128(li + k - 1, y < 0 ? -(unsigned __int128)y : (unsigned __int128)y,
+                           y < 0);
+                continue;
+            }
+        }
         mpz_swap(s->t, li + k);
         cross_quotient(li + k, d + k + 1, li + k - 1, -1, lkk, s->t, d + k, &dk, s->t1);
         cross_quotient(li + k - 1, s->dnew, s->t, 1, lkk, li + k, d + k + 1, &dk1, s->t1);

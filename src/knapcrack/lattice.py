@@ -121,7 +121,11 @@ divisor's ``z`` trailing zero bits, times the inverse of the divisor's odd
 part modulo ``2^128``, sign-extended from ``128 - z`` bits.  It runs where
 the operands are below ``2^127`` and their bit lengths put the quotient
 below ``2^(125 - z)``, two bits inside the ``2^(127 - z)`` it needs, and
-one inverse serves all rows of an exchange.  The new ``d[k]`` stays
+one inverse serves all rows of an exchange.  Reading an entry was the word
+path's cost, so the C loop reads each ``mpz_t``'s size once and then only
+the limbs it names, and an exchange reads its operands and divisors once,
+dividing a row of words by the inverse as well (``_lll.c``'s header,
+"Machine words" and "Division").  The new ``d[k]`` stays
 ``mpz_divexact``: it is the value the falling-``d`` check of the
 termination proof tests, which guards against a wrong state, where ``num``
 need not be a multiple of ``d[k]`` and a modular quotient is any residue.

@@ -113,6 +113,27 @@ MUTANTS = {
         "d + k + 1, &dk1, s->t1);",
         "d + k + 1, &dk, s->t1);",
         ("tests/test_lattice.py", "-k", "TwoLimb"), 300),
+    # word() reads a negative two-limb value as a word: its low limb, negated.
+    "word-reads-a-negative-two-limb-value": Mutant(
+        LLL_C,
+        "    if (size > 1 || size < -1)\n",
+        "    if (size > 1)\n",
+        ("tests/test_lattice.py", "tests/test_reduction.py", "tests/test_intmat.py", "-k",
+         "Gmp or ColumnWords or CSweep or CProducts"), 300),
+    # two_limbs() reads a two-limb value as its low limb alone.
+    "two_limbs-drops-the-high-limb": Mutant(
+        LLL_C,
+        "len == 2 ? (unsigned __int128)limb[1] << 64 | limb[0] : len ? limb[0] : 0",
+        "len ? limb[0] : 0",
+        ("tests/test_lattice.py", "tests/test_reduction.py", "-k", "Gmp or ColumnWords or CSweep"),
+        300),
+    # The exchange's word rows divide the second quotient by d[k+1] with d[k]'s
+    # inverse.
+    "exchange-word-rows-divide-d_k1-with-d_k-inverse": Mutant(
+        LLL_C,
+        "vl * x, &dk1);",
+        "vl * x, &dk);",
+        ("tests/test_lattice.py", "-k", "Gmp or ColumnWords"), 300),
     # The C sweep writes a wide target from its words, not from its mpz_t.
     "wide-sweep-target-from-words": Mutant(
         LLL_C,

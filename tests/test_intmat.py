@@ -105,8 +105,10 @@ class TestBasics:
         assert g == [[14, 5], [5, 2]]
 
 
-# 0, +-1, and the edges of a C long and of two limbs, and far beyond both
-CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**200, -2**200]
+# 0, +-1, the edges of a C long and of two limbs, the edges of 2^127 that the
+# two-limb reader refuses from, and far beyond them
+CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**127 - 1,
+            1 - 2**127, 2**127, -2**127, 2**128, -2**128, 2**200, -2**200]
 PRODUCT_ENTRIES = st.one_of(st.sampled_from(CROSSING), st.integers(-3, 3))
 
 

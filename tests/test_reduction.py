@@ -292,8 +292,10 @@ class TestOracleAgreement:
             kernel_from_cols(cols)
 
 
-# 0, +-1, and the edges of a C long and of two limbs, and far beyond both
-CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**200, -2**200]
+# 0, +-1, the edges of a C long and of two limbs, the edges of 2^127 that the
+# two-limb reader refuses from, and far beyond them
+CROSSING = [0, 1, -1, 2**63 - 1, 1 - 2**63, -2**63, 2**63, 2**64, -2**64, 2**127 - 1,
+            1 - 2**127, 2**127, -2**127, 2**128, -2**128, 2**200, -2**200]
 SWEEP_ENTRIES = st.one_of(st.sampled_from(CROSSING), st.integers(-3, 3))
 
 
@@ -302,11 +304,13 @@ def e(r, v=1, dim=5):
 
 
 # Two-column kernels whose d[1] or lam[1][0] is each value of CROSSING that a
-# d or a lam can take: d[1] = ||D_0||^2 with 2^63 - 1 as a sum of four
-# squares, and lam[1][0] = <D_1, D_0>.
+# d or a lam can take: d[1] = ||D_0||^2 with 2^63 - 1 and 2^127 - 1 as sums of
+# four squares, and lam[1][0] = <D_1, D_0>.
 EDGE_GSO_KERNELS = (
     [[col, [1, 0, 0, 0, 1]] for col in (e(0), [3037000499, 76994, 671, 23, 0],
-                                        [2**31, 2**31, 0, 0, 0], e(0, 2**32), e(0, 2**100))]
+                                        [2**31, 2**31, 0, 0, 0], e(0, 2**32),
+                                        [13043817825332782211, 5933560254, 526947, 20109, 0],
+                                        [2**63, 2**63, 0, 0, 0], e(0, 2**64), e(0, 2**100))]
     + [[e(0), [v, 0, 0, 0, 1]] for v in CROSSING])
 
 
@@ -352,7 +356,7 @@ class TestCSweep:
     def test_edge_kernels_reach_every_value(self):
         d1 = {integral_gso(cols)[0][1] for cols in EDGE_GSO_KERNELS}
         lam10 = {integral_gso(cols)[1][1][0] for cols in EDGE_GSO_KERNELS}
-        assert {2**63 - 1, 2**63, 2**64, 2**200} <= d1
+        assert {2**63 - 1, 2**63, 2**64, 2**127 - 1, 2**127, 2**128, 2**200} <= d1
         assert set(CROSSING) <= lam10
 
     @pytest.mark.parametrize("target", [[0, 0, 5, 7], [0, 0, 0, 7], [0, 0, 0, 0],
