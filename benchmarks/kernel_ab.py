@@ -9,22 +9,27 @@ and as it is in the working tree, each into a temporary directory with
 ``change._lll``.  It captures the arguments of every call of the LLL loop
 (``lattice.Kernel.reduce``) that one pass over each population of
 ``perfbench/workloads.py`` makes, checks that both builds return equal values
-on every captured call, and then times the calls over ``ROUNDS`` rounds: in
-each round each build runs the whole pass once, the two taking turns to go
-first.  It writes ``benchmarks/BENCH_kernel_ab.json``: per workload the call
-count, each build's median and quartiles of its pass in ms, the ratio of the
+on every captured call, and then times the calls over ``ROUNDS`` rounds
+(``time_rounds``): in each round every call runs on both builds back to back,
+each timed on its own, the two taking turns to go first from round to round,
+and a build's time for the round is the sum of its calls.  It writes
+``benchmarks/BENCH_kernel_ab.json``: per workload the call count, each
+build's median and quartiles of its round time in ms, the ratio of the
 medians (change over base) and the rounds the change won, with both
 revisions and the git blobs of both sources, ``nproc`` and the Python
 version.  It exits non-zero, writing nothing, where a build fails or the two
 builds return different values on a call.
 
 The process pins itself to one CPU of its affinity set before it runs
-anything, so that a DAG search runs in one lane (``pipeline.search_lanes``),
-every LLL call is made and captured in this process, and both builds are
-timed on one core.  Timing the loop alone, both builds in one process and
-pass against pass, leaves out the rest of an op and most of a shared host's
-drift between runs, under which pairs of ``perfbench/run.py`` runs cannot
-tell a few percent apart.
+anything (``pin_one_cpu``), so that a DAG search runs in one lane
+(``pipeline.search_lanes``), every LLL call is made and captured in this
+process, and both builds are timed on one core.  Timing the loop alone, both
+builds in one process and call against call, leaves out the rest of an op
+and most of a shared host's drift between runs, under which pairs of
+``perfbench/run.py`` runs cannot tell a few percent apart: a burst of another
+tenant's load lands on both builds' calls alike, where a whole pass of one
+build at a time let it land on one build only.  ``benchmarks/op_ab.py`` times
+whole ops through the same loop.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable, Sequence
+from functools import partial
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 from types import SimpleNamespace
@@ -97,30 +103,64 @@ def capture_calls(run: Callable[[], object]) -> list[tuple]:
     return calls
 
 
-def workload_calls(name: str) -> list[tuple]:
-    """The LLL calls of one pass over the population of perfbench's workload name."""
+def workloads():
+    """perfbench's ``WORKLOADS``, from ``perfbench/workloads.py``, which is only read."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
-    kc = SimpleNamespace(**{n: importlib.import_module(f"knapcrack.{n}") for n in (
+    return WORKLOADS
+
+
+def modules(package: str) -> SimpleNamespace:
+    """The modules of the library package that perfbench's workloads call."""
+    return SimpleNamespace(**{n: importlib.import_module(f"{package}.{n}") for n in (
         "pipeline", "formulations", "disagg", "analysis", "intmat", "problems", "errors")})
-    workload = WORKLOADS[name]
+
+
+def workload_calls(name: str) -> list[tuple]:
+    """The LLL calls of one pass over the population of perfbench's workload name."""
+    kc = modules("knapcrack")
+    workload = workloads()[name]
     items = workload.build(kc)
     return capture_calls(lambda: [workload.run(kc, item) for item in items])
 
 
-def time_pass(reduce: Reduce, calls: Sequence[tuple]) -> float:
-    """Milliseconds for reduce to run every call once, with the collector off."""
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for args in calls:
-            reduce(*args)
-        return (time.perf_counter() - start) * 1000.0
-    finally:
-        gc.enable()
+def pin_one_cpu() -> int:
+    """Pin this process to the last CPU of its affinity set; the set's size before."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    return len(cpus)
+
+
+def time_rounds(pairs: Sequence[tuple[Callable[[], object], Callable[[], object]]],
+                rounds: int) -> tuple[list[float], list[float]]:
+    """Milliseconds per round of the base and the change side of pairs.
+
+    A pair is one call on each side, (base, change).  In each round every
+    pair's two calls run back to back, each timed on its own, base first in
+    even rounds and change first in odd ones; a side's time for the round is
+    the sum of its calls.  The collector is off within a round.
+    """
+    clock = time.perf_counter
+    ms: tuple[list[float], list[float]] = ([], [])
+    for r in range(rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        spent = [0.0, 0.0]
+        gc.collect()
+        gc.disable()
+        try:
+            for pair in pairs:
+                for side in order:
+                    call = pair[side]
+                    start = clock()
+                    call()
+                    spent[side] += clock() - start
+        finally:
+            gc.enable()
+        for side in (0, 1):
+            ms[side].append(spent[side] * 1000.0)
+    return ms
 
 
 def spread(ms: list[float]) -> dict:
@@ -128,22 +168,23 @@ def spread(ms: list[float]) -> dict:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
+def summary(base: list[float], change: list[float]) -> dict:
+    """The rounds, each side's median and quartiles, the ratio of the medians
+    (change over base) and the rounds the change won, of time_rounds' result."""
+    base_ms, change_ms = spread(base), spread(change)
+    return {"rounds": len(base), "base_ms": base_ms, "change_ms": change_ms,
+            "ratio": round(change_ms["median"] / base_ms["median"], 4),
+            "wins": sum(c < b for b, c in zip(base, change))}
+
+
 def compare_and_time(calls: Sequence[tuple], base: Reduce, change: Reduce, rounds: int) -> dict:
     """One workload's record: base and change must return equal values on every
-    call (SystemExit otherwise); then each runs the whole pass once per round,
-    base first in even rounds and change first in odd ones."""
+    call (SystemExit otherwise); then time_rounds times them call by call."""
     for i, args in enumerate(calls):
         if base(*args) != change(*args):
             raise SystemExit(f"error: the builds return different values on call {i}")
-    ms = {"base": [], "change": []}
-    sides = {"base": base, "change": change}
-    for r in range(rounds):
-        for side in ("base", "change") if r % 2 == 0 else ("change", "base"):
-            ms[side].append(time_pass(sides[side], calls))
-    base_ms, change_ms = spread(ms["base"]), spread(ms["change"])
-    return {"calls": len(calls), "rounds": rounds, "base_ms": base_ms, "change_ms": change_ms,
-            "ratio": round(change_ms["median"] / base_ms["median"], 4),
-            "wins": sum(c < b for b, c in zip(ms["base"], ms["change"]))}
+    pairs = [(partial(base, *args), partial(change, *args)) for args in calls]
+    return {"calls": len(calls), **summary(*time_rounds(pairs, rounds))}
 
 
 def report(base: dict, change: dict, nproc: int, workloads: dict) -> dict:
@@ -161,8 +202,7 @@ def main(argv: list[str]) -> int:
     base = {"commit": commit, "lll_c": git("rev-parse", f"{commit}:{SOURCE}").strip()}
     change = {"commit": head, "lll_c": git("hash-object", SOURCE).strip()}
     change["lll_c_committed"] = change["lll_c"] == git("rev-parse", f"{head}:{SOURCE}").strip()
-    nproc = len(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    nproc = pin_one_cpu()
     with tempfile.TemporaryDirectory(prefix="kernel_ab_") as tmp:
         builds = {}
         for name, text in (("base", git("show", f"{commit}:{SOURCE}")),

@@ -29,7 +29,7 @@ def row_coeffs(problem) -> tuple[list[int], int]:
     """
     a, b = problem
     *a, b = as_ints([*a, b])
-    if any(x < 0 for x in a) or b < 0:
+    if min(a, default=0) < 0 or b < 0:
         raise InvalidInput("coefficients must be nonnegative")
     if b > sum(a):
         raise InvalidInput("right-hand side exceeds the coefficient sum")
@@ -68,8 +68,8 @@ def modular_transform(a, b, params: DisaggParams) -> ModularImage:
     """Residues c, d and floors v, w of (a, b) under t/M, with the k bound."""
     a, b = row_coeffs((a, b))
     t, M = params.t, params.M
-    c = tuple(t * ai % M for ai in a)
-    v = tuple(t * ai // M for ai in a)
+    c = tuple([t * ai % M for ai in a])
+    v = tuple([t * ai // M for ai in a])
     d = t * b % M
     w = t * b // M
     u_k = (sum(a) - b) * t // M + w - sum(v)
@@ -120,7 +120,7 @@ class DisaggregatedSystem:
 
     @property
     def extra_row(self) -> tuple[int, ...]:
-        return self.image.v + tuple(1 << i for i in range(self.k_count))
+        return self.image.v + tuple([1 << i for i in range(self.k_count)])
 
     @property
     def extra_rhs(self) -> int:

@@ -7,16 +7,20 @@ column-scan attacks (LO, CJLOSS, AHL) on top of the same exact LLL.
 
 Every basis is one block shape, [h*I; 0; t*A] plus at most one column, built
 by ``_stacked``: [I; N*A] to decompose, LO's b-free prefix [I; -a], CJLOSS's
-[2I; 2N*A] and AHL's [I; 0; N2*A].  Bases stay tuples of column tuples through
-LLL, and ``decompose`` slices D, C and E out of the reduced columns.  It
-keeps the heads of the first s columns as the decomposition's
-``kernel_columns``, which the contract, the sweeps and the features read;
-D, their rows, is derived only where a caller asks for it.
+[2I; 2N*A] and AHL's [I; 0; N2*A].  Its columns are the identity heads of
+their shape (``_heads``, cached, as one search builds many bases of a few
+shapes) joined to the columns of t*A, transposed once.  Bases stay tuples of
+column tuples through LLL, and ``decompose`` slices D, C and E out of the
+reduced columns in one pass over each block.  It keeps the heads of the
+first s columns as the decomposition's ``kernel_columns``, which the
+contract, the sweeps and the features read; D, their rows, is derived only
+where a caller asks for it.
 
 Every decomposition is checked before it is returned: A*D = 0, A*C = E,
 and U = (D | C) unimodular.  The contract reads the columns: one call of
-``intmat.products`` (in the C extension where it loads) gives A*U from
-``kernel_columns`` and C's, which must be (0 | E).  Unimodularity is read
+``intmat.products`` (in the C extension where it loads) gives A*(U | A^T)
+from ``kernel_columns``, C's columns and A's rows, whose first n columns
+must be (0 | E) and whose last m are A A^T.  Unimodularity is read
 from the integral Gram-Schmidt of D, which the decomposition keeps for the
 sweeps and the features, instead of an n x n determinant.  With s = n - m,
 d[s] = det(D^T D), and A of full row rank m:
@@ -52,10 +56,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache
+from operator import add
 
 from .errors import EscalationExhausted, InvalidInput, InvalidN
-from .intmat import det_bareiss, gram, products, solve_exact
+from .intmat import det_bareiss, products, solve_exact
 from .lattice import DEFAULT_ALPHA, LatticeBasis, lll
 from .problems import LdeSystem, as_ints, complement, is_subset_sum
 
@@ -95,8 +100,7 @@ def classify_solution(problem, x, **meta) -> AttackVerdict:
     x = tuple(as_ints(x))
     if not problem.is_solution(x):
         raise AssertionError("verdict vector does not satisfy the problem")
-    return AttackVerdict(BINARY if all(v in (0, 1) for v in x) else SHORT_NONBINARY,
-                         x, dict(meta))
+    return AttackVerdict(BINARY if set(x) <= {0, 1} else SHORT_NONBINARY, x, meta)
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,19 @@ class KernelDecomposition:
         return tuple(zip(*self.kernel_columns))
 
 
+@lru_cache(maxsize=64)
+def _heads(n: int, gap: int, head: int) -> tuple[tuple[int, ...], ...]:
+    """The n column heads head * e_j over gap zeros, shared by every basis of
+    that shape (a DAG search meets a few n, each at many t)."""
+    zeros = (0,) * (n - 1 + gap)
+    return tuple(zeros[:j] + (head,) + zeros[j:] for j in range(n))
+
+
 def _stacked(sys: LdeSystem, head: int, tail: int, gap: int = 0) -> tuple[tuple[int, ...], ...]:
-    """The n columns head * e_j over gap zeros over tail * (column j of A)."""
-    zeros = (0,) * (sys.n - 1 + gap)
-    return tuple(zeros[:j] + (head,) + zeros[j:] + tuple([tail * v for v in col])
-                 for j, col in enumerate(zip(*sys.A)))
+    """The n columns head * e_j over gap zeros over tail * (column j of A):
+    ``_heads`` joined to the columns of tail * A, transposed once."""
+    return tuple(map(add, _heads(sys.n, gap, head), zip(*[[tail * v for v in row]
+                                                            for row in sys.A])))
 
 
 def build_lattice_B(sys: LdeSystem, N: int) -> LatticeBasis:
@@ -149,11 +161,12 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
     current = N
     for _ in range(MAX_ESCALATIONS + 1):
         cols, d, lam = lll(build_lattice_B(sys, current), alpha, s)
-        if not any(any(c[n:]) for c in cols[:s]):
+        kernel, rest = cols[:s], cols[s:]
+        if not any([any(c[n:]) for c in kernel]):
             kd = KernelDecomposition(
-                kernel_columns=tuple(c[:n] for c in cols[:s]),
-                C=tuple(zip(*(c[:n] for c in cols[s:]))),
-                E=tuple(zip(*(tuple(v // current for v in c[n:]) for c in cols[s:]))),
+                kernel_columns=tuple([c[:n] for c in kernel]),
+                C=tuple(zip(*[c[:n] for c in rest])),
+                E=tuple(zip(*[[v // current for v in c[n:]] for c in rest])),
                 N_used=current, gso=(d, lam))
             _check_decomposition(sys, kd)
             return kd
@@ -163,17 +176,19 @@ def decompose(sys: LdeSystem, N: int = DEFAULT_N,
 
 
 def _check_decomposition(sys: LdeSystem, kd: KernelDecomposition) -> None:
-    """A*D = 0 and A*C = E from one product A*U on the columns of D and C,
-    and d[s] * det(E)^2 = det(A A^T) (module docstring)."""
+    """A*D = 0, A*C = E and d[s] * det(E)^2 = det(A A^T) (module docstring),
+    from one product A*(D | C | A^T) on the columns of D and C and the rows of A."""
+    c_columns = tuple(zip(*kd.C))
     s = len(kd.kernel_columns)
-    au = products(sys.A, kd.kernel_columns + tuple(zip(*kd.C)))
-    if any(any(row[:s]) for row in au):
+    e = s + len(c_columns)
+    au = products(sys.A, kd.kernel_columns + c_columns + sys.A)
+    if any([any(row[:s]) for row in au]):
         raise AssertionError("A*D != 0 in decomposition")
-    if [row[s:] for row in au] != list(map(list, kd.E)):
+    if [row[s:e] for row in au] != list(map(list, kd.E)):
         raise AssertionError("A*C != E in decomposition")
     d, _ = kd.gso
     det_e = det_bareiss(kd.E)
-    if d[-1] * det_e * det_e != det_bareiss(gram(sys.A)):
+    if d[-1] * det_e * det_e != det_bareiss([row[e:] for row in au]):
         raise AssertionError("(D|C) is not unimodular")
 
 
@@ -185,7 +200,7 @@ def special_solution(kd: KernelDecomposition, b) -> list[int] | None:
     entry of b that is not an integer (``as_ints``).
     """
     y = solve_exact(kd.E, as_ints(b))
-    return None if y is None else [sum(map(mul, row, y)) for row in kd.C]
+    return None if y is None else [v for [v] in products(kd.C, [y])]
 
 
 def _scan_lo(cols: tuple[tuple[int, ...], ...], n: int):

@@ -49,15 +49,17 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
     (-1)^(row swaps).  Each a[i][j] is a minor (Sylvester's identity), so
     every division by the previous pivot is exact.
     """
-    a = [list(r) for r in rows]
+    a = list(rows)  # rows are only read; an eliminated row is a new list
     pivots: list[int] = []
     sign = prev = 1
     for c in range(len(a[0]) if a else 0):
         r = len(pivots)
         if r == len(a):
             break
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
+        for piv in range(r, len(a)):
+            if a[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
@@ -97,7 +99,7 @@ def solve_exact(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
     n = len(mat)
     if any(len(r) != n for r in mat) or len(rhs) != n:
         raise DimensionMismatch("square system expected")
-    a, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(mat, rhs)])
+    a, pivots, _ = _eliminate([[*row, b] for row, b in zip(mat, rhs)])
     if pivots != list(range(n)):
         raise SingularE("singular coefficient matrix")
     x = [0] * n

@@ -343,7 +343,7 @@ class LatticeBasis:
         dim = len(self.columns[0])
         if dim < 1:
             raise ValueError("columns must have length >= 1")
-        if any(len(c) != dim for c in self.columns):
+        if set(map(len, self.columns)) != {dim}:
             raise ValueError("columns must share one dimension")
 
     @property
@@ -554,7 +554,8 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0,
     a d that is not positive raises ValueError, before either loop runs.
     """
     alpha = Fraction(alpha)
-    if not Fraction(1, 4) < alpha < 1:
+    p, q = alpha.numerator, alpha.denominator
+    if not q < 4 * p < 4 * q:  # 1/4 < p/q < 1, as q > 0
         raise InvalidAlpha(f"alpha must lie in (1/4, 1), got {alpha}")
     if not 0 <= prefix <= basis.n:
         raise ValueError(f"prefix must lie in 0..{basis.n}, got {prefix}")
@@ -565,4 +566,4 @@ def lll(basis: LatticeBasis, alpha: Fraction = DEFAULT_ALPHA, prefix: int = 0,
                 or any(len(row) != i for i, row in enumerate(start.lam))):
             raise ValueError("start must be the reduction of the basis's first columns, "
                              "with their Gram-Schmidt")
-    return _native().reduce(basis.columns, alpha.numerator, alpha.denominator, prefix, start)
+    return _native().reduce(basis.columns, p, q, prefix, start)

@@ -213,9 +213,9 @@ def map_back(problem: LdeSystem, verdict: fm.AttackVerdict, flipped: bool) -> fm
         return verdict
     head = verdict.x[:problem.n]
     x = [1 - v for v in head] if flipped else head
-    meta = dict(verdict.meta)
+    meta = verdict.meta
     if "used_complement" in meta:
-        meta["used_complement"] = meta["used_complement"] != flipped
+        meta = {**meta, "used_complement": meta["used_complement"] != flipped}
     return fm.classify_solution(problem, x, **meta)
 
 

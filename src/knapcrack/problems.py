@@ -62,7 +62,7 @@ class LdeSystem:
             raise ValueError("right-hand side length != number of rows")
         if m >= n:
             raise ValueError(f"need m < n, got m={m}, n={n}")
-        if any(x < 0 for r in self.A for x in r):
+        if min(map(min, self.A)) < 0:
             raise ValueError("coefficients must be nonnegative")
         if rank(self.A) != m:
             raise RankDeficient("coefficient matrix is not of full row rank")
@@ -82,8 +82,7 @@ class LdeSystem:
 
     def is_solution(self, x) -> bool:
         """A x = b, x a sequence of n ints, substituted row by row."""
-        return len(x) == self.n and all(sum(map(mul, row, x)) == bi
-                                        for row, bi in zip(self.A, self.b))
+        return len(x) == self.n and [sum(map(mul, row, x)) for row in self.A] == [*self.b]
 
 
 def is_subset_sum(sys: LdeSystem) -> bool:
@@ -92,7 +91,7 @@ def is_subset_sum(sys: LdeSystem) -> bool:
     Only these are complement-normalized; any other system, a row with a
     zero coefficient or with b = sum(a) included, is attacked as it stands.
     """
-    return sys.m == 1 and all(v > 0 for v in sys.A[0]) and 0 < sys.b[0] < sum(sys.A[0])
+    return sys.m == 1 and min(sys.A[0]) > 0 and 0 < sys.b[0] < sum(sys.A[0])
 
 
 def complement(sys: LdeSystem) -> LdeSystem:

@@ -61,6 +61,6 @@ def reduce_solution(x_b, kd: KernelDecomposition) -> list[int]:
 def reduce_half(x_b, kd: KernelDecomposition) -> list[int]:
     """Half-shifted variant: sweep (2D | 2x_b - 1), then undo the shift."""
     reduced = _run_sweep(kd, [2 * v - 1 for v in as_ints(x_b)], 2)
-    if any((v + 1) % 2 for v in reduced):
+    if not all([v & 1 for v in reduced]):
         raise AssertionError("half-shift sweep lost the odd parity")
     return [(v + 1) // 2 for v in reduced]

@@ -174,9 +174,29 @@ MUTANTS = {
     # The contract compares only the first row of A*C with E.
     "contract-checks-one-row-of-a-c": Mutant(
         FORMULATIONS,
-        "    if [row[s:] for row in au] != list(map(list, kd.E)):\n",
-        "    if au[0][s:] != list(kd.E[0]):\n",
+        "    if [row[s:e] for row in au] != list(map(list, kd.E)):\n",
+        "    if au[0][s:e] != list(kd.E[0]):\n",
         ("tests/test_formulations.py", "-k", "TestContractProducts"), 300),
+    # The cached identity heads leave out the gap's zero row, so AHL's basis
+    # loses the row of N1.
+    "heads-without-the-gap-row": Mutant(
+        FORMULATIONS,
+        "    zeros = (0,) * (n - 1 + gap)\n",
+        "    zeros = (0,) * (n - 1)\n",
+        ("tests/test_formulations.py", "-k", "formulation_bases_on_the_toy or ahl"), 300),
+    # The zero-block test reads one tail entry too few, so a kernel column
+    # whose first tail entry is not 0 is taken as a kernel vector.
+    "zero-block-test-skips-a-tail-entry": Mutant(
+        FORMULATIONS,
+        "        if not any([any(c[n:]) for c in kernel]):\n",
+        "        if not any([any(c[n + 1:]) for c in kernel]):\n",
+        (PIPELINE_TESTS, "-k", "test_decompose_escalates_from_tiny_n"), 300),
+    # E is the reduced tail, not divided by the N that scaled it.
+    "e-not-divided-by-n_used": Mutant(
+        FORMULATIONS,
+        "                E=tuple(zip(*[[v // current for v in c[n:]] for c in rest])),\n",
+        "                E=tuple(zip(*[c[n:] for c in rest])),\n",
+        ("tests/test_formulations.py", "-k", "TestDecompose"), 300),
     # lll passes a start with a malformed Gram-Schmidt to the loops.
     "lll-without-start-gso-check": Mutant(
         LATTICE,

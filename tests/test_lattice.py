@@ -357,56 +357,6 @@ def kernel(cols, alpha):
     return lll(basis_of(cols), alpha).columns
 
 
-class TestColumnWords:
-    """Both loops on the columns that stress the C loop's column format, words
-    where every entry fits in a C long and GMP where one does not (zeros, +-1
-    and +-2^200, some dense), held to naive_lll and lemma_lll, which share no
-    code with either loop; and the C loop where a column update leaves the
-    words partway through a column, held to the Python loop."""
-
-    @pytest.mark.usefixtures("either_kernel")
-    @settings(max_examples=200, deadline=None)
-    @given(mixed_bases(), st.sampled_from([Fraction(26, 100), Fraction(3, 4),
-                                           Fraction(99, 100)]))
-    def test_matches_naive_reference(self, cols, alpha):
-        assert reduce_or_message(kernel, cols, alpha) == \
-            reduce_or_message(naive_lll, cols, alpha)
-
-    @pytest.mark.usefixtures("either_kernel")
-    def test_wide_input_columns_match_reference(self):
-        # AHL at n = 30: entries N2 * a_i near 2^88, the widest input columns
-        # of the attack bases at this size, which reduce to words.  naive_lll
-        # would take minutes here; lemma_lll is pinned against it on the bases
-        # of the property above.
-        n = 30
-        system = generate_instance(n, 0).instance
-        n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1
-        basis = ahl_basis(system, DEFAULT_N1, n2)
-        assert max(abs(x) for c in basis.columns for x in c).bit_length() >= 87
-        cols = [list(c) for c in basis.columns]
-        assert [list(c) for c in lll(basis).columns] == lemma_lll(cols, DEFAULT_ALPHA)
-
-    @settings(max_examples=100, deadline=None)
-    @given(mixed_bases(), st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
-    def test_lemma_reference_matches_naive(self, cols, alpha):
-        assert reduce_or_message(lemma_lll, cols, alpha) == \
-            reduce_or_message(naive_lll, cols, alpha)
-
-    @settings(max_examples=200, deadline=None)
-    @given(partway_inputs(), st.sampled_from([DEFAULT_ALPHA, Fraction(1, 2), WIDE_ALPHAS[0]]))
-    def test_partway_overflow_matches_python(self, gmp_kernel, cols, alpha):
-        # The first column update overflows a long after its first
-        # coordinate: the entries before it are updated as words, and the
-        # column must be widened before the entry that overflows is written.
-        u, v = cols[:2]
-        gamma = round_nearest(sum(map(operator.mul, u, v)), sum(x * x for x in u))
-        assert overflow_at(v, u, gamma) in range(1, len(v))
-        p, q = alpha.numerator, alpha.denominator
-        for prefix in range(len(cols) + 1):
-            assert record_or_error(gmp_kernel.reduce, cols, p, q, prefix) == \
-                record_or_error(lattice._python_reduce, cols, p, q, prefix)
-
-
 @st.composite
 def staircase_columns(draw):
     """Columns on coordinate windows [lo_i, hi_i), lo and hi nondecreasing in i.
@@ -699,6 +649,19 @@ def record_or_error(reduce, cols, p, q, prefix, start=None):
 class TestGmpKernel:
     """The C loop (_lll.c) returns the Python loop's columns and raises its errors."""
 
+    def test_exchange_rows_of_two_limbs_match_python(self, gmp_kernel):
+        # [I; N A] with two rows of 30-bit weights and N = 10^8, the shape of
+        # kernel_geometry's augmented system: d[1] starts near 2^115, so every
+        # exchange at k < k_max updates rows whose lam entries are two limbs,
+        # in GMP, through both of its row updates (_lll.c, exchange).
+        rng = random.Random(5)
+        for n in (4, 6, 8):
+            rows = [[rng.randrange(2**29, 2**30) for _ in range(n)] for _ in range(2)]
+            cols = [[int(i == j) for i in range(n)] + [10**8 * row[j] for row in rows]
+                    for j in range(n)]
+            for p, q in ((99, 100), (1, 2)):
+                assert gmp_kernel.reduce(cols, p, q, n) == lattice._python_reduce(cols, p, q, n)
+
     @settings(max_examples=400, deadline=None)
     @given(twin_inputs(), st.sampled_from([Fraction(26, 100), Fraction(1, 2), Fraction(3, 4),
                                            DEFAULT_ALPHA, *WIDE_ALPHAS]))
@@ -827,6 +790,58 @@ class TestGmpKernel:
                                                       cjloss_basis(system, DEFAULT_N),
                                                       ahl_basis(system, DEFAULT_N1, n2))]
             assert outcomes_in(gmp_kernel, bases) == outcomes_in(lattice.PYTHON, bases)
+
+
+# After TestGmpKernel: under pytest -x (tests/mutants.py) the direct tests of the
+# C loop then fail before these hypothesis searches start shrinking.
+class TestColumnWords:
+    """Both loops on the columns that stress the C loop's column format, words
+    where every entry fits in a C long and GMP where one does not (zeros, +-1
+    and +-2^200, some dense), held to naive_lll and lemma_lll, which share no
+    code with either loop; and the C loop where a column update leaves the
+    words partway through a column, held to the Python loop."""
+
+    @pytest.mark.usefixtures("either_kernel")
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_bases(), st.sampled_from([Fraction(26, 100), Fraction(3, 4),
+                                           Fraction(99, 100)]))
+    def test_matches_naive_reference(self, cols, alpha):
+        assert reduce_or_message(kernel, cols, alpha) == \
+            reduce_or_message(naive_lll, cols, alpha)
+
+    @pytest.mark.usefixtures("either_kernel")
+    def test_wide_input_columns_match_reference(self):
+        # AHL at n = 30: entries N2 * a_i near 2^88, the widest input columns
+        # of the attack bases at this size, which reduce to words.  naive_lll
+        # would take minutes here; lemma_lll is pinned against it on the bases
+        # of the property above.
+        n = 30
+        system = generate_instance(n, 0).instance
+        n2 = 2 ** (n + 1) * DEFAULT_N1 ** 2 + 1
+        basis = ahl_basis(system, DEFAULT_N1, n2)
+        assert max(abs(x) for c in basis.columns for x in c).bit_length() >= 87
+        cols = [list(c) for c in basis.columns]
+        assert [list(c) for c in lll(basis).columns] == lemma_lll(cols, DEFAULT_ALPHA)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_bases(), st.sampled_from([Fraction(26, 100), Fraction(99, 100)]))
+    def test_lemma_reference_matches_naive(self, cols, alpha):
+        assert reduce_or_message(lemma_lll, cols, alpha) == \
+            reduce_or_message(naive_lll, cols, alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partway_inputs(), st.sampled_from([DEFAULT_ALPHA, Fraction(1, 2), WIDE_ALPHAS[0]]))
+    def test_partway_overflow_matches_python(self, gmp_kernel, cols, alpha):
+        # The first column update overflows a long after its first
+        # coordinate: the entries before it are updated as words, and the
+        # column must be widened before the entry that overflows is written.
+        u, v = cols[:2]
+        gamma = round_nearest(sum(map(operator.mul, u, v)), sum(x * x for x in u))
+        assert overflow_at(v, u, gamma) in range(1, len(v))
+        p, q = alpha.numerator, alpha.denominator
+        for prefix in range(len(cols) + 1):
+            assert record_or_error(gmp_kernel.reduce, cols, p, q, prefix) == \
+                record_or_error(lattice._python_reduce, cols, p, q, prefix)
 
 
 @st.composite
