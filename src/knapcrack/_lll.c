@@ -1,7 +1,7 @@
 /* Exact LLL over GMP, the kernel sweep that follows it and the exact integer
  * products around them: lattice._python_reduce, lattice._python_sweep and
- * lattice._python_products, run on machine words and mpz_t, as the CPython
- * extension module knapcrack._lll.
+ * lattice._python_products, run on machine words, __int128 and mpz_t, as the
+ * CPython extension module knapcrack._lll.
  *
  * Its first entry, reduce, is the same Cohen integral LLL (Alg. 2.6.7) as the
  * Python loop, step for step: the same k_max first visits, the same
@@ -18,9 +18,12 @@
  * them is not a long, all of them as mpz_t, the column being wide.  It is the
  * one vector format of the file: the loop's columns, the sweep's columns and
  * target and the rows and columns of products are ints, and one set of
- * functions allocates them, in one block of their ints, words and mpz_t
- * (new_vectors), reads them (read_vectors), writes one back as ints
- * (write_ints) and frees them (free_vectors).  A size reduction, column k -=
+ * functions allocates them, in one block of their ints, words and room for
+ * their mpz_t (new_vectors), reads them (read_vectors), writes one back as ints
+ * (write_ints) and frees them (free_vectors).  A vector's mpz_t are set up only
+ * where it is wide, when it is read (read_vectors) or first widens (widen), and
+ * only those are cleared: setting up and clearing every entry's cost 8% of a
+ * desk sweep, and the sweep and products paid it per entry of every vector.  A size reduction, column k -=
  * gamma column j, is one loop over the entries in long under
  * __builtin_*_overflow (sub_column).  At the first entry where a product or a
  * difference overflows, the column is widened, with the entries before it
@@ -47,8 +50,9 @@
  * too, so both raise the same AssertionError.
  *
  * Division.  The Python loop divides with `//`, which floors.  round_nearest's
- * quotient is not exact, and it is mpz_fdiv_q here, the one floor division
- * left.  The four other quotients are exact: the new d[k] of an exchange, num /
+ * quotient is not exact, and it is a truncating __int128 division moved to the
+ * floor's nearest integer, or mpz_fdiv_q in GMP.  The four other quotients are
+ * exact: the new d[k] of an exchange, num /
  * d[k], is the Gram determinant of the exchanged columns 0..k-1; its two row
  * updates return lam[i][k] and lam[i][k-1] of the exchanged basis, lam = mu
  * d[j+1] being a minor of the integral Gram matrix; and after step i of
@@ -82,43 +86,57 @@
  * second row update reads the first's result, so it runs there where that
  * result is a word.  The divisors are Gram determinants, so positive; one that
  * is not in [1, 2^127) leaves its quotients to GMP.  The exchange's new d[k]
- * stays mpz_divexact: it is one quotient per exchange, and it is what the
- * falling-d check (Termination) tests, which is there for a wrong state, where
- * num need not be a multiple of d[k] and a modular quotient is any residue the
- * check could pass.
+ * is never a modular quotient: it is one quotient per exchange, and it is what
+ * the falling-d check (Termination) tests, which is there for a wrong state,
+ * where num need not be a multiple of d[k] and a modular quotient is any
+ * residue the check could pass.  It is the __int128 division of num by d[k]
+ * where both are inline, the floor the Python loop takes, and mpz_divexact
+ * otherwise.
  *
- * Machine words.  The entries of d and lam are mostly one limb (at the
- * exchanges of a lattice_scan pass, 68% of d[k] and 69% of the lam the row
- * update reads), so the loop's cost there is reading them, not GMP's
- * arithmetic.  Sampled with SIGPROF over the LLL calls of a dag_rescue,
- * lattice_scan and kernel_geometry pass, word() was 41%, 30% and 25% of the
- * samples in this file's code (which had 67%, 55% and 63% of them, GMP most
- * of the rest) when it read a limb (mpz_getlimbn) before it checked the size
- * (mpz_size) and took the sign (mpz_sgn); it is 18%, 16% and 11% now.  word()
- * and two_limbs() read the size field, _mp_size, once and first, and then
- * only the limbs of _mp_d that it names, the sign from the size as gmp.h's
- * own mpz_sgn macro reads it (GMP's manual, "Integer Internals", describes
- * both fields).  That took the loop's time on the workloads' LLL calls down
- * by 11-14%, and with the exchange's single reads (Division) by 14-21%
- * (benchmarks/kernel_ab.py: both builds in one process, on one core).  gmp.h's
- * accessors in the same order compile to the same reads (x0.99-1.06 against
- * these in 30 rounds); the fields are read directly so that the one read of
- * the size stands where it is used.
+ * Machine words.  d and lam live in cells (cell), as do the loop's scalars
+ * (gamma, num, the new d[k]): a cell is an __int128 in the state's block, the
+ * value itself where it lies within +-(2^127 - 1), the inline range, and
+ * otherwise WIDE, -2^127, which no inline value takes, with the value in an
+ * mpz_t at the cell's offset in a second block (own).  That mpz_t is set up
+ * the first time its cell goes past the range (put) and kept, unused, while
+ * the cell is inline again, so that a cell that crosses back and forth costs
+ * no malloc and free per crossing; the block starts zeroed, and free_state
+ * clears the ones that were set up.  So an inline operand is one load and an
+ * inline result one store.  The entries are mostly one limb (at the exchanges
+ * of a lattice_scan pass, 68% of d[k] and 69% of the lam the row update
+ * reads), so the loop's cost there was reading and writing them: sampled over
+ * lattice_scan's median ops when every entry was an mpz_t of its own, reading
+ * one through its size field, its limb pointer and a limb on the heap (word())
+ * was 10-12% of the samples, and writing one (mpz_set_si) 5.5-7.5%.
  *
- * word() reads an mpz_t as a long when |z| <= LONG_MAX, and four steps compute
- * in words when their operands are ones: the Lovasz test (lovasz_fails), the
- * size reduction's test, rounding and lam updates (size_reduce, round_nearest,
- * sub_multiple), and the quotients of the exchange and of gso_row (exchange,
- * cross_quotient).  Each does its arithmetic in __int128, where a product of
- * two longs and a sum of two such products are exact, or in long under
- * __builtin_*_overflow, and writes a result with mpz_set_si only when it fits
- * in a long; otherwise the step runs in GMP for that value, but for the
- * quotients, which try a two-limb path first (Division).  At [I; N A] scale
- * an operand of a quotient is often past a long and within two limbs
- * (two_limbs() reads such an mpz_t as an __int128): of the 2.83 M quotients of
- * a kernel_geometry pass, 1.72 M leave the word path, and 65 K of those go on
- * to GMP.  d and lam are stored as mpz_t, and every value and decision is the
- * one GMP would compute.
+ * Three steps compute in words where their operands are ones (|x| <=
+ * LONG_MAX, is_word): the Lovasz test (lovasz_fails) and the quotients of the
+ * exchange and of gso_row (exchange, cross_quotient).  Each does its
+ * arithmetic in __int128, where a product of two longs and a sum of two such
+ * products are exact, and stores its result, which is inline, as it is; where
+ * the operands are inline but not all words, the quotients try two limbs
+ * (Division).  The size reduction's test and rounding, the lam updates and
+ * gso_row's first product (size_reduce, round_nearest, sub_multiple, mul_cell)
+ * compute in __int128 wherever their operands are inline, under
+ * __builtin_*_overflow and a test that the result is not WIDE; a path of
+ * longs of their own measured no faster.  Only past those does a
+ * step run in GMP: an inline operand is written into a scratch mpz_t
+ * (set_int128, t1 or t2), and the result is read back into its cell (put),
+ * inline where it is within the range (two_limbs).  At [I; N A] scale an
+ * operand of a quotient is often past a long and within two limbs: of the
+ * 2.83 M quotients of a kernel_geometry pass, 1.72 M leave the word path, and
+ * 65 K of those go on to GMP.  set_int128, two_limbs and word(), which reads
+ * p, q and the GMP results that leave as ints, read or write an mpz_t's size
+ * field, _mp_size, and the limbs of _mp_d directly, the sign from the size as
+ * gmp.h's own mpz_sgn macro reads it (GMP's manual, "Integer Internals",
+ * describes both fields); set_int128 first gives its mpz_t room for two limbs
+ * where it has less, as its library twins mpz_set_si and mpz_limbs_write cost
+ * a call each.  Every value and decision is the one GMP would compute.  The
+ * cells made the loop faster on the LLL calls of every workload than an mpz_t
+ * per entry (benchmarks/kernel_ab.py, both builds in one process on one core;
+ * its last run is benchmarks/BENCH_kernel_ab.json), and took the sweep's and
+ * products' time on the desk DAG calls to x0.68 and x0.77 (products also by
+ * new_vectors, above).
  * The build needs __int128 (GCC or Clang on a 64-bit target) and stops with
  * #error without it, so the Python loop runs.
  *
@@ -138,7 +156,7 @@
  * Resume.  reduce takes a start, the record of a run on the first r of its
  * columns with prefix r, and runs from k = r and k_max = r - 1 with those
  * columns, read as every input column is, and the start's d[0..r] and lam rows
- * 0..r-1, which it reads into its own mpz_t and so never writes.  Cohen's loop
+ * 0..r-1, which it reads into its own cells and so never writes.  Cohen's loop
  * first visits column r at exactly the step where a run on columns 0..r-1
  * ends, in that state, so the output is the whole run's, bit for bit.  B and
  * the budget come from the input as given, the start's columns and the new
@@ -154,23 +172,26 @@
  * tests hold this loop to the Python one.
  *
  * Crossing.  Every int that enters, p and q, a start's d and lam, the sweep's
- * d and lam and each entry of a column, row or target, crosses through two
- * functions.  read_word checks that it is an int and reads it through a C long
- * where it fits one.  read_int stores it: into an mpz_t of its own, or, where
- * it is given a limb, as a read-only view of that limb where it is a word.  An
- * int past a long is read through its own hex text (read_text) either way.  An
- * mpz_t is written through a long where word() reads it as one, and through
- * GMP's base-16 text otherwise, so LONG_MIN, which word() excludes, is read as
- * a word and written as text.  Vectors are read as ints by read_vectors, each
- * entry through read_word into the words or, where one is past a long, all of
- * them through read_int into the mpz_t, and written back by write_ints, a word
- * vector's entries through a long, LONG_MIN among them: the loop's columns,
- * and the sweep's target.  d and lam cross through read_gso: a start's, which
- * the loop writes, into mpz_t of its own, and the sweep's as views (Sweep).
- * Only an int past a long crosses as text: a traced dag_rescue pass spent
- * 0.176 s in LLL against 0.251 s in the ctypes library this module replaced,
- * which built without the Python headers but passed every entry as hex text
- * (one lane, medians of 7 runs).  The loop runs with the interpreter's lock
+ * d and lam and each entry of a column, row or target, is checked to be an int
+ * and read through a C long where it fits one (read_word).  Past a long, a
+ * column's entries and p and q are read into mpz_t through their hex text
+ * (read_int, read_text), and a d or lam entry into its cell (read_cell):
+ * through its two words, obj >> 64 and obj modulo 2^64, where it is within the
+ * inline range, and through its hex text into the cell's mpz_t past it.  Out,
+ * a cell is written through a long where it is a word, through its two words
+ * where it is inline (new_int128) and through GMP's base-16 text past that
+ * (new_int); an mpz_t is written through a long where word() reads it as one
+ * and through its text otherwise, so LONG_MIN, which word() and is_word
+ * exclude, is read as a word and written as two words or text.  Vectors are
+ * read as ints by read_vectors, each entry through read_word into the words
+ * or, where one is past a long, all of them through read_int into the mpz_t,
+ * and written back by write_ints, a word vector's entries through a long,
+ * LONG_MIN among them: the loop's columns, and the sweep's target.  d and lam
+ * cross through read_gso, a start's and the sweep's alike, and output.
+ * Only an int past the inline range, or a column entry past a long, crosses
+ * as text: a traced dag_rescue pass spent 0.176 s in LLL against 0.251 s in
+ * the ctypes library this module replaced, which built without the Python
+ * headers but passed every entry as hex text (one lane, medians of 7 runs).  The loop runs with the interpreter's lock
  * released, between reading its input and building its output, and touches no
  * Python object there.
  *
@@ -189,17 +210,16 @@
  * the desk DAG kernels the running target stays inside a long (at most 25 bits
  * in 1750 updates of 96 sweeps, n = 16 and 20); at paper scale it starts past
  * one (66 to 109 bits at n = 60 and 100), and its updates run in GMP until it
- * narrows, as a wide column's do.  The sweep only reads d and lam rows 0..s-1,
- * so the state holds them as read-only views of one limb where they are words
- * (read_int, given the limb by read_gso), its first views entries, rather than
- * as mpz_t of their own: reading them into owned mpz_t costs an allocation and
- * a free per entry, and took 25.7 us per call against 16.5 us on the desk
- * sweeps (best of 45 per call, one core of a 2-core x86 VM).  Only lam_t is
- * owned.  A traced dag_rescue pass (seed 941, one lane, medians of 14 runs)
- * spends 0.026 s in its 268 sweeps, against 0.069 s with the Python twin.  The
- * half shift of reduce_half, 2x - 1 and its undoing, stays in Python.  The
- * sweep holds the interpreter's lock: it is short, and it reads Python objects
- * until it has its input.
+ * narrows, as a wide column's do.  The kernel's d and lam rows 0..s-1 are
+ * read into the state's cells as a start's are (read_gso): an entry within the
+ * inline range allocates nothing.  Before the cells, the sweep read them as
+ * read-only views of one limb, as an mpz_t of their own cost an allocation and
+ * a free per entry (25.7 us per desk sweep against 16.5 us); a traced
+ * dag_rescue pass (seed 941, one lane, medians of 14 runs) then spent 0.026 s
+ * in its 268 sweeps, against 0.069 s with the Python twin.  The half shift of
+ * reduce_half, 2x - 1 and its undoing, stays in Python.  The sweep holds the
+ * interpreter's lock: it is short, and it reads Python objects until it has
+ * its input.
  *
  * Products.  products(rows, cols) is lattice._python_products: the exact inner
  * product of every row with every column, out[i][j] = <rows[i], cols[j]>, for
@@ -208,10 +228,10 @@
  * allocated and read as the loop's columns are (new_vectors, read_vectors),
  * each once, however many products it enters; each product is the first visit's
  * dot, in __int128 under overflow checks where both vectors are words, in GMP
- * otherwise, and each result is written with new_int.  The lengths are checked
- * here too, with a ValueError, and intmat checks them first, with its own
- * DimensionMismatch, before either twin runs (the Python twin would zip a
- * ragged input short).  Like the sweep, it holds the interpreter's lock.  The
+ * otherwise, and each result is written with new_int128 or new_int.  The
+ * lengths are checked here too, with a ValueError, and intmat checks them
+ * first, with its own DimensionMismatch, before either twin runs (the Python
+ * twin would zip a ragged input short).  Like the sweep, it holds the interpreter's lock.  The
  * Gram matrix of a kernel_geometry kernel (31 columns of 34 entries) takes 78
  * us here against 845 us in Python (best of 7 x 200 calls, a 2-core x86 VM);
  * the particular solution's C y (formulations.special_solution) stays in
@@ -235,32 +255,48 @@ enum { LLL_OK = 0, LLL_DEPENDENT = 1, LLL_PREMISE = 2, LLL_BUDGET = 3 };
 
 /* A column of the LLL loop or of the sweep, or a vector of products (header:
  * Columns): its entries as words in w, or, where one of them is not a word,
- * all of them in z, with wide set.  new_vectors allocates them. */
+ * all of them in z, with wide set.  new_vectors allocates them, and z is set
+ * up, with ready set, where the vector first widens. */
 typedef struct {
     long *w;
     mpz_ptr z;
-    int wide;
+    int wide, ready;
 } ints;
+
+/* An entry of d or lam, or one of the state's scalars (header: Machine
+ * words): its value where that is within +-(2^127 - 1), else WIDE, -2^127,
+ * which no such value takes, the value being in the cell's mpz_t (own). */
+typedef __int128 cell;
+#define CELL_MAX ((cell)(~(unsigned __int128)0 >> 1))
+#define WIDE (-CELL_MAX - 1)
 
 /* The state of the LLL loop and of the sweep (header: Sweep).  cols holds the
  * n columns of dim entries: for reduce, the input ones until they are first
  * visited and at exit the reduced ones; for the sweep, the kernel's and then
  * the target, as column n - 1.  d points at d[0..n] and lam[i] at row i of lam
- * (entries 0..i-1 in use), n entries each, which follow d in one block;
- * swapping two columns or two rows swaps pointers.  The first views entries
- * of that block are read-only views of their limbs (read_int, through
- * read_gso), the sweep's d and kernel rows, and the others are owned.
- * exchanges counts the exchanges against budget (header: Termination). */
+ * (entries 0..i-1 in use), n cells each, which follow d in one block, and the
+ * scalar cells follow them: gamma, the size reduction's multiplier; num, the
+ * Lovasz test's numerator; dnew, the exchange's new d[k]; old, a row entry the
+ * exchange replaces; den and step, the sweep's divisor and step.  z holds the
+ * mpz_t of every cell, at the cell's offset in the block, which is set up the
+ * first time the cell goes past the inline range (put) and kept for its next
+ * time while the cell is inline again; a struct of zeros is not set up.
+ * Swapping two columns or two rows swaps pointers.  exchanges counts the
+ * exchanges against budget (header: Termination); pw and qw are p and q where
+ * small says both are words.  t, t1 and t2 are GMP's scratch: t for a result,
+ * t1 and t2 for the operands that are inline. */
 typedef struct {
-    int n, dim;
+    int n, dim, small;
     unsigned long exchanges, budget;
+    long pw, qw;
     ints *cols;
-    mpz_ptr *lam, d;
-    mp_limb_t *limbs;
-    size_t views;
+    cell **lam, *d, *gamma, *num, *dnew, *old, *den, *step;
+    __mpz_struct *z;
     int *nz;
-    mpz_t p, q, bound, gamma, num, dnew, t, t1, t2;
+    mpz_t p, q, bound, t, t1, t2;
 } state;
+
+enum { SCALARS = 6 };
 
 /* *v = z when |z| <= LONG_MAX; returns whether it is.  It reads z's size once
  * and then only the limb that size names, the sign from the size as gmp.h's
@@ -279,20 +315,107 @@ static inline int word(mpz_srcptr z, long *v)
     return 1;
 }
 
-/* z = mag, negated where negative: through a long where it fits one, else
- * into two limbs, which mpz_limbs_finish trims to the ones in use. */
-static void set_int128(mpz_ptr z, unsigned __int128 mag, int negative)
+/* Whether |x| <= LONG_MAX, so that a product of two such and a sum of two
+ * products are exact in __int128; WIDE is not. */
+static inline int is_word(cell x)
 {
-    mp_ptr limb;
+    return (unsigned __int128)x + LONG_MAX <= 2 * (unsigned __int128)LONG_MAX;
+}
 
-    if (mag <= LONG_MAX) {
-        mpz_set_si(z, negative ? -(long)mag : (long)mag);
+/* |x| for an inline x. */
+static inline unsigned __int128 magnitude(cell x)
+{
+    return x < 0 ? -(unsigned __int128)x : (unsigned __int128)x;
+}
+
+/* z = the inline value x, written into z's first two limbs and its size
+ * (header: Machine words), z being given room for two limbs first where it
+ * has less. */
+static inline void set_int128(mpz_ptr z, cell x)
+{
+    unsigned __int128 mag = magnitude(x);
+    mp_limb_t high = (mp_limb_t)(mag >> 64), low = (mp_limb_t)mag;
+    int size = high ? 2 : low ? 1 : 0;
+
+    if (z->_mp_alloc < 2)
+        mpz_realloc2(z, 128);
+    z->_mp_d[0] = low;
+    z->_mp_d[1] = high;
+    z->_mp_size = x < 0 ? -size : size;
+}
+
+/* *v = z and returns 1 where |z| <= 2^127 - 1, the inline range, else 0 (header:
+ * Machine words).  Like word(), it reads z's size once and then only the
+ * limbs that size names. */
+static inline int two_limbs(mpz_srcptr z, cell *v)
+{
+    int size = z->_mp_size, len = size < 0 ? -size : size;
+    const mp_limb_t *limb = z->_mp_d;
+    unsigned __int128 mag;
+
+    if (len > 2)
+        return 0;
+    mag = len == 2 ? (unsigned __int128)limb[1] << 64 | limb[0] : len ? limb[0] : 0;
+    if (mag >> 127)
+        return 0;
+    *v = size < 0 ? -(cell)mag : (cell)mag;
+    return 1;
+}
+
+/* The mpz_t of cell x, at x's offset in the state's block. */
+static inline mpz_ptr own(const state *s, const cell *x)
+{
+    return s->z + (x - s->d);
+}
+
+/* x's value as an mpz_t: x's own where x is WIDE, else set into t. */
+static inline mpz_srcptr as_mpz(const state *s, const cell *x, mpz_ptr t)
+{
+    if (*x == WIDE)
+        return own(s, x);
+    set_int128(t, *x);
+    return t;
+}
+
+/* x = z, which may be x's own mpz_t: inline where z is within the inline
+ * range (two_limbs), else in x's mpz_t, which takes z's fields, as mpz_swap
+ * swaps them, and gives z its old ones, set up first where they are not. */
+static void put(const state *s, cell *x, mpz_ptr z)
+{
+    mpz_ptr o = own(s, x);
+    __mpz_struct old;
+
+    if (two_limbs(z, x))
+        return;
+    *x = WIDE;
+    if (o == z)
+        return;
+    if (!o->_mp_d)
+        mpz_init(o);
+    old = *o, *o = *z, *z = old;
+}
+
+/* Exchanges cells a and b with their mpz_t. */
+static void swap_cells(const state *s, cell *a, cell *b)
+{
+    cell v = *a;
+    __mpz_struct z = *own(s, a);
+
+    *a = *b, *own(s, a) = *own(s, b);
+    *b = v, *own(s, b) = z;
+}
+
+/* x = a b: in __int128 where both are inline and the product is, else in GMP. */
+static void mul_cell(state *s, cell *x, const cell *a, const cell *b)
+{
+    cell va = *a, vb = *b, v;
+
+    if (va != WIDE && vb != WIDE && !__builtin_mul_overflow(va, vb, &v) && v != WIDE) {
+        *x = v;
         return;
     }
-    limb = mpz_limbs_write(z, 2);
-    limb[0] = (mp_limb_t)mag;
-    limb[1] = (mp_limb_t)(mag >> 64);
-    mpz_limbs_finish(z, negative ? -2 : 2);
+    mpz_mul(s->t, as_mpz(s, a, s->t1), as_mpz(s, b, s->t2));
+    put(s, x, s->t);
 }
 
 /* The bit length of x, 0 for x = 0. */
@@ -301,24 +424,6 @@ static inline int bit_length(unsigned __int128 x)
     unsigned long high = (unsigned long)(x >> 64), low = (unsigned long)x;
 
     return high ? 128 - __builtin_clzl(high) : low ? 64 - __builtin_clzl(low) : 0;
-}
-
-/* *v = z and returns its bit length where |z| < 2^127, else -1 (header:
- * Machine words).  Like word(), it reads z's size once and then only the
- * limbs that size names. */
-static inline int two_limbs(mpz_srcptr z, __int128 *v)
-{
-    int size = z->_mp_size, len = size < 0 ? -size : size;
-    const mp_limb_t *limb = z->_mp_d;
-    unsigned __int128 mag;
-
-    if (len > 2)
-        return -1;
-    mag = len == 2 ? (unsigned __int128)limb[1] << 64 | limb[0] : len ? limb[0] : 0;
-    if (mag >> 127)
-        return -1;
-    *v = size < 0 ? -(__int128)mag : (__int128)mag;
-    return bit_length(mag);
 }
 
 /* A divisor of the two-limb quotient (header: Division): its bit length, its
@@ -333,22 +438,21 @@ typedef struct {
 /* dv = den's bit length, trailing zeros and odd part's inverse.  The
  * inverse is Newton's x (2 - o x), which doubles the low bits that are right:
  * (3 o) xor 2 is o's inverse modulo 2^5, four steps in a long give 64 bits and
- * one in __int128 the 128. */
-static void set_divisor(divisor *dv, mpz_srcptr den)
+ * one in __int128 the 128.  WIDE, being negative, is not read. */
+static void set_divisor(divisor *dv, cell den)
 {
-    __int128 v;
     unsigned __int128 odd;
     unsigned long low, x;
     int i;
 
-    dv->bits = two_limbs(den, &v);
-    if (dv->bits < 0 || v <= 0) {
+    if (den <= 0) {
         dv->bits = -1;
         return;
     }
-    low = (unsigned long)v;
-    dv->z = low ? __builtin_ctzl(low) : 64 + __builtin_ctzl((unsigned long)(v >> 64));
-    odd = (unsigned __int128)v >> dv->z;
+    dv->bits = bit_length((unsigned __int128)den);
+    low = (unsigned long)den;
+    dv->z = low ? __builtin_ctzl(low) : 64 + __builtin_ctzl((unsigned long)(den >> 64));
+    odd = (unsigned __int128)den >> dv->z;
     low = (unsigned long)odd;
     x = (3 * low) ^ 2;
     for (i = 0; i < 4; i++)
@@ -361,69 +465,61 @@ static void set_divisor(divisor *dv, mpz_srcptr den)
  * shifted right by z, times the inverse of den's odd part is the quotient
  * modulo 2^(128 - z), which sign-extends to it.  The conversion to __int128
  * and its right shift are GCC's and Clang's: modulo 2^128 and arithmetic. */
-static inline __int128 exact_quotient(unsigned __int128 num, const divisor *dv)
+static inline cell exact_quotient(unsigned __int128 num, const divisor *dv)
 {
-    return (__int128)(((num >> dv->z) * dv->inv) << dv->z) >> dv->z;
+    return (cell)(((num >> dv->z) * dv->inv) << dv->z) >> dv->z;
 }
 
 /* out = (a b + sign c e) / den in two limbs, where a, b, c, e and den, whose
- * divisor dv is, are below 2^127 in absolute value and their bit lengths put
- * the quotient below 2^(125 - z) (header: Division); returns whether it is,
- * the quotient being exact_quotient of the numerator modulo 2^128. */
-static __attribute__((noinline)) int two_limb_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b,
-                                                       int sign, mpz_srcptr c, mpz_srcptr e,
-                                                       mpz_srcptr den, divisor *dv)
+ * divisor dv is, are inline and their bit lengths put the quotient below
+ * 2^(125 - z) (header: Division); returns whether they are, the quotient
+ * being exact_quotient of the numerator modulo 2^128. */
+static __attribute__((noinline)) int two_limb_quotient(cell *out, cell a, cell b, int sign,
+                                                       cell c, cell e, const cell *den, divisor *dv)
 {
-    __int128 va = 0, vb = 0, vc = 0, ve = 0, q;
     unsigned __int128 num, cross;
-    int la = two_limbs(a, &va), lb = two_limbs(b, &vb), lc = two_limbs(c, &vc),
-        le = two_limbs(e, &ve), top;
+    int la, lb, lc, le, top;
 
-    if (la < 0 || lb < 0 || lc < 0 || le < 0)
+    if (a == WIDE || b == WIDE || c == WIDE || e == WIDE)
         return 0;
     if (!dv->bits)
-        set_divisor(dv, den);
+        set_divisor(dv, *den);
+    la = bit_length(magnitude(a)), lb = bit_length(magnitude(b));
+    lc = bit_length(magnitude(c)), le = bit_length(magnitude(e));
     top = la + lb > lc + le ? la + lb : lc + le;
     /* |num| < 2^(top + 1) and den >= 2^(bits - 1) */
     if (dv->bits < 0 || top + 2 - dv->bits > 125 - dv->z)
         return 0;
-    num = (unsigned __int128)va * (unsigned __int128)vb;
-    cross = (unsigned __int128)vc * (unsigned __int128)ve;
+    num = (unsigned __int128)a * (unsigned __int128)b;
+    cross = (unsigned __int128)c * (unsigned __int128)e;
     num = sign > 0 ? num + cross : num - cross;
-    q = exact_quotient(num, dv);
-    set_int128(out, q < 0 ? -(unsigned __int128)q : (unsigned __int128)q, q < 0);
+    *out = exact_quotient(num, dv);
     return 1;
 }
 
 /* out = (a b + sign c e) / den with sign +1 or -1, where the quotient is known
- * to be exact (header).  When the five operands are words the numerator is
- * exact in __int128, each product being below 2^126 in absolute value, and the
- * quotient is written as a word where it fits one; otherwise two_limb_quotient
- * computes it where it can, with den's divisor dv, and GMP where it cannot,
- * with t, which is none of the others, as scratch. */
-static inline void cross_quotient(mpz_ptr out, mpz_srcptr a, mpz_srcptr b, int sign,
-                                  mpz_srcptr c, mpz_srcptr e, mpz_srcptr den, divisor *dv,
-                                  mpz_ptr t)
+ * to be exact (header); out may be b.  When the five operands are words the
+ * numerator is exact in __int128, each product being below 2^126 in absolute
+ * value, and so is its quotient; otherwise two_limb_quotient computes it
+ * where it can, with den's divisor dv, and GMP where it cannot. */
+static inline void cross_quotient(state *s, cell *out, const cell *a, const cell *b, int sign,
+                                  const cell *c, const cell *e, const cell *den, divisor *dv)
 {
-    long va, vb, vc, ve, vd;
-    __int128 x;
+    cell va = *a, vb = *b, vc = *c, ve = *e, vd = *den;
 
-    if (word(a, &va) && word(b, &vb) && word(c, &vc) && word(e, &ve) && word(den, &vd)) {
-        x = (__int128)va * vb + sign * ((__int128)vc * ve);
-        x /= vd;
-        if (x >= LONG_MIN && x <= LONG_MAX) {
-            mpz_set_si(out, (long)x);
-            return;
-        }
-    }
-    if (two_limb_quotient(out, a, b, sign, c, e, den, dv))
+    if (is_word(va) && is_word(vb) && is_word(vc) && is_word(ve) && is_word(vd)) {
+        *out = (va * vb + sign * (vc * ve)) / vd;
         return;
-    mpz_mul(t, a, b);
+    }
+    if (two_limb_quotient(out, va, vb, sign, vc, ve, den, dv))
+        return;
+    mpz_mul(s->t, as_mpz(s, a, s->t1), as_mpz(s, b, s->t2));
     if (sign > 0)
-        mpz_addmul(t, c, e);
+        mpz_addmul(s->t, as_mpz(s, c, s->t1), as_mpz(s, e, s->t2));
     else
-        mpz_submul(t, c, e);
-    mpz_divexact(out, t, den);
+        mpz_submul(s->t, as_mpz(s, c, s->t1), as_mpz(s, e, s->t2));
+    mpz_divexact(s->t, s->t, as_mpz(s, den, s->t1));
+    put(s, out, s->t);
 }
 
 /* Entry r of v as an mpz_t, set into t where v is words. */
@@ -435,15 +531,15 @@ static mpz_srcptr entry(const ints *v, int r, mpz_ptr t)
     return t;
 }
 
-/* out = the inner product of a and b over len coordinates, the first len of
- * at or, where at is NULL, 0..len-1: in __int128 where both are words and no
- * sum overflows, written with set_int128; otherwise in GMP, with t1 and t2 as
- * scratch.  A product of two longs is at most 2^126 in absolute value, so only
- * the sums need a check. */
-static void dot(mpz_ptr out, const ints *a, const ints *b, const int *at, int len, mpz_ptr t1,
-                mpz_ptr t2)
+/* The inner product of a and b over len coordinates, the first len of at or,
+ * where at is NULL, 0..len-1: into *v, returning 1, in __int128 where both
+ * are words and no sum overflows or leaves the inline range; otherwise into
+ * z in GMP, returning 0, with t1 and t2 as scratch.  A product of two longs
+ * is at most 2^126 in absolute value, so only the sums need a check. */
+static int dot(cell *v, mpz_ptr z, const ints *a, const ints *b, const int *at, int len,
+               mpz_ptr t1, mpz_ptr t2)
 {
-    __int128 acc = 0;
+    cell acc = 0;
     int i, r;
 
     if (!a->wide && !b->wide) {
@@ -452,16 +548,17 @@ static void dot(mpz_ptr out, const ints *a, const ints *b, const int *at, int le
             if (__builtin_add_overflow(acc, (__int128)a->w[r] * b->w[r], &acc))
                 break;
         }
-        if (i == len) {
-            set_int128(out, acc < 0 ? -(unsigned __int128)acc : (unsigned __int128)acc, acc < 0);
-            return;
+        if (i == len && acc != WIDE) {
+            *v = acc;
+            return 1;
         }
     }
-    mpz_set_ui(out, 0);
+    mpz_set_ui(z, 0);
     for (i = 0; i < len; i++) {
         r = at ? at[i] : i;
-        mpz_addmul(out, entry(a, r, t1), entry(b, r, t2));
+        mpz_addmul(z, entry(a, r, t1), entry(b, r, t2));
     }
+    return 0;
 }
 
 /* The indices of v's nonzero entries, of dim, into nz; returns their count. */
@@ -481,82 +578,101 @@ static int nonzero(const ints *v, int dim, int *nz)
  * determinant.  With len = k the row stops before the norm entry and d[k+1]
  * is not read.  A zero prefix of the inner products telescopes to
  * g[j] * d[z]. */
-static void gso_row(mpz_ptr *lam, mpz_ptr d, int k, int len, mpz_ptr t)
+static void gso_row(state *s, int k, int len)
 {
-    mpz_ptr row = lam[k], u;
-    mpz_srcptr lj;
+    cell *row = s->lam[k], *d = s->d, *u;
+    const cell *lj;
     divisor dv;
     int z, j, i;
 
-    for (z = 0; z < k && !mpz_sgn(row + z); z++)
+    for (z = 0; z < k && !row[z]; z++)
         ;
     for (j = z; j < len; j++) {
         u = j < k ? row + j : d + k + 1;
-        lj = j < k ? lam[j] : row;
-        mpz_mul(u, u, d + z);
+        lj = j < k ? s->lam[j] : row;
+        mul_cell(s, u, u, d + z);
         for (i = z; i < j; i++) {
             dv.bits = 0;
-            cross_quotient(u, d + i + 1, u, -1, row + i, lj + i, d + i, &dv, t);
+            cross_quotient(s, u, d + i + 1, u, -1, row + i, lj + i, d + i, &dv);
         }
     }
 }
 
 /* gamma = ceil(num/den - 1/2) = -((den - 2 num) // (2 den)), den > 0.  Where
- * both are words, from C's division, which truncates: the quotient moves one
- * away from zero where the remainder passes half of den, and at a negative
- * half tie (4.5 -> 4, -4.5 -> -5).  Otherwise in GMP, with t1 and t2 as
- * scratch. */
-static void round_nearest(mpz_ptr gamma, mpz_srcptr num, mpz_srcptr den, mpz_ptr t1,
-                          mpz_ptr t2)
+ * both are inline, from C's division of __int128, which truncates: the
+ * quotient moves one away from zero where the remainder passes half of den,
+ * and at a negative half tie (4.5 -> 4, -4.5 -> -5).  |gamma| <= |num|, so it
+ * is inline.  Otherwise in GMP.  A path of its own for words, dividing longs,
+ * measured no faster on the workloads' LLL calls. */
+static void round_nearest(state *s, cell *gamma, const cell *num, const cell *den)
 {
-    long l, d, g, r;
+    cell x = *num, y = *den, q, m;
 
-    if (word(num, &l) && word(den, &d)) {
-        g = l / d;
-        r = l % d;
-        if (2 * (__int128)r > d)
-            g++;
-        else if (2 * (__int128)r <= -(__int128)d)
-            g--;
-        mpz_set_si(gamma, g);
+    if (x != WIDE && y != WIDE) {
+        /* 2 m > y and 2 m <= -y without the doubling, which may overflow */
+        q = x / y;
+        m = x % y;
+        if (m > 0 && m > y - m)
+            q++;
+        else if (m < 0 && -m >= y + m)
+            q--;
+        *gamma = q;
         return;
     }
-    mpz_mul_2exp(t1, num, 1);
-    mpz_sub(t1, den, t1);
-    mpz_mul_2exp(t2, den, 1);
-    mpz_fdiv_q(gamma, t1, t2);
-    mpz_neg(gamma, gamma);
+    mpz_mul_2exp(s->t, as_mpz(s, num, s->t1), 1);
+    mpz_sub(s->t, as_mpz(s, den, s->t2), s->t);
+    mpz_mul_2exp(s->t2, as_mpz(s, den, s->t2), 1);
+    mpz_fdiv_q(s->t, s->t, s->t2);
+    mpz_neg(s->t, s->t);
+    put(s, gamma, s->t);
 }
 
-/* v[0..len-1] -= gamma * w[0..len-1]: an entry in words where gamma, both
- * entries and the result fit in one, else with mpz_sub (gamma = 1), mpz_add
- * (gamma = -1) or mpz_submul. */
-static void sub_multiple(mpz_ptr v, mpz_srcptr w, int len, mpz_srcptr gamma)
+/* v[0..len-1] -= gamma * w[0..len-1]: an entry in __int128 where gamma, both
+ * entries and the result are inline, else with mpz_sub (gamma = 1), mpz_add
+ * (gamma = -1) or mpz_submul, in v's own mpz_t where v is WIDE. */
+static void sub_multiple(state *s, cell *v, const cell *w, int len, const cell *gamma)
 {
-    long g = 0, a, b, gb, r;
-    int i, small = word(gamma, &g);
+    cell g = *gamma, a, b, x;
+    mpz_srcptr big = NULL;
+    mpz_ptr o;
+    int i;
 
     for (i = 0; i < len; i++) {
-        if (small && word(v + i, &a) && word(w + i, &b) && !__builtin_mul_overflow(g, b, &gb)
-            && !__builtin_sub_overflow(a, gb, &r))
-            mpz_set_si(v + i, r);
-        else if (g == 1)
-            mpz_sub(v + i, v + i, w + i);
-        else if (g == -1)
-            mpz_add(v + i, v + i, w + i);
+        a = v[i], b = w[i];
+        if (g != WIDE && a != WIDE && b != WIDE && !__builtin_mul_overflow(g, b, &x)
+            && !__builtin_sub_overflow(a, x, &x) && x != WIDE) {
+            v[i] = x;
+            continue;
+        }
+        if (a == WIDE)
+            o = own(s, v + i);
         else
-            mpz_submul(v + i, gamma, w + i);
+            set_int128(o = s->t, a);
+        if (g == 1)
+            mpz_sub(o, o, as_mpz(s, w + i, s->t1));
+        else if (g == -1)
+            mpz_add(o, o, as_mpz(s, w + i, s->t1));
+        else {
+            if (!big)
+                big = as_mpz(s, gamma, s->t2);
+            mpz_submul(o, big, as_mpz(s, w + i, s->t1));
+        }
+        put(s, v + i, o);
     }
 }
 
-/* Column v of dim entries into GMP: its words into its mpz_t. */
+/* Column v of dim entries into GMP: its words into its mpz_t, set up the
+ * first time. */
 static void widen(ints *v, int dim)
 {
     int r;
 
     for (r = 0; r < dim; r++)
-        mpz_set_si(v->z + r, v->w[r]);
-    v->wide = 1;
+        if (v->ready)
+            mpz_set_si(v->z + r, v->w[r]);
+        else
+            mpz_init_set_si(v->z + r, v->w[r]);
+    v->wide = v->ready = 1;
 }
 
 /* Wide column v of dim entries back into words where every entry fits in a
@@ -578,27 +694,40 @@ static void narrow(ints *v, int dim)
  * overflows, and from the entry where one does on in GMP, v being widened
  * first and narrowed after.  A word entry of w enters GMP as the unsigned
  * long factor of mpz_submul_ui or mpz_addmul_ui, and a zero one not at all. */
-static void sub_column(ints *v, const ints *w, int dim, mpz_srcptr gamma)
+static void sub_column(state *s, ints *v, const ints *w, const cell *gamma)
 {
-    long g, x;
-    int r = 0;
+    int dim = s->dim, r = 0;
+    mpz_srcptr g;
+    long x;
 
-    if (!v->wide && !w->wide && word(gamma, &g))
-        for (; r < dim && !__builtin_mul_overflow(g, w->w[r], &x)
+    if (!v->wide && !w->wide && is_word(*gamma))
+        for (; r < dim && !__builtin_mul_overflow((long)*gamma, w->w[r], &x)
                && !__builtin_sub_overflow(v->w[r], x, &x); r++)
             v->w[r] = x;
     if (r == dim)
         return;
     if (!v->wide)
         widen(v, dim);
+    g = as_mpz(s, gamma, s->t1);
     for (; r < dim; r++)
         if (w->wide)
-            mpz_submul(v->z + r, gamma, w->z + r);
+            mpz_submul(v->z + r, g, w->z + r);
         else if (w->w[r] > 0)
-            mpz_submul_ui(v->z + r, gamma, (unsigned long)w->w[r]);
+            mpz_submul_ui(v->z + r, g, (unsigned long)w->w[r]);
         else if (w->w[r] < 0)
-            mpz_addmul_ui(v->z + r, gamma, -(unsigned long)w->w[r]);
+            mpz_addmul_ui(v->z + r, g, -(unsigned long)w->w[r]);
     narrow(v, dim);
+}
+
+/* x = the inner product of columns a and b over the state's nz, count of them. */
+static void dot_cell(state *s, cell *x, const ints *a, const ints *b, int count)
+{
+    cell v;
+
+    if (dot(&v, s->t, a, b, s->nz, count, s->t1, s->t2))
+        *x = v;
+    else
+        put(s, x, s->t);
 }
 
 /* Row k of the GSO (lattice._visit), of column k at its first visit or of the
@@ -612,36 +741,36 @@ static int visit(state *s, int k, int len)
     int nnz = nonzero(ck, s->dim, s->nz), j;
 
     for (j = 0; j < k; j++)
-        dot(s->lam[k] + j, ck, s->cols + j, s->nz, nnz, s->t1, s->t2);
+        dot_cell(s, s->lam[k] + j, ck, s->cols + j, nnz);
     if (len > k)
-        dot(s->d + k + 1, ck, ck, s->nz, nnz, s->t1, s->t2);
-    gso_row(s->lam, s->d, k, len, s->t1);
-    return len > k && !mpz_sgn(s->d + k + 1);
+        dot_cell(s, s->d + k + 1, ck, ck, nnz);
+    gso_row(s, k, len);
+    return len > k && !s->d[k + 1];
 }
 
 /* Size-reduce column k against column j < k, as in _python_reduce: when
  * |2 lam[k][j]| > d[j+1], subtract gamma = round_nearest(lam[k][j], d[j+1])
- * times column j. */
+ * times column j.  Where both are inline the test is exact in unsigned
+ * __int128, d being positive. */
 static void size_reduce(state *s, int k, int j)
 {
-    mpz_ptr lkj = s->lam[k] + j, dj = s->d + j + 1;
-    long l, d;
+    cell *lkj = s->lam[k] + j, *dj = s->d + j + 1, l = *lkj, d = *dj;
 
-    if (word(lkj, &l) && word(dj, &d)) {
-        if (2 * (__int128)l <= d && -2 * (__int128)l <= d)
+    if (l != WIDE && d != WIDE) {
+        if (2 * magnitude(l) <= (unsigned __int128)d)
             return;
     } else {
-        mpz_mul_2exp(s->t1, lkj, 1);
-        if (mpz_cmpabs(s->t1, dj) <= 0)
+        mpz_mul_2exp(s->t, as_mpz(s, lkj, s->t1), 1);
+        if (mpz_cmpabs(s->t, as_mpz(s, dj, s->t2)) <= 0)
             return;
     }
-    round_nearest(s->gamma, lkj, dj, s->t1, s->t2);
-    sub_column(s->cols + k, s->cols + j, s->dim, s->gamma);
-    sub_multiple(s->lam[k], s->lam[j], j, s->gamma);
-    sub_multiple(lkj, dj, 1, s->gamma);
+    round_nearest(s, s->gamma, lkj, dj);
+    sub_column(s, s->cols + k, s->cols + j, s->gamma);
+    sub_multiple(s, s->lam[k], s->lam[j], j, s->gamma);
+    sub_multiple(s, lkj, dj, 1, s->gamma);
 }
 
-/* Exchange columns k-1 and k, the Lovasz test having failed; s->num holds
+/* Exchange columns k-1 and k, the Lovasz test having failed; num holds
  * d[k+1] d[k-1] + lam[k][k-1]^2.  Returns 0, changing nothing, when the new
  * d[k], num / d[k], is not in [1, d[k]) (header: Termination).  Rows i > k
  * get lam[i][k] = (d[k+1] lam[i][k-1] - lam[k][k-1] lam[i][k]) / d[k] and
@@ -651,80 +780,88 @@ static void size_reduce(state *s, int k, int j)
  * read once per exchange, and a row's two entries once per row.  Where those
  * five are words, the first numerator is exact in __int128 and its quotient is
  * exact_quotient, and where that quotient is a word too, so is the second.  Any
- * other row goes through cross_quotient. */
+ * other row goes through cross_quotient, with the old lam[i][k] in old. */
 static int exchange(state *s, int k, int kmax)
 {
-    mpz_ptr *lam = s->lam, d = s->d, swap, lkk, li;
+    cell **lam = s->lam, *d = s->d, *swap, *lkk, *li, vd1, vdn, vl, a, b, x;
     divisor dk = {0, 0, 0}, dk1 = {0, 0, 0};
-    long vd1 = 0, vdn = 0, vl = 0, a, b;
-    __int128 x, y;
     ints col;
-    int i, small;
+    int i, small, fell;
 
-    mpz_divexact(s->dnew, s->num, d + k);
-    if (mpz_sgn(s->dnew) <= 0 || mpz_cmp(s->dnew, d + k) >= 0)
+    if (*s->num != WIDE && d[k] != WIDE) {
+        *s->dnew = *s->num / d[k];
+        fell = *s->dnew > 0 && *s->dnew < d[k];
+    } else {
+        mpz_divexact(s->t, as_mpz(s, s->num, s->t1), as_mpz(s, d + k, s->t2));
+        put(s, s->dnew, s->t);
+        fell = mpz_sgn(as_mpz(s, s->dnew, s->t1)) > 0
+               && mpz_cmp(as_mpz(s, s->dnew, s->t1), as_mpz(s, d + k, s->t2)) < 0;
+    }
+    if (!fell)
         return 0;
     col = s->cols[k - 1], s->cols[k - 1] = s->cols[k], s->cols[k] = col;
     /* Rows k-1 and k trade their entries for columns 0..k-2; lam[k][k-1]
      * stays. */
     swap = lam[k - 1], lam[k - 1] = lam[k], lam[k] = swap;
-    mpz_swap(lam[k] + k - 1, lam[k - 1] + k - 1);
+    swap_cells(s, lam[k] + k - 1, lam[k - 1] + k - 1);
     lkk = lam[k] + k - 1;
     if (k < kmax) {
-        set_divisor(&dk, d + k);
-        set_divisor(&dk1, d + k + 1);
+        set_divisor(&dk, d[k]);
+        set_divisor(&dk1, d[k + 1]);
     }
-    small = dk.bits > 0 && dk1.bits > 0 && word(d + k + 1, &vd1) && word(s->dnew, &vdn)
-            && word(lkk, &vl);
+    vd1 = d[k + 1], vdn = *s->dnew, vl = *lkk;
+    small = dk.bits > 0 && dk1.bits > 0 && is_word(vd1) && is_word(vdn) && is_word(vl);
     for (i = k + 1; i <= kmax; i++) {
         li = lam[i];
-        if (small && word(li + k - 1, &a) && word(li + k, &b)) {
-            x = exact_quotient((__int128)vd1 * a - (__int128)vl * b, &dk);
-            if (x >= LONG_MIN && x <= LONG_MAX) {
-                y = exact_quotient((__int128)vdn * b + (__int128)vl * x, &dk1);
-                mpz_set_si(li + k, (long)x);
-                set_int128(li + k - 1, y < 0 ? -(unsigned __int128)y : (unsigned __int128)y,
-                           y < 0);
+        a = li[k - 1], b = li[k];
+        if (small && is_word(a) && is_word(b)) {
+            x = exact_quotient(vd1 * a - vl * b, &dk);
+            li[k] = x;
+            if (is_word(x)) {
+                li[k - 1] = exact_quotient(vdn * b + vl * x, &dk1);
                 continue;
             }
+            *s->old = b;
+        } else {
+            swap_cells(s, s->old, li + k);
+            cross_quotient(s, li + k, d + k + 1, li + k - 1, -1, lkk, s->old, d + k, &dk);
         }
-        mpz_swap(s->t, li + k);
-        cross_quotient(li + k, d + k + 1, li + k - 1, -1, lkk, s->t, d + k, &dk, s->t1);
-        cross_quotient(li + k - 1, s->dnew, s->t, 1, lkk, li + k, d + k + 1, &dk1, s->t1);
+        cross_quotient(s, li + k - 1, s->dnew, s->old, 1, lkk, li + k, d + k + 1, &dk1);
     }
-    mpz_swap(d + k, s->dnew);
+    swap_cells(s, d + k, s->dnew);
     return 1;
 }
 
 /* Nonzero when the Lovasz test fails at k > 0, so columns k-1 and k are
  * exchanged: when ||b*_k + mu b*_{k-1}||^2 < alpha ||b*_{k-1}||^2, that is
  * q num < p d[k]^2 with num = d[k+1] d[k-1] + lam[k][k-1]^2, which is left in
- * s->num for the exchange.  Where d[k+1], d[k-1] and lam[k][k-1] are words,
- * num is exact in __int128 (below 2^127, the d being positive), and where p,
- * q and d[k] are words too and neither product overflows, the comparison is
- * too. */
+ * the cell num for the exchange.  Where d[k+1], d[k-1] and lam[k][k-1] are
+ * words, num is exact in __int128 (below 2^127, the d being positive), and
+ * where p, q and d[k] are words too and neither product overflows, the
+ * comparison is too. */
 static int lovasz_fails(state *s, int k)
 {
-    mpz_srcptr d = s->d, lkk = s->lam[k] + k - 1;
-    long a, b, l, dk, p, q;
-    unsigned __int128 num = 0, lhs, rhs;
-    int small = word(d + k + 1, &a) && word(d + k - 1, &b) && word(lkk, &l);
+    cell *d = s->d, *lkk = s->lam[k] + k - 1, a = d[k + 1], b = d[k - 1], l = *lkk, dk = d[k];
+    unsigned __int128 num, lhs, rhs;
+    mpz_srcptr big;
 
-    if (small)
-        num = (unsigned __int128)((__int128)a * b + (__int128)l * l);
-    if (small && num <= LONG_MAX)
-        mpz_set_si(s->num, (long)num);
-    else {
-        mpz_mul(s->num, d + k + 1, d + k - 1);
-        mpz_addmul(s->num, lkk, lkk);
+    if (is_word(a) && is_word(b) && is_word(l)) {
+        num = (unsigned __int128)(a * b + l * l);
+        *s->num = (cell)num;
+        if (s->small && is_word(dk)
+            && !__builtin_mul_overflow(num, (unsigned __int128)s->qw, &lhs)
+            && !__builtin_mul_overflow((unsigned __int128)dk * (unsigned __int128)dk,
+                                       (unsigned __int128)s->pw, &rhs))
+            return lhs < rhs;
+    } else {
+        mpz_mul(s->t, as_mpz(s, d + k + 1, s->t1), as_mpz(s, d + k - 1, s->t2));
+        big = as_mpz(s, lkk, s->t1);
+        mpz_addmul(s->t, big, big);
+        put(s, s->num, s->t);
     }
-    if (small && word(d + k, &dk) && word(s->p, &p) && word(s->q, &q)
-        && !__builtin_mul_overflow(num, (unsigned __int128)q, &lhs)
-        && !__builtin_mul_overflow((unsigned __int128)dk * (unsigned long)dk,
-                                   (unsigned __int128)p, &rhs))
-        return lhs < rhs;
-    mpz_mul(s->t1, s->q, s->num);
-    mpz_mul(s->t2, d + k, d + k);
+    mpz_mul(s->t1, s->q, as_mpz(s, s->num, s->t1));
+    big = as_mpz(s, d + k, s->t2);
+    mpz_mul(s->t2, big, big);
     mpz_mul(s->t2, s->t2, s->p);
     return mpz_cmp(s->t1, s->t2) < 0;
 }
@@ -768,19 +905,19 @@ static int reduce(state *s, int r, int *where)
  * row lam_t = lam[k] without the norm entry; then from the last kernel column
  * down, q = step round_nearest(lam_t[j], step d[j+1]) is cleared from lam_t
  * and q times column j taken off the target. */
-static void babai(state *s, unsigned long step)
+static void babai(state *s)
 {
     int k = s->n - 1, j;
 
     visit(s, k, k);
     for (j = k - 1; j >= 0; j--) {
-        mpz_mul_ui(s->t, s->d + j + 1, step);
-        round_nearest(s->gamma, s->lam[k] + j, s->t, s->t1, s->t2);
-        if (!mpz_sgn(s->gamma))
+        mul_cell(s, s->den, s->step, s->d + j + 1);
+        round_nearest(s, s->gamma, s->lam[k] + j, s->den);
+        if (!*s->gamma)
             continue;
-        mpz_mul_ui(s->gamma, s->gamma, step);
-        sub_multiple(s->lam[k], s->lam[j], j, s->gamma);
-        sub_column(s->cols + k, s->cols + j, s->dim, s->gamma);
+        mul_cell(s, s->gamma, s->gamma, s->step);
+        sub_multiple(s, s->lam[k], s->lam[j], j, s->gamma);
+        sub_column(s, s->cols + k, s->cols + j, s->gamma);
     }
 }
 
@@ -795,16 +932,18 @@ static void set_budget(state *s)
     unsigned __int128 norm, top = 0;
     unsigned long bits, sum = 0;
     const ints *c;
+    cell v;
     int i, r, big;
 
     for (i = 0; i < s->n; i++) {
         c = s->cols + i;
         norm = 0;
         for (r = 0, big = c->wide; !big && r < s->dim; r++)
-            big = __builtin_add_overflow(norm, (unsigned __int128)((__int128)c->w[r] * c->w[r]),
+            big = __builtin_add_overflow(norm, (unsigned __int128)((cell)c->w[r] * c->w[r]),
                                          &norm);
         if (big) {
-            dot(s->t, c, c, NULL, s->dim, s->t1, s->t2);
+            if (dot(&v, s->t, c, c, NULL, s->dim, s->t1, s->t2))
+                set_int128(s->t, v);
             if (mpz_cmp(s->t, s->bound) > 0)
                 mpz_set(s->bound, s->t);
             bits = mpz_sgn(s->t) ? mpz_sizeinbase(s->t, 2) : 0;
@@ -817,7 +956,7 @@ static void set_budget(state *s)
             || __builtin_add_overflow(sum, bits, &sum))
             sum = ULONG_MAX;
     }
-    set_int128(s->t, top, 0);
+    mpz_import(s->t, 1, -1, sizeof top, 0, 0, &top);
     if (mpz_cmp(s->t, s->bound) > 0)
         mpz_set(s->bound, s->t);
     mpz_set_ui(s->t2, sum);
@@ -862,37 +1001,55 @@ static int read_text(mpz_ptr z, PyObject *obj)
     return status;
 }
 
-/* z = the int obj (header: Crossing).  Where limb is NULL, z is an mpz_t of
- * its own.  Otherwise z is a view on entry, and only clear_view may clear it:
- * a word becomes a read-only view of *limb (mpz_roinit_n), so that reading it
- * allocates nothing, and an int past a long an mpz_t initialised here.
- * Returns -1 with an exception set, a TypeError where obj is not an int. */
-static int read_int(mpz_ptr z, mp_limb_t *limb, PyObject *obj)
+/* z = the int obj, through a long where it is a word, else through its hex
+ * text (header: Crossing).  Returns -1 with an exception set, a TypeError
+ * where obj is not an int. */
+static int read_int(mpz_ptr z, PyObject *obj)
 {
     long v;
     int status = read_word(obj, &v);
 
     if (status < 0)
         return -1;
-    if (status) {
-        if (limb)
-            mpz_init(z);
+    if (status)
         return read_text(z, obj);
-    }
-    if (!limb) {
-        mpz_set_si(z, v);
-        return 0;
-    }
-    *limb = v < 0 ? -(mp_limb_t)v : (mp_limb_t)v;
-    mpz_roinit_n(z, limb, v < 0 ? -1 : v > 0);
+    mpz_set_si(z, v);
     return 0;
 }
 
-/* Clears z unless it is a view of limb (read_int). */
-static void clear_view(mpz_ptr z, const mp_limb_t *limb)
+/* The cell x, inline and not yet written, = the int obj (header: Crossing):
+ * through a long where it is a word, else through its two words, obj >> 64
+ * and obj modulo 2^64, where it is within the inline range, else through its
+ * hex text into x's mpz_t.  Returns -1 with an exception set, a TypeError
+ * where obj is not an int. */
+static int read_cell(const state *s, cell *x, PyObject *obj)
 {
-    if (mpz_limbs_read(z) != limb)
-        mpz_clear(z);
+    PyObject *shift, *high;
+    unsigned long long low;
+    long long top = -1;
+    long v;
+    int status = read_word(obj, &v), overflow = 1;
+
+    if (status <= 0) {
+        if (!status)
+            *x = v;
+        return status;
+    }
+    low = PyLong_AsUnsignedLongLongMask(obj);
+    shift = PyLong_FromLong(64);
+    high = shift ? PyNumber_Rshift(obj, shift) : NULL;
+    Py_XDECREF(shift);
+    if (high)
+        top = PyLong_AsLongLongAndOverflow(high, &overflow);
+    Py_XDECREF(high);
+    if (PyErr_Occurred())
+        return -1;
+    *x = (cell)((unsigned __int128)(unsigned long long)top << 64 | low);
+    if (!overflow && *x != WIDE)
+        return 0;
+    *x = WIDE;
+    mpz_init(own(s, x));
+    return read_text(own(s, x), obj);
 }
 
 /* The int z (header: Crossing), or NULL with an exception set. */
@@ -912,15 +1069,44 @@ static PyObject *new_int(mpz_srcptr z)
     return obj;
 }
 
+/* The int x, through a long where it is a word and else through its two
+ * words, x >> 64 and x modulo 2^64 (header: Crossing), or NULL with an
+ * exception set. */
+static PyObject *new_int128(cell x)
+{
+    PyObject *high, *low, *shift, *out = NULL;
+
+    if (is_word(x))
+        return PyLong_FromLong((long)x);
+    high = PyLong_FromLongLong((long long)(x >> 64));
+    low = PyLong_FromUnsignedLongLong((unsigned long long)x);
+    shift = PyLong_FromLong(64);
+    if (high && low && shift) {
+        Py_SETREF(high, PyNumber_Lshift(high, shift));
+        if (high)
+            out = PyNumber_Add(high, low);
+    }
+    Py_XDECREF(high);
+    Py_XDECREF(low);
+    Py_XDECREF(shift);
+    return out;
+}
+
+/* The int the cell x holds, or NULL with an exception set. */
+static PyObject *new_cell(const state *s, const cell *x)
+{
+    return *x == WIDE ? new_int(own(s, x)) : new_int128(*x);
+}
+
 /* count vectors of dim entries in one block: their ints, then their words,
- * then their mpz_t, initialised; NULL with MemoryError where it cannot be
- * allocated.  free_vectors frees them. */
+ * then room for their mpz_t, which widen or read_vectors sets up for a
+ * vector that is wide; NULL with MemoryError where it cannot be allocated.
+ * free_vectors frees them. */
 static ints *new_vectors(int count, int dim)
 {
-    size_t entries = (size_t)count * dim, e;
+    size_t entries = (size_t)count * dim;
     ints *v = NULL;
     long *w;
-    mpz_ptr z;
     int i;
 
     if (entries <= PY_SSIZE_T_MAX / 64)
@@ -930,33 +1116,31 @@ static ints *new_vectors(int count, int dim)
         return NULL;
     }
     w = (long *)(v + count);
-    z = (mpz_ptr)(w + entries);
-    for (e = 0; e < entries; e++)
-        mpz_init(z + e);
     for (i = 0; i < count; i++) {
         v[i].w = w + (size_t)i * dim;
-        v[i].z = z + (size_t)i * dim;
+        v[i].z = (mpz_ptr)(w + entries) + (size_t)i * dim;
+        v[i].wide = v[i].ready = 0;
     }
     return v;
 }
 
 /* Frees the count vectors of dim entries of new_vectors, in whatever order
- * their ints now are. */
+ * their ints now are, clearing the mpz_t of those that were set up. */
 static void free_vectors(ints *v, int count, int dim)
 {
-    size_t entries = (size_t)count * dim, e;
-    mpz_ptr z = (mpz_ptr)((long *)(v + count) + entries);
+    int i, r;
 
-    for (e = 0; e < entries; e++)
-        mpz_clear(z + e);
+    for (i = 0; i < count; i++)
+        for (r = 0; v[i].ready && r < dim; r++)
+            mpz_clear(v[i].z + r);
     PyMem_Free(v);
 }
 
 /* The count sequences items[0..count-1] of dim ints into v: each through its
  * words, or, where one of its ints is not a long, all of them through read_int
- * (header: Crossing).  Returns -1 with an exception set where one is not read,
- * a TypeError where it is not an int and a ValueError where a sequence's
- * length is not dim. */
+ * into its mpz_t, set up here (header: Crossing).  Returns -1 with an
+ * exception set where one is not read, a TypeError where it is not an int and
+ * a ValueError where a sequence's length is not dim. */
 static int read_vectors(ints *v, PyObject *const *items, int count, int dim)
 {
     PyObject *seq, **item;
@@ -975,10 +1159,12 @@ static int read_vectors(ints *v, PyObject *const *items, int count, int dim)
          * other results of read_word, once one is not read. */
         for (r = 0; wide >= 0 && r < dim; r++)
             wide |= read_word(item[r], v[i].w + r);
-        v[i].wide = wide > 0;
+        v[i].wide = v[i].ready = wide > 0;
         status = wide < 0 ? -1 : 0;
+        for (r = 0; v[i].ready && r < dim; r++)
+            mpz_init(v[i].z + r);
         for (r = 0; !status && wide && r < dim; r++)
-            status = read_int(v[i].z + r, NULL, item[r]);
+            status = read_int(v[i].z + r, item[r]);
         Py_DECREF(seq);
     }
     return status;
@@ -1002,72 +1188,71 @@ static PyObject *write_ints(const ints *v, int dim, PyObject *(*make)(Py_ssize_t
     return out;
 }
 
-/* A state of n columns of dim entries (new_vectors), with one block for
- * d[0..n], the n lam rows of n entries, the limbs of the first views of those,
- * the row pointers and nz.  The first views entries start as zero views of
- * their limbs, the others owned.  Returns -1 with MemoryError where it cannot
- * be allocated; free_state frees it. */
-static int new_state(state *s, int n, int dim, size_t views)
+/* A state of n columns of dim entries (new_vectors), with one block for the
+ * cells, d[0..n], the n lam rows of n cells and the scalars, all 0, then
+ * their mpz_t, zeroed so that put sets one up where it is not yet (header:
+ * Machine words), the row pointers and nz.  Returns -1 with MemoryError where
+ * it cannot be allocated; free_state frees it. */
+static int new_state(state *s, int n, int dim)
 {
-    size_t total = (size_t)n * n + n + 1, e;
+    size_t cells = (size_t)n * n + n + 1 + SCALARS;
     int i;
 
     s->n = n;
     s->dim = dim;
-    s->views = views;
     if (!(s->cols = new_vectors(n, dim)))
         return -1;
-    s->d = total <= PY_SSIZE_T_MAX / 64
-           ? PyMem_Malloc(total * sizeof(__mpz_struct) + views * sizeof(mp_limb_t)
-                          + n * sizeof(mpz_ptr) + dim * sizeof(int))
+    s->d = cells <= PY_SSIZE_T_MAX / 64
+           ? PyMem_Malloc(cells * (sizeof(cell) + sizeof(__mpz_struct)) + n * sizeof(cell *)
+                          + dim * sizeof(int))
            : NULL;
     if (!s->d) {
         free_vectors(s->cols, n, dim);
         PyErr_NoMemory();
         return -1;
     }
-    s->limbs = (mp_limb_t *)(s->d + total);
-    s->lam = (mpz_ptr *)(s->limbs + views);
+    s->z = (__mpz_struct *)(s->d + cells);
+    memset(s->d, 0, cells * (sizeof(cell) + sizeof(__mpz_struct)));
+    s->lam = (cell **)(s->z + cells);
     s->nz = (int *)(s->lam + n);
-    for (e = 0; e < views; e++)
-        mpz_roinit_n(s->d + e, s->limbs + e, 0);
-    for (; e < total; e++)
-        mpz_init(s->d + e);
     for (i = 0; i < n; i++)
         s->lam[i] = s->d + n + 1 + (size_t)i * n;
-    mpz_inits(s->p, s->q, s->bound, s->gamma, s->num, s->dnew, s->t, s->t1, s->t2, NULL);
+    s->gamma = s->d + cells - SCALARS;
+    s->num = s->gamma + 1;
+    s->dnew = s->gamma + 2;
+    s->old = s->gamma + 3;
+    s->den = s->gamma + 4;
+    s->step = s->gamma + 5;
+    s->small = 0;
+    mpz_inits(s->p, s->q, s->bound, s->t, s->t1, s->t2, NULL);
     return 0;
 }
 
-/* Frees a state of new_state, clearing every entry but a view (clear_view). */
+/* Frees a state of new_state, clearing every mpz_t that was set up. */
 static void free_state(state *s)
 {
-    size_t total = (size_t)s->n * s->n + s->n + 1, e;
+    size_t cells = (size_t)s->n * s->n + s->n + 1 + SCALARS, e;
 
-    mpz_clears(s->p, s->q, s->bound, s->gamma, s->num, s->dnew, s->t, s->t1, s->t2, NULL);
-    for (e = 0; e < s->views; e++)
-        clear_view(s->d + e, s->limbs + e);
-    for (; e < total; e++)
-        mpz_clear(s->d + e);
+    mpz_clears(s->p, s->q, s->bound, s->t, s->t1, s->t2, NULL);
+    for (e = 0; e < cells; e++)
+        if (s->z[e]._mp_d)
+            mpz_clear(s->z + e);
     PyMem_Free(s->d);
     free_vectors(s->cols, s->n, s->dim);
 }
 
 /* d[0..r] and lam rows 0..r-1 from the sequences d and lam, a start's (header:
- * Resume) or the sweep's kernel's (header: Sweep), through read_int: as views
- * where they are among the state's first views entries, as mpz_t of their own
- * past them.  Returns -1 with an exception set where they do not have that
- * shape, an entry is not an int or a d is not positive. */
+ * Resume) or the sweep's kernel's (header: Sweep), through read_cell.
+ * Returns -1 with an exception set where they do not have that shape, an
+ * entry is not an int or a d is not positive. */
 static int read_gso(state *s, PyObject *d, PyObject *lam, int r)
 {
     PyObject *row;
-    size_t e;
     int i, j, status = 0;
 
     for (i = 0; !status && i <= r; i++) {
-        status = read_int(s->d + i, (size_t)i < s->views ? s->limbs + i : NULL,
-                          PySequence_Fast_GET_ITEM(d, i));
-        if (!status && mpz_sgn(s->d + i) <= 0) {
+        status = read_cell(s, s->d + i, PySequence_Fast_GET_ITEM(d, i));
+        if (!status && mpz_sgn(as_mpz(s, s->d + i, s->t)) <= 0) {
             PyErr_SetString(PyExc_ValueError, "d must be positive");
             status = -1;
         }
@@ -1080,11 +1265,8 @@ static int read_gso(state *s, PyObject *d, PyObject *lam, int r)
             PyErr_SetString(PyExc_ValueError, "lam row i must have i entries");
             status = -1;
         }
-        for (j = 0; !status && j < i; j++) {
-            e = (size_t)(s->lam[i] + j - s->d);
-            status = read_int(s->lam[i] + j, e < s->views ? s->limbs + e : NULL,
-                              PySequence_Fast_GET_ITEM(row, j));
-        }
+        for (j = 0; !status && j < i; j++)
+            status = read_cell(s, s->lam[i] + j, PySequence_Fast_GET_ITEM(row, j));
         Py_DECREF(row);
     }
     return status;
@@ -1105,7 +1287,7 @@ static PyObject *output(state *s, int k)
         PyTuple_SET_ITEM(cols, i, seq);
     }
     for (i = 0; i <= k; i++) {
-        if (!(x = new_int(s->d + i)))
+        if (!(x = new_cell(s, s->d + i)))
             goto fail;
         PyList_SET_ITEM(d, i, x);
     }
@@ -1114,7 +1296,7 @@ static PyObject *output(state *s, int k)
             goto fail;
         PyList_SET_ITEM(lam, i, seq);
         for (j = 0; j < i; j++) {
-            if (!(x = new_int(s->lam[i] + j)))
+            if (!(x = new_cell(s, s->lam[i] + j)))
                 goto fail;
             PyList_SET_ITEM(seq, j, x);
         }
@@ -1125,6 +1307,22 @@ fail:
     Py_XDECREF(d);
     Py_XDECREF(lam);
     return NULL;
+}
+
+/* Whether d[j+1] > B d[j] for some j, with *where = j (header: The LLL
+ * invariant). */
+static int premise_fails(state *s, int *where)
+{
+    int i;
+
+    for (i = 0; i < s->n; i++) {
+        mpz_mul(s->t, s->bound, as_mpz(s, s->d + i, s->t1));
+        if (mpz_cmp(as_mpz(s, s->d + i + 1, s->t2), s->t) > 0) {
+            *where = i;
+            return 1;
+        }
+    }
+    return 0;
 }
 
 /* reduce(cols, p, q, prefix, start=None): LLL-reduce the columns cols, a
@@ -1144,7 +1342,7 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
     PyObject *cols, *p, *q, *seq, *start = Py_None, *d = NULL, *lam = NULL, *value = NULL;
     Py_ssize_t n, dim, r = 0;
     state s;
-    int prefix, where = 0, status = LLL_OK, i;
+    int prefix, where = 0, status = LLL_OK;
 
     (void)module;
     if (!PyArg_ParseTuple(args, "OOOi|O:reduce", &cols, &p, &q, &prefix, &start)
@@ -1168,21 +1366,17 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
         if (r > n || PySequence_Fast_GET_SIZE(d) != r + 1)
             goto bad_start;
     }
-    if (new_state(&s, (int)n, (int)dim, 0))
+    if (new_state(&s, (int)n, (int)dim))
         goto release;
-    mpz_set_ui(s.d, 1);
-    if (!read_vectors(s.cols, PySequence_Fast_ITEMS(seq), s.n, s.dim) && !read_int(s.p, NULL, p)
-        && !read_int(s.q, NULL, q) && !(d && read_gso(&s, d, lam, (int)r))) {
+    s.d[0] = 1;
+    if (!read_vectors(s.cols, PySequence_Fast_ITEMS(seq), s.n, s.dim) && !read_int(s.p, p)
+        && !read_int(s.q, q) && !(d && read_gso(&s, d, lam, (int)r))) {
+        s.small = word(s.p, &s.pw) && word(s.q, &s.qw);
         Py_BEGIN_ALLOW_THREADS
         set_budget(&s);
         status = reduce(&s, (int)r, &where);
-        for (i = 0; status == LLL_OK && i < n; i++) {
-            mpz_mul(s.t1, s.bound, s.d + i);
-            if (mpz_cmp(s.d + i + 1, s.t1) > 0) {
-                where = i;
-                status = LLL_PREMISE;
-            }
-        }
+        if (status == LLL_OK && premise_fails(&s, &where))
+            status = LLL_PREMISE;
         Py_END_ALLOW_THREADS
         value = status == LLL_OK ? output(&s, prefix) : PyLong_FromLong(where);
         if (value)
@@ -1231,14 +1425,14 @@ static PyObject *lll_sweep(PyObject *module, PyObject *args)
                                           "0..s-1, a target of n >= 1 entries and a step >= 1");
         goto release;
     }
-    /* The target is column k = s.  d[0..k+1] and lam rows 0..k-1, the
-     * k + 2 + k (k + 1) entries before lam_t in the state's block, are views. */
+    /* The target is column k = s. */
     k = (int)s_size;
-    if (new_state(&s, k + 1, (int)n_size, (size_t)(k + 2) + (size_t)k * (k + 1)))
+    if (new_state(&s, k + 1, (int)n_size))
         goto release;
+    *s.step = step;
     if (!read_vectors(s.cols, PySequence_Fast_ITEMS(seqs[0]), k, s.dim)
         && !read_vectors(s.cols + k, seqs + 3, 1, s.dim) && !read_gso(&s, seqs[1], seqs[2], k)) {
-        babai(&s, (unsigned long)step);
+        babai(&s);
         out = write_ints(s.cols + k, s.dim, PyList_New);
     }
     free_state(&s);
@@ -1259,6 +1453,7 @@ static PyObject *lll_products(PyObject *module, PyObject *args)
     Py_ssize_t r_size, c_size, n_size = 0;
     ints *v;
     mpz_t t, t1, t2;
+    cell value;
     int r, c, n, i, j;
 
     (void)module;
@@ -1292,8 +1487,9 @@ static PyObject *lll_products(PyObject *module, PyObject *args)
             }
             PyList_SET_ITEM(out, i, line);
             for (j = 0; j < c; j++) {
-                dot(t, v + i, v + r + j, NULL, n, t1, t2);
-                if (!(x = new_int(t))) {
+                x = dot(&value, t, v + i, v + r + j, NULL, n, t1, t2) ? new_int128(value)
+                                                                      : new_int(t);
+                if (!x) {
                     Py_CLEAR(out);
                     break;
                 }

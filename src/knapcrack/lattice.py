@@ -51,7 +51,7 @@ basis, the first ``s`` columns, and keeps that state instead of building it
 again from D's columns.
 
 Two kernels run this loop and compute one function.  ``_lll.c`` holds it in
-C over GMP ``mpz_t``, step for step: its ``reduce`` has the same first
+C, over machine words and GMP, step for step: its ``reduce`` has the same first
 visits and zero-prefix skip, the same rounding, Lovasz test and exchange
 update, so on every input it returns the same record and raises the same
 ``DependentColumns`` (same column) and premise or budget
@@ -88,7 +88,7 @@ one, once per process, and ``_kernel`` holds it; ``lll``, ``reduction``'s
 sweeps and ``intmat.products`` call its entries without asking which it is,
 and ``kernel_name()`` says which runs.
 
-The twins are 5.4-8.1x slower than the C entries on the benchmark
+The twins are 9.7-13.8x slower than the C entries on the benchmark
 workloads (README, "The LLL kernel").  Measured on the fallback
 (``perfbench/run.py``, ops/s of ``lattice_scan``, ``dag_rescue`` and
 ``kernel_geometry``, alternating runs on a 2-core x86 VM): LO's resumed
@@ -108,25 +108,25 @@ exchanged basis, minors of its integral Gram matrix; and after step ``i`` of
 columns projected orthogonally to columns ``0..i``, a Gram determinant of
 columns ``0..i`` bordered by the two.  All are integers, and on an exact
 quotient ``//`` and exact division agree.  Most ``d`` and ``lam`` the C loop
-meets fit in one 64-bit limb, so its four hot steps (the Lovasz test, the
-size reduction, the exchange's row update and the ``gso_row`` step) compute
-in machine words when their operands fit in a C ``long``: in ``__int128``,
-where a product of two longs and a sum of two such products are exact, or in
-``long`` under overflow checks.  A result is stored from a word only when it
-fits in a ``long``, and GMP computes any other, so every value and decision
-is the one GMP computes.  The row update's and the ``gso_row`` step's
-quotients have a second path before GMP, for operands of up to two limbs:
-an exact quotient is the numerator modulo ``2^128``, shifted right by the
-divisor's ``z`` trailing zero bits, times the inverse of the divisor's odd
-part modulo ``2^128``, sign-extended from ``128 - z`` bits.  It runs where
-the operands are below ``2^127`` and their bit lengths put the quotient
-below ``2^(125 - z)``, two bits inside the ``2^(127 - z)`` it needs, and
-one inverse serves all rows of an exchange.  Reading an entry was the word
-path's cost, so the C loop reads each ``mpz_t``'s size once and then only
-the limbs it names, and an exchange reads its operands and divisors once,
-dividing a row of words by the inverse as well (``_lll.c``'s header,
-"Machine words" and "Division").  The new ``d[k]`` stays
-``mpz_divexact``: it is the value the falling-``d`` check of the
+meets fit in one 64-bit limb, and reading and writing them was its cost, so
+it holds each one as an ``__int128`` where it lies within ``+-(2^127 - 1)``
+and in a GMP ``mpz_t`` only past that (``_lll.c``'s header, "Machine
+words"): an operand is one load and a result one store.  The Lovasz test,
+the exchange's row update and the ``gso_row`` step compute in machine words
+when their operands fit in a C ``long``: in ``__int128``, where a product of
+two longs and a sum of two such products are exact.  The size reduction's
+test, rounding and ``lam`` update compute in ``__int128`` under overflow
+checks wherever their operands are within two limbs, and GMP computes
+anything past those, so every value and decision is the one GMP computes.
+The row update's and the ``gso_row`` step's quotients have a second path
+before GMP, for operands of up to two limbs: an exact quotient is the
+numerator modulo ``2^128``, shifted right by the divisor's ``z`` trailing
+zero bits, times the inverse of the divisor's odd part modulo ``2^128``,
+sign-extended from ``128 - z`` bits.  It runs where the operands are below
+``2^127`` and their bit lengths put the quotient below ``2^(125 - z)``, two
+bits inside the ``2^(127 - z)`` it needs, and one inverse serves all rows of
+an exchange (``_lll.c``'s header, "Division").  The new ``d[k]`` is never
+such a modular quotient: it is the value the falling-``d`` check of the
 termination proof tests, which guards against a wrong state, where ``num``
 need not be a multiple of ``d[k]`` and a modular quotient is any residue.
 

@@ -53,9 +53,9 @@ MUTANTS = {
     # The C sweep computes q but leaves the target as it was.
     "babai-skips-sub_column": Mutant(
         LLL_C,
-        "        sub_multiple(s->lam[k], s->lam[j], j, s->gamma);\n"
-        "        sub_column(s->cols + k, s->cols + j, s->dim, s->gamma);\n",
-        "        sub_multiple(s->lam[k], s->lam[j], j, s->gamma);\n",
+        "        sub_multiple(s, s->lam[k], s->lam[j], j, s->gamma);\n"
+        "        sub_column(s, s->cols + k, s->cols + j, s->gamma);\n",
+        "        sub_multiple(s, s->lam[k], s->lam[j], j, s->gamma);\n",
         ("tests/test_reduction.py", "-k", "CSweep"), 300),
     # The C readers take vectors of any length, and read past a short one.
     "read_vectors-without-length-check": Mutant(
@@ -79,18 +79,18 @@ MUTANTS = {
         "            acc += (__int128)a->w[r] * b->w[r];\n",
         ("tests/test_lattice.py", "tests/test_intmat.py", "tests/test_reduction.py", "-k",
          "Gmp or ColumnWords or CSweep or CProducts or Products"), 300),
-    # The C word path rounds a negative half tie up (-4.5 -> -4), not down.
+    # The C rounding takes a negative half tie up (-4.5 -> -4), not down.
     "round_nearest-negative-tie-up": Mutant(
         LLL_C,
-        "        else if (2 * (__int128)r <= -(__int128)d)\n",
-        "        else if (2 * (__int128)r < -(__int128)d)\n",
+        "        else if (m < 0 && -m >= y + m)\n",
+        "        else if (m < 0 && -m > y + m)\n",
         ("tests/test_lattice.py", "tests/test_reduction.py", "-k", "Gmp or ColumnWords or CSweep"),
         300),
     # The exchange's second row update subtracts where it adds.
     "exchange-second-row-update-sign": Mutant(
         LLL_C,
-        "s->t, 1, lkk",
-        "s->t, -1, lkk",
+        "s->old, 1, lkk",
+        "s->old, -1, lkk",
         ("tests/test_lattice.py", "-k", "Gmp or ColumnWords"), 300),
     # The two-limb quotient's bound is loosened by three bits, so a quotient
     # of 128 - z bits passes it and sign-extends to a wrong, negative value.
@@ -110,8 +110,8 @@ MUTANTS = {
     # The exchange's second row update divides by d[k+1] with d[k]'s inverse.
     "exchange-divides-d_k1-with-d_k-inverse": Mutant(
         LLL_C,
-        "d + k + 1, &dk1, s->t1);",
-        "d + k + 1, &dk, s->t1);",
+        "d + k + 1, &dk1);",
+        "d + k + 1, &dk);",
         ("tests/test_lattice.py", "-k", "TwoLimb"), 300),
     # word() reads a negative two-limb value as a word: its low limb, negated.
     "word-reads-a-negative-two-limb-value": Mutant(
@@ -134,6 +134,27 @@ MUTANTS = {
         "vl * x, &dk1);",
         "vl * x, &dk);",
         ("tests/test_lattice.py", "-k", "Gmp or ColumnWords"), 300),
+    # The inline range's test is off by one, so +-2^127 are kept inline, where
+    # they read as WIDE, the mark of a cell held in GMP.
+    "inline-range-off-by-one": Mutant(
+        LLL_C,
+        "    if (mag >> 127)\n        return 0;\n",
+        "    if (mag > (unsigned __int128)1 << 127)\n        return 0;\n",
+        ("tests/test_lattice.py", "-k", "InlineGso"), 300),
+    # A GMP result past the inline range goes into the cell's mpz_t, but the
+    # cell is not marked WIDE, so it is read through its stale inline value.
+    "wide-cell-read-through-its-stale-value": Mutant(
+        LLL_C,
+        "    *x = WIDE;\n    if (o == z)\n",
+        "    if (o == z)\n",
+        ("tests/test_lattice.py", "-k", "InlineGso"), 300),
+    # An int past the inline range is read into a cell as its two words all
+    # the same, so the sweep reads a kernel's d past 2^127 as an inline value.
+    "sweep-reads-a-wide-d-as-inline": Mutant(
+        LLL_C,
+        "    if (!overflow && *x != WIDE)\n",
+        "    if (*x != WIDE)\n",
+        ("tests/test_lattice.py", "-k", "InlineGso and sweep"), 300),
     # The C sweep writes a wide target from its words, not from its mpz_t.
     "wide-sweep-target-from-words": Mutant(
         LLL_C,

@@ -2,6 +2,7 @@
 reduction contracts."""
 
 import copy
+import linecache
 import math
 import operator
 import os
@@ -1050,6 +1051,176 @@ class TestGmpResume:
             head = [list(c) for c in start.columns] + cols[r:]
             assert record_or_error(gmp_kernel.reduce, head, p, q, len(cols), start) == \
                 record_or_error(lattice._python_reduce, head, p, q, len(cols), start)
+
+
+# The edge of the C loop's inline cells (_lll.c's header, "Machine words"): a d
+# or lam entry within +-(2^127 - 1) is held as an __int128, one past it in GMP.
+INLINE_EDGE = 2**127
+
+
+def traced_gso(run, *args):
+    """run(*args) for a Python twin, and the d, lam and lam_t entries it holds
+    before each of its lines and at its return: (its value, [(line number,
+    {(name, i) or (name, i, j): value})])."""
+    states = []
+
+    def in_run(frame, event, arg):
+        if event in ("line", "return"):
+            entries = {}
+            for name in ("d", "lam", "lam_t"):
+                value = frame.f_locals.get(name)
+                for i, x in enumerate(value if isinstance(value, list) else ()):
+                    if isinstance(x, list):
+                        entries.update({(name, i, j): y for j, y in enumerate(x)})
+                    else:
+                        entries[(name, i)] = x
+            states.append((frame.f_lineno, entries))
+        return in_run
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_run if frame.f_code is run.__code__ else None)
+    try:
+        value = run(*args)
+    finally:
+        sys.settrace(before)
+    return value, states
+
+
+def edge_crossings(run, states):
+    """What traced_gso's states show of the inline edge: every value they
+    take, and per entry its crossings in order, as (the source line that made
+    it, True where it went past the edge and False where it came back)."""
+    values, crossings = set(), {}
+    for (line, before), (_, after) in zip(states, states[1:]):
+        text = linecache.getline(run.__code__.co_filename, line).strip()
+        for key, v in after.items():
+            values.add(v)
+            u = before.get(key, v)
+            if (abs(u) < INLINE_EDGE) != (abs(v) < INLINE_EDGE):
+                crossings.setdefault(key, []).append((text, abs(v) >= INLINE_EDGE))
+    return values, crossings
+
+
+def lifted_and_brought_back(crossings):
+    """Whether an entry went past the edge in an exchange's row update (the
+    Python loop's li[k] and li[k - 1]) and came back in a later step."""
+    for steps in crossings.values():
+        for i, (text, out) in enumerate(steps):
+            if out and text.startswith("li[k") and any(not o for _, o in steps[i + 1:]):
+                return True
+    return False
+
+
+# Columns whose d[1] or lam[1][0] is +-2^127 or +-(2^127 - 1) at its first
+# visit: 2^127 = ||(2^63, 2^63)||^2 and -2^127 the inner product of that
+# column with -(2^63, 2^63), in GMP (the entries 2^63 are past a long); -2^127
+# = <(-2^63,) * 4, (2^62,) * 4>, a sum of words that lands on the one value of
+# __int128 past the edge; and 2^127 - 1 as a sum of four squares.
+SQUARES = [13043817825332782211, 5933560254, 526947, 20109]
+EDGE_VALUE_BASES = [
+    [[2**63, 2**63, 0], [-2**63, -2**63, 1]],
+    [[2**62] * 4 + [0], [-2**63] * 4 + [1]],
+    [SQUARES + [0], SQUARES + [1]],
+    [SQUARES + [0], [-x for x in SQUARES] + [1], [0, 0, 0, 1, 1]],
+]
+
+
+def weight_bases(seed, count):
+    """count [I; W] bases of 4 to 6 columns with two rows of 58- to 66-bit
+    weights: d[1] starts within a few bits of 2^127, and the exchanges'
+    row updates lift lam entries past it, which later steps bring back."""
+    rng = random.Random(seed)
+    bases = []
+    for _ in range(count):
+        n, bits = rng.randint(4, 6), rng.randint(58, 66)
+        rows = [[rng.randrange(2 ** (bits - 1), 2**bits) for _ in range(n)] for _ in range(2)]
+        bases.append([[int(i == j) for i in range(n)] + [row[j] for row in rows]
+                      for j in range(n)])
+    return bases
+
+
+INLINE_EDGE_BASES = EDGE_VALUE_BASES + weight_bases(127, 6)
+
+
+class TestGmpInlineGso:
+    """The C loop's cells (_lll.c's header, "Machine words"): d and lam inline
+    within +-(2^127 - 1) and in GMP past it.  reduce, a resumed reduce (LO's
+    start) and the sweep return their Python twins' values on inputs whose d
+    and lam cross that edge both ways, which each test checks on its inputs
+    through the Python twin's trace."""
+
+    def test_reduce_matches_python(self, gmp_kernel):
+        values, lifted = set(), False
+        for cols in INLINE_EDGE_BASES:
+            n = len(cols)
+            for alpha in (DEFAULT_ALPHA, Fraction(1, 2)):
+                p, q = alpha.numerator, alpha.denominator
+                for prefix in range(n + 1):
+                    assert record_or_error(gmp_kernel.reduce, cols, p, q, prefix) == \
+                        record_or_error(lattice._python_reduce, cols, p, q, prefix)
+                seen, crossings = edge_crossings(
+                    lattice._python_reduce, traced_gso(lattice._python_reduce, cols, p, q, n)[1])
+                values |= seen
+                lifted = lifted or lifted_and_brought_back(crossings)
+        assert {INLINE_EDGE, -INLINE_EDGE, INLINE_EDGE - 1, 1 - INLINE_EDGE} <= values
+        assert lifted
+
+    def test_resumed_reduce_matches_python(self, gmp_kernel):
+        # LO's shape: the start is the reduction of the first n - 1 columns,
+        # whose d and lam lie on both sides of the edge, and the run resumes
+        # with the last.
+        p, q = DEFAULT_ALPHA.numerator, DEFAULT_ALPHA.denominator
+        starts, lifted = set(), False
+        for cols in weight_bases(128, 8):
+            n = len(cols)
+            for r in range(1, n):
+                start = lattice._python_reduce(cols[:r], p, q, r)
+                head = [list(c) for c in start.columns] + cols[r:]
+                assert record_or_error(gmp_kernel.reduce, head, p, q, n, start) == \
+                    record_or_error(lattice._python_reduce, head, p, q, n, start)
+                starts |= {abs(x) >= INLINE_EDGE for x in chain(start.d, *start.lam)}
+            start = lattice._python_reduce(cols[:n - 1], p, q, n - 1)
+            head = [list(c) for c in start.columns] + cols[n - 1:]
+            _, crossings = edge_crossings(lattice._python_reduce, traced_gso(
+                lattice._python_reduce, head, p, q, n, start)[1])
+            lifted = lifted or lifted_and_brought_back(crossings)
+        assert starts == {False, True}
+        assert lifted
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_sweep_matches_python(self, gmp_kernel, step):
+        # Kernels whose d lie past the edge, 2^127 among them, with targets
+        # near them; and kernels e_0, M e_0 + e_1, M e_1 + e_2 with M near
+        # 2^64 and d = 1, with targets a_1 D_1 + a_2 D_2 + e for a near 2^64,
+        # whose lam_t[0] starts near 2^128 and comes back as the sweep takes
+        # q_1 D_1 off.
+        rng = random.Random(step)
+        kernels = [EDGE_VALUE_BASES[0] + [[1, 0, 0]]]
+        kernels += [[[rng.randrange(-2**66, 2**66) for _ in range(5)] for _ in range(3)]
+                    for _ in range(4)]
+        for _ in range(4):
+            m = rng.randrange(2**63, 2**65)
+            kernels.append([[1, 0, 0, 0, 0], [m, 1, 0, 0, 0], [0, m, 1, 0, 0]])
+        d_values, came_back = set(), False
+        for cols in kernels:
+            d, lam = integral_gso(cols)
+            d_values |= set(d)
+            for _ in range(4):
+                a = [rng.randrange(-2**65, 2**65) for _ in cols]
+                target = [sum(x * c[r] for x, c in zip(a, cols)) + rng.randrange(-9, 9)
+                          for r in range(len(cols[0]))]
+                ours = gmp_kernel.sweep(cols, d, lam, target, step)
+                theirs, states = traced_gso(lattice._python_sweep, cols, d, lam, target, step)
+                assert ours == theirs
+                first = {}
+                for _, entries in states:
+                    for key, v in entries.items():
+                        first.setdefault(key, v)
+                came_back = came_back or any(abs(first[key]) >= INLINE_EDGE > abs(v)
+                                             for key, v in states[-1][1].items()
+                                             if key[0] == "lam_t")
+        assert INLINE_EDGE in d_values and max(d_values) > INLINE_EDGE
+        assert came_back
 
 
 def copy_of_source(directory):
