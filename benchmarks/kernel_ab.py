@@ -15,10 +15,16 @@ each timed on its own, the two taking turns to go first from round to round,
 and a build's time for the round is the sum of its calls.  It writes
 ``benchmarks/BENCH_kernel_ab.json``: per workload the call count, each
 build's median and quartiles of its round time in ms, the ratio of the
-medians (change over base) and the rounds the change won, with both
-revisions and the git blobs of both sources, ``nproc`` and the Python
-version.  It exits non-zero, writing nothing, where a build fails or the two
-builds return different values on a call.
+medians (change over base) and the rounds the change won, and for
+``lattice_scan`` the same per group of its calls (``groups``), one group per
+cell of the workload and basis shape (``group_of``), timed over their own
+rounds, so that each attack and size shows apart.  Beside them it records
+both sides (``sides``): the base as its commit and the git blob of its
+source, and the change as the working tree on top of HEAD, with the blob of
+its source and whether that is HEAD's, never as a commit, since a run made
+before the change is committed would name the parent; and ``nproc`` and
+the Python version.  It exits non-zero, writing nothing, where a build fails
+or the two builds return different values on a call.
 
 The process pins itself to one CPU of its affinity set before it runs
 anything (``pin_one_cpu``), so that a DAG search runs in one lane
@@ -118,12 +124,43 @@ def modules(package: str) -> SimpleNamespace:
         "pipeline", "formulations", "disagg", "analysis", "intmat", "problems", "errors")})
 
 
-def workload_calls(name: str) -> list[tuple]:
-    """The LLL calls of one pass over the population of perfbench's workload name."""
+def workload_calls(name: str) -> list[tuple[str, tuple]]:
+    """The LLL calls of one pass over the population of perfbench's workload
+    name, each as (the key of the op that made it, its arguments)."""
     kc = modules("knapcrack")
     workload = workloads()[name]
-    items = workload.build(kc)
-    return capture_calls(lambda: [workload.run(kc, item) for item in items])
+    return [(item.key, args) for item in workload.build(kc)
+            for args in capture_calls(partial(workload.run, kc, item))]
+
+
+def group_of(key: str, args: tuple) -> str:
+    """The group of an LLL call that the op key made: the op's cell, its key
+    without the seed, and the basis shape, columns x entries, with "resumed"
+    for a call from a start (LO's tails).  So "m2-n30-cjloss 31x32" and
+    "m1-n30-ahl 31x32" are apart."""
+    cols, start = args[0], args[4]
+    shape = f"{len(cols)}x{len(cols[0])}{' resumed' if start is not None else ''}"
+    return f"{key.rsplit('-s', 1)[0]} {shape}"
+
+
+def commits(ref: str) -> tuple[str, str]:
+    """The commit ref names, the base, and HEAD, which the change, the working
+    tree, is on top of."""
+    return (git("rev-parse", "--verify", f"{ref}^{{commit}}").strip(),
+            git("rev-parse", "HEAD").strip())
+
+
+def sides(ref: str) -> tuple[dict, dict]:
+    """The records of the base, the commit ref names, and of the change, the
+    working tree on top of HEAD: the base's commit and the git blob of its
+    source, and the change's HEAD, the blob of its source and whether that is
+    HEAD's."""
+    commit, head = commits(ref)
+    blob = git("hash-object", SOURCE).strip()
+    base = {"commit": commit, "lll_c": git("rev-parse", f"{commit}:{SOURCE}").strip()}
+    change = {"working_tree_on": head, "lll_c": blob,
+              "lll_c_committed": blob == git("rev-parse", f"{head}:{SOURCE}").strip()}
+    return base, change
 
 
 def pin_one_cpu() -> int:
@@ -197,24 +234,28 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    commit = git("rev-parse", "--verify", f"{argv[0]}^{{commit}}").strip()
-    head = git("rev-parse", "HEAD").strip()
-    base = {"commit": commit, "lll_c": git("rev-parse", f"{commit}:{SOURCE}").strip()}
-    change = {"commit": head, "lll_c": git("hash-object", SOURCE).strip()}
-    change["lll_c_committed"] = change["lll_c"] == git("rev-parse", f"{head}:{SOURCE}").strip()
+    base, change = sides(argv[0])
     nproc = pin_one_cpu()
     with tempfile.TemporaryDirectory(prefix="kernel_ab_") as tmp:
         builds = {}
-        for name, text in (("base", git("show", f"{commit}:{SOURCE}")),
+        for name, text in (("base", git("show", f"{base['commit']}:{SOURCE}")),
                            ("change", (ROOT / SOURCE).read_text())):
             Path(tmp, name).mkdir()
             builds[name] = load(text, Path(tmp, name), name)
+        time_them = partial(compare_and_time, base=builds["base"].reduce,
+                            change=builds["change"].reduce, rounds=ROUNDS)
         records = {}
         for name in ("dag_rescue", "lattice_scan", "kernel_geometry"):
             calls = workload_calls(name)
-            records[name] = compare_and_time(calls, builds["base"].reduce,
-                                             builds["change"].reduce, ROUNDS)
+            records[name] = time_them([args for _, args in calls])
             print(name, json.dumps(records[name]), flush=True)
+            if name == "lattice_scan":
+                groups: dict[str, list[tuple]] = {}
+                for key, args in calls:
+                    groups.setdefault(group_of(key, args), []).append(args)
+                records[name]["groups"] = {g: time_them(c) for g, c in groups.items()}
+                for g, record in records[name]["groups"].items():
+                    print(" ", g, json.dumps(record), flush=True)
     OUT.write_text(json.dumps(report(base, change, nproc, records), indent=2) + "\n")
     return 0
 

@@ -17,8 +17,10 @@ on both sides back to back, each timed on its own, the two taking turns to
 go first from round to round.  It writes ``benchmarks/BENCH_op_ab.json``:
 per workload the op count, each side's median and quartiles of its summed
 op time per round in ms, the ratio of the medians (change over base) and
-the rounds the change won, with both commits, whether the working tree's
-``src/knapcrack`` is the one committed, ``nproc`` and the Python version.
+the rounds the change won, with both sides (``sides``): the base's commit,
+and the change as the working tree on top of HEAD, never as a commit, with
+whether its ``src/knapcrack`` is HEAD's; and ``nproc`` and the Python
+version.
 It exits non-zero, writing nothing, where the two sides' outcomes differ.
 
 The process pins itself to one CPU first (``kernel_ab.pin_one_cpu``), so a
@@ -86,24 +88,30 @@ def compare_and_time(workload, base: SimpleNamespace, change: SimpleNamespace,
     return {"ops": len(pairs), **kernel_ab.summary(*kernel_ab.time_rounds(pairs, rounds))}
 
 
+def sides(ref: str) -> tuple[dict, dict]:
+    """The records of the base, the commit ref names, and of the change, the
+    working tree on top of HEAD, with whether its ``src/knapcrack`` is HEAD's."""
+    commit, head = kernel_ab.commits(ref)
+    committed = not git("status", "--porcelain", "--", PACKAGE).strip()
+    return {"commit": commit}, {"working_tree_on": head, "src_committed": committed}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    commit = git("rev-parse", "--verify", f"{argv[0]}^{{commit}}").strip()
-    head = git("rev-parse", "HEAD").strip()
-    committed = not git("status", "--porcelain", "--", PACKAGE).strip()
+    base_side, change_side = sides(argv[0])
     nproc = kernel_ab.pin_one_cpu()
     workloads = kernel_ab.workloads()
     with tempfile.TemporaryDirectory(prefix="op_ab_") as tmp:
-        base = load_package(extract(commit, Path(tmp)), BASE_NAME)
+        base = load_package(extract(base_side["commit"], Path(tmp)), BASE_NAME)
         change = kernel_ab.modules("knapcrack")
         records = {}
         for name in ("dag_rescue", "lattice_scan", "kernel_geometry"):
             records[name] = compare_and_time(workloads[name], base, change, ROUNDS)
             print(name, json.dumps(records[name]), flush=True)
-    doc = {"base": {"commit": commit}, "change": {"commit": head, "src_committed": committed},
-           "nproc": nproc, "python": platform.python_version(), "workloads": records}
+    doc = {"base": base_side, "change": change_side, "nproc": nproc,
+           "python": platform.python_version(), "workloads": records}
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -7,8 +7,10 @@
  * Python loop, step for step: the same k_max first visits, the same
  * zero-prefix skip of the inner products (gso_row), the same nearest integer
  * ceil(q - 1/2), the same Lovasz test against alpha = p/q and the same
- * exchange update of rows k+1..k_max.  Both loops compute one function of their
- * input, bit for bit, and raise at the same column.  Both run on plain integer
+ * exchange update of rows k+1..k_max, and one phase of its own, which reduces
+ * a basis's even leading columns at scale one (Even prefix).  Both loops
+ * compute one function of their input, bit for bit, and raise at the same
+ * column.  Both run on plain integer
  * columns; here a column's entries are C longs while they fit in one
  * (Columns, below).  Its second entry, sweep, is lattice._python_sweep
  * (Sweep, below), and its third, products, is lattice._python_products
@@ -151,7 +153,8 @@
  * beyond ULONG_MAX is never reached and is held as ULONG_MAX: for alpha so
  * close to 1 that q / (q - p) is near 2^64, as for p/q = (2^65 + 1) /
  * (2^65 + 3), only the falling-d check guards the loop.  A resumed run
- * counts its exchanges from 0 against the budget of its own input (Resume).
+ * counts its exchanges from 0 against the budget of its own input (Resume),
+ * and a run with an even prefix counts on across its shift (Even prefix).
  *
  * Resume.  reduce takes a start, the record of a run on the first r of its
  * columns with prefix r, and runs from k = r and k_max = r - 1 with those
@@ -163,6 +166,49 @@
  * ones, and the proofs above hold for it: each head ||b*_j||^2 is at most the
  * squared norm of its column, an input column, so at most B, and the head's d
  * are the input's Gram determinants, bounded as P0 is.
+ *
+ * Even prefix.  A run without a start first finds the longest run of leading
+ * input columns 0..r-1 whose entries share a factor 2^z with z >= 1
+ * (even_prefix): the first column with an odd entry, or the first zero
+ * column, ends it, and z is the fewest trailing zero bits of its nonzero
+ * entries.  [I; N A], LO's [I; -a] and AHL's basis leave at their first
+ * entry, a 1; CJLOSS's [2I; 2N A] doubles its n item columns to keep the 1/2
+ * of its last column integral, so there r = n (n - 1 where 2b = A 1 drops
+ * column n - 1) and z = 1.  The loop shifts those r columns right by z
+ * (shift_columns), runs to its first visit of column r (or to its end where
+ * r = n), shifts the reduced columns back left by z, each d[i] by 2 i z bits
+ * and each lam[i][j] by 2 (j + 1) z bits (shift_cell: inline where the cell
+ * still fits, in its mpz_t past that), and goes on from k = r as a resumed
+ * run does (reduce_input).  The Python loop has no such phase, and the
+ * output is its output, bit for bit:
+ *
+ * Let c = 2^z.  Scaling each of i columns by c scales their Gram matrix by
+ * c^2, so their Gram determinant d[i] by c^(2i); it leaves each mu[i][j] =
+ * <b_i, b*_j> / ||b*_j||^2 as it is, b*_j scaling by c, so lam[i][j] =
+ * mu[i][j] d[j+1] scales by c^(2(j+1)).  Up to its first visit of column r
+ * the loop reads and writes only columns 0..r-1 and their GSO, and each of
+ * its decisions compares two terms of one weight in c, so the scaled run
+ * takes each one as the run at the input's scale does:
+ *  - the size reduction's test |2 lam[k][j]| > d[j+1], both of weight
+ *    c^(2(j+1)), and its gamma, the nearest integer to their quotient mu;
+ *  - the Lovasz test, q num < p d[k]^2 with num = d[k+1] d[k-1] +
+ *    lam[k][k-1]^2, each term of weight c^(4k);
+ *  - the falling-d check, 0 < num / d[k] < d[k], all three of weight c^(2k);
+ *  - the dependency test d[k+1] = 0 and gso_row's zero-prefix skip, whose
+ *    inner products scale by c^2: a zero is a zero at either scale.
+ * So both runs make the same size reductions with the same gamma and the
+ * same exchanges, each column at scale one being its input-scale column
+ * over c and each d and lam its input-scale value over its weight.  Every
+ * quotient either run takes is exact (Division), so those values are
+ * integers and the shift back is exact.  The exchange count runs on across
+ * the shift, B and the budget are those of the input as given (set_budget
+ * reads it before the shift), and the premise check reads the output at the
+ * input's scale: the record and every error, the DependentColumns column
+ * among them, are those of the run without the phase.  At scale one the
+ * numbers are smaller: over the first visits of CJLOSS's doubled columns on
+ * lattice_scan's instances (seeds 0-19), the largest lam falls from 154 to
+ * 117 bits at n = 20, 205 to 148 at n = 30 and 320 to 263 on the m = 2
+ * systems, and the largest d from 137 to 99, 177 to 119 and 293 to 235.
  *
  * Output.  At exit d and lam are exact for the reduced columns, and the
  * caller names a prefix k: reduce returns the reduced columns, a tuple of
@@ -662,8 +708,11 @@ static void sub_multiple(state *s, cell *v, const cell *w, int len, const cell *
 }
 
 /* Column v of dim entries into GMP: its words into its mpz_t, set up the
- * first time. */
-static void widen(ints *v, int dim)
+ * first time.  It and narrow are marked inline: with shift_columns as a
+ * second caller GCC left them out of line, and sub_column's calls of them
+ * made LO's and AHL's reductions about 1% slower (benchmarks/kernel_ab.py,
+ * by group). */
+static inline void widen(ints *v, int dim)
 {
     int r;
 
@@ -677,7 +726,7 @@ static void widen(ints *v, int dim)
 
 /* Wide column v of dim entries back into words where every entry fits in a
  * long. */
-static void narrow(ints *v, int dim)
+static inline void narrow(ints *v, int dim)
 {
     int r;
 
@@ -867,14 +916,16 @@ static int lovasz_fails(state *s, int k)
 }
 
 /* The loop of lattice._python_reduce from k = r, columns 0..r-1 and their
- * GSO being the start's (header: Resume).  Returns LLL_DEPENDENT with *where
- * = k when column k depends on the columns before it, and LLL_BUDGET at an
- * exchange past the budget or one that does not lower d[k]. */
-static int reduce(state *s, int r, int *where)
+ * GSO being the start's (header: Resume), up to the first visit of column
+ * stop (header: Even prefix), which it leaves to the caller, or to its end
+ * where stop = n.  Returns LLL_DEPENDENT with *where = k when column k
+ * depends on the columns before it, and LLL_BUDGET at an exchange past the
+ * budget or one that does not lower d[k]. */
+static int reduce(state *s, int r, int stop, int *where)
 {
-    int n = s->n, k = r, kmax = r - 1, j;
+    int k = r, kmax = r - 1, j;
 
-    while (k < n) {
+    while (k < stop) {
         if (k > kmax) {
             kmax = k;
             if (visit(s, k, k + 1)) {
@@ -899,6 +950,116 @@ static int reduce(state *s, int r, int *where)
         }
     }
     return LLL_OK;
+}
+
+/* The even prefix (header: Even prefix): the count r of leading columns whose
+ * entries are all even, ended by the first zero column or column with an odd
+ * entry, and in *z the fewest trailing zero bits of their nonzero entries.
+ * An [I; N A] column's first entry is 1, so such a basis leaves at its first
+ * entry. */
+static int even_prefix(const state *s, unsigned long *z)
+{
+    const ints *c;
+    unsigned long col, bits;
+    int i, r;
+
+    for (*z = ULONG_MAX, i = 0; i < s->n; i++) {
+        c = s->cols + i;
+        for (col = ULONG_MAX, r = 0; col && r < s->dim; r++) {
+            if (c->wide ? !mpz_sgn(c->z + r) : !c->w[r])
+                continue;
+            bits = c->wide ? mpz_scan1(c->z + r, 0)
+                           : (unsigned long)__builtin_ctzl((unsigned long)c->w[r]);
+            if (bits < col)
+                col = bits;
+        }
+        if (!col || col == ULONG_MAX)
+            break;
+        if (col < *z)
+            *z = col;
+    }
+    return i;
+}
+
+/* Columns 0..r-1 shifted left by z bits (up) or right by z bits, every entry
+ * being a multiple of 2^z (header: Even prefix).  A word column, whose
+ * nonzero entries have at most 63 trailing zero bits, shifts right in longs,
+ * and left in longs where every shifted entry fits one, being widened first
+ * where one does not; a wide column shifts in GMP, and is narrowed after a
+ * shift right. */
+static void shift_columns(state *s, int r, unsigned long z, int up)
+{
+    ints *v;
+    int i, e, dim = s->dim;
+
+    for (i = 0; i < r; i++) {
+        v = s->cols + i;
+        if (!v->wide) {
+            if (!up) {
+                for (e = 0; e < dim; e++)
+                    v->w[e] >>= z;
+                continue;
+            }
+            for (e = 0; z < 64 && e < dim && v->w[e] >= LONG_MIN >> z && v->w[e] <= LONG_MAX >> z;
+                 e++)
+                ;
+            if (e == dim) {
+                for (e = 0; e < dim; e++)
+                    v->w[e] = (long)((unsigned long)v->w[e] << z);
+                continue;
+            }
+            widen(v, dim);
+        }
+        for (e = 0; e < dim; e++)
+            if (up)
+                mpz_mul_2exp(v->z + e, v->z + e, z);
+            else
+                mpz_tdiv_q_2exp(v->z + e, v->z + e, z);
+        if (!up)
+            narrow(v, dim);
+    }
+}
+
+/* x = x 2^bits: inline where the result is within the inline range, else in
+ * GMP. */
+static void shift_cell(state *s, cell *x, unsigned long bits)
+{
+    cell v = *x;
+
+    if (v != WIDE && bits < 127 && !(magnitude(v) >> (127 - bits))) {
+        *x = (cell)((unsigned __int128)v << bits);
+        return;
+    }
+    if (v == WIDE) {
+        mpz_mul_2exp(own(s, x), own(s, x), bits);
+        return;
+    }
+    set_int128(s->t, v);
+    mpz_mul_2exp(s->t, s->t, bits);
+    put(s, x, s->t);
+}
+
+/* The loop from k = 0 (header: Even prefix): the even prefix's r columns
+ * shifted right by z bits up to the first visit of column r, then they and
+ * their GSO back at the input's scale, each d[i] shifted left by 2 i z bits
+ * and each lam[i][j] by 2 (j + 1) z, and the loop on from k = r.  Where r = 0
+ * that is the loop from k = 0. */
+static int reduce_input(state *s, int *where)
+{
+    unsigned long z;
+    int r = even_prefix(s, &z), status, i, j;
+
+    shift_columns(s, r, z, 0);
+    status = reduce(s, 0, r, where);
+    if (status != LLL_OK)
+        return status;
+    shift_columns(s, r, z, 1);
+    for (i = 1; i <= r; i++)
+        shift_cell(s, s->d + i, 2UL * i * z);
+    for (i = 1; i < r; i++)
+        for (j = 0; j < i; j++)
+            shift_cell(s, s->lam[i] + j, 2UL * (j + 1) * z);
+    return reduce(s, r, s->n, where);
 }
 
 /* lattice._python_sweep (header: Sweep): the target, column k = n - 1, gets its
@@ -1374,7 +1535,7 @@ static PyObject *lll_reduce(PyObject *module, PyObject *args)
         s.small = word(s.p, &s.pw) && word(s.q, &s.qw);
         Py_BEGIN_ALLOW_THREADS
         set_budget(&s);
-        status = reduce(&s, (int)r, &where);
+        status = r ? reduce(&s, (int)r, s.n, &where) : reduce_input(&s, &where);
         if (status == LLL_OK && premise_fails(&s, &where))
             status = LLL_PREMISE;
         Py_END_ALLOW_THREADS

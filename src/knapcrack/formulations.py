@@ -257,8 +257,11 @@ def cjloss_basis(sys: LdeSystem, N: int) -> LatticeBasis:
     """Doubled CJLOSS basis [2I, 1; 2AN, 2bN] (x2 keeps entries integral).
 
     When 2b = A 1 the n + 1 columns are dependent, and column n - 1 is left
-    out: the other n are a basis of the same lattice.  Raises InvalidN
-    unless N > sqrt(n)/2.
+    out: the other n are a basis of the same lattice.  The doubling costs
+    the C LLL loop nothing: it reduces the even leading columns, all but the
+    last, at scale one and shifts the result back (``lattice``'s docstring),
+    on numbers 4^i times smaller in d[i].  Raises InvalidN unless
+    N > sqrt(n)/2.
     """
     n = sys.n
     if 4 * N * N <= n:
@@ -284,6 +287,8 @@ def attack_cjloss(sys: LdeSystem, N: int = DEFAULT_N,
     vector up to sign, and a complement run would only re-base it.  At
     density one such a fallback rescued none of 93 misses (m = 1, even
     n = 16-30 with seeds 0-19, n = 40, 50, ..., 100 with seeds 0-9).
+    Under the C kernel the basis's doubled prefix is reduced at scale one,
+    with the same result (``cjloss_basis``).
     """
     reduced = lll(cjloss_basis(sys, N), alpha)
     for j, x, negated in _scan_pm1(reduced.columns, sys.n):

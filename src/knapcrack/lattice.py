@@ -55,8 +55,18 @@ C, over machine words and GMP, step for step: its ``reduce`` has the same first
 visits and zero-prefix skip, the same rounding, Lovasz test and exchange
 update, so on every input it returns the same record and raises the same
 ``DependentColumns`` (same column) and premise or budget
-``AssertionError``.  Only the prefix's state crosses back from C, after the
-columns.  Both loops run on plain integer columns; the C loop holds a
+``AssertionError``.  It has one phase the Python loop has not: without a
+start, it reduces the run of leading columns whose entries share a factor
+``2^z`` at scale one, shifted right by ``z``, up to its first visit of the
+next column, and then shifts those columns back, each ``d[i]`` by ``2iz``
+bits and each ``lam[i][j]`` by ``2(j+1)z``.  LLL is invariant under scaling:
+each of its decisions compares two terms of one weight in ``2^z``, so that
+run makes the same exchanges with the same multipliers, on numbers
+``4^(iz)`` and ``4^((j+1)z)`` times smaller, and returns the Python loop's
+record bit for bit (``_lll.c``'s header, "Even prefix", has the proof).
+CJLOSS's doubled item columns are such a prefix.  The Python loop stays
+without the phase, the reference the tests hold it to.  Only the prefix's
+state crosses back from C, after the columns.  Both loops run on plain integer columns; the C loop holds a
 column's entries as C ``long``s while all fit, and in GMP from an update
 that overflows one until they fit again (``_lll.c``'s header, "Columns").
 The file is a CPython extension module, built on the first call in a

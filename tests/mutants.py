@@ -161,6 +161,20 @@ MUTANTS = {
         "        out = write_ints(s.cols + k, s.dim, PyList_New);",
         "        s.cols[k].wide = 0;\n        out = write_ints(s.cols + k, s.dim, PyList_New);",
         ("tests/test_reduction.py", "-k", "CSweep"), 300),
+    # The even prefix's lam[i][j] go back to the input's scale by 2^(2 j z),
+    # not 2^(2 (j + 1) z).
+    "even-prefix-lam-rescaled-by-2jz": Mutant(
+        LLL_C,
+        "shift_cell(s, s->lam[i] + j, 2UL * (j + 1) * z);",
+        "shift_cell(s, s->lam[i] + j, 2UL * j * z);",
+        ("tests/test_lattice.py", "-k", "EvenPrefix"), 300),
+    # The even prefix goes back to the input's scale after the first visit of
+    # column r, which then meets columns 0..r-1 at scale one.
+    "even-prefix-rescaled-after-the-first-visit-of-r": Mutant(
+        LLL_C,
+        "    status = reduce(s, 0, r, where);\n",
+        "    status = reduce(s, 0, r < s->n ? r + 1 : r, where);\n",
+        ("tests/test_lattice.py", "-k", "EvenPrefix"), 300),
     # The Python twins' update v - gamma * w subtracts w at gamma = -1.
     "python-update-gamma-minus-one-subtracts": Mutant(
         LATTICE,

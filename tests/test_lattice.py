@@ -25,7 +25,7 @@ from knapcrack.formulations import (DEFAULT_N, DEFAULT_N1, ahl_basis, attack_ahl
 from knapcrack import lattice
 from knapcrack.lattice import DEFAULT_ALPHA, LatticeBasis, gso_row, lll, round_nearest
 from knapcrack.pipeline import SearchConfig, attack, generate_instance, generate_system
-from knapcrack.problems import complement
+from knapcrack.problems import LdeSystem, complement
 
 from oracles import (a_long, basis_of, enumerate_lattice_shortest, gso, gso_after_reduce,
                      gso_after_swap, hnf_columns, independent_short_vectors, integral_gso,
@@ -1221,6 +1221,123 @@ class TestGmpInlineGso:
                                              if key[0] == "lam_t")
         assert INLINE_EDGE in d_values and max(d_values) > INLINE_EDGE
         assert came_back
+
+
+def even_prefix(cols):
+    """The C loop's even prefix of cols (_lll.c's header, "Even prefix"): (r,
+    z), the run of leading columns whose entries are all even, ended by the
+    first zero column or column with an odd entry, and the fewest trailing
+    zero bits of their nonzero entries (None where r = 0)."""
+    r, z = 0, None
+    for col in cols:
+        zeros = [(x & -x).bit_length() - 1 for x in col if x]
+        if not zeros or not min(zeros):
+            break
+        r, z = r + 1, min(zeros + [z] if z is not None else zeros)
+    return r, z
+
+
+def held_to_python(gmp_kernel, cols, alpha):
+    """Asserts that the C loop's record at every prefix of cols is the
+    Python loop's, or that both raise alike; returns the Python loop's
+    record for the prefix n (or what it raised)."""
+    p, q, n = alpha.numerator, alpha.denominator, len(cols)
+    theirs = record_or_error(lattice.PYTHON.reduce, cols, p, q, n)
+    for prefix in range(n + 1):
+        expected = (theirs._replace(d=theirs.d[:prefix + 1], lam=theirs.lam[:prefix])
+                    if isinstance(theirs, lattice.Reduced) else theirs)
+        assert record_or_error(gmp_kernel.reduce, cols, p, q, prefix) == expected
+    return theirs
+
+
+EVEN_PREFIX_ENTRIES = st.one_of(st.integers(-20, 20), st.sampled_from(CROSSING),
+                                st.integers(-2**70, 2**70))
+
+
+@st.composite
+def even_prefix_inputs(draw):
+    """2^z B for z in 1..3 on B's first r columns, then columns of which the
+    first has an odd entry: n <= 6 columns of dimension n..n+2 drawn from
+    EVEN_PREFIX_ENTRIES, r in 1..n (r = n: every column even), with a
+    dependent column drawn in."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(n, n + 2))
+    z, r = draw(st.integers(1, 3)), draw(st.integers(1, n))
+    cols = [draw(st.lists(EVEN_PREFIX_ENTRIES, min_size=dim, max_size=dim)) for _ in range(n)]
+    cols[:r] = [[x << z for x in col] for col in cols[:r]]
+    if r < n:
+        cols[r][draw(st.integers(0, dim - 1))] |= 1
+    if n > 1 and draw(st.booleans()):  # column k a combination of the columns before it
+        k = draw(st.integers(1, n - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        cols[k] = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(dim)]
+    return cols
+
+
+def half_sum_system(m, n, seed):
+    """A system with 2b = A 1, from generate_system's rows (m = 1: the
+    instance's), each row's last entry raised by one where its sum is odd."""
+    system = generate_instance(n, seed).instance if m == 1 else generate_system(m, n, seed).system
+    rows = [list(row) for row in system.A]
+    for row in rows:
+        row[-1] += sum(row) % 2
+    return LdeSystem.from_rows(rows, [sum(row) // 2 for row in rows])
+
+
+class TestGmpEvenPrefix:
+    """The C loop reduces a basis's even leading columns at scale one (_lll.c's
+    header, "Even prefix") and returns the Python loop's columns, d and lam at
+    every prefix, and its errors, the same DependentColumns column among
+    them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(even_prefix_inputs(), st.sampled_from([DEFAULT_ALPHA, Fraction(1, 2), *WIDE_ALPHAS]))
+    def test_scaled_prefixes_match_python(self, gmp_kernel, cols, alpha):
+        held_to_python(gmp_kernel, cols, alpha)
+
+    @pytest.mark.parametrize("z", [1, 2, 3])
+    def test_all_even_bases_match_python(self, gmp_kernel, z):
+        # r = n: the whole run is at scale one, and dense columns whose
+        # entries pass a long at the input's scale (basis_of_bits).
+        rng = random.Random(z)
+        for n, dim in ((1, 2), (3, 3), (5, 6), (7, 7)):
+            for bits in (20, 63, 70):
+                cols = [[x << z for x in col] for col in basis_of_bits(rng, n, dim, bits)]
+                assert even_prefix(cols)[0] == n
+                held_to_python(gmp_kernel, cols, DEFAULT_ALPHA)
+
+    def test_rescaled_cells_and_columns_leave_the_words(self, gmp_kernel):
+        # weight_bases times 2^z: at scale one d[1] starts within a few bits
+        # of 2^127, so shifting the reduced state back by z moves d and lam
+        # cells past 2^127 into GMP; and a diagonal of entries near 2^62,
+        # reduced as it is, whose word entries pass a long when shifted
+        # back, so their columns widen.
+        crossed_cells = crossed_columns = False
+        for z in (1, 2, 3):
+            diagonal = [[2**62 + 2 * i + 1 if r == i else 0 for r in range(3)] for i in range(3)]
+            for cols in weight_bases(z, 6) + [diagonal]:
+                scaled = [[x << z for x in col] for col in cols]
+                assert even_prefix(scaled) == (len(cols), z)
+                ours = held_to_python(gmp_kernel, scaled, DEFAULT_ALPHA)
+                one = lattice._python_reduce(cols, 99, 100, len(cols))
+                crossed_cells |= any(abs(u) < INLINE_EDGE <= abs(v) for u, v in
+                                     zip(chain(one.d, *one.lam), chain(ours.d, *ours.lam)))
+                crossed_columns |= any(a_long(u) and not a_long(v) for u, v in
+                                       zip(chain(*one.columns), chain(*ours.columns)))
+        assert crossed_cells and crossed_columns
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_cjloss_bases_match_python(self, gmp_kernel, n):
+        # [2I; 2N A] and the column (1, ..., 1, 2N b): the even prefix is
+        # the n doubled columns, or n - 1 where 2b = A 1 drops column n - 1.
+        systems = [generate_instance(n, 0).instance, generate_system(2, n, 0).system,
+                   half_sum_system(1, n, 1), half_sum_system(2, n, 1)]
+        for system in systems:
+            cols = cjloss_basis(system, DEFAULT_N).columns
+            half = all(2 * b == sum(row) for row, b in zip(system.A, system.b))
+            assert len(cols) == n + 1 - half
+            assert even_prefix(cols) == (n - half, 1)
+            assert isinstance(held_to_python(gmp_kernel, cols, DEFAULT_ALPHA), lattice.Reduced)
 
 
 def copy_of_source(directory):

@@ -5,6 +5,7 @@ A/A against the package itself on a few ops, so that no second build is made."""
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -60,3 +61,29 @@ def test_unequal_outcomes_stop_the_run(twin, scan):
     differ = replace(scan, check=lambda kc, item, outcome: ({"twin": kc is twin}, False))
     with pytest.raises(SystemExit, match=r"outcomes differ on op 0 \(m1-n20-lo-s0\)"):
         op_ab.compare_and_time(differ, twin, op_ab.kernel_ab.modules("knapcrack"), 3)
+
+
+def git_in(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab", "-c", "user.email=ab@ab",
+                           *args], check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_the_change_is_the_working_tree_before_and_after_its_commit(tmp_path, monkeypatch):
+    # A git repository of its own, set as the scripts' root, with a package
+    # of one module, edited and then committed.
+    module = tmp_path / op_ab.PACKAGE / "lattice.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("BASE = 1\n")
+    git_in(tmp_path, "init", "-q")
+    git_in(tmp_path, "add", "-A")
+    git_in(tmp_path, "commit", "-qm", "base")
+    monkeypatch.setattr(op_ab.kernel_ab, "ROOT", tmp_path)
+    parent = git_in(tmp_path, "rev-parse", "HEAD")
+    module.write_text("BASE = 2\n")
+    assert op_ab.sides("HEAD") == ({"commit": parent},
+                                   {"working_tree_on": parent, "src_committed": False})
+    git_in(tmp_path, "commit", "-qam", "change")
+    base, change = op_ab.sides(parent)
+    assert base == {"commit": parent}
+    assert change == {"working_tree_on": git_in(tmp_path, "rev-parse", "HEAD"),
+                      "src_committed": True}
